@@ -261,7 +261,7 @@ mod tests {
                 })
                 .collect();
             state.receive(&batch);
-            let _ = state.create_message(ids[7], &batch, true);
+            let _ = state.create_message_at(ids[7], &batch, true, 0, &mut Default::default());
 
             let packed = CompactNode::pack(&state, &ids);
             packed.unpack_into(node, &ids, &mut scratch);

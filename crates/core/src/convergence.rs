@@ -22,7 +22,6 @@ use bss_util::config::BootstrapParams;
 use bss_util::descriptor::Address;
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
-use std::collections::HashSet;
 
 /// Global knowledge of the live identifier set, able to judge any node's tables.
 #[derive(Debug, Clone)]
@@ -276,7 +275,9 @@ impl ConvergenceOracle {
     /// that length and whose next digit is the slot's column)`.
     pub fn fillable_prefix_entries(&self, id: NodeId) -> usize {
         let mut total = 0;
-        self.for_each_fillable_slot(id, |_, _, fillable| total += fillable);
+        self.for_each_fillable_slot(id, |_, _, live| {
+            total += live.len().min(self.entries_per_slot)
+        });
         total
     }
 
@@ -286,24 +287,25 @@ impl ConvergenceOracle {
 
         // Leaf set: how many of the perfect entries are present?
         let perfect = self.perfect_leaf_set(id);
-        let present: HashSet<NodeId> = node.leaf_set().iter().map(|d| d.id()).collect();
         let leaf_missing = perfect
             .iter()
-            .filter(|target| !present.contains(target))
+            .filter(|&&target| !node.leaf_set().contains(target))
             .count();
         let leaf_total = perfect.len();
 
         // Prefix table: per slot, how many of the fillable entries are present and
-        // still alive?
+        // still alive? A stored entry's slot is a function of its identifier, so
+        // it is alive exactly when the slot's own live range holds it.
         let mut prefix_missing = 0;
         let mut prefix_total = 0;
-        self.for_each_fillable_slot(id, |row, column, fillable| {
+        self.for_each_fillable_slot(id, |row, column, live| {
+            let fillable = live.len().min(self.entries_per_slot);
             prefix_total += fillable;
             let live_entries = node
                 .prefix_table()
                 .slot(row, column)
                 .iter()
-                .filter(|d| self.is_live(d.id()))
+                .filter(|d| live.binary_search(&d.id()).is_ok())
                 .count();
             prefix_missing += fillable.saturating_sub(live_entries);
         });
@@ -316,16 +318,17 @@ impl ConvergenceOracle {
         }
     }
 
-    /// Calls `visit(row, column, fillable)` for every slot of `id`'s table that can
-    /// hold at least one entry given the live identifier population.
+    /// Calls `visit(row, column, live)` for every slot of `id`'s table that can
+    /// hold at least one entry given the live identifier population; `live` is
+    /// the sorted run of live identifiers belonging to that slot (non-empty),
+    /// of which the slot can hold `min(k, live.len())`.
     ///
     /// The walk narrows a contiguous range of the sorted identifier array row by
     /// row (identifiers sharing a prefix are contiguous when sorted), so the cost
     /// per node is `O(filled_rows * columns * log n)` rather than `O(n)`.
-    fn for_each_fillable_slot(&self, id: NodeId, mut visit: impl FnMut(usize, u8, usize)) {
+    fn for_each_fillable_slot(&self, id: NodeId, mut visit: impl FnMut(usize, u8, &[NodeId])) {
         let bits = self.geometry.bits_per_digit();
         let columns = self.geometry.columns();
-        let k = self.entries_per_slot;
         // Range of identifiers sharing the first `row` digits with `id`.
         let mut low = 0usize;
         let mut high = self.sorted_ids.len();
@@ -345,9 +348,8 @@ impl ConvergenceOracle {
                     next_high = slot_high;
                     continue;
                 }
-                let available = slot_high - slot_low;
-                if available > 0 {
-                    visit(row, column, available.min(k));
+                if slot_high > slot_low {
+                    visit(row, column, &self.sorted_ids[slot_low..slot_high]);
                 }
             }
             low = next_low;
@@ -390,6 +392,7 @@ impl ConvergenceOracle {
 mod tests {
     use super::*;
     use bss_util::descriptor::Descriptor;
+    use std::collections::HashSet;
 
     fn params(c: usize, k: usize) -> BootstrapParams {
         BootstrapParams {

@@ -54,10 +54,11 @@ pub struct LeafSet<A> {
 
 /// Caller-owned working memory for [`LeafSet::update_with`].
 ///
-/// One instance per driver (or per worker thread) is enough: threading it
-/// through makes `UPDATELEAFSET` allocation-free in the steady state, which
-/// matters because the merge runs once per received message — together with
-/// message composition it is the hot path of a simulation.
+/// One instance per driver (or per worker thread) is enough: the buffers grow
+/// to the largest merge they have seen and are reused from then on, so
+/// `UPDATELEAFSET` — which runs once per received message and, together with
+/// message composition, is the hot path of a simulation — stops allocating
+/// after the first few calls.
 #[derive(Debug, Clone)]
 pub struct MergeScratch<A> {
     merged: Vec<Descriptor<A>>,
@@ -164,21 +165,58 @@ impl<A: Address> LeafSet<A> {
         self.update_with(incoming, &mut MergeScratch::default())
     }
 
-    /// [`LeafSet::update`] with caller-owned working memory — the
-    /// allocation-free variant the simulation drivers use on the hot path. In
-    /// the steady state neither the scratch buffers nor the leaf set's own flat
-    /// storage reallocate.
+    /// [`LeafSet::update`] with caller-owned working memory — the variant
+    /// every driver uses on the hot path. Once the scratch buffers have grown
+    /// to a message's size the call does not allocate: they and the leaf
+    /// set's own flat storage are reused.
+    ///
+    /// The cost tracks what the message can change. In a full leaf set, a side
+    /// that holds at least `c/2` entries keeps `min(c/2 + the other side's
+    /// shortfall, candidates)` of them, and merging can only shrink a
+    /// shortfall — so that side can never keep a descriptor farther away than
+    /// its current farthest entry. Incoming descriptors are filtered against
+    /// that directed-distance bound per side (`u64::MAX` for a side it does
+    /// not apply to, so there is one path) before the merge proper, which then
+    /// runs over the current content plus the few candidates that can still
+    /// enter instead of over the whole message. The comparison is `<=`
+    /// because a directed distance identifies an identifier: a fresher copy of
+    /// the farthest entry itself must still refresh its timestamp.
     pub fn update_with(
         &mut self,
         incoming: impl IntoIterator<Item = Descriptor<A>>,
         scratch: &mut MergeScratch<A>,
     ) -> bool {
-        // Merge: current content plus the incoming descriptors.
+        let own = self.own_id;
+        let half = self.capacity / 2;
+        let full = self.entries.len() == self.capacity;
+        let successor_bound = match self.successors().last() {
+            Some(farthest) if full && self.successors().len() >= half => {
+                own.clockwise_distance(farthest.id())
+            }
+            _ => u64::MAX,
+        };
+        let predecessor_bound = match self.predecessors().last() {
+            Some(farthest) if full && self.predecessors().len() >= half => {
+                farthest.id().clockwise_distance(own)
+            }
+            _ => u64::MAX,
+        };
+
+        // Merge: current content plus the incoming descriptors that can enter.
         let merged = &mut scratch.merged;
         merged.clear();
         merged.extend_from_slice(&self.entries);
-        merged.extend(incoming.into_iter().filter(|d| d.id() != self.own_id));
-        if merged.is_empty() {
+        merged.extend(incoming.into_iter().filter(|d| {
+            let clockwise = own.clockwise_distance(d.id());
+            let counter_clockwise = clockwise.wrapping_neg();
+            if clockwise <= counter_clockwise {
+                clockwise != 0 && clockwise <= successor_bound
+            } else {
+                counter_clockwise <= predecessor_bound
+            }
+        }));
+        if merged.len() == self.entries.len() {
+            // Nothing can enter or refresh: the set already is its own merge.
             return false;
         }
         bss_util::descriptor::dedup_freshest(merged);
@@ -189,40 +227,31 @@ impl<A: Address> LeafSet<A> {
         successors.clear();
         predecessors.clear();
         for &descriptor in merged.iter() {
-            if self.own_id.is_successor(descriptor.id()) {
+            if own.is_successor(descriptor.id()) {
                 successors.push(descriptor);
             } else {
                 predecessors.push(descriptor);
             }
         }
-        // Partial selection: after spilling, at most `capacity` entries per side
-        // can ever be kept, so only that prefix needs to be in order. (A side's
-        // shortfall is computed from its candidate count, which truncation to
-        // `capacity >= half` cannot disturb.)
-        let own = self.own_id;
-        bss_util::view::rank_top_by(successors, self.capacity, |a, b| {
-            own.clockwise_distance(a.id())
-                .cmp(&own.clockwise_distance(b.id()))
-                .then_with(|| a.id().cmp(&b.id()))
-        });
-        bss_util::view::rank_top_by(predecessors, self.capacity, |a, b| {
-            a.id()
-                .clockwise_distance(own)
-                .cmp(&b.id().clockwise_distance(own))
-                .then_with(|| a.id().cmp(&b.id()))
-        });
-
-        // Keep c/2 of each; spill over when one side is short.
-        let half = self.capacity / 2;
+        // Keep c/2 of each; spill over when one side is short. The quotas depend
+        // on the candidate counts only, so each side is ranked (partial
+        // selection) no deeper than it is kept.
         let succ_short = half.saturating_sub(successors.len());
         let pred_short = half.saturating_sub(predecessors.len());
         let succ_keep = (half + pred_short).min(successors.len());
-        let pred_keep = (half + succ_short).min(predecessors.len());
-        successors.truncate(succ_keep);
-        predecessors.truncate(pred_keep);
+        bss_util::view::rank_top_by(successors, succ_keep, |a, b| {
+            own.clockwise_distance(a.id())
+                .cmp(&own.clockwise_distance(b.id()))
+        });
+        bss_util::view::rank_top_by(predecessors, half + succ_short, |a, b| {
+            a.id()
+                .clockwise_distance(own)
+                .cmp(&b.id().clockwise_distance(own))
+        });
 
-        // Membership comparison: the kept orderings are deterministic (distance,
-        // ties by identifier), so equal membership means equal id sequences.
+        // Membership comparison: identifiers are unique after the dedup and a
+        // directed distance identifies one, so the kept orderings are
+        // deterministic and equal membership means equal id sequences.
         let same_ids = |kept: &[Descriptor<A>], current: &[Descriptor<A>]| {
             kept.len() == current.len()
                 && kept
@@ -456,9 +485,11 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// The pre-flattening `UPDATELEAFSET`: two owned side vectors, fresh
-        /// allocations per call. `state` holds the resulting content
-        /// (successors then predecessors); returns the membership-change flag.
+        /// The naive `UPDATELEAFSET`: merge everything, dedup keeping the
+        /// freshest, fully sort each side, keep with spill — two owned side
+        /// vectors, fresh allocations per call. `state` holds the resulting
+        /// content (successors then predecessors); returns the
+        /// membership-change flag.
         fn reference_update(
             state: &mut Vec<Descriptor<u32>>,
             own: NodeId,
@@ -601,6 +632,80 @@ mod tests {
                         reference_update(&mut reference, own, capacity, batch);
                     prop_assert_eq!(changed, ref_changed);
                     prop_assert_eq!(fast.to_vec(), reference.clone());
+                }
+            }
+
+            #[test]
+            fn bounded_update_matches_the_naive_reference(
+                own in any::<u64>(),
+                capacity in prop::sample::select(vec![2usize, 4, 8, 20]),
+                // 0: both sides, 1: successors only, 2: predecessors only.
+                skew in 0u8..3,
+                start in prop::collection::vec((0u64..=80, 0u64..4), 0..40),
+                batches in prop::collection::vec(
+                    prop::collection::vec((0u64..=90, 0u64..8, any::<u32>()), 0..24),
+                    1..5,
+                ),
+                strangers in prop::collection::vec(descriptor(), 0..4),
+            ) {
+                // Identifiers clustered around the own one, so that full sets
+                // with tight directed-distance bounds — and short, one-sided
+                // and below-capacity sets, where a bound must not apply —
+                // are all common; every batch additionally carries the cases
+                // the bound is least obviously right for.
+                let own = NodeId::new(own);
+                let near = |offset: u64, centre: u64| {
+                    let distance = offset.abs_diff(centre);
+                    let signed = match skew {
+                        1 => distance as i64,
+                        2 => -(distance as i64),
+                        _ => offset as i64 - centre as i64,
+                    };
+                    NodeId::new(own.raw().wrapping_add(signed as u64))
+                };
+                let mut fast = LeafSet::new(own, capacity);
+                let mut scratch = MergeScratch::default();
+                let mut reference: Vec<Descriptor<u32>> = Vec::new();
+                let mut incoming: Vec<Descriptor<u32>> = start
+                    .iter()
+                    .map(|&(offset, ts)| Descriptor::new(near(offset, 40), offset as u32, ts))
+                    .collect();
+                for batch in std::iter::once(&Vec::new()).chain(&batches) {
+                    incoming.extend(
+                        batch
+                            .iter()
+                            .map(|&(offset, ts, addr)| Descriptor::new(near(offset, 45), addr, ts)),
+                    );
+                    let farthest = [
+                        reference.iter().rfind(|d| own.is_successor(d.id())),
+                        reference.iter().rfind(|d| !own.is_successor(d.id())),
+                    ];
+                    for (side, entry) in farthest.into_iter().enumerate() {
+                        let Some(entry) = entry else { continue };
+                        // A fresher copy of the farthest entry itself ...
+                        let fresher = entry.timestamp().saturating_add(1);
+                        incoming.push(Descriptor::new(entry.id(), 1234, fresher));
+                        // ... and the identifiers one unit beyond and inside it.
+                        let outward = if side == 0 { 1 } else { u64::MAX };
+                        for step in [outward, outward.wrapping_neg()] {
+                            let id = NodeId::new(entry.id().raw().wrapping_add(step));
+                            incoming.push(Descriptor::new(id, 4321, 3));
+                        }
+                    }
+
+                    let changed = fast.update_with(incoming.iter().copied(), &mut scratch);
+                    let ref_changed = reference_update(&mut reference, own, capacity, &incoming);
+                    prop_assert_eq!(changed, ref_changed);
+                    // Membership, order, addresses and timestamps ...
+                    prop_assert_eq!(fast.to_vec(), reference.clone());
+                    // ... and where the successors end.
+                    let ref_split = reference.iter().filter(|d| own.is_successor(d.id())).count();
+                    prop_assert_eq!(fast.successors().len(), ref_split);
+
+                    // Every later batch also carries strangers and the own id.
+                    incoming.clear();
+                    incoming.extend(strangers.iter().copied());
+                    incoming.push(Descriptor::new(own, 7, 99));
                 }
             }
 

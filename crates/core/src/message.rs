@@ -16,29 +16,29 @@ use bss_util::descriptor::{dedup_freshest, Address, Descriptor};
 use bss_util::id::NodeId;
 use bss_util::view::rank_top_by;
 
-/// Builds the message a node sends to `peer_id`.
+/// Reusable working memory for [`create_message_into`].
 ///
-/// * `own` — the sender's own descriptor (always included in the candidate union).
-/// * `leaf_set`, `prefix_table` — the sender's current state.
-/// * `random_samples` — the `cr` descriptors freshly obtained from the peer
-///   sampling service.
-/// * `ring_entries` — the number of entries kept from the distance-ordered union
-///   (the paper's `c`).
-///
-/// Reusable working memory for [`create_message_with`].
-///
-/// One instance per driver (not per node) is enough: threading it through makes
-/// message composition allocation-free in the steady state — composing a
-/// message is the single most-executed operation of a simulation (twice per
-/// exchange).
+/// One instance per driver (not per node) is enough. The buffers grow to the
+/// largest union they have seen and are reused from then on, so composing a
+/// message — the single most-executed operation of a simulation (twice per
+/// exchange) — allocates nothing of its own once they are warm; the only
+/// allocation left is the message itself when the caller asks for an owned
+/// one ([`create_message_with`]) rather than lending a buffer.
 #[derive(Debug, Clone)]
 pub struct MessageScratch<A> {
     union: Vec<Descriptor<A>>,
-    successors: Vec<u32>,
-    predecessors: Vec<u32>,
+    /// Part-one sort keys per ring side of the peer:
+    /// `(directed distance << 32) | union position`.
+    successors: Vec<u128>,
+    predecessors: Vec<u128>,
     keep_positions: Vec<u32>,
-    slot_counts: Vec<u16>,
+    /// Per slot of the peer's table: first the capped candidate count, then
+    /// (prefix-summed) the slot's write cursor into `placed`.
+    slot_cursors: Vec<u32>,
+    /// Part-two candidates in union order, as `(slot, union position)`.
     winners: Vec<(u16, u32)>,
+    /// The winners' union positions in slot order.
+    placed: Vec<u32>,
     in_part_one: Vec<bool>,
 }
 
@@ -49,15 +49,24 @@ impl<A> Default for MessageScratch<A> {
             successors: Vec::new(),
             predecessors: Vec::new(),
             keep_positions: Vec::new(),
-            slot_counts: Vec::new(),
+            slot_cursors: Vec::new(),
             winners: Vec::new(),
+            placed: Vec::new(),
             in_part_one: Vec::new(),
         }
     }
 }
 
 /// Builds the message a node sends to `peer_id`, allocating fresh working
-/// buffers. Prefer [`create_message_with`] on hot paths.
+/// buffers. Prefer [`create_message_with`] or [`create_message_into`] on hot
+/// paths.
+///
+/// * `own` — the sender's own descriptor (always included in the candidate union).
+/// * `leaf_set`, `prefix_table` — the sender's current state.
+/// * `random_samples` — the `cr` descriptors freshly obtained from the peer
+///   sampling service.
+/// * `ring_entries` — the number of entries kept from the distance-ordered union
+///   (the paper's `c`).
 pub fn create_message<A: Address>(
     own: Descriptor<A>,
     leaf_set: &LeafSet<A>,
@@ -77,17 +86,9 @@ pub fn create_message<A: Address>(
     )
 }
 
-/// The returned message contains at most `ring_entries` descriptors chosen by ring
-/// distance to the peer plus every locally known descriptor sharing a prefix with
-/// the peer; duplicates are removed. The peer's own descriptor is never included.
-///
-/// This is the single most-executed function of a simulation (twice per
-/// exchange), so both selections run directly over the deduplicated union —
-/// part one as a partial selection of the peer-view ring neighbours, part two
-/// as one capped-counting pass over the peer's slot space — instead of
-/// materialising a temporary [`LeafSet`] and [`PrefixTable`] per message, and
-/// all working memory comes from the caller-owned `scratch`. The output is
-/// element-for-element identical to the naive construction.
+/// [`create_message_into`] returning the message as a freshly allocated
+/// vector — for callers that hand the message on by value (the event engine's
+/// queue, the wire codec).
 pub fn create_message_with<A: Address>(
     scratch: &mut MessageScratch<A>,
     own: Descriptor<A>,
@@ -97,69 +98,67 @@ pub fn create_message_with<A: Address>(
     peer_id: NodeId,
     ring_entries: usize,
 ) -> Vec<Descriptor<A>> {
+    let mut message = Vec::new();
+    create_message_into(
+        scratch,
+        own,
+        leaf_set,
+        prefix_table,
+        random_samples,
+        peer_id,
+        ring_entries,
+        &mut message,
+    );
+    message
+}
+
+/// Composes the message for `peer_id` into `message` (cleared first), with all
+/// working memory coming from the caller-owned `scratch`.
+///
+/// The message contains at most `ring_entries` descriptors chosen by ring
+/// distance to the peer plus every locally known descriptor sharing a prefix with
+/// the peer; duplicates are removed. The peer's own descriptor is never included.
+///
+/// This is the single most-executed function of a simulation (twice per
+/// exchange), so both selections run directly over the deduplicated union —
+/// part one as a partial selection over plain integer keys, part two as one
+/// capped-counting pass over the peer's slot space followed by a counting
+/// placement — instead of materialising a temporary [`LeafSet`] and
+/// [`PrefixTable`] per message. The output is element-for-element identical to
+/// the naive construction.
+#[allow(clippy::too_many_arguments)]
+pub fn create_message_into<A: Address>(
+    scratch: &mut MessageScratch<A>,
+    own: Descriptor<A>,
+    leaf_set: &LeafSet<A>,
+    prefix_table: &PrefixTable<A>,
+    random_samples: &[Descriptor<A>],
+    peer_id: NodeId,
+    ring_entries: usize,
+    message: &mut Vec<Descriptor<A>>,
+) {
     // The union of all locally available information.
     let union = &mut scratch.union;
     union.clear();
-    union.reserve(1 + leaf_set.len() + prefix_table.len() + random_samples.len());
     union.push(own);
-    union.extend(leaf_set.iter().copied());
-    union.extend(random_samples.iter().copied());
-    union.extend(prefix_table.iter().copied());
-    union.retain(|d| d.id() != peer_id);
+    union.extend_from_slice(leaf_set.as_slice());
+    union.extend_from_slice(random_samples);
+    union.extend_from_slice(prefix_table.as_slice());
     dedup_freshest(union);
 
+    // One pass over the union classifies every entry for both parts.
+    //
     // Part one: the `c` descriptors closest to the peer on the ring, selected the
     // same way the peer's own `UPDATELEAFSET` will select them — up to `c/2`
     // closest successors and `c/2` closest predecessors of the peer (spilling when
     // one side is short). A plain undirected-distance cut-off would starve the
     // peer's sparser ring side whenever its denser side has more than `c` nodes
     // nearby, which is exactly the "last few entries" end-game the paper relies on
-    // the message optimisation to finish quickly. Selection works on union
-    // *positions* so part two can cheaply skip already-shipped entries.
-    let keep_positions = &mut scratch.keep_positions;
-    keep_positions.clear();
-    if ring_entries > 0 && !union.is_empty() {
-        let balanced_budget = ring_entries + ring_entries % 2;
-        let half = balanced_budget / 2;
-        let successors = &mut scratch.successors;
-        let predecessors = &mut scratch.predecessors;
-        successors.clear();
-        predecessors.clear();
-        for (position, d) in union.iter().enumerate() {
-            if peer_id.is_successor(d.id()) {
-                successors.push(position as u32);
-            } else {
-                predecessors.push(position as u32);
-            }
-        }
-        // Partial selection: only the best `balanced_budget` of each side can
-        // ever be kept, even after spilling.
-        rank_top_by(successors, balanced_budget, |&x, &y| {
-            let (a, b) = (union[x as usize].id(), union[y as usize].id());
-            peer_id
-                .clockwise_distance(a)
-                .cmp(&peer_id.clockwise_distance(b))
-                .then_with(|| a.cmp(&b))
-        });
-        rank_top_by(predecessors, balanced_budget, |&x, &y| {
-            let (a, b) = (union[x as usize].id(), union[y as usize].id());
-            a.clockwise_distance(peer_id)
-                .cmp(&b.clockwise_distance(peer_id))
-                .then_with(|| a.cmp(&b))
-        });
-        // Keep half per side, spilling into the other side when one is short —
-        // mirroring LeafSet::update (the truncation to `balanced_budget` above
-        // cannot disturb the shortfall computation because a side is only ever
-        // short when it held fewer than `half <= balanced_budget` candidates).
-        let successor_short = half.saturating_sub(successors.len());
-        let predecessor_short = half.saturating_sub(predecessors.len());
-        let keep_successors = (half + predecessor_short).min(successors.len());
-        let keep_predecessors = (half + successor_short).min(predecessors.len());
-        keep_positions.extend(&successors[..keep_successors]);
-        keep_positions.extend(&predecessors[..keep_predecessors]);
-        keep_positions.truncate(ring_entries);
-    }
-
+    // the message optimisation to finish quickly. Each side is ranked through
+    // `(directed distance << 32) | union position` keys: identifiers are unique
+    // after the dedup, so the distance alone orders a side, and the position
+    // rides along so part two can cheaply skip already-shipped entries.
+    //
     // Part two: every descriptor "potentially useful for the peer for its prefix
     // table" — what the peer's own UPDATEPREFIXTABLE would store from the union:
     // per slot of the *peer's* table, the first `k` union entries (in union
@@ -170,24 +169,69 @@ pub fn create_message_with<A: Address>(
     // corresponding rows are still empty.
     let geometry = prefix_table.geometry();
     let columns = geometry.columns();
-    let per_slot = geometry.entries_per_slot();
-    let slot_counts = &mut scratch.slot_counts;
-    slot_counts.clear();
-    slot_counts.resize(geometry.rows() * columns, 0);
+    let per_slot = geometry.entries_per_slot() as u32;
+    let successors = &mut scratch.successors;
+    let predecessors = &mut scratch.predecessors;
+    let slot_cursors = &mut scratch.slot_cursors;
     let winners = &mut scratch.winners;
+    successors.clear();
+    predecessors.clear();
+    slot_cursors.clear();
+    slot_cursors.resize(geometry.rows() * columns, 0);
     winners.clear();
     for (position, d) in union.iter().enumerate() {
-        if let Some((row, column)) = geometry.slot_of(peer_id, d.id()) {
-            let slot = row * columns + column as usize;
-            if (slot_counts[slot] as usize) < per_slot {
-                slot_counts[slot] += 1;
-                winners.push((slot as u16, position as u32));
-            }
+        let clockwise = peer_id.clockwise_distance(d.id());
+        if clockwise == 0 {
+            // The peer's own descriptor is never sent; its union position
+            // simply goes unused.
+            continue;
+        }
+        let counter_clockwise = clockwise.wrapping_neg();
+        if clockwise <= counter_clockwise {
+            successors.push((u128::from(clockwise) << 32) | position as u128);
+        } else {
+            predecessors.push((u128::from(counter_clockwise) << 32) | position as u128);
+        }
+        let (row, column) = geometry
+            .slot_of(peer_id, d.id())
+            .expect("only the peer itself has no slot");
+        let slot = row * columns + column as usize;
+        if slot_cursors[slot] < per_slot {
+            slot_cursors[slot] += 1;
+            winners.push((slot as u16, position as u32));
         }
     }
-    // Stable by slot key: within a slot, union order — the table's iteration
-    // order.
-    winners.sort_by_key(|&(slot, _)| slot);
+
+    // Keep half per side, spilling into the other side when one is short —
+    // mirroring LeafSet::update. The quotas depend on the candidate counts
+    // only, so each side is ranked no deeper than it is kept.
+    let half = ring_entries.div_ceil(2);
+    let successor_short = half.saturating_sub(successors.len());
+    let predecessor_short = half.saturating_sub(predecessors.len());
+    rank_top_by(successors, half + predecessor_short, u128::cmp);
+    rank_top_by(predecessors, half + successor_short, u128::cmp);
+    let position_of = |&key: &u128| key as u32;
+    let keep_positions = &mut scratch.keep_positions;
+    keep_positions.clear();
+    keep_positions.extend(successors.iter().map(position_of));
+    keep_positions.extend(predecessors.iter().map(position_of));
+    keep_positions.truncate(ring_entries);
+
+    // Counting placement of the part-two winners into slot order: turn the
+    // counts into write cursors (exclusive prefix sum), then place in union
+    // order — within a slot that is the table's iteration order.
+    let mut next = 0u32;
+    for cursor in slot_cursors.iter_mut() {
+        next += std::mem::replace(cursor, next);
+    }
+    let placed = &mut scratch.placed;
+    placed.clear();
+    placed.resize(winners.len(), 0);
+    for &(slot, position) in winners.iter() {
+        let cursor = &mut slot_cursors[slot as usize];
+        placed[*cursor as usize] = position;
+        *cursor += 1;
+    }
 
     // Assemble: part one, then the part-two entries not already shipped (the
     // union is deduplicated, so position equality is identifier equality).
@@ -197,15 +241,15 @@ pub fn create_message_with<A: Address>(
     for &position in keep_positions.iter() {
         in_part_one[position as usize] = true;
     }
-    let mut message: Vec<Descriptor<A>> = Vec::with_capacity(keep_positions.len() + winners.len());
+    message.clear();
+    message.reserve(keep_positions.len() + placed.len());
     message.extend(keep_positions.iter().map(|&p| union[p as usize]));
     message.extend(
-        winners
+        placed
             .iter()
-            .filter(|&&(_, p)| !in_part_one[p as usize])
-            .map(|&(_, p)| union[p as usize]),
+            .filter(|&&p| !in_part_one[p as usize])
+            .map(|&p| union[p as usize]),
     );
-    message
 }
 
 /// An upper bound on the size of any message produced by [`create_message`] with
@@ -344,40 +388,68 @@ mod tests {
     fn optimised_message_matches_the_reference_construction() {
         use bss_util::rng::SimRng;
         let mut rng = SimRng::seed_from(4242);
-        for round in 0..60u64 {
-            let own_id = rng.next_u64();
-            let own = Descriptor::new(NodeId::new(own_id), 0u32, round);
-            let capacity = [2usize, 4, 8, 20][rng.index(4)];
-            let mut leaf_set: LeafSet<u32> = LeafSet::new(NodeId::new(own_id), capacity);
-            let mut table: PrefixTable<u32> =
-                PrefixTable::new(NodeId::new(own_id), TableGeometry::new(4, 3).unwrap());
-            let population = rng.index(120) + 1;
-            for i in 0..population {
-                let descriptor =
-                    Descriptor::new(NodeId::new(rng.next_u64()), i as u32, rng.next_u64() % 8);
-                leaf_set.update([descriptor]);
-                table.insert(descriptor);
-            }
-            let samples: Vec<Descriptor<u32>> = (0..rng.index(30))
-                .map(|i| Descriptor::new(NodeId::new(rng.next_u64()), i as u32, rng.next_u64() % 8))
-                .collect();
-            // Sometimes target a known identifier, sometimes a stranger.
-            let peer_id = if rng.chance(0.3) && !leaf_set.is_empty() {
-                leaf_set.to_vec()[rng.index(leaf_set.len())].id()
-            } else {
-                NodeId::new(rng.next_u64())
-            };
-            for ring_entries in [0usize, 1, 2, 7, 20] {
-                let fast = create_message(own, &leaf_set, &table, &samples, peer_id, ring_entries);
-                let reference = create_message_reference(
-                    own,
-                    &leaf_set,
-                    &table,
-                    &samples,
-                    peer_id,
-                    ring_entries,
-                );
-                assert_eq!(fast, reference, "round {round} ring_entries {ring_entries}");
+        for (bits, per_slot) in [(4u8, 3usize), (2, 1), (8, 2)] {
+            let geometry = TableGeometry::new(bits, per_slot).unwrap();
+            for round in 0..60u64 {
+                let own_id = rng.next_u64();
+                let own = Descriptor::new(NodeId::new(own_id), 0u32, round);
+                let capacity = [2usize, 4, 8, 20][rng.index(4)];
+                let mut leaf_set: LeafSet<u32> = LeafSet::new(NodeId::new(own_id), capacity);
+                let mut table: PrefixTable<u32> = PrefixTable::new(NodeId::new(own_id), geometry);
+                // Every third round sprays identifiers right next to the
+                // peer's (the id-spray adversary's shape): distance keys that
+                // agree in all their high bits, slots in the peer's deepest
+                // rows, duplicates, and now and then the peer's own id.
+                let stranger = rng.next_u64();
+                let clustered = round % 3 == 2;
+                let next_id = |rng: &mut SimRng| {
+                    if clustered && rng.chance(0.7) {
+                        stranger.wrapping_add(rng.index(96) as u64).wrapping_sub(48)
+                    } else {
+                        rng.next_u64()
+                    }
+                };
+                let population = rng.index(120) + 1;
+                for i in 0..population {
+                    let descriptor = Descriptor::new(
+                        NodeId::new(next_id(&mut rng)),
+                        i as u32,
+                        rng.next_u64() % 8,
+                    );
+                    leaf_set.update([descriptor]);
+                    table.insert(descriptor);
+                }
+                let samples: Vec<Descriptor<u32>> = (0..rng.index(30))
+                    .map(|i| {
+                        Descriptor::new(
+                            NodeId::new(next_id(&mut rng)),
+                            i as u32,
+                            rng.next_u64() % 8,
+                        )
+                    })
+                    .collect();
+                // Sometimes target a known identifier, sometimes a stranger.
+                let peer_id = if rng.chance(0.3) && !leaf_set.is_empty() {
+                    leaf_set.to_vec()[rng.index(leaf_set.len())].id()
+                } else {
+                    NodeId::new(stranger)
+                };
+                for ring_entries in [0usize, 1, 2, 7, 20] {
+                    let fast =
+                        create_message(own, &leaf_set, &table, &samples, peer_id, ring_entries);
+                    let reference = create_message_reference(
+                        own,
+                        &leaf_set,
+                        &table,
+                        &samples,
+                        peer_id,
+                        ring_entries,
+                    );
+                    assert_eq!(
+                        fast, reference,
+                        "b {bits} k {per_slot} round {round} ring_entries {ring_entries}"
+                    );
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! UDP deployment in `bss-net`.
 
 use crate::leafset::{LeafSet, MergeScratch};
-use crate::message::{create_message_with, MessageScratch};
+use crate::message::{create_message_into, MessageScratch};
 use crate::prefix_table::PrefixTable;
 use bss_util::config::BootstrapParams;
 use bss_util::descriptor::{Address, Descriptor};
@@ -143,53 +143,9 @@ impl<A: Address> BootstrapNode<A> {
         select_peer_in(self.own.id(), candidates, rng)
     }
 
-    /// `CREATEMESSAGE`: composes the message to send to `peer_id`, mixing in the
-    /// `cr` random samples obtained from the peer sampling service. Increments the
-    /// exchange counter when `initiating` is true (the active thread).
-    pub fn create_message(
-        &mut self,
-        peer_id: NodeId,
-        random_samples: &[Descriptor<A>],
-        initiating: bool,
-    ) -> Vec<Descriptor<A>> {
-        self.create_message_with(
-            peer_id,
-            random_samples,
-            initiating,
-            &mut MessageScratch::default(),
-        )
-    }
-
-    /// [`BootstrapNode::create_message`] with caller-owned working memory — the
-    /// allocation-free variant the simulation driver uses on the hot path.
-    pub fn create_message_with(
-        &mut self,
-        peer_id: NodeId,
-        random_samples: &[Descriptor<A>],
-        initiating: bool,
-        scratch: &mut MessageScratch<A>,
-    ) -> Vec<Descriptor<A>> {
-        if initiating {
-            self.exchanges_initiated += 1;
-        }
-        create_message_with(
-            scratch,
-            self.own,
-            &self.leaf_set,
-            &self.prefix_table,
-            random_samples,
-            peer_id,
-            self.params.leaf_set_size,
-        )
-    }
-
-    /// The clock-aware [`BootstrapNode::create_message_with`]: when descriptor
-    /// aging is configured, the node first re-stamps its own descriptor with
-    /// `now` — this is the heartbeat half of the failure detector: a live node
-    /// keeps its circulating descriptor fresh by gossiping, so only departed
-    /// nodes' descriptors ever expire. Without an aging bound this is exactly
-    /// `create_message_with` (the timestamp is left untouched, keeping the
-    /// detector-free byte-identical path).
+    /// [`BootstrapNode::create_message_into`] returning the message as a
+    /// freshly allocated vector, for drivers that hand it on by value (the
+    /// event engine's queue, the wire codec).
     pub fn create_message_at(
         &mut self,
         peer_id: NodeId,
@@ -198,10 +154,55 @@ impl<A: Address> BootstrapNode<A> {
         now: u64,
         scratch: &mut MessageScratch<A>,
     ) -> Vec<Descriptor<A>> {
+        let mut message = Vec::new();
+        self.create_message_into(
+            peer_id,
+            random_samples,
+            initiating,
+            now,
+            scratch,
+            &mut message,
+        );
+        message
+    }
+
+    /// `CREATEMESSAGE`: composes the message to send to `peer_id` into
+    /// `message`, mixing in the `cr` random samples obtained from the peer
+    /// sampling service, and increments the exchange counter when `initiating`
+    /// is true (the active thread). Working memory and the message buffer are
+    /// the caller's — the cycle engines reuse both across exchanges.
+    ///
+    /// The composition is clock-aware: when descriptor aging is configured, the
+    /// node first re-stamps its own descriptor with `now` — this is the
+    /// heartbeat half of the failure detector: a live node keeps its
+    /// circulating descriptor fresh by gossiping, so only departed nodes'
+    /// descriptors ever expire. Without an aging bound the timestamp is left
+    /// untouched, keeping the detector-free path byte-identical.
+    pub fn create_message_into(
+        &mut self,
+        peer_id: NodeId,
+        random_samples: &[Descriptor<A>],
+        initiating: bool,
+        now: u64,
+        scratch: &mut MessageScratch<A>,
+        message: &mut Vec<Descriptor<A>>,
+    ) {
         if self.params.descriptor_max_age.is_some() {
             self.own = self.own.refreshed(now);
         }
-        self.create_message_with(peer_id, random_samples, initiating, scratch)
+        if initiating {
+            self.exchanges_initiated += 1;
+        }
+        create_message_into(
+            scratch,
+            self.own,
+            &self.leaf_set,
+            &self.prefix_table,
+            random_samples,
+            peer_id,
+            self.params.leaf_set_size,
+            message,
+        );
     }
 
     /// Processes a received message: `UPDATELEAFSET` followed by
@@ -217,7 +218,7 @@ impl<A: Address> BootstrapNode<A> {
     }
 
     /// [`BootstrapNode::receive`] with caller-owned merge working memory — the
-    /// allocation-free variant the simulation drivers use on the hot path.
+    /// variant the simulation drivers use on the hot path.
     pub fn receive_with(
         &mut self,
         descriptors: &[Descriptor<A>],
@@ -237,7 +238,7 @@ impl<A: Address> BootstrapNode<A> {
     /// and prefix table alike), rejects expired incoming descriptors, and
     /// refreshes the timestamps of already-known prefix-table entries from
     /// fresher sightings. All work runs on the caller-owned `scratch` and the
-    /// structures' own flat storage — the receive path stays allocation-free.
+    /// structures' own flat storage.
     ///
     /// Without an aging bound this is exactly `receive_with`, leaving the
     /// detector-free simulation byte-identical.
@@ -440,10 +441,12 @@ mod tests {
     fn create_message_counts_initiated_exchanges() {
         let mut n = node(1000);
         n.initialize([descriptor(1001, 1)]);
-        let message = n.create_message(NodeId::new(2000), &[descriptor(3000, 2)], true);
+        let scratch = &mut MessageScratch::default();
+        let message =
+            n.create_message_at(NodeId::new(2000), &[descriptor(3000, 2)], true, 0, scratch);
         assert!(!message.is_empty());
         assert_eq!(n.exchanges_initiated(), 1);
-        let _ = n.create_message(NodeId::new(2000), &[], false);
+        let _ = n.create_message_at(NodeId::new(2000), &[], false, 0, scratch);
         assert_eq!(
             n.exchanges_initiated(),
             1,

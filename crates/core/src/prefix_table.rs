@@ -274,6 +274,12 @@ impl<A: Address> PrefixTable<A> {
         self.store.iter()
     }
 
+    /// Every stored descriptor as one slice, in slot order — the flat arena
+    /// makes this a free view (mirroring `LeafSet::as_slice`).
+    pub fn as_slice(&self) -> &[Descriptor<A>] {
+        &self.store
+    }
+
     /// Collects every stored descriptor into a vector.
     pub fn to_vec(&self) -> Vec<Descriptor<A>> {
         self.store.clone()

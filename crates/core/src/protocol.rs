@@ -142,13 +142,36 @@ fn descriptor_is_authentic(key: u64, ids: &[NodeId], descriptor: &Descriptor<Nod
         })
 }
 
+/// Applies a received message to `state` at logical time `cycle` — through the
+/// identity-stamp check when a verifier key is configured. The key rides on
+/// the node's own params (the scratch states carry a full copy), so the
+/// verified path needs no driver state.
+fn receive_message(
+    state: &mut BootstrapNode<NodeIndex>,
+    descriptors: &[Descriptor<NodeIndex>],
+    cycle: u64,
+    ids: &[NodeId],
+    merge: &mut MergeScratch<NodeIndex>,
+) -> bool {
+    match state.params().descriptor_verifier {
+        Some(key) => state.receive_verified_at(descriptors, cycle, merge, |d| {
+            descriptor_is_authentic(key, ids, d)
+        }),
+        None => state.receive_at(descriptors, cycle, merge),
+    }
+}
+
 /// One worker thread's reusable working memory: message composition and
-/// leaf-set merge buffers, plus the two fat scratch nodes the packed states
-/// are rehydrated into for the exchange itself.
+/// leaf-set merge buffers, the two messages of an exchange, plus the two fat
+/// scratch nodes the packed states are rehydrated into for the exchange
+/// itself. With these warm, executing a planned exchange touches the heap
+/// only where a table actually grows.
 #[derive(Debug)]
 struct ExchangeScratch {
     message: MessageScratch<NodeIndex>,
     merge: MergeScratch<NodeIndex>,
+    request: Vec<Descriptor<NodeIndex>>,
+    answer: Vec<Descriptor<NodeIndex>>,
     node_state: BootstrapNode<NodeIndex>,
     peer_state: BootstrapNode<NodeIndex>,
 }
@@ -161,6 +184,8 @@ impl ExchangeScratch {
         ExchangeScratch {
             message: MessageScratch::default(),
             merge: MergeScratch::default(),
+            request: Vec::new(),
+            answer: Vec::new(),
             peer_state: node_state.clone(),
             node_state,
         }
@@ -219,15 +244,24 @@ fn execute_exchange(
     ids: &[NodeId],
     scratch: &mut ExchangeScratch,
 ) -> ExchangeOutcome {
-    node_slot.unpack_into(node, ids, &mut scratch.node_state);
+    let ExchangeScratch {
+        message,
+        merge,
+        request,
+        answer,
+        node_state,
+        peer_state,
+    } = scratch;
+    node_slot.unpack_into(node, ids, node_state);
     // Active side composes its message (always — a lost request still counts
     // as sent and still increments the node's exchange counter).
-    let request = scratch.node_state.create_message_at(
+    node_state.create_message_into(
         plan.peer_id,
         &plan.my_samples,
         true,
         plan.cycle,
-        &mut scratch.message,
+        message,
+        request,
     );
     let mut outcome = ExchangeOutcome {
         node,
@@ -243,44 +277,23 @@ fn execute_exchange(
     // Passive side: compose the answer before applying the request (Fig. 2b:
     // CREATEMESSAGE precedes the updates), then update.
     if let Some(peer_slot) = peer_slot {
-        peer_slot.unpack_into(plan.peer, ids, &mut scratch.peer_state);
-        let answer = scratch.peer_state.create_message_at(
+        peer_slot.unpack_into(plan.peer, ids, peer_state);
+        peer_state.create_message_into(
             plan.node_id,
             &plan.peer_samples,
             false,
             plan.cycle,
-            &mut scratch.message,
+            message,
+            answer,
         );
         outcome.answer_len = answer.len() as u64;
-        // The verifier key rides on the participants' own params (the scratch
-        // states carry a full copy), so the verified path needs no plan state.
-        outcome.peer_changed = match scratch.peer_state.params().descriptor_verifier {
-            Some(key) => scratch.peer_state.receive_verified_at(
-                &request,
-                plan.cycle,
-                &mut scratch.merge,
-                |d| descriptor_is_authentic(key, ids, d),
-            ),
-            None => scratch
-                .peer_state
-                .receive_at(&request, plan.cycle, &mut scratch.merge),
-        };
-        peer_slot.repack_from(&scratch.peer_state, ids);
+        outcome.peer_changed = receive_message(peer_state, request, plan.cycle, ids, merge);
+        peer_slot.repack_from(peer_state, ids);
         if plan.answer_delivered {
-            outcome.node_changed = match scratch.node_state.params().descriptor_verifier {
-                Some(key) => scratch.node_state.receive_verified_at(
-                    &answer,
-                    plan.cycle,
-                    &mut scratch.merge,
-                    |d| descriptor_is_authentic(key, ids, d),
-                ),
-                None => scratch
-                    .node_state
-                    .receive_at(&answer, plan.cycle, &mut scratch.merge),
-            };
+            outcome.node_changed = receive_message(node_state, answer, plan.cycle, ids, merge);
         }
     }
-    node_slot.repack_from(&scratch.node_state, ids);
+    node_slot.repack_from(node_state, ids);
     outcome
 }
 
@@ -966,7 +979,6 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
                     self.sampler
                         .sample(node, self.params.random_samples, cycle, ctx.engine());
                 let samples = self.adversarial_samples(node, cycle).unwrap_or(samples);
-                let verifier = self.params.descriptor_verifier;
                 let packed = self.nodes[node.as_usize()].as_mut().expect("checked above");
                 let ExchangeScratch {
                     message,
@@ -977,14 +989,8 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
                 packed.unpack_into(node, &self.ids, node_state);
                 // Fig. 2b: compose the answer *before* applying the request.
                 let answer = node_state.create_message_at(from_id, &samples, false, cycle, message);
-                let ids: &[NodeId] = &self.ids;
-                let changed = match verifier {
-                    Some(key) => node_state.receive_verified_at(&descriptors, cycle, merge, |d| {
-                        descriptor_is_authentic(key, ids, d)
-                    }),
-                    None => node_state.receive_at(&descriptors, cycle, merge),
-                };
-                packed.repack_from(node_state, ids);
+                let changed = receive_message(node_state, &descriptors, cycle, &self.ids, merge);
+                packed.repack_from(node_state, &self.ids);
                 self.traffic.answers_sent += 1;
                 self.traffic.message_sizes.record(answer.len() as u64);
                 if changed {
@@ -1001,7 +1007,6 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
             BootstrapMessage::Answer { descriptors } => {
                 self.traffic.answers_delivered += 1;
                 let cycle = ctx.now() / self.params.cycle_millis.max(1);
-                let verifier = self.params.descriptor_verifier;
                 let Some(packed) = self.nodes.get_mut(node.as_usize()).and_then(Option::as_mut)
                 else {
                     return;
@@ -1010,14 +1015,8 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
                     merge, node_state, ..
                 } = &mut self.worker_scratch[0];
                 packed.unpack_into(node, &self.ids, node_state);
-                let ids: &[NodeId] = &self.ids;
-                let changed = match verifier {
-                    Some(key) => node_state.receive_verified_at(&descriptors, cycle, merge, |d| {
-                        descriptor_is_authentic(key, ids, d)
-                    }),
-                    None => node_state.receive_at(&descriptors, cycle, merge),
-                };
-                packed.repack_from(node_state, ids);
+                let changed = receive_message(node_state, &descriptors, cycle, &self.ids, merge);
+                packed.repack_from(node_state, &self.ids);
                 if changed {
                     self.mark_dirty(node);
                 }

@@ -144,10 +144,19 @@ impl TableGeometry {
         if owner == other {
             return None;
         }
-        let row = owner.common_prefix_len(other, self.bits_per_digit);
-        debug_assert!(row < self.rows());
-        let column = other.digit(row, self.bits_per_digit);
-        Some((row, column))
+        // The constructor validated `bits_per_digit`, and distinct identifiers
+        // differ within the first 64 bits, so the digit arithmetic needs none
+        // of `NodeId::{common_prefix_len, digit}`'s per-call checks — this
+        // runs once per descriptor of every message built or merged.
+        let bits = u32::from(self.bits_per_digit);
+        let row = owner.xor_distance(other).leading_zeros() / bits;
+        let column = (other.raw() >> (ID_BITS - bits * (row + 1))) & ((1 << bits) - 1);
+        debug_assert_eq!(
+            row as usize,
+            owner.common_prefix_len(other, self.bits_per_digit)
+        );
+        debug_assert_eq!(column as u8, other.digit(row as usize, self.bits_per_digit));
+        Some((row as usize, column as u8))
     }
 
     /// Flattened index of a `(row, column)` slot, suitable for dense storage.
