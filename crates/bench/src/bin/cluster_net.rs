@@ -1,11 +1,10 @@
-//! Wire-scale bench: loopback UDP clusters across sizes and cluster modes.
+//! Wire-scale bench: loopback UDP clusters across sizes.
 //!
-//! This is the net-side twin of the `scaling` bench. For every cell of
-//! sizes x {thread, driver} it spawns a real loopback cluster, monitors it to
-//! convergence, and writes the full [`NetReport`] as JSON
-//! (`<out-dir>/cluster_<mode>_<N>.json`) plus one shared TSV timeline
-//! (`<out-dir>/timeline.tsv`) with every convergence sample of every run —
-//! the same artifact shapes CI uploads for the simulator benches.
+//! This is the net-side twin of the `scaling` bench. For every size it spawns
+//! a real loopback cluster, monitors it to convergence, and writes the full
+//! [`NetReport`] as JSON (`<out-dir>/cluster_<N>.json`) plus one shared TSV
+//! timeline (`<out-dir>/timeline.tsv`) with every convergence sample of every
+//! run — the same artifact shapes CI uploads for the simulator benches.
 //!
 //! The headline cell is the single-loop driver at 512 nodes: one thread, one
 //! socket poll loop, hundreds of protocol instances — the report records node
@@ -17,25 +16,24 @@
 //! socket tests. A cluster that fails to converge exits non-zero.
 
 use bss_bench::cli::Args;
-use bss_net::cluster::{Cluster, ClusterConfig, ClusterMode};
+use bss_net::cluster::{Cluster, ClusterConfig};
 use bss_net::report::NetReport;
 use bss_util::config::BootstrapParams;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 const HELP: &str = "\
-cluster_net — loopback UDP clusters across sizes and cluster modes
+cluster_net — loopback UDP clusters across sizes
 
 USAGE:
     cargo run --release -p bss-bench --bin cluster_net [-- OPTIONS]
 
 OPTIONS:
-    --driver-sizes <list>  driver-mode size exponents (N = 2^exp) [default: 6,8,9]
-    --thread-sizes <list>  thread-mode size exponents             [default: 6,7]
+    --sizes <list>         size exponents (N = 2^exp)             [default: 6,8,9]
     --seed <n>             cluster seed                           [default: 7]
     --timeout-secs <n>     per-run convergence deadline           [default: 120]
     --out-dir <dir>        directory for NetReport JSONs + TSV    [default: net-reports]
-    --smoke                fast CI variant (driver 2^6, thread 2^5)
+    --smoke                fast CI variant (2^6 only)
 ";
 
 /// The tables every cell runs with: the paper's small-network parameters plus
@@ -57,38 +55,22 @@ fn main() {
     }
 
     let smoke = args.get("smoke").is_some();
-    let (driver_default, thread_default): (&[u32], &[u32]) = if smoke {
-        (&[6], &[5])
-    } else {
-        (&[6, 8, 9], &[6, 7])
-    };
-    let driver_sizes = args.u32_list_or("driver-sizes", driver_default);
-    let thread_sizes = args.u32_list_or("thread-sizes", thread_default);
+    let default_sizes: &[u32] = if smoke { &[6] } else { &[6, 8, 9] };
+    let sizes = args.u32_list_or("sizes", default_sizes);
     let seed: u64 = args.parsed_or("seed", 7);
     let timeout = Duration::from_secs(args.parsed_or("timeout-secs", 120));
     let out_dir = args.get("out-dir").unwrap_or("net-reports").to_owned();
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
-    let cells = thread_sizes
-        .iter()
-        .map(|&exp| (ClusterMode::ThreadPerPeer, 1usize << exp))
-        .chain(
-            driver_sizes
-                .iter()
-                .map(|&exp| (ClusterMode::Driver, 1usize << exp)),
-        )
-        .collect::<Vec<_>>();
-
-    let mut timeline = String::from("mode\tnodes\tmillis\tmissing_leaf\tmissing_prefix\tdead\n");
+    let mut timeline = String::from("nodes\tmillis\tmissing_leaf\tmissing_prefix\tdead\n");
     let mut all_converged = true;
 
-    for (mode, size) in cells {
+    for size in sizes.into_iter().map(|exp| 1usize << exp) {
         let cluster = match Cluster::spawn(ClusterConfig {
             size,
             params: bench_params(),
             contacts_per_peer: 4,
             seed,
-            mode,
         }) {
             Ok(cluster) => cluster,
             Err(error) => {
@@ -101,14 +83,13 @@ fn main() {
         let report = cluster.monitor(Duration::from_millis(50), timeout);
         cluster.shutdown();
 
-        let path = format!("{out_dir}/cluster_{}_{}.json", report.mode, report.nodes);
+        let path = format!("{out_dir}/cluster_{}.json", report.nodes);
         std::fs::write(&path, report.to_json()).expect("write NetReport JSON");
         append_timeline(&mut timeline, &report);
         all_converged &= report.converged;
 
         println!(
-            "mode {:>6}  N {:>4}  converged {:>5}  wall {:>6} ms  {:>9.1} datagrams/s  -> {path}",
-            report.mode,
+            "N {:>4}  converged {:>5}  wall {:>6} ms  {:>9.1} datagrams/s  -> {path}",
             report.nodes,
             report.converged,
             report.convergence_millis.unwrap_or(report.elapsed_millis),
@@ -134,8 +115,8 @@ fn append_timeline(timeline: &mut String, report: &NetReport) {
         let dead = report.dead_series.get(index).map_or(f64::NAN, |p| p.1);
         let _ = writeln!(
             timeline,
-            "{}\t{}\t{}\t{:.6e}\t{:.6e}\t{:.6e}",
-            report.mode, report.nodes, millis, leaf, prefix, dead
+            "{}\t{}\t{:.6e}\t{:.6e}\t{:.6e}",
+            report.nodes, millis, leaf, prefix, dead
         );
     }
 }

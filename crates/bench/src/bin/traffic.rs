@@ -156,7 +156,6 @@ fn config(
             ..BootstrapParams::paper_default()
         });
     }
-    // After `params`, which replaces the parameter set wholesale.
     builder.descriptor_max_age(cell.max_age);
     builder.build().expect("valid traffic sweep configuration")
 }

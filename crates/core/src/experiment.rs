@@ -122,7 +122,6 @@ impl ExperimentConfig {
                 profile: false,
             },
             aging_sugar: None,
-            newscast_bound_explicit: false,
         }
     }
 
@@ -250,14 +249,11 @@ impl ExperimentConfig {
 #[derive(Debug, Clone)]
 pub struct ExperimentConfigBuilder {
     config: ExperimentConfig,
-    /// Records that the [`ExperimentConfigBuilder::descriptor_max_age`] sugar
-    /// ran (and with what bound), so a later `sampler()` call still inherits
-    /// it — the sugar and the sampler selection compose in either order.
+    /// The bound the [`ExperimentConfigBuilder::descriptor_max_age`] sugar was
+    /// last called with, resolved into the configuration by
+    /// [`ExperimentConfigBuilder::build`] — so it composes with `params()` and
+    /// `sampler()` in any call order.
     aging_sugar: Option<Option<u64>>,
-    /// Whether the selected NEWSCAST sampler carried its own explicit view
-    /// aging bound — an explicit bound always wins over the sugar, in either
-    /// call order.
-    newscast_bound_explicit: bool,
 }
 
 impl ExperimentConfigBuilder {
@@ -279,38 +275,21 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Selects the peer sampling implementation. If the aging sugar
-    /// ([`ExperimentConfigBuilder::descriptor_max_age`]) ran earlier and the
-    /// supplied NEWSCAST parameters carry no view aging bound of their own,
-    /// the sugar's bound is applied — the two calls compose in either order.
+    /// Selects the peer sampling implementation.
     pub fn sampler(&mut self, sampler: SamplerChoice) -> &mut Self {
         self.config.sampler = sampler;
-        if let SamplerChoice::Newscast(ref mut params) = self.config.sampler {
-            self.newscast_bound_explicit = params.descriptor_max_age.is_some();
-            if params.descriptor_max_age.is_none() {
-                if let Some(sugar) = self.aging_sugar {
-                    params.descriptor_max_age = sugar;
-                }
-            }
-        }
         self
     }
 
     /// Sugar: sets (or, with `None`, disables) the descriptor aging bound on
     /// the protocol parameters — the failure detector that lets
-    /// post-catastrophe scenarios recover. With a NEWSCAST sampler the same
-    /// bound is applied to the sampler's views (regardless of whether the
-    /// sampler is selected before or after this call; an explicit
+    /// post-catastrophe scenarios recover — whatever `params()` calls come
+    /// before or after. With a NEWSCAST sampler the same bound is applied to
+    /// the sampler's views, unless the selected
     /// [`NewscastParams::descriptor_max_age`](bss_util::config::NewscastParams)
-    /// value wins over the sugar).
+    /// carries an explicit bound of its own.
     pub fn descriptor_max_age(&mut self, max_age: Option<u64>) -> &mut Self {
-        self.config.params.descriptor_max_age = max_age;
         self.aging_sugar = Some(max_age);
-        if let SamplerChoice::Newscast(ref mut params) = self.config.sampler {
-            if !self.newscast_bound_explicit {
-                params.descriptor_max_age = max_age;
-            }
-        }
         self
     }
 
@@ -401,8 +380,15 @@ impl ExperimentConfigBuilder {
     ///
     /// Returns [`InvalidParams`] when [`ExperimentConfig::validate`] fails.
     pub fn build(&self) -> Result<ExperimentConfig, InvalidParams> {
-        self.config.validate()?;
-        Ok(self.config.clone())
+        let mut config = self.config.clone();
+        if let Some(max_age) = self.aging_sugar {
+            config.params.descriptor_max_age = max_age;
+            if let SamplerChoice::Newscast(ref mut newscast) = config.sampler {
+                newscast.descriptor_max_age = newscast.descriptor_max_age.or(max_age);
+            }
+        }
+        config.validate()?;
+        Ok(config)
     }
 }
 
@@ -1299,15 +1285,13 @@ fn run_on_cycle_engine<S: PeerSampler>(
     if let Some(placement) = placement.as_ref() {
         network.set_placement(Arc::clone(placement));
     }
-    let link_model = config.link_model();
-    let mut engine = CycleEngine::new(network, rng).with_transport(Box::new(
-        config.scenario.build_link_transport(
+    let mut engine =
+        CycleEngine::new(network, rng).with_transport(config.scenario.build_transport(
             config.network_size,
-            &link_model,
+            &config.link_model(),
             placement.as_ref(),
             config.seed,
-        ),
-    ));
+        ));
     if let Some(churn) = config.scenario.build_churn() {
         engine = engine.with_churn(churn);
     }
@@ -1356,13 +1340,12 @@ fn run_on_event_engine<S: PeerSampler>(
     if let Some(placement) = placement.as_ref() {
         network.set_placement(Arc::clone(placement));
     }
-    let link_model = config.link_model();
-    let transport = Box::new(config.scenario.build_link_transport(
+    let transport = config.scenario.build_transport(
         config.network_size,
-        &link_model,
+        &config.link_model(),
         placement.as_ref(),
         config.seed,
-    ));
+    );
     let mut engine: EventEngine<BootstrapMessage> =
         EventEngine::new(network, rng).with_transport(transport);
     let mut churn = config.scenario.build_churn();
@@ -1814,6 +1797,18 @@ mod tests {
             };
             assert_eq!(params.descriptor_max_age, Some(3));
         }
+        // A parameter set swapped in after the sugar does not lose it.
+        let custom = BootstrapParams {
+            leaf_set_size: 8,
+            ..BootstrapParams::paper_default()
+        };
+        let sugar_then_params = ExperimentConfig::builder()
+            .descriptor_max_age(Some(8))
+            .params(custom)
+            .build()
+            .unwrap();
+        assert_eq!(sugar_then_params.params.leaf_set_size, 8);
+        assert_eq!(sugar_then_params.params.descriptor_max_age, Some(8));
     }
 
     #[test]

@@ -1195,7 +1195,7 @@ mod tests {
     use bss_sampling::sampler::OracleSampler;
     use bss_sim::engine::cycle::CycleEngine;
     use bss_sim::network::Network;
-    use bss_sim::transport::DropTransport;
+    use bss_sim::transport::Transport;
     use bss_util::config::NewscastParams;
     use bss_util::rng::SimRng;
     use std::ops::ControlFlow;
@@ -1270,8 +1270,8 @@ mod tests {
     fn converges_under_message_loss() {
         let mut rng = SimRng::seed_from(3);
         let network = Network::with_random_ids(150, &mut rng);
-        let mut eng =
-            CycleEngine::new(network, rng).with_transport(Box::new(DropTransport::new(0.2)));
+        let mut eng = CycleEngine::new(network, rng)
+            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.2));
         let mut protocol = BootstrapProtocol::new(small_params(), OracleSampler::new());
         let (cycles, convergence) = run_to_convergence(&mut eng, &mut protocol, 120);
         assert!(
@@ -1349,13 +1349,13 @@ mod tests {
         // request + answer hand-offs must account for every transport offer.
         let mut rng = SimRng::seed_from(23);
         let network = Network::with_random_ids(120, &mut rng);
-        let mut eng =
-            CycleEngine::new(network, rng).with_transport(Box::new(DropTransport::new(0.3)));
+        let mut eng = CycleEngine::new(network, rng)
+            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.3));
         let mut protocol = BootstrapProtocol::new(small_params(), OracleSampler::new());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 10);
         let traffic = protocol.traffic();
-        let transport = eng.context().transport.as_ref();
+        let transport = &eng.context().transport;
         assert_eq!(
             traffic.requests_sent + traffic.answers_sent,
             transport.messages_offered(),

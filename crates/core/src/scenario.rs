@@ -19,19 +19,17 @@
 //!
 //! The legacy scalar knobs survive as builder sugar on
 //! [`ExperimentConfig`](crate::experiment::ExperimentConfig): setting a drop
-//! probability desugars into a single whole-run loss window, which compiles to
-//! a transport that consumes the exact RNG stream of the old `DropTransport`
-//! path — cycle-engine outputs through the compatibility path are
-//! byte-identical to the pre-scenario code.
+//! probability desugars into a single whole-run loss window, which flips
+//! exactly one coin per message (see [`bss_sim::transport`]'s determinism
+//! contract).
 
 use crate::convergence::NetworkConvergence;
 use bss_sim::churn::{
     ByzantineConversion, CatastrophicFailure, ChurnModel, CompositeChurn, MassiveJoin, ReBootstrap,
     UniformChurn, WindowedChurn,
 };
-use bss_sim::link::{ConstantLink, LinkModel, LinkTransport, UniformLink, WanLink};
 use bss_sim::observer::MetricRecorder;
-use bss_sim::transport::TimelineTransport;
+use bss_sim::transport::Transport;
 use bss_util::config::InvalidParams;
 use bss_util::coords::Placement;
 use std::fmt;
@@ -40,6 +38,7 @@ use std::sync::Arc;
 
 pub use bss_sim::adversary::{AdversaryBehavior, AdversaryModel};
 pub use bss_sim::link::WanParams;
+pub use bss_sim::transport::LatencyModel;
 pub use bss_util::coords::PlacementSpec;
 
 /// A `[start, end)` window of cycles during which a scenario condition holds.
@@ -853,56 +852,45 @@ impl Scenario {
         Ok(())
     }
 
-    /// Compiles the timeline's connectivity events (loss and partition
-    /// windows) into a [`TimelineTransport`] for a network of `network_size`
-    /// initial nodes. The engines drive the transport's clock through
-    /// [`Transport::advance_to_cycle`](bss_sim::transport::Transport::advance_to_cycle).
-    pub fn build_transport(&self, network_size: usize) -> TimelineTransport {
-        let mut transport = TimelineTransport::new();
-        for event in &self.events {
-            match event {
-                ScenarioEvent::LossWindow { phase, probability } => {
-                    transport = transport.with_loss_window(phase.start, phase.end, *probability);
-                }
-                ScenarioEvent::Partition { phase, groups } => {
-                    transport = transport.with_partition_window(
-                        phase.start,
-                        phase.end,
-                        groups.group_map(network_size),
-                    );
-                }
-                _ => {}
-            }
-        }
-        transport
-    }
-
-    /// Compiles the full per-link transport both engines now run on: the
-    /// scripted timeline of [`Scenario::build_transport`] composed with the
-    /// link model of `latency` and the timeline's regional outage / slow-link
-    /// windows. With a trivial link model and no regional events the result
-    /// consumes exactly the legacy RNG streams (see `bss_sim::link`).
+    /// Compiles the timeline's connectivity events — loss, partition,
+    /// regional outage and slow-link windows — into the [`Transport`] both
+    /// engines run on, over the link model `latency`, for a network of
+    /// `network_size` initial nodes. The engines drive its clock through
+    /// [`Transport::advance_to_cycle`].
     ///
     /// `placement` must be the shared value of
     /// [`LatencyModel::build_placement`] for this run (or `None` for the
     /// placement-free models).
-    pub fn build_link_transport(
+    pub fn build_transport(
         &self,
         network_size: usize,
         latency: &LatencyModel,
         placement: Option<&Arc<Placement>>,
         seed: u64,
-    ) -> LinkTransport {
-        let link = latency.build_link(placement, seed);
-        let mut transport = LinkTransport::new(self.build_transport(network_size), link);
-        if let Some(placement) = placement {
-            transport = transport.with_placement(Arc::clone(placement));
-        }
-        for (phase, region, loss) in self.regional_outages() {
-            transport = transport.with_outage_window(phase.start, phase.end, region, loss);
-        }
-        for (phase, region, factor) in self.slow_link_windows() {
-            transport = transport.with_slow_window(phase.start, phase.end, region, factor);
+    ) -> Transport {
+        let mut transport = Transport::new(*latency, placement.cloned(), seed);
+        for event in &self.events {
+            transport = match *event {
+                ScenarioEvent::LossWindow { phase, probability } => {
+                    transport.with_loss_window(phase.start, phase.end, probability)
+                }
+                ScenarioEvent::Partition { phase, ref groups } => transport.with_partition_window(
+                    phase.start,
+                    phase.end,
+                    groups.group_map(network_size),
+                ),
+                ScenarioEvent::RegionalOutage {
+                    phase,
+                    region,
+                    loss,
+                } => transport.with_outage_window(phase.start, phase.end, region, loss),
+                ScenarioEvent::SlowLinks {
+                    phase,
+                    region,
+                    factor,
+                } => transport.with_slow_window(phase.start, phase.end, region, factor),
+                _ => transport,
+            };
         }
         transport
     }
@@ -962,142 +950,6 @@ impl fmt::Display for Scenario {
             write!(f, "{event}")?;
         }
         Ok(())
-    }
-}
-
-/// The per-link latency (and topology) model consulted by every engine.
-///
-/// `Constant` and `Uniform` are the historical global models: one latency
-/// distribution for every link, no geography. `Wan` places every node on a
-/// 2-D plane ([`PlacementSpec`]) and derives each link's latency from
-/// coordinate distance ([`WanParams`]) — which also unlocks the regional
-/// scenario events ([`ScenarioEvent::RegionalOutage`],
-/// [`ScenarioEvent::SlowLinks`]) and the per-region report series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LatencyModel {
-    /// Every delivered message takes exactly `millis` milliseconds.
-    Constant {
-        /// The fixed latency in milliseconds.
-        millis: u64,
-    },
-    /// Uniformly random latency in `[min_millis, max_millis]` milliseconds.
-    Uniform {
-        /// Smallest latency (inclusive).
-        min_millis: u64,
-        /// Largest latency (inclusive).
-        max_millis: u64,
-    },
-    /// Distance-dependent WAN latency over a seeded node placement, with
-    /// deterministic per-pair jitter and asymmetric inter-region loss.
-    Wan {
-        /// How nodes are placed on the plane (and partitioned into regions).
-        placement: PlacementSpec,
-        /// The distance-to-milliseconds conversion and loss parameters.
-        params: WanParams,
-    },
-}
-
-impl LatencyModel {
-    /// The latency bounds as a `(min, max)` pair. For `Wan` the maximum is
-    /// derived from the placement's maximum pairwise distance.
-    pub fn bounds(&self) -> (u64, u64) {
-        match *self {
-            LatencyModel::Constant { millis } => (millis, millis),
-            LatencyModel::Uniform {
-                min_millis,
-                max_millis,
-            } => (min_millis, max_millis),
-            LatencyModel::Wan { placement, params } => {
-                let max_propagation =
-                    (placement.max_distance() * params.millis_per_unit).round() as u64;
-                (
-                    params.base_millis.max(1),
-                    (params.base_millis + max_propagation + params.jitter_millis).max(1),
-                )
-            }
-        }
-    }
-
-    /// Whether this model carries a node placement (regional events and
-    /// per-region series require one).
-    pub fn is_wan(&self) -> bool {
-        matches!(self, LatencyModel::Wan { .. })
-    }
-
-    /// The placement spec, when this model has one.
-    pub fn placement_spec(&self) -> Option<PlacementSpec> {
-        match *self {
-            LatencyModel::Wan { placement, .. } => Some(placement),
-            _ => None,
-        }
-    }
-
-    /// A short machine-readable name (used in bench TSV columns).
-    pub fn label(&self) -> &'static str {
-        match self {
-            LatencyModel::Constant { .. } => "constant",
-            LatencyModel::Uniform { .. } => "uniform",
-            LatencyModel::Wan { .. } => "wan",
-        }
-    }
-
-    /// Generates the node placement for a network of `size` initial nodes,
-    /// or `None` for the placement-free models. Coordinates come from a
-    /// salted private stream, so this never perturbs the run's main RNG.
-    pub fn build_placement(&self, size: usize, seed: u64) -> Option<Arc<Placement>> {
-        self.placement_spec()
-            .map(|spec| Arc::new(spec.generate(size, seed)))
-    }
-
-    /// Compiles this model into the [`LinkModel`] the transports consult.
-    /// `placement` must be the value of [`LatencyModel::build_placement`]
-    /// (shared so the measurement layer sees the same coordinates).
-    pub fn build_link(&self, placement: Option<&Arc<Placement>>, seed: u64) -> Box<dyn LinkModel> {
-        match *self {
-            LatencyModel::Constant { millis } => Box::new(ConstantLink::new(millis)),
-            LatencyModel::Uniform {
-                min_millis,
-                max_millis,
-            } => Box::new(UniformLink::new(min_millis, max_millis)),
-            LatencyModel::Wan { params, .. } => {
-                let placement = placement
-                    .expect("a Wan latency model always builds a placement")
-                    .clone();
-                Box::new(WanLink::new(placement, params, seed))
-            }
-        }
-    }
-
-    /// Validates the model: the latency range must not be inverted, and a WAN
-    /// model's placement and parameters must each pass their own validation.
-    ///
-    /// # Errors
-    ///
-    /// Returns the typed [`InvalidParams::OutOfRange`] naming the offending
-    /// field.
-    pub fn validate(&self) -> Result<(), InvalidParams> {
-        let (min, max) = self.bounds();
-        if min > max {
-            // Typed rather than stringly: an inverted range means min_millis
-            // exceeds the inclusive ceiling max_millis sets.
-            return Err(InvalidParams::OutOfRange {
-                field: "latency min_millis",
-                value: min as f64,
-                min: 0.0,
-                max: max as f64,
-            });
-        }
-        if let LatencyModel::Wan { placement, params } = self {
-            placement.validate()?;
-            params.validate()?;
-        }
-        Ok(())
-    }
-}
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        LatencyModel::Constant { millis: 1 }
     }
 }
 
@@ -1558,7 +1410,7 @@ mod tests {
                 at_cycle: 8,
                 count: 16,
             });
-        let transport = scenario.build_transport(4);
+        let transport = scenario.build_transport(4, &LatencyModel::default(), None, 0);
         assert_eq!(transport.active_loss(), 0.2);
         assert!(!transport.partition_active(), "partition starts at 5");
         assert!(scenario.build_churn().is_some());

@@ -14,14 +14,15 @@
 //! Per measured cycle the driver folds its window counters into six series on
 //! the [`RunReport`](crate::experiment::RunReport): lookup success rate, hop
 //! mean and max, and latency percentiles p50/p95/p99 computed by charging each
-//! hop through the run's link model
-//! ([`ExperimentConfig::link_model`](crate::experiment::ExperimentConfig)).
-//! Under a [`LatencyModel::Wan`] link model the driver additionally keeps one
-//! window per placement region (keyed by the *client*'s region), charges each
-//! delivered lookup along its actual hop path at the pure per-link WAN
-//! latency, and replays the scenario's regional outages at the service level:
-//! a lookup issued from — or targeting — an outaged region fails before
-//! routing starts. Everything is capability-gated on
+//! hop of the path what a message on that link costs — the driver asks its own
+//! copy of the run's [`Transport`]
+//! ([`ExperimentConfig::link_model`](crate::experiment::ExperimentConfig)
+//! plus the scenario's windows). The same copy replays the scenario's regional
+//! outages at the service level: a lookup issued from — or targeting — an
+//! outaged region fails before routing starts. Under a
+//! [`LatencyModel::Wan`](crate::scenario::LatencyModel) link model the driver
+//! additionally keeps one window per placement region (keyed by the
+//! *client*'s region). Everything is capability-gated on
 //! [`Scenario::has_traffic`](crate::scenario::Scenario): runs without a
 //! traffic phase build no driver, draw no random numbers and emit no traffic
 //! series, so their reports stay byte-identical.
@@ -35,15 +36,17 @@ use crate::experiment::ExperimentConfig;
 use crate::node::BootstrapNode;
 use crate::protocol::BootstrapProtocol;
 use crate::routing::{route, Contact, RouterKind, TableSource, DEFAULT_MAX_HOPS};
-use crate::scenario::{KeyDist, LatencyModel, Phase};
+use crate::scenario::{KeyDist, Phase};
 use bss_sampling::sampler::PeerSampler;
 use bss_sim::engine::cycle::EngineContext;
-use bss_sim::link::WanLink;
 use bss_sim::network::{Network, NodeIndex};
+use bss_sim::transport::Transport;
+use bss_util::coords::Placement;
 use bss_util::descriptor::Descriptor;
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
-use bss_util::stats::{Series, StreamingHistogram};
+use bss_util::stats::{Histogram, Series};
+use std::sync::Arc;
 
 /// XOR-folded into the experiment seed for the traffic RNG stream, so lookup
 /// draws never perturb the protocol or engine streams (ASCII "traffic!").
@@ -121,103 +124,49 @@ impl Counters {
 #[derive(Debug)]
 struct RegionWindow {
     window: Counters,
-    latency: StreamingHistogram,
+    latency: Histogram,
     success_series: Series,
     p50_series: Series,
     p99_series: Series,
 }
 
-/// WAN-only traffic state: a pure link model over the run's shared placement
-/// (for path-distance charging), the scenario's regional windows replayed at
-/// the service level, and one [`RegionWindow`] per placement region.
+/// WAN-only traffic state: the run's placement and one [`RegionWindow`] per
+/// placement region.
 #[derive(Debug)]
 struct WanTraffic {
-    link: WanLink,
-    outages: Vec<(Phase, u32, f64)>,
-    slowdowns: Vec<(Phase, Option<u32>, f64)>,
+    placement: Arc<Placement>,
     regions: Vec<RegionWindow>,
 }
 
 impl WanTraffic {
-    /// Builds the WAN state when `latency` is a WAN model; `None` otherwise.
-    fn for_config(
-        config: &ExperimentConfig,
-        latency: &LatencyModel,
-        bucket_width: u64,
-    ) -> Option<Self> {
-        let LatencyModel::Wan { params, .. } = *latency else {
-            return None;
-        };
-        let placement = config
-            .placement()
-            .expect("a wan latency model always builds a placement");
+    fn new(placement: Arc<Placement>, bucket_width: u64) -> Self {
         let regions = (0..placement.region_count())
             .map(|region| RegionWindow {
                 window: Counters::default(),
-                latency: StreamingHistogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
+                latency: Histogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
                 success_series: Series::new(format!("lookup_success_r{region}")),
                 p50_series: Series::new(format!("lookup_latency_p50_r{region}")),
                 p99_series: Series::new(format!("lookup_latency_p99_r{region}")),
             })
             .collect();
-        Some(WanTraffic {
-            link: WanLink::new(placement, params, config.seed),
-            outages: config.scenario.regional_outages().collect(),
-            slowdowns: config.scenario.slow_link_windows().collect(),
-            regions,
-        })
+        WanTraffic { placement, regions }
     }
 
-    /// Placement region of a node's registry address.
-    fn region_of(&self, node: NodeIndex) -> u32 {
-        self.link.placement().region(node.as_usize())
+    /// The window of the region a client's registry address lies in.
+    fn window_of(&mut self, client: NodeIndex) -> &mut RegionWindow {
+        let region = self.placement.region(client.as_usize());
+        &mut self.regions[region as usize]
     }
+}
 
-    /// Service-level outage gate: one loss coin per active outage window
-    /// touching the client's or the target's region, mirroring what
-    /// [`LinkTransport`](bss_sim::link::LinkTransport) does per message.
-    fn outage_drops(&self, cycle: u64, src: u32, tgt: u32, rng: &mut SimRng) -> bool {
-        for &(phase, region, loss) in &self.outages {
-            if phase.contains(cycle)
-                && loss > 0.0
-                && (src == region || tgt == region)
-                && rng.chance(loss)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Total latency of one delivered lookup along `path`: each consecutive
-    /// hop charged at the pure per-link WAN latency, scaled by every active
-    /// slow-link window matching that hop. Draws nothing.
-    fn charge_path(&self, cycle: u64, path: &[Contact]) -> u64 {
-        let mut total = 0u64;
-        for pair in path.windows(2) {
-            let (from, to) = (pair[0].address, pair[1].address);
-            let base = self.link.link_latency(from, to);
-            let mut factor = 1.0f64;
-            for &(phase, region, window_factor) in &self.slowdowns {
-                if phase.contains(cycle) {
-                    let matches = match region {
-                        None => true,
-                        Some(r) => self.region_of(from) == r || self.region_of(to) == r,
-                    };
-                    if matches {
-                        factor *= window_factor;
-                    }
-                }
-            }
-            total += if factor == 1.0 {
-                base
-            } else {
-                ((base as f64) * factor).round() as u64
-            }
-            .max(1);
-        }
-        total
-    }
+/// Total latency of one delivered lookup: every hop of `path` charged what a
+/// message on that link costs at the transport's current cycle. Draws one
+/// latency per hop from the traffic stream under a uniform model and nothing
+/// otherwise.
+fn charge_path(transport: &Transport, path: &[Contact], rng: &mut SimRng) -> u64 {
+    path.windows(2)
+        .map(|hop| transport.latency_millis(hop[0].address, hop[1].address, rng))
+        .sum()
 }
 
 /// The per-run lookup traffic driver. Built by the measurement layer only when
@@ -227,7 +176,9 @@ impl WanTraffic {
 pub struct LookupTraffic {
     router: RouterKind,
     phases: Vec<(Phase, u32, KeyDist)>,
-    latency: LatencyModel,
+    /// The driver's own copy of the run's transport: the lookups' outage gate
+    /// and per-hop latency, fed from the traffic stream.
+    transport: Transport,
     rng: SimRng,
     scratch: BootstrapNode<NodeIndex>,
     path: Vec<Contact>,
@@ -240,9 +191,9 @@ pub struct LookupTraffic {
     zipf_cumulative: Vec<f64>,
     window: Counters,
     totals: Counters,
-    window_latency: StreamingHistogram,
-    /// WAN-only state (placement, path charging, regional windows); `None`
-    /// under the placement-free link models.
+    window_latency: Histogram,
+    /// WAN-only state (placement, regional windows); `None` under the
+    /// placement-free link models.
     wan: Option<WanTraffic>,
     success_series: Series,
     hop_mean_series: Series,
@@ -261,6 +212,7 @@ impl LookupTraffic {
             return None;
         }
         let latency = config.link_model();
+        let placement = config.placement();
         // One bucket per possible hop at the per-hop latency ceiling keeps the
         // window histogram exact for constant latency and allocation-free
         // either way; anything past the ceiling saturates into the last
@@ -273,8 +225,13 @@ impl LookupTraffic {
         Some(LookupTraffic {
             router: config.traffic_router,
             phases: config.scenario.traffic_phases().collect(),
-            wan: WanTraffic::for_config(config, &latency, bucket_width),
-            latency,
+            transport: config.scenario.build_transport(
+                config.network_size,
+                &latency,
+                placement.as_ref(),
+                config.seed,
+            ),
+            wan: placement.map(|placement| WanTraffic::new(placement, bucket_width)),
             rng: SimRng::seed_from(config.seed ^ TRAFFIC_SALT),
             scratch,
             path: Vec::with_capacity(DEFAULT_MAX_HOPS + 1),
@@ -282,7 +239,7 @@ impl LookupTraffic {
             zipf_cumulative: Vec::new(),
             window: Counters::default(),
             totals: Counters::default(),
-            window_latency: StreamingHistogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
+            window_latency: Histogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
             success_series: Series::new("lookup_success"),
             hop_mean_series: Series::new("lookup_hop_mean"),
             hop_max_series: Series::new("lookup_hop_max"),
@@ -329,9 +286,10 @@ impl LookupTraffic {
                 self.zipf_cumulative.push(total);
             }
         }
+        self.transport.advance_to_cycle(cycle);
         let LookupTraffic {
             router,
-            latency,
+            transport,
             rng,
             scratch,
             path,
@@ -362,42 +320,28 @@ impl LookupTraffic {
             // Service-level regional outages: a lookup issued from — or
             // targeting — an outaged region fails before routing starts, the
             // way a real client behind a dead uplink would time out.
-            let src_region = wan.as_ref().map(|state| state.region_of(source.address));
-            if let (Some(state), Some(src)) = (wan.as_ref(), src_region) {
-                let tgt = state.region_of(target.address);
-                if state.outage_drops(cycle, src, tgt, rng) {
-                    window.absorb(false, 0);
-                    totals.absorb(false, 0);
-                    wan.as_mut().expect("checked above").regions[src as usize]
-                        .window
-                        .absorb(false, 0);
-                    continue;
-                }
-            }
-            let routed = route(
-                &mut tables,
-                *router,
-                source,
-                target.id,
-                DEFAULT_MAX_HOPS,
-                path,
-            );
-            window.absorb(routed.delivered(), routed.hops);
-            totals.absorb(routed.delivered(), routed.hops);
-            let millis = if routed.delivered() {
-                Some(match wan.as_ref() {
-                    Some(state) => state.charge_path(cycle, path),
-                    None => charge(latency, rng, routed.hops),
-                })
+            let (delivered, hops) = if transport.outage_drops(source.address, target.address, rng) {
+                (false, 0)
             } else {
-                None
+                let routed = route(
+                    &mut tables,
+                    *router,
+                    source,
+                    target.id,
+                    DEFAULT_MAX_HOPS,
+                    path,
+                );
+                (routed.delivered(), routed.hops)
             };
+            let millis = delivered.then(|| charge_path(transport, path, rng));
+            let region = wan.as_mut().map(|state| state.window_of(source.address));
+            window.absorb(delivered, hops);
+            totals.absorb(delivered, hops);
             if let Some(millis) = millis {
                 window_latency.record(millis);
             }
-            if let (Some(state), Some(src)) = (wan.as_mut(), src_region) {
-                let bucket = &mut state.regions[src as usize];
-                bucket.window.absorb(routed.delivered(), routed.hops);
+            if let Some(bucket) = region {
+                bucket.window.absorb(delivered, hops);
                 if let Some(millis) = millis {
                     bucket.latency.record(millis);
                 }
@@ -474,32 +418,6 @@ impl LookupTraffic {
             region_success_series,
             region_p50_series,
             region_p99_series,
-        }
-    }
-}
-
-/// Total latency of one delivered lookup under the placement-free models:
-/// each hop charged through the run's [`LatencyModel`]. A constant model
-/// draws no randomness (hops × millis); a uniform model draws one latency per
-/// hop from the traffic stream. WAN runs never reach this — they charge along
-/// the actual hop path (see [`WanTraffic::charge_path`]).
-fn charge(latency: &LatencyModel, rng: &mut SimRng, hops: u64) -> u64 {
-    match *latency {
-        LatencyModel::Constant { millis } => hops * millis,
-        LatencyModel::Uniform {
-            min_millis,
-            max_millis,
-        } => {
-            if min_millis == max_millis {
-                hops * min_millis
-            } else {
-                (0..hops)
-                    .map(|_| rng.range_u64(min_millis, max_millis + 1))
-                    .sum()
-            }
-        }
-        LatencyModel::Wan { .. } => {
-            unreachable!("wan lookups charge by path distance, not per-hop draws")
         }
     }
 }
@@ -620,7 +538,7 @@ impl LookupTrafficReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Scenario, ScenarioEvent};
+    use crate::scenario::{LatencyModel, Scenario, ScenarioEvent};
 
     fn traffic_config(dist: KeyDist) -> ExperimentConfig {
         ExperimentConfig::builder()
@@ -645,21 +563,22 @@ mod tests {
 
     #[test]
     fn constant_latency_charges_hops_times_millis_without_randomness() {
+        let path: Vec<Contact> = (0..5u32)
+            .map(|hop| Contact {
+                id: NodeId::new(u64::from(hop)),
+                address: NodeIndex::new(hop),
+            })
+            .collect();
         let mut rng = SimRng::seed_from(1);
         let before = rng.clone();
-        assert_eq!(
-            charge(&LatencyModel::Constant { millis: 7 }, &mut rng, 3),
-            21
-        );
+        let constant = Transport::new(LatencyModel::Constant { millis: 7 }, None, 0);
+        assert_eq!(charge_path(&constant, &path[..4], &mut rng), 21);
         assert_eq!(rng, before, "constant latency must not advance the stream");
-        let total = charge(
-            &LatencyModel::Uniform {
-                min_millis: 10,
-                max_millis: 20,
-            },
-            &mut rng,
-            4,
-        );
+        let uniform = LatencyModel::Uniform {
+            min_millis: 10,
+            max_millis: 20,
+        };
+        let total = charge_path(&Transport::new(uniform, None, 0), &path, &mut rng);
         assert!((40..=80).contains(&total), "{total}");
         assert_ne!(rng, before, "uniform latency draws per hop");
     }

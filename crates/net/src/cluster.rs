@@ -1,52 +1,28 @@
 //! A supervised localhost cluster of UDP peers.
 //!
-//! [`Cluster::spawn`] brings up `size` peers on loopback in one of two
-//! transport modes — a thread and socket per peer, or every peer multiplexed
-//! over one batched poll loop ([`crate::driver::NetDriver`]) — gives each a
-//! random contact list (seeding its sampling-gossip pool, from which the
-//! sampling layer takes over) and lets them bootstrap. The convergence check reuses the simulator's
+//! [`Cluster::spawn`] brings up `size` peers on loopback, every peer
+//! multiplexed over one batched poll loop ([`crate::driver::NetDriver`]) on a
+//! supervisor-owned thread, gives each a random contact list (seeding its
+//! sampling-gossip pool, from which the sampling layer takes over) and lets
+//! them bootstrap. The convergence check reuses the simulator's
 //! [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle), so
 //! "perfect" means exactly what it means in the paper's figures, and
 //! [`Cluster::monitor`] renders a whole run as a RunReport-shaped
 //! [`NetReport`].
 
 use crate::driver::{DriverConfig, NetDriver};
-use crate::node::{BoundUdpPeer, PeerHandle, UdpPeer};
+use crate::node::PeerHandle;
 use crate::report::{NetReport, NetStats};
 use bss_core::convergence::{ConvergenceOracle, NetworkConvergence};
 use bss_util::config::BootstrapParams;
-use bss_util::descriptor::Descriptor;
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
 use std::collections::HashSet;
 use std::io;
-use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How a cluster runs its peers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClusterMode {
-    /// One OS thread and blocking socket per peer — faithful to a real
-    /// multi-process deployment, practical up to a few hundred peers.
-    #[default]
-    ThreadPerPeer,
-    /// Every peer multiplexed over one batched poll loop — the way to run
-    /// hundreds-to-thousands of in-process peers.
-    Driver,
-}
-
-impl ClusterMode {
-    /// Short machine-readable label (used in reports and bench output).
-    pub fn label(&self) -> &'static str {
-        match self {
-            ClusterMode::ThreadPerPeer => "thread",
-            ClusterMode::Driver => "driver",
-        }
-    }
-}
 
 /// Configuration of a localhost cluster.
 #[derive(Debug, Clone)]
@@ -60,8 +36,6 @@ pub struct ClusterConfig {
     pub contacts_per_peer: usize,
     /// Seed for identifier assignment and contact-list sampling.
     pub seed: u64,
-    /// Transport mode.
-    pub mode: ClusterMode,
 }
 
 impl Default for ClusterConfig {
@@ -76,21 +50,8 @@ impl Default for ClusterConfig {
             },
             contacts_per_peer: 4,
             seed: 1,
-            mode: ClusterMode::ThreadPerPeer,
         }
     }
-}
-
-/// What actually runs the peers, per mode.
-#[derive(Debug)]
-enum Runtime {
-    /// Thread-per-peer: the peers own their threads; kept alive here.
-    Threads(Vec<UdpPeer>),
-    /// Single-loop driver on one supervisor-owned thread.
-    Driver {
-        running: Arc<AtomicBool>,
-        thread: Option<JoinHandle<()>>,
-    },
 }
 
 /// A running cluster of UDP peers.
@@ -98,11 +59,12 @@ enum Runtime {
 pub struct Cluster {
     handles: Vec<PeerHandle>,
     params: BootstrapParams,
-    mode: ClusterMode,
     seed: u64,
     stats: Arc<NetStats>,
     started: Instant,
-    runtime: Runtime,
+    /// The driver loop's run flag and thread.
+    running: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl Cluster {
@@ -118,60 +80,6 @@ impl Cluster {
     pub fn spawn(config: ClusterConfig) -> io::Result<Self> {
         assert!(config.size > 0, "a cluster needs at least one peer");
         config.params.validate().expect("invalid parameters");
-        match config.mode {
-            ClusterMode::ThreadPerPeer => Cluster::spawn_threads(config),
-            ClusterMode::Driver => Cluster::spawn_driver(config),
-        }
-    }
-
-    fn spawn_threads(config: ClusterConfig) -> io::Result<Self> {
-        let mut rng = SimRng::seed_from(config.seed);
-        let ids: Vec<NodeId> = rng
-            .distinct_u64(config.size)
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-
-        // Two-phase start. Phase one: bind every peer's socket without starting
-        // any protocol thread, so all addresses are known before any gossip
-        // flows. Phase two: sample every peer's contact list from the *other*
-        // peers' bound descriptors — the first-bound peer included, so nobody
-        // starts passively isolated — then start all the protocol threads.
-        let bound: Vec<BoundUdpPeer> = ids
-            .iter()
-            .enumerate()
-            .map(|(position, &id)| {
-                BoundUdpPeer::bind(id, config.params, config.seed ^ (position as u64 + 1))
-            })
-            .collect::<io::Result<_>>()?;
-        let descriptors: Vec<Descriptor<SocketAddr>> =
-            bound.iter().map(BoundUdpPeer::descriptor).collect();
-
-        let stats = Arc::new(NetStats::new());
-        let mut peers = Vec::with_capacity(config.size);
-        for (position, peer) in bound.into_iter().enumerate() {
-            let others: Vec<Descriptor<SocketAddr>> = descriptors
-                .iter()
-                .enumerate()
-                .filter(|&(index, _)| index != position)
-                .map(|(_, &descriptor)| descriptor)
-                .collect();
-            let contacts = rng.sample(&others, config.contacts_per_peer.min(others.len()));
-            peers.push(peer.start(contacts, Arc::clone(&stats))?);
-        }
-
-        Ok(Cluster {
-            handles: peers.iter().map(|peer| peer.handle().clone()).collect(),
-            params: config.params,
-            mode: ClusterMode::ThreadPerPeer,
-            seed: config.seed,
-            stats,
-            started: Instant::now(),
-            runtime: Runtime::Threads(peers),
-        })
-    }
-
-    fn spawn_driver(config: ClusterConfig) -> io::Result<Self> {
         let driver = NetDriver::bind(DriverConfig {
             size: config.size,
             params: config.params,
@@ -188,14 +96,11 @@ impl Cluster {
         Ok(Cluster {
             handles,
             params: config.params,
-            mode: ClusterMode::Driver,
             seed: config.seed,
             stats,
             started: Instant::now(),
-            runtime: Runtime::Driver {
-                running,
-                thread: Some(thread),
-            },
+            running,
+            thread: Some(thread),
         })
     }
 
@@ -209,12 +114,7 @@ impl Cluster {
         self.handles.is_empty()
     }
 
-    /// The transport mode.
-    pub fn mode(&self) -> ClusterMode {
-        self.mode
-    }
-
-    /// The peers, as cheap cloneable handles (both modes).
+    /// The peers, as cheap cloneable handles.
     pub fn peers(&self) -> &[PeerHandle] {
         &self.handles
     }
@@ -276,8 +176,8 @@ impl Cluster {
 
     /// Kills `fraction` of the alive peers (chosen by `seed`), leaving at
     /// least one survivor. Killed peers stop sending and answering immediately
-    /// — in thread mode their loops exit, in driver mode the loop skips them —
-    /// but their descriptors keep circulating until aging evicts them.
+    /// — the driver loop skips them — but their descriptors keep circulating
+    /// until aging evicts them.
     /// Returns the killed identifiers.
     pub fn kill(&self, fraction: f64, seed: u64) -> Vec<NodeId> {
         let alive: Vec<&PeerHandle> = self.handles.iter().filter(|h| h.is_alive()).collect();
@@ -347,7 +247,6 @@ impl Cluster {
             std::thread::sleep(poll_every);
         }
         NetReport {
-            mode: self.mode.label(),
             nodes: self.handles.len(),
             seed: self.seed,
             converged: convergence_millis.is_some(),
@@ -363,11 +262,8 @@ impl Cluster {
         }
     }
 
-    /// Stops every peer and joins all transport threads. Stop flags are raised
-    /// for the whole cluster *before* any join, so thread-mode teardown costs
-    /// one read-timeout across the cluster rather than one per peer, and the
-    /// driver loop (which checks its flag every sweep) exits within about a
-    /// millisecond.
+    /// Stops every peer and joins the driver thread; the loop checks its flag
+    /// every sweep, so it exits within about a millisecond.
     pub fn shutdown(self) {
         // Drop runs the teardown; the consuming signature is the public
         // contract ("a shut-down cluster cannot be used again").
@@ -377,17 +273,9 @@ impl Cluster {
         for handle in &self.handles {
             handle.mark_dead();
         }
-        match &mut self.runtime {
-            Runtime::Threads(peers) => {
-                // Every loop has already been flagged; the drops just join.
-                peers.clear();
-            }
-            Runtime::Driver { running, thread } => {
-                running.store(false, Ordering::Relaxed);
-                if let Some(thread) = thread.take() {
-                    let _ = thread.join();
-                }
-            }
+        self.running.store(false, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
@@ -426,7 +314,6 @@ mod tests {
         assert_eq!(cluster.len(), 8);
         assert!(!cluster.is_empty());
         assert_eq!(cluster.peers().len(), 8);
-        assert_eq!(cluster.mode(), ClusterMode::ThreadPerPeer);
         let converged = cluster.wait_for_convergence(Duration::from_secs(20));
         let state = cluster.measure();
         assert!(
@@ -444,7 +331,6 @@ mod tests {
         let Some(cluster) = spawn_or_skip(ClusterConfig {
             size: 16,
             seed: 42,
-            mode: ClusterMode::Driver,
             params: BootstrapParams {
                 cycle_millis: 20,
                 ..ClusterConfig::default().params
@@ -453,14 +339,12 @@ mod tests {
         }) else {
             return;
         };
-        assert_eq!(cluster.mode(), ClusterMode::Driver);
         let report = cluster.monitor(Duration::from_millis(25), Duration::from_secs(30));
         assert!(
             report.converged,
             "driver cluster did not converge: missing leaf {:.3}, missing prefix {:.3}",
             report.final_missing_leaf, report.final_missing_prefix
         );
-        assert_eq!(report.mode, "driver");
         assert_eq!(report.nodes, 16);
         assert!(report.convergence_millis.is_some());
         assert!(!report.leaf_series.is_empty());
@@ -470,32 +354,26 @@ mod tests {
     }
 
     #[test]
-    fn repeated_spawn_and_teardown_is_prompt_in_both_modes() {
-        // The shutdown audit: stop flags are raised cluster-wide before any
-        // join, so teardown must not cost a read-timeout per peer, and the
-        // driver loop must exit promptly. Generous bound: well under a second
-        // per cycle even on a loaded CI runner, where leaking 10 ms per peer
-        // across 5 x 2 x 12 teardowns would blow through it.
-        for mode in [ClusterMode::ThreadPerPeer, ClusterMode::Driver] {
-            let started = Instant::now();
-            for round in 0..5 {
-                let Some(cluster) = spawn_or_skip(ClusterConfig {
-                    size: 12,
-                    seed: 100 + round,
-                    mode,
-                    ..ClusterConfig::default()
-                }) else {
-                    return;
-                };
-                cluster.shutdown();
-            }
-            assert!(
-                started.elapsed() < Duration::from_secs(5),
-                "{}-mode spawn/teardown x5 took {:?}",
-                mode.label(),
-                started.elapsed()
-            );
+    fn repeated_spawn_and_teardown_is_prompt() {
+        // The shutdown audit: the driver loop must exit promptly when its
+        // flag drops. Generous bound: well under a second per cycle even on a
+        // loaded CI runner.
+        let started = Instant::now();
+        for round in 0..5 {
+            let Some(cluster) = spawn_or_skip(ClusterConfig {
+                size: 12,
+                seed: 100 + round,
+                ..ClusterConfig::default()
+            }) else {
+                return;
+            };
+            cluster.shutdown();
         }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "spawn/teardown x5 took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]
@@ -503,7 +381,6 @@ mod tests {
         let Some(cluster) = spawn_or_skip(ClusterConfig {
             size: 12,
             seed: 11,
-            mode: ClusterMode::Driver,
             params: BootstrapParams {
                 cycle_millis: 20,
                 ..ClusterConfig::default().params

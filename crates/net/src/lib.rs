@@ -12,12 +12,13 @@
 //! * [`node`] — a peer: one UDP socket, one background thread running the active
 //!   thread of Fig. 2 on a timer and the passive thread on receipt — plus the
 //!   shared *clocked* protocol glue (millisecond-derived cycle clock, descriptor
-//!   aging, heartbeat re-stamping, stamp verification) every transport mode runs
-//!   through.
+//!   aging, heartbeat re-stamping, stamp verification) the driver runs through
+//!   too. A [`UdpPeer`] is how one process runs one peer against contacts that
+//!   live elsewhere.
 //! * [`driver`] — the batched single-loop datagram driver: hundreds-to-thousands
 //!   of in-process peers multiplexed over one poll loop and one thread.
 //! * [`cluster`] — spawns and supervises a set of peers on the loopback interface
-//!   (thread-per-peer or driver mode), checks their convergence with the same
+//!   (one driver loop on one thread), checks their convergence with the same
 //!   [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle) the simulator
 //!   uses, and renders runs as RunReport-shaped [`report::NetReport`]s.
 //! * [`report`] — shared traffic counters and the wire-side run report.
@@ -38,11 +39,10 @@
 //! # Example
 //!
 //! ```rust,no_run
-//! use bss_net::cluster::{Cluster, ClusterConfig, ClusterMode};
+//! use bss_net::cluster::{Cluster, ClusterConfig};
 //!
 //! let cluster = Cluster::spawn(ClusterConfig {
 //!     size: 256,
-//!     mode: ClusterMode::Driver,
 //!     ..ClusterConfig::default()
 //! })
 //! .expect("sockets available");
@@ -64,7 +64,7 @@ pub mod driver;
 pub mod node;
 pub mod report;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterMode};
+pub use cluster::{Cluster, ClusterConfig};
 pub use driver::{DriverConfig, NetDriver};
 pub use node::{PeerHandle, UdpPeer, UdpPeerConfig};
 pub use report::{NetReport, NetStats, NetTraffic};

@@ -1,5 +1,5 @@
-//! A single UDP peer running the bootstrapping service, plus the shared
-//! clocked protocol glue every transport mode runs through.
+//! A single UDP peer running the bootstrapping service, plus the clocked
+//! protocol glue it shares with the single-loop driver.
 //!
 //! Each [`UdpPeer`] owns one UDP socket bound to the loopback interface and one
 //! background thread. The thread implements both threads of Fig. 2: on a
@@ -20,11 +20,11 @@
 //!
 //! [`compose_request`] and [`apply_message`] are the single implementation of
 //! that logic; the thread-per-peer loop here and the batched single-loop
-//! driver ([`crate::driver`]) both call them, which is what makes the two
-//! modes protocol-equivalent.
+//! driver ([`crate::driver`]) both call them, which is what makes a
+//! one-peer-per-process deployment and an in-process cluster
+//! protocol-equivalent.
 
 use crate::codec::{decode, descriptor_stamp, encode, seal, MessageKind, WireMessage};
-use crate::report::NetStats;
 use bss_core::leafset::MergeScratch;
 use bss_core::message::MessageScratch;
 use bss_core::node::BootstrapNode;
@@ -384,9 +384,9 @@ pub(crate) fn apply_message(
 }
 
 /// A cheap, cloneable view of one running peer: its identity, address and
-/// shared protocol state. Both transport modes expose their peers through
-/// handles, so supervisors ([`crate::cluster::Cluster`]) and tests work
-/// identically against thread-per-peer and driver clusters.
+/// shared protocol state. A [`UdpPeer`] and the driver both expose their
+/// peers through handles, so supervisors ([`crate::cluster::Cluster`]) and
+/// tests read either the same way.
 #[derive(Debug, Clone)]
 pub struct PeerHandle {
     id: NodeId,
@@ -455,90 +455,6 @@ impl PeerHandle {
     }
 }
 
-/// A peer whose socket is bound but whose protocol thread has not started: the
-/// first phase of the two-phase start. Binding everything first lets a
-/// supervisor learn every address before any peer begins gossiping, so every
-/// contact list — including the first peer's — can name peers that actually
-/// exist.
-#[derive(Debug)]
-pub struct BoundUdpPeer {
-    socket: UdpSocket,
-    id: NodeId,
-    address: SocketAddr,
-    params: BootstrapParams,
-    seed: u64,
-}
-
-impl BoundUdpPeer {
-    /// Binds a socket on an ephemeral loopback port.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error raised while binding or configuring the socket.
-    pub fn bind(id: NodeId, params: BootstrapParams, seed: u64) -> io::Result<Self> {
-        let socket = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-        let address = socket.local_addr()?;
-        Ok(BoundUdpPeer {
-            socket,
-            id,
-            address,
-            params,
-            seed,
-        })
-    }
-
-    /// The bound socket address.
-    pub fn address(&self) -> SocketAddr {
-        self.address
-    }
-
-    /// The peer's identifier.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The peer's start-of-life descriptor (timestamp 0 — the wire clock
-    /// starts when the protocol thread does).
-    pub fn descriptor(&self) -> Descriptor<SocketAddr> {
-        Descriptor::new(self.id, self.address, 0)
-    }
-
-    /// Starts the protocol thread with the given contact list: the second
-    /// phase of the two-phase start. Traffic is counted against `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error raised while spawning the thread, or
-    /// `InvalidInput` when the parameters are invalid.
-    pub fn start(
-        self,
-        contacts: Vec<Descriptor<SocketAddr>>,
-        stats: Arc<NetStats>,
-    ) -> io::Result<UdpPeer> {
-        let own = self.descriptor();
-        let mut node = BootstrapNode::new(own, &self.params)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        node.initialize(contacts.iter().copied());
-
-        let handle = PeerHandle::new(self.id, self.address, Arc::new(Mutex::new(node)));
-        let thread_handle = handle.clone();
-        let socket = self.socket;
-        let params = self.params;
-        let seed = self.seed;
-        let thread = std::thread::Builder::new()
-            .name(format!("bss-peer-{}", self.id))
-            .spawn(move || {
-                peer_loop(socket, thread_handle, contacts, params, seed, stats);
-            })?;
-
-        Ok(UdpPeer {
-            handle,
-            thread: Some(thread),
-        })
-    }
-}
-
 /// A running UDP peer (socket + protocol thread).
 #[derive(Debug)]
 pub struct UdpPeer {
@@ -548,15 +464,37 @@ pub struct UdpPeer {
 
 impl UdpPeer {
     /// Binds a socket on an ephemeral loopback port and starts the protocol
-    /// thread — [`BoundUdpPeer::bind`] and [`BoundUdpPeer::start`] in one
-    /// step, for peers that do not need the two-phase start.
+    /// thread. The peer's start-of-life descriptor carries timestamp 0 — the
+    /// wire clock starts when the protocol thread does.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error raised while binding or configuring the socket.
+    /// Returns any I/O error raised while binding or configuring the socket
+    /// or spawning the thread, or `InvalidInput` when the parameters are
+    /// invalid.
     pub fn spawn(config: UdpPeerConfig) -> io::Result<Self> {
-        BoundUdpPeer::bind(config.id, config.params, config.seed)?
-            .start(config.contacts, Arc::new(NetStats::new()))
+        let socket = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))?;
+        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
+        let address = socket.local_addr()?;
+        let UdpPeerConfig {
+            id,
+            params,
+            contacts,
+            seed,
+        } = config;
+        let mut node = BootstrapNode::new(Descriptor::new(id, address, 0), &params)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        node.initialize(contacts.iter().copied());
+
+        let handle = PeerHandle::new(id, address, Arc::new(Mutex::new(node)));
+        let thread_handle = handle.clone();
+        let thread = std::thread::Builder::new()
+            .name(format!("bss-peer-{id}"))
+            .spawn(move || peer_loop(socket, thread_handle, contacts, params, seed))?;
+        Ok(UdpPeer {
+            handle,
+            thread: Some(thread),
+        })
     }
 
     /// The peer's socket address.
@@ -613,7 +551,6 @@ fn peer_loop(
     contacts: Vec<Descriptor<SocketAddr>>,
     params: BootstrapParams,
     seed: u64,
-    stats: Arc<NetStats>,
 ) {
     let mut rng = SimRng::seed_from(seed);
     let cycle_millis = effective_cycle_millis(&params);
@@ -627,37 +564,19 @@ fn peer_loop(
 
     while handle.is_alive() {
         // Passive thread: serve whatever arrives until the next active deadline.
-        match socket.recv_from(&mut buffer) {
-            Ok((length, from)) => {
-                stats.record_received(length);
-                match decode(&buffer[..length]) {
-                    Ok(message) => {
-                        let now = wire_cycle(started, cycle_millis);
-                        let answer = {
-                            let mut node = handle.state().lock();
-                            apply_message(
-                                &mut node,
-                                &mut rng,
-                                &mut pool,
-                                message,
-                                now,
-                                &mut scratch,
-                            )
-                        };
-                        if let Some(payload) = answer {
-                            match socket.send_to(&payload, from) {
-                                Ok(sent) => stats.record_sent(sent),
-                                Err(_) => stats.record_send_failure(),
-                            }
-                        }
-                    }
-                    Err(_) => stats.record_decode_failure(),
+        // A datagram that does not decode is dropped; one whose answer cannot
+        // be sent is lost like any other — UDP promises nothing more.
+        if let Ok((length, from)) = socket.recv_from(&mut buffer) {
+            if let Ok(message) = decode(&buffer[..length]) {
+                let now = wire_cycle(started, cycle_millis);
+                let answer = {
+                    let mut node = handle.state().lock();
+                    apply_message(&mut node, &mut rng, &mut pool, message, now, &mut scratch)
+                };
+                if let Some(payload) = answer {
+                    let _ = socket.send_to(&payload, from);
                 }
             }
-            Err(error)
-                if error.kind() == io::ErrorKind::WouldBlock
-                    || error.kind() == io::ErrorKind::TimedOut => {}
-            Err(_) => {}
         }
 
         // Active thread: every Δ, select a peer and send it a request — and
@@ -673,16 +592,10 @@ fn peer_loop(
             };
             if let Some((target, payload)) = request {
                 handle.record_exchange();
-                match socket.send_to(&payload, target) {
-                    Ok(sent) => stats.record_sent(sent),
-                    Err(_) => stats.record_send_failure(),
-                }
+                let _ = socket.send_to(&payload, target);
             }
             if let Some((target, payload)) = sampling {
-                match socket.send_to(&payload, target) {
-                    Ok(sent) => stats.record_sent(sent),
-                    Err(_) => stats.record_send_failure(),
-                }
+                let _ = socket.send_to(&payload, target);
             }
         }
     }

@@ -1,8 +1,7 @@
 //! Traffic accounting and the wire-side run report.
 //!
-//! [`NetStats`] is the shared atomic counter block every socket touch goes
-//! through — both the thread-per-peer loops and the single-loop driver feed the
-//! same instance, so a cluster has one traffic story regardless of mode.
+//! [`NetStats`] is the shared atomic counter block every socket touch of the
+//! single-loop driver goes through, so a cluster has one traffic story.
 //! [`NetReport`] is the wire twin of the simulator's
 //! `RunReport` (`bss_core::experiment`): the same convergence series and
 //! traffic summary, keyed by wall-clock milliseconds instead of cycles, so net
@@ -85,8 +84,6 @@ pub struct NetTraffic {
 /// The report of one wire run: RunReport-shaped, keyed by milliseconds.
 #[derive(Debug, Clone)]
 pub struct NetReport {
-    /// Cluster mode label (`"thread"` or `"driver"`).
-    pub mode: &'static str,
     /// Number of peers spawned.
     pub nodes: usize,
     /// The cluster seed.
@@ -124,7 +121,6 @@ impl NetReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"engine\": \"net\",");
-        let _ = writeln!(out, "  \"mode\": \"{}\",", self.mode);
         let _ = writeln!(out, "  \"network_size\": {},", self.nodes);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"converged\": {},", self.converged);
@@ -217,7 +213,6 @@ mod tests {
     #[test]
     fn report_serializes_to_runreport_shaped_json() {
         let report = NetReport {
-            mode: "driver",
             nodes: 64,
             seed: 7,
             converged: true,
@@ -240,7 +235,6 @@ mod tests {
         };
         let json = report.to_json();
         assert!(json.contains("\"engine\": \"net\""));
-        assert!(json.contains("\"mode\": \"driver\""));
         assert!(json.contains("\"convergence_millis\": 1500"));
         assert!(json.contains("\"missing_leaf\": [[0, 1.000000e0], [1500, 0.000000e0]]"));
         assert!((report.datagrams_per_second() - 2000.0).abs() < 1e-9);

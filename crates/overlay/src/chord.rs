@@ -1,7 +1,7 @@
 //! A compact Chord ring used as the "Chord on demand" baseline.
 //!
 //! The paper's related work (§4, §6) points at the authors' earlier "Chord on
-//! demand" result [9]: a gossip protocol that jump-starts Chord — a sorted ring
+//! demand" result \[9\]: a gossip protocol that jump-starts Chord — a sorted ring
 //! plus distance-halving fingers — rather than a prefix-table substrate. For the
 //! reproduction we build the Chord structure directly from global knowledge (the
 //! instantly-converged ideal) and use it as a routing-quality yardstick: the hops

@@ -135,7 +135,7 @@ mod tests {
     use crate::sampler::OracleSampler;
     use bss_sim::engine::cycle::CycleEngine;
     use bss_sim::network::Network;
-    use bss_sim::transport::DropTransport;
+    use bss_sim::transport::Transport;
     use bss_util::config::NewscastParams;
     use bss_util::rng::SimRng;
     use std::ops::ControlFlow;
@@ -172,8 +172,8 @@ mod tests {
     fn broadcast_survives_message_loss() {
         let mut rng = SimRng::seed_from(2);
         let network = Network::with_random_ids(500, &mut rng);
-        let mut eng =
-            CycleEngine::new(network, rng).with_transport(Box::new(DropTransport::new(0.2)));
+        let mut eng = CycleEngine::new(network, rng)
+            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.2));
         let mut broadcast = GossipBroadcast::new(OracleSampler::new(), 3);
         broadcast.start(NodeIndex::new(7));
         eng.run_with_observer(&mut broadcast, 60, |b, ctx, _| {

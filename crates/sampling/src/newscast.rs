@@ -423,7 +423,7 @@ mod tests {
     use super::*;
     use bss_sim::engine::cycle::CycleEngine;
     use bss_sim::network::Network;
-    use bss_sim::transport::DropTransport;
+    use bss_sim::transport::Transport;
     use bss_util::rng::SimRng;
 
     fn engine(size: usize, seed: u64) -> CycleEngine {
@@ -498,8 +498,8 @@ mod tests {
     fn exchange_counters_track_failures_under_loss() {
         let mut rng = SimRng::seed_from(4);
         let network = Network::with_random_ids(100, &mut rng);
-        let mut eng =
-            CycleEngine::new(network, rng).with_transport(Box::new(DropTransport::new(0.5)));
+        let mut eng = CycleEngine::new(network, rng)
+            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.5));
         let mut protocol = NewscastProtocol::new(NewscastParams::paper_default());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 10);

@@ -10,7 +10,7 @@
 use crate::churn::{ChurnEvents, ChurnModel, NoChurn};
 use crate::network::{Network, NodeIndex};
 use crate::pool::WorkerPool;
-use crate::transport::{ReliableTransport, Transport};
+use crate::transport::Transport;
 use bss_util::rng::SimRng;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
@@ -24,16 +24,16 @@ pub struct EngineContext {
     /// The deterministic random number generator driving every stochastic choice.
     pub rng: SimRng,
     /// The message delivery policy.
-    pub transport: Box<dyn Transport>,
+    pub transport: Transport,
 }
 
 impl EngineContext {
-    /// Creates a context with a [`ReliableTransport`].
+    /// Creates a context with a [reliable](Transport::reliable) transport.
     pub fn new(network: Network, rng: SimRng) -> Self {
         EngineContext {
             network,
             rng,
-            transport: Box::new(ReliableTransport::new()),
+            transport: Transport::reliable(),
         }
     }
 
@@ -259,7 +259,7 @@ impl CycleEngine {
 
     /// Replaces the transport (builder style).
     #[must_use]
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
+    pub fn with_transport(mut self, transport: Transport) -> Self {
         self.context.transport = transport;
         self
     }
@@ -567,7 +567,6 @@ impl CycleEngine {
 mod tests {
     use super::*;
     use crate::churn::{CatastrophicFailure, UniformChurn};
-    use crate::transport::DropTransport;
 
     /// Records which nodes executed in which cycle, plus join/leave notifications.
     #[derive(Default)]
@@ -708,8 +707,8 @@ mod tests {
     fn transport_is_reachable_through_the_context() {
         let mut rng = SimRng::seed_from(6);
         let network = Network::with_random_ids(4, &mut rng);
-        let mut eng =
-            CycleEngine::new(network, rng).with_transport(Box::new(DropTransport::new(1.0)));
+        let mut eng = CycleEngine::new(network, rng)
+            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 1.0));
         assert!(!eng
             .context_mut()
             .deliver(NodeIndex::new(0), NodeIndex::new(1)));

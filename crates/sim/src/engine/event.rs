@@ -165,7 +165,7 @@ impl<M: Debug> EventEngine<M> {
 
     /// Replaces the transport (builder style).
     #[must_use]
-    pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Self {
+    pub fn with_transport(mut self, transport: Transport) -> Self {
         self.context.transport = transport;
         self
     }
@@ -209,8 +209,8 @@ impl<M: Debug> EventEngine<M> {
 
     /// Read access to the transport (for checking its drop statistics against
     /// the engine's own counters).
-    pub fn transport(&self) -> &dyn Transport {
-        self.context.transport.as_ref()
+    pub fn transport(&self) -> &Transport {
+        &self.context.transport
     }
 
     /// Read access to the node registry.
@@ -405,7 +405,7 @@ impl<M> Default for Effects<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{DropTransport, ReliableTransport, UniformLatencyTransport};
+    use crate::transport::LatencyModel;
 
     /// A ping-pong protocol: node 0 pings node 1, each pong triggers another ping,
     /// bounded by a hop counter in the message.
@@ -471,6 +471,18 @@ mod tests {
         EventEngine::new(network, rng)
     }
 
+    fn lossy(probability: f64) -> Transport {
+        Transport::reliable().with_loss_window(0, u64::MAX, probability)
+    }
+
+    fn jittery() -> Transport {
+        let latency = LatencyModel::Uniform {
+            min_millis: 5,
+            max_millis: 50,
+        };
+        Transport::new(latency, None, 0)
+    }
+
     #[test]
     fn ping_pong_exchanges_the_expected_number_of_messages() {
         let mut engine = small_engine(2, 1);
@@ -490,8 +502,7 @@ mod tests {
 
     #[test]
     fn drop_transport_silences_the_conversation() {
-        let mut engine: EventEngine<u32> =
-            small_engine::<u32>(2, 2).with_transport(Box::new(DropTransport::new(1.0)));
+        let mut engine: EventEngine<u32> = small_engine::<u32>(2, 2).with_transport(lossy(1.0));
         let mut protocol = PingPong {
             received: Vec::new(),
         };
@@ -518,8 +529,7 @@ mod tests {
         // both engines. With a lossy transport the event engine must report
         // sent == transport.offered and delivered == offered - dropped once
         // the queue drains (nothing in flight, no dead recipients).
-        let mut engine: EventEngine<u32> =
-            small_engine::<u32>(2, 8).with_transport(Box::new(DropTransport::new(0.4)));
+        let mut engine: EventEngine<u32> = small_engine::<u32>(2, 8).with_transport(lossy(0.4));
         let mut protocol = PingPong {
             received: Vec::new(),
         };
@@ -578,18 +588,14 @@ mod tests {
 
     #[test]
     fn latency_orders_events_deterministically() {
-        let mut engine: EventEngine<u32> = small_engine::<u32>(2, 5).with_transport(Box::new(
-            UniformLatencyTransport::new(ReliableTransport::new(), 5, 50),
-        ));
+        let mut engine: EventEngine<u32> = small_engine::<u32>(2, 5).with_transport(jittery());
         let mut protocol = PingPong {
             received: Vec::new(),
         };
         engine.run_until(&mut protocol, 10_000);
         assert_eq!(protocol.received.len(), 9);
         // Re-running with the same seed reproduces the same trace.
-        let mut engine2: EventEngine<u32> = small_engine::<u32>(2, 5).with_transport(Box::new(
-            UniformLatencyTransport::new(ReliableTransport::new(), 5, 50),
-        ));
+        let mut engine2: EventEngine<u32> = small_engine::<u32>(2, 5).with_transport(jittery());
         let mut protocol2 = PingPong {
             received: Vec::new(),
         };

@@ -6,13 +6,14 @@
 //!
 //! * [`network`] — the global node registry: identifiers, alive/dead status,
 //!   dense [`NodeIndex`](network::NodeIndex) addresses and descriptor creation.
-//! * [`transport`] — message delivery models: reliable, uniform drop (the paper's
-//!   20 % loss experiment), latency distributions and network partitions.
-//! * [`link`] — per-`(src, dst)` latency and loss: the [`LinkModel`](link::LinkModel)
-//!   trait with trivial constant/uniform impls (byte-compatible with the legacy
-//!   global models) and a distance-dependent WAN model over a node placement,
-//!   plus [`LinkTransport`](link::LinkTransport) composing a link model with the
-//!   scripted timeline and phase-windowed regional outages / slow links.
+//! * [`transport`] — message delivery: the [`LatencyModel`](transport::LatencyModel)
+//!   link description (constant, uniform, distance-dependent WAN) and the one
+//!   [`Transport`](transport::Transport) both engines hold by value — that
+//!   model plus scripted windows of loss (the paper's 20 % experiment),
+//!   partitions, regional outages and slow links — with the order and number
+//!   of RNG draws each decision consumes.
+//! * [`link`] — the WAN latency formula: [`WanParams`](link::WanParams) and
+//!   its pure per-`(src, dst)` evaluation over a node placement.
 //! * [`engine`] — the [`cycle`](engine::cycle) engine (each node acts once per
 //!   cycle, in a random order, exchanging request/response pairs synchronously,
 //!   exactly like PeerSim's cycle-driven mode) and the [`event`](engine::event)
@@ -71,7 +72,7 @@ pub mod transport;
 pub use adversary::{AdversaryBehavior, AdversaryModel};
 pub use engine::cycle::{CycleEngine, CycleProtocol, EngineContext, PhaseProfile};
 pub use engine::event::{EventEngine, EventProtocol};
-pub use link::{ConstantLink, LinkModel, LinkTransport, UniformLink, WanLink, WanParams};
+pub use link::WanParams;
 pub use network::{Network, NodeIndex};
 pub use pool::WorkerPool;
-pub use transport::{DropTransport, PartitionTransport, ReliableTransport, Transport};
+pub use transport::{LatencyModel, Transport};

@@ -1,51 +1,28 @@
-//! Per-link latency and loss models: the topology layer of the transport stack.
+//! The distance-dependent WAN latency formula: its parameters and the one
+//! pure function that evaluates it.
 //!
-//! Historically the event engine drew every message's latency from one global
-//! distribution ([`UniformLatencyTransport`](crate::transport::UniformLatencyTransport))
-//! and the cycle engine ignored latency entirely. A [`LinkModel`] instead
-//! answers per `(src, dst)` link, which lets a WAN model derive latency from
-//! coordinate distance ([`bss_util::coords`]) and lets scenario events target
-//! whole regions. [`LinkTransport`] stitches a link model onto the scripted
-//! [`TimelineTransport`] so both engines consult the same object.
-//!
-//! # Determinism contract
-//!
-//! The trivial models are drop-in replacements for the legacy transports and
-//! replay their **exact** RNG streams:
-//!
-//! * [`ConstantLink`] draws nothing, like `UniformLatencyTransport` with
-//!   `min == max`;
-//! * [`UniformLink`] draws exactly one `range_u64(min, max + 1)` per delivered
-//!   message, like `UniformLatencyTransport` with `min < max`;
-//! * [`WanLink`] draws **nothing** from the engine stream — its jitter is a
-//!   pure hash of `(seed, src, dst)` — so per-link latency is a deterministic
-//!   function of the pair, independent of message order.
-//!
-//! A [`LinkTransport`] with no regional windows and a zero-loss link model
-//! delegates its delivery decision verbatim to the inner timeline, which is
-//! what keeps the committed goldens byte-identical with topology off.
+//! Latency of a link is `base_millis + distance × millis_per_unit + jitter`,
+//! where `distance` is the Euclidean distance between the endpoints'
+//! coordinates ([`bss_util::coords`]) and `jitter` is a hash of
+//! `(seed, src, dst)` — never a draw from the engine RNG — so the latency of
+//! a link is a deterministic function of the pair, independent of message
+//! order. [`Transport`](crate::transport::Transport) charges it per message;
+//! the traffic layer charges the same value per lookup hop.
 
 use crate::network::NodeIndex;
-use crate::transport::{TimelineTransport, Transport};
 use bss_util::config::InvalidParams;
 use bss_util::coords::Placement;
-use bss_util::rng::SimRng;
-use std::fmt::Debug;
-use std::sync::Arc;
 
-/// Salt mixed into the seed of [`WanLink`]'s per-pair jitter hash (spells
+/// Salt mixed into the seed of the per-pair jitter hash (spells
 /// `"linkjit!"`), keeping it disjoint from every other derived stream.
 pub const LINK_JITTER_SALT: u64 = 0x6c69_6e6b_6a69_7421;
 
 /// Parameters of the distance-dependent WAN latency model.
 ///
-/// Latency of a link is `base_millis + distance × millis_per_unit + jitter`,
-/// where `distance` is the Euclidean distance between the endpoints'
-/// coordinates and `jitter` is a per-`(src, dst)` hash draw in
-/// `[0, jitter_millis]`. The hash is ordered, so `a → b` and `b → a` generally
-/// differ — links are asymmetric, as in heterogeneous-link architectures.
-/// Messages crossing a region boundary are additionally dropped with
-/// probability `inter_region_loss`.
+/// The jitter hash is ordered, so `a → b` and `b → a` generally differ —
+/// links are asymmetric, as in heterogeneous-link architectures. Messages
+/// crossing a region boundary are additionally dropped with probability
+/// `inter_region_loss`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WanParams {
     /// Fixed per-link cost in milliseconds (propagation floor).
@@ -70,6 +47,13 @@ impl Default for WanParams {
     }
 }
 
+/// SplitMix64 finalizer: the bijective mixer behind the jitter hash.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl WanParams {
     /// Rejects non-finite or negative rates and out-of-unit loss with the
     /// typed [`InvalidParams::OutOfRange`].
@@ -92,373 +76,64 @@ impl WanParams {
         }
         Ok(())
     }
-}
 
-/// A per-`(src, dst)` latency and loss model.
-///
-/// Implementations must be deterministic: latency may either consume a
-/// documented number of draws from the engine RNG (the trivial models, for
-/// stream compatibility) or none at all (the WAN model).
-pub trait LinkModel: Debug + Send {
-    /// Latency, in milliseconds, of a delivered message on this link.
-    fn latency_millis(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> u64;
-
-    /// Structural loss probability of this link (on top of whatever the
-    /// scripted timeline decides). The default is lossless.
-    fn link_loss(&self, _from: NodeIndex, _to: NodeIndex) -> f64 {
-        0.0
-    }
-
-    /// Inclusive `(min, max)` bounds every latency this model can return.
-    fn bounds(&self) -> (u64, u64);
-}
-
-/// Constant latency on every link. Draws nothing: byte-compatible with the
-/// legacy `UniformLatencyTransport` when `min == max`.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLink {
-    millis: u64,
-}
-
-impl ConstantLink {
-    /// A link model answering `millis` for every pair.
-    pub fn new(millis: u64) -> Self {
-        ConstantLink { millis }
-    }
-}
-
-impl LinkModel for ConstantLink {
-    fn latency_millis(&mut self, _from: NodeIndex, _to: NodeIndex, _rng: &mut SimRng) -> u64 {
-        self.millis
-    }
-
-    fn bounds(&self) -> (u64, u64) {
-        (self.millis, self.millis)
-    }
-}
-
-/// Uniformly random latency in `[min, max]`, one draw per delivered message —
-/// the exact RNG stream of the legacy `UniformLatencyTransport`.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformLink {
-    min_millis: u64,
-    max_millis: u64,
-}
-
-impl UniformLink {
-    /// A link model drawing uniformly from `[min_millis, max_millis]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_millis > max_millis` (validated ranges never reach
-    /// here; the panic mirrors `UniformLatencyTransport::new`).
-    pub fn new(min_millis: u64, max_millis: u64) -> Self {
-        assert!(min_millis <= max_millis, "latency range is inverted");
-        UniformLink {
-            min_millis,
-            max_millis,
-        }
-    }
-}
-
-impl LinkModel for UniformLink {
-    fn latency_millis(&mut self, _from: NodeIndex, _to: NodeIndex, rng: &mut SimRng) -> u64 {
-        if self.min_millis == self.max_millis {
-            self.min_millis
-        } else {
-            rng.range_u64(self.min_millis, self.max_millis + 1)
-        }
-    }
-
-    fn bounds(&self) -> (u64, u64) {
-        (self.min_millis, self.max_millis)
-    }
-}
-
-/// SplitMix64 finalizer: the bijective mixer behind the WAN jitter hash.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Distance-dependent WAN latency over a node [`Placement`].
-///
-/// See [`WanParams`] for the formula. Latency draws **nothing** from the
-/// engine RNG: the jitter term is a pure hash of `(seed, src, dst)`, so the
-/// latency of a link is a deterministic function of the pair — a property the
-/// test suite pins with a property test.
-#[derive(Debug, Clone)]
-pub struct WanLink {
-    placement: Arc<Placement>,
-    params: WanParams,
-    seed: u64,
-}
-
-impl WanLink {
-    /// A WAN link model over `placement`, seeded with the experiment seed.
-    pub fn new(placement: Arc<Placement>, params: WanParams, seed: u64) -> Self {
-        WanLink {
-            placement,
-            params,
-            seed,
-        }
-    }
-
-    /// The placement this model measures distances on.
-    pub fn placement(&self) -> &Arc<Placement> {
-        &self.placement
-    }
-
-    /// Latency of the ordered link `from → to` (pure function; `&self`).
-    pub fn link_latency(&self, from: NodeIndex, to: NodeIndex) -> u64 {
-        let distance = self.placement.distance(from.as_usize(), to.as_usize());
-        let propagation = (distance * self.params.millis_per_unit).round() as u64;
-        let jitter = if self.params.jitter_millis == 0 {
+    /// Latency of the ordered link `from → to` over `placement`, floored at
+    /// 1 ms. Pure: the same `(seed, from, to)` always answers the same.
+    pub fn latency(&self, placement: &Placement, seed: u64, from: NodeIndex, to: NodeIndex) -> u64 {
+        let distance = placement.distance(from.as_usize(), to.as_usize());
+        let jitter = if self.jitter_millis == 0 {
             0
         } else {
             let pair = (u64::from(from.raw()) << 32) | u64::from(to.raw());
-            mix(self.seed ^ LINK_JITTER_SALT ^ pair) % (self.params.jitter_millis + 1)
+            mix(seed ^ LINK_JITTER_SALT ^ pair) % (self.jitter_millis + 1)
         };
-        (self.params.base_millis + propagation + jitter).max(1)
-    }
-}
-
-impl LinkModel for WanLink {
-    fn latency_millis(&mut self, from: NodeIndex, to: NodeIndex, _rng: &mut SimRng) -> u64 {
-        self.link_latency(from, to)
+        (self.base_millis + self.propagation(distance) + jitter).max(1)
     }
 
-    fn link_loss(&self, from: NodeIndex, to: NodeIndex) -> f64 {
-        if self.placement.region(from.as_usize()) != self.placement.region(to.as_usize()) {
-            self.params.inter_region_loss
-        } else {
-            0.0
-        }
+    /// Inclusive `(min, max)` bounds of [`WanParams::latency`] over a
+    /// placement whose largest pairwise distance is `max_distance`.
+    pub fn bounds(&self, max_distance: f64) -> (u64, u64) {
+        let max = self.base_millis + self.propagation(max_distance) + self.jitter_millis;
+        (self.base_millis.max(1), max.max(1))
     }
 
-    fn bounds(&self) -> (u64, u64) {
-        let max_propagation =
-            (self.placement.spec().max_distance() * self.params.millis_per_unit).round() as u64;
-        let min = self.params.base_millis.max(1);
-        let max = (self.params.base_millis + max_propagation + self.params.jitter_millis).max(1);
-        (min, max)
-    }
-}
-
-/// The full per-link transport: a scripted [`TimelineTransport`] (loss and
-/// partition windows) composed with a [`LinkModel`] and phase-windowed
-/// regional effects (outages, slow links).
-///
-/// Delivery order per message: the inner timeline decides first (preserving
-/// the legacy RNG stream), then active regional outages flip one coin per
-/// matching window, then the link model's structural loss flips one coin.
-/// Latency is the link model's answer, scaled by every active slow-link
-/// window that matches the link, floored at 1 ms.
-#[derive(Debug)]
-pub struct LinkTransport {
-    inner: TimelineTransport,
-    link: Box<dyn LinkModel>,
-    placement: Option<Arc<Placement>>,
-    /// `(start, end, region, loss)` outage windows, `[start, end)` in cycles.
-    outage_windows: Vec<(u64, u64, u32, f64)>,
-    /// `(start, end, region, factor)` slow-link windows; `region == None`
-    /// slows every link.
-    slow_windows: Vec<(u64, u64, Option<u32>, f64)>,
-    cycle: u64,
-    extra_dropped: u64,
-}
-
-impl LinkTransport {
-    /// Wraps `inner` with a link model; no regional windows, no placement.
-    pub fn new(inner: TimelineTransport, link: Box<dyn LinkModel>) -> Self {
-        LinkTransport {
-            inner,
-            link,
-            placement: None,
-            outage_windows: Vec::new(),
-            slow_windows: Vec::new(),
-            cycle: 0,
-            extra_dropped: 0,
-        }
-    }
-
-    /// Attaches the node placement regional windows consult. Builder style.
-    #[must_use]
-    pub fn with_placement(mut self, placement: Arc<Placement>) -> Self {
-        self.placement = Some(placement);
-        self
-    }
-
-    /// Adds a regional outage: while the current cycle lies in `[start, end)`,
-    /// every message with an endpoint in `region` is dropped independently
-    /// with probability `loss`. Builder style.
-    #[must_use]
-    pub fn with_outage_window(mut self, start: u64, end: u64, region: u32, loss: f64) -> Self {
-        self.outage_windows
-            .push((start, end, region, loss.clamp(0.0, 1.0)));
-        self
-    }
-
-    /// Adds a slow-link window: while active, the latency of every matching
-    /// link (an endpoint in `region`, or all links when `region` is `None`)
-    /// is multiplied by `factor`. Builder style.
-    #[must_use]
-    pub fn with_slow_window(
-        mut self,
-        start: u64,
-        end: u64,
-        region: Option<u32>,
-        factor: f64,
-    ) -> Self {
-        self.slow_windows.push((start, end, region, factor));
-        self
-    }
-
-    /// Region of a node under the attached placement (0 when none).
-    fn region(&self, node: NodeIndex) -> u32 {
-        self.placement
-            .as_ref()
-            .map_or(0, |p| p.region(node.as_usize()))
-    }
-
-    /// True when window `region` touches the `from → to` link.
-    fn touches(&self, region: u32, from: NodeIndex, to: NodeIndex) -> bool {
-        self.region(from) == region || self.region(to) == region
-    }
-
-    /// Combined slow-link factor active on this link at the current cycle.
-    fn slow_factor(&self, from: NodeIndex, to: NodeIndex) -> f64 {
-        let mut factor = 1.0;
-        for &(start, end, region, window_factor) in &self.slow_windows {
-            if self.cycle >= start && self.cycle < end {
-                let matches = match region {
-                    None => true,
-                    Some(r) => self.touches(r, from, to),
-                };
-                if matches {
-                    factor *= window_factor;
-                }
-            }
-        }
-        factor
-    }
-}
-
-impl Transport for LinkTransport {
-    fn should_deliver(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
-        // The scripted timeline decides first so that, with no regional
-        // windows and a lossless link model, this transport consumes exactly
-        // the legacy RNG stream.
-        if !self.inner.should_deliver(from, to, rng) {
-            return false;
-        }
-        for index in 0..self.outage_windows.len() {
-            let (start, end, region, loss) = self.outage_windows[index];
-            if self.cycle >= start
-                && self.cycle < end
-                && loss > 0.0
-                && self.touches(region, from, to)
-                && rng.chance(loss)
-            {
-                self.extra_dropped += 1;
-                return false;
-            }
-        }
-        let structural = self.link.link_loss(from, to);
-        if structural > 0.0 && rng.chance(structural) {
-            self.extra_dropped += 1;
-            return false;
-        }
-        true
-    }
-
-    fn advance_to_cycle(&mut self, cycle: u64) {
-        self.cycle = cycle;
-        self.inner.advance_to_cycle(cycle);
-    }
-
-    fn latency_millis(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> u64 {
-        let base = self.link.latency_millis(from, to, rng);
-        let factor = self.slow_factor(from, to);
-        if factor == 1.0 {
-            base
-        } else {
-            ((base as f64) * factor).round() as u64
-        }
-        .max(1)
-    }
-
-    fn messages_offered(&self) -> u64 {
-        self.inner.messages_offered()
-    }
-
-    fn messages_dropped(&self) -> u64 {
-        self.inner.messages_dropped() + self.extra_dropped
+    fn propagation(&self, distance: f64) -> u64 {
+        (distance * self.millis_per_unit).round() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::UniformLatencyTransport;
+    use crate::transport::{LatencyModel, Transport};
     use bss_util::coords::PlacementSpec;
+    use bss_util::rng::SimRng;
+    use std::sync::Arc;
+
+    const DUMBBELL: PlacementSpec = PlacementSpec::Dumbbell {
+        separation: 500.0,
+        spread: 20.0,
+    };
 
     fn idx(i: u32) -> NodeIndex {
         NodeIndex::new(i)
     }
 
     fn dumbbell() -> Arc<Placement> {
-        Arc::new(
-            PlacementSpec::Dumbbell {
-                separation: 500.0,
-                spread: 20.0,
-            }
-            .generate(16, 7),
-        )
+        Arc::new(DUMBBELL.generate(16, 7))
     }
 
-    #[test]
-    fn trivial_links_replay_the_uniform_latency_transport_stream() {
-        // ConstantLink and UniformLink must consume exactly the draws the
-        // legacy UniformLatencyTransport consumed — this equivalence is what
-        // keeps event-engine goldens byte-identical after the refactor.
-        for (min, max) in [(5, 5), (10, 50)] {
-            let timeline = || TimelineTransport::new().with_loss_window(2, 4, 0.5);
-            let mut legacy = UniformLatencyTransport::new(timeline(), min, max);
-            let link: Box<dyn LinkModel> = if min == max {
-                Box::new(ConstantLink::new(min))
-            } else {
-                Box::new(UniformLink::new(min, max))
-            };
-            let mut refit = LinkTransport::new(timeline(), link);
-            let mut rng_a = SimRng::seed_from(42);
-            let mut rng_b = SimRng::seed_from(42);
-            for message in 0..600u64 {
-                let cycle = message / 100;
-                legacy.advance_to_cycle(cycle);
-                refit.advance_to_cycle(cycle);
-                let (from, to) = (idx((message % 7) as u32), idx((message % 5 + 7) as u32));
-                let a = legacy.should_deliver(from, to, &mut rng_a);
-                let b = refit.should_deliver(from, to, &mut rng_b);
-                assert_eq!(a, b);
-                if a {
-                    assert_eq!(
-                        legacy.latency_millis(from, to, &mut rng_a),
-                        refit.latency_millis(from, to, &mut rng_b)
-                    );
-                }
-            }
-            assert_eq!(rng_a, rng_b, "streams diverged for range [{min}, {max}]");
-            assert_eq!(legacy.messages_offered(), refit.messages_offered());
-            assert_eq!(legacy.messages_dropped(), refit.messages_dropped());
-        }
+    fn wan_transport(params: WanParams, seed: u64) -> Transport {
+        let model = LatencyModel::Wan {
+            placement: DUMBBELL,
+            params,
+        };
+        Transport::new(model, Some(dumbbell()), seed)
     }
 
     #[test]
     fn wan_latency_is_deterministic_and_draws_nothing() {
-        let placement = dumbbell();
-        let mut wan = WanLink::new(placement, WanParams::default(), 99);
+        let wan = wan_transport(WanParams::default(), 99);
         let mut rng = SimRng::seed_from(1);
         let fingerprint = rng.clone();
         let first = wan.latency_millis(idx(0), idx(1), &mut rng);
@@ -474,14 +149,13 @@ mod tests {
             jitter_millis: 10,
             ..WanParams::default()
         };
-        let wan = WanLink::new(placement, params, 3);
-        let (min, max) = wan.bounds();
+        let (min, max) = params.bounds(DUMBBELL.max_distance());
         let mut saw_asymmetry = false;
         for a in 0..16u32 {
             for b in 0..16u32 {
-                let forward = wan.link_latency(idx(a), idx(b));
+                let forward = params.latency(&placement, 3, idx(a), idx(b));
                 assert!((min..=max).contains(&forward));
-                if a != b && forward != wan.link_latency(idx(b), idx(a)) {
+                if a != b && forward != params.latency(&placement, 3, idx(b), idx(a)) {
                     saw_asymmetry = true;
                 }
             }
@@ -492,10 +166,10 @@ mod tests {
     #[test]
     fn wan_cross_region_links_cost_more_than_local_ones() {
         let placement = dumbbell();
-        let wan = WanLink::new(placement, WanParams::default(), 5);
+        let params = WanParams::default();
         // Dumbbell: even indices are region 0, odd are region 1.
-        let local = wan.link_latency(idx(0), idx(2));
-        let cross = wan.link_latency(idx(0), idx(1));
+        let local = params.latency(&placement, 5, idx(0), idx(2));
+        let cross = params.latency(&placement, 5, idx(0), idx(1));
         assert!(
             cross > local,
             "separation 500 must dominate: local {local}, cross {cross}"
@@ -504,31 +178,34 @@ mod tests {
 
     #[test]
     fn wan_inter_region_loss_applies_only_across_regions() {
-        let placement = dumbbell();
         let params = WanParams {
             inter_region_loss: 0.25,
             ..WanParams::default()
         };
-        let wan = WanLink::new(placement, params, 1);
-        assert_eq!(wan.link_loss(idx(0), idx(2)), 0.0);
-        assert_eq!(wan.link_loss(idx(0), idx(1)), 0.25);
+        let mut wan = wan_transport(params, 1);
+        let mut rng = SimRng::seed_from(4);
+        let quiet = rng.clone();
+        assert!(wan.should_deliver(idx(0), idx(2), &mut rng));
+        assert_eq!(rng, quiet, "a local link flips no structural coin");
+        let mut coin = rng.clone();
+        assert_eq!(
+            wan.should_deliver(idx(0), idx(1), &mut rng),
+            !coin.chance(0.25)
+        );
+        assert_eq!(rng, coin, "a cross-region link flips exactly one");
     }
 
     #[test]
     fn outage_window_drops_only_matching_region_and_window() {
-        let placement = dumbbell();
-        let mut transport =
-            LinkTransport::new(TimelineTransport::new(), Box::new(ConstantLink::new(1)))
-                .with_placement(placement)
-                .with_outage_window(5, 10, 1, 1.0);
+        let mut transport = Transport::new(LatencyModel::default(), Some(dumbbell()), 0)
+            .with_outage_window(5, 10, 1, 1.0);
         let mut rng = SimRng::seed_from(2);
         // Outside the window: everything flows, no coins flipped.
         let fingerprint = rng.clone();
         assert!(transport.should_deliver(idx(0), idx(1), &mut rng));
         assert_eq!(rng, fingerprint);
-        // Inside: region-1 traffic dies (certain loss draws no surviving
-        // stream guarantees — loss 1.0 still flips the coin, as chance()
-        // always draws), region-0-local traffic survives untouched.
+        // Inside: region-1 traffic dies, region-0-local traffic survives
+        // untouched.
         transport.advance_to_cycle(5);
         assert!(!transport.should_deliver(idx(0), idx(1), &mut rng));
         assert!(!transport.should_deliver(idx(1), idx(3), &mut rng));
@@ -543,10 +220,8 @@ mod tests {
 
     #[test]
     fn slow_window_scales_latency_and_heals() {
-        let placement = dumbbell();
         let mut transport =
-            LinkTransport::new(TimelineTransport::new(), Box::new(ConstantLink::new(10)))
-                .with_placement(placement)
+            Transport::new(LatencyModel::Constant { millis: 10 }, Some(dumbbell()), 0)
                 .with_slow_window(3, 6, Some(1), 2.5)
                 .with_slow_window(0, u64::MAX, None, 1.0);
         let mut rng = SimRng::seed_from(3);
@@ -592,6 +267,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "inverted")]
     fn uniform_link_rejects_inverted_range() {
-        UniformLink::new(10, 5);
+        let inverted = LatencyModel::Uniform {
+            min_millis: 10,
+            max_millis: 5,
+        };
+        let _ = Transport::new(inverted, None, 0);
     }
 }

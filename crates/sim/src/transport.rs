@@ -1,226 +1,219 @@
-//! Message delivery models.
+//! Message delivery: one link description and one transport.
 //!
 //! The bootstrapping protocol is designed for "a cheap, unreliable transport layer
 //! (UDP)" (§5); the paper's robustness experiment drops every message independently
 //! with probability 0.2. A [`Transport`] decides, per message, whether it is
 //! delivered and with what latency. The cycle-driven engine only uses the delivery
 //! decision; the event-driven engine also uses the latency.
+//!
+//! # Determinism contract
+//!
+//! A run is reproducible because every decision consumes a fixed number of
+//! draws from the engine's `SimRng`, in a fixed order.
+//! [`Transport::should_deliver`] asks, and stops at the first drop:
+//!
+//! 1. the partition windows — no draw;
+//! 2. the loss window — one coin, only while a window with positive
+//!    probability is active;
+//! 3. every active regional outage touching the link — one coin each, in the
+//!    order the windows were added;
+//! 4. a [`LatencyModel::Wan`] link's `inter_region_loss` — one coin, only when
+//!    it is positive and the link crosses a region boundary.
+//!
+//! [`Transport::latency_millis`] draws one `range_u64(min, max + 1)` for a
+//! [`LatencyModel::Uniform`] link with `min < max` and nothing otherwise. A
+//! transport without windows over a constant link therefore draws nothing at
+//! all.
 
+use crate::link::WanParams;
 use crate::network::NodeIndex;
+use bss_util::config::InvalidParams;
+use bss_util::coords::{Placement, PlacementSpec};
 use bss_util::rng::SimRng;
-use std::fmt::Debug;
+use std::sync::Arc;
 
-/// A message delivery policy.
+/// The per-link latency (and topology) model of a [`Transport`].
 ///
-/// Implementations must be deterministic given the `SimRng` stream so that whole
-/// simulation runs stay reproducible.
-pub trait Transport: Debug + Send {
-    /// Decides whether a single message from `from` to `to` is delivered.
-    fn should_deliver(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool;
+/// `Constant` and `Uniform` are global models: one latency distribution for
+/// every link, no geography. `Wan` places every node on a 2-D plane
+/// ([`PlacementSpec`]) and derives each link's latency from coordinate
+/// distance ([`WanParams`]) — which also gives regional outage and slow-link
+/// windows their regions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LatencyModel {
+    /// Every delivered message takes exactly `millis` milliseconds.
+    Constant {
+        /// The fixed latency in milliseconds.
+        millis: u64,
+    },
+    /// Uniformly random latency in `[min_millis, max_millis]` milliseconds.
+    Uniform {
+        /// Smallest latency (inclusive).
+        min_millis: u64,
+        /// Largest latency (inclusive).
+        max_millis: u64,
+    },
+    /// Distance-dependent WAN latency over a seeded node placement, with
+    /// deterministic per-pair jitter and asymmetric inter-region loss.
+    Wan {
+        /// How nodes are placed on the plane (and partitioned into regions).
+        placement: PlacementSpec,
+        /// The distance-to-milliseconds conversion and loss parameters.
+        params: WanParams,
+    },
+}
 
-    /// Advances the transport's notion of simulation time to `cycle`. The
-    /// engines call this at every cycle boundary (the event-driven runner maps
-    /// wall-clock time to cycles through Δ). Most transports are
-    /// time-invariant, so the default is a no-op; [`TimelineTransport`] uses
-    /// it to activate and deactivate its scheduled windows.
-    fn advance_to_cycle(&mut self, _cycle: u64) {}
+impl LatencyModel {
+    /// The latency bounds as a `(min, max)` pair. For `Wan` the maximum is
+    /// derived from the placement's maximum pairwise distance.
+    pub fn bounds(&self) -> (u64, u64) {
+        match *self {
+            LatencyModel::Constant { millis } => (millis, millis),
+            LatencyModel::Uniform {
+                min_millis,
+                max_millis,
+            } => (min_millis, max_millis),
+            LatencyModel::Wan { placement, params } => params.bounds(placement.max_distance()),
+        }
+    }
 
-    /// Latency, in milliseconds, of a delivered message from `from` to `to`.
+    /// Whether this model carries a node placement (regional events and
+    /// per-region series require one).
+    pub fn is_wan(&self) -> bool {
+        matches!(self, LatencyModel::Wan { .. })
+    }
+
+    /// The placement spec, when this model has one.
+    pub fn placement_spec(&self) -> Option<PlacementSpec> {
+        match *self {
+            LatencyModel::Wan { placement, .. } => Some(placement),
+            _ => None,
+        }
+    }
+
+    /// A short machine-readable name (used in bench TSV columns).
+    pub fn label(&self) -> &'static str {
+        match self {
+            LatencyModel::Constant { .. } => "constant",
+            LatencyModel::Uniform { .. } => "uniform",
+            LatencyModel::Wan { .. } => "wan",
+        }
+    }
+
+    /// Generates the node placement for a network of `size` initial nodes,
+    /// or `None` for the placement-free models. Coordinates come from a
+    /// salted private stream, so this never perturbs the run's main RNG.
+    pub fn build_placement(&self, size: usize, seed: u64) -> Option<Arc<Placement>> {
+        self.placement_spec()
+            .map(|spec| Arc::new(spec.generate(size, seed)))
+    }
+
+    /// Validates the model: the latency range must not be inverted, and a WAN
+    /// model's placement and parameters must each pass their own validation.
     ///
-    /// The default is a constant 1 ms, which is adequate for cycle-driven runs
-    /// where latency is never consulted.
-    fn latency_millis(&mut self, _from: NodeIndex, _to: NodeIndex, _rng: &mut SimRng) -> u64 {
-        1
-    }
-
-    /// Number of messages this transport has been asked about.
-    fn messages_offered(&self) -> u64;
-
-    /// Number of messages this transport decided to drop.
-    fn messages_dropped(&self) -> u64;
-
-    /// Fraction of offered messages that were dropped (0 when nothing was offered).
-    fn drop_rate(&self) -> f64 {
-        if self.messages_offered() == 0 {
-            0.0
-        } else {
-            self.messages_dropped() as f64 / self.messages_offered() as f64
+    /// # Errors
+    ///
+    /// Returns the typed [`InvalidParams::OutOfRange`] naming the offending
+    /// field.
+    pub fn validate(&self) -> Result<(), InvalidParams> {
+        let (min, max) = self.bounds();
+        if min > max {
+            // Typed rather than stringly: an inverted range means min_millis
+            // exceeds the inclusive ceiling max_millis sets.
+            return Err(InvalidParams::OutOfRange {
+                field: "latency min_millis",
+                value: min as f64,
+                min: 0.0,
+                max: max as f64,
+            });
         }
+        if let LatencyModel::Wan { placement, params } = self {
+            placement.validate()?;
+            params.validate()?;
+        }
+        Ok(())
     }
 }
 
-/// A transport that delivers every message (the paper's Figure 3 setting).
-#[derive(Debug, Default, Clone)]
-pub struct ReliableTransport {
-    offered: u64,
-}
-
-impl ReliableTransport {
-    /// Creates a reliable transport.
-    pub fn new() -> Self {
-        Self::default()
+impl Default for LatencyModel {
+    fn default() -> Self {
+        LatencyModel::Constant { millis: 1 }
     }
 }
 
-impl Transport for ReliableTransport {
-    fn should_deliver(&mut self, _from: NodeIndex, _to: NodeIndex, _rng: &mut SimRng) -> bool {
-        self.offered += 1;
-        true
-    }
-
-    fn messages_offered(&self) -> u64 {
-        self.offered
-    }
-
-    fn messages_dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// A transport that drops each message independently with a fixed probability
-/// (the paper's Figure 4 setting uses probability 0.2).
+/// The message delivery policy both engines hold by value: a
+/// [`LatencyModel`] plus a scripted timeline of `[start, end)` cycle windows
+/// — message loss, partitions, regional outages and slow links. Outside every
+/// window, over a lossless link, it delivers everything.
 ///
-/// Because the protocol is built from request/response pairs, dropping a request
-/// also suppresses its response; the paper computes the resulting effective loss as
-/// `1 - 0.8 * 0.9 ≈ 0.28` for a drop probability of 0.2. That compounding happens
-/// naturally in the engine — this type only implements the per-message coin flip.
+/// The engines call [`Transport::advance_to_cycle`] at every cycle boundary
+/// (the event-driven runner maps wall-clock time to cycles through Δ) and the
+/// windows switch on and off accordingly. See the [module docs](self) for the
+/// draws each decision consumes.
 #[derive(Debug, Clone)]
-pub struct DropTransport {
-    drop_probability: f64,
-    offered: u64,
-    dropped: u64,
-}
-
-impl DropTransport {
-    /// Creates a transport that drops messages with probability `drop_probability`
-    /// (clamped to `[0, 1]`).
-    pub fn new(drop_probability: f64) -> Self {
-        DropTransport {
-            drop_probability: drop_probability.clamp(0.0, 1.0),
-            offered: 0,
-            dropped: 0,
-        }
-    }
-
-    /// The configured drop probability.
-    pub fn drop_probability(&self) -> f64 {
-        self.drop_probability
-    }
-}
-
-impl Transport for DropTransport {
-    fn should_deliver(&mut self, _from: NodeIndex, _to: NodeIndex, rng: &mut SimRng) -> bool {
-        self.offered += 1;
-        if rng.chance(self.drop_probability) {
-            self.dropped += 1;
-            false
-        } else {
-            true
-        }
-    }
-
-    fn messages_offered(&self) -> u64 {
-        self.offered
-    }
-
-    fn messages_dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// A transport that partitions the network into groups and drops every message
-/// crossing a partition boundary. Used by the merge/split scenario experiments:
-/// while the partition is in force the sub-networks evolve independently; removing
-/// it merges them.
-#[derive(Debug, Clone)]
-pub struct PartitionTransport {
-    group_of: Vec<u32>,
-    active: bool,
-    offered: u64,
-    dropped: u64,
-}
-
-impl PartitionTransport {
-    /// Creates a partition transport; `group_of[i]` is the partition group of the
-    /// node with index `i`. Nodes whose index is out of range of the vector are
-    /// treated as belonging to group 0.
-    pub fn new(group_of: Vec<u32>) -> Self {
-        PartitionTransport {
-            group_of,
-            active: true,
-            offered: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Enables or disables the partition. While disabled, the transport behaves
-    /// like [`ReliableTransport`].
-    pub fn set_active(&mut self, active: bool) {
-        self.active = active;
-    }
-
-    /// Whether the partition is currently enforced.
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
-    fn group(&self, node: NodeIndex) -> u32 {
-        self.group_of.get(node.as_usize()).copied().unwrap_or(0)
-    }
-}
-
-impl Transport for PartitionTransport {
-    fn should_deliver(&mut self, from: NodeIndex, to: NodeIndex, _rng: &mut SimRng) -> bool {
-        self.offered += 1;
-        if self.active && self.group(from) != self.group(to) {
-            self.dropped += 1;
-            false
-        } else {
-            true
-        }
-    }
-
-    fn messages_offered(&self) -> u64 {
-        self.offered
-    }
-
-    fn messages_dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-/// A transport whose behaviour follows a scripted timeline of cycle windows:
-/// message-loss windows (each with its own drop probability) and partition
-/// windows (each with its own group map), all expressed as `[start, end)`
-/// cycle intervals. Outside every window the transport is reliable.
-///
-/// This is the runtime form of a scenario timeline: the engines call
-/// [`Transport::advance_to_cycle`] at every cycle boundary and the transport
-/// switches behaviour accordingly. A whole-run loss window draws exactly the
-/// same RNG stream as [`DropTransport`], and a run with no windows draws none
-/// (like [`ReliableTransport`]), which is what keeps the scenario layer's
-/// compatibility path byte-identical to the legacy scalar-knob configuration.
-#[derive(Debug, Clone, Default)]
-pub struct TimelineTransport {
-    /// `(start, end, probability)` loss windows, `[start, end)` in cycles.
+pub struct Transport {
+    latency: LatencyModel,
+    /// Where nodes sit: the WAN model's distances and every window's regions.
+    placement: Option<Arc<Placement>>,
+    /// Seed of the WAN model's per-pair jitter hash.
+    seed: u64,
+    /// `(start, end, probability)`.
     loss_windows: Vec<(u64, u64, f64)>,
-    /// `(start, end, group map)` partition windows, `[start, end)` in cycles.
+    /// `(start, end, group map)`.
     partition_windows: Vec<(u64, u64, Vec<u32>)>,
+    /// `(start, end, region, loss)`.
+    outage_windows: Vec<(u64, u64, u32, f64)>,
+    /// `(start, end, region, factor)`; `region == None` slows every link.
+    slow_windows: Vec<(u64, u64, Option<u32>, f64)>,
     cycle: u64,
     offered: u64,
     dropped: u64,
 }
 
-impl TimelineTransport {
-    /// Creates a transport with an empty timeline (fully reliable).
-    pub fn new() -> Self {
-        Self::default()
+impl Transport {
+    /// A transport that delivers every message after 1 ms and never draws
+    /// (the paper's Figure 3 setting; what the engines start with).
+    pub fn reliable() -> Self {
+        Transport::new(LatencyModel::default(), None, 0)
+    }
+
+    /// A transport over `latency` with an empty timeline. `placement` is the
+    /// shared value of [`LatencyModel::build_placement`] for the run (`None`
+    /// for the placement-free models) and `seed` the experiment seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the latency range is inverted or a WAN model comes without
+    /// its placement; [`LatencyModel::validate`] is the non-panicking check.
+    pub fn new(latency: LatencyModel, placement: Option<Arc<Placement>>, seed: u64) -> Self {
+        let (min, max) = latency.bounds();
+        assert!(min <= max, "latency range is inverted");
+        assert!(
+            placement.is_some() || !latency.is_wan(),
+            "a wan latency model needs its placement"
+        );
+        Transport {
+            latency,
+            placement,
+            seed,
+            loss_windows: Vec::new(),
+            partition_windows: Vec::new(),
+            outage_windows: Vec::new(),
+            slow_windows: Vec::new(),
+            cycle: 0,
+            offered: 0,
+            dropped: 0,
+        }
     }
 
     /// Adds a loss window: every message offered while the current cycle lies
     /// in `[start, end)` is dropped independently with `probability` (clamped
     /// to `[0, 1]`; validation of out-of-range inputs happens at the scenario
-    /// layer). Builder style.
+    /// layer). `(0, u64::MAX, 0.2)` is the paper's Figure 4 setting. Because
+    /// the protocol is built from request/response pairs, dropping a request
+    /// also suppresses its response; the paper computes the resulting
+    /// effective loss as `1 - 0.8 * 0.9 ≈ 0.28`. That compounding happens in
+    /// the engine — the window only flips the per-message coin. Builder style.
     #[must_use]
     pub fn with_loss_window(mut self, start: u64, end: u64, probability: f64) -> Self {
         self.loss_windows
@@ -229,20 +222,57 @@ impl TimelineTransport {
     }
 
     /// Adds a partition window: while the current cycle lies in `[start, end)`
-    /// every message crossing a group boundary is dropped. `group_of[i]` is the
-    /// partition group of node index `i`; out-of-range indices belong to group
-    /// 0 (so later joiners land in group 0). Builder style.
+    /// every message crossing a group boundary is dropped, so the sub-networks
+    /// evolve independently until the window closes and they merge.
+    /// `group_of[i]` is the partition group of node index `i`; out-of-range
+    /// indices belong to group 0 (so later joiners land in group 0). Builder
+    /// style.
     #[must_use]
     pub fn with_partition_window(mut self, start: u64, end: u64, group_of: Vec<u32>) -> Self {
         self.partition_windows.push((start, end, group_of));
         self
     }
 
+    /// Adds a regional outage: while the current cycle lies in `[start, end)`,
+    /// every message with an endpoint in `region` is dropped independently
+    /// with probability `loss`. Builder style.
+    #[must_use]
+    pub fn with_outage_window(mut self, start: u64, end: u64, region: u32, loss: f64) -> Self {
+        self.outage_windows
+            .push((start, end, region, loss.clamp(0.0, 1.0)));
+        self
+    }
+
+    /// Adds a slow-link window: while active, the latency of every matching
+    /// link (an endpoint in `region`, or all links when `region` is `None`)
+    /// is multiplied by `factor`. Builder style.
+    #[must_use]
+    pub fn with_slow_window(
+        mut self,
+        start: u64,
+        end: u64,
+        region: Option<u32>,
+        factor: f64,
+    ) -> Self {
+        self.slow_windows.push((start, end, region, factor));
+        self
+    }
+
+    /// Moves the transport's clock to `cycle`, switching its windows on and
+    /// off.
+    pub fn advance_to_cycle(&mut self, cycle: u64) {
+        self.cycle = cycle;
+    }
+
+    fn active(&self, start: u64, end: u64) -> bool {
+        self.cycle >= start && self.cycle < end
+    }
+
     /// The currently active loss probability (0 outside every loss window).
     pub fn active_loss(&self) -> f64 {
         self.loss_windows
             .iter()
-            .find(|&&(start, end, _)| self.cycle >= start && self.cycle < end)
+            .find(|&&(start, end, _)| self.active(start, end))
             .map_or(0.0, |&(_, _, p)| p)
     }
 
@@ -250,105 +280,135 @@ impl TimelineTransport {
     pub fn partition_active(&self) -> bool {
         self.partition_windows
             .iter()
-            .any(|&(start, end, _)| self.cycle >= start && self.cycle < end)
+            .any(|&(start, end, _)| self.active(start, end))
     }
 
     fn crosses_partition(&self, from: NodeIndex, to: NodeIndex) -> bool {
         self.partition_windows
             .iter()
-            .filter(|&&(start, end, _)| self.cycle >= start && self.cycle < end)
+            .filter(|&&(start, end, _)| self.active(start, end))
             .any(|(_, _, group_of)| {
                 let group = |node: NodeIndex| group_of.get(node.as_usize()).copied().unwrap_or(0);
                 group(from) != group(to)
             })
     }
-}
 
-impl Transport for TimelineTransport {
-    fn should_deliver(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
+    /// Region of a node under the placement (0 when there is none).
+    fn region(&self, node: NodeIndex) -> u32 {
+        self.placement
+            .as_ref()
+            .map_or(0, |p| p.region(node.as_usize()))
+    }
+
+    /// True when a window on `region` touches the `from → to` link.
+    fn touches(&self, region: u32, from: NodeIndex, to: NodeIndex) -> bool {
+        self.region(from) == region || self.region(to) == region
+    }
+
+    /// Whether an active regional outage drops a `from → to` message: one
+    /// coin per active window with positive loss touching the link, in
+    /// insertion order, until one comes up. The traffic layer asks the same
+    /// question of a lookup's client and target.
+    pub fn outage_drops(&self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
+        self.outage_windows
+            .iter()
+            .any(|&(start, end, region, loss)| {
+                self.active(start, end)
+                    && loss > 0.0
+                    && self.touches(region, from, to)
+                    && rng.chance(loss)
+            })
+    }
+
+    /// Decides whether a single message from `from` to `to` is delivered.
+    pub fn should_deliver(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
         self.offered += 1;
-        // Partition decisions are deterministic (no RNG), exactly like
-        // PartitionTransport, so healing a partition never shifts the stream.
-        if self.crosses_partition(from, to) {
+        let dropped = self.crosses_partition(from, to)
+            || self.loss_window_drops(rng)
+            || self.outage_drops(from, to, rng)
+            || self.structural_loss_drops(from, to, rng);
+        if dropped {
             self.dropped += 1;
-            return false;
         }
-        // The loss coin is only flipped while a window with positive
-        // probability is active — a quiet timeline consumes no randomness.
-        let probability = self.active_loss();
-        if probability > 0.0 && rng.chance(probability) {
-            self.dropped += 1;
-            return false;
-        }
-        true
+        !dropped
     }
 
-    fn advance_to_cycle(&mut self, cycle: u64) {
-        self.cycle = cycle;
+    /// The scripted loss coin; a quiet timeline consumes no randomness.
+    fn loss_window_drops(&self, rng: &mut SimRng) -> bool {
+        let loss = self.active_loss();
+        loss > 0.0 && rng.chance(loss)
     }
 
-    fn messages_offered(&self) -> u64 {
+    /// The WAN model's inter-region loss coin.
+    fn structural_loss_drops(&self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
+        match self.latency {
+            LatencyModel::Wan { params, .. } => {
+                params.inter_region_loss > 0.0
+                    && self.region(from) != self.region(to)
+                    && rng.chance(params.inter_region_loss)
+            }
+            _ => false,
+        }
+    }
+
+    /// Combined slow-link factor active on this link at the current cycle.
+    fn slow_factor(&self, from: NodeIndex, to: NodeIndex) -> f64 {
+        self.slow_windows
+            .iter()
+            .filter(|&&(start, end, region, _)| {
+                self.active(start, end) && region.map_or(true, |r| self.touches(r, from, to))
+            })
+            .map(|&(_, _, _, factor)| factor)
+            .product()
+    }
+
+    /// Latency, in milliseconds, of a delivered message from `from` to `to`:
+    /// the link model's answer scaled by every active slow-link window that
+    /// matches the link, floored at 1 ms.
+    pub fn latency_millis(&self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> u64 {
+        let base = match self.latency {
+            LatencyModel::Constant { millis } => millis,
+            LatencyModel::Uniform {
+                min_millis,
+                max_millis,
+            } => {
+                if min_millis == max_millis {
+                    min_millis
+                } else {
+                    rng.range_u64(min_millis, max_millis + 1)
+                }
+            }
+            LatencyModel::Wan { params, .. } => {
+                let placement = self.placement.as_ref().expect("checked by new");
+                params.latency(placement, self.seed, from, to)
+            }
+        };
+        let factor = self.slow_factor(from, to);
+        if factor == 1.0 {
+            base
+        } else {
+            ((base as f64) * factor).round() as u64
+        }
+        .max(1)
+    }
+
+    /// Number of messages this transport has been asked about.
+    pub fn messages_offered(&self) -> u64 {
         self.offered
     }
 
-    fn messages_dropped(&self) -> u64 {
+    /// Number of messages this transport decided to drop.
+    pub fn messages_dropped(&self) -> u64 {
         self.dropped
     }
-}
 
-/// A latency model layered over any delivery policy, for the event-driven engine:
-/// uniformly random latency in `[min_millis, max_millis]`.
-#[derive(Debug, Clone)]
-pub struct UniformLatencyTransport<T> {
-    inner: T,
-    min_millis: u64,
-    max_millis: u64,
-}
-
-impl<T: Transport> UniformLatencyTransport<T> {
-    /// Wraps `inner`, adding uniformly distributed latency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_millis > max_millis`.
-    pub fn new(inner: T, min_millis: u64, max_millis: u64) -> Self {
-        assert!(min_millis <= max_millis, "latency range is inverted");
-        UniformLatencyTransport {
-            inner,
-            min_millis,
-            max_millis,
-        }
-    }
-
-    /// Returns the wrapped transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-}
-
-impl<T: Transport> Transport for UniformLatencyTransport<T> {
-    fn should_deliver(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
-        self.inner.should_deliver(from, to, rng)
-    }
-
-    fn advance_to_cycle(&mut self, cycle: u64) {
-        self.inner.advance_to_cycle(cycle);
-    }
-
-    fn latency_millis(&mut self, _from: NodeIndex, _to: NodeIndex, rng: &mut SimRng) -> u64 {
-        if self.min_millis == self.max_millis {
-            self.min_millis
+    /// Fraction of offered messages that were dropped (0 when nothing was offered).
+    pub fn drop_rate(&self) -> f64 {
+        if self.offered == 0 {
+            0.0
         } else {
-            rng.range_u64(self.min_millis, self.max_millis + 1)
+            self.dropped as f64 / self.offered as f64
         }
-    }
-
-    fn messages_offered(&self) -> u64 {
-        self.inner.messages_offered()
-    }
-
-    fn messages_dropped(&self) -> u64 {
-        self.inner.messages_dropped()
     }
 }
 
@@ -360,10 +420,23 @@ mod tests {
         NodeIndex::new(i)
     }
 
+    fn whole_run_loss(probability: f64) -> Transport {
+        Transport::reliable().with_loss_window(0, u64::MAX, probability)
+    }
+
+    fn uniform(min_millis: u64, max_millis: u64) -> Transport {
+        let latency = LatencyModel::Uniform {
+            min_millis,
+            max_millis,
+        };
+        Transport::new(latency, None, 0)
+    }
+
     #[test]
     fn reliable_transport_never_drops() {
         let mut rng = SimRng::seed_from(1);
-        let mut t = ReliableTransport::new();
+        let fingerprint = rng.clone();
+        let mut t = Transport::reliable();
         for i in 0..100 {
             assert!(t.should_deliver(idx(i), idx(i + 1), &mut rng));
         }
@@ -371,13 +444,14 @@ mod tests {
         assert_eq!(t.messages_dropped(), 0);
         assert_eq!(t.drop_rate(), 0.0);
         assert_eq!(t.latency_millis(idx(0), idx(1), &mut rng), 1);
+        assert_eq!(rng, fingerprint, "a reliable transport draws nothing");
     }
 
     #[test]
     fn drop_transport_matches_configured_probability() {
         let mut rng = SimRng::seed_from(2);
-        let mut t = DropTransport::new(0.2);
-        assert_eq!(t.drop_probability(), 0.2);
+        let mut t = whole_run_loss(0.2);
+        assert_eq!(t.active_loss(), 0.2);
         let delivered = (0..20_000)
             .filter(|_| t.should_deliver(idx(0), idx(1), &mut rng))
             .count();
@@ -390,37 +464,34 @@ mod tests {
     #[test]
     fn drop_transport_extremes() {
         let mut rng = SimRng::seed_from(3);
-        let mut never = DropTransport::new(0.0);
-        let mut always = DropTransport::new(1.0);
-        let mut clamped = DropTransport::new(7.5);
+        let mut never = whole_run_loss(0.0);
+        let mut always = whole_run_loss(1.0);
+        let mut clamped = whole_run_loss(7.5);
         for _ in 0..50 {
             assert!(never.should_deliver(idx(0), idx(1), &mut rng));
             assert!(!always.should_deliver(idx(0), idx(1), &mut rng));
             assert!(!clamped.should_deliver(idx(0), idx(1), &mut rng));
         }
-        assert_eq!(clamped.drop_probability(), 1.0);
+        assert_eq!(clamped.active_loss(), 1.0);
     }
 
     #[test]
     fn partition_transport_blocks_cross_group_traffic() {
         let mut rng = SimRng::seed_from(4);
-        let mut t = PartitionTransport::new(vec![0, 0, 1, 1]);
-        assert!(t.is_active());
+        let fingerprint = rng.clone();
+        let mut t = Transport::reliable().with_partition_window(0, u64::MAX, vec![0, 0, 1, 1]);
+        assert!(t.partition_active());
         assert!(t.should_deliver(idx(0), idx(1), &mut rng));
         assert!(!t.should_deliver(idx(0), idx(2), &mut rng));
         assert!(t.should_deliver(idx(2), idx(3), &mut rng));
         assert_eq!(t.messages_dropped(), 1);
-
-        // Healing the partition merges the groups.
-        t.set_active(false);
-        assert!(t.should_deliver(idx(0), idx(2), &mut rng));
-        assert!(!t.is_active());
+        assert_eq!(rng, fingerprint, "partition decisions draw nothing");
     }
 
     #[test]
     fn partition_transport_defaults_unknown_nodes_to_group_zero() {
         let mut rng = SimRng::seed_from(5);
-        let mut t = PartitionTransport::new(vec![1]);
+        let mut t = Transport::reliable().with_partition_window(0, u64::MAX, vec![1]);
         // Node 5 is out of range -> group 0, node 0 is group 1.
         assert!(!t.should_deliver(idx(0), idx(5), &mut rng));
         assert!(t.should_deliver(idx(5), idx(6), &mut rng));
@@ -429,27 +500,27 @@ mod tests {
     #[test]
     fn uniform_latency_stays_in_range() {
         let mut rng = SimRng::seed_from(6);
-        let mut t = UniformLatencyTransport::new(ReliableTransport::new(), 10, 50);
+        let mut t = uniform(10, 50);
         for _ in 0..500 {
             let l = t.latency_millis(idx(0), idx(1), &mut rng);
             assert!((10..=50).contains(&l));
         }
         assert!(t.should_deliver(idx(0), idx(1), &mut rng));
         assert_eq!(t.messages_offered(), 1);
-        let mut fixed = UniformLatencyTransport::new(ReliableTransport::new(), 5, 5);
-        assert_eq!(fixed.latency_millis(idx(0), idx(1), &mut rng), 5);
-        let _inner: ReliableTransport = fixed.into_inner();
+        let fingerprint = rng.clone();
+        assert_eq!(uniform(5, 5).latency_millis(idx(0), idx(1), &mut rng), 5);
+        assert_eq!(rng, fingerprint, "a degenerate range draws nothing");
     }
 
     #[test]
     #[should_panic(expected = "inverted")]
     fn uniform_latency_rejects_inverted_range() {
-        UniformLatencyTransport::new(ReliableTransport::new(), 10, 5);
+        uniform(10, 5);
     }
 
     #[test]
     fn timeline_transport_follows_its_loss_windows() {
-        let mut t = TimelineTransport::new().with_loss_window(2, 4, 1.0);
+        let mut t = Transport::reliable().with_loss_window(2, 4, 1.0);
         let mut rng = SimRng::seed_from(8);
         // Before the window: reliable, and no RNG is consumed.
         let fingerprint = rng.clone();
@@ -470,28 +541,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_transport_matches_drop_transport_rng_stream() {
-        // A whole-run loss window must flip exactly the coins DropTransport
-        // flips — this is what keeps the scenario compatibility path
-        // byte-identical to the legacy drop_probability knob.
-        let mut timeline = TimelineTransport::new().with_loss_window(0, u64::MAX, 0.3);
-        let mut legacy = DropTransport::new(0.3);
-        let mut rng_a = SimRng::seed_from(9);
-        let mut rng_b = SimRng::seed_from(9);
-        for message in 0..500 {
-            timeline.advance_to_cycle(message / 10);
-            assert_eq!(
-                timeline.should_deliver(idx(0), idx(1), &mut rng_a),
-                legacy.should_deliver(idx(0), idx(1), &mut rng_b),
-            );
-        }
-        assert_eq!(rng_a, rng_b, "both transports must consume the same stream");
-        assert_eq!(timeline.messages_dropped(), legacy.messages_dropped());
-    }
-
-    #[test]
     fn timeline_transport_partitions_and_heals() {
-        let mut t = TimelineTransport::new().with_partition_window(0, 5, vec![0, 0, 1, 1]);
+        let mut t = Transport::reliable().with_partition_window(0, 5, vec![0, 0, 1, 1]);
         let mut rng = SimRng::seed_from(10);
         assert!(t.partition_active());
         assert!(t.should_deliver(idx(0), idx(1), &mut rng));
@@ -508,11 +559,8 @@ mod tests {
 
     #[test]
     fn latency_wrapper_forwards_the_clock() {
-        let mut t = UniformLatencyTransport::new(
-            TimelineTransport::new().with_loss_window(1, 2, 1.0),
-            1,
-            1,
-        );
+        // A latency model and a scripted window live in one transport.
+        let mut t = uniform(1, 1).with_loss_window(1, 2, 1.0);
         let mut rng = SimRng::seed_from(11);
         assert!(t.should_deliver(idx(0), idx(1), &mut rng));
         t.advance_to_cycle(1);
@@ -522,9 +570,83 @@ mod tests {
     #[test]
     fn latency_wrapper_preserves_drop_statistics() {
         let mut rng = SimRng::seed_from(7);
-        let mut t = UniformLatencyTransport::new(DropTransport::new(1.0), 1, 2);
+        let mut t = uniform(1, 2).with_loss_window(0, u64::MAX, 1.0);
         assert!(!t.should_deliver(idx(0), idx(1), &mut rng));
         assert_eq!(t.messages_dropped(), 1);
         assert_eq!(t.drop_rate(), 1.0);
+    }
+
+    /// Drives `transport` through cycles 0..6, 200 messages each between
+    /// random pairs of `nodes` nodes, and digests every `(delivered, latency)`
+    /// decision (FNV-1a). Returns the digest, the offered and dropped counts
+    /// and the next word of the engine stream.
+    fn decision_stream(mut transport: Transport, nodes: usize) -> (u64, u64, u64, u64) {
+        let mut rng = SimRng::seed_from(0x5eed);
+        let mut pairs = SimRng::seed_from(0xfeed);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for cycle in 0..6 {
+            transport.advance_to_cycle(cycle);
+            for _ in 0..200 {
+                let from = idx(pairs.index(nodes) as u32);
+                let to = idx(pairs.index(nodes) as u32);
+                let delivered = transport.should_deliver(from, to, &mut rng);
+                let latency = if delivered {
+                    transport.latency_millis(from, to, &mut rng)
+                } else {
+                    0
+                };
+                fold(u64::from(delivered));
+                fold(latency);
+            }
+        }
+        (
+            digest,
+            transport.messages_offered(),
+            transport.messages_dropped(),
+            rng.next_u64(),
+        )
+    }
+
+    #[test]
+    fn decision_stream_is_pinned() {
+        // Expected values recorded from the transport stack this struct
+        // replaced. They move if a coin is added, dropped or swapped with its
+        // neighbour — which would shift every golden downstream. Between them
+        // the two timelines reach every branch: partition, loss coin, a slow
+        // window over drawn latencies; two outages active at once, structural
+        // loss behind them, a regional slow window over hashed latencies.
+        let uniform = uniform(5, 50)
+            .with_loss_window(2, 4, 0.5)
+            .with_partition_window(1, 3, (0..16).map(|i| i % 2).collect())
+            .with_slow_window(3, 5, None, 2.0);
+        assert_eq!(
+            decision_stream(uniform, 20),
+            (0x2763_04ef_04b9_2cd6, 1200, 355, 0x8cb1_aaef_fdf7_3514)
+        );
+
+        let placement = PlacementSpec::Clustered {
+            regions: 3,
+            width: 1000.0,
+            height: 1000.0,
+            spread: 40.0,
+        };
+        let params = WanParams {
+            inter_region_loss: 0.1,
+            ..WanParams::default()
+        };
+        let model = LatencyModel::Wan { placement, params };
+        let wan = Transport::new(model, model.build_placement(24, 7), 7)
+            .with_outage_window(1, 4, 0, 0.5)
+            .with_outage_window(2, 5, 1, 0.3)
+            .with_slow_window(3, 6, Some(2), 3.0);
+        assert_eq!(
+            decision_stream(wan, 30),
+            (0xabc7_6488_3254_e855, 1200, 312, 0xb724_8c7e_c03e_d82d)
+        );
     }
 }

@@ -5,12 +5,12 @@
 //! engine RNG consumed — and every answer respects the bounds the model
 //! declares from its placement spec.
 
-use bss_sim::link::{LinkModel, WanLink, WanParams};
+use bss_sim::link::WanParams;
 use bss_sim::network::NodeIndex;
+use bss_sim::transport::{LatencyModel, Transport};
 use bss_util::coords::PlacementSpec;
 use bss_util::rng::SimRng;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Builds one of the three placement shapes from generated raw knobs.
 fn spec(kind: u8, extent: u32, regions: u32, spread: u32) -> PlacementSpec {
@@ -54,7 +54,6 @@ proptest! {
         let jitter = (knobs >> 24) % 50;
         let spec = spec(kind, extent, regions, spread);
         prop_assert!(spec.validate().is_ok(), "generated spec must be valid: {spec:?}");
-        let placement = Arc::new(spec.generate(64, seed));
         let params = WanParams {
             base_millis: base,
             millis_per_unit: per_unit_centi as f64 / 100.0,
@@ -62,8 +61,10 @@ proptest! {
             inter_region_loss: 0.0,
         };
         prop_assert!(params.validate().is_ok());
+        let model = LatencyModel::Wan { placement: spec, params };
+        let placement = model.build_placement(64, seed);
 
-        let mut wan = WanLink::new(Arc::clone(&placement), params, seed);
+        let wan = Transport::new(model, placement.clone(), seed);
         let (from, to) = (NodeIndex::new(src), NodeIndex::new(dst));
         let mut rng = SimRng::seed_from(seed ^ 0xABCD);
         let fingerprint = rng.clone();
@@ -72,13 +73,13 @@ proptest! {
         // rebuilt model agrees, and the engine RNG is never consumed.
         let latency = wan.latency_millis(from, to, &mut rng);
         prop_assert_eq!(latency, wan.latency_millis(from, to, &mut rng));
-        let mut rebuilt = WanLink::new(placement, params, seed);
+        let rebuilt = Transport::new(model, placement, seed);
         prop_assert_eq!(latency, rebuilt.latency_millis(from, to, &mut rng));
         prop_assert_eq!(rng, fingerprint);
 
         // Declared bounds hold — including for lazily-derived late joiners
         // (src/dst range past the 64 precomputed coordinates).
-        let (min, max) = wan.bounds();
+        let (min, max) = model.bounds();
         prop_assert!(min <= max);
         prop_assert!(
             (min..=max).contains(&latency),

@@ -240,7 +240,7 @@ mod tests {
     use bss_sampling::sampler::OracleSampler;
     use bss_sim::engine::cycle::CycleEngine;
     use bss_sim::network::Network;
-    use bss_sim::transport::DropTransport;
+    use bss_sim::transport::Transport;
     use bss_util::rng::SimRng;
 
     fn engine(size: usize, seed: u64) -> CycleEngine {
@@ -316,8 +316,8 @@ mod tests {
     fn survives_message_loss() {
         let mut rng = SimRng::seed_from(4);
         let network = Network::with_random_ids(150, &mut rng);
-        let mut eng =
-            CycleEngine::new(network, rng).with_transport(Box::new(DropTransport::new(0.2)));
+        let mut eng = CycleEngine::new(network, rng)
+            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.2));
         let mut tman = TmanProtocol::new(TmanConfig::default(), RingRanking, OracleSampler::new());
         tman.init_all(eng.context_mut());
         eng.run(&mut tman, 40);

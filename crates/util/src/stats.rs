@@ -272,24 +272,24 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
     }
 }
 
-/// A fixed-bucket streaming histogram over `u64` observations with percentile
-/// queries — the single bucket implementation behind both [`Histogram`] and
-/// the per-cycle traffic latency series.
+/// A fixed-width histogram over `u64` observations with percentile queries,
+/// used for in-degree distributions, message-size accounting and the
+/// per-cycle traffic latency series.
 ///
 /// Two sizing modes share the code path:
 ///
-/// * [`StreamingHistogram::with_buckets`] allocates every bucket up front, so
+/// * [`Histogram::new`] starts empty and grows on demand up to
+///   [`Histogram::MAX_BUCKETS`];
+/// * [`Histogram::with_buckets`] allocates every bucket up front, so
 ///   recording is allocation-free from the first observation on and the
-///   histogram can be [`StreamingHistogram::reset`] between measurement
-///   windows without touching the allocator;
-/// * [`StreamingHistogram::growable`] starts empty and grows on demand up to
-///   a bucket cap (the legacy [`Histogram`] behaviour).
+///   histogram can be [`Histogram::reset`] between measurement windows
+///   without touching the allocator.
 ///
 /// In both modes observations past the last bucket saturate into it, so a
 /// lone outlier (a u64 latency, say) costs O(1) memory instead of resizing
 /// `counts` to `value / bucket_width + 1` entries.
 #[derive(Clone, Debug, PartialEq)]
-pub struct StreamingHistogram {
+pub struct Histogram {
     bucket_width: u64,
     /// Bucket-count cap, saturating overflow bucket included.
     limit: usize,
@@ -299,7 +299,30 @@ pub struct StreamingHistogram {
     max: u64,
 }
 
-impl StreamingHistogram {
+impl Histogram {
+    /// Upper bound on the number of distinct buckets of a growing histogram,
+    /// overflow bucket included. Values mapping to bucket `MAX_BUCKETS - 1`
+    /// or beyond all land in that final saturating bucket.
+    pub const MAX_BUCKETS: usize = 4096;
+
+    /// Creates an initially empty histogram whose buckets are `[0, w)`,
+    /// `[w, 2w)`, ..., growing on demand up to [`Histogram::MAX_BUCKETS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket_width` is zero.
+    pub fn new(bucket_width: u64) -> Self {
+        assert!(bucket_width > 0, "bucket width must be positive");
+        Histogram {
+            bucket_width,
+            limit: Self::MAX_BUCKETS,
+            counts: Vec::new(),
+            total: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+
     /// Creates a pre-sized histogram with `buckets` buckets of width
     /// `bucket_width` (`[0, w)`, `[w, 2w)`, ..., last bucket saturating).
     /// Recording never allocates after construction.
@@ -310,29 +333,10 @@ impl StreamingHistogram {
     pub fn with_buckets(bucket_width: u64, buckets: usize) -> Self {
         assert!(bucket_width > 0, "bucket width must be positive");
         assert!(buckets > 0, "bucket count must be positive");
-        StreamingHistogram {
+        Histogram {
             bucket_width,
             limit: buckets,
             counts: vec![0; buckets],
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Creates an initially empty histogram that grows on demand, up to
-    /// `limit` buckets (the last one saturating).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` or `limit` is zero.
-    pub fn growable(bucket_width: u64, limit: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be positive");
-        assert!(limit > 0, "bucket limit must be positive");
-        StreamingHistogram {
-            bucket_width,
-            limit,
-            counts: Vec::new(),
             total: 0,
             sum: 0,
             max: 0,
@@ -421,70 +425,6 @@ impl StreamingHistogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(move |(i, &c)| (i as u64 * self.bucket_width, c))
-    }
-}
-
-/// A fixed-width histogram over `u64` observations, used for in-degree
-/// distributions and message-size accounting.
-///
-/// A thin wrapper over [`StreamingHistogram`] in its growable mode: bucket
-/// storage is bounded by [`Histogram::MAX_BUCKETS`], past which observations
-/// saturate into a single overflow bucket.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    inner: StreamingHistogram,
-}
-
-impl Histogram {
-    /// Upper bound on the number of distinct buckets, overflow bucket
-    /// included. Values mapping to bucket `MAX_BUCKETS - 1` or beyond all
-    /// land in that final saturating bucket.
-    pub const MAX_BUCKETS: usize = 4096;
-
-    /// Creates a histogram whose buckets are `[0, w)`, `[w, 2w)`, ...
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero.
-    pub fn new(bucket_width: u64) -> Self {
-        Histogram {
-            inner: StreamingHistogram::growable(bucket_width, Self::MAX_BUCKETS),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.inner.record(value);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Mean of all observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// Largest observation recorded (0 when empty).
-    pub fn max(&self) -> u64 {
-        self.inner.max()
-    }
-
-    /// The nearest-rank `q`-percentile (see [`StreamingHistogram::percentile`]).
-    pub fn percentile(&self, q: f64) -> f64 {
-        self.inner.percentile(q)
-    }
-
-    /// Number of bucket slots currently allocated.
-    pub fn allocated_buckets(&self) -> usize {
-        self.inner.allocated_buckets()
-    }
-
-    /// Iterates over `(bucket_lower_bound, count)` pairs for non-empty buckets.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.inner.buckets()
     }
 }
 
@@ -647,7 +587,7 @@ mod tests {
 
     #[test]
     fn streaming_histogram_is_allocation_free_once_sized() {
-        let mut h = StreamingHistogram::with_buckets(1, 64);
+        let mut h = Histogram::with_buckets(1, 64);
         assert_eq!(h.allocated_buckets(), 64);
         for value in 0..200u64 {
             h.record(value);
@@ -667,7 +607,7 @@ mod tests {
     #[test]
     fn streaming_percentiles_are_exact_for_unit_width_integers() {
         // 1..=100 at bucket width 1: the nearest-rank percentile of integers.
-        let mut h = StreamingHistogram::with_buckets(1, 128);
+        let mut h = Histogram::with_buckets(1, 128);
         for value in 1..=100u64 {
             h.record(value);
         }
@@ -681,7 +621,7 @@ mod tests {
 
     #[test]
     fn streaming_percentile_resolves_to_bucket_lower_bound() {
-        let mut h = StreamingHistogram::with_buckets(10, 16);
+        let mut h = Histogram::with_buckets(10, 16);
         for value in [3u64, 14, 27, 150, 152] {
             h.record(value);
         }
@@ -693,7 +633,7 @@ mod tests {
 
     #[test]
     fn streaming_percentile_on_skewed_mass() {
-        let mut h = StreamingHistogram::with_buckets(1, 8);
+        let mut h = Histogram::with_buckets(1, 8);
         for _ in 0..99 {
             h.record(1);
         }
@@ -706,13 +646,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn streaming_percentile_rejects_bad_quantile() {
-        StreamingHistogram::with_buckets(1, 4).percentile(1.5);
+        Histogram::with_buckets(1, 4).percentile(1.5);
     }
 
     #[test]
     #[should_panic(expected = "bucket count must be positive")]
     fn streaming_histogram_rejects_zero_buckets() {
-        StreamingHistogram::with_buckets(1, 0);
+        Histogram::with_buckets(1, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Flat, arena-backed storage for gossip views, and partial-selection ranking.
 //!
 //! Every gossip protocol in this workspace keeps one bounded *view* (a small
-//! ordered set of [`Descriptor`]s) per simulated node. Storing those views as
+//! ordered set of [`Descriptor`](crate::descriptor::Descriptor)s) per
+//! simulated node. Storing those views as
 //! `Vec<Option<Vec<Descriptor<_>>>>` costs one heap allocation per node plus a
 //! pointer chase per access, which dominates the simulator's hot path at large
 //! network sizes. [`ViewArena`] instead packs all views into one contiguous

@@ -12,7 +12,7 @@
 //! failure, like every other socket test in the workspace.
 
 use bootstrapping_service::core::experiment::{Experiment, ExperimentConfig};
-use bootstrapping_service::net::cluster::{Cluster, ClusterConfig, ClusterMode};
+use bootstrapping_service::net::cluster::{Cluster, ClusterConfig};
 use bss_util::config::BootstrapParams;
 use bss_util::id::NodeId;
 use std::collections::BTreeSet;
@@ -65,7 +65,6 @@ fn a_driver_cluster_reaches_the_cycle_engines_converged_state() {
         params,
         contacts_per_peer: 4,
         seed: SEED,
-        mode: ClusterMode::Driver,
     }) else {
         return;
     };
@@ -117,7 +116,6 @@ fn aging_purges_killed_peers_from_the_wire() {
         params,
         contacts_per_peer: 4,
         seed: SEED,
-        mode: ClusterMode::Driver,
     }) else {
         return;
     };

@@ -159,7 +159,6 @@ fn id_spray_guts_undefended_lookups_and_countermeasures_restore_them_at_n1024() 
                     descriptor_verifier: defended.then_some(VERIFIER_KEY),
                     ..BootstrapParams::paper_default()
                 })
-                // After `params`, which replaces the parameter set wholesale.
                 .descriptor_max_age(Some(8));
             TrafficWorkload::new(Phase::new(10, 60))
                 .lookups_per_cycle(200)
