@@ -6,8 +6,9 @@
 //!
 //! Beyond the raw [`Args`] map, [`CommonArgs`] factors out the option set every
 //! experiment binary shares — sizes, run counts, cycle budgets, seed, engine
-//! selection (threads / event latency), output path and verbosity — so the six
-//! binaries no longer copy-paste their argument plumbing.
+//! selection (threads / event latency), output path and verbosity — so the
+//! eleven simulation binaries share one copy of their argument plumbing
+//! (`cluster_net` runs real sockets and reads only the raw map).
 
 use bss_core::scenario::{Engine, LatencyModel, PlacementSpec, WanParams};
 use std::collections::BTreeMap;

@@ -1,7 +1,7 @@
-//! # bss-bench — the experiment and benchmark harness
+//! # bss-bench — the experiment harness
 //!
-//! One binary per figure or claim of the paper's evaluation (§5), plus Criterion
-//! micro/macro benchmarks:
+//! One binary per figure or claim of the paper's evaluation (§5) and per
+//! extension of it:
 //!
 //! | Binary        | Reproduces |
 //! |---------------|------------|
@@ -10,6 +10,13 @@
 //! | `churn`       | §5's churn claim: table quality under continuous replacement churn |
 //! | `merge_split` | §1–2 scenarios: two partitions bootstrapping independently, then merging |
 //! | `ablation`    | Design-choice ablations: `cr`, `c`, sampler quality, prefix-table feedback |
+//! | `scaling`     | Simulator throughput and memory sweep over network sizes (`BENCH_scaling.json`) |
+//! | `scenarios`   | The scenario smoke suite: one timeline per event kind on both engines |
+//! | `recovery`    | Catastrophe-then-recover: descriptor aging + re-bootstrap against the detector-free protocol |
+//! | `adversary`   | The Byzantine sweep: behaviour × converted fraction × countermeasures × engines |
+//! | `traffic`     | Live lookup workloads: scenario × router × engines |
+//! | `wan`         | WAN realism: placement × link model × engines, with regional outages and slow links |
+//! | `cluster_net` | Loopback UDP clusters on the single-loop driver, one per size |
 //!
 //! Every binary accepts `--help`, prints tab-separated series identical in shape to
 //! the paper's plots, and defaults to laptop-sized networks (the paper's full

@@ -24,9 +24,11 @@ use crate::scenario::{Engine, LatencyModel, NullObserver, Observer, Scenario};
 use crate::traffic::{LookupTraffic, LookupTrafficReport};
 use bss_sampling::newscast::NewscastProtocol;
 use bss_sampling::sampler::{OracleSampler, PeerSampler};
+use bss_sim::churn::Churn;
 use bss_sim::engine::cycle::{CycleEngine, EngineContext, PhaseProfile};
 use bss_sim::engine::event::EventEngine;
 use bss_sim::network::{Network, NodeIndex};
+use bss_sim::transport::Transport;
 use bss_util::config::{BootstrapParams, InvalidParams, NewscastParams};
 use bss_util::coords::Placement;
 use bss_util::descriptor::Descriptor;
@@ -53,13 +55,11 @@ pub enum SamplerChoice {
 /// protocol parameters, sampler), *what happens to it* (the
 /// [`Scenario`] timeline) and *how it executes* (the [`Engine`] selection).
 ///
-/// The legacy scalar knobs survive as builder sugar:
+/// The scalar builder setters are sugar:
 /// [`drop_probability`](ExperimentConfigBuilder::drop_probability) and
-/// [`churn_rate`](ExperimentConfigBuilder::churn_rate) desugar into one-phase
+/// [`churn_rate`](ExperimentConfigBuilder::churn_rate) install one-phase
 /// whole-run scenario windows, and
-/// [`threads`](ExperimentConfigBuilder::threads) desugars into the engine
-/// selection. Cycle-engine runs through this compatibility path are
-/// byte-identical to the pre-scenario code.
+/// [`threads`](ExperimentConfigBuilder::threads) selects the engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of nodes in the network.
@@ -893,8 +893,7 @@ impl PopulationSnapshot {
 /// Per-run measurement bookkeeping shared by every engine path: cadenced
 /// convergence measurement (incremental when membership is static), the two
 /// figure series, the perfection stop and observer dispatch.
-struct MeasurementDriver<'a> {
-    config: &'a ExperimentConfig,
+struct MeasurementDriver {
     /// No event ever degrades built tables (membership changes *or*
     /// re-bootstrap orders): a recorded convergence cycle is final.
     tables_stable: bool,
@@ -917,22 +916,9 @@ struct MeasurementDriver<'a> {
     region_buckets: Vec<NetworkConvergence>,
     /// Reused rehydration target of the per-region walk (WAN runs only).
     region_scratch: Option<BootstrapNode<NodeIndex>>,
-    leaf_series: Series,
-    prefix_series: Series,
-    dead_series: Series,
-    poisoned_series: Series,
-    eclipse_series: Series,
-    in_degree_mean_series: Series,
-    in_degree_max_series: Series,
-    in_degree_gini_series: Series,
-    dead_pointer_series: Series,
-    region_leaf_series: Vec<Series>,
-    convergence_cycle: Option<u64>,
-    degraded_cycle: Option<u64>,
-    recovered_cycle: Option<u64>,
-    time_to_eclipse: Option<u64>,
-    final_state: NetworkConvergence,
-    events_fired: Vec<(u64, String)>,
+    /// The report being filled, cycle by cycle; [`MeasurementDriver::finish`]
+    /// adds what is only known when the run ends.
+    report: RunReport,
     /// The live lookup-traffic driver; built only when the scenario schedules
     /// a traffic phase, so every other run pays nothing.
     lookup_traffic: Option<LookupTraffic>,
@@ -943,12 +929,12 @@ struct MeasurementDriver<'a> {
 /// with 1.0 is meaningful.
 const ECLIPSE_THRESHOLD: f64 = 1.0;
 
-impl<'a> MeasurementDriver<'a> {
+impl MeasurementDriver {
     fn new<S: PeerSampler>(
-        config: &'a ExperimentConfig,
+        config: &ExperimentConfig,
         protocol: &BootstrapProtocol<S>,
         ctx: &EngineContext,
-        placement: Option<&Arc<Placement>>,
+        placement: Option<Arc<Placement>>,
     ) -> Self {
         // Under membership churn the live population changes, so the oracle has
         // to be rebuilt per measurement; with static membership one oracle
@@ -957,7 +943,6 @@ impl<'a> MeasurementDriver<'a> {
         let membership_stable = !config.scenario.perturbs_membership();
         let static_oracle = membership_stable.then(|| protocol.oracle_for(ctx));
         MeasurementDriver {
-            config,
             // An adversary corrupts tables without perturbing membership, so a
             // convergence recorded before the attack window must not be final.
             tables_stable: !config.scenario.perturbs_tables() && !config.scenario.has_adversary(),
@@ -966,33 +951,39 @@ impl<'a> MeasurementDriver<'a> {
             eclipse_target: config.scenario.build_adversary().and_then(|m| m.target()),
             static_oracle,
             tracker: ConvergenceTracker::new(),
-            placement: placement.cloned(),
             region_buckets: Vec::new(),
-            region_scratch: placement.map(|_| {
+            region_scratch: placement.as_ref().map(|_| {
                 let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
                 BootstrapNode::new(placeholder, &config.params)
                     .expect("parameters validated by the config builder")
             }),
-            leaf_series: Series::new("missing_leafset_proportion"),
-            prefix_series: Series::new("missing_prefix_proportion"),
-            dead_series: Series::new("dead_descriptor_fraction"),
-            poisoned_series: Series::new("poisoned_descriptor_fraction"),
-            eclipse_series: Series::new("eclipse_fraction"),
-            in_degree_mean_series: Series::new("in_degree_mean"),
-            in_degree_max_series: Series::new("in_degree_max"),
-            in_degree_gini_series: Series::new("in_degree_gini"),
-            dead_pointer_series: Series::new("dead_pointer_fraction"),
-            region_leaf_series: placement.map_or_else(Vec::new, |p| {
-                (0..p.region_count())
+            report: RunReport {
+                config: config.clone(),
+                leaf_series: Series::new("missing_leafset_proportion"),
+                prefix_series: Series::new("missing_prefix_proportion"),
+                dead_series: Series::new("dead_descriptor_fraction"),
+                poisoned_series: Series::new("poisoned_descriptor_fraction"),
+                eclipse_series: Series::new("eclipse_fraction"),
+                in_degree_mean_series: Series::new("in_degree_mean"),
+                in_degree_max_series: Series::new("in_degree_max"),
+                in_degree_gini_series: Series::new("in_degree_gini"),
+                dead_pointer_series: Series::new("dead_pointer_fraction"),
+                region_leaf_series: (0..placement.as_ref().map_or(0, |p| p.region_count()))
                     .map(|region| Series::new(format!("missing_leafset_r{region}")))
-                    .collect()
-            }),
-            convergence_cycle: None,
-            degraded_cycle: None,
-            recovered_cycle: None,
-            time_to_eclipse: None,
-            final_state: NetworkConvergence::default(),
-            events_fired: Vec::new(),
+                    .collect(),
+                convergence_cycle: None,
+                degraded_cycle: None,
+                recovered_cycle: None,
+                time_to_eclipse: None,
+                cycles_executed: 0,
+                final_state: NetworkConvergence::default(),
+                traffic: TrafficStats::default(),
+                lookups: None,
+                proximity: None,
+                events_fired: Vec::new(),
+                phase_profile: None,
+            },
+            placement,
             lookup_traffic: LookupTraffic::for_config(config),
         }
     }
@@ -1007,9 +998,9 @@ impl<'a> MeasurementDriver<'a> {
         cycle: u64,
         observer: &mut dyn Observer,
     ) -> ControlFlow<()> {
-        for event in self.config.scenario.events_starting_at(cycle) {
+        for event in self.report.config.scenario.events_starting_at(cycle) {
             observer.on_scenario_event(cycle, event);
-            self.events_fired.push((cycle, event.to_string()));
+            self.report.events_fired.push((cycle, event.to_string()));
         }
         // The lookup workload runs every cycle a traffic phase is active —
         // cadence only coarsens the *series*, not the traffic itself. It rides
@@ -1019,7 +1010,7 @@ impl<'a> MeasurementDriver<'a> {
             traffic.drive_cycle(protocol, ctx, cycle);
         }
         // Off-cadence cycles skip the (global) convergence pass entirely.
-        if cycle % self.config.measure_every != 0 {
+        if cycle % self.report.config.measure_every != 0 {
             return ControlFlow::Continue(());
         }
         if let Some(traffic) = self.lookup_traffic.as_mut() {
@@ -1032,8 +1023,12 @@ impl<'a> MeasurementDriver<'a> {
                 protocol.measure(&oracle, ctx)
             }
         };
-        self.leaf_series.push(cycle, measured.leaf_proportion());
-        self.prefix_series.push(cycle, measured.prefix_proportion());
+        self.report
+            .leaf_series
+            .push(cycle, measured.leaf_proportion());
+        self.report
+            .prefix_series
+            .push(cycle, measured.prefix_proportion());
         self.measure_regions(protocol, ctx, cycle);
         // The dead-descriptor fraction: only a scenario with churn or a
         // catastrophe can ever kill a node, so every other run (calm, joins,
@@ -1048,7 +1043,7 @@ impl<'a> MeasurementDriver<'a> {
                 dead as f64 / total as f64
             }
         };
-        self.dead_series.push(cycle, dead_fraction);
+        self.report.dead_series.push(cycle, dead_fraction);
         // The attack metrics: like the dead-descriptor fraction, honest
         // timelines record structural zeros without walking the tables.
         let (poisoned_fraction, eclipse_fraction) = if !self.adversary_possible {
@@ -1065,52 +1060,59 @@ impl<'a> MeasurementDriver<'a> {
                 .map_or(0.0, |target| protocol.eclipse_fraction(target));
             (poisoned_fraction, eclipse_fraction)
         };
-        self.poisoned_series.push(cycle, poisoned_fraction);
-        self.eclipse_series.push(cycle, eclipse_fraction);
+        self.report.poisoned_series.push(cycle, poisoned_fraction);
+        self.report.eclipse_series.push(cycle, eclipse_fraction);
         if self.eclipse_target.is_some()
             && eclipse_fraction >= ECLIPSE_THRESHOLD
-            && self.time_to_eclipse.is_none()
+            && self.report.time_to_eclipse.is_none()
         {
-            self.time_to_eclipse = Some(cycle);
+            self.report.time_to_eclipse = Some(cycle);
         }
         // Overlay-quality diagnostics, whenever the sampler maintains an
         // overlay to measure (a real NEWSCAST instance; the oracle has none).
         if let Some(quality) = protocol.sampling_quality(&ctx.network) {
-            self.in_degree_mean_series
+            self.report
+                .in_degree_mean_series
                 .push(cycle, quality.in_degree_mean);
-            self.in_degree_max_series.push(cycle, quality.in_degree_max);
-            self.in_degree_gini_series
+            self.report
+                .in_degree_max_series
+                .push(cycle, quality.in_degree_max);
+            self.report
+                .in_degree_gini_series
                 .push(cycle, quality.in_degree_gini);
-            self.dead_pointer_series
+            self.report
+                .dead_pointer_series
                 .push(cycle, quality.dead_pointer_fraction);
         }
         if dead_fraction > 0.0 {
-            if self.degraded_cycle.is_none() {
-                self.degraded_cycle = Some(cycle);
+            if self.report.degraded_cycle.is_none() {
+                self.report.degraded_cycle = Some(cycle);
             }
             // A later degradation (second failure, ongoing churn) voids a
             // previously recorded recovery: "recovered" always refers to the
             // state the run actually ended in.
-            self.recovered_cycle = None;
-        } else if self.degraded_cycle.is_some() && self.recovered_cycle.is_none() {
-            self.recovered_cycle = Some(cycle);
+            self.report.recovered_cycle = None;
+        } else if self.report.degraded_cycle.is_some() && self.report.recovered_cycle.is_none() {
+            self.report.recovered_cycle = Some(cycle);
         }
-        self.final_state = measured;
+        self.report.final_state = measured;
         let mut flow = observer.on_cycle(cycle, &measured);
         if measured.is_perfect() {
-            if self.convergence_cycle.is_none() {
-                self.convergence_cycle = Some(cycle);
+            if self.report.convergence_cycle.is_none() {
+                self.report.convergence_cycle = Some(cycle);
             }
             // The stop never fires while a scenario transition lies ahead: a
             // network perfect at cycle 8 must still face the catastrophe
             // scheduled for cycle 12.
-            if self.config.stop_when_perfect && !self.config.scenario.changes_after(cycle) {
+            let config = &self.report.config;
+            if config.stop_when_perfect && !config.scenario.changes_after(cycle) {
                 flow = ControlFlow::Break(());
             }
         } else {
             // Under membership churn or a re-bootstrap order a previously
             // perfect network can degrade.
-            self.convergence_cycle = self.convergence_cycle.filter(|_| self.tables_stable);
+            self.report.convergence_cycle =
+                self.report.convergence_cycle.filter(|_| self.tables_stable);
         }
         flow
     }
@@ -1154,41 +1156,33 @@ impl<'a> MeasurementDriver<'a> {
             }
         }
         for (region, bucket) in self.region_buckets.iter().enumerate() {
-            self.region_leaf_series[region].push(cycle, bucket.leaf_proportion());
+            self.report.region_leaf_series[region].push(cycle, bucket.leaf_proportion());
         }
     }
 
-    fn into_report(
+    /// The tear-down every engine shares: freezes the population, measures
+    /// proximity under a WAN placement, and completes the report with what is
+    /// only known once the run has ended.
+    fn finish<S: PeerSampler>(
         self,
+        protocol: &BootstrapProtocol<S>,
+        ctx: &EngineContext,
         cycles_executed: u64,
-        traffic: TrafficStats,
         phase_profile: Option<PhaseProfile>,
-        proximity: Option<ProximityReport>,
-    ) -> RunReport {
-        RunReport {
-            config: self.config.clone(),
-            leaf_series: self.leaf_series,
-            prefix_series: self.prefix_series,
-            dead_series: self.dead_series,
-            poisoned_series: self.poisoned_series,
-            eclipse_series: self.eclipse_series,
-            in_degree_mean_series: self.in_degree_mean_series,
-            in_degree_max_series: self.in_degree_max_series,
-            in_degree_gini_series: self.in_degree_gini_series,
-            dead_pointer_series: self.dead_pointer_series,
-            region_leaf_series: self.region_leaf_series,
-            convergence_cycle: self.convergence_cycle,
-            degraded_cycle: self.degraded_cycle,
-            recovered_cycle: self.recovered_cycle,
-            time_to_eclipse: self.time_to_eclipse,
+    ) -> (RunReport, PopulationSnapshot) {
+        let proximity = self
+            .placement
+            .as_ref()
+            .map(|p| measure_proximity(protocol, ctx, p, self.report.config.seed));
+        let report = RunReport {
             cycles_executed,
-            final_state: self.final_state,
-            traffic,
+            traffic: protocol.traffic().clone(),
             lookups: self.lookup_traffic.map(LookupTraffic::into_report),
             proximity,
-            events_fired: self.events_fired,
             phase_profile,
-        }
+            ..self.report
+        };
+        (report, PopulationSnapshot::capture(protocol, ctx))
     }
 }
 
@@ -1271,36 +1265,57 @@ pub fn run_scenario<S: PeerSampler>(
     }
 }
 
-/// Runs on the (possibly parallel) cycle engine — the compatibility path whose
-/// output is byte-identical to the pre-scenario code for desugared legacy
-/// configurations.
+/// The world every engine starts from. Built in one order, so every engine
+/// sees the same RNG stream: the identifiers are the only draws from the run's
+/// generator; placement and transport come from salted private streams.
+struct World {
+    network: Network,
+    rng: SimRng,
+    placement: Option<Arc<Placement>>,
+    transport: Transport,
+    churn: Churn,
+}
+
+impl World {
+    fn new(config: &ExperimentConfig) -> Self {
+        let mut rng = SimRng::seed_from(config.seed);
+        let mut network = Network::with_random_ids(config.network_size, &mut rng);
+        let placement = config.placement();
+        if let Some(placement) = placement.as_ref() {
+            network.set_placement(Arc::clone(placement));
+        }
+        let transport = config.scenario.build_transport(
+            config.network_size,
+            &config.link_model(),
+            placement.as_ref(),
+            config.seed,
+        );
+        World {
+            network,
+            rng,
+            placement,
+            transport,
+            churn: config.scenario.build_churn(),
+        }
+    }
+}
+
+/// Runs on the (possibly parallel) cycle engine, which applies the membership
+/// timeline itself at every cycle boundary.
 fn run_on_cycle_engine<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,
     observer: &mut dyn Observer,
 ) -> (RunReport, PopulationSnapshot) {
-    let mut rng = SimRng::seed_from(config.seed);
-    let mut network = Network::with_random_ids(config.network_size, &mut rng);
-    let placement = config.placement();
-    if let Some(placement) = placement.as_ref() {
-        network.set_placement(Arc::clone(placement));
-    }
-    let mut engine =
-        CycleEngine::new(network, rng).with_transport(config.scenario.build_transport(
-            config.network_size,
-            &config.link_model(),
-            placement.as_ref(),
-            config.seed,
-        ));
-    if let Some(churn) = config.scenario.build_churn() {
-        engine = engine.with_churn(churn);
-    }
-
+    let world = World::new(config);
+    let mut engine = CycleEngine::new(world.network, world.rng)
+        .with_transport(world.transport)
+        .with_churn(world.churn);
     if config.profile {
         engine.enable_profiling();
     }
     protocol.init_all(engine.context_mut());
-    let mut driver = MeasurementDriver::new(config, protocol, engine.context(), placement.as_ref());
+    let mut driver = MeasurementDriver::new(config, protocol, engine.context(), world.placement);
 
     let cycles_executed = engine.run_parallel_with_observer(
         protocol,
@@ -1308,21 +1323,8 @@ fn run_on_cycle_engine<S: PeerSampler>(
         config.engine.threads(),
         |protocol, ctx, cycle| driver.observe_cycle(protocol, ctx, cycle, observer),
     );
-
-    let snapshot = PopulationSnapshot::capture(protocol, engine.context());
-    let proximity = placement
-        .as_ref()
-        .map(|p| measure_proximity(protocol, engine.context(), p, config.seed));
     let phase_profile = engine.phase_profile().copied();
-    (
-        driver.into_report(
-            cycles_executed,
-            protocol.traffic().clone(),
-            phase_profile,
-            proximity,
-        ),
-        snapshot,
-    )
+    driver.finish(protocol, engine.context(), cycles_executed, phase_profile)
 }
 
 /// Runs on the discrete-event engine: one `run_until` slice per cycle Δ, with
@@ -1334,24 +1336,11 @@ fn run_on_event_engine<S: PeerSampler>(
     protocol: &mut BootstrapProtocol<S>,
     observer: &mut dyn Observer,
 ) -> (RunReport, PopulationSnapshot) {
-    let mut rng = SimRng::seed_from(config.seed);
-    let mut network = Network::with_random_ids(config.network_size, &mut rng);
-    let placement = config.placement();
-    if let Some(placement) = placement.as_ref() {
-        network.set_placement(Arc::clone(placement));
-    }
-    let transport = config.scenario.build_transport(
-        config.network_size,
-        &config.link_model(),
-        placement.as_ref(),
-        config.seed,
-    );
+    let mut world = World::new(config);
     let mut engine: EventEngine<BootstrapMessage> =
-        EventEngine::new(network, rng).with_transport(transport);
-    let mut churn = config.scenario.build_churn();
-
+        EventEngine::new(world.network, world.rng).with_transport(world.transport);
     protocol.init_all(engine.context_mut());
-    let mut driver = MeasurementDriver::new(config, protocol, engine.context(), placement.as_ref());
+    let mut driver = MeasurementDriver::new(config, protocol, engine.context(), world.placement);
     // Start the initial membership *before* applying cycle-0 scenario events:
     // joiners added at cycle 0 are started individually below, and must not be
     // started a second time by run_until's deferred start phase.
@@ -1360,50 +1349,21 @@ fn run_on_event_engine<S: PeerSampler>(
     let delta = config.params.cycle_millis;
     let mut cycles_executed = 0;
     for cycle in 0..config.max_cycles {
-        let (joined, any_departed) = {
-            let ctx = engine.context_mut();
-            ctx.transport.advance_to_cycle(cycle);
-            match churn.as_mut() {
-                Some(model) => {
-                    let events = model.apply(cycle, &mut ctx.network, &mut ctx.rng);
-                    for &node in &events.departed {
-                        bss_sim::engine::cycle::CycleProtocol::node_departed(
-                            protocol, node, cycle, ctx,
-                        );
-                    }
-                    for &node in &events.joined {
-                        bss_sim::engine::cycle::CycleProtocol::node_joined(
-                            protocol, node, cycle, ctx,
-                        );
-                    }
-                    // Recovery orders: survivors re-initialise in place. They
-                    // keep their running exchange timers — re-bootstrapping
-                    // replaces table state, not the node's schedule.
-                    for &node in &events.rebootstrapped {
-                        bss_sim::engine::cycle::CycleProtocol::node_rebootstrapped(
-                            protocol, node, cycle, ctx,
-                        );
-                    }
-                    // Byzantine conversions: the node stays up but starts
-                    // playing its adversarial behaviour from this cycle on.
-                    for &node in &events.converted {
-                        bss_sim::engine::cycle::CycleProtocol::node_converted(
-                            protocol, node, cycle, ctx,
-                        );
-                    }
-                    (events.joined, !events.departed.is_empty())
-                }
-                None => (Vec::new(), false),
-            }
-        };
+        let ctx = engine.context_mut();
+        ctx.transport.advance_to_cycle(cycle);
+        // Re-bootstrapped survivors and converted nodes keep their running
+        // exchange timers: the hooks replace table state or mark the node,
+        // not its schedule.
+        let events = world.churn.apply(cycle, &mut ctx.network, &mut ctx.rng);
+        events.deliver(protocol, cycle, ctx);
         // Nodes killed this cycle must generate zero traffic from now on:
         // purge their pending exchange timers and in-flight answer slots from
-        // the event queue (they used to linger until their due time).
-        if any_departed {
+        // the event queue.
+        if !events.departed.is_empty() {
             engine.cancel_dead();
         }
         // Late joiners schedule their first exchange timers from "now".
-        for node in joined {
+        for node in events.joined {
             engine.start_node(protocol, node);
         }
 
@@ -1416,15 +1376,7 @@ fn run_on_event_engine<S: PeerSampler>(
             break;
         }
     }
-
-    let snapshot = PopulationSnapshot::capture(protocol, engine.context());
-    let proximity = placement
-        .as_ref()
-        .map(|p| measure_proximity(protocol, engine.context(), p, config.seed));
-    (
-        driver.into_report(cycles_executed, protocol.traffic().clone(), None, proximity),
-        snapshot,
-    )
+    driver.finish(protocol, engine.context(), cycles_executed, None)
 }
 
 /// A single, ready-to-run simulation.

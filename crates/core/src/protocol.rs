@@ -646,6 +646,53 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         Some(network.descriptor(target, cycle))
     }
 
+    /// The head of one active-thread iteration of `node` (Fig. 2a), the same
+    /// on the cycle and the event driver: the peer to contact and the `cr`
+    /// random samples to mix into the request, or `None` when the node has
+    /// no state or nobody to contact. Draws in a fixed order: SELECTPEER (or
+    /// its one-sample fallback), then the samples.
+    fn plan_request(
+        &mut self,
+        node: NodeIndex,
+        cycle: u64,
+        ctx: &mut EngineContext,
+    ) -> Option<(Descriptor<NodeIndex>, Vec<Descriptor<NodeIndex>>)> {
+        // SELECTPEER over the current leaf set; a node whose leaf set is still
+        // empty falls back to a random sample so it can join the epidemic.
+        // The packed leaf entries are rehydrated straight into the candidate
+        // buffer (same order, same identifiers), so the ranking and the RNG
+        // draw are byte-identical to selecting over the fat state.
+        let packed = self.nodes.get(node.as_usize()).and_then(Option::as_ref)?;
+        self.select_scratch.clear();
+        self.select_scratch
+            .extend(packed.leaf_descriptors(&self.ids));
+        let selected = match select_peer_in(
+            self.ids[node.as_usize()],
+            &mut self.select_scratch,
+            &mut ctx.rng,
+        ) {
+            Some(peer) => Some(peer),
+            None => self.sampler.sample(node, 1, cycle, ctx).into_iter().next(),
+        };
+        // An acting identity-spray adversary overrides SELECTPEER: every one
+        // of its exchanges hits the eclipse target. The override happens after
+        // the honest selection so the RNG stream is identical either way.
+        let peer = self
+            .adversarial_peer(node, cycle, &ctx.network)
+            .or(selected)?;
+        if peer.address() == node {
+            return None;
+        }
+        // The cr fresh random samples the active side will mix into its
+        // message — replaced wholesale by fabrications when the initiator is
+        // an acting adversary (the honest draw still consumes the RNG).
+        let samples = self
+            .sampler
+            .sample(node, self.params.random_samples, cycle, ctx);
+        let samples = self.adversarial_samples(node, cycle).unwrap_or(samples);
+        Some((peer, samples))
+    }
+
     /// The decision half of one active-thread iteration of `node` (Fig. 2a):
     /// select a peer, draw the random samples and the transport coins. Consumes
     /// the RNG stream exactly as the full sequential exchange did — message
@@ -657,48 +704,10 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         cycle: u64,
         ctx: &mut EngineContext,
     ) -> NodePlan<ExchangePlan> {
-        // SELECTPEER over the current leaf set; a node whose leaf set is still
-        // empty falls back to a random sample so it can join the epidemic.
-        // The packed leaf entries are rehydrated straight into the candidate
-        // buffer (same order, same identifiers), so the ranking and the RNG
-        // draw are byte-identical to selecting over the fat state.
-        let peer_descriptor = {
-            let Some(packed) = self.nodes.get(node.as_usize()).and_then(Option::as_ref) else {
-                return NodePlan::Idle;
-            };
-            self.select_scratch.clear();
-            self.select_scratch
-                .extend(packed.leaf_descriptors(&self.ids));
-            match select_peer_in(
-                self.ids[node.as_usize()],
-                &mut self.select_scratch,
-                &mut ctx.rng,
-            ) {
-                Some(peer) => Some(peer),
-                None => self.sampler.sample(node, 1, cycle, ctx).into_iter().next(),
-            }
-        };
-        // An acting identity-spray adversary overrides SELECTPEER: every one
-        // of its exchanges hits the eclipse target. The override happens after
-        // the honest selection so the RNG stream is identical either way.
-        let peer_descriptor = self
-            .adversarial_peer(node, cycle, &ctx.network)
-            .or(peer_descriptor);
-        let Some(peer_descriptor) = peer_descriptor else {
+        let Some((peer_descriptor, my_samples)) = self.plan_request(node, cycle, ctx) else {
             return NodePlan::Idle;
         };
         let peer = peer_descriptor.address();
-        if peer == node {
-            return NodePlan::Idle;
-        }
-
-        // The cr fresh random samples the active side will mix into its
-        // message — replaced wholesale by fabrications when the initiator is
-        // an acting adversary (the honest draw still consumes the RNG).
-        let my_samples = self
-            .sampler
-            .sample(node, self.params.random_samples, cycle, ctx);
-        let my_samples = self.adversarial_samples(node, cycle).unwrap_or(my_samples);
 
         // The request's transport coin; a lost request also suppresses the
         // answer ("if the first message is dropped, then the answer is not sent
@@ -886,47 +895,13 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
         if self.run_sampler_steps {
             self.sampler.step(node, cycle, ctx.engine());
         }
-        // SELECTPEER over the current leaf set, falling back to a random
-        // sample while the leaf set is still empty (same as the cycle driver).
-        let peer_descriptor = {
-            let Some(packed) = self.nodes.get(node.as_usize()).and_then(Option::as_ref) else {
-                return;
-            };
-            self.select_scratch.clear();
-            self.select_scratch
-                .extend(packed.leaf_descriptors(&self.ids));
-            let engine = ctx.engine();
-            match select_peer_in(
-                self.ids[node.as_usize()],
-                &mut self.select_scratch,
-                &mut engine.rng,
-            ) {
-                Some(peer) => Some(peer),
-                None => self
-                    .sampler
-                    .sample(node, 1, cycle, engine)
-                    .into_iter()
-                    .next(),
-            }
-        };
-        // Same adversarial overrides as the cycle driver's plan pass: a
-        // sprayer always dials the eclipse target, and an acting adversary
-        // replaces its honest samples with fabrications.
-        let peer_descriptor = self
-            .adversarial_peer(node, cycle, &ctx.engine().network)
-            .or(peer_descriptor);
-        let Some(peer_descriptor) = peer_descriptor else {
+        let Some((peer_descriptor, samples)) = self.plan_request(node, cycle, ctx.engine()) else {
             return;
         };
         let peer = peer_descriptor.address();
-        if peer == node {
-            return;
-        }
-        let samples = self
-            .sampler
-            .sample(node, self.params.random_samples, cycle, ctx.engine());
-        let samples = self.adversarial_samples(node, cycle).unwrap_or(samples);
-        let packed = self.nodes[node.as_usize()].as_mut().expect("checked above");
+        let packed = self.nodes[node.as_usize()]
+            .as_mut()
+            .expect("a planned request has an initialised initiator");
         let ExchangeScratch {
             message,
             node_state,
@@ -1372,10 +1347,14 @@ mod tests {
 
     #[test]
     fn join_and_departure_hooks_manage_state() {
-        use bss_sim::churn::UniformChurn;
+        use bss_sim::churn::{Churn, ChurnStep};
         let mut rng = SimRng::seed_from(6);
         let network = Network::with_random_ids(80, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Box::new(UniformChurn::new(0.05)));
+        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Replace {
+            start: 0,
+            end: u64::MAX,
+            fraction: 0.05,
+        }]));
         let mut protocol = BootstrapProtocol::new(small_params(), OracleSampler::new());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 10);

@@ -3,9 +3,8 @@
 //! The paper evaluates the bootstrapping service under a fixed menu of adverse
 //! conditions — uniform message loss (Figure 4), continuous churn, catastrophic
 //! failure of up to 70 % of the nodes, massive joins and network partitions
-//! that later merge (§1–2, §5). Historically each condition was a flat scalar
-//! knob on `ExperimentConfig` and only the synchronous cycle engine could run
-//! it. This module replaces the knobs with a *composable timeline*:
+//! that later merge (§1–2, §5). This module expresses them as a *composable
+//! timeline* that every engine runs:
 //!
 //! * a [`Scenario`] is an ordered list of [`ScenarioEvent`]s, each either a
 //!   one-shot (catastrophic failure, massive join) or a [`Phase`]-windowed
@@ -14,20 +13,16 @@
 //!   the deterministic parallel cycle engine, or the discrete-event engine
 //!   with a per-link [`LatencyModel`];
 //! * an [`Observer`] receives per-cycle convergence measurements and scenario
-//!   transitions, replacing the ad-hoc closures and `MetricRecorder` plumbing
-//!   that each driver used to reinvent.
+//!   transitions.
 //!
-//! The legacy scalar knobs survive as builder sugar on
-//! [`ExperimentConfig`](crate::experiment::ExperimentConfig): setting a drop
-//! probability desugars into a single whole-run loss window, which flips
-//! exactly one coin per message (see [`bss_sim::transport`]'s determinism
-//! contract).
+//! The scalar setters of
+//! [`ExperimentConfigBuilder`](crate::experiment::ExperimentConfigBuilder) are
+//! sugar over the timeline: a drop probability is a single whole-run loss
+//! window, which flips exactly one coin per message (see
+//! [`bss_sim::transport`]'s determinism contract).
 
 use crate::convergence::NetworkConvergence;
-use bss_sim::churn::{
-    ByzantineConversion, CatastrophicFailure, ChurnModel, CompositeChurn, MassiveJoin, ReBootstrap,
-    UniformChurn, WindowedChurn,
-};
+use bss_sim::churn::{Churn, ChurnStep};
 use bss_sim::observer::MetricRecorder;
 use bss_sim::transport::Transport;
 use bss_util::config::InvalidParams;
@@ -895,46 +890,38 @@ impl Scenario {
         transport
     }
 
-    /// Compiles the timeline's membership and recovery events into a churn
-    /// model, or `None` when neither kind is present. Models are composed in
-    /// timeline order, so within one cycle a join listed before a failure
-    /// exposes the joiners to that failure — exactly as in the legacy
-    /// `CompositeChurn` usage — and a re-bootstrap listed after a failure
-    /// re-initialises only the survivors.
-    pub fn build_churn(&self) -> Option<Box<dyn ChurnModel>> {
-        if !self.perturbs_tables() && !self.has_adversary() {
-            return None;
-        }
-        let mut composite = CompositeChurn::new();
-        for event in &self.events {
-            match event {
-                ScenarioEvent::ChurnBurst { phase, rate } => {
-                    composite = composite.with(Box::new(WindowedChurn::new(
-                        phase.start,
-                        phase.end,
-                        UniformChurn::new(*rate),
-                    )));
-                }
-                ScenarioEvent::CatastrophicFailure { at_cycle, fraction } => {
-                    composite =
-                        composite.with(Box::new(CatastrophicFailure::new(*at_cycle, *fraction)));
-                }
-                ScenarioEvent::MassiveJoin { at_cycle, count } => {
-                    composite = composite.with(Box::new(MassiveJoin::new(*at_cycle, *count)));
-                }
-                ScenarioEvent::ReBootstrap { at_cycle, fraction } => {
-                    composite = composite.with(Box::new(ReBootstrap::new(*at_cycle, *fraction)));
-                }
-                ScenarioEvent::ByzantineConvert {
-                    phase, fraction, ..
-                } => {
-                    composite =
-                        composite.with(Box::new(ByzantineConversion::new(phase.start, *fraction)));
-                }
-                _ => {}
-            }
-        }
-        Some(Box::new(composite))
+    /// Compiles the timeline's membership, recovery and conversion events
+    /// into the [`Churn`] both engines apply at cycle boundaries — empty when
+    /// none is present. Steps keep timeline order, so within one cycle a join
+    /// listed before a failure exposes the joiners to that failure, and a
+    /// re-bootstrap listed after a failure re-initialises only the survivors.
+    pub fn build_churn(&self) -> Churn {
+        Churn::new(self.events.iter().filter_map(|event| match *event {
+            ScenarioEvent::ChurnBurst { phase, rate } => Some(ChurnStep::Replace {
+                start: phase.start,
+                end: phase.end,
+                fraction: rate,
+            }),
+            ScenarioEvent::CatastrophicFailure { at_cycle, fraction } => Some(ChurnStep::Kill {
+                at: at_cycle,
+                fraction,
+            }),
+            ScenarioEvent::MassiveJoin { at_cycle, count } => Some(ChurnStep::Join {
+                at: at_cycle,
+                count,
+            }),
+            ScenarioEvent::ReBootstrap { at_cycle, fraction } => Some(ChurnStep::ReBootstrap {
+                at: at_cycle,
+                fraction,
+            }),
+            ScenarioEvent::ByzantineConvert {
+                phase, fraction, ..
+            } => Some(ChurnStep::Convert {
+                at: phase.start,
+                fraction,
+            }),
+            _ => None,
+        }))
     }
 }
 
@@ -1058,8 +1045,7 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {}
 
-/// Every closure over `(cycle, measurement)` is an observer — this is the
-/// migration path for the old `run_with_observer` call sites.
+/// Every closure over `(cycle, measurement)` is an observer.
 impl<F> Observer for F
 where
     F: FnMut(u64, &NetworkConvergence) -> ControlFlow<()>,
@@ -1233,8 +1219,8 @@ mod tests {
         assert!(!scenario.perturbs_membership(), "membership is untouched");
         assert!(scenario.perturbs_tables(), "survivor state is wiped");
         assert!(
-            scenario.build_churn().is_some(),
-            "the recovery order still needs a model at cycle boundaries"
+            !scenario.build_churn().is_empty(),
+            "the recovery order still needs a step at cycle boundaries"
         );
         assert!(scenario.changes_after(11));
         assert!(!scenario.changes_after(12));
@@ -1274,7 +1260,7 @@ mod tests {
         assert!(!scenario.can_kill_nodes());
         assert!(scenario.has_adversary());
         assert!(
-            scenario.build_churn().is_some(),
+            !scenario.build_churn().is_empty(),
             "the conversion still fires at a cycle boundary"
         );
         let model = scenario.build_adversary().expect("model compiled");
@@ -1332,8 +1318,8 @@ mod tests {
         assert!(!scenario.can_kill_nodes());
         assert!(!scenario.has_adversary());
         assert!(
-            scenario.build_churn().is_none(),
-            "traffic alone needs no churn model"
+            scenario.build_churn().is_empty(),
+            "traffic alone changes no membership"
         );
         // A finite traffic window keeps a converged run alive until it closes.
         assert!(scenario.changes_after(19));
@@ -1413,8 +1399,8 @@ mod tests {
         let transport = scenario.build_transport(4, &LatencyModel::default(), None, 0);
         assert_eq!(transport.active_loss(), 0.2);
         assert!(!transport.partition_active(), "partition starts at 5");
-        assert!(scenario.build_churn().is_some());
-        assert!(Scenario::uniform_loss(0.3).build_churn().is_none());
+        assert!(!scenario.build_churn().is_empty());
+        assert!(Scenario::uniform_loss(0.3).build_churn().is_empty());
     }
 
     #[test]

@@ -120,14 +120,11 @@ impl Counters {
 
 /// Per-region window state of a WAN traffic run: counters and latency
 /// histogram over the lookups *issued by* clients of one placement region,
-/// flushed into per-region series on measured cycles.
+/// flushed into the report's per-region series on measured cycles.
 #[derive(Debug)]
 struct RegionWindow {
     window: Counters,
     latency: Histogram,
-    success_series: Series,
-    p50_series: Series,
-    p99_series: Series,
 }
 
 /// WAN-only traffic state: the run's placement and one [`RegionWindow`] per
@@ -141,12 +138,9 @@ struct WanTraffic {
 impl WanTraffic {
     fn new(placement: Arc<Placement>, bucket_width: u64) -> Self {
         let regions = (0..placement.region_count())
-            .map(|region| RegionWindow {
+            .map(|_| RegionWindow {
                 window: Counters::default(),
                 latency: Histogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
-                success_series: Series::new(format!("lookup_success_r{region}")),
-                p50_series: Series::new(format!("lookup_latency_p50_r{region}")),
-                p99_series: Series::new(format!("lookup_latency_p99_r{region}")),
             })
             .collect();
         WanTraffic { placement, regions }
@@ -174,7 +168,6 @@ fn charge_path(transport: &Transport, path: &[Contact], rng: &mut SimRng) -> u64
 /// every other run pays nothing.
 #[derive(Debug)]
 pub struct LookupTraffic {
-    router: RouterKind,
     phases: Vec<(Phase, u32, KeyDist)>,
     /// The driver's own copy of the run's transport: the lookups' outage gate
     /// and per-hop latency, fed from the traffic stream.
@@ -190,17 +183,12 @@ pub struct LookupTraffic {
     /// keys).
     zipf_cumulative: Vec<f64>,
     window: Counters,
-    totals: Counters,
     window_latency: Histogram,
     /// WAN-only state (placement, regional windows); `None` under the
     /// placement-free link models.
     wan: Option<WanTraffic>,
-    success_series: Series,
-    hop_mean_series: Series,
-    hop_max_series: Series,
-    p50_series: Series,
-    p95_series: Series,
-    p99_series: Series,
+    /// The summary being filled: run totals per lookup, series per flush.
+    report: LookupTrafficReport,
 }
 
 impl LookupTraffic {
@@ -222,8 +210,13 @@ impl LookupTraffic {
         let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
         let scratch =
             BootstrapNode::new(placeholder, &config.params).expect("config validated by builder");
+        let regions = placement.as_ref().map_or(0, |p| p.region_count());
+        let region_series = |name: &str| {
+            (0..regions)
+                .map(|region| Series::new(format!("{name}_r{region}")))
+                .collect()
+        };
         Some(LookupTraffic {
-            router: config.traffic_router,
             phases: config.scenario.traffic_phases().collect(),
             transport: config.scenario.build_transport(
                 config.network_size,
@@ -238,14 +231,20 @@ impl LookupTraffic {
             alive: Vec::with_capacity(config.network_size),
             zipf_cumulative: Vec::new(),
             window: Counters::default(),
-            totals: Counters::default(),
             window_latency: Histogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
-            success_series: Series::new("lookup_success"),
-            hop_mean_series: Series::new("lookup_hop_mean"),
-            hop_max_series: Series::new("lookup_hop_max"),
-            p50_series: Series::new("lookup_latency_p50"),
-            p95_series: Series::new("lookup_latency_p95"),
-            p99_series: Series::new("lookup_latency_p99"),
+            report: LookupTrafficReport {
+                router: config.traffic_router,
+                totals: Counters::default(),
+                success_series: Series::new("lookup_success"),
+                hop_mean_series: Series::new("lookup_hop_mean"),
+                hop_max_series: Series::new("lookup_hop_max"),
+                p50_series: Series::new("lookup_latency_p50"),
+                p95_series: Series::new("lookup_latency_p95"),
+                p99_series: Series::new("lookup_latency_p99"),
+                region_success_series: region_series("lookup_success"),
+                region_p50_series: region_series("lookup_latency_p50"),
+                region_p99_series: region_series("lookup_latency_p99"),
+            },
         })
     }
 
@@ -288,7 +287,6 @@ impl LookupTraffic {
         }
         self.transport.advance_to_cycle(cycle);
         let LookupTraffic {
-            router,
             transport,
             rng,
             scratch,
@@ -296,9 +294,9 @@ impl LookupTraffic {
             alive,
             zipf_cumulative,
             window,
-            totals,
             window_latency,
             wan,
+            report,
             ..
         } = self;
         let mut tables = LiveTables {
@@ -325,7 +323,7 @@ impl LookupTraffic {
             } else {
                 let routed = route(
                     &mut tables,
-                    *router,
+                    report.router,
                     source,
                     target.id,
                     DEFAULT_MAX_HOPS,
@@ -336,7 +334,7 @@ impl LookupTraffic {
             let millis = delivered.then(|| charge_path(transport, path, rng));
             let region = wan.as_mut().map(|state| state.window_of(source.address));
             window.absorb(delivered, hops);
-            totals.absorb(delivered, hops);
+            report.totals.absorb(delivered, hops);
             if let Some(millis) = millis {
                 window_latency.record(millis);
             }
@@ -353,20 +351,15 @@ impl LookupTraffic {
     /// only). Windows in which no lookup was issued push nothing, so calm
     /// stretches outside the traffic phase leave no points.
     pub fn flush_window(&mut self, cycle: u64) {
+        let report = &mut self.report;
         if let Some(state) = self.wan.as_mut() {
-            for bucket in &mut state.regions {
+            for (region, bucket) in state.regions.iter_mut().enumerate() {
                 if bucket.window.issued == 0 {
                     continue;
                 }
-                bucket
-                    .success_series
-                    .push(cycle, bucket.window.success_rate());
-                bucket
-                    .p50_series
-                    .push(cycle, bucket.latency.percentile(0.50));
-                bucket
-                    .p99_series
-                    .push(cycle, bucket.latency.percentile(0.99));
+                report.region_success_series[region].push(cycle, bucket.window.success_rate());
+                report.region_p50_series[region].push(cycle, bucket.latency.percentile(0.50));
+                report.region_p99_series[region].push(cycle, bucket.latency.percentile(0.99));
                 bucket.window = Counters::default();
                 bucket.latency.reset();
             }
@@ -374,51 +367,24 @@ impl LookupTraffic {
         if self.window.issued == 0 {
             return;
         }
-        self.success_series.push(cycle, self.window.success_rate());
-        self.hop_mean_series.push(cycle, self.window.mean_hops());
-        self.hop_max_series.push(cycle, self.window.hops_max as f64);
-        self.p50_series
-            .push(cycle, self.window_latency.percentile(0.50));
-        self.p95_series
-            .push(cycle, self.window_latency.percentile(0.95));
-        self.p99_series
-            .push(cycle, self.window_latency.percentile(0.99));
+        let latency = &self.window_latency;
+        report
+            .success_series
+            .push(cycle, self.window.success_rate());
+        report.hop_mean_series.push(cycle, self.window.mean_hops());
+        report
+            .hop_max_series
+            .push(cycle, self.window.hops_max as f64);
+        report.p50_series.push(cycle, latency.percentile(0.50));
+        report.p95_series.push(cycle, latency.percentile(0.95));
+        report.p99_series.push(cycle, latency.percentile(0.99));
         self.window = Counters::default();
         self.window_latency.reset();
     }
 
-    /// Freezes the driver into the report-side summary.
+    /// Hands over the summary the driver has been filling.
     pub fn into_report(self) -> LookupTrafficReport {
-        let (region_success_series, region_p50_series, region_p99_series) = match self.wan {
-            Some(state) => {
-                let mut success = Vec::with_capacity(state.regions.len());
-                let mut p50 = Vec::with_capacity(state.regions.len());
-                let mut p99 = Vec::with_capacity(state.regions.len());
-                for bucket in state.regions {
-                    success.push(bucket.success_series);
-                    p50.push(bucket.p50_series);
-                    p99.push(bucket.p99_series);
-                }
-                (success, p50, p99)
-            }
-            None => (Vec::new(), Vec::new(), Vec::new()),
-        };
-        LookupTrafficReport {
-            router: self.router,
-            issued: self.totals.issued,
-            delivered: self.totals.delivered,
-            hops_sum: self.totals.hops_sum,
-            hops_max: self.totals.hops_max,
-            success_series: self.success_series,
-            hop_mean_series: self.hop_mean_series,
-            hop_max_series: self.hop_max_series,
-            p50_series: self.p50_series,
-            p95_series: self.p95_series,
-            p99_series: self.p99_series,
-            region_success_series,
-            region_p50_series,
-            region_p99_series,
-        }
+        self.report
     }
 }
 
@@ -428,10 +394,7 @@ impl LookupTraffic {
 #[derive(Debug, Clone)]
 pub struct LookupTrafficReport {
     router: RouterKind,
-    issued: u64,
-    delivered: u64,
-    hops_sum: u64,
-    hops_max: u64,
+    totals: Counters,
     success_series: Series,
     hop_mean_series: Series,
     hop_max_series: Series,
@@ -451,35 +414,27 @@ impl LookupTrafficReport {
 
     /// Total lookups issued over the run.
     pub fn issued(&self) -> u64 {
-        self.issued
+        self.totals.issued
     }
 
     /// Total lookups that reached the node owning the target identifier.
     pub fn delivered(&self) -> u64 {
-        self.delivered
+        self.totals.delivered
     }
 
     /// Delivered over issued (1.0 when no lookup was issued).
     pub fn success_rate(&self) -> f64 {
-        if self.issued == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.issued as f64
-        }
+        self.totals.success_rate()
     }
 
     /// Mean hops over delivered lookups (0 when none were delivered).
     pub fn mean_hops(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.hops_sum as f64 / self.delivered as f64
-        }
+        self.totals.mean_hops()
     }
 
     /// The longest delivered lookup, in hops.
     pub fn max_hops(&self) -> u64 {
-        self.hops_max
+        self.totals.hops_max
     }
 
     /// Per measured cycle, delivered / issued within the window.
@@ -615,14 +570,14 @@ mod tests {
         let config = traffic_config(KeyDist::Uniform);
         let mut traffic = LookupTraffic::for_config(&config).unwrap();
         traffic.flush_window(3);
-        assert!(traffic.success_series.is_empty());
+        assert!(traffic.report.success_series.is_empty());
         // A window with traffic pushes exactly one point per series.
         traffic.window.absorb(true, 2);
         traffic.window_latency.record(2);
         traffic.flush_window(21);
-        assert_eq!(traffic.success_series.points(), &[(21, 1.0)]);
-        assert_eq!(traffic.hop_mean_series.points(), &[(21, 2.0)]);
-        assert_eq!(traffic.p50_series.points(), &[(21, 2.0)]);
+        assert_eq!(traffic.report.success_series.points(), &[(21, 1.0)]);
+        assert_eq!(traffic.report.hop_mean_series.points(), &[(21, 2.0)]);
+        assert_eq!(traffic.report.p50_series.points(), &[(21, 2.0)]);
         // ... and the flush resets the window.
         assert_eq!(traffic.window.issued, 0);
         assert_eq!(traffic.window_latency.count(), 0);

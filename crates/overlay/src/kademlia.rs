@@ -11,10 +11,11 @@
 
 use bss_core::experiment::PopulationSnapshot;
 use bss_core::node::BootstrapNode;
+use bss_core::routing::RouterKind;
 use bss_sim::network::NodeIndex;
 use bss_util::id::NodeId;
 
-use crate::pastry::RouteOutcome;
+use crate::pastry::{route_snapshot, RouteOutcome};
 
 /// A greedy XOR-metric router over a bootstrapped population.
 #[derive(Debug, Clone)]
@@ -46,27 +47,13 @@ impl<'a> KademliaRouter<'a> {
     ///
     /// Panics if `source` is not part of the population.
     pub fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
-        let mut current = self
-            .population
-            .node_by_id(source)
-            .expect("source node must be part of the population");
-        let mut path = vec![current.id()];
-        for _ in 0..self.max_hops {
-            if current.id() == target {
-                return RouteOutcome::Delivered(path);
-            }
-            match xor_next_hop(current, target) {
-                Some(next) => {
-                    path.push(next);
-                    match self.population.node_by_id(next) {
-                        Some(node) => current = node,
-                        None => return RouteOutcome::Stuck { path },
-                    }
-                }
-                None => return RouteOutcome::Stuck { path },
-            }
-        }
-        RouteOutcome::HopLimit { path }
+        route_snapshot(
+            self.population,
+            RouterKind::Kademlia,
+            source,
+            target,
+            self.max_hops,
+        )
     }
 }
 
@@ -77,7 +64,7 @@ impl<'a> KademliaRouter<'a> {
 /// implementation behind both this snapshot router and the live traffic
 /// driver, so the two can never drift apart.
 pub fn xor_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<NodeId> {
-    bss_core::routing::next_hop(bss_core::routing::RouterKind::Kademlia, node, target).map(|c| c.id)
+    bss_core::routing::next_hop(RouterKind::Kademlia, node, target).map(|c| c.id)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use bss_core::experiment::PopulationSnapshot;
 use bss_core::node::BootstrapNode;
+use bss_core::routing::{route, Contact, RouteEnd, RouterKind, SnapshotTables};
 use bss_sim::network::NodeIndex;
 use bss_util::id::NodeId;
 
@@ -78,29 +79,46 @@ impl<'a> PastryRouter<'a> {
     ///
     /// Panics if `source` is not part of the population.
     pub fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
-        let mut current = self
-            .population
-            .node_by_id(source)
-            .expect("source node must be part of the population");
-        let mut path = vec![current.id()];
-        for _ in 0..self.max_hops {
-            if current.id() == target {
-                return RouteOutcome::Delivered(path);
-            }
-            match next_hop(current, target) {
-                Some(next) if next != current.id() => {
-                    path.push(next);
-                    match self.population.node_by_id(next) {
-                        Some(node) => current = node,
-                        // A stale entry pointing outside the live population: the
-                        // message is lost at that hop.
-                        None => return RouteOutcome::Stuck { path },
-                    }
-                }
-                _ => return RouteOutcome::Stuck { path },
-            }
-        }
-        RouteOutcome::HopLimit { path }
+        route_snapshot(
+            self.population,
+            RouterKind::Pastry,
+            source,
+            target,
+            self.max_hops,
+        )
+    }
+}
+
+/// Routes one lookup over a frozen population through the shared loop in
+/// [`bss_core::routing`], under `kind`'s per-hop rule. A stale entry pointing
+/// outside the population loses the message at that hop, and so does a hop
+/// back onto the path: both end [`RouteOutcome::Stuck`].
+///
+/// # Panics
+///
+/// Panics if `source` is not part of the population.
+pub(crate) fn route_snapshot(
+    population: &PopulationSnapshot,
+    kind: RouterKind,
+    source: NodeId,
+    target: NodeId,
+    max_hops: usize,
+) -> RouteOutcome {
+    let node = population
+        .node_by_id(source)
+        .expect("source node must be part of the population");
+    let source = Contact {
+        id: source,
+        address: node.own_descriptor().address(),
+    };
+    let mut tables = SnapshotTables(population);
+    let mut path = Vec::new();
+    let end = route(&mut tables, kind, source, target, max_hops, &mut path).end;
+    let path = path.into_iter().map(|contact| contact.id).collect();
+    match end {
+        RouteEnd::Delivered => RouteOutcome::Delivered(path),
+        RouteEnd::HopLimit => RouteOutcome::HopLimit { path },
+        _ => RouteOutcome::Stuck { path },
     }
 }
 
@@ -112,7 +130,7 @@ impl<'a> PastryRouter<'a> {
 /// implementation behind both this snapshot router and the live traffic
 /// driver, so the two can never drift apart.
 pub fn next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<NodeId> {
-    bss_core::routing::next_hop(bss_core::routing::RouterKind::Pastry, node, target).map(|c| c.id)
+    bss_core::routing::next_hop(RouterKind::Pastry, node, target).map(|c| c.id)
 }
 
 #[cfg(test)]
@@ -185,6 +203,49 @@ mod tests {
             }
         }
         assert!(limited, "a one-hop budget should not reach every target");
+    }
+
+    #[test]
+    fn a_target_reached_on_the_last_budgeted_hop_is_delivered() {
+        use crate::kademlia::KademliaRouter;
+        let population = snapshot(64, 3);
+        let ids: Vec<NodeId> = population.ids().collect();
+        type Route = fn(&PopulationSnapshot, usize, NodeId, NodeId) -> RouteOutcome;
+        let routers: [(&str, Route); 2] = [
+            ("pastry", |population, budget, source, target| {
+                PastryRouter::new(population)
+                    .with_max_hops(budget)
+                    .route(source, target)
+            }),
+            ("kademlia", |population, budget, source, target| {
+                KademliaRouter::new(population)
+                    .with_max_hops(budget)
+                    .route(source, target)
+            }),
+        ];
+        for (name, route) in routers {
+            let route = |budget, source, target| route(&population, budget, source, target);
+            // A pair that needs at least two hops, so that one hop fewer is
+            // still a positive budget.
+            let (source, target, hops) = ids
+                .iter()
+                .flat_map(|&source| ids.iter().map(move |&target| (source, target)))
+                .map(|(source, target)| (source, target, route(64, source, target).hops()))
+                .find(|&(_, _, hops)| hops >= 2)
+                .expect("some pair is two hops apart");
+            let exact = route(hops, source, target);
+            assert!(
+                exact.is_delivered(),
+                "{name}: a budget of {hops} hops covers a {hops}-hop path: {exact:?}"
+            );
+            assert_eq!(exact.hops(), hops);
+            let short = route(hops - 1, source, target);
+            assert!(
+                matches!(short, RouteOutcome::HopLimit { .. }),
+                "{name}: {short:?}"
+            );
+            assert_eq!(short.hops(), hops - 1);
+        }
     }
 
     #[test]

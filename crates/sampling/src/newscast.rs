@@ -515,10 +515,14 @@ mod tests {
 
     #[test]
     fn joiners_are_absorbed_and_leavers_forgotten() {
-        use bss_sim::churn::UniformChurn;
+        use bss_sim::churn::{Churn, ChurnStep};
         let mut rng = SimRng::seed_from(5);
         let network = Network::with_random_ids(100, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Box::new(UniformChurn::new(0.05)));
+        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Replace {
+            start: 0,
+            end: u64::MAX,
+            fraction: 0.05,
+        }]));
         let mut protocol = NewscastProtocol::new(NewscastParams::paper_default());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 30);

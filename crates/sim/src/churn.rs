@@ -1,14 +1,21 @@
-//! Membership-change scenarios applied at cycle boundaries.
+//! Membership changes applied at cycle boundaries.
 //!
 //! The paper's motivation (§1–2) is exactly these "radical" scenarios: massive
 //! joins, massive departures, catastrophic failure, merging and splitting of
-//! networks, and continuous churn during bootstrap. A [`ChurnModel`] mutates the
-//! [`Network`] registry at the start of a cycle and reports which nodes joined and
-//! departed so that protocols can initialise or drop per-node state.
+//! networks, and continuous churn during bootstrap. A [`Churn`] is one run's
+//! timeline of them, an ordered list of plain-data [`ChurnStep`]s: at the
+//! start of a cycle [`Churn::apply`] mutates the [`Network`] registry and
+//! reports the change as [`ChurnEvents`], which [`ChurnEvents::deliver`] hands
+//! to the protocol so it can initialise or drop per-node state.
+//!
+//! Steps apply in timeline order within a cycle, so a join listed before a
+//! kill exposes the joiners to it. A step that is not due draws nothing; a due
+//! one draws what `select` states, then one [`Network::add_random_node`] per
+//! joiner.
 
+use crate::engine::cycle::{CycleProtocol, EngineContext};
 use crate::network::{Network, NodeIndex};
 use bss_util::rng::SimRng;
-use std::fmt::Debug;
 
 /// The membership changes applied at one cycle boundary.
 ///
@@ -21,33 +28,32 @@ use std::fmt::Debug;
 /// same index. Protocols rely on this when tearing down per-node state for
 /// `departed` and initialising it for `joined` — if an index appeared in both
 /// lists the teardown/init order would corrupt the state of whichever event
-/// was processed second. [`UniformChurn`] asserts the guarantee on every
-/// application.
+/// was processed second. [`Churn::apply`] asserts the guarantee for every
+/// joiner.
+///
+/// The guarantee holds across the steps of one cycle: when a later step kills
+/// a node that an earlier step joined *within the same cycle*, that node is
+/// reported in **neither** list — from the protocol's perspective it never
+/// existed (its registry slot stays dead, it is simply never initialised).
+/// Without this reconciliation the engine would tear the node down before
+/// initialising it, leaving protocol state behind for a dead node.
 #[derive(Debug, Default, Clone)]
 pub struct ChurnEvents {
     /// Nodes that joined (fresh indices, already alive in the registry).
     pub joined: Vec<NodeIndex>,
     /// Nodes that departed (already marked dead in the registry).
     pub departed: Vec<NodeIndex>,
-    /// Alive nodes ordered to re-initialise their protocol state from the
-    /// seed set (the [`ReBootstrap`] recovery event). Membership is untouched:
-    /// the registry entry, identifier and liveness of these nodes do not
-    /// change — only their per-node protocol state is rebuilt.
+    /// Alive nodes ordered to rebuild their per-node protocol state from the
+    /// seed set ([`ChurnStep::ReBootstrap`]); the registry does not change.
     pub rebootstrapped: Vec<NodeIndex>,
-    /// Alive nodes converted into Byzantine adversaries (the
-    /// [`ByzantineConversion`] event). Membership is untouched — the nodes
-    /// stay alive with their registry identifiers — but the protocol stacks
-    /// mark them in their [`AdversaryModel`](crate::adversary::AdversaryModel)
-    /// so subsequent messages they compose are adversarial.
+    /// Alive nodes converted into Byzantine adversaries
+    /// ([`ChurnStep::Convert`]), ascending and without duplicates; the
+    /// protocol stacks mark them in their
+    /// [`AdversaryModel`](crate::adversary::AdversaryModel).
     pub converted: Vec<NodeIndex>,
 }
 
 impl ChurnEvents {
-    /// No membership change.
-    pub fn none() -> Self {
-        ChurnEvents::default()
-    }
-
     /// Whether anything changed.
     pub fn is_empty(&self) -> bool {
         self.joined.is_empty()
@@ -55,389 +61,202 @@ impl ChurnEvents {
             && self.rebootstrapped.is_empty()
             && self.converted.is_empty()
     }
-}
 
-/// A membership-change policy invoked once per cycle, before any node executes.
-pub trait ChurnModel: Debug + Send {
-    /// Applies this cycle's membership changes to `network`.
-    fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents;
-}
-
-/// The default: a static membership.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoChurn;
-
-impl ChurnModel for NoChurn {
-    fn apply(&mut self, _cycle: u64, _network: &mut Network, _rng: &mut SimRng) -> ChurnEvents {
-        ChurnEvents::none()
+    /// Calls `protocol`'s membership hooks, in the order every engine uses:
+    /// departed, then joined, then re-bootstrapped, then converted — state is
+    /// torn down before any is built, and an order to an existing node runs
+    /// against the cycle's final membership.
+    pub fn deliver<P: CycleProtocol>(&self, protocol: &mut P, cycle: u64, ctx: &mut EngineContext) {
+        for &node in &self.departed {
+            protocol.node_departed(node, cycle, ctx);
+        }
+        for &node in &self.joined {
+            protocol.node_joined(node, cycle, ctx);
+        }
+        for &node in &self.rebootstrapped {
+            protocol.node_rebootstrapped(node, cycle, ctx);
+        }
+        for &node in &self.converted {
+            protocol.node_converted(node, cycle, ctx);
+        }
     }
 }
 
-/// Continuous replacement churn: every cycle a fixed fraction of the alive nodes
-/// departs and the same number of fresh nodes joins, keeping the network size
-/// constant. This matches the churn the paper alludes to in §5 ("The protocol is
-/// not sensitive to churn either").
-#[derive(Debug, Clone)]
-pub struct UniformChurn {
-    replacement_fraction: f64,
+/// One entry of a [`Churn`] timeline. Fractions are of the nodes alive when
+/// the step applies and are clamped to `[0, 1]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChurnStep {
+    /// Continuous replacement churn: every cycle in `[start, end)`, `fraction`
+    /// of the alive nodes departs and the same number of fresh nodes joins,
+    /// keeping the network size constant. This matches the churn the paper
+    /// alludes to in §5 ("The protocol is not sensitive to churn either").
+    Replace {
+        /// First cycle of the window (inclusive).
+        start: u64,
+        /// End of the window (exclusive; `u64::MAX` for the whole run).
+        end: u64,
+        /// Per-cycle replacement fraction.
+        fraction: f64,
+    },
+    /// A catastrophic failure: at cycle `at`, `fraction` of the alive nodes
+    /// dies simultaneously. The paper's sampling layer is designed to survive
+    /// failures of up to 70 % of the nodes (§3).
+    Kill {
+        /// The cycle at which the failure strikes.
+        at: u64,
+        /// Fraction of the alive nodes that dies.
+        fraction: f64,
+    },
+    /// A massive join: at cycle `at`, `count` fresh nodes join simultaneously
+    /// (the "flash crowd" / resource-pool-merge scenario of §1).
+    Join {
+        /// The cycle at which the batch joins.
+        at: u64,
+        /// Number of joining nodes.
+        count: usize,
+    },
+    /// A recovery order: at cycle `at`, `fraction` of the alive nodes
+    /// re-initialises its protocol state from the peer sampling service,
+    /// exactly as at start-up (§4's start condition re-applied to survivors
+    /// whose tables a failure left stale). Membership is untouched.
+    ReBootstrap {
+        /// The cycle at which the survivors re-initialise.
+        at: u64,
+        /// Fraction of the alive nodes that re-bootstraps (1.0 = everyone).
+        fraction: f64,
+    },
+    /// A Byzantine conversion: at cycle `at`, `fraction` of the alive nodes
+    /// turns adversarial. Membership is untouched — converted nodes stay
+    /// alive under their registry identifiers (an insider attack, not churn);
+    /// what they *do*, and for how long, is the
+    /// [`AdversaryModel`](crate::adversary::AdversaryModel)'s business.
+    Convert {
+        /// The cycle at which the nodes turn.
+        at: u64,
+        /// Fraction of the alive nodes converted.
+        fraction: f64,
+    },
 }
 
-impl UniformChurn {
-    /// Creates a model replacing `replacement_fraction` of the alive nodes per
-    /// cycle (clamped to `[0, 1]`).
-    pub fn new(replacement_fraction: f64) -> Self {
-        UniformChurn {
-            replacement_fraction: replacement_fraction.clamp(0.0, 1.0),
+/// One run's membership timeline: [`ChurnStep`]s in application order. The
+/// default value is the static membership — it changes nothing and draws
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct Churn {
+    steps: Vec<ChurnStep>,
+    /// The first cycle not applied yet.
+    next_cycle: u64,
+}
+
+impl Churn {
+    /// A timeline of `steps`, applied in the given order within each cycle.
+    pub fn new(steps: impl IntoIterator<Item = ChurnStep>) -> Self {
+        Churn {
+            steps: steps.into_iter().collect(),
+            next_cycle: 0,
         }
     }
 
-    /// The per-cycle replacement fraction.
-    pub fn replacement_fraction(&self) -> f64 {
-        self.replacement_fraction
+    /// Whether the timeline has no steps (a static membership).
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty()
     }
-}
 
-impl ChurnModel for UniformChurn {
-    fn apply(&mut self, _cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
-        let alive: Vec<NodeIndex> = network.alive_indices().collect();
-        let victims = ((alive.len() as f64) * self.replacement_fraction).round() as usize;
-        if victims == 0 {
-            return ChurnEvents::none();
+    /// Applies the steps due at `cycle` to `network`. Cycles are applied in
+    /// increasing order, each at most once: a `cycle` at or before the last
+    /// one applied changes nothing and draws nothing, so a one-shot step
+    /// fires exactly once.
+    pub fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
+        let mut events = ChurnEvents::default();
+        if cycle < self.next_cycle {
+            return events;
         }
-        // Victims are sampled from the pre-join alive set, so the registry
-        // length before the joins is the watermark below which every victim
-        // index lies.
+        self.next_cycle = cycle + 1;
+        // Every joiner of this cycle gets a fresh slot at or above the current
+        // registry length, so the watermark cleanly separates pre-existing
+        // nodes from intra-cycle joiners.
         let watermark = network.len();
-        let departed = rng.sample(&alive, victims);
-        for &node in &departed {
-            network.kill(node);
+        let ChurnEvents {
+            joined,
+            departed,
+            rebootstrapped,
+            converted,
+        } = &mut events;
+        for step in &self.steps {
+            let mut joiners = 0;
+            match *step {
+                ChurnStep::Replace {
+                    start,
+                    end,
+                    fraction,
+                } if (start..end).contains(&cycle) => {
+                    // Victims are sampled from the pre-join alive set, and as
+                    // many fresh nodes join as departed.
+                    let mut victims = select(network, fraction, true, rng);
+                    joiners = victims.len();
+                    departed.append(&mut victims);
+                }
+                ChurnStep::Kill { at, fraction } if at == cycle => {
+                    departed.append(&mut select(network, fraction, true, rng));
+                }
+                ChurnStep::Join { at, count } if at == cycle => joiners = count,
+                ChurnStep::ReBootstrap { at, fraction } if at == cycle => {
+                    rebootstrapped.append(&mut select(network, fraction, false, rng));
+                }
+                ChurnStep::Convert { at, fraction } if at == cycle => {
+                    converted.append(&mut select(network, fraction, false, rng));
+                }
+                _ => {}
+            }
+            joined.extend((0..joiners).map(|_| network.add_random_node(rng)));
         }
-        let joined: Vec<NodeIndex> = (0..victims).map(|_| network.add_random_node(rng)).collect();
-        // Pin the ChurnEvents non-aliasing guarantee: the registry never
-        // reuses slots, so every joiner's index is fresh — it cannot collide
-        // with a victim sampled from the pre-join population. If Network ever
-        // started recycling dead slots, this would fail loudly instead of
-        // silently corrupting protocol per-node state teardown/init.
+        // The registry never reuses slots, so every joiner's index is fresh.
+        // If it ever recycled dead ones, fail loudly here instead of silently
+        // corrupting the protocols' per-node teardown/init.
         assert!(
             joined.iter().all(|j| j.as_usize() >= watermark),
             "churn joiner reused a pre-existing node slot"
         );
-        ChurnEvents {
-            joined,
-            departed,
-            rebootstrapped: Vec::new(),
-            converted: Vec::new(),
-        }
-    }
-}
-
-/// A one-shot catastrophic failure: at a given cycle a fraction of the alive nodes
-/// dies simultaneously. The paper's sampling layer is designed to survive failures
-/// of up to 70 % of the nodes (§3); this model lets the bootstrap experiments use
-/// the same scenario.
-#[derive(Debug, Clone)]
-pub struct CatastrophicFailure {
-    at_cycle: u64,
-    fraction: f64,
-    fired: bool,
-}
-
-impl CatastrophicFailure {
-    /// Creates a failure of `fraction` of the alive nodes at cycle `at_cycle`.
-    pub fn new(at_cycle: u64, fraction: f64) -> Self {
-        CatastrophicFailure {
-            at_cycle,
-            fraction: fraction.clamp(0.0, 1.0),
-            fired: false,
-        }
-    }
-
-    /// Whether the failure has already been applied.
-    pub fn has_fired(&self) -> bool {
-        self.fired
-    }
-}
-
-impl ChurnModel for CatastrophicFailure {
-    fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
-        if self.fired || cycle != self.at_cycle {
-            return ChurnEvents::none();
-        }
-        self.fired = true;
-        let alive: Vec<NodeIndex> = network.alive_indices().collect();
-        let victims = ((alive.len() as f64) * self.fraction).round() as usize;
-        let departed = rng.sample(&alive, victims);
-        for &node in &departed {
-            network.kill(node);
-        }
-        ChurnEvents {
-            joined: Vec::new(),
-            departed,
-            rebootstrapped: Vec::new(),
-            converted: Vec::new(),
-        }
-    }
-}
-
-/// A one-shot massive join: at a given cycle a batch of fresh nodes joins
-/// simultaneously (the "flash crowd" / resource-pool-merge scenario of §1).
-#[derive(Debug, Clone)]
-pub struct MassiveJoin {
-    at_cycle: u64,
-    count: usize,
-    fired: bool,
-}
-
-impl MassiveJoin {
-    /// Creates a join of `count` new nodes at cycle `at_cycle`.
-    pub fn new(at_cycle: u64, count: usize) -> Self {
-        MassiveJoin {
-            at_cycle,
-            count,
-            fired: false,
-        }
-    }
-}
-
-impl ChurnModel for MassiveJoin {
-    fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
-        if self.fired || cycle != self.at_cycle {
-            return ChurnEvents::none();
-        }
-        self.fired = true;
-        let joined = (0..self.count)
-            .map(|_| network.add_random_node(rng))
-            .collect();
-        ChurnEvents {
-            joined,
-            departed: Vec::new(),
-            rebootstrapped: Vec::new(),
-            converted: Vec::new(),
-        }
-    }
-}
-
-/// A one-shot recovery order: at a given cycle a fraction of the alive nodes
-/// re-initialises its protocol state from the peer sampling service, exactly
-/// as at start-up (§4's start condition re-applied to survivors). This is the
-/// scenario-level counterpart of a catastrophic failure — after a large
-/// fraction of the network dies, the survivors' tables are full of stale
-/// descriptors, and re-bootstrapping from the (self-healing) sampling layer is
-/// how the paper's architecture recovers (§1–2's repeated-bootstrap premise).
-///
-/// Membership is untouched: no node joins or departs; the affected nodes are
-/// reported in [`ChurnEvents::rebootstrapped`].
-#[derive(Debug, Clone)]
-pub struct ReBootstrap {
-    at_cycle: u64,
-    fraction: f64,
-    fired: bool,
-}
-
-impl ReBootstrap {
-    /// Creates an order for `fraction` of the alive nodes (clamped to
-    /// `[0, 1]`; 1.0 re-bootstraps every survivor) at cycle `at_cycle`.
-    pub fn new(at_cycle: u64, fraction: f64) -> Self {
-        ReBootstrap {
-            at_cycle,
-            fraction: fraction.clamp(0.0, 1.0),
-            fired: false,
-        }
-    }
-
-    /// Whether the order has already been applied.
-    pub fn has_fired(&self) -> bool {
-        self.fired
-    }
-}
-
-impl ChurnModel for ReBootstrap {
-    fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
-        if self.fired || cycle != self.at_cycle {
-            return ChurnEvents::none();
-        }
-        self.fired = true;
-        let alive: Vec<NodeIndex> = network.alive_indices().collect();
-        let count = ((alive.len() as f64) * self.fraction).round() as usize;
-        let rebootstrapped = if count >= alive.len() {
-            alive // everyone: no sampling draw needed, keep the RNG stream lean
-        } else {
-            rng.sample(&alive, count)
-        };
-        ChurnEvents {
-            joined: Vec::new(),
-            departed: Vec::new(),
-            rebootstrapped,
-            converted: Vec::new(),
-        }
-    }
-}
-
-/// A one-shot Byzantine conversion: at a given cycle a fraction of the alive
-/// nodes turns adversarial. Membership is untouched — converted nodes stay
-/// alive under their registry identifiers (an insider attack, not churn) —
-/// they are reported in [`ChurnEvents::converted`] so the protocol stacks can
-/// mark them in their [`AdversaryModel`](crate::adversary::AdversaryModel).
-/// What the converted nodes *do*, and for how long, is the model's business;
-/// this event only selects the membership of the adversary set, once, with a
-/// single RNG sample (an all-out conversion draws none, like [`ReBootstrap`]).
-#[derive(Debug, Clone)]
-pub struct ByzantineConversion {
-    at_cycle: u64,
-    fraction: f64,
-    fired: bool,
-}
-
-impl ByzantineConversion {
-    /// Creates a conversion of `fraction` of the alive nodes (clamped to
-    /// `[0, 1]`) at cycle `at_cycle`.
-    pub fn new(at_cycle: u64, fraction: f64) -> Self {
-        ByzantineConversion {
-            at_cycle,
-            fraction: fraction.clamp(0.0, 1.0),
-            fired: false,
-        }
-    }
-
-    /// Whether the conversion has already been applied.
-    pub fn has_fired(&self) -> bool {
-        self.fired
-    }
-}
-
-impl ChurnModel for ByzantineConversion {
-    fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
-        if self.fired || cycle != self.at_cycle {
-            return ChurnEvents::none();
-        }
-        self.fired = true;
-        let alive: Vec<NodeIndex> = network.alive_indices().collect();
-        let count = ((alive.len() as f64) * self.fraction).round() as usize;
-        let converted = if count >= alive.len() {
-            alive // everyone: no sampling draw needed, keep the RNG stream lean
-        } else {
-            rng.sample(&alive, count)
-        };
-        ChurnEvents {
-            joined: Vec::new(),
-            departed: Vec::new(),
-            rebootstrapped: Vec::new(),
-            converted,
-        }
-    }
-}
-
-/// Restricts another churn model to a `[start, end)` window of cycles: inside
-/// the window every `apply` call is delegated verbatim (consuming exactly the
-/// RNG the inner model would consume on its own), outside it nothing happens
-/// and no randomness is drawn. This is the runtime form of a scenario churn
-/// burst; a whole-run window is byte-identical to the bare inner model.
-#[derive(Debug, Clone)]
-pub struct WindowedChurn<M> {
-    start: u64,
-    end: u64,
-    inner: M,
-}
-
-impl<M: ChurnModel> WindowedChurn<M> {
-    /// Wraps `inner`, activating it for cycles in `[start, end)`.
-    pub fn new(start: u64, end: u64, inner: M) -> Self {
-        WindowedChurn { start, end, inner }
-    }
-
-    /// The window as a `[start, end)` pair.
-    pub fn window(&self) -> (u64, u64) {
-        (self.start, self.end)
-    }
-}
-
-impl<M: ChurnModel> ChurnModel for WindowedChurn<M> {
-    fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
-        if cycle >= self.start && cycle < self.end {
-            self.inner.apply(cycle, network, rng)
-        } else {
-            ChurnEvents::none()
-        }
-    }
-}
-
-/// Composes several churn models; each is applied in order every cycle.
-///
-/// The aggregated [`ChurnEvents`] uphold the non-aliasing guarantee across the
-/// whole composition: when a later model kills a node that an earlier model
-/// joined *within the same cycle*, that node is reported in **neither** list —
-/// from the protocol's perspective it never existed (its registry slot stays
-/// dead, it is simply never initialised). Without this reconciliation the
-/// engine would tear the node down before initialising it, leaving protocol
-/// state behind for a dead node.
-#[derive(Debug, Default)]
-pub struct CompositeChurn {
-    models: Vec<Box<dyn ChurnModel>>,
-}
-
-impl CompositeChurn {
-    /// Creates an empty composite (equivalent to [`NoChurn`]).
-    pub fn new() -> Self {
-        CompositeChurn { models: Vec::new() }
-    }
-
-    /// Adds a model to the composition (builder style).
-    #[must_use]
-    pub fn with(mut self, model: Box<dyn ChurnModel>) -> Self {
-        self.models.push(model);
-        self
-    }
-
-    /// Number of composed models.
-    pub fn len(&self) -> usize {
-        self.models.len()
-    }
-
-    /// Whether the composite is empty.
-    pub fn is_empty(&self) -> bool {
-        self.models.is_empty()
-    }
-}
-
-impl ChurnModel for CompositeChurn {
-    fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
-        // Every joiner of this composite application gets a fresh slot at or
-        // above the current registry length, so the watermark cleanly
-        // separates pre-existing nodes from intra-cycle joiners.
-        let watermark = network.len();
-        let mut events = ChurnEvents::none();
-        for model in &mut self.models {
-            let mut e = model.apply(cycle, network, rng);
-            // A departure at or above the watermark is an intra-cycle joiner
-            // killed by a later model: report it in neither list.
-            e.departed.retain(|node| node.as_usize() < watermark);
-            events.joined.append(&mut e.joined);
-            events.departed.append(&mut e.departed);
-            events.rebootstrapped.append(&mut e.rebootstrapped);
-            events.converted.append(&mut e.converted);
-        }
-        events.joined.retain(|&node| network.is_alive(node));
-        // A re-bootstrap order for a node a later model killed this same cycle
+        // An intra-cycle joiner killed by a later step is in neither list.
+        departed.retain(|node| node.as_usize() < watermark);
+        joined.retain(|&node| network.is_alive(node));
+        // A re-bootstrap order for a node a later step killed this same cycle
         // is void (there is no state left to rebuild), and one for a node that
         // joined this cycle is redundant (a joiner initialises fresh anyway).
-        events
-            .rebootstrapped
-            .retain(|&node| network.is_alive(node) && node.as_usize() < watermark);
-        // Same reconciliation for conversions: a node a later model killed this
+        let survivor = |node: &NodeIndex| network.is_alive(*node) && node.as_usize() < watermark;
+        rebootstrapped.retain(survivor);
+        // Same reconciliation for conversions: a node a later step killed this
         // cycle is gone (converting a corpse would double-count it in attack
-        // metrics), and a same-cycle joiner cannot have been selected by the
-        // conversion's pre-join alive sample — drop both defensively so the
-        // converted list always names pre-existing survivors. Two conversions
-        // firing the same cycle can sample overlapping nodes; converting twice
-        // is converting once, so duplicates collapse (sorted order — the
-        // consumers' per-node hooks are order-insensitive).
-        events
-            .converted
-            .retain(|&node| network.is_alive(node) && node.as_usize() < watermark);
-        events.converted.sort_unstable();
-        events.converted.dedup();
+        // metrics), and a same-cycle joiner is dropped so the converted list
+        // always names pre-existing survivors. Two conversions firing the same
+        // cycle can sample overlapping nodes; converting twice is converting
+        // once, so duplicates collapse (sorted order — the consumers' per-node
+        // hooks are order-insensitive).
+        converted.retain(survivor);
+        converted.sort_unstable();
+        converted.dedup();
         events
     }
+}
+
+/// `round(|alive| · fraction)` nodes of the alive set, sampled over the
+/// ascending alive list. A selection that `kills` marks them dead and always
+/// goes through [`SimRng::sample`] (no draw for 0 nodes, a full shuffle for
+/// everyone); one that leaves membership alone takes everyone in index order
+/// without a draw, keeping the RNG stream lean.
+fn select(network: &mut Network, fraction: f64, kills: bool, rng: &mut SimRng) -> Vec<NodeIndex> {
+    let alive: Vec<NodeIndex> = network.alive_indices().collect();
+    let count = ((alive.len() as f64) * fraction.clamp(0.0, 1.0)).round() as usize;
+    if !kills && count >= alive.len() {
+        return alive;
+    }
+    let selected = rng.sample(&alive, count);
+    if kills {
+        for &node in &selected {
+            network.kill(node);
+        }
+    }
+    selected
 }
 
 #[cfg(test)]
@@ -450,19 +269,50 @@ mod tests {
         (network, rng)
     }
 
+    fn replace(start: u64, end: u64, fraction: f64) -> ChurnStep {
+        ChurnStep::Replace {
+            start,
+            end,
+            fraction,
+        }
+    }
+
+    fn kill(at: u64, fraction: f64) -> ChurnStep {
+        ChurnStep::Kill { at, fraction }
+    }
+
+    fn join(at: u64, count: usize) -> ChurnStep {
+        ChurnStep::Join { at, count }
+    }
+
+    fn rebootstrap(at: u64, fraction: f64) -> ChurnStep {
+        ChurnStep::ReBootstrap { at, fraction }
+    }
+
+    fn convert(at: u64, fraction: f64) -> ChurnStep {
+        ChurnStep::Convert { at, fraction }
+    }
+
+    /// Whole-run replacement churn.
+    fn uniform(fraction: f64) -> Churn {
+        Churn::new([replace(0, u64::MAX, fraction)])
+    }
+
     #[test]
     fn no_churn_changes_nothing() {
         let (mut net, mut rng) = network(10, 1);
-        let events = NoChurn.apply(0, &mut net, &mut rng);
-        assert!(events.is_empty());
+        let fingerprint = rng.clone();
+        let mut churn = Churn::default();
+        assert!(churn.is_empty());
+        assert!(churn.apply(0, &mut net, &mut rng).is_empty());
         assert_eq!(net.alive_count(), 10);
+        assert_eq!(rng, fingerprint, "a static membership draws nothing");
     }
 
     #[test]
     fn uniform_churn_keeps_size_constant() {
         let (mut net, mut rng) = network(100, 2);
-        let mut churn = UniformChurn::new(0.05);
-        assert_eq!(churn.replacement_fraction(), 0.05);
+        let mut churn = uniform(0.05);
         for cycle in 0..10 {
             let events = churn.apply(cycle, &mut net, &mut rng);
             assert_eq!(events.joined.len(), 5);
@@ -481,7 +331,7 @@ mod tests {
         // Drive heavy replacement churn long enough that thousands of dead
         // slots exist, and check the guarantee cycle by cycle.
         let (mut net, mut rng) = network(200, 7);
-        let mut churn = UniformChurn::new(0.25);
+        let mut churn = uniform(0.25);
         for cycle in 0..50 {
             let before_len = net.len();
             let events = churn.apply(cycle, &mut net, &mut rng);
@@ -509,23 +359,19 @@ mod tests {
     #[test]
     fn uniform_churn_with_zero_fraction_is_noop() {
         let (mut net, mut rng) = network(50, 3);
-        let mut churn = UniformChurn::new(0.0);
-        assert!(churn.apply(0, &mut net, &mut rng).is_empty());
+        assert!(uniform(0.0).apply(0, &mut net, &mut rng).is_empty());
         // Tiny fraction rounding to zero nodes is also a no-op.
-        let mut tiny = UniformChurn::new(0.001);
-        assert!(tiny.apply(0, &mut net, &mut rng).is_empty());
+        assert!(uniform(0.001).apply(0, &mut net, &mut rng).is_empty());
     }
 
     #[test]
     fn catastrophic_failure_fires_exactly_once() {
         let (mut net, mut rng) = network(200, 4);
-        let mut failure = CatastrophicFailure::new(3, 0.7);
-        assert!(!failure.has_fired());
+        let mut failure = Churn::new([kill(3, 0.7)]);
         for cycle in 0..3 {
             assert!(failure.apply(cycle, &mut net, &mut rng).is_empty());
         }
         let events = failure.apply(3, &mut net, &mut rng);
-        assert!(failure.has_fired());
         assert_eq!(events.departed.len(), 140);
         assert_eq!(net.alive_count(), 60);
         // A repeat of the same cycle number does not fire again.
@@ -536,7 +382,7 @@ mod tests {
     #[test]
     fn massive_join_adds_requested_nodes_once() {
         let (mut net, mut rng) = network(10, 5);
-        let mut join = MassiveJoin::new(1, 90);
+        let mut join = Churn::new([join(1, 90)]);
         assert!(join.apply(0, &mut net, &mut rng).is_empty());
         let events = join.apply(1, &mut net, &mut rng);
         assert_eq!(events.joined.len(), 90);
@@ -550,13 +396,11 @@ mod tests {
     #[test]
     fn rebootstrap_fires_once_and_touches_no_membership() {
         let (mut net, mut rng) = network(100, 11);
-        let mut order = ReBootstrap::new(4, 0.5);
-        assert!(!order.has_fired());
+        let mut order = Churn::new([rebootstrap(4, 0.5)]);
         for cycle in 0..4 {
             assert!(order.apply(cycle, &mut net, &mut rng).is_empty());
         }
         let events = order.apply(4, &mut net, &mut rng);
-        assert!(order.has_fired());
         assert_eq!(events.rebootstrapped.len(), 50);
         assert!(events.joined.is_empty() && events.departed.is_empty());
         assert_eq!(net.alive_count(), 100, "membership is untouched");
@@ -570,10 +414,11 @@ mod tests {
         let (mut net, mut rng) = network(10, 12);
         net.kill(NodeIndex::new(3));
         let fingerprint = rng.clone();
-        let all = ReBootstrap::new(0, 1.0).apply(0, &mut net, &mut rng);
+        let all = Churn::new([rebootstrap(0, 1.0)]).apply(0, &mut net, &mut rng);
         assert_eq!(rng, fingerprint, "full re-bootstrap draws no randomness");
         assert_eq!(all.rebootstrapped.len(), 9);
         assert!(!all.rebootstrapped.contains(&NodeIndex::new(3)));
+        assert!(all.rebootstrapped.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]
@@ -583,10 +428,7 @@ mod tests {
         // the pre-existing survivors: orders for same-cycle victims are void,
         // and same-cycle joiners initialise fresh anyway.
         let (mut net, mut rng) = network(20, 13);
-        let mut composite = CompositeChurn::new()
-            .with(Box::new(ReBootstrap::new(0, 1.0)))
-            .with(Box::new(CatastrophicFailure::new(0, 0.5)))
-            .with(Box::new(MassiveJoin::new(0, 7)));
+        let mut composite = Churn::new([rebootstrap(0, 1.0), kill(0, 0.5), join(0, 7)]);
         let events = composite.apply(0, &mut net, &mut rng);
         assert_eq!(events.departed.len(), 10);
         assert_eq!(events.joined.len(), 7);
@@ -601,13 +443,11 @@ mod tests {
     #[test]
     fn byzantine_conversion_fires_once_and_touches_no_membership() {
         let (mut net, mut rng) = network(100, 17);
-        let mut conversion = ByzantineConversion::new(3, 0.2);
-        assert!(!conversion.has_fired());
+        let mut conversion = Churn::new([convert(3, 0.2)]);
         for cycle in 0..3 {
             assert!(conversion.apply(cycle, &mut net, &mut rng).is_empty());
         }
         let events = conversion.apply(3, &mut net, &mut rng);
-        assert!(conversion.has_fired());
         assert_eq!(events.converted.len(), 20);
         assert!(events.joined.is_empty() && events.departed.is_empty());
         assert!(events.rebootstrapped.is_empty());
@@ -622,7 +462,7 @@ mod tests {
         let (mut net, mut rng) = network(10, 18);
         net.kill(NodeIndex::new(2));
         let fingerprint = rng.clone();
-        let all = ByzantineConversion::new(0, 1.0).apply(0, &mut net, &mut rng);
+        let all = Churn::new([convert(0, 1.0)]).apply(0, &mut net, &mut rng);
         assert_eq!(rng, fingerprint, "full conversion draws no randomness");
         assert_eq!(all.converted.len(), 9);
         assert!(!all.converted.contains(&NodeIndex::new(2)));
@@ -634,10 +474,7 @@ mod tests {
         // conversions must cover exactly the pre-existing survivors — never a
         // same-cycle corpse, never a fresh joiner.
         let (mut net, mut rng) = network(20, 19);
-        let mut composite = CompositeChurn::new()
-            .with(Box::new(ByzantineConversion::new(0, 1.0)))
-            .with(Box::new(CatastrophicFailure::new(0, 0.5)))
-            .with(Box::new(MassiveJoin::new(0, 7)));
+        let mut composite = Churn::new([convert(0, 1.0), kill(0, 0.5), join(0, 7)]);
         let events = composite.apply(0, &mut net, &mut rng);
         assert_eq!(events.departed.len(), 10);
         assert_eq!(events.joined.len(), 7);
@@ -652,8 +489,7 @@ mod tests {
     #[test]
     fn windowed_churn_only_fires_inside_its_window() {
         let (mut net, mut rng) = network(100, 8);
-        let mut churn = WindowedChurn::new(2, 4, UniformChurn::new(0.1));
-        assert_eq!(churn.window(), (2, 4));
+        let mut churn = Churn::new([replace(2, 4, 0.1)]);
         for cycle in [0u64, 1] {
             let fingerprint = rng.clone();
             assert!(churn.apply(cycle, &mut net, &mut rng).is_empty());
@@ -669,29 +505,78 @@ mod tests {
     }
 
     #[test]
-    fn whole_run_window_matches_the_bare_model() {
-        // The scenario compatibility path relies on WindowedChurn(0, MAX)
-        // replaying UniformChurn exactly, cycle by cycle.
-        let (mut net_a, mut rng_a) = network(60, 9);
-        let (mut net_b, mut rng_b) = network(60, 9);
-        let mut bare = UniformChurn::new(0.05);
-        let mut windowed = WindowedChurn::new(0, u64::MAX, UniformChurn::new(0.05));
-        for cycle in 0..10 {
-            let a = bare.apply(cycle, &mut net_a, &mut rng_a);
-            let b = windowed.apply(cycle, &mut net_b, &mut rng_b);
-            assert_eq!(a.joined, b.joined);
-            assert_eq!(a.departed, b.departed);
+    fn membership_stream_is_pinned() {
+        // Expected values recorded from the boxed model stack this struct
+        // replaced, as `Scenario::build_churn` compiled it for this timeline.
+        // They move if a draw is added, dropped or swapped with its neighbour —
+        // which would shift every golden downstream. The timeline reaches
+        // every branch: a burst overlapping a join and a failure in one cycle
+        // in both orders, a full and a half re-bootstrap, a conversion in the
+        // cycle of a failure, and a burst whose victim count rounds to 0.
+        let mut churn = Churn::new([
+            replace(2, 6, 0.05),
+            join(3, 30),
+            kill(3, 0.3),
+            rebootstrap(4, 1.0),
+            convert(5, 0.2),
+            kill(5, 0.25),
+            join(5, 20),
+            rebootstrap(7, 0.5),
+            replace(8, 10, 0.001),
+        ]);
+        // Per cycle: FNV-1a over each list's length and indices (joined,
+        // departed, re-bootstrapped, converted), then the four lengths.
+        const QUIET: (u64, [usize; 4]) = (0x0c82_1078_4d8a_f5a5, [0, 0, 0, 0]);
+        let expected = [
+            QUIET,
+            QUIET,
+            (0xb257_076c_db84_6083, [6, 6, 0, 0]),
+            (0xcf3d_99ae_4a8d_b974, [24, 39, 0, 0]),
+            (0xff44_61a6_780c_85af, [5, 5, 100, 0]),
+            (0x0968_e4fc_b601_a161, [24, 30, 0, 14]),
+            QUIET,
+            (0xb4e8_c12c_2040_d21d, [0, 0, 50, 0]),
+            QUIET,
+            QUIET,
+            QUIET,
+            QUIET,
+        ];
+        let mut rng = SimRng::seed_from(0x5eed);
+        let mut net = Network::with_random_ids(120, &mut rng);
+        for (cycle, expected) in expected.into_iter().enumerate() {
+            let events = churn.apply(cycle as u64, &mut net, &mut rng);
+            let lists = [
+                &events.joined,
+                &events.departed,
+                &events.rebootstrapped,
+                &events.converted,
+            ];
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            let mut fold = |word: u64| {
+                for byte in word.to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            };
+            for list in lists {
+                fold(list.len() as u64);
+                for node in list {
+                    fold(node.as_usize() as u64);
+                }
+            }
+            assert_eq!(
+                (digest, lists.map(Vec::len)),
+                expected,
+                "cycle {cycle} moved"
+            );
         }
-        assert_eq!(rng_a, rng_b);
+        assert_eq!((net.alive_count(), net.len()), (99, 192));
+        assert_eq!(rng.next_u64(), 0x467c_ffe9_90fe_eae2);
     }
 
     #[test]
     fn composite_applies_all_models() {
         let (mut net, mut rng) = network(20, 6);
-        let mut composite = CompositeChurn::new()
-            .with(Box::new(MassiveJoin::new(0, 5)))
-            .with(Box::new(CatastrophicFailure::new(0, 0.5)));
-        assert_eq!(composite.len(), 2);
+        let mut composite = Churn::new([join(0, 5), kill(0, 0.5)]);
         assert!(!composite.is_empty());
         let events = composite.apply(0, &mut net, &mut rng);
         // The failure fires after the join added nodes: half of 25 = 12 or 13
@@ -713,8 +598,5 @@ mod tests {
             assert!(!net.is_alive(victim));
             assert!(victim.as_usize() < 20, "reported victims pre-existed");
         }
-
-        let empty = CompositeChurn::new();
-        assert!(empty.is_empty());
     }
 }

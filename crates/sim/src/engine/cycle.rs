@@ -7,7 +7,7 @@
 //! phases within the interval Δ (§5: "We start the bootstrapping protocol at each
 //! node at a different random time within an interval of length Δ").
 
-use crate::churn::{ChurnEvents, ChurnModel, NoChurn};
+use crate::churn::Churn;
 use crate::network::{Network, NodeIndex};
 use crate::pool::WorkerPool;
 use crate::transport::Transport;
@@ -218,7 +218,7 @@ impl PhaseProfile {
 #[derive(Debug)]
 pub struct CycleEngine {
     context: EngineContext,
-    churn: Box<dyn ChurnModel>,
+    churn: Churn,
     current_cycle: u64,
     /// Reusable per-cycle execution-order buffer; avoids one O(n) allocation
     /// per cycle on the hot path.
@@ -235,7 +235,7 @@ impl CycleEngine {
     pub fn new(network: Network, rng: SimRng) -> Self {
         CycleEngine {
             context: EngineContext::new(network, rng),
-            churn: Box::new(NoChurn),
+            churn: Churn::default(),
             current_cycle: 0,
             order_scratch: Vec::new(),
             pool: None,
@@ -264,9 +264,9 @@ impl CycleEngine {
         self
     }
 
-    /// Replaces the churn model (builder style).
+    /// Replaces the membership timeline (builder style).
     #[must_use]
-    pub fn with_churn(mut self, churn: Box<dyn ChurnModel>) -> Self {
+    pub fn with_churn(mut self, churn: Churn) -> Self {
         self.churn = churn;
         self
     }
@@ -540,33 +540,17 @@ impl CycleEngine {
     }
 
     fn apply_churn<P: CycleProtocol>(&mut self, protocol: &mut P, cycle: u64) {
-        let ChurnEvents {
-            joined,
-            departed,
-            rebootstrapped,
-            converted,
-        } = self
-            .churn
-            .apply(cycle, &mut self.context.network, &mut self.context.rng);
-        for node in departed {
-            protocol.node_departed(node, cycle, &mut self.context);
-        }
-        for node in joined {
-            protocol.node_joined(node, cycle, &mut self.context);
-        }
-        for node in rebootstrapped {
-            protocol.node_rebootstrapped(node, cycle, &mut self.context);
-        }
-        for node in converted {
-            protocol.node_converted(node, cycle, &mut self.context);
-        }
+        let ctx = &mut self.context;
+        self.churn
+            .apply(cycle, &mut ctx.network, &mut ctx.rng)
+            .deliver(protocol, cycle, ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::{CatastrophicFailure, UniformChurn};
+    use crate::churn::ChurnStep;
 
     /// Records which nodes executed in which cycle, plus join/leave notifications.
     #[derive(Default)]
@@ -673,7 +657,11 @@ mod tests {
     fn churn_hooks_are_invoked() {
         let mut rng = SimRng::seed_from(4);
         let network = Network::with_random_ids(40, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Box::new(UniformChurn::new(0.1)));
+        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Replace {
+            start: 0,
+            end: u64::MAX,
+            fraction: 0.1,
+        }]));
         let mut protocol = Recorder::default();
         eng.run(&mut protocol, 5);
         assert!(
@@ -692,8 +680,10 @@ mod tests {
     fn catastrophic_failure_removes_requested_fraction() {
         let mut rng = SimRng::seed_from(5);
         let network = Network::with_random_ids(100, &mut rng);
-        let mut eng =
-            CycleEngine::new(network, rng).with_churn(Box::new(CatastrophicFailure::new(2, 0.7)));
+        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Kill {
+            at: 2,
+            fraction: 0.7,
+        }]));
         let mut protocol = Recorder::default();
         eng.run(&mut protocol, 5);
         assert_eq!(protocol.departed.len(), 70);

@@ -18,8 +18,10 @@
 //!   cycle, in a random order, exchanging request/response pairs synchronously,
 //!   exactly like PeerSim's cycle-driven mode) and the [`event`](engine::event)
 //!   engine (a discrete-event scheduler with per-message latency).
-//! * [`churn`] — join/leave/catastrophic-failure scenarios applied at cycle
-//!   boundaries.
+//! * [`churn`] — the one membership timeline, [`Churn`](churn::Churn): an
+//!   ordered list of plain-data steps (replacement churn over a window, kill,
+//!   join, re-bootstrap order, Byzantine conversion) applied at cycle
+//!   boundaries, with the order and number of RNG draws each step consumes.
 //! * [`adversary`] — the Byzantine adversary model: which nodes were converted,
 //!   the active attack window, and the configured behavior (descriptor forgery,
 //!   eclipse sprays, hub attacks), consulted at message-composition time.

@@ -1,97 +1,45 @@
-//! Property tests for [`CompositeChurn`] ordering and the non-aliasing
-//! guarantee of [`ChurnEvents`].
+//! Property tests for [`Churn`] step ordering and the non-aliasing guarantee
+//! of [`ChurnEvents`](bss_sim::churn::ChurnEvents).
 //!
 //! A scenario timeline can compose continuous replacement churn with one-shot
 //! catastrophic failures and massive joins in any order. Whatever the
 //! composition, the aggregated per-cycle events must:
 //!
-//! * apply the composed models in timeline order within each cycle (observable
-//!   as strictly increasing joiner indices — the registry appends);
+//! * apply the steps in timeline order within each cycle (observable as
+//!   strictly increasing joiner indices — the registry appends);
 //! * never report a node as both joined and departed in the same cycle, and
 //!   never hand a joiner a recycled (previously used) slot;
 //! * keep the registry's alive/dead bookkeeping consistent with the reported
 //!   lists, with one-shots firing exactly once at their scheduled cycle.
 
-use bss_sim::churn::{
-    ByzantineConversion, CatastrophicFailure, ChurnModel, CompositeChurn, MassiveJoin,
-    UniformChurn, WindowedChurn,
-};
+use bss_sim::churn::{Churn, ChurnStep};
 use bss_sim::network::{Network, NodeIndex};
 use bss_util::rng::SimRng;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// A generatable description of one composed churn model.
-#[derive(Debug, Clone)]
-enum Spec {
-    Uniform {
-        rate_permille: u32,
-    },
-    Burst {
-        rate_permille: u32,
-        start: u64,
-        len: u64,
-    },
-    Failure {
-        at: u64,
-        percent: u32,
-    },
-    Join {
-        at: u64,
-        count: usize,
-    },
-    Convert {
-        at: u64,
-        percent: u32,
-    },
-}
-
-impl Spec {
-    fn build(&self) -> Box<dyn ChurnModel> {
-        match *self {
-            Spec::Uniform { rate_permille } => {
-                Box::new(UniformChurn::new(f64::from(rate_permille) / 1000.0))
-            }
-            Spec::Burst {
-                rate_permille,
-                start,
-                len,
-            } => Box::new(WindowedChurn::new(
-                start,
-                start + len,
-                UniformChurn::new(f64::from(rate_permille) / 1000.0),
-            )),
-            Spec::Failure { at, percent } => {
-                Box::new(CatastrophicFailure::new(at, f64::from(percent) / 100.0))
-            }
-            Spec::Join { at, count } => Box::new(MassiveJoin::new(at, count)),
-            Spec::Convert { at, percent } => {
-                Box::new(ByzantineConversion::new(at, f64::from(percent) / 100.0))
-            }
-        }
-    }
-}
-
-fn spec_strategy(cycles: u64) -> impl Strategy<Value = Spec> {
+fn step_strategy(cycles: u64) -> impl Strategy<Value = ChurnStep> {
     (0u8..5, 0u32..300, 0..cycles, 1..cycles, 1usize..40).prop_map(
         |(kind, rate, at, len, count)| match kind {
-            0 => Spec::Uniform {
-                rate_permille: rate % 120,
+            0 => ChurnStep::Replace {
+                start: 0,
+                end: u64::MAX,
+                fraction: f64::from(rate % 120) / 1000.0,
             },
-            1 => Spec::Burst {
-                rate_permille: rate,
+            1 => ChurnStep::Replace {
                 start: at,
-                len,
+                end: at + len,
+                fraction: f64::from(rate) / 1000.0,
             },
-            2 => Spec::Failure {
+            2 => ChurnStep::Kill {
                 at,
-                percent: rate % 70,
+                fraction: f64::from(rate % 70) / 100.0,
             },
-            3 => Spec::Convert {
+            3 => ChurnStep::Convert {
                 at,
-                percent: rate % 70,
+                fraction: f64::from(rate % 70) / 100.0,
             },
-            _ => Spec::Join { at, count },
+            _ => ChurnStep::Join { at, count },
         },
     )
 }
@@ -99,22 +47,18 @@ fn spec_strategy(cycles: u64) -> impl Strategy<Value = Spec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary compositions of UniformChurn (bare and windowed),
-    /// CatastrophicFailure and MassiveJoin, applied over several cycles.
+    /// Arbitrary compositions of replacement churn (whole-run and windowed),
+    /// kills, conversions and joins, applied over several cycles.
     #[test]
     fn composite_preserves_order_and_never_aliases_slots(
-        specs in prop::collection::vec(spec_strategy(12), 1..5),
+        steps in prop::collection::vec(step_strategy(12), 1..5),
         size in 30usize..150,
         seed in any::<u64>(),
     ) {
         let cycles = 12u64;
         let mut rng = SimRng::seed_from(seed);
         let mut network = Network::with_random_ids(size, &mut rng);
-        let mut composite = CompositeChurn::new();
-        for spec in &specs {
-            composite = composite.with(spec.build());
-        }
-        prop_assert_eq!(composite.len(), specs.len());
+        let mut composite = Churn::new(steps);
 
         let mut ever_joined: HashSet<NodeIndex> = HashSet::new();
         for cycle in 0..cycles {
@@ -160,7 +104,7 @@ proptest! {
                 );
             }
 
-            // --- Ordering: models apply in composition order, so the
+            // --- Ordering: steps apply in composition order, so the
             // append-only registry hands out strictly increasing indices. ---
             prop_assert!(
                 events
@@ -173,7 +117,7 @@ proptest! {
             );
 
             // --- Bookkeeping: the reported lists explain the registry delta.
-            // (Intra-cycle joiners killed by a later model appear in neither
+            // (Intra-cycle joiners killed by a later step appear in neither
             // list; they occupy dead slots above the watermark.) ---
             for &victim in &events.departed {
                 prop_assert!(victim.as_usize() < len_before, "victim must pre-date the cycle");
@@ -211,13 +155,16 @@ proptest! {
     ) {
         let mut rng = SimRng::seed_from(seed);
         let mut network = Network::with_random_ids(size, &mut rng);
-        let join = Box::new(MassiveJoin::new(3, count));
-        let failure = Box::new(CatastrophicFailure::new(3, f64::from(percent) / 100.0));
-        let mut composite = if join_first {
-            CompositeChurn::new().with(join).with(failure)
-        } else {
-            CompositeChurn::new().with(failure).with(join)
+        let join = ChurnStep::Join { at: 3, count };
+        let failure = ChurnStep::Kill {
+            at: 3,
+            fraction: f64::from(percent) / 100.0,
         };
+        let mut composite = Churn::new(if join_first {
+            [join, failure]
+        } else {
+            [failure, join]
+        });
         for cycle in 0..3 {
             prop_assert!(composite.apply(cycle, &mut network, &mut rng).is_empty());
         }
@@ -257,13 +204,19 @@ proptest! {
     ) {
         let mut rng = SimRng::seed_from(seed);
         let mut network = Network::with_random_ids(size, &mut rng);
-        let convert = Box::new(ByzantineConversion::new(3, f64::from(convert_percent) / 100.0));
-        let failure = Box::new(CatastrophicFailure::new(3, f64::from(kill_percent) / 100.0));
-        let mut composite = if convert_first {
-            CompositeChurn::new().with(convert).with(failure)
-        } else {
-            CompositeChurn::new().with(failure).with(convert)
+        let convert = ChurnStep::Convert {
+            at: 3,
+            fraction: f64::from(convert_percent) / 100.0,
         };
+        let failure = ChurnStep::Kill {
+            at: 3,
+            fraction: f64::from(kill_percent) / 100.0,
+        };
+        let mut composite = Churn::new(if convert_first {
+            [convert, failure]
+        } else {
+            [failure, convert]
+        });
         for cycle in 0..3 {
             prop_assert!(composite.apply(cycle, &mut network, &mut rng).is_empty());
         }

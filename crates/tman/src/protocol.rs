@@ -330,10 +330,14 @@ mod tests {
 
     #[test]
     fn churn_hooks_create_and_destroy_views() {
-        use bss_sim::churn::UniformChurn;
+        use bss_sim::churn::{Churn, ChurnStep};
         let mut rng = SimRng::seed_from(5);
         let network = Network::with_random_ids(80, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Box::new(UniformChurn::new(0.05)));
+        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Replace {
+            start: 0,
+            end: u64::MAX,
+            fraction: 0.05,
+        }]));
         let mut tman = TmanProtocol::new(TmanConfig::default(), RingRanking, OracleSampler::new());
         tman.init_all(eng.context_mut());
         eng.run(&mut tman, 10);
