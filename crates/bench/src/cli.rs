@@ -1,22 +1,22 @@
-//! A minimal command-line argument parser for the experiment binaries.
+//! The command line of `bss-bench`: `<experiment> [--option value]…`.
 //!
-//! The binaries only need `--flag value` pairs and `--help`; pulling in a full
-//! argument-parsing dependency for that would violate the project's
-//! minimal-dependency policy, so this module implements exactly what is needed.
-//!
-//! Beyond the raw [`Args`] map, [`CommonArgs`] factors out the option set every
-//! experiment binary shares — sizes, run counts, cycle budgets, seed, engine
-//! selection (threads / event latency), output path and verbosity — so the
-//! eleven simulation binaries share one copy of their argument plumbing
-//! (`cluster_net` runs real sockets and reads only the raw map).
+//! Every experiment declares the options it reads as a table of [`Opt`]s. The
+//! table is the single source of three things: the parser rejects any
+//! `--name` that is not in it (a mistyped `--cycle 20` used to regenerate a
+//! golden at the default budget without a word), an absent option reads as
+//! the table's default, and [`usage`] renders `--help` from the same rows.
+//! Pulling in a full argument-parsing dependency for that would violate the
+//! project's minimal-dependency policy, so this module implements exactly
+//! what is needed.
 
 use bss_core::scenario::{Engine, LatencyModel, PlacementSpec, WanParams};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-/// The canonical WAN placements the bench binaries sweep, by name — shared so
-/// `--link wan:<placement>` and the `wan` bin's sweep agree on the geometry
-/// (a 1000×1000 plane, four 60-unit-spread clusters on it, or two DCs 1000
-/// units apart).
+/// The canonical WAN placements the experiments sweep, by name — shared so
+/// `--link wan:<placement>` and the `wan` sweep agree on the geometry (a
+/// 1000×1000 plane, four 60-unit-spread clusters on it, or two DCs 1000 units
+/// apart).
 ///
 /// # Panics
 ///
@@ -41,22 +41,79 @@ pub fn wan_placement(name: &str, regions: u32) -> PlacementSpec {
     }
 }
 
-/// Parsed `--key value` arguments.
-#[derive(Debug, Default, Clone)]
+/// One option of an experiment: its `--name` followed, unless it is a flag,
+/// by the placeholder `--help` shows for its value (`"cycles <n>"`); the value
+/// it has when absent (empty for none; for a flag, the `--option value` pairs
+/// it is shorthand for, each of which an explicit `--option` still beats);
+/// and its one-line description.
+#[derive(Debug, Clone, Copy)]
+pub struct Opt {
+    spec: &'static str,
+    default: &'static str,
+    help: &'static str,
+}
+
+impl Opt {
+    /// See the type's description for the three parts.
+    pub const fn new(spec: &'static str, default: &'static str, help: &'static str) -> Self {
+        Opt {
+            spec,
+            default,
+            help,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.spec.split(' ').next().unwrap_or(self.spec)
+    }
+
+    fn is_flag(&self) -> bool {
+        !self.spec.contains(' ')
+    }
+}
+
+/// Renders an experiment's `--help` from its option table.
+pub fn usage(name: &str, about: &str, options: &[Opt]) -> String {
+    let mut text = format!(
+        "{name} — {about}\n\nUSAGE:\n    cargo run --release -p bss-bench -- {name} [OPTIONS]\n\nOPTIONS:\n"
+    );
+    let width = options.iter().map(|o| o.spec.len()).max().unwrap_or(0);
+    for option in options {
+        let _ = write!(text, "    --{:width$}  {}", option.spec, option.help);
+        if !option.default.is_empty() {
+            let label = if option.is_flag() { "=" } else { "default:" };
+            let _ = write!(text, " [{label} {}]", option.default);
+        }
+        text.push('\n');
+    }
+    text
+}
+
+/// The arguments of one invocation, parsed against the experiment's table.
+#[derive(Debug, Clone)]
 pub struct Args {
-    values: BTreeMap<String, String>,
+    options: &'static [Opt],
+    values: BTreeMap<&'static str, String>,
     help: bool,
 }
 
 impl Args {
-    /// Parses the process arguments (everything after the binary name).
-    pub fn from_env() -> Self {
-        Self::parse_args(std::env::args().skip(1))
-    }
-
-    /// Parses an explicit argument list (used by tests).
-    pub fn parse_args(args: impl IntoIterator<Item = String>) -> Self {
+    /// Parses `--name value`, `--name=value` and bare `--flag` arguments.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for an option the table does not list, a
+    /// valued option without its value, or a stray positional argument.
+    pub fn parse(
+        options: &'static [Opt],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Self, String> {
+        let find = |key: &str| {
+            let found = options.iter().find(|option| option.name() == key);
+            found.ok_or_else(|| format!("unknown option --{key}"))
+        };
         let mut values = BTreeMap::new();
+        let mut implied = Vec::new();
         let mut help = false;
         let mut iterator = args.into_iter().peekable();
         while let Some(argument) = iterator.next() {
@@ -64,21 +121,35 @@ impl Args {
                 help = true;
                 continue;
             }
-            if let Some(key) = argument.strip_prefix("--") {
-                if let Some((key, value)) = key.split_once('=') {
-                    values.insert(key.to_owned(), value.to_owned());
-                } else if let Some(value) = iterator.peek() {
-                    if value.starts_with("--") {
-                        values.insert(key.to_owned(), String::from("true"));
-                    } else {
-                        values.insert(key.to_owned(), iterator.next().expect("peeked"));
-                    }
-                } else {
-                    values.insert(key.to_owned(), String::from("true"));
-                }
-            }
+            let Some(key) = argument.strip_prefix("--") else {
+                return Err(format!("unexpected argument {argument:?}"));
+            };
+            let (key, inline) = match key.split_once('=') {
+                Some((key, value)) => (key, Some(value.to_owned())),
+                None => (key, None),
+            };
+            let option = find(key)?;
+            let value = if option.is_flag() {
+                implied.extend(option.default.split_whitespace());
+                inline.unwrap_or_else(|| String::from("true"))
+            } else {
+                inline
+                    .or_else(|| iterator.next_if(|next| !next.starts_with("--")))
+                    .ok_or_else(|| format!("--{} expects a value", option.spec))?
+            };
+            values.insert(option.name(), value);
         }
-        Args { values, help }
+        for pair in implied.chunks(2) {
+            let option = find(pair[0].trim_start_matches("--"))?;
+            values
+                .entry(option.name())
+                .or_insert_with(|| pair[1].to_owned());
+        }
+        Ok(Args {
+            options,
+            values,
+            help,
+        })
     }
 
     /// Whether `--help` was requested.
@@ -86,153 +157,83 @@ impl Args {
         self.help
     }
 
-    /// The raw value of `--key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+    /// Whether the flag `--key` was given.
+    pub fn flag(&self, key: &str) -> bool {
+        self.values.contains_key(key)
     }
 
-    /// A parsed value of `--key`, or `default` when absent.
+    /// The value of `--key`: as given, else the table's default, else `None`
+    /// (also for a key the experiment does not list).
+    pub fn get(&self, key: &str) -> Option<&str> {
+        self.values.get(key).map(String::as_str).or_else(|| {
+            let option = self.options.iter().find(|option| option.name() == key)?;
+            (!option.is_flag() && !option.default.is_empty()).then_some(option.default)
+        })
+    }
+
+    /// The parsed value of `--key`.
     ///
     /// # Panics
     ///
-    /// Panics with a readable message when the value cannot be parsed.
-    pub fn parsed_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.get(key) {
-            None => default,
-            Some(raw) => raw.parse().unwrap_or_else(|_| {
-                panic!("--{key} expects a value like the default, got {raw:?}")
-            }),
-        }
+    /// Panics with a readable message when the value cannot be parsed, or
+    /// when the option has neither a value nor a default.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> T {
+        let raw = self
+            .get(key)
+            .unwrap_or_else(|| panic!("--{key} has no value and no default"));
+        raw.parse()
+            .unwrap_or_else(|_| panic!("--{key} expects a value like the default, got {raw:?}"))
     }
 
-    /// A comma-separated list of `u32` exponents (e.g. `--sizes 10,12,14`), or
-    /// `default` when absent.
+    /// The comma-separated values of `--key` (e.g. `--sizes 10,12,14`).
     ///
     /// # Panics
     ///
     /// Panics when an element cannot be parsed.
-    pub fn u32_list_or(&self, key: &str, default: &[u32]) -> Vec<u32> {
-        match self.get(key) {
-            None => default.to_vec(),
-            Some(raw) => raw
-                .split(',')
-                .filter(|piece| !piece.is_empty())
-                .map(|piece| {
-                    piece.trim().parse().unwrap_or_else(|_| {
-                        panic!("--{key} expects comma-separated integers, got {piece:?}")
-                    })
-                })
-                .collect(),
+    pub fn list<T: std::str::FromStr>(&self, key: &str) -> Vec<T> {
+        parse_list(key, self.get(key).unwrap_or(""))
+    }
+
+    /// The network-size exponents to run (`N = 2^exponent`): the one `--size`
+    /// of a single-size experiment, else the `--sizes` list.
+    pub fn sizes(&self) -> Vec<u32> {
+        if self.get("size").is_some() {
+            vec![self.parsed("size")]
+        } else {
+            self.list("sizes")
         }
     }
-}
 
-/// Per-binary defaults for the shared option set.
-#[derive(Debug, Clone, Copy)]
-pub struct CommonDefaults {
-    /// Default `--sizes` (network-size exponents).
-    pub sizes: &'static [u32],
-    /// Default `--runs`.
-    pub runs: usize,
-    /// Default `--cycles`.
-    pub cycles: u64,
-    /// Default `--seed`.
-    pub seed: u64,
-}
-
-impl Default for CommonDefaults {
-    fn default() -> Self {
-        CommonDefaults {
-            sizes: &[12],
-            runs: 3,
-            cycles: 60,
-            seed: 1,
-        }
+    /// Worker threads of the cycle engine (`--threads`, at least 1).
+    pub fn threads(&self) -> usize {
+        self.parsed::<usize>("threads").max(1)
     }
-}
 
-/// The options shared by every experiment binary, parsed once by
-/// [`Args::common`]:
-///
-/// * `--sizes a,b,c` / `--size n` — network-size exponents (the singular form
-///   overrides the list with one entry, for the single-size binaries);
-/// * `--runs`, `--cycles`, `--seed` — sweep shape;
-/// * `--threads n` — worker threads (selects the parallel cycle engine);
-/// * `--engine cycle|event` and `--latency min[,max]` — engine selection;
-/// * `--out path` — output artifact path;
-/// * `--quiet` — suppress progress output.
-#[derive(Debug, Clone)]
-pub struct CommonArgs {
-    /// Network-size exponents to sweep (`N = 2^exponent`).
-    pub sizes: Vec<u32>,
-    /// Independent runs per configuration.
-    pub runs: usize,
-    /// Cycle budget per run.
-    pub cycles: u64,
-    /// Base random seed.
-    pub seed: u64,
-    /// Worker thread count (1 = sequential).
-    pub threads: usize,
-    /// The engine selection derived from `--engine`, `--threads`, `--latency`.
-    pub engine: Engine,
-    /// Output path for the binary's artifact, when given.
-    pub out: Option<String>,
-    /// Whether progress output is suppressed.
-    pub quiet: bool,
-}
-
-impl CommonArgs {
-    /// The first (often only) size exponent.
-    pub fn size(&self) -> u32 {
-        self.sizes.first().copied().unwrap_or(12)
+    /// The cycle + event engine pair every sweep runs its cells on: the cycle
+    /// engine at `--threads`, the event engine at `--latency`.
+    pub fn engine_pair(&self) -> [(&'static str, Engine); 2] {
+        [
+            ("cycle", Engine::with_threads(self.threads())),
+            (
+                "event",
+                Engine::Event {
+                    latency: self.latency_model(),
+                },
+            ),
+        ]
     }
-}
 
-/// The usage text describing the shared options, appended to every binary's
-/// `--help` output.
-pub const COMMON_OPTIONS_HELP: &str = "\
-SHARED OPTIONS:
-    --seed <n>       base random seed
-    --threads <n>    worker threads (parallel cycle engine; output is
-                     bit-for-bit identical at any value)
-    --engine <name>  cycle (default) or event (discrete-event engine with
-                     per-link latency and timer-driven nodes)
-    --latency <spec> event-engine latency in ms: one value for constant,
-                     min,max for uniform                  [default: 1]
-    --quiet          suppress progress output
-";
-
-impl Args {
-    /// Parses the shared option set with the given per-binary defaults.
+    /// The one engine `--engine` selects for a single-engine experiment.
     ///
     /// # Panics
     ///
-    /// Panics with a readable message when a value cannot be parsed (same
-    /// policy as [`Args::parsed_or`]).
-    pub fn common(&self, defaults: CommonDefaults) -> CommonArgs {
-        let sizes = match self.get("size") {
-            Some(raw) => vec![raw
-                .parse()
-                .unwrap_or_else(|_| panic!("--size expects an exponent, got {raw:?}"))],
-            None => self.u32_list_or("sizes", defaults.sizes),
-        };
-        let threads = self.parsed_or("threads", 1usize).max(1);
-        let engine = match self.get("engine").unwrap_or("cycle") {
-            "cycle" => Engine::with_threads(threads),
-            "event" => Engine::Event {
-                latency: self.latency_model(),
-            },
+    /// Panics on a name other than `cycle` or `event`.
+    pub fn engine(&self) -> Engine {
+        let [(_, cycle), (_, event)] = self.engine_pair();
+        match self.get("engine") {
+            Some("cycle") => cycle,
+            Some("event") => event,
             other => panic!("--engine expects cycle or event, got {other:?}"),
-        };
-        CommonArgs {
-            sizes,
-            runs: self.parsed_or("runs", defaults.runs),
-            cycles: self.parsed_or("cycles", defaults.cycles),
-            seed: self.parsed_or("seed", defaults.seed),
-            threads,
-            engine,
-            out: self.get("out").map(str::to_owned),
-            quiet: self.get("quiet").is_some(),
         }
     }
 
@@ -249,25 +250,14 @@ impl Args {
         let raw = self.get("link")?;
         let (kind, rest) = raw.split_once(':').unwrap_or((raw, ""));
         let model = match kind {
-            "constant" => LatencyModel::Constant {
-                millis: rest
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--link constant:<ms>, got {raw:?}")),
-            },
-            "uniform" => {
-                let (min, max) = rest
-                    .split_once(',')
-                    .unwrap_or_else(|| panic!("--link uniform:<min>,<max>, got {raw:?}"));
-                LatencyModel::Uniform {
-                    min_millis: min
-                        .trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--link uniform:<min>,<max>, got {raw:?}")),
-                    max_millis: max
-                        .trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--link uniform:<min>,<max>, got {raw:?}")),
-                }
+            "constant" | "uniform" => {
+                let model = millis_model("link", &parse_list("link", rest));
+                assert_eq!(
+                    model.label(),
+                    kind,
+                    "--link {kind}: wrong value count in {raw:?}"
+                );
+                model
             }
             "wan" => {
                 let (placement, regions) = match rest.split_once(':') {
@@ -292,28 +282,31 @@ impl Args {
     /// Parses `--latency` into a [`LatencyModel`]: a single value is a
     /// constant latency, `min,max` is uniform.
     pub fn latency_model(&self) -> LatencyModel {
-        match self.get("latency") {
-            None => LatencyModel::Constant { millis: 1 },
-            Some(raw) => {
-                let parts: Vec<u64> = raw
-                    .split(',')
-                    .filter(|piece| !piece.is_empty())
-                    .map(|piece| {
-                        piece.trim().parse().unwrap_or_else(|_| {
-                            panic!("--latency expects ms values like 5 or 5,50, got {raw:?}")
-                        })
-                    })
-                    .collect();
-                match parts.as_slice() {
-                    [millis] => LatencyModel::Constant { millis: *millis },
-                    [min, max] => LatencyModel::Uniform {
-                        min_millis: *min,
-                        max_millis: *max,
-                    },
-                    _ => panic!("--latency expects one or two ms values, got {raw:?}"),
-                }
-            }
-        }
+        millis_model("latency", &self.list("latency"))
+    }
+}
+
+/// Parses comma-separated `values` given for `--key`.
+fn parse_list<T: std::str::FromStr>(key: &str, values: &str) -> Vec<T> {
+    let pieces = values.split(',').filter(|piece| !piece.is_empty());
+    let parse = |piece: &str| {
+        piece.trim().parse().unwrap_or_else(|_| {
+            panic!("--{key} expects comma-separated values like the default, got {piece:?}")
+        })
+    };
+    pieces.map(parse).collect()
+}
+
+/// The placement-free latency model `millis` describes: one value is a
+/// constant latency, two are the bounds of a uniform one.
+fn millis_model(key: &str, millis: &[u64]) -> LatencyModel {
+    match *millis {
+        [millis] => LatencyModel::Constant { millis },
+        [min_millis, max_millis] => LatencyModel::Uniform {
+            min_millis,
+            max_millis,
+        },
+        _ => panic!("--{key} expects one or two ms values, got {millis:?}"),
     }
 }
 
@@ -321,19 +314,85 @@ impl Args {
 mod tests {
     use super::*;
 
+    /// An option table shaped like an experiment's: a size list with its
+    /// singular override, valued options with defaults, two without, a flag.
+    const TABLE: &[Opt] = &[
+        Opt::new("sizes <list>", "10,12", "size exponents"),
+        Opt::new("size <exp>", "", "one size exponent"),
+        Opt::new("runs <n>", "3", "runs per size"),
+        Opt::new("cycles <n>", "60", "cycle budget"),
+        Opt::new("seed <n>", "1", "base seed"),
+        Opt::new("threads <n>", "1", "worker threads"),
+        Opt::new("engine <name>", "cycle", "cycle or event"),
+        Opt::new("latency <spec>", "1", "event latency"),
+        Opt::new("link <spec>", "", "link model"),
+        Opt::new("out <path>", "", "output path"),
+        Opt::new("quiet", "", "no progress output"),
+        Opt::new("smoke", "--sizes 7 --cycles 40", "tiny variant"),
+    ];
+
     fn args(list: &[&str]) -> Args {
-        Args::parse_args(list.iter().map(|s| s.to_string()))
+        Args::parse(TABLE, list.iter().map(|s| s.to_string())).expect("valid arguments")
     }
 
     #[test]
     fn parses_key_value_pairs_and_flags() {
-        let parsed = args(&["--runs", "5", "--sizes", "10,12", "--verbose", "--seed=9"]);
-        assert_eq!(parsed.parsed_or("runs", 0usize), 5);
-        assert_eq!(parsed.u32_list_or("sizes", &[14]), vec![10, 12]);
-        assert_eq!(parsed.get("verbose"), Some("true"));
-        assert_eq!(parsed.parsed_or("seed", 0u64), 9);
-        assert_eq!(parsed.parsed_or("missing", 7u64), 7);
+        let parsed = args(&["--runs", "5", "--sizes", "10,12", "--quiet", "--seed=9"]);
+        assert_eq!(parsed.parsed::<usize>("runs"), 5);
+        assert_eq!(parsed.list::<u32>("sizes"), vec![10, 12]);
+        assert!(parsed.flag("quiet"));
+        assert_eq!(parsed.parsed::<u64>("seed"), 9);
+        assert_eq!(
+            parsed.parsed::<u64>("cycles"),
+            60,
+            "absent: the table's default"
+        );
+        assert_eq!(parsed.get("out"), None);
         assert!(!parsed.wants_help());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        let parse = |list: &[&str]| Args::parse(TABLE, list.iter().map(|s| s.to_string()));
+        // The typo that used to regenerate a golden at the default budget.
+        let error = parse(&["--cycle", "20"]).unwrap_err();
+        assert!(error.contains("unknown option --cycle"), "{error}");
+        assert!(parse(&["--cycles=20", "--verbose"]).is_err());
+        assert!(parse(&["stray"]).is_err());
+        // A valued option must come with its value.
+        assert!(parse(&["--cycles"]).is_err());
+        assert!(parse(&["--cycles", "--quiet"]).is_err());
+        assert_eq!(
+            parse(&["--cycles", "20"]).unwrap().parsed::<u64>("cycles"),
+            20
+        );
+    }
+
+    #[test]
+    fn a_shorthand_flag_implies_its_options_unless_they_are_given() {
+        let parsed = args(&["--smoke"]);
+        assert!(parsed.flag("smoke"));
+        assert_eq!(parsed.sizes(), vec![7]);
+        assert_eq!(parsed.parsed::<u64>("cycles"), 40);
+        let parsed = args(&["--smoke", "--cycles", "25"]);
+        assert_eq!(parsed.sizes(), vec![7]);
+        assert_eq!(parsed.parsed::<u64>("cycles"), 25);
+        let parsed = args(&["--sizes", "5,6", "--smoke"]);
+        assert_eq!(parsed.sizes(), vec![5, 6]);
+        assert_eq!(args(&[]).get("smoke"), None);
+    }
+
+    #[test]
+    fn usage_lists_every_option_with_its_default() {
+        let text = usage("demo", "a demonstration", TABLE);
+        assert!(text.starts_with("demo — a demonstration\n"));
+        assert!(text.contains("-- demo [OPTIONS]"));
+        for option in TABLE {
+            assert!(text.contains(&format!("--{} ", option.spec)), "{text}");
+        }
+        assert!(text.contains("cycle budget [default: 60]"));
+        assert!(text.contains("no progress output\n"));
+        assert!(text.contains("tiny variant [= --sizes 7 --cycles 40]"));
     }
 
     #[test]
@@ -345,41 +404,38 @@ mod tests {
 
     #[test]
     fn trailing_flag_without_value_defaults_to_true() {
-        let parsed = args(&["--fast"]);
-        assert_eq!(parsed.get("fast"), Some("true"));
+        let parsed = args(&["--quiet"]);
+        assert_eq!(parsed.get("quiet"), Some("true"));
+        // A flag never swallows the option after it.
+        let parsed = args(&["--quiet", "--runs", "2"]);
+        assert!(parsed.flag("quiet"));
+        assert_eq!(parsed.parsed::<usize>("runs"), 2);
+        assert!(!args(&[]).flag("quiet"));
     }
 
     #[test]
     #[should_panic(expected = "expects a value")]
     fn unparseable_values_panic_with_context() {
         let parsed = args(&["--runs", "many"]);
-        let _ = parsed.parsed_or("runs", 0usize);
+        let _ = parsed.parsed::<usize>("runs");
     }
 
     #[test]
     fn default_size_list_is_used_when_absent() {
-        let parsed = args(&[]);
-        assert_eq!(parsed.u32_list_or("sizes", &[10, 11]), vec![10, 11]);
+        assert_eq!(args(&[]).sizes(), vec![10, 12]);
     }
 
     #[test]
     fn common_args_apply_defaults_and_overrides() {
-        let defaults = CommonDefaults {
-            sizes: &[10, 12],
-            runs: 3,
-            cycles: 60,
-            seed: 1,
-        };
-        let parsed = args(&[]).common(defaults);
-        assert_eq!(parsed.sizes, vec![10, 12]);
-        assert_eq!(parsed.runs, 3);
-        assert_eq!(parsed.cycles, 60);
-        assert_eq!(parsed.seed, 1);
-        assert_eq!(parsed.threads, 1);
-        assert_eq!(parsed.engine, Engine::Cycle);
-        assert!(parsed.out.is_none());
-        assert!(!parsed.quiet);
-        assert_eq!(parsed.size(), 10);
+        let parsed = args(&[]);
+        assert_eq!(parsed.sizes(), vec![10, 12]);
+        assert_eq!(parsed.parsed::<usize>("runs"), 3);
+        assert_eq!(parsed.parsed::<u64>("cycles"), 60);
+        assert_eq!(parsed.parsed::<u64>("seed"), 1);
+        assert_eq!(parsed.threads(), 1);
+        assert_eq!(parsed.engine(), Engine::Cycle);
+        assert!(parsed.get("out").is_none());
+        assert!(!parsed.flag("quiet"));
 
         let parsed = args(&[
             "--sizes",
@@ -395,41 +451,40 @@ mod tests {
             "--out",
             "x.json",
             "--quiet",
-        ])
-        .common(defaults);
-        assert_eq!(parsed.sizes, vec![8, 9]);
-        assert_eq!(parsed.runs, 5);
-        assert_eq!(parsed.engine, Engine::ParallelCycle { threads: 4 });
-        assert_eq!(parsed.out.as_deref(), Some("x.json"));
-        assert!(parsed.quiet);
+        ]);
+        assert_eq!(parsed.sizes(), vec![8, 9]);
+        assert_eq!(parsed.parsed::<usize>("runs"), 5);
+        assert_eq!(parsed.engine(), Engine::ParallelCycle { threads: 4 });
+        assert_eq!(parsed.get("out"), Some("x.json"));
+        assert!(parsed.flag("quiet"));
     }
 
     #[test]
     fn singular_size_overrides_the_list() {
-        let parsed = args(&["--size", "11"]).common(CommonDefaults::default());
-        assert_eq!(parsed.sizes, vec![11]);
-        assert_eq!(parsed.size(), 11);
+        assert_eq!(args(&["--size", "11"]).sizes(), vec![11]);
     }
 
     #[test]
     fn engine_and_latency_flags_select_the_event_engine() {
-        let parsed = args(&["--engine", "event"]).common(CommonDefaults::default());
         assert_eq!(
-            parsed.engine,
+            args(&["--engine", "event"]).engine(),
             Engine::Event {
                 latency: LatencyModel::Constant { millis: 1 }
             }
         );
-        let parsed =
-            args(&["--engine", "event", "--latency", "5,50"]).common(CommonDefaults::default());
+        let uniform = LatencyModel::Uniform {
+            min_millis: 5,
+            max_millis: 50,
+        };
+        let parsed = args(&["--engine", "event", "--latency", "5,50", "--threads", "2"]);
+        assert_eq!(parsed.engine(), Engine::Event { latency: uniform });
+        // A sweep runs both engines whatever `--engine` says.
         assert_eq!(
-            parsed.engine,
-            Engine::Event {
-                latency: LatencyModel::Uniform {
-                    min_millis: 5,
-                    max_millis: 50
-                }
-            }
+            parsed.engine_pair(),
+            [
+                ("cycle", Engine::ParallelCycle { threads: 2 }),
+                ("event", Engine::Event { latency: uniform }),
+            ]
         );
         let parsed = args(&["--engine", "event", "--latency", "20"]);
         assert_eq!(
@@ -441,7 +496,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cycle or event")]
     fn unknown_engine_names_panic() {
-        let _ = args(&["--engine", "quantum"]).common(CommonDefaults::default());
+        let _ = args(&["--engine", "quantum"]).engine();
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Reproduces the churn claim of §5: "The protocol is not sensitive to churn
-//! either. [...] the quality of the routing tables generated by our protocol is
-//! similar to that obtained by known routing substrates in the presence of similar
-//! churn."
+//! The churn claim of §5: "The protocol is not sensitive to churn either. [...]
+//! the quality of the routing tables generated by our protocol is similar to
+//! that obtained by known routing substrates in the presence of similar churn."
 //!
 //! The paper does not plot this experiment; we sweep the per-cycle replacement
 //! churn rate and report, per rate, the missing-entry proportions over time. Note
@@ -11,51 +10,31 @@
 //! quality settles near `rT / (1 + rT)` — the effect of churn during a short
 //! bootstrap is what the paper calls "naturally limited".
 
-use bss_bench::cli::{Args, CommonDefaults, COMMON_OPTIONS_HELP};
-use bss_bench::report::series_table;
+use crate::cli::Args;
+use crate::report::{or_dash, series_table};
 use bss_core::experiment::{Experiment, ExperimentConfig};
 
-const HELP: &str = "\
-churn — table quality under continuous replacement churn (§5 claim)
+/// The swept replacement rates, in percent of the network per cycle.
+const RATES: [u32; 4] = [0, 1, 2, 5];
 
-USAGE:
-    cargo run --release -p bss-bench --bin churn [-- OPTIONS]
+pub(super) fn run(args: &Args) {
+    let exponent: u32 = args.parsed("size");
+    let cycles: u64 = args.parsed("cycles");
+    let seed: u64 = args.parsed("seed");
 
-OPTIONS:
-    --size <exp>     network size exponent (N = 2^exp)  [default: 12]
-    --rates <list>   churn rates in %/cycle             [default: 0,1,2,5]
-    --cycles <n>     cycles per run                     [default: 40]
-";
-
-fn main() {
-    let args = Args::from_env();
-    if args.wants_help() {
-        print!("{HELP}{COMMON_OPTIONS_HELP}");
-        return;
-    }
-    let common = args.common(CommonDefaults {
-        sizes: &[12],
-        runs: 1,
-        cycles: 40,
-        seed: 1,
-    });
-    let exponent = common.size();
-    let rates = args.u32_list_or("rates", &[0, 1, 2, 5]);
-    let cycles = common.cycles;
-
-    eprintln!("# Churn sweep: N=2^{exponent}, {cycles} cycles, rates {rates:?} %/cycle");
+    eprintln!("# Churn sweep: N=2^{exponent}, {cycles} cycles, rates {RATES:?} %/cycle");
     let mut leaf_columns = Vec::new();
     let mut prefix_columns = Vec::new();
     let mut summary =
         String::from("rate_percent\tfinal_leaf_missing\tfinal_prefix_missing\tconverged_cycle\n");
-    for rate in rates {
+    for rate in RATES {
         let config = ExperimentConfig::builder()
             .network_size(1usize << exponent)
-            .seed(common.seed + u64::from(rate))
+            .seed(seed + u64::from(rate))
             .churn_rate(f64::from(rate) / 100.0)
             .max_cycles(cycles)
             .stop_when_perfect(rate == 0)
-            .engine(common.engine)
+            .engine(args.engine())
             .build()
             .expect("valid configuration");
         let outcome = Experiment::new(config).run();
@@ -64,10 +43,7 @@ fn main() {
             "{rate}\t{:.3e}\t{:.3e}\t{}\n",
             outcome.leaf_series().final_value().unwrap_or(f64::NAN),
             outcome.prefix_series().final_value().unwrap_or(f64::NAN),
-            outcome
-                .convergence_cycle()
-                .map(|cycle| cycle.to_string())
-                .unwrap_or_else(|| "-".to_owned()),
+            or_dash(outcome.convergence_cycle()),
         ));
         leaf_columns.push((format!("churn={rate}%"), outcome.leaf_series().clone()));
         prefix_columns.push((format!("churn={rate}%"), outcome.prefix_series().clone()));

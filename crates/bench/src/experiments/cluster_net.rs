@@ -1,10 +1,10 @@
 //! Wire-scale bench: loopback UDP clusters across sizes.
 //!
-//! This is the net-side twin of the `scaling` bench. For every size it spawns
-//! a real loopback cluster, monitors it to convergence, and writes the full
-//! [`NetReport`] as JSON (`<out-dir>/cluster_<N>.json`) plus one shared TSV
-//! timeline (`<out-dir>/timeline.tsv`) with every convergence sample of every
-//! run — the same artifact shapes CI uploads for the simulator benches.
+//! This is the net-side twin of the `scaling` experiment. For every size it
+//! spawns a real loopback cluster, monitors it to convergence, and writes the
+//! full [`NetReport`] as JSON (`<out-dir>/cluster_<N>.json`) plus one shared
+//! TSV timeline (`<out-dir>/timeline.tsv`) with every convergence sample of
+//! every run — the same artifact shapes CI uploads for the simulator sweeps.
 //!
 //! The headline cell is the single-loop driver at 512 nodes: one thread, one
 //! socket poll loop, hundreds of protocol instances — the report records node
@@ -15,26 +15,15 @@
 //! the first failed bind and the whole bench skips with exit code 0, like the
 //! socket tests. A cluster that fails to converge exits non-zero.
 
-use bss_bench::cli::Args;
+use crate::cli::Args;
 use bss_net::cluster::{Cluster, ClusterConfig};
 use bss_net::report::NetReport;
 use bss_util::config::BootstrapParams;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-const HELP: &str = "\
-cluster_net — loopback UDP clusters across sizes
-
-USAGE:
-    cargo run --release -p bss-bench --bin cluster_net [-- OPTIONS]
-
-OPTIONS:
-    --sizes <list>         size exponents (N = 2^exp)             [default: 6,8,9]
-    --seed <n>             cluster seed                           [default: 7]
-    --timeout-secs <n>     per-run convergence deadline           [default: 120]
-    --out-dir <dir>        directory for NetReport JSONs + TSV    [default: net-reports]
-    --smoke                fast CI variant (2^6 only)
-";
+/// How long one cluster may take to converge.
+const DEADLINE: Duration = Duration::from_secs(120);
 
 /// The tables every cell runs with: the paper's small-network parameters plus
 /// a wire cycle short enough to converge in seconds on loopback.
@@ -47,30 +36,19 @@ fn bench_params() -> BootstrapParams {
     }
 }
 
-fn main() {
-    let args = Args::from_env();
-    if args.wants_help() {
-        print!("{HELP}");
-        return;
-    }
-
-    let smoke = args.get("smoke").is_some();
-    let default_sizes: &[u32] = if smoke { &[6] } else { &[6, 8, 9] };
-    let sizes = args.u32_list_or("sizes", default_sizes);
-    let seed: u64 = args.parsed_or("seed", 7);
-    let timeout = Duration::from_secs(args.parsed_or("timeout-secs", 120));
-    let out_dir = args.get("out-dir").unwrap_or("net-reports").to_owned();
+pub(super) fn run(args: &Args) {
+    let out_dir: String = args.parsed("out-dir");
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
     let mut timeline = String::from("nodes\tmillis\tmissing_leaf\tmissing_prefix\tdead\n");
     let mut all_converged = true;
 
-    for size in sizes.into_iter().map(|exp| 1usize << exp) {
+    for size in args.sizes().into_iter().map(|exp| 1usize << exp) {
         let cluster = match Cluster::spawn(ClusterConfig {
             size,
             params: bench_params(),
             contacts_per_peer: 4,
-            seed,
+            seed: args.parsed("seed"),
         }) {
             Ok(cluster) => cluster,
             Err(error) => {
@@ -80,7 +58,7 @@ fn main() {
                 return;
             }
         };
-        let report = cluster.monitor(Duration::from_millis(50), timeout);
+        let report = cluster.monitor(Duration::from_millis(50), DEADLINE);
         cluster.shutdown();
 
         let path = format!("{out_dir}/cluster_{}.json", report.nodes);

@@ -4,7 +4,8 @@
 //! per-cycle proportion of missing entries, with several independent repetitions
 //! per size (50/10/4 runs for 2^14/2^16/2^18). [`run_figure`] executes that sweep
 //! for an arbitrary base configuration and returns, per size, the individual runs
-//! and their mean curve, which the binaries print as tab-separated series.
+//! and their mean curve, which the `fig3` / `fig4` experiments print as
+//! tab-separated series.
 
 use bss_core::experiment::{Experiment, ExperimentConfig};
 use bss_util::stats::{Series, SeriesBundle};
@@ -91,17 +92,15 @@ pub fn run_figure(config: &FigureConfig, mut progress: impl FnMut(u32, usize)) -
     FigureResult { sizes }
 }
 
+/// The mean of the cycles at which runs converged, if any did.
+pub(crate) fn mean_cycle(cycles: &[u64]) -> Option<f64> {
+    (!cycles.is_empty()).then(|| cycles.iter().sum::<u64>() as f64 / cycles.len() as f64)
+}
+
 impl SizeSeries {
     /// Mean convergence cycle over the runs that converged, if any did.
     pub fn mean_convergence_cycle(&self) -> Option<f64> {
-        if self.convergence_cycles.is_empty() {
-            None
-        } else {
-            Some(
-                self.convergence_cycles.iter().sum::<u64>() as f64
-                    / self.convergence_cycles.len() as f64,
-            )
-        }
+        mean_cycle(&self.convergence_cycles)
     }
 
     /// Mean leaf-set curve across runs.

@@ -1,15 +1,15 @@
 //! # bss-bench — the experiment harness
 //!
-//! One binary per figure or claim of the paper's evaluation (§5) and per
-//! extension of it:
+//! One binary, `bss-bench <experiment> [options]`, with one experiment per
+//! figure or claim of the paper's evaluation (§5) and per extension of it:
 //!
-//! | Binary        | Reproduces |
+//! | Experiment    | Reproduces |
 //! |---------------|------------|
 //! | `fig3`        | Figure 3: missing leaf-set and prefix-table entries vs. cycles, no failures, N ∈ {2^14, 2^16, 2^18} |
 //! | `fig4`        | Figure 4: the same two panels with 20 % uniform message loss |
 //! | `churn`       | §5's churn claim: table quality under continuous replacement churn |
 //! | `merge_split` | §1–2 scenarios: two partitions bootstrapping independently, then merging |
-//! | `ablation`    | Design-choice ablations: `cr`, `c`, sampler quality, prefix-table feedback |
+//! | `ablation`    | Design-choice ablations: `cr`, `c`, sampler quality, message loss |
 //! | `scaling`     | Simulator throughput and memory sweep over network sizes (`BENCH_scaling.json`) |
 //! | `scenarios`   | The scenario smoke suite: one timeline per event kind on both engines |
 //! | `recovery`    | Catastrophe-then-recover: descriptor aging + re-bootstrap against the detector-free protocol |
@@ -18,14 +18,19 @@
 //! | `wan`         | WAN realism: placement × link model × engines, with regional outages and slow links |
 //! | `cluster_net` | Loopback UDP clusters on the single-loop driver, one per size |
 //!
-//! Every binary accepts `--help`, prints tab-separated series identical in shape to
-//! the paper's plots, and defaults to laptop-sized networks (the paper's full
-//! 2^14–2^18 sizes are available through `--sizes`).
+//! Every experiment accepts `--help` (generated from the same option table the
+//! parser checks arguments against), prints tab-separated series identical in
+//! shape to the paper's plots, and defaults to laptop-sized networks (the
+//! paper's full 2^14–2^18 sizes are available through `--sizes`).
 //!
-//! The library part of the crate holds what the binaries share: a tiny
-//! dependency-free command-line parser ([`cli`]), figure-sweep drivers
-//! ([`figures`]), tab-separated report formatting ([`report`]) and a counting
-//! global allocator for honest per-run memory measurement ([`alloc`]).
+//! The pieces: the experiment table and its dispatch ([`experiments`]); the
+//! option tables, parser and `--help` renderer ([`cli`]); the sweep runner —
+//! sizes × cells × engines, one `RunReport` JSON per run — that the
+//! both-engines experiments are tables of cells for ([`sweep`]); the
+//! figure-sweep driver ([`figures`]); tab-separated report formatting
+//! ([`report`]); and a counting global allocator for honest per-run memory
+//! measurement ([`alloc`]). A new experiment is a module under `experiments/`
+//! and one more row of the table.
 
 // `deny` instead of `forbid`: the counting allocator wraps `System` behind
 // one audited `unsafe impl` (see `alloc`); everything else stays unsafe-free.
@@ -34,7 +39,9 @@
 
 pub mod alloc;
 pub mod cli;
+pub mod experiments;
 pub mod figures;
 pub mod report;
+pub mod sweep;
 
 pub use figures::{FigureConfig, FigureResult, SizeSeries};

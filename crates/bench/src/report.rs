@@ -1,4 +1,4 @@
-//! Tab-separated report formatting shared by the experiment binaries.
+//! Tab-separated report formatting shared by the experiments.
 //!
 //! The output mirrors the paper's figures: one row per cycle, one column per
 //! network size, values being the proportion of missing entries (leaf set or
@@ -10,11 +10,9 @@ use bss_util::stats::Series;
 use std::fmt::Write as _;
 
 /// Renders one panel (leaf set or prefix table) of a figure as a tab-separated
-/// table: `cycle <TAB> N=2^a <TAB> N=2^b ...`. Converged runs hold their final
-/// value (zero) once their curve ends, matching how the paper draws curves that
-/// simply stop at perfection.
+/// table: `cycle <TAB> N=2^a <TAB> N=2^b ...`, one mean curve per size.
 pub fn panel_table(result: &FigureResult, prefix_panel: bool) -> String {
-    let curves: Vec<(u32, Series)> = result
+    let curves: Vec<(String, Series)> = result
         .sizes
         .iter()
         .map(|size| {
@@ -23,38 +21,10 @@ pub fn panel_table(result: &FigureResult, prefix_panel: bool) -> String {
             } else {
                 size.mean_leaf_curve()
             };
-            (size.exponent, curve)
+            (format!("N=2^{}", size.exponent), curve)
         })
         .collect();
-    let max_cycle = curves
-        .iter()
-        .filter_map(|(_, curve)| curve.final_cycle())
-        .max()
-        .unwrap_or(0);
-
-    let mut output = String::new();
-    output.push_str("cycle");
-    for (exponent, _) in &curves {
-        let _ = write!(output, "\tN=2^{exponent}");
-    }
-    output.push('\n');
-    for cycle in 0..=max_cycle {
-        let _ = write!(output, "{cycle}");
-        for (_, curve) in &curves {
-            let value = curve
-                .value_at(cycle)
-                .or_else(|| {
-                    curve
-                        .final_cycle()
-                        .filter(|&final_cycle| final_cycle < cycle)
-                        .and_then(|_| curve.final_value())
-                })
-                .unwrap_or(f64::NAN);
-            let _ = write!(output, "\t{value:.3e}");
-        }
-        output.push('\n');
-    }
-    output
+    series_table(&curves)
 }
 
 /// Renders the per-size summary table: convergence cycles, message sizes, wall
@@ -78,8 +48,10 @@ pub fn summary_table(result: &FigureResult) -> String {
     output
 }
 
-/// Renders a generic named-series table (used by the churn and ablation sweeps):
-/// `cycle <TAB> <name-1> <TAB> <name-2> ...`.
+/// Renders a named-series table: `cycle <TAB> <name-1> <TAB> <name-2> ...`.
+/// A series that ends early holds its final value (zero, for a converged run)
+/// once its curve ends, matching how the paper draws curves that simply stop
+/// at perfection.
 pub fn series_table(columns: &[(String, Series)]) -> String {
     let max_cycle = columns
         .iter()
@@ -108,6 +80,34 @@ pub fn series_table(columns: &[(String, Series)]) -> String {
         output.push('\n');
     }
     output
+}
+
+/// Appends one row per measured cycle of a run to a long-format timeline:
+/// the sweep `coordinates`, the cycle, then one column per `(series, decimal
+/// places)`. The first series sets the rows; a shorter or absent one reads 0.
+pub fn append_cycle_rows(
+    timeline: &mut String,
+    coordinates: &str,
+    columns: &[(Option<&Series>, usize)],
+) {
+    let Some(&(Some(lead), _)) = columns.first() else {
+        return;
+    };
+    for (position, &(cycle, _)) in lead.points().iter().enumerate() {
+        let _ = write!(timeline, "{coordinates}\t{cycle}");
+        for &(series, places) in columns {
+            let value = series
+                .and_then(|series| series.points().get(position))
+                .map_or(0.0, |&(_, value)| value);
+            let _ = write!(timeline, "\t{value:.places$}");
+        }
+        timeline.push('\n');
+    }
+}
+
+/// A cycle number for a summary column, `-` when the run never got there.
+pub fn or_dash(cycle: Option<u64>) -> String {
+    cycle.map_or_else(|| "-".to_owned(), |cycle| cycle.to_string())
 }
 
 #[cfg(test)]
@@ -172,5 +172,26 @@ mod tests {
         // Column b holds its final value at cycle 1.
         assert!(lines[2].starts_with('1'));
         assert!(lines[2].contains("2.500e-1"));
+    }
+
+    #[test]
+    fn cycle_rows_follow_the_lead_series_and_zero_fill_the_rest() {
+        let mut lead = Series::new("lead");
+        lead.push(3, 0.5);
+        lead.push(4, 0.25);
+        let mut short = Series::new("short");
+        short.push(3, 7.0);
+        let mut timeline = String::new();
+        append_cycle_rows(
+            &mut timeline,
+            "cell\tcycle",
+            &[(Some(&lead), 6), (Some(&short), 1), (None, 1)],
+        );
+        assert_eq!(
+            timeline,
+            "cell\tcycle\t3\t0.500000\t7.0\t0.0\ncell\tcycle\t4\t0.250000\t0.0\t0.0\n"
+        );
+        assert_eq!(or_dash(Some(12)), "12");
+        assert_eq!(or_dash(None), "-");
     }
 }

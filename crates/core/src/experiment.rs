@@ -10,8 +10,8 @@
 //!
 //! The heart of the module is [`run_scenario`]: one entry point that drives a
 //! [`BootstrapProtocol`] through an [`ExperimentConfig`]'s
-//! [`Scenario`](crate::scenario::Scenario) on whichever
-//! [`Engine`](crate::scenario::Engine) the configuration selects — the
+//! [`Scenario`] on whichever
+//! [`Engine`] the configuration selects — the
 //! sequential cycle engine, the deterministic parallel cycle engine, or the
 //! discrete-event engine with per-link latency — reporting to a pluggable
 //! [`Observer`] and returning one serializable [`RunReport`].

@@ -35,12 +35,12 @@
 //!   prefix tables and the proportion of missing entries (the quantity plotted in
 //!   Figures 3 and 4).
 //! * [`scenario`] — engine-agnostic run descriptions: a composable timeline of
-//!   [`ScenarioEvent`](scenario::ScenarioEvent)s (loss windows, churn bursts,
+//!   [`ScenarioEvent`]s (loss windows, churn bursts,
 //!   catastrophic failures, massive joins, partitions that merge), the
-//!   [`Engine`](scenario::Engine) selection (cycle, parallel cycle,
-//!   discrete-event) and the pluggable [`Observer`](scenario::Observer) trait.
+//!   [`Engine`] selection (cycle, parallel cycle,
+//!   discrete-event) and the pluggable [`Observer`] trait.
 //! * [`experiment`] — a batteries-included experiment runner combining all of the
-//!   above behind the engine-agnostic [`run_scenario`](experiment::run_scenario)
+//!   above behind the engine-agnostic [`run_scenario`]
 //!   entry point; this is what the examples and the benchmark harness drive.
 //!
 //! # Example

@@ -5,7 +5,7 @@
 //! supervisor-owned thread, gives each a random contact list (seeding its
 //! sampling-gossip pool, from which the sampling layer takes over) and lets
 //! them bootstrap. The convergence check reuses the simulator's
-//! [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle), so
+//! [`ConvergenceOracle`], so
 //! "perfect" means exactly what it means in the paper's figures, and
 //! [`Cluster::monitor`] renders a whole run as a RunReport-shaped
 //! [`NetReport`].

@@ -1,13 +1,12 @@
 //! The single-loop datagram driver: hundreds-to-thousands of in-process peers
 //! multiplexed over one thread.
 //!
-//! Thread-per-peer ([`crate::node::UdpPeer`]) is faithful to how one real
-//! deployment process behaves, but a loopback cluster of 512+ peers spends
-//! most of its time context-switching. [`NetDriver`] instead owns every peer's
-//! nonblocking socket and runs the whole cluster in one poll loop: each sweep
+//! A thread per peer spends a loopback cluster of 512+ peers' time on context
+//! switches. [`NetDriver`] instead owns every peer's nonblocking socket and
+//! runs the whole cluster — or a single peer — in one poll loop: each sweep
 //! batch-receives pending datagrams per socket into one reusable buffer,
-//! applies them through the very same clocked protocol glue the threaded peers
-//! use ([`apply_message`]/[`compose_request`] in `crate::node`), fires the
+//! applies them through the clocked protocol glue
+//! (`apply_message`/`compose_request` in [`crate::node`]), fires the
 //! active thread of every peer whose Δ timer elapsed, and flushes all queued
 //! sends coalesced at the end of the sweep. One shared scratch block serves
 //! every node, so the per-datagram path is allocation-light regardless of
@@ -138,7 +137,7 @@ impl NetDriver {
             node.initialize(contacts.iter().copied());
             let handle = PeerHandle::new(own.id(), own.address(), Arc::new(Mutex::new(node)));
             let mut node_rng = SimRng::seed_from(config.seed ^ (position as u64 + 1));
-            // Random start phase, like the threaded peers and §5 of the paper.
+            // Random start phase, like §5 of the paper.
             let next_active = started + period.mul_f64(node_rng.unit_f64());
             nodes.push(DriverNode {
                 socket,

@@ -9,14 +9,14 @@
 //! * [`codec`] — a compact binary wire format for descriptor lists (identifier,
 //!   IPv4 address, port, timestamp), built on [`bytes`], with optional keyed
 //!   identity stamps for the descriptor-verifier countermeasure.
-//! * [`node`] — a peer: one UDP socket, one background thread running the active
-//!   thread of Fig. 2 on a timer and the passive thread on receipt — plus the
-//!   shared *clocked* protocol glue (millisecond-derived cycle clock, descriptor
-//!   aging, heartbeat re-stamping, stamp verification) the driver runs through
-//!   too. A [`UdpPeer`] is how one process runs one peer against contacts that
-//!   live elsewhere.
-//! * [`driver`] — the batched single-loop datagram driver: hundreds-to-thousands
-//!   of in-process peers multiplexed over one poll loop and one thread.
+//! * [`node`] — the *clocked* protocol glue between a node and the wire: the
+//!   active thread of Fig. 2 composed on a timer and the passive thread on
+//!   receipt (millisecond-derived cycle clock, descriptor aging, heartbeat
+//!   re-stamping, stamp verification), the sampling pool, and the
+//!   [`PeerHandle`] supervisors read a running peer through.
+//! * [`driver`] — the one deployment shape: a batched single-loop datagram
+//!   driver that owns the sockets and multiplexes one peer or thousands of
+//!   in-process peers over one poll loop and one thread.
 //! * [`cluster`] — spawns and supervises a set of peers on the loopback interface
 //!   (one driver loop on one thread), checks their convergence with the same
 //!   [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle) the simulator
@@ -66,5 +66,5 @@ pub mod report;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use driver::{DriverConfig, NetDriver};
-pub use node::{PeerHandle, UdpPeer, UdpPeerConfig};
+pub use node::PeerHandle;
 pub use report::{NetReport, NetStats, NetTraffic};

@@ -1,13 +1,14 @@
-//! A single UDP peer running the bootstrapping service, plus the clocked
-//! protocol glue it shares with the single-loop driver.
+//! The clocked protocol glue between a [`BootstrapNode`] and the wire, plus the
+//! handle through which supervisors and tests read a running peer.
 //!
-//! Each [`UdpPeer`] owns one UDP socket bound to the loopback interface and one
-//! background thread. The thread implements both threads of Fig. 2: on a
-//! periodic timer it selects a peer, composes a message and sends a request
-//! (active thread); whenever a request arrives it answers with its own message
-//! and applies the received one (passive thread); responses are simply applied.
-//! The node-local state is the very same [`BootstrapNode`] the simulator uses,
-//! instantiated with `SocketAddr` as the address type.
+//! `compose_request` and `apply_message` implement both threads of Fig. 2
+//! over datagrams: on a periodic timer a peer selects a partner, composes a
+//! message and sends a request (active thread); whenever a request arrives it
+//! answers with its own message and applies the received one (passive thread);
+//! responses are simply applied. The node-local state is the very same
+//! [`BootstrapNode`] the simulator uses, instantiated with `SocketAddr` as the
+//! address type. The single-loop driver ([`crate::driver`]) is the one caller:
+//! it owns the sockets and the clock, and runs one peer or a thousand.
 //!
 //! The wire path is *clocked*: every peer derives a cycle number from its
 //! wall-clock uptime (`elapsed millis / Δ`) and drives the protocol through
@@ -17,14 +18,8 @@
 //! descriptor-verification key is configured, outgoing datagrams are sealed
 //! with per-descriptor identity stamps and incoming descriptors failing
 //! verification are rejected before any merge ([`crate::codec`]).
-//!
-//! [`compose_request`] and [`apply_message`] are the single implementation of
-//! that logic; the thread-per-peer loop here and the batched single-loop
-//! driver ([`crate::driver`]) both call them, which is what makes a
-//! one-peer-per-process deployment and an in-process cluster
-//! protocol-equivalent.
 
-use crate::codec::{decode, descriptor_stamp, encode, seal, MessageKind, WireMessage};
+use crate::codec::{descriptor_stamp, encode, seal, MessageKind, WireMessage};
 use bss_core::leafset::MergeScratch;
 use bss_core::message::MessageScratch;
 use bss_core::node::BootstrapNode;
@@ -34,26 +29,10 @@ use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::io;
-use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Configuration of one UDP peer.
-#[derive(Debug, Clone)]
-pub struct UdpPeerConfig {
-    /// The peer's identifier.
-    pub id: NodeId,
-    /// Bootstrapping-service parameters. `cycle_millis` is the active-thread
-    /// period Δ.
-    pub params: BootstrapParams,
-    /// The static random contact list standing in for the peer sampling service.
-    pub contacts: Vec<Descriptor<SocketAddr>>,
-    /// Seed for the peer's local randomness (peer selection, sample choice).
-    pub seed: u64,
-}
+use std::time::Instant;
 
 /// The wire's cycle period: Δ, floored at 10 ms so a misconfigured Δ of 0
 /// cannot spin the active thread.
@@ -384,9 +363,9 @@ pub(crate) fn apply_message(
 }
 
 /// A cheap, cloneable view of one running peer: its identity, address and
-/// shared protocol state. A [`UdpPeer`] and the driver both expose their
-/// peers through handles, so supervisors ([`crate::cluster::Cluster`]) and
-/// tests read either the same way.
+/// shared protocol state. The driver exposes its peers through handles, so
+/// supervisors ([`crate::cluster::Cluster`]) and tests read them without
+/// touching the loop.
 #[derive(Debug, Clone)]
 pub struct PeerHandle {
     id: NodeId,
@@ -455,155 +434,13 @@ impl PeerHandle {
     }
 }
 
-/// A running UDP peer (socket + protocol thread).
-#[derive(Debug)]
-pub struct UdpPeer {
-    handle: PeerHandle,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl UdpPeer {
-    /// Binds a socket on an ephemeral loopback port and starts the protocol
-    /// thread. The peer's start-of-life descriptor carries timestamp 0 — the
-    /// wire clock starts when the protocol thread does.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error raised while binding or configuring the socket
-    /// or spawning the thread, or `InvalidInput` when the parameters are
-    /// invalid.
-    pub fn spawn(config: UdpPeerConfig) -> io::Result<Self> {
-        let socket = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))?;
-        socket.set_read_timeout(Some(Duration::from_millis(10)))?;
-        let address = socket.local_addr()?;
-        let UdpPeerConfig {
-            id,
-            params,
-            contacts,
-            seed,
-        } = config;
-        let mut node = BootstrapNode::new(Descriptor::new(id, address, 0), &params)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        node.initialize(contacts.iter().copied());
-
-        let handle = PeerHandle::new(id, address, Arc::new(Mutex::new(node)));
-        let thread_handle = handle.clone();
-        let thread = std::thread::Builder::new()
-            .name(format!("bss-peer-{id}"))
-            .spawn(move || peer_loop(socket, thread_handle, contacts, params, seed))?;
-        Ok(UdpPeer {
-            handle,
-            thread: Some(thread),
-        })
-    }
-
-    /// The peer's socket address.
-    pub fn address(&self) -> SocketAddr {
-        self.handle.address()
-    }
-
-    /// The peer's identifier.
-    pub fn id(&self) -> NodeId {
-        self.handle.id()
-    }
-
-    /// The peer's current descriptor (live — reflects heartbeat re-stamps).
-    pub fn descriptor(&self) -> Descriptor<SocketAddr> {
-        self.handle.descriptor()
-    }
-
-    /// Number of exchanges the peer has initiated so far.
-    pub fn exchanges_initiated(&self) -> u64 {
-        self.handle.exchanges_initiated()
-    }
-
-    /// A snapshot of the peer's current protocol state.
-    pub fn state_snapshot(&self) -> BootstrapNode<SocketAddr> {
-        self.handle.state_snapshot()
-    }
-
-    /// A cloneable view of this peer.
-    pub fn handle(&self) -> &PeerHandle {
-        &self.handle
-    }
-
-    /// Asks the protocol thread to stop and waits for it to exit.
-    pub fn shutdown(mut self) {
-        self.handle.mark_dead();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for UdpPeer {
-    fn drop(&mut self) {
-        self.handle.mark_dead();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-fn peer_loop(
-    socket: UdpSocket,
-    handle: PeerHandle,
-    contacts: Vec<Descriptor<SocketAddr>>,
-    params: BootstrapParams,
-    seed: u64,
-) {
-    let mut rng = SimRng::seed_from(seed);
-    let cycle_millis = effective_cycle_millis(&params);
-    let period = Duration::from_millis(cycle_millis);
-    let started = Instant::now();
-    // Desynchronise the peers' periodic timers, like the random start phase in §5.
-    let mut next_active = started + period.mul_f64(rng.unit_f64());
-    let mut pool = SamplePool::new(contacts);
-    let mut scratch = ProtocolScratch::default();
-    let mut buffer = [0u8; 65_536];
-
-    while handle.is_alive() {
-        // Passive thread: serve whatever arrives until the next active deadline.
-        // A datagram that does not decode is dropped; one whose answer cannot
-        // be sent is lost like any other — UDP promises nothing more.
-        if let Ok((length, from)) = socket.recv_from(&mut buffer) {
-            if let Ok(message) = decode(&buffer[..length]) {
-                let now = wire_cycle(started, cycle_millis);
-                let answer = {
-                    let mut node = handle.state().lock();
-                    apply_message(&mut node, &mut rng, &mut pool, message, now, &mut scratch)
-                };
-                if let Some(payload) = answer {
-                    let _ = socket.send_to(&payload, from);
-                }
-            }
-        }
-
-        // Active thread: every Δ, select a peer and send it a request — and
-        // let the sampling layer gossip one pool draw of its own.
-        if Instant::now() >= next_active {
-            next_active += period;
-            let now = wire_cycle(started, cycle_millis);
-            let (request, sampling) = {
-                let mut node = handle.state().lock();
-                let request = compose_request(&mut node, &mut rng, &mut pool, now, &mut scratch);
-                let sampling = compose_sample_exchange(&node, &mut rng, &mut pool, now);
-                (request, sampling)
-            };
-            if let Some((target, payload)) = request {
-                handle.record_exchange();
-                let _ = socket.send_to(&payload, target);
-            }
-            if let Some((target, payload)) = sampling {
-                let _ = socket.send_to(&payload, target);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::{DriverConfig, NetDriver};
+    use std::io;
+    use std::net::{Ipv4Addr, SocketAddrV4};
+    use std::time::Duration;
 
     fn params() -> BootstrapParams {
         BootstrapParams {
@@ -614,38 +451,45 @@ mod tests {
         }
     }
 
-    fn spawn_pair(params: BootstrapParams) -> io::Result<(UdpPeer, UdpPeer)> {
-        let first = UdpPeer::spawn(UdpPeerConfig {
-            id: NodeId::new(0x1111_0000_0000_0000),
+    /// Two peers on one driver: the second starts knowing the first, the first
+    /// knows nobody, so being linked is something the wire has to achieve.
+    fn bind_pair(params: BootstrapParams) -> io::Result<(NetDriver, PeerHandle, PeerHandle)> {
+        let driver = NetDriver::bind(DriverConfig {
+            size: 2,
             params,
-            contacts: vec![],
+            contacts_per_peer: 0,
             seed: 1,
         })?;
-        let second = UdpPeer::spawn(UdpPeerConfig {
-            id: NodeId::new(0x9999_0000_0000_0000),
-            params,
-            contacts: vec![first.descriptor()],
-            seed: 2,
-        })?;
-        Ok((first, second))
+        let handles = driver.handles();
+        let (first, second) = (handles[0].clone(), handles[1].clone());
+        second.state().lock().initialize([first.descriptor()]);
+        Ok((driver, first, second))
     }
 
-    fn wait_linked(first: &UdpPeer, second: &UdpPeer) -> bool {
+    /// Sweeps the driver on this thread until `done` holds or 10 s pass.
+    fn poll_until(driver: &mut NetDriver, done: impl Fn() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline {
-            let first_knows = first.state_snapshot().leaf_set().contains(second.id());
-            let second_knows = second.state_snapshot().leaf_set().contains(first.id());
-            if first_knows && second_knows {
+            if done() {
                 return true;
             }
-            std::thread::sleep(Duration::from_millis(20));
+            if !driver.poll_once() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
         false
     }
 
+    fn wait_linked(driver: &mut NetDriver, first: &PeerHandle, second: &PeerHandle) -> bool {
+        poll_until(driver, || {
+            first.state_snapshot().leaf_set().contains(second.id())
+                && second.state_snapshot().leaf_set().contains(first.id())
+        })
+    }
+
     #[test]
     fn a_pair_of_peers_learns_about_each_other() {
-        let (first, second) = match spawn_pair(params()) {
+        let (mut driver, first, second) = match bind_pair(params()) {
             Ok(pair) => pair,
             Err(error) => {
                 eprintln!("skipping UDP peer test: {error}");
@@ -653,13 +497,11 @@ mod tests {
             }
         };
         assert!(
-            wait_linked(&first, &second),
+            wait_linked(&mut driver, &first, &second),
             "peers never learned about each other"
         );
         assert!(second.exchanges_initiated() > 0);
         assert_ne!(first.address(), second.address());
-        first.shutdown();
-        second.shutdown();
     }
 
     #[test]
@@ -668,7 +510,7 @@ mod tests {
             descriptor_max_age: Some(4),
             ..params()
         };
-        let (first, second) = match spawn_pair(aged) {
+        let (mut driver, first, second) = match bind_pair(aged) {
             Ok(pair) => pair,
             Err(error) => {
                 eprintln!("skipping UDP peer test: {error}");
@@ -676,24 +518,16 @@ mod tests {
             }
         };
         assert!(
-            wait_linked(&first, &second),
+            wait_linked(&mut driver, &first, &second),
             "aged peers never learned about each other"
         );
         // Several cycles in, the active thread must have re-stamped the own
         // descriptor with the current wire cycle — the timestamp-0 descriptor
         // of an aging peer would otherwise expire out of every table.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut restamped = false;
-        while Instant::now() < deadline {
-            if second.descriptor().timestamp() > 0 {
-                restamped = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(restamped, "heartbeat never re-stamped the own descriptor");
-        first.shutdown();
-        second.shutdown();
+        assert!(
+            poll_until(&mut driver, || second.descriptor().timestamp() > 0),
+            "heartbeat never re-stamped the own descriptor"
+        );
     }
 
     #[test]
@@ -702,7 +536,7 @@ mod tests {
             descriptor_verifier: Some(0xfeed_beef),
             ..params()
         };
-        let (first, second) = match spawn_pair(keyed) {
+        let (mut driver, first, second) = match bind_pair(keyed) {
             Ok(pair) => pair,
             Err(error) => {
                 eprintln!("skipping UDP peer test: {error}");
@@ -710,32 +544,27 @@ mod tests {
             }
         };
         assert!(
-            wait_linked(&first, &second),
+            wait_linked(&mut driver, &first, &second),
             "keyed peers never learned about each other"
         );
-        first.shutdown();
-        second.shutdown();
     }
 
     #[test]
     fn peer_exposes_descriptor_and_id() {
-        let peer = match UdpPeer::spawn(UdpPeerConfig {
-            id: NodeId::new(7),
-            params: params(),
-            contacts: vec![],
-            seed: 3,
-        }) {
-            Ok(peer) => peer,
+        let (_driver, peer, other) = match bind_pair(params()) {
+            Ok(pair) => pair,
             Err(error) => {
                 eprintln!("skipping UDP peer test: {error}");
                 return;
             }
         };
-        assert_eq!(peer.descriptor().id(), NodeId::new(7));
+        // Identifiers are the simulator's draw for the same seed and size.
+        let ids = SimRng::seed_from(1).distinct_u64(2);
+        assert_eq!(peer.descriptor().id(), NodeId::new(ids[0]));
         assert_eq!(peer.descriptor().address(), peer.address());
-        assert_eq!(peer.id(), NodeId::new(7));
-        assert!(peer.handle().is_alive());
-        peer.shutdown();
+        assert_eq!(peer.id(), NodeId::new(ids[0]));
+        assert_eq!(other.id(), NodeId::new(ids[1]));
+        assert!(peer.is_alive());
     }
 
     #[test]

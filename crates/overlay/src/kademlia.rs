@@ -9,53 +9,10 @@
 //! contact whose identifier is XOR-closest to the target, which on a converged
 //! population reaches the target in `O(log_{2^b} N)` hops.
 
-use bss_core::experiment::PopulationSnapshot;
 use bss_core::node::BootstrapNode;
 use bss_core::routing::RouterKind;
 use bss_sim::network::NodeIndex;
 use bss_util::id::NodeId;
-
-use crate::pastry::{route_snapshot, RouteOutcome};
-
-/// A greedy XOR-metric router over a bootstrapped population.
-#[derive(Debug, Clone)]
-pub struct KademliaRouter<'a> {
-    population: &'a PopulationSnapshot,
-    max_hops: usize,
-}
-
-impl<'a> KademliaRouter<'a> {
-    /// Creates a router with a default hop budget of 64.
-    pub fn new(population: &'a PopulationSnapshot) -> Self {
-        KademliaRouter {
-            population,
-            max_hops: 64,
-        }
-    }
-
-    /// Overrides the hop budget (builder style).
-    #[must_use]
-    pub fn with_max_hops(mut self, max_hops: usize) -> Self {
-        self.max_hops = max_hops.max(1);
-        self
-    }
-
-    /// Routes a lookup for `target` starting at `source`, hopping to the
-    /// XOR-closest known contact at every step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is not part of the population.
-    pub fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
-        route_snapshot(
-            self.population,
-            RouterKind::Kademlia,
-            source,
-            target,
-            self.max_hops,
-        )
-    }
-}
 
 /// The known contact of `node` that is XOR-closest to `target`, provided it is
 /// strictly closer than `node` itself.
@@ -70,7 +27,8 @@ pub fn xor_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bss_core::experiment::{Experiment, ExperimentConfig};
+    use crate::pastry::SnapshotRouter;
+    use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot};
     use bss_util::rng::SimRng;
 
     fn snapshot(size: usize, seed: u64) -> PopulationSnapshot {
@@ -88,7 +46,7 @@ mod tests {
     #[test]
     fn xor_routing_delivers_on_a_converged_network() {
         let population = snapshot(128, 11);
-        let router = KademliaRouter::new(&population);
+        let router = SnapshotRouter::new(&population, RouterKind::Kademlia);
         let ids: Vec<NodeId> = population.ids().collect();
         let mut rng = SimRng::seed_from(5);
         let mut hops = Vec::new();
@@ -123,7 +81,7 @@ mod tests {
     #[test]
     fn self_lookup_is_immediate_and_budget_is_respected() {
         let population = snapshot(32, 13);
-        let router = KademliaRouter::new(&population).with_max_hops(2);
+        let router = SnapshotRouter::new(&population, RouterKind::Kademlia).with_max_hops(2);
         let id = population.node_at(0).unwrap().id();
         let outcome = router.route(id, id);
         assert!(outcome.is_delivered());

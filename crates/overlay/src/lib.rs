@@ -44,6 +44,5 @@ pub mod lookup;
 pub mod pastry;
 
 pub use chord::ChordRing;
-pub use kademlia::KademliaRouter;
 pub use lookup::{LookupEvaluator, LookupReport};
-pub use pastry::PastryRouter;
+pub use pastry::SnapshotRouter;

@@ -7,8 +7,7 @@
 //! immediately usable by the routing substrates they target.
 
 use crate::chord::ChordRing;
-use crate::kademlia::KademliaRouter;
-use crate::pastry::{PastryRouter, RouteOutcome};
+use crate::pastry::{RouteOutcome, SnapshotRouter};
 use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot};
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
@@ -150,10 +149,9 @@ impl LookupEvaluator {
         for _ in 0..lookups {
             let source = ids[self.rng.index(ids.len())];
             let target = ids[self.rng.index(ids.len())];
-            let outcome = match router {
-                RouterKind::Pastry => PastryRouter::new(&self.population).route(source, target),
-                RouterKind::Kademlia => KademliaRouter::new(&self.population).route(source, target),
-                RouterKind::Chord => chord.as_ref().expect("built above").route(source, target),
+            let outcome = match &chord {
+                Some(ring) => ring.route(source, target),
+                None => SnapshotRouter::new(&self.population, router).route(source, target),
             };
             report.record(&outcome);
         }

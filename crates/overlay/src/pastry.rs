@@ -50,18 +50,22 @@ impl RouteOutcome {
     }
 }
 
-/// A greedy prefix router over a bootstrapped population.
+/// A greedy router over a bootstrapped population, forwarding under `kind`'s
+/// per-hop rule: Pastry's prefix-then-distance step, Kademlia's XOR-closest
+/// contact, or Chord-style clockwise progress over the node's own tables.
 #[derive(Debug, Clone)]
-pub struct PastryRouter<'a> {
+pub struct SnapshotRouter<'a> {
     population: &'a PopulationSnapshot,
+    kind: RouterKind,
     max_hops: usize,
 }
 
-impl<'a> PastryRouter<'a> {
+impl<'a> SnapshotRouter<'a> {
     /// Creates a router with a default hop budget of 64.
-    pub fn new(population: &'a PopulationSnapshot) -> Self {
-        PastryRouter {
+    pub fn new(population: &'a PopulationSnapshot, kind: RouterKind) -> Self {
+        SnapshotRouter {
             population,
+            kind,
             max_hops: 64,
         }
     }
@@ -73,52 +77,40 @@ impl<'a> PastryRouter<'a> {
         self
     }
 
-    /// Routes a lookup for the node `target` starting at the node `source`.
+    /// Routes a lookup for the node `target` starting at the node `source`
+    /// through the shared loop in [`bss_core::routing`]. A stale entry pointing
+    /// outside the population loses the message at that hop, and so does a hop
+    /// back onto the path: both end [`RouteOutcome::Stuck`].
     ///
     /// # Panics
     ///
     /// Panics if `source` is not part of the population.
     pub fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
-        route_snapshot(
-            self.population,
-            RouterKind::Pastry,
+        let node = self
+            .population
+            .node_by_id(source)
+            .expect("source node must be part of the population");
+        let source = Contact {
+            id: source,
+            address: node.own_descriptor().address(),
+        };
+        let mut tables = SnapshotTables(self.population);
+        let mut path = Vec::new();
+        let end = route(
+            &mut tables,
+            self.kind,
             source,
             target,
             self.max_hops,
+            &mut path,
         )
-    }
-}
-
-/// Routes one lookup over a frozen population through the shared loop in
-/// [`bss_core::routing`], under `kind`'s per-hop rule. A stale entry pointing
-/// outside the population loses the message at that hop, and so does a hop
-/// back onto the path: both end [`RouteOutcome::Stuck`].
-///
-/// # Panics
-///
-/// Panics if `source` is not part of the population.
-pub(crate) fn route_snapshot(
-    population: &PopulationSnapshot,
-    kind: RouterKind,
-    source: NodeId,
-    target: NodeId,
-    max_hops: usize,
-) -> RouteOutcome {
-    let node = population
-        .node_by_id(source)
-        .expect("source node must be part of the population");
-    let source = Contact {
-        id: source,
-        address: node.own_descriptor().address(),
-    };
-    let mut tables = SnapshotTables(population);
-    let mut path = Vec::new();
-    let end = route(&mut tables, kind, source, target, max_hops, &mut path).end;
-    let path = path.into_iter().map(|contact| contact.id).collect();
-    match end {
-        RouteEnd::Delivered => RouteOutcome::Delivered(path),
-        RouteEnd::HopLimit => RouteOutcome::HopLimit { path },
-        _ => RouteOutcome::Stuck { path },
+        .end;
+        let path = path.into_iter().map(|contact| contact.id).collect();
+        match end {
+            RouteEnd::Delivered => RouteOutcome::Delivered(path),
+            RouteEnd::HopLimit => RouteOutcome::HopLimit { path },
+            _ => RouteOutcome::Stuck { path },
+        }
     }
 }
 
@@ -157,7 +149,7 @@ mod tests {
     #[test]
     fn every_lookup_is_delivered_on_a_converged_network() {
         let population = snapshot(128, 1);
-        let router = PastryRouter::new(&population);
+        let router = SnapshotRouter::new(&population, RouterKind::Pastry);
         let ids: Vec<NodeId> = population.ids().collect();
         let mut rng = SimRng::seed_from(99);
         let mut total_hops = 0usize;
@@ -180,7 +172,7 @@ mod tests {
     #[test]
     fn self_lookup_takes_zero_hops() {
         let population = snapshot(32, 2);
-        let router = PastryRouter::new(&population);
+        let router = SnapshotRouter::new(&population, RouterKind::Pastry);
         let id = population.node_at(0).unwrap().id();
         let outcome = router.route(id, id);
         assert!(outcome.is_delivered());
@@ -190,7 +182,7 @@ mod tests {
     #[test]
     fn hop_budget_is_enforced() {
         let population = snapshot(64, 3);
-        let router = PastryRouter::new(&population).with_max_hops(1);
+        let router = SnapshotRouter::new(&population, RouterKind::Pastry).with_max_hops(1);
         let ids: Vec<NodeId> = population.ids().collect();
         // With a single allowed hop some far lookup will hit the limit.
         let mut limited = false;
@@ -207,24 +199,15 @@ mod tests {
 
     #[test]
     fn a_target_reached_on_the_last_budgeted_hop_is_delivered() {
-        use crate::kademlia::KademliaRouter;
         let population = snapshot(64, 3);
         let ids: Vec<NodeId> = population.ids().collect();
-        type Route = fn(&PopulationSnapshot, usize, NodeId, NodeId) -> RouteOutcome;
-        let routers: [(&str, Route); 2] = [
-            ("pastry", |population, budget, source, target| {
-                PastryRouter::new(population)
+        for kind in [RouterKind::Pastry, RouterKind::Kademlia] {
+            let name = kind.label();
+            let route = |budget, source, target| {
+                SnapshotRouter::new(&population, kind)
                     .with_max_hops(budget)
                     .route(source, target)
-            }),
-            ("kademlia", |population, budget, source, target| {
-                KademliaRouter::new(population)
-                    .with_max_hops(budget)
-                    .route(source, target)
-            }),
-        ];
-        for (name, route) in routers {
-            let route = |budget, source, target| route(&population, budget, source, target);
+            };
             // A pair that needs at least two hops, so that one hop fewer is
             // still a positive budget.
             let (source, target, hops) = ids
@@ -252,7 +235,7 @@ mod tests {
     #[should_panic(expected = "source node")]
     fn unknown_source_is_rejected() {
         let population = snapshot(16, 4);
-        let router = PastryRouter::new(&population);
+        let router = SnapshotRouter::new(&population, RouterKind::Pastry);
         let _ = router.route(NodeId::new(123), NodeId::new(456));
     }
 

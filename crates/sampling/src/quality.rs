@@ -2,11 +2,11 @@
 //!
 //! The bootstrap protocol's convergence depends on the sampling layer supplying
 //! "sufficiently random" samples (§3). These helpers quantify that for a running
-//! [`NewscastProtocol`](crate::newscast::NewscastProtocol): the in-degree
-//! distribution of the overlay induced by the caches (uniformly random graphs have
-//! a tight, Poisson-like in-degree distribution), the fraction of cache entries
-//! pointing at departed nodes, and whether the induced overlay is connected (a
-//! disconnected sampling overlay would partition every layer built on top of it).
+//! [`NewscastProtocol`]: the in-degree distribution of the overlay induced by
+//! the caches (uniformly random graphs have a tight, Poisson-like in-degree
+//! distribution), the fraction of cache entries pointing at departed nodes, and
+//! whether the induced overlay is connected (a disconnected sampling overlay
+//! would partition every layer built on top of it).
 
 use crate::newscast::NewscastProtocol;
 use bss_sim::network::{Network, NodeIndex};

@@ -16,7 +16,7 @@
 //! * every dispatched task is acknowledged by its worker after it finishes
 //!   (or panics — tasks run under `catch_unwind`), and
 //! * `run` does not return — and does not *unwind* — until it has collected
-//!   one acknowledgement per dispatched task ([`AckGuard`] drains them even
+//!   one acknowledgement per dispatched task (`AckGuard` drains them even
 //!   while propagating a panic from the caller-executed task).
 //!
 //! Therefore no erased closure can outlive the borrows it captures: the

@@ -3,15 +3,15 @@
 //! This crate collects the small, dependency-free building blocks shared by every
 //! other crate in the workspace:
 //!
-//! * [`id`] — [`NodeId`](id::NodeId): 64-bit node identifiers with base-2^b digit
+//! * [`id`] — [`NodeId`]: 64-bit node identifiers with base-2^b digit
 //!   views, common-prefix computation, ring distances and XOR distances.
-//! * [`geometry`] — [`TableGeometry`](geometry::TableGeometry): the `(b, k)`
+//! * [`geometry`] — [`TableGeometry`]: the `(b, k)`
 //!   parameters that define the shape of a prefix routing table.
-//! * [`descriptor`] — [`Descriptor`](descriptor::Descriptor): a node descriptor
+//! * [`descriptor`] — [`Descriptor`]: a node descriptor
 //!   (identifier + address + freshness timestamp) as exchanged by the gossip
-//!   protocols, generic over the address type via the [`Address`](descriptor::Address)
+//!   protocols, generic over the address type via the [`Address`]
 //!   trait.
-//! * [`rng`] — [`SimRng`](rng::SimRng): a small deterministic pseudo-random number
+//! * [`rng`] — [`SimRng`]: a small deterministic pseudo-random number
 //!   generator (SplitMix64 seeding a Xoshiro256**) so that every simulation run is
 //!   exactly reproducible from its seed.
 //! * [`stats`] — time series, summaries and histograms used by the experiment
@@ -20,10 +20,10 @@
 //!   the bounded per-node views kept by every gossip protocol, plus
 //!   [`rank_top_by`](view::rank_top_by), the partial-selection ranking used on the
 //!   merge hot path.
-//! * [`config`] — protocol parameter sets ([`BootstrapParams`](config::BootstrapParams),
-//!   [`NewscastParams`](config::NewscastParams)) with the paper's defaults.
-//! * [`coords`] — 2-D node placement ([`PlacementSpec`](coords::PlacementSpec),
-//!   [`Placement`](coords::Placement)): seeded coordinate/region generators for
+//! * [`config`] — protocol parameter sets ([`BootstrapParams`],
+//!   [`NewscastParams`]) with the paper's defaults.
+//! * [`coords`] — 2-D node placement ([`PlacementSpec`],
+//!   [`Placement`]): seeded coordinate/region generators for
 //!   WAN topology modelling (not to be confused with [`geometry`], which is
 //!   routing-*table* geometry).
 //!
