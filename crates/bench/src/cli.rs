@@ -5,6 +5,9 @@
 //! `--name` that is not in it (a mistyped `--cycle 20` used to regenerate a
 //! golden at the default budget without a word), an absent option reads as
 //! the table's default, and [`usage`] renders `--help` from the same rows.
+//! A value that does not read as what its option expects is an error the
+//! accessor returns, naming the option, and takes the same exit as an unknown
+//! option — usage on stderr, status 2 — instead of a panic inside the run.
 //! Pulling in a full argument-parsing dependency for that would violate the
 //! project's minimal-dependency policy, so this module implements exactly
 //! what is needed.
@@ -18,11 +21,11 @@ use std::fmt::Write as _;
 /// 1000×1000 plane, four 60-unit-spread clusters on it, or two DCs 1000 units
 /// apart).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown placement name.
-pub fn wan_placement(name: &str, regions: u32) -> PlacementSpec {
-    match name {
+/// Rejects an unknown placement name.
+pub fn wan_placement(name: &str, regions: u32) -> Result<PlacementSpec, String> {
+    Ok(match name {
         "plane" => PlacementSpec::UniformPlane {
             width: 1000.0,
             height: 1000.0,
@@ -37,8 +40,12 @@ pub fn wan_placement(name: &str, regions: u32) -> PlacementSpec {
             separation: 1000.0,
             spread: 60.0,
         },
-        other => panic!("unknown WAN placement {other:?}: expected plane, clustered or dumbbell"),
-    }
+        other => {
+            return Err(format!(
+                "unknown WAN placement {other:?}: expected plane, clustered or dumbbell"
+            ))
+        }
+    })
 }
 
 /// One option of an experiment: its `--name` followed, unless it is a flag,
@@ -173,67 +180,81 @@ impl Args {
 
     /// The parsed value of `--key`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a readable message when the value cannot be parsed, or
-    /// when the option has neither a value nor a default.
-    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> T {
+    /// Rejects a value that cannot be parsed, and an option that has neither
+    /// a value nor a default.
+    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
         let raw = self
             .get(key)
-            .unwrap_or_else(|| panic!("--{key} has no value and no default"));
+            .ok_or_else(|| format!("--{key} has no value and no default"))?;
         raw.parse()
-            .unwrap_or_else(|_| panic!("--{key} expects a value like the default, got {raw:?}"))
+            .map_err(|_| format!("--{key} expects a value like the default, got {raw:?}"))
     }
 
     /// The comma-separated values of `--key` (e.g. `--sizes 10,12,14`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when an element cannot be parsed.
-    pub fn list<T: std::str::FromStr>(&self, key: &str) -> Vec<T> {
+    /// Rejects an element that cannot be parsed.
+    pub fn list<T: std::str::FromStr>(&self, key: &str) -> Result<Vec<T>, String> {
         parse_list(key, self.get(key).unwrap_or(""))
     }
 
     /// The network-size exponents to run (`N = 2^exponent`): the one `--size`
-    /// of a single-size experiment, else the `--sizes` list.
-    pub fn sizes(&self) -> Vec<u32> {
-        if self.get("size").is_some() {
-            vec![self.parsed("size")]
+    /// of a single-size experiment, else the `--sizes` list. An exponent no
+    /// experiment can run is rejected like one that does not parse: 0 (one
+    /// node is not a network) and what overflows `1usize << exponent`.
+    pub fn sizes(&self) -> Result<Vec<u32>, String> {
+        let (key, sizes) = if self.get("size").is_some() {
+            ("size", vec![self.parsed("size")?])
         } else {
-            self.list("sizes")
+            ("sizes", self.list("sizes")?)
+        };
+        match sizes.iter().find(|&&exp| exp == 0 || exp >= usize::BITS) {
+            Some(exp) => Err(format!(
+                "--{key} expects exponents from 1 to {} (N = 2^exp), got {exp}",
+                usize::BITS - 1
+            )),
+            None => Ok(sizes),
+        }
+    }
+
+    /// Independent runs per configuration (`--runs`): at least 1, a sweep of
+    /// no runs having nothing to report.
+    pub fn runs(&self) -> Result<usize, String> {
+        match self.parsed("runs")? {
+            0 => Err("--runs expects at least 1, got 0".to_owned()),
+            runs => Ok(runs),
         }
     }
 
     /// Worker threads of the cycle engine (`--threads`, at least 1).
-    pub fn threads(&self) -> usize {
-        self.parsed::<usize>("threads").max(1)
+    pub fn threads(&self) -> Result<usize, String> {
+        Ok(self.parsed::<usize>("threads")?.max(1))
     }
 
     /// The cycle + event engine pair every sweep runs its cells on: the cycle
     /// engine at `--threads`, the event engine at `--latency`.
-    pub fn engine_pair(&self) -> [(&'static str, Engine); 2] {
-        [
-            ("cycle", Engine::with_threads(self.threads())),
-            (
-                "event",
-                Engine::Event {
-                    latency: self.latency_model(),
-                },
-            ),
-        ]
+    pub fn engine_pair(&self) -> Result<[(&'static str, Engine); 2], String> {
+        let latency = self.latency_model()?;
+        Ok([
+            ("cycle", Engine::with_threads(self.threads()?)),
+            ("event", Engine::Event { latency }),
+        ])
     }
 
     /// The one engine `--engine` selects for a single-engine experiment.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a name other than `cycle` or `event`.
-    pub fn engine(&self) -> Engine {
-        let [(_, cycle), (_, event)] = self.engine_pair();
+    /// Rejects a name other than `cycle` or `event`.
+    pub fn engine(&self) -> Result<Engine, String> {
+        let [(_, cycle), (_, event)] = self.engine_pair()?;
         match self.get("engine") {
-            Some("cycle") => cycle,
-            Some("event") => event,
-            other => panic!("--engine expects cycle or event, got {other:?}"),
+            Some("cycle") => Ok(cycle),
+            Some("event") => Ok(event),
+            other => Err(format!("--engine expects cycle or event, got {other:?}")),
         }
     }
 
@@ -243,55 +264,59 @@ impl Args {
     /// placement is `plane`, `clustered[:<regions>]` (default 4) or
     /// `dumbbell` (see [`wan_placement`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a readable message on a malformed spec.
-    pub fn link_model_arg(&self) -> Option<LatencyModel> {
-        let raw = self.get("link")?;
+    /// Rejects a malformed spec.
+    pub fn link_model_arg(&self) -> Result<Option<LatencyModel>, String> {
+        let Some(raw) = self.get("link") else {
+            return Ok(None);
+        };
         let (kind, rest) = raw.split_once(':').unwrap_or((raw, ""));
         let model = match kind {
             "constant" | "uniform" => {
-                let model = millis_model("link", &parse_list("link", rest));
-                assert_eq!(
-                    model.label(),
-                    kind,
-                    "--link {kind}: wrong value count in {raw:?}"
-                );
+                let model = millis_model("link", &parse_list("link", rest)?)?;
+                if model.label() != kind {
+                    return Err(format!("--link {kind}: wrong value count in {raw:?}"));
+                }
                 model
             }
             "wan" => {
                 let (placement, regions) = match rest.split_once(':') {
                     Some((placement, count)) => (
                         placement,
-                        count.parse().unwrap_or_else(|_| {
-                            panic!("--link wan:clustered:<regions>, got {raw:?}")
-                        }),
+                        count
+                            .parse()
+                            .map_err(|_| format!("--link wan:clustered:<regions>, got {raw:?}"))?,
                     ),
                     None => (if rest.is_empty() { "clustered" } else { rest }, 4),
                 };
                 LatencyModel::Wan {
-                    placement: wan_placement(placement, regions),
+                    placement: wan_placement(placement, regions)?,
                     params: WanParams::default(),
                 }
             }
-            other => panic!("--link expects constant, uniform or wan specs, got {other:?}"),
+            other => {
+                return Err(format!(
+                    "--link expects constant, uniform or wan specs, got {other:?}"
+                ))
+            }
         };
-        Some(model)
+        Ok(Some(model))
     }
 
     /// Parses `--latency` into a [`LatencyModel`]: a single value is a
     /// constant latency, `min,max` is uniform.
-    pub fn latency_model(&self) -> LatencyModel {
-        millis_model("latency", &self.list("latency"))
+    pub fn latency_model(&self) -> Result<LatencyModel, String> {
+        millis_model("latency", &self.list("latency")?)
     }
 }
 
 /// Parses comma-separated `values` given for `--key`.
-fn parse_list<T: std::str::FromStr>(key: &str, values: &str) -> Vec<T> {
+fn parse_list<T: std::str::FromStr>(key: &str, values: &str) -> Result<Vec<T>, String> {
     let pieces = values.split(',').filter(|piece| !piece.is_empty());
     let parse = |piece: &str| {
-        piece.trim().parse().unwrap_or_else(|_| {
-            panic!("--{key} expects comma-separated values like the default, got {piece:?}")
+        piece.trim().parse().map_err(|_| {
+            format!("--{key} expects comma-separated values like the default, got {piece:?}")
         })
     };
     pieces.map(parse).collect()
@@ -299,14 +324,16 @@ fn parse_list<T: std::str::FromStr>(key: &str, values: &str) -> Vec<T> {
 
 /// The placement-free latency model `millis` describes: one value is a
 /// constant latency, two are the bounds of a uniform one.
-fn millis_model(key: &str, millis: &[u64]) -> LatencyModel {
+fn millis_model(key: &str, millis: &[u64]) -> Result<LatencyModel, String> {
     match *millis {
-        [millis] => LatencyModel::Constant { millis },
-        [min_millis, max_millis] => LatencyModel::Uniform {
+        [millis] => Ok(LatencyModel::Constant { millis }),
+        [min_millis, max_millis] => Ok(LatencyModel::Uniform {
             min_millis,
             max_millis,
-        },
-        _ => panic!("--{key} expects one or two ms values, got {millis:?}"),
+        }),
+        _ => Err(format!(
+            "--{key} expects one or two ms values, got {millis:?}"
+        )),
     }
 }
 
@@ -338,12 +365,12 @@ mod tests {
     #[test]
     fn parses_key_value_pairs_and_flags() {
         let parsed = args(&["--runs", "5", "--sizes", "10,12", "--quiet", "--seed=9"]);
-        assert_eq!(parsed.parsed::<usize>("runs"), 5);
-        assert_eq!(parsed.list::<u32>("sizes"), vec![10, 12]);
+        assert_eq!(parsed.parsed::<usize>("runs").unwrap(), 5);
+        assert_eq!(parsed.list::<u32>("sizes").unwrap(), vec![10, 12]);
         assert!(parsed.flag("quiet"));
-        assert_eq!(parsed.parsed::<u64>("seed"), 9);
+        assert_eq!(parsed.parsed::<u64>("seed").unwrap(), 9);
         assert_eq!(
-            parsed.parsed::<u64>("cycles"),
+            parsed.parsed::<u64>("cycles").unwrap(),
             60,
             "absent: the table's default"
         );
@@ -363,7 +390,10 @@ mod tests {
         assert!(parse(&["--cycles"]).is_err());
         assert!(parse(&["--cycles", "--quiet"]).is_err());
         assert_eq!(
-            parse(&["--cycles", "20"]).unwrap().parsed::<u64>("cycles"),
+            parse(&["--cycles", "20"])
+                .unwrap()
+                .parsed::<u64>("cycles")
+                .unwrap(),
             20
         );
     }
@@ -372,13 +402,13 @@ mod tests {
     fn a_shorthand_flag_implies_its_options_unless_they_are_given() {
         let parsed = args(&["--smoke"]);
         assert!(parsed.flag("smoke"));
-        assert_eq!(parsed.sizes(), vec![7]);
-        assert_eq!(parsed.parsed::<u64>("cycles"), 40);
+        assert_eq!(parsed.sizes().unwrap(), vec![7]);
+        assert_eq!(parsed.parsed::<u64>("cycles").unwrap(), 40);
         let parsed = args(&["--smoke", "--cycles", "25"]);
-        assert_eq!(parsed.sizes(), vec![7]);
-        assert_eq!(parsed.parsed::<u64>("cycles"), 25);
+        assert_eq!(parsed.sizes().unwrap(), vec![7]);
+        assert_eq!(parsed.parsed::<u64>("cycles").unwrap(), 25);
         let parsed = args(&["--sizes", "5,6", "--smoke"]);
-        assert_eq!(parsed.sizes(), vec![5, 6]);
+        assert_eq!(parsed.sizes().unwrap(), vec![5, 6]);
         assert_eq!(args(&[]).get("smoke"), None);
     }
 
@@ -409,7 +439,7 @@ mod tests {
         // A flag never swallows the option after it.
         let parsed = args(&["--quiet", "--runs", "2"]);
         assert!(parsed.flag("quiet"));
-        assert_eq!(parsed.parsed::<usize>("runs"), 2);
+        assert_eq!(parsed.parsed::<usize>("runs").unwrap(), 2);
         assert!(!args(&[]).flag("quiet"));
     }
 
@@ -417,23 +447,58 @@ mod tests {
     #[should_panic(expected = "expects a value")]
     fn unparseable_values_panic_with_context() {
         let parsed = args(&["--runs", "many"]);
-        let _ = parsed.parsed::<usize>("runs");
+        let _ = parsed.parsed::<usize>("runs").unwrap();
+    }
+
+    #[test]
+    fn malformed_values_are_rejected() {
+        // The same exit as an unknown option — status 2 and the usage — not a
+        // panic inside the run, and not a "0 runs, not converged" row.
+        for bad in [
+            ["--runs", "x"],
+            ["--sizes", "abc"],
+            ["--sizes", "0"],
+            ["--runs", "0"],
+        ] {
+            let line = ["fig3", "--cycles", "5", bad[0], bad[1]].map(String::from);
+            assert_eq!(crate::experiments::run(line), 2, "{bad:?}");
+        }
+        // The message names the option and the reason.
+        let error = args(&["--runs", "x"]).runs().unwrap_err();
+        assert!(
+            error.contains("--runs expects a value") && error.contains("\"x\""),
+            "{error}"
+        );
+        let error = args(&["--runs", "0"]).runs().unwrap_err();
+        assert!(error.contains("--runs expects at least 1"), "{error}");
+        let error = args(&["--sizes", "8,abc"]).sizes().unwrap_err();
+        assert!(
+            error.contains("--sizes expects") && error.contains("\"abc\""),
+            "{error}"
+        );
+        for exponent in ["0", "64"] {
+            let error = args(&["--size", exponent]).sizes().unwrap_err();
+            assert!(error.contains("--size expects exponents from 1"), "{error}");
+        }
+        assert!(args(&["--latency", "1,2,3"]).engine_pair().is_err());
+        assert!(args(&["--link", "constant:1,2"]).link_model_arg().is_err());
+        assert!(args(&["--link", "wan:moon"]).link_model_arg().is_err());
     }
 
     #[test]
     fn default_size_list_is_used_when_absent() {
-        assert_eq!(args(&[]).sizes(), vec![10, 12]);
+        assert_eq!(args(&[]).sizes().unwrap(), vec![10, 12]);
     }
 
     #[test]
     fn common_args_apply_defaults_and_overrides() {
         let parsed = args(&[]);
-        assert_eq!(parsed.sizes(), vec![10, 12]);
-        assert_eq!(parsed.parsed::<usize>("runs"), 3);
-        assert_eq!(parsed.parsed::<u64>("cycles"), 60);
-        assert_eq!(parsed.parsed::<u64>("seed"), 1);
-        assert_eq!(parsed.threads(), 1);
-        assert_eq!(parsed.engine(), Engine::Cycle);
+        assert_eq!(parsed.sizes().unwrap(), vec![10, 12]);
+        assert_eq!(parsed.parsed::<usize>("runs").unwrap(), 3);
+        assert_eq!(parsed.parsed::<u64>("cycles").unwrap(), 60);
+        assert_eq!(parsed.parsed::<u64>("seed").unwrap(), 1);
+        assert_eq!(parsed.threads().unwrap(), 1);
+        assert_eq!(parsed.engine().unwrap(), Engine::Cycle);
         assert!(parsed.get("out").is_none());
         assert!(!parsed.flag("quiet"));
 
@@ -452,22 +517,25 @@ mod tests {
             "x.json",
             "--quiet",
         ]);
-        assert_eq!(parsed.sizes(), vec![8, 9]);
-        assert_eq!(parsed.parsed::<usize>("runs"), 5);
-        assert_eq!(parsed.engine(), Engine::ParallelCycle { threads: 4 });
+        assert_eq!(parsed.sizes().unwrap(), vec![8, 9]);
+        assert_eq!(parsed.parsed::<usize>("runs").unwrap(), 5);
+        assert_eq!(
+            parsed.engine().unwrap(),
+            Engine::ParallelCycle { threads: 4 }
+        );
         assert_eq!(parsed.get("out"), Some("x.json"));
         assert!(parsed.flag("quiet"));
     }
 
     #[test]
     fn singular_size_overrides_the_list() {
-        assert_eq!(args(&["--size", "11"]).sizes(), vec![11]);
+        assert_eq!(args(&["--size", "11"]).sizes().unwrap(), vec![11]);
     }
 
     #[test]
     fn engine_and_latency_flags_select_the_event_engine() {
         assert_eq!(
-            args(&["--engine", "event"]).engine(),
+            args(&["--engine", "event"]).engine().unwrap(),
             Engine::Event {
                 latency: LatencyModel::Constant { millis: 1 }
             }
@@ -477,10 +545,10 @@ mod tests {
             max_millis: 50,
         };
         let parsed = args(&["--engine", "event", "--latency", "5,50", "--threads", "2"]);
-        assert_eq!(parsed.engine(), Engine::Event { latency: uniform });
+        assert_eq!(parsed.engine().unwrap(), Engine::Event { latency: uniform });
         // A sweep runs both engines whatever `--engine` says.
         assert_eq!(
-            parsed.engine_pair(),
+            parsed.engine_pair().unwrap(),
             [
                 ("cycle", Engine::ParallelCycle { threads: 2 }),
                 ("event", Engine::Event { latency: uniform }),
@@ -488,7 +556,7 @@ mod tests {
         );
         let parsed = args(&["--engine", "event", "--latency", "20"]);
         assert_eq!(
-            parsed.latency_model(),
+            parsed.latency_model().unwrap(),
             LatencyModel::Constant { millis: 20 }
         );
     }
@@ -496,18 +564,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "cycle or event")]
     fn unknown_engine_names_panic() {
-        let _ = args(&["--engine", "quantum"]).engine();
+        let _ = args(&["--engine", "quantum"]).engine().unwrap();
     }
 
     #[test]
     fn link_specs_parse_into_latency_models() {
-        assert_eq!(args(&[]).link_model_arg(), None);
+        assert_eq!(args(&[]).link_model_arg().unwrap(), None);
         assert_eq!(
-            args(&["--link", "constant:7"]).link_model_arg(),
+            args(&["--link", "constant:7"]).link_model_arg().unwrap(),
             Some(LatencyModel::Constant { millis: 7 })
         );
         assert_eq!(
-            args(&["--link", "uniform:2,40"]).link_model_arg(),
+            args(&["--link", "uniform:2,40"]).link_model_arg().unwrap(),
             Some(LatencyModel::Uniform {
                 min_millis: 2,
                 max_millis: 40
@@ -515,24 +583,28 @@ mod tests {
         );
         let wan = args(&["--link", "wan:clustered:6"])
             .link_model_arg()
+            .unwrap()
             .unwrap();
-        assert_eq!(wan.placement_spec(), Some(wan_placement("clustered", 6)));
+        assert_eq!(
+            wan.placement_spec(),
+            Some(wan_placement("clustered", 6).unwrap())
+        );
         // Bare `wan` defaults to the four-region clustered placement.
         assert_eq!(
-            args(&["--link", "wan"]).link_model_arg(),
+            args(&["--link", "wan"]).link_model_arg().unwrap(),
             Some(LatencyModel::Wan {
-                placement: wan_placement("clustered", 4),
+                placement: wan_placement("clustered", 4).unwrap(),
                 params: WanParams::default(),
             })
         );
         for name in ["plane", "dumbbell"] {
-            assert!(wan_placement(name, 4).validate().is_ok());
+            assert!(wan_placement(name, 4).unwrap().validate().is_ok());
         }
     }
 
     #[test]
     #[should_panic(expected = "constant, uniform or wan")]
     fn unknown_link_specs_panic() {
-        let _ = args(&["--link", "telepathy"]).link_model_arg();
+        let _ = args(&["--link", "telepathy"]).link_model_arg().unwrap();
     }
 }

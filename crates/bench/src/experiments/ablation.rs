@@ -74,10 +74,10 @@ fn ablations() -> [(&'static str, &'static str, Vec<Cell>); 4] {
     ]
 }
 
-pub(super) fn run(args: &Args) {
-    let exponent: u32 = args.parsed("size");
-    let runs: u64 = args.parsed("runs");
-    let seed: u64 = args.parsed("seed");
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let exponent: u32 = args.parsed("size")?;
+    let runs = args.runs()? as u64;
+    let seed: u64 = args.parsed("seed")?;
     eprintln!("# Ablations at N=2^{exponent}, {runs} runs per configuration");
 
     // Ablation A runs on seeds `seed..`, B on `seed + 100..`, and so on.
@@ -95,10 +95,9 @@ pub(super) fn run(args: &Args) {
                     .config
                     .network_size(1usize << exponent)
                     .seed(seed + offset + run)
-                    .max_cycles(args.parsed("cycles"))
-                    .engine(args.engine())
-                    .build()
-                    .expect("valid ablation configuration");
+                    .max_cycles(args.parsed("cycles")?)
+                    .engine(args.engine()?)
+                    .build()?;
                 let outcome = Experiment::new(config).run();
                 message_size += outcome.traffic().mean_message_size();
                 converged.extend(outcome.convergence_cycle());
@@ -112,4 +111,5 @@ pub(super) fn run(args: &Args) {
             );
         }
     }
+    Ok(())
 }

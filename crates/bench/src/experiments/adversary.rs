@@ -30,8 +30,9 @@ const DEFENSES: [(&str, Option<u64>, Option<usize>); 4] = [
     ("both", Some(VERIFIER_KEY), Some(QUOTA)),
 ];
 
-pub(super) fn run(args: &Args) {
-    let sweep = Sweep::from_args(args, &format!("Adversary sweep, attack {ATTACK}"), false);
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let sweep = Sweep::from_args(args, &format!("Adversary sweep, attack {ATTACK}"), false)?;
+    let fractions = args.list::<u32>("fractions")?;
     let mut cells = Vec::new();
     let mut labels = Vec::new();
     for behavior in [
@@ -39,7 +40,7 @@ pub(super) fn run(args: &Args) {
         AdversaryBehavior::IdSpray { target: 0 },
         AdversaryBehavior::HubAttack,
     ] {
-        for percent in args.list::<u32>("fractions") {
+        for &percent in &fractions {
             for (defense, verifier, quota) in DEFENSES {
                 let mut cell = Cell::new(
                     format!("{}_f{percent}_{defense}", behavior.label()),
@@ -91,4 +92,5 @@ pub(super) fn run(args: &Args) {
         );
     });
     sweep.write("adversary_timeline.tsv", &timeline);
+    Ok(())
 }

@@ -17,10 +17,10 @@ use bss_core::experiment::{Experiment, ExperimentConfig};
 /// The swept replacement rates, in percent of the network per cycle.
 const RATES: [u32; 4] = [0, 1, 2, 5];
 
-pub(super) fn run(args: &Args) {
-    let exponent: u32 = args.parsed("size");
-    let cycles: u64 = args.parsed("cycles");
-    let seed: u64 = args.parsed("seed");
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let exponent: u32 = args.parsed("size")?;
+    let cycles: u64 = args.parsed("cycles")?;
+    let seed: u64 = args.parsed("seed")?;
 
     eprintln!("# Churn sweep: N=2^{exponent}, {cycles} cycles, rates {RATES:?} %/cycle");
     let mut leaf_columns = Vec::new();
@@ -34,9 +34,8 @@ pub(super) fn run(args: &Args) {
             .churn_rate(f64::from(rate) / 100.0)
             .max_cycles(cycles)
             .stop_when_perfect(rate == 0)
-            .engine(args.engine())
-            .build()
-            .expect("valid configuration");
+            .engine(args.engine()?)
+            .build()?;
         let outcome = Experiment::new(config).run();
         eprintln!("#   churn {rate}%/cycle: {outcome}");
         summary.push_str(&format!(
@@ -57,4 +56,5 @@ pub(super) fn run(args: &Args) {
     println!();
     println!("## Summary");
     print!("{summary}");
+    Ok(())
 }

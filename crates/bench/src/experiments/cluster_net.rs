@@ -36,26 +36,28 @@ fn bench_params() -> BootstrapParams {
     }
 }
 
-pub(super) fn run(args: &Args) {
-    let out_dir: String = args.parsed("out-dir");
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let out_dir: String = args.parsed("out-dir")?;
+    let sizes = args.sizes()?;
+    let seed = args.parsed("seed")?;
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
     let mut timeline = String::from("nodes\tmillis\tmissing_leaf\tmissing_prefix\tdead\n");
     let mut all_converged = true;
 
-    for size in args.sizes().into_iter().map(|exp| 1usize << exp) {
+    for size in sizes.into_iter().map(|exp| 1usize << exp) {
         let cluster = match Cluster::spawn(ClusterConfig {
             size,
             params: bench_params(),
             contacts_per_peer: 4,
-            seed: args.parsed("seed"),
+            seed,
         }) {
             Ok(cluster) => cluster,
             Err(error) => {
                 // No loopback UDP here (sandboxed CI): skip the whole bench,
                 // successfully, like the socket tests do.
                 eprintln!("skipping cluster_net: cannot bind loopback sockets: {error}");
-                return;
+                return Ok(());
             }
         };
         let report = cluster.monitor(Duration::from_millis(50), DEADLINE);
@@ -83,6 +85,7 @@ pub(super) fn run(args: &Args) {
         eprintln!("cluster_net: at least one cluster failed to converge before the deadline");
         std::process::exit(1);
     }
+    Ok(())
 }
 
 /// Appends one TSV row per convergence sample; the three series are sampled at

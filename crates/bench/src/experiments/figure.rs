@@ -17,18 +17,17 @@ use crate::figures::{run_figure, FigureConfig};
 use crate::report::{panel_table, summary_table};
 use bss_core::experiment::ExperimentConfig;
 
-pub(super) fn run(args: &Args, figure: u32, drop: f64) {
+pub(super) fn run(args: &Args, figure: u32, drop: f64) -> super::Outcome {
     let quiet = args.flag("quiet");
     let config = FigureConfig {
-        size_exponents: args.sizes(),
-        runs_per_size: args.parsed("runs"),
+        size_exponents: args.sizes()?,
+        runs_per_size: args.runs()?,
         base: ExperimentConfig::builder()
-            .max_cycles(args.parsed("cycles"))
+            .max_cycles(args.parsed("cycles")?)
             .drop_probability(drop)
-            .engine(args.engine())
-            .build()
-            .expect("valid configuration"),
-        base_seed: args.parsed("seed"),
+            .engine(args.engine()?)
+            .build()?,
+        base_seed: args.parsed("seed")?,
     };
     // "(20% drop)" on Figure 4's panels, nothing on Figure 3's.
     let suffix = if drop > 0.0 {
@@ -51,4 +50,5 @@ pub(super) fn run(args: &Args, figure: u32, drop: f64) {
     println!();
     println!("## Summary");
     print!("{}", summary_table(&result));
+    Ok(())
 }

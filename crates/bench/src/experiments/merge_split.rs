@@ -21,13 +21,14 @@ use bss_core::scenario::{PartitionSpec, Phase, ScenarioEvent};
 /// The cycle at which the partition heals.
 const MERGE_AT: u64 = 25;
 
-pub(super) fn run(args: &Args) {
-    let exponent: u32 = args.parsed("size");
-    let cycles: u64 = args.parsed("cycles");
-    assert!(
-        MERGE_AT < cycles,
-        "--cycles must exceed the merge cycle {MERGE_AT}"
-    );
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let exponent: u32 = args.parsed("size")?;
+    let cycles: u64 = args.parsed("cycles")?;
+    if cycles <= MERGE_AT {
+        return Err(
+            format!("--cycles must exceed the merge cycle {MERGE_AT}, got {cycles}").into(),
+        );
+    }
 
     eprintln!("# Merge/split scenario: N=2^{exponent}, partition heals at cycle {MERGE_AT}");
 
@@ -37,15 +38,14 @@ pub(super) fn run(args: &Args) {
     // the run ends at the first full-membership perfection after the merge.
     let config = ExperimentConfig::builder()
         .network_size(1usize << exponent)
-        .seed(args.parsed("seed"))
+        .seed(args.parsed("seed")?)
         .max_cycles(cycles)
         .event(ScenarioEvent::Partition {
             phase: Phase::new(0, MERGE_AT),
             groups: PartitionSpec::IndexParity,
         })
-        .engine(args.engine())
-        .build()
-        .expect("valid configuration");
+        .engine(args.engine()?)
+        .build()?;
     let report = Experiment::new(config).run();
 
     eprintln!(
@@ -72,4 +72,5 @@ pub(super) fn run(args: &Args) {
         ),
         None => println!("## Merged network did not reach perfect tables within the budget"),
     }
+    Ok(())
 }

@@ -17,13 +17,17 @@ mod scenarios;
 mod traffic;
 mod wan;
 
+/// What an experiment returns: an error is an option value, or a
+/// configuration built from the options, that was rejected before any run.
+type Outcome = Result<(), Box<dyn std::error::Error>>;
+
 /// One row of the table.
 #[derive(Debug)]
 pub struct Experiment {
     pub(crate) name: &'static str,
     pub(crate) about: &'static str,
     options: &'static [Opt],
-    run: fn(&Args),
+    run: fn(&Args) -> Outcome,
 }
 
 const fn sizes(default: &'static str) -> Opt {
@@ -288,7 +292,9 @@ pub fn usage_of(experiment: Option<&Experiment>) -> String {
 
 /// Runs `bss-bench <args>` and returns the process exit code: 0 on success
 /// and for `--help`, 2 (with the usage on stderr) for an unknown experiment
-/// or option. An experiment whose own gate fails exits the process itself.
+/// or option, an option value that does not read as what it should, or a
+/// configuration built from the options that `validate()` rejects. An
+/// experiment whose own gate fails exits the process itself.
 pub fn run(args: impl IntoIterator<Item = String>) -> i32 {
     let mut args = args.into_iter();
     let name = args.next().unwrap_or_else(|| "--help".to_owned());
@@ -300,13 +306,18 @@ pub fn run(args: impl IntoIterator<Item = String>) -> i32 {
         eprintln!("unknown experiment {name:?}\n\n{}", usage_of(None));
         return 2;
     };
-    match Args::parse(experiment.options, args) {
-        Ok(args) if args.wants_help() => print!("{}", usage_of(Some(experiment))),
-        Ok(args) => (experiment.run)(&args),
+    let outcome = Args::parse(experiment.options, args).and_then(|args| {
+        if args.wants_help() {
+            print!("{}", usage_of(Some(experiment)));
+            return Ok(());
+        }
+        (experiment.run)(&args).map_err(|error| error.to_string())
+    });
+    match outcome {
+        Ok(()) => 0,
         Err(error) => {
             eprintln!("{name}: {error}\n\n{}", usage_of(Some(experiment)));
-            return 2;
+            2
         }
     }
-    0
 }

@@ -22,8 +22,8 @@ const CATASTROPHE_AT: u64 = 15;
 /// The descriptor aging bound of the aged mode, in cycles.
 const MAX_AGE: u64 = 10;
 
-pub(super) fn run(args: &Args) {
-    let sweep = Sweep::from_args(args, "Recovery experiment", false);
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let sweep = Sweep::from_args(args, "Recovery experiment", false)?;
     let catastrophe = ScenarioEvent::CatastrophicFailure {
         at_cycle: CATASTROPHE_AT,
         fraction: 0.5,
@@ -88,4 +88,5 @@ pub(super) fn run(args: &Args) {
         eprintln!("# FAIL: an aged run did not reach zero dead descriptors + perfect tables");
         std::process::exit(1);
     }
+    Ok(())
 }

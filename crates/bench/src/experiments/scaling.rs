@@ -56,8 +56,8 @@ fn available_parallelism() -> usize {
 }
 
 /// Runs one cell with the phase profiler on and renders its JSON entry.
-fn measure(cell: &Cell, quiet: bool) -> String {
-    let mut config = cell.config.build().expect("valid sweep configuration");
+fn measure(cell: &Cell, quiet: bool) -> Result<String, Box<dyn std::error::Error>> {
+    let mut config = cell.config.build()?;
     config.profile = true;
     if !quiet {
         eprintln!("# {}", cell.name);
@@ -93,7 +93,7 @@ fn measure(cell: &Cell, quiet: bool) -> String {
         ),
         None => "null".to_owned(),
     };
-    format!(
+    Ok(format!(
         "    {{\"label\": \"{}\", \"network_size\": {}, \"sampler\": \"{}\", \
          \"drop_probability\": {}, \"threads\": {}, \"available_parallelism\": {}, \
          \"cycles_executed\": {cycles}, \"convergence_cycle\": {convergence}, \
@@ -111,7 +111,7 @@ fn measure(cell: &Cell, quiet: bool) -> String {
         available_parallelism(),
         (cycles as f64 * config.network_size as f64) / elapsed.max(1e-9),
         messages as f64 / elapsed.max(1e-9),
-    )
+    ))
 }
 
 /// The whole report: the notes, the process-wide peak RSS and the entries
@@ -134,10 +134,10 @@ fn render_json(entries: &str) -> String {
     )
 }
 
-pub(super) fn run(args: &Args) {
-    let seed: u64 = args.parsed("seed");
-    let measure_every: u64 = args.parsed("measure-every");
-    let threads = args.threads();
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let seed: u64 = args.parsed("seed")?;
+    let measure_every: u64 = args.parsed("measure-every")?;
+    let threads = args.threads()?;
     let available = available_parallelism();
     if threads > available {
         eprintln!(
@@ -148,7 +148,7 @@ pub(super) fn run(args: &Args) {
     // Honour --engine: event-engine sweeps keep the selected engine verbatim
     // (thread counts are meaningless there); cycle-family sweeps map each
     // cell's thread count onto Cycle / ParallelCycle.
-    let selected = args.engine();
+    let selected = args.engine()?;
     let event_engine = matches!(selected, Engine::Event { .. });
     let engine_for = |cell_threads: usize| -> Engine {
         if event_engine {
@@ -195,21 +195,27 @@ pub(super) fn run(args: &Args) {
         }
     }
 
-    for exponent in args.sizes() {
-        for sampler_name in args.list::<String>("samplers") {
+    let cycles = args.parsed("cycles")?;
+    let losses = args.list::<f64>("losses")?;
+    for exponent in args.sizes()? {
+        for sampler_name in args.list::<String>("samplers")? {
             let sampler = match sampler_name.as_str() {
                 "oracle" => SamplerChoice::Oracle,
                 "newscast" => SamplerChoice::Newscast(NewscastParams::paper_default()),
-                other => panic!("unknown sampler {other:?} (expected oracle or newscast)"),
+                other => {
+                    return Err(
+                        format!("--samplers expects oracle or newscast, got {other:?}").into(),
+                    )
+                }
             };
-            for loss in args.list::<f64>("losses") {
+            for &loss in &losses {
                 let mut config = base(threads);
                 config
                     .network_size(1usize << exponent)
                     .seed(seed + u64::from(exponent))
                     .sampler(sampler)
                     .drop_probability(loss)
-                    .max_cycles(args.parsed("cycles"));
+                    .max_cycles(cycles);
                 let name = format!("2^{exponent}_{sampler_name}_loss{loss}");
                 cells.push(Cell { name, config });
             }
@@ -217,10 +223,12 @@ pub(super) fn run(args: &Args) {
     }
 
     let quiet = args.flag("quiet");
-    let entries: String = cells.iter().map(|cell| measure(cell, quiet)).collect();
+    let entries = cells.iter().map(|cell| measure(cell, quiet));
+    let entries: String = entries.collect::<Result<_, _>>()?;
     let json = render_json(&entries);
-    let out_path: String = args.parsed("out");
+    let out_path: String = args.parsed("out")?;
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     eprintln!("# wrote {out_path}");
     print!("{json}");
+    Ok(())
 }

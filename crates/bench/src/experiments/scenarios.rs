@@ -104,8 +104,8 @@ fn cells(network_size: usize) -> Vec<Cell> {
     ]
 }
 
-pub(super) fn run(args: &Args) {
-    let sweep = Sweep::from_args(args, "Scenario smoke suite", true);
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let sweep = Sweep::from_args(args, "Scenario smoke suite", true)?;
     println!(
         "scenario\tengine\tcycles_executed\tconvergence_cycle\tfinal_leaf_missing\tevents_fired\
          \teclipsed\ttime_to_eclipse"
@@ -123,4 +123,5 @@ pub(super) fn run(args: &Args) {
             or_dash(run.report.time_to_eclipse()),
         );
     });
+    Ok(())
 }

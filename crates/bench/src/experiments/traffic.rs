@@ -48,10 +48,10 @@ fn scenarios(cycles: u64) -> [(&'static str, Vec<ScenarioEvent>, KeyDist, Option
     ]
 }
 
-pub(super) fn run(args: &Args) {
-    let sweep = Sweep::from_args(args, "Traffic sweep", false);
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let link = args.link_model_arg()?;
+    let sweep = Sweep::from_args(args, "Traffic sweep", false)?;
     let rate = if args.flag("smoke") { 50 } else { 100 };
-    let link = args.link_model_arg();
 
     let mut cells = Vec::new();
     let mut labels = Vec::new();
@@ -113,4 +113,5 @@ pub(super) fn run(args: &Args) {
     if regions.len() > region_timeline_header().len() {
         sweep.write("traffic_regions.tsv", &regions);
     }
+    Ok(())
 }

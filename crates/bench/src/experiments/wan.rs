@@ -40,7 +40,7 @@ const EVENT_REGION: u32 = 1;
 /// cycle for the whole run.
 fn cells(cycles: u64) -> Vec<Cell> {
     let wan = |placement| LatencyModel::Wan {
-        placement: wan_placement(placement, 4),
+        placement: wan_placement(placement, 4).expect("a canonical placement name"),
         params: WanParams::default(),
     };
     let clustered = wan("clustered");
@@ -85,8 +85,8 @@ fn cells(cycles: u64) -> Vec<Cell> {
     ]
 }
 
-pub(super) fn run(args: &Args) {
-    let sweep = Sweep::from_args(args, "WAN sweep", false);
+pub(super) fn run(args: &Args) -> super::Outcome {
+    let sweep = Sweep::from_args(args, "WAN sweep", false)?;
     println!(
         "cell\tlink\tengine\tn\tconverged_cycle\tfinal_leaf_missing\tfinal_prefix_missing\
          \tleaf_link_distance\trandom_link_distance\tproximity_ratio\tlookup_success\
@@ -136,4 +136,5 @@ pub(super) fn run(args: &Args) {
     });
     sweep.write("wan_timeline.tsv", &timeline);
     sweep.write("wan_regions.tsv", &regions);
+    Ok(())
 }

@@ -92,14 +92,18 @@ impl Sweep {
     /// Reads `--sizes`/`--size`, `--seed`, `--cycles`, `--threads`,
     /// `--latency`, `--out-dir` and `--quiet`, creates the output directory
     /// and announces the sweep under `title`.
-    pub fn from_args(args: &Args, title: &str, stop_when_perfect: bool) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Rejects an option value that does not read as what it should.
+    pub fn from_args(args: &Args, title: &str, stop_when_perfect: bool) -> Result<Self, String> {
         let sweep = Sweep {
-            sizes: args.sizes(),
-            seed: args.parsed("seed"),
-            cycles: args.parsed("cycles"),
+            sizes: args.sizes()?,
+            seed: args.parsed("seed")?,
+            cycles: args.parsed("cycles")?,
             stop_when_perfect,
-            engines: args.engine_pair(),
-            out_dir: args.parsed("out-dir"),
+            engines: args.engine_pair()?,
+            out_dir: args.parsed("out-dir")?,
             quiet: args.flag("quiet"),
         };
         std::fs::create_dir_all(&sweep.out_dir).expect("create output directory");
@@ -107,7 +111,7 @@ impl Sweep {
             "# {title}: sizes {:?} (exponents), seed {}, {} cycles budget",
             sweep.sizes, sweep.seed, sweep.cycles
         );
-        sweep
+        Ok(sweep)
     }
 
     /// The JSON stem of one run: `<cell>_<engine>`, prefixed `n<N>_` only

@@ -143,11 +143,6 @@ impl ConvergenceTracker {
         self.aggregate
     }
 
-    /// Number of nodes with a cached measurement.
-    pub fn measured_nodes(&self) -> usize {
-        self.per_node.iter().filter(|m| m.is_some()).count()
-    }
-
     /// Replaces the cached measurement of the node at `index` (`None` when the
     /// node is dead or uninitialised and must no longer count), keeping the
     /// aggregate in sync.

@@ -1429,6 +1429,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::tests::Recording;
     use crate::scenario::{AdversaryBehavior, PartitionSpec, Phase, ScenarioEvent};
 
     #[test]
@@ -2144,7 +2145,7 @@ mod tests {
 
     #[test]
     fn observers_see_cycles_and_events() {
-        let mut recorder = bss_sim::observer::MetricRecorder::new();
+        let mut recorder = Recording::default();
         let config = ExperimentConfig::builder()
             .network_size(64)
             .seed(31)
@@ -2156,11 +2157,8 @@ mod tests {
             .build()
             .unwrap();
         let (outcome, _) = Experiment::new(config).run_observed(&mut recorder);
-        let leaf = recorder.series("missing_leafset_proportion").unwrap();
-        assert_eq!(leaf.len(), outcome.cycles_executed() as usize);
-        assert_eq!(leaf.points(), outcome.leaf_series().points());
-        let events = recorder.series("scenario_events").unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events.points()[0].0, 5);
+        assert_eq!(recorder.leaf.len(), outcome.cycles_executed() as usize);
+        assert_eq!(recorder.leaf, outcome.leaf_series().points());
+        assert_eq!(recorder.events, [5]);
     }
 }

@@ -320,17 +320,10 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         }
     }
 
-    /// Installs the scenario's Byzantine adversary model (builder style): the
-    /// protocol consults it when planning exchanges, and forwards a copy to
-    /// the sampler so gossip-layer behaviours (the hub attack) act too.
-    #[must_use]
-    pub fn with_adversary(mut self, model: AdversaryModel) -> Self {
-        self.install_adversary(model);
-        self
-    }
-
-    /// Installs the adversary model in place (the engine-agnostic runner calls
-    /// this once per run, before the first cycle).
+    /// Installs the scenario's Byzantine adversary model (the engine-agnostic
+    /// runner calls this once per run, before the first cycle): the protocol
+    /// consults it when planning exchanges, and forwards a copy to the sampler
+    /// so gossip-layer behaviours (the hub attack) act too.
     pub fn install_adversary(&mut self, model: AdversaryModel) {
         self.sampler.install_adversary(model.clone());
         self.adversary = Some(model);

@@ -23,7 +23,6 @@
 
 use crate::convergence::NetworkConvergence;
 use bss_sim::churn::{Churn, ChurnStep};
-use bss_sim::observer::MetricRecorder;
 use bss_sim::transport::Transport;
 use bss_util::config::InvalidParams;
 use bss_util::coords::Placement;
@@ -1017,8 +1016,8 @@ impl Engine {
 }
 
 /// A pluggable run observer: the one interface behind which the closure
-/// observers of `CycleEngine::run_with_observer`, the `MetricRecorder`
-/// plumbing and the benchmark binaries' ad-hoc series collection all unified.
+/// observers of `CycleEngine::run_with_observer` and the benchmark binaries'
+/// ad-hoc series collection are unified.
 ///
 /// Every measured cycle produces one [`Observer::on_cycle`] call (the cadence
 /// is [`ExperimentConfig::measure_every`](crate::experiment::ExperimentConfig));
@@ -1055,31 +1054,8 @@ where
     }
 }
 
-/// A `MetricRecorder` is an observer: it collects the two missing-entry series
-/// under their canonical names and records scenario events as zero-one spikes
-/// under `scenario_events`.
-impl Observer for MetricRecorder {
-    fn on_cycle(&mut self, cycle: u64, measured: &NetworkConvergence) -> ControlFlow<()> {
-        self.record(
-            cycle,
-            "missing_leafset_proportion",
-            measured.leaf_proportion(),
-        );
-        self.record(
-            cycle,
-            "missing_prefix_proportion",
-            measured.prefix_proportion(),
-        );
-        ControlFlow::Continue(())
-    }
-
-    fn on_scenario_event(&mut self, cycle: u64, _event: &ScenarioEvent) {
-        self.record(cycle, "scenario_events", 1.0);
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -1433,9 +1409,28 @@ mod tests {
         assert_eq!(LatencyModel::Constant { millis: 7 }.bounds(), (7, 7));
     }
 
+    /// Records what an [`Observer`] is shown: the leaf series and the cycles
+    /// at which scenario events fired (shared with `experiment::tests`).
+    #[derive(Default)]
+    pub(crate) struct Recording {
+        pub(crate) leaf: Vec<(u64, f64)>,
+        pub(crate) events: Vec<u64>,
+    }
+
+    impl Observer for Recording {
+        fn on_cycle(&mut self, cycle: u64, measured: &NetworkConvergence) -> ControlFlow<()> {
+            self.leaf.push((cycle, measured.leaf_proportion()));
+            ControlFlow::Continue(())
+        }
+
+        fn on_scenario_event(&mut self, cycle: u64, _event: &ScenarioEvent) {
+            self.events.push(cycle);
+        }
+    }
+
     #[test]
     fn observers_compose_with_recorders_and_closures() {
-        let mut recorder = MetricRecorder::new();
+        let mut recorder = Recording::default();
         let convergence = NetworkConvergence::default();
         assert!(recorder.on_cycle(0, &convergence).is_continue());
         recorder.on_scenario_event(
@@ -1445,11 +1440,8 @@ mod tests {
                 count: 5,
             },
         );
-        assert_eq!(
-            recorder.series("missing_leafset_proportion").unwrap().len(),
-            1
-        );
-        assert_eq!(recorder.series("scenario_events").unwrap().len(), 1);
+        assert_eq!(recorder.leaf.len(), 1);
+        assert_eq!(recorder.events.len(), 1);
 
         let mut seen = Vec::new();
         let mut closure = |cycle: u64, _m: &NetworkConvergence| {

@@ -438,6 +438,8 @@ impl PeerHandle {
 mod tests {
     use super::*;
     use crate::driver::{DriverConfig, NetDriver};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::io;
     use std::net::{Ipv4Addr, SocketAddrV4};
     use std::time::Duration;
@@ -622,6 +624,125 @@ mod tests {
             pool.entries.iter().all(|entry| entry.id() != forged.id()),
             "forged descriptor must not be re-gossiped as a sample"
         );
+    }
+
+    const KEY: u64 = 0x5eed_cafe;
+
+    fn address(port: u16) -> SocketAddr {
+        SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port))
+    }
+
+    /// An initialised peer: tables and pool seeded with six contacts at
+    /// identifiers 100, 200, …, its own identifier 1000 behind port 1.
+    fn live_peer(keyed: bool, aging: bool) -> (BootstrapNode<SocketAddr>, SamplePool) {
+        let params = BootstrapParams {
+            descriptor_verifier: keyed.then_some(KEY),
+            descriptor_max_age: aging.then_some(8),
+            ..params()
+        };
+        let contacts =
+            (1..=6u16).map(|n| Descriptor::new(NodeId::new(u64::from(n) * 100), address(n + 1), 3));
+        let mut node =
+            BootstrapNode::new(Descriptor::new(NodeId::new(1000), address(1), 0), &params).unwrap();
+        node.initialize(contacts.clone());
+        (node, SamplePool::new(contacts))
+    }
+
+    /// A descriptor an attacker could put on the wire: half the time one of
+    /// the identifiers the peer knows (its own included, behind any address),
+    /// with a timestamp at either end of the clock or anywhere between.
+    fn hostile_descriptor((id, port, timestamp): (u64, u16, u64)) -> Descriptor<SocketAddr> {
+        let id = if id % 2 == 0 {
+            (id / 2 % 10 + 1) * 100
+        } else {
+            id
+        };
+        let timestamp = match timestamp % 4 {
+            0 => 0,
+            1 => u64::MAX - timestamp % 3,
+            2 => timestamp % 64,
+            _ => timestamp,
+        };
+        Descriptor::new(NodeId::new(id), address(port), timestamp)
+    }
+
+    /// Any message kind around hostile descriptors, with stamps that never
+    /// verify under [`KEY`]: none, sealed under another key, sealed but
+    /// miscounted, or `junk` of any length.
+    fn hostile_message(
+        kind: u8,
+        sender: (u64, u16, u64),
+        carried: Vec<(u64, u16, u64)>,
+        stamping: u8,
+        junk: Vec<u64>,
+    ) -> WireMessage {
+        let kinds = [
+            MessageKind::Request,
+            MessageKind::Response,
+            MessageKind::SampleRequest,
+            MessageKind::SampleResponse,
+        ];
+        let carried = carried.into_iter().map(hostile_descriptor).collect();
+        let mut message = WireMessage::unstamped(
+            kinds[usize::from(kind % 4)],
+            hostile_descriptor(sender),
+            carried,
+        );
+        match stamping % 4 {
+            0 => {}
+            1 => seal(&mut message, KEY ^ 1),
+            2 => {
+                seal(&mut message, KEY);
+                message.stamps.push(junk.len() as u64);
+            }
+            _ => message.stamps = junk,
+        }
+        message
+    }
+
+    proptest! {
+        /// ROADMAP 5c, one layer above the codec's decode properties: whatever
+        /// a datagram decodes to, applying it to a live peer never panics, an
+        /// answer goes out for requests only, and on a keyed peer a message
+        /// none of whose stamps verify leaves the tables and the sample pool
+        /// as they were (without aging, which evicts on its own clock).
+        #[test]
+        fn no_datagram_panics_a_live_peer_or_merges_unverified(
+            shape in (any::<u8>(), any::<u8>(), any::<bool>(), any::<bool>()),
+            sender in (any::<u64>(), any::<u16>(), any::<u64>()),
+            carried in vec((any::<u64>(), any::<u16>(), any::<u64>()), 0..40),
+            junk in vec(any::<u64>(), 0..44),
+            now in any::<u64>(),
+        ) {
+            let (kind, stamping, keyed, aging) = shape;
+            let message = hostile_message(kind, sender, carried, stamping, junk);
+            let (mut node, mut pool) = live_peer(keyed, aging);
+            let before = (node.leaf_set().to_vec(), node.prefix_table().to_vec(), pool.entries.clone());
+            let now = if now % 2 == 0 { now % 32 } else { now };
+            let answer = apply_message(
+                &mut node,
+                &mut SimRng::seed_from(now),
+                &mut pool,
+                message.clone(),
+                now,
+                &mut ProtocolScratch::default(),
+            );
+            let expected = match message.kind {
+                MessageKind::Request => Some(MessageKind::Response),
+                MessageKind::SampleRequest => Some(MessageKind::SampleResponse),
+                MessageKind::Response | MessageKind::SampleResponse => None,
+            };
+            let answer = answer.map(|bytes| crate::codec::decode(&bytes).expect("answers are well-formed"));
+            prop_assert_eq!(answer.as_ref().map(|answer| answer.kind), expected);
+            if let Some(answer) = &answer {
+                prop_assert_eq!(answer.sender.id(), NodeId::new(1000));
+                prop_assert_eq!(answer.is_stamped(), keyed);
+            }
+            if keyed && !aging {
+                let after = (node.leaf_set().to_vec(), node.prefix_table().to_vec(), pool.entries);
+                prop_assert_eq!(after, before);
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,6 @@
 //! * [`quality`] — diagnostics for sampling quality: in-degree distribution,
 //!   self-containment of views, and connectivity of the overlay induced by the
 //!   caches.
-//! * [`broadcast`] — the gossip flood used to deliver the protocol START signal
-//!   ("started by a system administrator, using some form of broadcasting or
-//!   flooding on top of the peer sampling service", §4).
 //!
 //! # Example
 //!
@@ -49,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod broadcast;
 pub mod newscast;
 pub mod quality;
 pub mod sampler;

@@ -74,22 +74,6 @@ pub trait PeerSampler: Debug {
         cycle: u64,
         ctx: &mut EngineContext,
     ) -> Vec<Descriptor<NodeIndex>>;
-
-    /// [`PeerSampler::sample`] into a caller-owned buffer: appends the drawn
-    /// descriptors to `out` instead of returning a fresh vector, letting
-    /// per-exchange callers reuse their scratch. Consumes the RNG stream
-    /// exactly like [`PeerSampler::sample`]; the default implementation
-    /// delegates to it.
-    fn sample_into(
-        &mut self,
-        node: NodeIndex,
-        count: usize,
-        cycle: u64,
-        ctx: &mut EngineContext,
-        out: &mut Vec<Descriptor<NodeIndex>>,
-    ) {
-        out.extend(self.sample(node, count, cycle, ctx));
-    }
 }
 
 /// An idealised peer sampling service: every call returns distinct, uniformly
@@ -129,24 +113,6 @@ impl PeerSampler for OracleSampler {
             .into_iter()
             .map(|peer| ctx.network.descriptor(peer, cycle))
             .collect()
-    }
-
-    fn sample_into(
-        &mut self,
-        node: NodeIndex,
-        count: usize,
-        cycle: u64,
-        ctx: &mut EngineContext,
-        out: &mut Vec<Descriptor<NodeIndex>>,
-    ) {
-        let picked = ctx
-            .network
-            .sample_alive_excluding(node, count, &mut ctx.rng);
-        out.extend(
-            picked
-                .into_iter()
-                .map(|peer| ctx.network.descriptor(peer, cycle)),
-        );
     }
 }
 

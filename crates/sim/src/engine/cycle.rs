@@ -45,17 +45,11 @@ impl EngineContext {
 
 /// A protocol that can be driven by the [`CycleEngine`].
 ///
-/// Only [`execute_node`](CycleProtocol::execute_node) is mandatory; the remaining
-/// hooks have empty default implementations.
+/// Only [`execute_node`](CycleProtocol::execute_node) is mandatory; the
+/// membership hooks have empty default implementations.
 pub trait CycleProtocol {
-    /// Called once at the start of every cycle, before any node executes.
-    fn begin_cycle(&mut self, _cycle: u64, _ctx: &mut EngineContext) {}
-
     /// Called once per alive node per cycle, in a random order.
     fn execute_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext);
-
-    /// Called once at the end of every cycle, after all nodes executed.
-    fn end_cycle(&mut self, _cycle: u64, _ctx: &mut EngineContext) {}
 
     /// Called when churn adds a node to the network.
     fn node_joined(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
@@ -163,15 +157,15 @@ pub trait ParallelCycleProtocol: CycleProtocol {
 /// [`CycleEngine::phase_profile`].
 ///
 /// The four phases partition a cycle: `plan` covers the sequential scan
-/// (churn, begin/end hooks, RNG draws and wave scheduling), `execute` the
-/// deferred per-node computation (the part the worker pool parallelises),
+/// (churn, RNG draws and wave scheduling), `execute` the deferred per-node
+/// computation (the part the worker pool parallelises),
 /// `commit` the in-order outcome replay, and `measure` the observer callback
 /// (convergence oracles, metric emission). On the sequential engine the whole
 /// per-node step lands in `execute`, scheduling overhead in `plan`, and
 /// `commit` stays empty.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfile {
-    /// Sequential planning: churn, cycle hooks, RNG and wave scheduling.
+    /// Sequential planning: churn, RNG and wave scheduling.
     pub plan: Duration,
     /// Deferred per-node computation (parallelised across the worker pool).
     pub execute: Duration,
@@ -312,7 +306,6 @@ impl CycleEngine {
             let cycle_start = Instant::now();
             self.context.transport.advance_to_cycle(cycle);
             self.apply_churn(protocol, cycle);
-            protocol.begin_cycle(cycle, &mut self.context);
 
             // Fresh random execution order every cycle: this is the cycle-driven
             // equivalent of each node waking up at a random phase inside Δ. The
@@ -332,7 +325,6 @@ impl CycleEngine {
             }
             let node_loop = node_loop_start.elapsed();
 
-            protocol.end_cycle(cycle, &mut self.context);
             self.current_cycle += 1;
             executed += 1;
             if let Some(profile) = self.profiler.as_mut() {
@@ -350,19 +342,6 @@ impl CycleEngine {
             }
         }
         executed
-    }
-
-    /// Runs `protocol` for exactly `cycles` cycles on `threads` worker threads.
-    /// See [`CycleEngine::run_parallel_with_observer`].
-    pub fn run_parallel<P: ParallelCycleProtocol>(
-        &mut self,
-        protocol: &mut P,
-        cycles: u64,
-        threads: usize,
-    ) -> u64 {
-        self.run_parallel_with_observer(protocol, cycles, threads, |_, _, _| {
-            ControlFlow::Continue(())
-        })
     }
 
     /// Parallel equivalent of [`CycleEngine::run_with_observer`]: executes the
@@ -419,7 +398,6 @@ impl CycleEngine {
             let mut flushed = Duration::ZERO;
             self.context.transport.advance_to_cycle(cycle);
             self.apply_churn(protocol, cycle);
-            protocol.begin_cycle(cycle, &mut self.context);
 
             self.order_scratch.clear();
             self.order_scratch
@@ -485,12 +463,11 @@ impl CycleEngine {
                 claimed[claimed_node.as_usize()] = false;
             }
 
-            protocol.end_cycle(cycle, &mut self.context);
             self.current_cycle += 1;
             executed += 1;
             if let Some(profile) = self.profiler.as_mut() {
                 // Everything this cycle spent outside execute/commit flushes is
-                // the sequential planning scan (plus churn and cycle hooks).
+                // the sequential planning scan (plus churn).
                 profile.plan += cycle_start.elapsed().saturating_sub(flushed);
                 profile.cycles += 1;
             }
@@ -558,19 +535,11 @@ mod tests {
         executions: Vec<(u64, NodeIndex)>,
         joined: Vec<NodeIndex>,
         departed: Vec<NodeIndex>,
-        begin_calls: u64,
-        end_calls: u64,
     }
 
     impl CycleProtocol for Recorder {
-        fn begin_cycle(&mut self, _cycle: u64, _ctx: &mut EngineContext) {
-            self.begin_calls += 1;
-        }
         fn execute_node(&mut self, node: NodeIndex, cycle: u64, _ctx: &mut EngineContext) {
             self.executions.push((cycle, node));
-        }
-        fn end_cycle(&mut self, _cycle: u64, _ctx: &mut EngineContext) {
-            self.end_calls += 1;
         }
         fn node_joined(&mut self, node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {
             self.joined.push(node);
@@ -594,8 +563,6 @@ mod tests {
         assert_eq!(executed, 5);
         assert_eq!(eng.current_cycle(), 5);
         assert_eq!(protocol.executions.len(), 20 * 5);
-        assert_eq!(protocol.begin_calls, 5);
-        assert_eq!(protocol.end_calls, 5);
         for cycle in 0..5u64 {
             let mut nodes: Vec<_> = protocol
                 .executions

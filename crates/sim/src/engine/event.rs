@@ -83,7 +83,6 @@ impl<M> Ord for Scheduled<M> {
 #[derive(Debug)]
 pub struct EventContext<'a, M> {
     now: u64,
-    node_count: usize,
     engine: &'a mut EngineContext,
     outbox: Vec<(NodeIndex, NodeIndex, M)>,
     timers: Vec<(NodeIndex, u64, u64)>,
@@ -93,11 +92,6 @@ impl<'a, M> EventContext<'a, M> {
     /// Current simulation time in milliseconds.
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Number of nodes registered when the simulation started.
-    pub fn initial_node_count(&self) -> usize {
-        self.node_count
     }
 
     /// The shared engine context: node registry, RNG and transport. Handing
@@ -345,10 +339,8 @@ impl<M: Debug> EventEngine<M> {
     where
         F: FnOnce(&mut EventContext<'_, M>, &mut P),
     {
-        let node_count = self.context.network.len();
         let mut ctx = EventContext {
             now: self.now,
-            node_count,
             engine: &mut self.context,
             outbox: Vec::new(),
             timers: Vec::new(),

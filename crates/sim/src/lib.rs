@@ -25,7 +25,6 @@
 //! * [`adversary`] — the Byzantine adversary model: which nodes were converted,
 //!   the active attack window, and the configured behavior (descriptor forgery,
 //!   eclipse sprays, hub attacks), consulted at message-composition time.
-//! * [`observer`] — periodic measurement hooks and control-flow helpers.
 //! * [`pool`] — the persistent worker pool behind the parallel cycle engine:
 //!   long-lived threads fed over channels, so a million-cycle run pays the
 //!   thread-spawn cost once instead of once per wave.
@@ -67,7 +66,6 @@ pub mod churn;
 pub mod engine;
 pub mod link;
 pub mod network;
-pub mod observer;
 pub mod pool;
 pub mod transport;
 

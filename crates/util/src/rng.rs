@@ -81,12 +81,6 @@ impl SimRng {
         result
     }
 
-    /// Returns a uniformly random `u32`.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a uniformly random value in the half-open range `[low, high)`.
     ///
     /// Uses rejection sampling (Lemire-style bounded generation) so the result is

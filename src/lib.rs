@@ -12,7 +12,6 @@
 //! * [`sim`] — the cycle-driven / event-driven simulation engine (PeerSim
 //!   equivalent) with failure and churn models.
 //! * [`sampling`] — the NEWSCAST peer sampling service and an idealised oracle.
-//! * [`tman`] — generic T-Man topology construction (used as a baseline).
 //! * [`core`] — the bootstrapping service itself: leaf sets, prefix tables,
 //!   the gossip protocol of Fig. 2 and the convergence oracle.
 //! * [`overlay`] — consumers of the bootstrapped tables: Pastry-style prefix
@@ -44,6 +43,5 @@ pub use bss_net as net;
 pub use bss_overlay as overlay;
 pub use bss_sampling as sampling;
 pub use bss_sim as sim;
-pub use bss_tman as tman;
 pub use bss_traffic as traffic;
 pub use bss_util as util;
