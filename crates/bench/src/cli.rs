@@ -486,6 +486,28 @@ mod tests {
     }
 
     #[test]
+    fn unusable_output_paths_are_rejected() {
+        // `--out-dir` / `--out` are input from outside the program: a path
+        // that cannot be created is the same exit-2 rejection as a malformed
+        // value, before the first run — not a panic, and for `scaling` not
+        // after the whole sweep.
+        for line in [
+            vec!["scenarios", "--out-dir", "/dev/null/x"],
+            vec!["wan", "--smoke", "--out-dir", "/dev/null/x"],
+            vec!["cluster_net", "--smoke", "--out-dir", "/dev/null/x"],
+            vec!["scaling", "--smoke", "--out", "/dev/null/x.json"],
+        ] {
+            let status = crate::experiments::run(line.iter().map(|&word| word.to_owned()));
+            assert_eq!(status, 2, "{line:?}");
+        }
+        // The message names the path and the OS error.
+        let error = crate::sweep::create_out_dir("/dev/null/x").unwrap_err();
+        assert!(error.starts_with("--out-dir /dev/null/x: "), "{error}");
+        let error = crate::sweep::write_file("/dev/null/x.tsv", "").unwrap_err();
+        assert!(error.starts_with("write /dev/null/x.tsv: "), "{error}");
+    }
+
+    #[test]
     fn default_size_list_is_used_when_absent() {
         assert_eq!(args(&[]).sizes().unwrap(), vec![10, 12]);
     }

@@ -10,10 +10,10 @@
 //! behind the time-to-eclipse numbers in the roadmap.
 
 use crate::cli::Args;
-use crate::report::{append_cycle_rows, or_dash};
+use crate::report::or_dash;
 use crate::sweep::{Cell, Sweep};
 use bss_core::scenario::{AdversaryBehavior, Phase, ScenarioEvent};
-use bss_util::stats::Series;
+use bss_util::stats::{append_cycle_rows, Series};
 
 /// The attack window every sweep cell uses: the overlay converges first, then
 /// the conversion fires and stays active for 25 cycles.
@@ -68,29 +68,30 @@ pub(super) fn run(args: &Args) -> super::Outcome {
     sweep.run(&cells, |run| {
         let report = run.report;
         let coordinates = format!("{}\t{}", labels[run.cell], run.engine);
-        let peak = |series: &Series| {
-            let values = series.points().iter().map(|&(_, v)| v);
-            values.fold(0.0f64, f64::max)
-        };
+        let (eclipse, poisoned) = (
+            report.series("eclipse_series"),
+            report.series("poisoned_series"),
+        );
+        let peak = |series: Option<&Series>| series.map_or(0.0, Series::peak);
         println!(
             "{coordinates}\t{}\t{}\t{:.3}\t{:.3}\t{}",
             report.eclipsed(),
             or_dash(report.time_to_eclipse()),
-            peak(report.eclipse_series()),
-            peak(report.poisoned_series()),
+            peak(eclipse),
+            peak(poisoned),
             or_dash(report.convergence_cycle()),
         );
         append_cycle_rows(
             &mut timeline,
             &coordinates,
             &[
-                (Some(report.eclipse_series()), 6),
-                (Some(report.poisoned_series()), 6),
-                (Some(report.in_degree_gini_series()), 6),
-                (Some(report.in_degree_max_series()), 1),
+                (eclipse, 6),
+                (poisoned, 6),
+                (report.series("in_degree_gini_series"), 6),
+                (report.series("in_degree_max_series"), 1),
             ],
         );
-    });
-    sweep.write("adversary_timeline.tsv", &timeline);
+    })?;
+    sweep.write("adversary_timeline.tsv", &timeline)?;
     Ok(())
 }

@@ -2,7 +2,7 @@
 //!
 //! This is the net-side twin of the `scaling` experiment. For every size it
 //! spawns a real loopback cluster, monitors it to convergence, and writes the
-//! full [`NetReport`] as JSON (`<out-dir>/cluster_<N>.json`) plus one shared
+//! full [`NetReport`](bss_net::report::NetReport) as JSON (`<out-dir>/cluster_<N>.json`) plus one shared
 //! TSV timeline (`<out-dir>/timeline.tsv`) with every convergence sample of
 //! every run — the same artifact shapes CI uploads for the simulator sweeps.
 //!
@@ -16,10 +16,10 @@
 //! socket tests. A cluster that fails to converge exits non-zero.
 
 use crate::cli::Args;
+use crate::sweep::{create_out_dir, write_file};
 use bss_net::cluster::{Cluster, ClusterConfig};
-use bss_net::report::NetReport;
 use bss_util::config::BootstrapParams;
-use std::fmt::Write as _;
+use bss_util::stats::append_cycle_rows;
 use std::time::Duration;
 
 /// How long one cluster may take to converge.
@@ -40,7 +40,7 @@ pub(super) fn run(args: &Args) -> super::Outcome {
     let out_dir: String = args.parsed("out-dir")?;
     let sizes = args.sizes()?;
     let seed = args.parsed("seed")?;
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    create_out_dir(&out_dir)?;
 
     let mut timeline = String::from("nodes\tmillis\tmissing_leaf\tmissing_prefix\tdead\n");
     let mut all_converged = true;
@@ -64,21 +64,31 @@ pub(super) fn run(args: &Args) -> super::Outcome {
         cluster.shutdown();
 
         let path = format!("{out_dir}/cluster_{}.json", report.nodes);
-        std::fs::write(&path, report.to_json()).expect("write NetReport JSON");
-        append_timeline(&mut timeline, &report);
-        all_converged &= report.converged;
+        write_file(&path, &report.to_json())?;
+        // The three series are sampled at the same instants, so they zip into
+        // aligned rows, one per convergence sample.
+        append_cycle_rows(
+            &mut timeline,
+            &report.nodes.to_string(),
+            &[
+                (Some(&report.leaf_series), 6),
+                (Some(&report.prefix_series), 6),
+                (Some(&report.dead_series), 6),
+            ],
+        );
+        all_converged &= report.converged();
 
         println!(
             "N {:>4}  converged {:>5}  wall {:>6} ms  {:>9.1} datagrams/s  -> {path}",
             report.nodes,
-            report.converged,
+            report.converged(),
             report.convergence_millis.unwrap_or(report.elapsed_millis),
             report.datagrams_per_second(),
         );
     }
 
     let tsv_path = format!("{out_dir}/timeline.tsv");
-    std::fs::write(&tsv_path, timeline).expect("write timeline TSV");
+    write_file(&tsv_path, &timeline)?;
     println!("timeline -> {tsv_path}");
 
     if !all_converged {
@@ -86,18 +96,4 @@ pub(super) fn run(args: &Args) -> super::Outcome {
         std::process::exit(1);
     }
     Ok(())
-}
-
-/// Appends one TSV row per convergence sample; the three series are sampled at
-/// the same instants, so they zip into aligned rows.
-fn append_timeline(timeline: &mut String, report: &NetReport) {
-    for (index, &(millis, leaf)) in report.leaf_series.iter().enumerate() {
-        let prefix = report.prefix_series.get(index).map_or(f64::NAN, |p| p.1);
-        let dead = report.dead_series.get(index).map_or(f64::NAN, |p| p.1);
-        let _ = writeln!(
-            timeline,
-            "{}\t{}\t{:.6e}\t{:.6e}\t{:.6e}",
-            report.nodes, millis, leaf, prefix, dead
-        );
-    }
 }

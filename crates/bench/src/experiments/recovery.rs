@@ -45,6 +45,7 @@ pub(super) fn run(args: &Args) -> super::Outcome {
     let mut all_recovered = true;
     sweep.run(&cells, |run| {
         let report = run.report;
+        let dead = report.series("dead_series").expect("every run records it");
         let mode = run.name.trim_start_matches("recovery_");
         let summary = format!(
             "{mode}\t{}\t{}\t{}\t{}\t{:.3e}\t{:.3e}\n",
@@ -52,20 +53,17 @@ pub(super) fn run(args: &Args) -> super::Outcome {
             or_dash(report.degraded_cycle()),
             or_dash(report.recovered_cycle()),
             or_dash(report.cycles_to_recover()),
-            report.dead_series().final_value().unwrap_or(f64::NAN),
+            dead.final_value().unwrap_or(f64::NAN),
             report.leaf_series().final_value().unwrap_or(f64::NAN),
         );
-        let column = (
-            format!("{mode}/{}", run.engine),
-            report.dead_series().clone(),
-        );
+        let column = (format!("{mode}/{}", run.engine), dead.clone());
         rows.push((run.engine, summary, column));
         if mode == "aging_rebootstrap" {
             all_recovered &= report.recovered_cycle().is_some()
-                && report.dead_series().final_value() == Some(0.0)
+                && dead.final_value() == Some(0.0)
                 && report.final_state().is_perfect();
         }
-    });
+    })?;
     // The tables list both modes of the cycle engine, then both of the event
     // engine; the sweep ran them mode by mode.
     rows.sort_by_key(|&(engine, ..)| engine);

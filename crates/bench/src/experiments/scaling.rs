@@ -35,6 +35,7 @@ use crate::sweep::Cell;
 use bss_core::experiment::{Experiment, ExperimentConfig, SamplerChoice};
 use bss_core::scenario::Engine;
 use bss_util::config::NewscastParams;
+use std::io::Write as _;
 use std::time::Instant;
 
 /// Peak resident set size of this process in KiB (`VmHWM` from
@@ -222,12 +223,23 @@ pub(super) fn run(args: &Args) -> super::Outcome {
         }
     }
 
+    // `--out` comes from outside the program: find out that it cannot be
+    // written before the sweep, not after it (an existing file keeps its
+    // contents until the new ones are ready).
+    let out_path: String = args.parsed("out")?;
+    let unwritable = |error| format!("--out {out_path}: {error}");
+    let mut out = std::fs::File::options()
+        .append(true)
+        .create(true)
+        .open(&out_path)
+        .map_err(unwritable)?;
     let quiet = args.flag("quiet");
     let entries = cells.iter().map(|cell| measure(cell, quiet));
     let entries: String = entries.collect::<Result<_, _>>()?;
     let json = render_json(&entries);
-    let out_path: String = args.parsed("out")?;
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
+    out.set_len(0)
+        .and_then(|()| out.write_all(json.as_bytes()))
+        .map_err(unwritable)?;
     eprintln!("# wrote {out_path}");
     print!("{json}");
     Ok(())

@@ -122,6 +122,6 @@ pub(super) fn run(args: &Args) -> super::Outcome {
             run.report.eclipsed(),
             or_dash(run.report.time_to_eclipse()),
         );
-    });
+    })?;
     Ok(())
 }

@@ -17,11 +17,64 @@
 use crate::cli::Args;
 use crate::sweep::{Cell, Sweep};
 use bss_core::scenario::{AdversaryBehavior, KeyDist, Phase, ScenarioEvent};
+use bss_core::traffic::LookupTrafficReport;
 use bss_core::RouterKind;
-use bss_traffic::{
-    append_region_timeline, append_timeline, region_timeline_header, timeline_header,
-    TrafficSummary, TrafficWorkload,
-};
+use bss_traffic::{TrafficSummary, TrafficWorkload};
+use bss_util::stats::append_cycle_rows;
+
+/// Header row of the long-format traffic timeline (one row per measured cycle
+/// per run): the sweep coordinates, so the file concatenates across the whole
+/// sweep and plots with a single group-by, then [`append_rows`]' columns.
+const HEADER: &str = "scenario\trouter\tengine\tn\tcycle\tsuccess_rate\thop_mean\thop_max\
+                      \tlatency_p50\tlatency_p95\tlatency_p99\n";
+
+/// Header row of the per-client-region timeline (one row per region per
+/// measured window; see [`append_region_rows`]).
+pub(super) const REGIONS_HEADER: &str =
+    "scenario\trouter\tengine\tn\tregion\tcycle\tsuccess_rate\tlatency_p50\tlatency_p99\n";
+
+/// Appends one run's measured cycles to the traffic timeline.
+fn append_rows(timeline: &mut String, coordinates: &str, lookups: &LookupTrafficReport) {
+    append_cycle_rows(
+        timeline,
+        coordinates,
+        &[
+            (lookups.series("lookup_success_series"), 6),
+            (lookups.series("lookup_hop_mean_series"), 6),
+            (lookups.series("lookup_hop_max_series"), 1),
+            (lookups.series("lookup_latency_p50_series"), 1),
+            (lookups.series("lookup_latency_p95_series"), 1),
+            (lookups.series("lookup_latency_p99_series"), 1),
+        ],
+    );
+}
+
+/// Appends one WAN run's per-client-region windows to the region timeline:
+/// every row carries the sweep coordinates plus the *client's* region id, so
+/// a single group-by surfaces which geography eats the tail latency. Runs
+/// without a node placement (no `Wan` link model) have no region series and
+/// contribute nothing.
+pub(super) fn append_region_rows(
+    timeline: &mut String,
+    coordinates: &str,
+    lookups: &LookupTrafficReport,
+) {
+    for region in 0.. {
+        let of_region = |key: &str| lookups.series(&format!("{key}_r{region}"));
+        let Some(success) = of_region("lookup_success_series") else {
+            break;
+        };
+        append_cycle_rows(
+            timeline,
+            &format!("{coordinates}\t{region}"),
+            &[
+                (Some(success), 6),
+                (of_region("lookup_latency_p50_series"), 1),
+                (of_region("lookup_latency_p99_series"), 1),
+            ],
+        );
+    }
+}
 
 /// The service scenarios of the sweep: name, the events layered under the
 /// traffic phase, the key distribution, and whether the cell runs over
@@ -90,8 +143,8 @@ pub(super) fn run(args: &Args) -> super::Outcome {
         "scenario\trouter\tengine\tn\tissued\tdelivered\tsuccess_rate\tmean_hops\tmax_hops\
          \tworst_window\tfinal_window"
     );
-    let mut timeline = String::from(timeline_header());
-    let mut regions = String::from(region_timeline_header());
+    let mut timeline = String::from(HEADER);
+    let mut regions = String::from(REGIONS_HEADER);
     sweep.run(&cells, |run| {
         let (scenario, router) = labels[run.cell];
         let (engine, n) = (run.engine, run.network_size);
@@ -106,12 +159,82 @@ pub(super) fn run(args: &Args) -> super::Outcome {
             summary.worst_window_success.unwrap_or(0.0),
             summary.final_window_success.unwrap_or(0.0),
         );
-        append_timeline(&mut timeline, scenario, router, engine, n, run.report);
-        append_region_timeline(&mut regions, scenario, router, engine, n, run.report);
-    });
-    sweep.write("traffic_timeline.tsv", &timeline);
-    if regions.len() > region_timeline_header().len() {
-        sweep.write("traffic_regions.tsv", &regions);
+        let lookups = run.report.lookups().expect("traffic was scheduled");
+        let coordinates = format!("{scenario}\t{router}\t{engine}\t{n}");
+        append_rows(&mut timeline, &coordinates, lookups);
+        append_region_rows(&mut regions, &coordinates, lookups);
+    })?;
+    sweep.write("traffic_timeline.tsv", &timeline)?;
+    if regions.len() > REGIONS_HEADER.len() {
+        sweep.write("traffic_regions.tsv", &regions)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bss_core::experiment::{Experiment, ExperimentConfig, RunReport};
+
+    fn run_workload(workload: TrafficWorkload, wan: bool) -> RunReport {
+        let mut builder = ExperimentConfig::builder();
+        builder.network_size(64).seed(5).max_cycles(40);
+        if wan {
+            builder.link_model(bss_core::LatencyModel::Wan {
+                placement: crate::cli::wan_placement("clustered", 3).unwrap(),
+                params: Default::default(),
+            });
+        }
+        workload.install(&mut builder);
+        Experiment::new(builder.build().unwrap()).run()
+    }
+
+    #[test]
+    fn region_timeline_splits_rows_by_client_region() {
+        let workload = TrafficWorkload::new(Phase::new(20, 30)).lookups_per_cycle(30);
+        let report = run_workload(workload, true);
+        let mut timeline = String::from(REGIONS_HEADER);
+        append_region_rows(
+            &mut timeline,
+            "wan\tpastry\tcycle\t64",
+            report.lookups().unwrap(),
+        );
+        let rows: Vec<&str> = timeline.lines().skip(1).collect();
+        assert!(!rows.is_empty(), "wan runs must produce region rows");
+        let regions: std::collections::BTreeSet<&str> = rows
+            .iter()
+            .map(|row| row.split('\t').nth(4).expect("region column"))
+            .collect();
+        assert!(regions.len() > 1, "rows should span regions: {regions:?}");
+        assert_eq!(REGIONS_HEADER.split('\t').count(), 9);
+        for row in &rows {
+            assert!(row.starts_with("wan\tpastry\tcycle\t64\t"), "{row}");
+            assert_eq!(row.split('\t').count(), 9, "{row}");
+        }
+
+        // A placement-free run contributes no region rows.
+        let calm = run_workload(TrafficWorkload::new(Phase::new(20, 25)), false);
+        let mut empty = String::new();
+        append_region_rows(&mut empty, "calm", calm.lookups().unwrap());
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn timeline_rows_carry_the_sweep_coordinates() {
+        let workload = TrafficWorkload::new(Phase::new(20, 25)).lookups_per_cycle(10);
+        let report = run_workload(workload, false);
+        let mut timeline = String::from(HEADER);
+        append_rows(
+            &mut timeline,
+            "calm\tpastry\tcycle\t64",
+            report.lookups().unwrap(),
+        );
+        let rows: Vec<&str> = timeline.lines().skip(1).collect();
+        assert_eq!(rows.len(), 5, "one row per measured active cycle");
+        assert_eq!(HEADER.split('\t').count(), 11);
+        for row in rows {
+            assert!(row.starts_with("calm\tpastry\tcycle\t64\t"), "{row}");
+            assert_eq!(row.split('\t').count(), 11, "{row}");
+        }
+    }
 }

@@ -19,17 +19,16 @@
 //! * `<out-dir>/wan_timeline.tsv` — the per-cycle convergence + service
 //!   timeline (the canonical golden under `ci/golden/wan_small.tsv`);
 //! * `<out-dir>/wan_regions.tsv` — the traffic timeline split by client
-//!   region (see `bss_traffic::append_region_timeline`);
+//!   region (the same file the `traffic` experiment writes under `--link wan`);
 //! * `<out-dir>/<cell>_<engine>.json` — the full `RunReport` per cell, the
 //!   artifact the CI jq gate inspects for the outage dip and recovery.
 
+use super::traffic::{append_region_rows, REGIONS_HEADER};
 use crate::cli::{wan_placement, Args};
-use crate::report::append_cycle_rows;
 use crate::sweep::{Cell, Sweep};
 use bss_core::scenario::{LatencyModel, Phase, ScenarioEvent, WanParams};
-use bss_core::RouterKind;
-use bss_traffic::{append_region_timeline, region_timeline_header, TrafficWorkload};
-use bss_util::stats::Series;
+use bss_traffic::TrafficWorkload;
+use bss_util::stats::{append_cycle_rows, Series};
 
 /// The affected region of the regional-event cells (and the one the CI gate
 /// watches).
@@ -96,12 +95,16 @@ pub(super) fn run(args: &Args) -> super::Outcome {
         "cell\tengine\tn\tcycle\tleaf_missing\tprefix_missing\tlookup_success\tlookup_p50\
          \tlookup_p99\n",
     );
-    let mut regions = String::from(region_timeline_header());
+    let mut regions = String::from(REGIONS_HEADER);
     sweep.run(&cells(sweep.cycles), |run| {
         let (cell, engine, n, report) = (run.name, run.engine, run.network_size, run.report);
         let final_state = report.final_state();
         let lookups = report.lookups().expect("traffic was scheduled");
-        let last = |series: &Series| series.points().last().map_or(0.0, |&(_, v)| v);
+        let (p50, p99) = (
+            lookups.series("lookup_latency_p50_series"),
+            lookups.series("lookup_latency_p99_series"),
+        );
+        let last = |series: Option<&Series>| series.and_then(Series::final_value).unwrap_or(0.0);
         let (leaf_distance, random_distance, ratio) =
             report.proximity().map_or((0.0, 0.0, 0.0), |proximity| {
                 (
@@ -118,8 +121,8 @@ pub(super) fn run(args: &Args) -> super::Outcome {
             final_state.leaf_proportion(),
             final_state.prefix_proportion(),
             lookups.success_rate(),
-            last(lookups.latency_p50_series()),
-            last(lookups.latency_p99_series()),
+            last(p50),
+            last(p99),
         );
         append_cycle_rows(
             &mut timeline,
@@ -128,13 +131,18 @@ pub(super) fn run(args: &Args) -> super::Outcome {
                 (Some(report.leaf_series()), 6),
                 (Some(report.prefix_series()), 6),
                 (Some(lookups.success_series()), 6),
-                (Some(lookups.latency_p50_series()), 1),
-                (Some(lookups.latency_p99_series()), 1),
+                (p50, 1),
+                (p99, 1),
             ],
         );
-        append_region_timeline(&mut regions, cell, RouterKind::Pastry, engine, n, report);
-    });
-    sweep.write("wan_timeline.tsv", &timeline);
-    sweep.write("wan_regions.tsv", &regions);
+        let router = lookups.router();
+        append_region_rows(
+            &mut regions,
+            &format!("{cell}\t{router}\t{engine}\t{n}"),
+            lookups,
+        );
+    })?;
+    sweep.write("wan_timeline.tsv", &timeline)?;
+    sweep.write("wan_regions.tsv", &regions)?;
     Ok(())
 }

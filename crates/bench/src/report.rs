@@ -3,7 +3,8 @@
 //! The output mirrors the paper's figures: one row per cycle, one column per
 //! network size, values being the proportion of missing entries (leaf set or
 //! prefix table). The format loads directly into gnuplot, matplotlib or a
-//! spreadsheet.
+//! spreadsheet. The long-format timelines (one row per measured cycle of
+//! every run of a sweep) go through `bss_util::stats::append_cycle_rows`.
 
 use crate::figures::FigureResult;
 use bss_util::stats::Series;
@@ -66,43 +67,12 @@ pub fn series_table(columns: &[(String, Series)]) -> String {
     for cycle in 0..=max_cycle {
         let _ = write!(output, "{cycle}");
         for (_, series) in columns {
-            let value = series
-                .value_at(cycle)
-                .or_else(|| {
-                    series
-                        .final_cycle()
-                        .filter(|&final_cycle| final_cycle < cycle)
-                        .and_then(|_| series.final_value())
-                })
-                .unwrap_or(f64::NAN);
+            let value = series.held_value_at(cycle).unwrap_or(f64::NAN);
             let _ = write!(output, "\t{value:.3e}");
         }
         output.push('\n');
     }
     output
-}
-
-/// Appends one row per measured cycle of a run to a long-format timeline:
-/// the sweep `coordinates`, the cycle, then one column per `(series, decimal
-/// places)`. The first series sets the rows; a shorter or absent one reads 0.
-pub fn append_cycle_rows(
-    timeline: &mut String,
-    coordinates: &str,
-    columns: &[(Option<&Series>, usize)],
-) {
-    let Some(&(Some(lead), _)) = columns.first() else {
-        return;
-    };
-    for (position, &(cycle, _)) in lead.points().iter().enumerate() {
-        let _ = write!(timeline, "{coordinates}\t{cycle}");
-        for &(series, places) in columns {
-            let value = series
-                .and_then(|series| series.points().get(position))
-                .map_or(0.0, |&(_, value)| value);
-            let _ = write!(timeline, "\t{value:.places$}");
-        }
-        timeline.push('\n');
-    }
 }
 
 /// A cycle number for a summary column, `-` when the run never got there.
@@ -175,22 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_rows_follow_the_lead_series_and_zero_fill_the_rest() {
-        let mut lead = Series::new("lead");
-        lead.push(3, 0.5);
-        lead.push(4, 0.25);
-        let mut short = Series::new("short");
-        short.push(3, 7.0);
-        let mut timeline = String::new();
-        append_cycle_rows(
-            &mut timeline,
-            "cell\tcycle",
-            &[(Some(&lead), 6), (Some(&short), 1), (None, 1)],
-        );
-        assert_eq!(
-            timeline,
-            "cell\tcycle\t3\t0.500000\t7.0\t0.0\ncell\tcycle\t4\t0.250000\t0.0\t0.0\n"
-        );
+    fn an_unreached_cycle_is_a_dash() {
         assert_eq!(or_dash(Some(12)), "12");
         assert_eq!(or_dash(None), "-");
     }

@@ -95,7 +95,8 @@ impl Sweep {
     ///
     /// # Errors
     ///
-    /// Rejects an option value that does not read as what it should.
+    /// Rejects an option value that does not read as what it should, and an
+    /// `--out-dir` that cannot be created — before anything runs.
     pub fn from_args(args: &Args, title: &str, stop_when_perfect: bool) -> Result<Self, String> {
         let sweep = Sweep {
             sizes: args.sizes()?,
@@ -106,7 +107,7 @@ impl Sweep {
             out_dir: args.parsed("out-dir")?,
             quiet: args.flag("quiet"),
         };
-        std::fs::create_dir_all(&sweep.out_dir).expect("create output directory");
+        create_out_dir(&sweep.out_dir)?;
         eprintln!(
             "# {title}: sizes {:?} (exponents), seed {}, {} cycles budget",
             sweep.sizes, sweep.seed, sweep.cycles
@@ -128,11 +129,14 @@ impl Sweep {
     /// Runs every size × cell × engine in that order, writes each
     /// `RunReport` JSON and hands the run to `row`.
     ///
+    /// # Errors
+    ///
+    /// Stops at the first report that cannot be written.
+    ///
     /// # Panics
     ///
-    /// Panics when a cell's configuration is rejected or a file cannot be
-    /// written.
-    pub fn run(&self, cells: &[Cell], mut row: impl FnMut(Run<'_>)) {
+    /// Panics when a cell's configuration is rejected.
+    pub fn run(&self, cells: &[Cell], mut row: impl FnMut(Run<'_>)) -> Result<(), String> {
         for &exponent in &self.sizes {
             let network_size = 1usize << exponent;
             for (index, cell) in cells.iter().enumerate() {
@@ -149,7 +153,7 @@ impl Sweep {
                         .unwrap_or_else(|error| panic!("cell {}: {error}", cell.name));
                     let report = Experiment::new(config).run();
                     let stem = self.stem(network_size, &cell.name, engine_name);
-                    self.write(&format!("{stem}.json"), &report.to_json());
+                    self.write(&format!("{stem}.json"), &report.to_json())?;
                     row(Run {
                         cell: index,
                         name: &cell.name,
@@ -160,20 +164,40 @@ impl Sweep {
                 }
             }
         }
+        Ok(())
     }
 
     /// Writes `<out-dir>/<file>` and says so (unless `--quiet`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when the file cannot be written.
-    pub fn write(&self, file: &str, contents: &str) {
+    /// Names the path and the OS error when the file cannot be written.
+    pub fn write(&self, file: &str, contents: &str) -> Result<(), String> {
         let path = format!("{}/{file}", self.out_dir);
-        std::fs::write(&path, contents).unwrap_or_else(|error| panic!("write {path}: {error}"));
+        write_file(&path, contents)?;
         if !self.quiet {
             eprintln!("#   wrote {path}");
         }
+        Ok(())
     }
+}
+
+/// Creates the `--out-dir` of an experiment, before its first run.
+///
+/// # Errors
+///
+/// Names the path and the OS error when the directory cannot be created.
+pub fn create_out_dir(out_dir: &str) -> Result<(), String> {
+    std::fs::create_dir_all(out_dir).map_err(|error| format!("--out-dir {out_dir}: {error}"))
+}
+
+/// Writes one output file of an experiment.
+///
+/// # Errors
+///
+/// Names the path and the OS error when the file cannot be written.
+pub fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|error| format!("write {path}: {error}"))
 }
 
 #[cfg(test)]
@@ -238,13 +262,14 @@ mod tests {
             ),
         ];
         let mut rows = Vec::new();
-        sweep.run(&cells, |run| {
+        let outcome = sweep.run(&cells, |run| {
             assert_eq!(run.network_size, 32);
             assert_eq!(run.report.config().seed, 1);
             assert_eq!(run.report.config().max_cycles, 30);
             assert!(run.report.converged(), "{} on {}", run.name, run.engine);
             rows.push((run.cell, run.name.to_owned(), run.engine));
         });
+        assert_eq!(outcome, Ok(()));
         assert_eq!(
             rows,
             [

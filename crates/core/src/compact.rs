@@ -28,6 +28,18 @@ use bss_util::config::BootstrapParams;
 use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::id::NodeId;
 
+/// A blank fat node to rehydrate packed states into
+/// ([`CompactNode::unpack_into`]): the exchange, measurement and lookup paths
+/// each reuse one instead of allocating per node.
+///
+/// # Panics
+///
+/// Panics when `params` were not validated.
+pub fn scratch_node(params: &BootstrapParams) -> BootstrapNode<NodeIndex> {
+    let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
+    BootstrapNode::new(placeholder, params).expect("validated parameters")
+}
+
 /// Packs a simulation descriptor down to its registry index and timestamp.
 /// The identifier is deliberately dropped: for every registry-minted
 /// descriptor it is recoverable from the shared arena. Advertised identifiers
@@ -233,11 +245,6 @@ mod tests {
             random_samples: 8,
             ..BootstrapParams::paper_default()
         }
-    }
-
-    fn scratch_node(params: &BootstrapParams) -> BootstrapNode<NodeIndex> {
-        let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
-        BootstrapNode::new(placeholder, params).unwrap()
     }
 
     /// Drives a fat node through random receive batches and checks that

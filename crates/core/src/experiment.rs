@@ -16,6 +16,7 @@
 //! discrete-event engine with per-link latency — reporting to a pluggable
 //! [`Observer`] and returning one serializable [`RunReport`].
 
+use crate::compact::scratch_node;
 use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergence};
 use crate::node::BootstrapNode;
 use crate::protocol::{BootstrapMessage, BootstrapProtocol, TrafficStats};
@@ -31,14 +32,12 @@ use bss_sim::network::{Network, NodeIndex};
 use bss_sim::transport::Transport;
 use bss_util::config::{BootstrapParams, InvalidParams, NewscastParams};
 use bss_util::coords::Placement;
-use bss_util::descriptor::Descriptor;
-use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
-use bss_util::stats::Series;
+use bss_util::stats::{JsonObject, Series};
 use std::fmt;
-use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Which peer sampling implementation an experiment runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -421,24 +420,48 @@ impl ProximityReport {
     }
 }
 
+/// The names — JSON keys — of the per-measured-cycle series every run
+/// records, in report order. WAN runs add `leaf_series_r<region>` after them;
+/// traffic runs carry theirs on [`RunReport::lookups`]
+/// ([`LOOKUP_SERIES_KEYS`](crate::traffic::LOOKUP_SERIES_KEYS)).
+///
+/// * `leaf_series`, `prefix_series` — the proportion of missing leaf-set and
+///   prefix-table entries (Figure 3/4, top and bottom panels);
+/// * `dead_series` — the fraction of stored descriptors (leaf sets and prefix
+///   tables over every alive node) that point at dead nodes, the recovery
+///   metric of the post-catastrophe scenarios;
+/// * `poisoned_series` — the fraction of stored descriptors whose address is
+///   a converted adversary;
+/// * `eclipse_series` — the fraction of the eclipse target's leaf-set slots
+///   held by adversarial addresses (zero unless the adversary names a target:
+///   the id-spray behaviour);
+/// * `in_degree_mean_series`, `in_degree_max_series`, `in_degree_gini_series`,
+///   `dead_pointer_series` — the sampling overlay's mean and largest
+///   in-degree (a hub attack spikes the latter), the Gini coefficient of its
+///   in-degree distribution (0 balanced, → 1 hub) and the fraction of view
+///   entries pointing at departed nodes. Empty when the sampler maintains no
+///   overlay to measure (the oracle).
+pub const SERIES_KEYS: [&str; 9] = [
+    "leaf_series",
+    "prefix_series",
+    "dead_series",
+    "poisoned_series",
+    "eclipse_series",
+    "in_degree_mean_series",
+    "in_degree_max_series",
+    "in_degree_gini_series",
+    "dead_pointer_series",
+];
+
 /// The serializable result of one simulation run, produced identically by all
 /// engines and consumed by every experiment binary, the lookup evaluator and
-/// the examples.
+/// the examples. It keeps typed fields for what code branches on; every
+/// per-cycle curve is a named [`Series`] read through [`RunReport::series`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
     config: ExperimentConfig,
-    leaf_series: Series,
-    prefix_series: Series,
-    dead_series: Series,
-    poisoned_series: Series,
-    eclipse_series: Series,
-    in_degree_mean_series: Series,
-    in_degree_max_series: Series,
-    in_degree_gini_series: Series,
-    dead_pointer_series: Series,
-    /// One missing-leaf-proportion series per placement region (empty without
-    /// a WAN link model).
-    region_leaf_series: Vec<Series>,
+    /// [`SERIES_KEYS`], then one `leaf_series_r<region>` per placement region.
+    series: Vec<Series>,
     convergence_cycle: Option<u64>,
     degraded_cycle: Option<u64>,
     recovered_cycle: Option<u64>,
@@ -460,67 +483,28 @@ impl RunReport {
 
     /// Per-cycle proportion of missing leaf-set entries (Figure 3/4, top panels).
     pub fn leaf_series(&self) -> &Series {
-        &self.leaf_series
+        &self.series[0]
     }
 
     /// Per-cycle proportion of missing prefix-table entries (Figure 3/4, bottom
     /// panels).
     pub fn prefix_series(&self) -> &Series {
-        &self.prefix_series
+        &self.series[1]
     }
 
-    /// Per-cycle fraction of stored descriptors (leaf sets and prefix tables,
-    /// over every alive node) that point at dead nodes — the *dead-descriptor
-    /// fraction*, the recovery metric of the post-catastrophe scenarios. The
-    /// measurement walks every table, so it only runs when the scenario can
-    /// actually kill nodes (a churn burst or a catastrophe is on the
-    /// timeline); in every other run the fraction is structurally zero and
-    /// recorded as such without the walk.
-    pub fn dead_series(&self) -> &Series {
-        &self.dead_series
+    /// Every series of the run in the order [`RunReport::to_json`] writes
+    /// them: the run's own, then the lookup traffic's.
+    fn all_series(&self) -> impl Iterator<Item = &Series> {
+        let lookups = self.lookups.iter().flat_map(|l| l.all_series());
+        self.series.iter().chain(lookups)
     }
 
-    /// Per measured cycle, the fraction of all stored descriptors (leaf sets
-    /// and prefix tables over every alive node) whose address is a converted
-    /// adversary — the *poisoned-descriptor fraction*. Structurally zero (and
-    /// recorded without the walk) on honest timelines.
-    pub fn poisoned_series(&self) -> &Series {
-        &self.poisoned_series
-    }
-
-    /// Per measured cycle, the fraction of the eclipse target's leaf-set slots
-    /// held by adversarial addresses. Only populated when the scenario's
-    /// adversary names a target (the id-spray behaviour); structurally zero
-    /// otherwise.
-    pub fn eclipse_series(&self) -> &Series {
-        &self.eclipse_series
-    }
-
-    /// Per measured cycle, the mean in-degree of the sampling overlay (close
-    /// to the view size when healthy). Empty when the sampler maintains no
-    /// overlay to measure (the oracle).
-    pub fn in_degree_mean_series(&self) -> &Series {
-        &self.in_degree_mean_series
-    }
-
-    /// Per measured cycle, the largest in-degree any alive node holds in the
-    /// sampling overlay — a hub attack spikes this. Empty under the oracle
-    /// sampler.
-    pub fn in_degree_max_series(&self) -> &Series {
-        &self.in_degree_max_series
-    }
-
-    /// Per measured cycle, the Gini coefficient of the sampling overlay's
-    /// in-degree distribution (0 balanced, → 1 hub). Empty under the oracle
-    /// sampler.
-    pub fn in_degree_gini_series(&self) -> &Series {
-        &self.in_degree_gini_series
-    }
-
-    /// Per measured cycle, the fraction of sampler view entries pointing at
-    /// departed nodes. Empty under the oracle sampler.
-    pub fn dead_pointer_series(&self) -> &Series {
-        &self.dead_pointer_series
+    /// The series written out as `name`: one of [`SERIES_KEYS`],
+    /// `leaf_series_r<region>` under a WAN link model (position `r` is region
+    /// `r`; cost-free and absent without a placement), or one of the lookup
+    /// traffic's when a traffic phase was scheduled.
+    pub fn series(&self, name: &str) -> Option<&Series> {
+        self.all_series().find(|series| series.name() == name)
     }
 
     /// The first measured cycle at which the eclipse target's leaf set was
@@ -595,13 +579,6 @@ impl RunReport {
         self.lookups.as_ref()
     }
 
-    /// Per placement region, the per-measured-cycle proportion of missing
-    /// leaf-set entries over that region's nodes. Empty — and cost-free —
-    /// without a WAN link model; with one, position `r` is region `r`.
-    pub fn region_leaf_series(&self) -> &[Series] {
-        &self.region_leaf_series
-    }
-
     /// End-of-run leaf-set proximity statistics under the WAN placement;
     /// `None` without one.
     pub fn proximity(&self) -> Option<&ProximityReport> {
@@ -621,191 +598,102 @@ impl RunReport {
     }
 
     /// Renders the report as a self-contained JSON document (engine, scenario,
-    /// convergence, traffic, fired events and both per-cycle series). This is
+    /// convergence, traffic, fired events and every per-cycle series). This is
     /// the artifact format the scenario smoke suite uploads from CI.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"engine\": \"{}\",", self.config.engine.label());
-        let _ = writeln!(out, "  \"threads\": {},", self.config.threads());
-        let _ = writeln!(out, "  \"scenario\": \"{}\",", self.config.scenario);
-        let _ = writeln!(out, "  \"network_size\": {},", self.config.network_size);
-        let _ = writeln!(out, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(out, "  \"max_cycles\": {},", self.config.max_cycles);
-        let _ = writeln!(out, "  \"cycles_executed\": {},", self.cycles_executed);
-        let optional =
-            |cycle: Option<u64>| cycle.map_or_else(|| "null".to_owned(), |c| c.to_string());
-        let _ = writeln!(
-            out,
-            "  \"convergence_cycle\": {},",
-            optional(self.convergence_cycle)
-        );
-        let _ = writeln!(
-            out,
-            "  \"degraded_cycle\": {},",
-            optional(self.degraded_cycle)
-        );
-        let _ = writeln!(
-            out,
-            "  \"recovered_cycle\": {},",
-            optional(self.recovered_cycle)
-        );
-        let _ = writeln!(
-            out,
-            "  \"cycles_to_recover\": {},",
-            optional(self.cycles_to_recover())
-        );
-        let _ = writeln!(
-            out,
-            "  \"time_to_eclipse\": {},",
-            optional(self.time_to_eclipse)
-        );
-        let _ = writeln!(out, "  \"eclipsed\": {},", self.eclipsed());
-        let _ = writeln!(
-            out,
-            "  \"final_missing_leaf\": {:.6e},",
-            self.final_state.leaf_proportion()
-        );
-        let _ = writeln!(
-            out,
-            "  \"final_missing_prefix\": {:.6e},",
-            self.final_state.prefix_proportion()
-        );
-        let _ = writeln!(
-            out,
-            "  \"traffic\": {{\"requests_sent\": {}, \"requests_delivered\": {}, \
-             \"answers_sent\": {}, \"answers_delivered\": {}, \"mean_message_size\": {:.2}, \
-             \"max_message_size\": {}}},",
-            self.traffic.requests_sent,
-            self.traffic.requests_delivered,
-            self.traffic.answers_sent,
-            self.traffic.answers_delivered,
-            self.traffic.mean_message_size(),
-            self.traffic.max_message_size(),
-        );
+        let config = &self.config;
+        let fixed = |value: f64| format!("{value:.6}");
+        let scientific = |value: f64| format!("{value:.6e}");
+        let seconds = |duration: Duration| fixed(duration.as_secs_f64());
+        let traffic = &self.traffic;
+        let mut json = JsonObject::new();
+        json.string("engine", config.engine.label())
+            .field("threads", config.threads())
+            .string("scenario", &config.scenario)
+            .field("network_size", config.network_size)
+            .field("seed", config.seed)
+            .field("max_cycles", config.max_cycles)
+            .field("cycles_executed", self.cycles_executed)
+            .optional("convergence_cycle", self.convergence_cycle)
+            .optional("degraded_cycle", self.degraded_cycle)
+            .optional("recovered_cycle", self.recovered_cycle)
+            .optional("cycles_to_recover", self.cycles_to_recover())
+            .optional("time_to_eclipse", self.time_to_eclipse)
+            .field("eclipsed", self.eclipsed())
+            .field(
+                "final_missing_leaf",
+                scientific(self.final_state.leaf_proportion()),
+            )
+            .field(
+                "final_missing_prefix",
+                scientific(self.final_state.prefix_proportion()),
+            )
+            .field(
+                "traffic",
+                JsonObject::inline()
+                    .field("requests_sent", traffic.requests_sent)
+                    .field("requests_delivered", traffic.requests_delivered)
+                    .field("answers_sent", traffic.answers_sent)
+                    .field("answers_delivered", traffic.answers_delivered)
+                    .field(
+                        "mean_message_size",
+                        format_args!("{:.2}", traffic.mean_message_size()),
+                    )
+                    .field("max_message_size", traffic.max_message_size())
+                    .finish(),
+            );
         if let Some(lookups) = self.lookups.as_ref() {
-            let _ = writeln!(
-                out,
-                "  \"lookup_traffic\": {{\"router\": \"{}\", \"issued\": {}, \
-                 \"delivered\": {}, \"success_rate\": {:.6}, \"mean_hops\": {:.6}, \
-                 \"max_hops\": {}}},",
-                lookups.router(),
-                lookups.issued(),
-                lookups.delivered(),
-                lookups.success_rate(),
-                lookups.mean_hops(),
-                lookups.max_hops(),
+            json.field(
+                "lookup_traffic",
+                JsonObject::inline()
+                    .string("router", lookups.router())
+                    .field("issued", lookups.issued())
+                    .field("delivered", lookups.delivered())
+                    .field("success_rate", fixed(lookups.success_rate()))
+                    .field("mean_hops", fixed(lookups.mean_hops()))
+                    .field("max_hops", lookups.max_hops())
+                    .finish(),
             );
         }
-        match self.proximity.as_ref() {
-            Some(proximity) => {
-                let _ = writeln!(
-                    out,
-                    "  \"proximity\": {{\"mean_leaf_distance\": {:.6}, \
-                     \"mean_random_distance\": {:.6}, \"ratio\": {:.6}, \
-                     \"leaf_links\": {}}},",
-                    proximity.mean_leaf_distance,
-                    proximity.mean_random_distance,
-                    proximity.ratio(),
-                    proximity.leaf_links,
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  \"proximity\": null,");
-            }
+        json.optional(
+            "proximity",
+            self.proximity.map(|proximity| {
+                JsonObject::inline()
+                    .field("mean_leaf_distance", fixed(proximity.mean_leaf_distance))
+                    .field(
+                        "mean_random_distance",
+                        fixed(proximity.mean_random_distance),
+                    )
+                    .field("ratio", fixed(proximity.ratio()))
+                    .field("leaf_links", proximity.leaf_links)
+                    .finish()
+            }),
+        )
+        .optional(
+            "phase_profile",
+            self.phase_profile.map(|profile| {
+                JsonObject::inline()
+                    .field("plan_seconds", seconds(profile.plan))
+                    .field("execute_seconds", seconds(profile.execute))
+                    .field("commit_seconds", seconds(profile.commit))
+                    .field("measure_seconds", seconds(profile.measure))
+                    .field("profiled_cycles", profile.cycles)
+                    .finish()
+            }),
+        )
+        .array(
+            "events",
+            self.events_fired.iter().map(|(cycle, description)| {
+                JsonObject::inline()
+                    .field("cycle", cycle)
+                    .string("event", description)
+                    .finish()
+            }),
+        );
+        for series in self.all_series() {
+            json.series(series);
         }
-        match self.phase_profile.as_ref() {
-            Some(profile) => {
-                let _ = writeln!(
-                    out,
-                    "  \"phase_profile\": {{\"plan_seconds\": {:.6}, \"execute_seconds\": {:.6}, \
-                     \"commit_seconds\": {:.6}, \"measure_seconds\": {:.6}, \
-                     \"profiled_cycles\": {}}},",
-                    profile.plan.as_secs_f64(),
-                    profile.execute.as_secs_f64(),
-                    profile.commit.as_secs_f64(),
-                    profile.measure.as_secs_f64(),
-                    profile.cycles,
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  \"phase_profile\": null,");
-            }
-        }
-        out.push_str("  \"events\": [");
-        for (position, (cycle, description)) in self.events_fired.iter().enumerate() {
-            if position > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{{\"cycle\": {cycle}, \"event\": \"{description}\"}}");
-        }
-        out.push_str("],\n");
-        let mut series_list: Vec<(String, &Series)> = vec![
-            ("leaf_series".to_owned(), &self.leaf_series),
-            ("prefix_series".to_owned(), &self.prefix_series),
-            ("dead_series".to_owned(), &self.dead_series),
-            ("poisoned_series".to_owned(), &self.poisoned_series),
-            ("eclipse_series".to_owned(), &self.eclipse_series),
-            (
-                "in_degree_mean_series".to_owned(),
-                &self.in_degree_mean_series,
-            ),
-            (
-                "in_degree_max_series".to_owned(),
-                &self.in_degree_max_series,
-            ),
-            (
-                "in_degree_gini_series".to_owned(),
-                &self.in_degree_gini_series,
-            ),
-            ("dead_pointer_series".to_owned(), &self.dead_pointer_series),
-        ];
-        for (region, series) in self.region_leaf_series.iter().enumerate() {
-            series_list.push((format!("leaf_series_r{region}"), series));
-        }
-        if let Some(lookups) = self.lookups.as_ref() {
-            series_list.extend([
-                ("lookup_success_series".to_owned(), lookups.success_series()),
-                (
-                    "lookup_hop_mean_series".to_owned(),
-                    lookups.hop_mean_series(),
-                ),
-                ("lookup_hop_max_series".to_owned(), lookups.hop_max_series()),
-                (
-                    "lookup_latency_p50_series".to_owned(),
-                    lookups.latency_p50_series(),
-                ),
-                (
-                    "lookup_latency_p95_series".to_owned(),
-                    lookups.latency_p95_series(),
-                ),
-                (
-                    "lookup_latency_p99_series".to_owned(),
-                    lookups.latency_p99_series(),
-                ),
-            ]);
-            for (region, series) in lookups.region_success_series().iter().enumerate() {
-                series_list.push((format!("lookup_success_series_r{region}"), series));
-            }
-            for (region, series) in lookups.region_p50_series().iter().enumerate() {
-                series_list.push((format!("lookup_latency_p50_series_r{region}"), series));
-            }
-            for (region, series) in lookups.region_p99_series().iter().enumerate() {
-                series_list.push((format!("lookup_latency_p99_series_r{region}"), series));
-            }
-        }
-        let last = series_list.len() - 1;
-        for (index, (name, series)) in series_list.into_iter().enumerate() {
-            let _ = write!(out, "  \"{name}\": [");
-            for (position, (cycle, value)) in series.points().iter().enumerate() {
-                if position > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "[{cycle}, {value:.6e}]");
-            }
-            out.push_str(if index < last { "],\n" } else { "]\n" });
-        }
-        out.push_str("}\n");
-        out
+        json.finish()
     }
 }
 
@@ -897,31 +785,28 @@ struct MeasurementDriver {
     /// No event ever degrades built tables (membership changes *or*
     /// re-bootstrap orders): a recorded convergence cycle is final.
     tables_stable: bool,
-    /// Some event can kill nodes (churn or catastrophe), so dead descriptors
-    /// are possible and worth the per-cycle table walk; otherwise the
-    /// dead-descriptor fraction is recorded as a structural zero.
-    deaths_possible: bool,
-    /// A Byzantine conversion is on the timeline, so poisoned descriptors are
-    /// possible and worth the per-cycle table walk; otherwise the poisoned
-    /// fraction (and the eclipse fraction) is a structural zero.
-    adversary_possible: bool,
     /// The node an id-spray adversary eclipses, when the timeline carries one.
     eclipse_target: Option<NodeIndex>,
     static_oracle: Option<ConvergenceOracle>,
     tracker: ConvergenceTracker,
-    /// The WAN node placement, when the link model defines one — the gate for
-    /// per-region measurement. Shared with the transport and the network.
-    placement: Option<Arc<Placement>>,
-    /// Reused per-region aggregation buckets (one per placement region).
-    region_buckets: Vec<NetworkConvergence>,
-    /// Reused rehydration target of the per-region walk (WAN runs only).
-    region_scratch: Option<BootstrapNode<NodeIndex>>,
+    /// Per-region measurement state; only under a WAN node placement.
+    regions: Option<RegionWalk>,
     /// The report being filled, cycle by cycle; [`MeasurementDriver::finish`]
     /// adds what is only known when the run ends.
     report: RunReport,
     /// The live lookup-traffic driver; built only when the scenario schedules
     /// a traffic phase, so every other run pays nothing.
     lookup_traffic: Option<LookupTraffic>,
+}
+
+/// What the per-region table walk reuses from cycle to cycle.
+struct RegionWalk {
+    /// The run's placement, shared with the transport and the network.
+    placement: Arc<Placement>,
+    /// The rehydration target of the walk.
+    scratch: BootstrapNode<NodeIndex>,
+    /// One aggregation bucket per placement region.
+    buckets: Vec<NetworkConvergence>,
 }
 
 /// The eclipse is complete when every leaf-set slot of the target points at an
@@ -946,30 +831,16 @@ impl MeasurementDriver {
             // An adversary corrupts tables without perturbing membership, so a
             // convergence recorded before the attack window must not be final.
             tables_stable: !config.scenario.perturbs_tables() && !config.scenario.has_adversary(),
-            deaths_possible: config.scenario.can_kill_nodes(),
-            adversary_possible: config.scenario.has_adversary(),
             eclipse_target: config.scenario.build_adversary().and_then(|m| m.target()),
             static_oracle,
             tracker: ConvergenceTracker::new(),
-            region_buckets: Vec::new(),
-            region_scratch: placement.as_ref().map(|_| {
-                let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
-                BootstrapNode::new(placeholder, &config.params)
-                    .expect("parameters validated by the config builder")
-            }),
             report: RunReport {
                 config: config.clone(),
-                leaf_series: Series::new("missing_leafset_proportion"),
-                prefix_series: Series::new("missing_prefix_proportion"),
-                dead_series: Series::new("dead_descriptor_fraction"),
-                poisoned_series: Series::new("poisoned_descriptor_fraction"),
-                eclipse_series: Series::new("eclipse_fraction"),
-                in_degree_mean_series: Series::new("in_degree_mean"),
-                in_degree_max_series: Series::new("in_degree_max"),
-                in_degree_gini_series: Series::new("in_degree_gini"),
-                dead_pointer_series: Series::new("dead_pointer_fraction"),
-                region_leaf_series: (0..placement.as_ref().map_or(0, |p| p.region_count()))
-                    .map(|region| Series::new(format!("missing_leafset_r{region}")))
+                series: (SERIES_KEYS.into_iter().map(Series::new))
+                    .chain(
+                        (0..placement.as_ref().map_or(0, |p| p.region_count()))
+                            .map(|region| Series::new(format!("leaf_series_r{region}"))),
+                    )
                     .collect(),
                 convergence_cycle: None,
                 degraded_cycle: None,
@@ -983,7 +854,11 @@ impl MeasurementDriver {
                 events_fired: Vec::new(),
                 phase_profile: None,
             },
-            placement,
+            regions: placement.map(|placement| RegionWalk {
+                buckets: vec![NetworkConvergence::default(); placement.region_count() as usize],
+                scratch: scratch_node(&config.params),
+                placement,
+            }),
             lookup_traffic: LookupTraffic::for_config(config),
         }
     }
@@ -1023,66 +898,46 @@ impl MeasurementDriver {
                 protocol.measure(&oracle, ctx)
             }
         };
-        self.report
-            .leaf_series
-            .push(cycle, measured.leaf_proportion());
-        self.report
-            .prefix_series
-            .push(cycle, measured.prefix_proportion());
         self.measure_regions(protocol, ctx, cycle);
-        // The dead-descriptor fraction: only a scenario with churn or a
-        // catastrophe can ever kill a node, so every other run (calm, joins,
-        // re-bootstrap) records a structural zero without walking the tables.
-        let dead_fraction = if !self.deaths_possible {
-            0.0
-        } else {
-            let (dead, total) = protocol.dead_descriptor_stats(ctx);
+        // Each of the three table walks gates itself: no node has died, no
+        // adversary is installed or nobody is converted yet, and it returns
+        // zero without visiting a table.
+        let fraction = |(part, total): (u64, u64)| {
             if total == 0 {
                 0.0
             } else {
-                dead as f64 / total as f64
+                part as f64 / total as f64
             }
         };
-        self.report.dead_series.push(cycle, dead_fraction);
-        // The attack metrics: like the dead-descriptor fraction, honest
-        // timelines record structural zeros without walking the tables.
-        let (poisoned_fraction, eclipse_fraction) = if !self.adversary_possible {
-            (0.0, 0.0)
-        } else {
-            let (poisoned, total) = protocol.poisoned_stats(ctx);
-            let poisoned_fraction = if total == 0 {
-                0.0
-            } else {
-                poisoned as f64 / total as f64
-            };
-            let eclipse_fraction = self
-                .eclipse_target
-                .map_or(0.0, |target| protocol.eclipse_fraction(target));
-            (poisoned_fraction, eclipse_fraction)
-        };
-        self.report.poisoned_series.push(cycle, poisoned_fraction);
-        self.report.eclipse_series.push(cycle, eclipse_fraction);
-        if self.eclipse_target.is_some()
-            && eclipse_fraction >= ECLIPSE_THRESHOLD
-            && self.report.time_to_eclipse.is_none()
-        {
+        let dead_fraction = fraction(protocol.dead_descriptor_stats(ctx));
+        let poisoned_fraction = fraction(protocol.poisoned_stats(ctx));
+        let eclipse_fraction = self
+            .eclipse_target
+            .map_or(0.0, |target| protocol.eclipse_fraction(target));
+        if eclipse_fraction >= ECLIPSE_THRESHOLD && self.report.time_to_eclipse.is_none() {
             self.report.time_to_eclipse = Some(cycle);
         }
         // Overlay-quality diagnostics, whenever the sampler maintains an
         // overlay to measure (a real NEWSCAST instance; the oracle has none).
-        if let Some(quality) = protocol.sampling_quality(&ctx.network) {
-            self.report
-                .in_degree_mean_series
-                .push(cycle, quality.in_degree_mean);
-            self.report
-                .in_degree_max_series
-                .push(cycle, quality.in_degree_max);
-            self.report
-                .in_degree_gini_series
-                .push(cycle, quality.in_degree_gini);
-            self.report
-                .dead_pointer_series
-                .push(cycle, quality.dead_pointer_fraction);
+        let overlay = protocol.sampling_quality(&ctx.network).map(|quality| {
+            [
+                quality.in_degree_mean,
+                quality.in_degree_max,
+                quality.in_degree_gini,
+                quality.dead_pointer_fraction,
+            ]
+        });
+        // One value per entry of `SERIES_KEYS`, in its order.
+        let values = [
+            measured.leaf_proportion(),
+            measured.prefix_proportion(),
+            dead_fraction,
+            poisoned_fraction,
+            eclipse_fraction,
+        ];
+        let values = values.into_iter().chain(overlay.into_iter().flatten());
+        for (series, value) in self.report.series.iter_mut().zip(values) {
+            series.push(cycle, value);
         }
         if dead_fraction > 0.0 {
             if self.report.degraded_cycle.is_none() {
@@ -1127,18 +982,10 @@ impl MeasurementDriver {
         ctx: &EngineContext,
         cycle: u64,
     ) {
-        let Some(placement) = self.placement.clone() else {
+        let Some(walk) = self.regions.as_mut() else {
             return;
         };
-        let scratch = self
-            .region_scratch
-            .as_mut()
-            .expect("scratch is built whenever a placement is");
-        self.region_buckets.clear();
-        self.region_buckets.resize(
-            placement.region_count() as usize,
-            NetworkConvergence::default(),
-        );
+        walk.buckets.fill(NetworkConvergence::default());
         // Under churn the static oracle is absent; rebuild one for this pass,
         // mirroring what the global measurement just did.
         let rebuilt;
@@ -1150,13 +997,14 @@ impl MeasurementDriver {
             }
         };
         for node in ctx.network.alive_indices() {
-            if protocol.unpack_node_into(node, scratch) {
-                let region = placement.region(node.as_usize()) as usize;
-                self.region_buckets[region].accumulate(oracle.measure_node(scratch));
+            if protocol.unpack_node_into(node, &mut walk.scratch) {
+                let region = walk.placement.region(node.as_usize()) as usize;
+                walk.buckets[region].accumulate(oracle.measure_node(&walk.scratch));
             }
         }
-        for (region, bucket) in self.region_buckets.iter().enumerate() {
-            self.report.region_leaf_series[region].push(cycle, bucket.leaf_proportion());
+        let region_series = &mut self.report.series[SERIES_KEYS.len()..];
+        for (series, bucket) in region_series.iter_mut().zip(&walk.buckets) {
+            series.push(cycle, bucket.leaf_proportion());
         }
     }
 
@@ -1170,10 +1018,9 @@ impl MeasurementDriver {
         cycles_executed: u64,
         phase_profile: Option<PhaseProfile>,
     ) -> (RunReport, PopulationSnapshot) {
-        let proximity = self
-            .placement
-            .as_ref()
-            .map(|p| measure_proximity(protocol, ctx, p, self.report.config.seed));
+        let seed = self.report.config.seed;
+        let proximity = (self.regions.as_ref())
+            .map(|walk| measure_proximity(protocol, ctx, &walk.placement, seed));
         let report = RunReport {
             cycles_executed,
             traffic: protocol.traffic().clone(),
@@ -1431,6 +1278,29 @@ mod tests {
     use super::*;
     use crate::scenario::tests::Recording;
     use crate::scenario::{AdversaryBehavior, PartitionSpec, Phase, ScenarioEvent};
+    use crate::scenario::{KeyDist, PlacementSpec, WanParams};
+
+    /// A WAN link model over `regions` clusters on a square plane.
+    fn clustered_wan(regions: u32, side: f64, spread: f64) -> LatencyModel {
+        LatencyModel::Wan {
+            placement: PlacementSpec::Clustered {
+                regions,
+                width: side,
+                height: side,
+                spread,
+            },
+            params: WanParams::default(),
+        }
+    }
+
+    /// The NEWSCAST instance the adversarial experiments run over.
+    fn newscast() -> NewscastParams {
+        NewscastParams {
+            view_size: 20,
+            period_millis: 1000,
+            ..NewscastParams::paper_default()
+        }
+    }
 
     #[test]
     fn builder_validates_inputs() {
@@ -1472,7 +1342,6 @@ mod tests {
 
     #[test]
     fn regional_events_require_a_wan_link_model() {
-        use crate::scenario::{LatencyModel, PlacementSpec, WanParams};
         let outage = ScenarioEvent::RegionalOutage {
             phase: Phase::new(10, 20),
             region: 1,
@@ -1489,15 +1358,7 @@ mod tests {
             "unexpected error: {err}"
         );
         // With one, the same timeline is accepted…
-        let wan = LatencyModel::Wan {
-            placement: PlacementSpec::Clustered {
-                regions: 4,
-                width: 100.0,
-                height: 100.0,
-                spread: 10.0,
-            },
-            params: WanParams::default(),
-        };
+        let wan = clustered_wan(4, 100.0, 10.0);
         let ok = ExperimentConfig::builder()
             .network_size(64)
             .link_model(wan)
@@ -1555,28 +1416,20 @@ mod tests {
 
     #[test]
     fn wan_runs_report_per_region_series_and_proximity() {
-        use crate::scenario::{LatencyModel, PlacementSpec, WanParams};
         let mut builder = ExperimentConfig::builder();
         builder
             .network_size(64)
             .seed(9)
             .max_cycles(40)
-            .link_model(LatencyModel::Wan {
-                placement: PlacementSpec::Clustered {
-                    regions: 3,
-                    width: 400.0,
-                    height: 400.0,
-                    spread: 30.0,
-                },
-                params: WanParams::default(),
-            });
+            .link_model(clustered_wan(3, 400.0, 30.0));
         let report = Experiment::new(builder.build().unwrap()).run();
         assert!(report.converged(), "{report}");
-        assert_eq!(report.region_leaf_series().len(), 3);
-        for series in report.region_leaf_series() {
-            let last = series.points().last().expect("measured cycles").1;
+        for region in 0..3 {
+            let series = report.series(&format!("leaf_series_r{region}")).unwrap();
+            let last = series.final_value().expect("measured cycles");
             assert_eq!(last, 0.0, "every region converged: {report}");
         }
+        assert!(report.series("leaf_series_r3").is_none());
         let proximity = report.proximity().expect("wan runs measure proximity");
         assert!(proximity.leaf_links > 0);
         assert!(proximity.mean_leaf_distance > 0.0);
@@ -1597,7 +1450,7 @@ mod tests {
                 .unwrap(),
         )
         .run();
-        assert!(calm.region_leaf_series().is_empty());
+        assert!(calm.series("leaf_series_r0").is_none());
         assert!(calm.proximity().is_none());
         assert!(calm.to_json().contains("\"proximity\": null"));
     }
@@ -1667,14 +1520,7 @@ mod tests {
                 .unwrap(),
         )
         .run();
-        let peak = |report: &RunReport| {
-            report
-                .eclipse_series()
-                .points()
-                .iter()
-                .map(|&(_, v)| v)
-                .fold(0.0f64, f64::max)
-        };
+        let peak = |report: &RunReport| report.series("eclipse_series").unwrap().peak();
         assert!(
             undefended.eclipsed(),
             "undefended target should be fully eclipsed (peak {})",
@@ -1702,11 +1548,7 @@ mod tests {
 
     #[test]
     fn aging_sugar_composes_with_the_sampler_in_either_order() {
-        let newscast = NewscastParams {
-            view_size: 20,
-            period_millis: 1000,
-            ..NewscastParams::paper_default()
-        };
+        let newscast = newscast();
         // Sugar before the sampler selection: the bound still reaches the views.
         let sugar_first = ExperimentConfig::builder()
             .descriptor_max_age(Some(8))
@@ -1913,11 +1755,7 @@ mod tests {
         let config = ExperimentConfig::builder()
             .network_size(100)
             .seed(11)
-            .sampler(SamplerChoice::Newscast(NewscastParams {
-                view_size: 20,
-                period_millis: 1000,
-                ..NewscastParams::paper_default()
-            }))
+            .sampler(SamplerChoice::Newscast(newscast()))
             .max_cycles(80)
             .build()
             .unwrap();
@@ -2077,7 +1915,8 @@ mod tests {
         // No node ever died, so the dead-descriptor series is identically zero
         // and no degradation/recovery is recorded.
         assert!(outcome
-            .dead_series()
+            .series("dead_series")
+            .unwrap()
             .points()
             .iter()
             .all(|&(_, v)| v == 0.0));
@@ -2160,5 +1999,54 @@ mod tests {
         assert_eq!(recorder.leaf.len(), outcome.cycles_executed() as usize);
         assert_eq!(recorder.leaf, outcome.leaf_series().points());
         assert_eq!(recorder.events, [5]);
+    }
+
+    #[test]
+    fn report_json_is_pinned() {
+        // FNV-1a digests of `to_json()` recorded with the hand-rolled writer
+        // this one replaced. Between them the two runs switch on every
+        // capability-gated part of the document: the attack and overlay
+        // series and a completed eclipse; per-region series, the traffic
+        // block and its series, proximity, degradation and recovery.
+        let digest = |config: &ExperimentConfigBuilder| {
+            let json = Experiment::new(config.build().unwrap()).run().to_json();
+            json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |digest, byte| {
+                (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        };
+        let mut spray = ExperimentConfig::builder();
+        spray
+            .network_size(32)
+            .seed(5)
+            .max_cycles(12)
+            .stop_when_perfect(false)
+            .sampler(SamplerChoice::Newscast(newscast()))
+            .event(ScenarioEvent::ByzantineConvert {
+                phase: Phase::new(3, 10),
+                fraction: 0.25,
+                behavior: AdversaryBehavior::IdSpray { target: 0 },
+            });
+        assert_eq!(digest(&spray), 0x71d1_0bf5_7cfe_8f68);
+
+        let mut wan = ExperimentConfig::builder();
+        wan.network_size(32)
+            .seed(6)
+            .max_cycles(12)
+            .stop_when_perfect(false)
+            .descriptor_max_age(Some(4))
+            .engine(Engine::Event {
+                latency: LatencyModel::default(),
+            })
+            .link_model(clustered_wan(2, 400.0, 30.0))
+            .event(ScenarioEvent::TrafficPhase {
+                phase: Phase::new(2, 12),
+                lookups_per_cycle: 20,
+                key_dist: KeyDist::Uniform,
+            })
+            .event(ScenarioEvent::ChurnBurst {
+                phase: Phase::new(4, 6),
+                rate: 0.1,
+            });
+        assert_eq!(digest(&wan), 0xbedb_4265_7144_2ca3);
     }
 }

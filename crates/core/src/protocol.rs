@@ -9,7 +9,7 @@
 //! suppresses the answer as well, so a drop probability of 0.2 yields an effective
 //! pair-loss of roughly 28 %.
 
-use crate::compact::CompactNode;
+use crate::compact::{scratch_node, CompactNode};
 use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergence};
 use crate::leafset::MergeScratch;
 use crate::message::MessageScratch;
@@ -178,16 +178,13 @@ struct ExchangeScratch {
 
 impl ExchangeScratch {
     fn new(params: &BootstrapParams) -> Self {
-        let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
-        let node_state = BootstrapNode::new(placeholder, params)
-            .expect("parameters validated in BootstrapProtocol::new");
         ExchangeScratch {
             message: MessageScratch::default(),
             merge: MergeScratch::default(),
             request: Vec::new(),
             answer: Vec::new(),
-            peer_state: node_state.clone(),
-            node_state,
+            node_state: scratch_node(params),
+            peer_state: scratch_node(params),
         }
     }
 }
@@ -445,7 +442,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// not yet initialised.
     pub fn measure(&self, oracle: &ConvergenceOracle, ctx: &EngineContext) -> NetworkConvergence {
         let mut aggregate = NetworkConvergence::default();
-        let mut scratch = self.measure_scratch();
+        let mut scratch = scratch_node(&self.params);
         for node in ctx.network.alive_indices() {
             if let Some(packed) = self.packed_node(node) {
                 packed.unpack_into(node, &self.ids, &mut scratch);
@@ -453,12 +450,6 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
             }
         }
         aggregate
-    }
-
-    /// One reusable fat node for the measurement paths (rehydration target).
-    fn measure_scratch(&self) -> BootstrapNode<NodeIndex> {
-        let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
-        BootstrapNode::new(placeholder, &self.params).expect("parameters validated in new()")
     }
 
     /// Incremental equivalent of [`BootstrapProtocol::measure`]: re-measures only
@@ -477,7 +468,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         ctx: &EngineContext,
     ) -> NetworkConvergence {
         let mut dirty = std::mem::take(&mut self.dirty);
-        let mut scratch = self.measure_scratch();
+        let mut scratch = scratch_node(&self.params);
         for &node in &dirty {
             self.dirty_flags[node.as_usize()] = false;
             let measured = if ctx.network.is_alive(node) {

@@ -351,18 +351,6 @@ impl ScenarioEvent {
         self.perturbs_membership() || matches!(self, ScenarioEvent::ReBootstrap { .. })
     }
 
-    /// Whether this event can kill nodes (churn replaces them, a catastrophe
-    /// removes them). Only scenarios containing such an event can ever produce
-    /// a dead descriptor, so the runner skips the per-cycle dead-descriptor
-    /// table walk entirely when none is present (a massive join perturbs
-    /// membership but can never create a dead node).
-    pub fn can_kill_nodes(&self) -> bool {
-        matches!(
-            self,
-            ScenarioEvent::ChurnBurst { .. } | ScenarioEvent::CatastrophicFailure { .. }
-        )
-    }
-
     fn validate(&self) -> Result<(), InvalidParams> {
         let in_unit = |field: &'static str, value: f64| {
             if (0.0..=1.0).contains(&value) {
@@ -632,17 +620,9 @@ impl Scenario {
         self.events.iter().any(ScenarioEvent::perturbs_tables)
     }
 
-    /// Whether any event can kill nodes — the precondition for a dead
-    /// descriptor to ever exist. When false, the dead-descriptor fraction is
-    /// structurally zero and the runner records it without walking any table.
-    pub fn can_kill_nodes(&self) -> bool {
-        self.events.iter().any(ScenarioEvent::can_kill_nodes)
-    }
-
-    /// Whether the timeline converts any nodes to Byzantine behaviour. When
-    /// false the runner skips every attack-metric walk (poisoned descriptors,
-    /// eclipse fraction) — the adversarial analogue of the dead-descriptor
-    /// early-out.
+    /// Whether the timeline converts any nodes to Byzantine behaviour. An
+    /// adversary corrupts tables without perturbing membership, so with one a
+    /// recorded convergence is not final.
     pub fn has_adversary(&self) -> bool {
         self.events
             .iter()
@@ -1233,7 +1213,6 @@ pub(crate) mod tests {
         assert!(scenario.validate().is_ok());
         assert!(!scenario.perturbs_membership());
         assert!(!scenario.perturbs_tables());
-        assert!(!scenario.can_kill_nodes());
         assert!(scenario.has_adversary());
         assert!(
             !scenario.build_churn().is_empty(),
@@ -1291,7 +1270,6 @@ pub(crate) mod tests {
         assert!(scenario.has_traffic());
         assert!(!scenario.perturbs_membership());
         assert!(!scenario.perturbs_tables());
-        assert!(!scenario.can_kill_nodes());
         assert!(!scenario.has_adversary());
         assert!(
             scenario.build_churn().is_empty(),

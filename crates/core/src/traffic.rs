@@ -11,8 +11,9 @@
 //! churn burst or an id-spray attack corrupts the tables and recovers as the
 //! protocol repairs them.
 //!
-//! Per measured cycle the driver folds its window counters into six series on
-//! the [`RunReport`](crate::experiment::RunReport): lookup success rate, hop
+//! Per measured cycle the driver folds its window counters into six series
+//! ([`LOOKUP_SERIES_KEYS`]) on the [`RunReport`](crate::experiment::RunReport):
+//! lookup success rate, hop
 //! mean and max, and latency percentiles p50/p95/p99 computed by charging each
 //! hop of the path what a message on that link costs — the driver asks its own
 //! copy of the run's [`Transport`]
@@ -22,7 +23,7 @@
 //! outaged region fails before routing starts. Under a
 //! [`LatencyModel::Wan`](crate::scenario::LatencyModel) link model the driver
 //! additionally keeps one window per placement region (keyed by the
-//! *client*'s region). Everything is capability-gated on
+//! *client*'s region; `<key>_r<region>`). Everything is capability-gated on
 //! [`Scenario::has_traffic`](crate::scenario::Scenario): runs without a
 //! traffic phase build no driver, draw no random numbers and emit no traffic
 //! series, so their reports stay byte-identical.
@@ -32,6 +33,7 @@
 //! streams. Lookups run in the sequential observer phase of every engine, so
 //! the parallel cycle engine stays bit-for-bit identical at any thread count.
 
+use crate::compact::scratch_node;
 use crate::experiment::ExperimentConfig;
 use crate::node::BootstrapNode;
 use crate::protocol::BootstrapProtocol;
@@ -42,8 +44,6 @@ use bss_sim::engine::cycle::EngineContext;
 use bss_sim::network::{Network, NodeIndex};
 use bss_sim::transport::Transport;
 use bss_util::coords::Placement;
-use bss_util::descriptor::Descriptor;
-use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
 use bss_util::stats::{Histogram, Series};
 use std::sync::Arc;
@@ -52,6 +52,25 @@ use std::sync::Arc;
 /// draws never perturb the protocol or engine streams (ASCII "traffic!").
 /// Public so parity tests can replay the exact lookup sequence a run issued.
 pub const TRAFFIC_SALT: u64 = 0x7472_6166_6669_6321;
+
+/// The names — JSON keys — of the six per-measured-cycle series of a traffic
+/// run, in report order: within the window, delivered / issued; mean and
+/// longest delivered lookup in hops; median, 95th- and 99th-percentile
+/// delivered-lookup latency in milliseconds.
+pub const LOOKUP_SERIES_KEYS: [&str; 6] = [
+    "lookup_success_series",
+    "lookup_hop_mean_series",
+    "lookup_hop_max_series",
+    "lookup_latency_p50_series",
+    "lookup_latency_p95_series",
+    "lookup_latency_p99_series",
+];
+
+/// The positions in [`LOOKUP_SERIES_KEYS`] of the three series — success,
+/// p50, p99 — a WAN run also keeps per placement region, over the lookups
+/// that region's clients issued: region `r`'s are named `<key>_r<r>` and
+/// follow the six above, all regions of one key together.
+const REGION_SERIES: [usize; 3] = [0, 3, 5];
 
 /// A [`TableSource`] over the live packed population: contacts resolve by
 /// registry address and must answer to the identifier the descriptor
@@ -118,36 +137,64 @@ impl Counters {
     }
 }
 
-/// Per-region window state of a WAN traffic run: counters and latency
-/// histogram over the lookups *issued by* clients of one placement region,
-/// flushed into the report's per-region series on measured cycles.
+/// One measurement window: counters and latency histogram over the lookups
+/// issued since the last measured cycle — by anyone (the run's window), or by
+/// the clients of one placement region.
 #[derive(Debug)]
-struct RegionWindow {
-    window: Counters,
+struct Window {
+    counters: Counters,
     latency: Histogram,
 }
 
-/// WAN-only traffic state: the run's placement and one [`RegionWindow`] per
-/// placement region.
+impl Window {
+    /// One bucket per possible hop at the per-hop latency ceiling keeps the
+    /// histogram exact for constant latency and allocation-free either way;
+    /// anything past the ceiling saturates into the last bucket.
+    fn new(bucket_width: u64) -> Self {
+        Window {
+            counters: Counters::default(),
+            latency: Histogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
+        }
+    }
+
+    fn absorb(&mut self, delivered: bool, hops: u64, millis: Option<u64>) {
+        self.counters.absorb(delivered, hops);
+        if let Some(millis) = millis {
+            self.latency.record(millis);
+        }
+    }
+
+    /// Closes the window: its values in [`LOOKUP_SERIES_KEYS`] order — `None`
+    /// when no lookup was issued in it — and a fresh window behind them.
+    fn flush(&mut self) -> Option<[f64; 6]> {
+        if self.counters.issued == 0 {
+            return None;
+        }
+        let values = [
+            self.counters.success_rate(),
+            self.counters.mean_hops(),
+            self.counters.hops_max as f64,
+            self.latency.percentile(0.50),
+            self.latency.percentile(0.95),
+            self.latency.percentile(0.99),
+        ];
+        self.counters = Counters::default();
+        self.latency.reset();
+        Some(values)
+    }
+}
+
+/// WAN-only traffic state: the run's placement and one [`Window`] per
+/// placement region, over the lookups *issued by* that region's clients.
 #[derive(Debug)]
 struct WanTraffic {
     placement: Arc<Placement>,
-    regions: Vec<RegionWindow>,
+    regions: Vec<Window>,
 }
 
 impl WanTraffic {
-    fn new(placement: Arc<Placement>, bucket_width: u64) -> Self {
-        let regions = (0..placement.region_count())
-            .map(|_| RegionWindow {
-                window: Counters::default(),
-                latency: Histogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
-            })
-            .collect();
-        WanTraffic { placement, regions }
-    }
-
     /// The window of the region a client's registry address lies in.
-    fn window_of(&mut self, client: NodeIndex) -> &mut RegionWindow {
+    fn window_of(&mut self, client: NodeIndex) -> &mut Window {
         let region = self.placement.region(client.as_usize());
         &mut self.regions[region as usize]
     }
@@ -182,8 +229,7 @@ pub struct LookupTraffic {
     /// Cumulative Zipf weights over `alive` positions (empty under uniform
     /// keys).
     zipf_cumulative: Vec<f64>,
-    window: Counters,
-    window_latency: Histogram,
+    window: Window,
     /// WAN-only state (placement, regional windows); `None` under the
     /// placement-free link models.
     wan: Option<WanTraffic>,
@@ -201,21 +247,13 @@ impl LookupTraffic {
         }
         let latency = config.link_model();
         let placement = config.placement();
-        // One bucket per possible hop at the per-hop latency ceiling keeps the
-        // window histogram exact for constant latency and allocation-free
-        // either way; anything past the ceiling saturates into the last
-        // bucket.
         let (_, max_millis) = latency.bounds();
         let bucket_width = max_millis.max(1);
-        let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
-        let scratch =
-            BootstrapNode::new(placeholder, &config.params).expect("config validated by builder");
         let regions = placement.as_ref().map_or(0, |p| p.region_count());
-        let region_series = |name: &str| {
-            (0..regions)
-                .map(|region| Series::new(format!("{name}_r{region}")))
-                .collect()
-        };
+        let region_series = REGION_SERIES.iter().flat_map(|&key| {
+            let key = LOOKUP_SERIES_KEYS[key];
+            (0..regions).map(move |region| Series::new(format!("{key}_r{region}")))
+        });
         Some(LookupTraffic {
             phases: config.scenario.traffic_phases().collect(),
             transport: config.scenario.build_transport(
@@ -224,26 +262,22 @@ impl LookupTraffic {
                 placement.as_ref(),
                 config.seed,
             ),
-            wan: placement.map(|placement| WanTraffic::new(placement, bucket_width)),
+            wan: placement.map(|placement| WanTraffic {
+                regions: (0..regions).map(|_| Window::new(bucket_width)).collect(),
+                placement,
+            }),
             rng: SimRng::seed_from(config.seed ^ TRAFFIC_SALT),
-            scratch,
+            scratch: scratch_node(&config.params),
             path: Vec::with_capacity(DEFAULT_MAX_HOPS + 1),
             alive: Vec::with_capacity(config.network_size),
             zipf_cumulative: Vec::new(),
-            window: Counters::default(),
-            window_latency: Histogram::with_buckets(bucket_width, DEFAULT_MAX_HOPS + 2),
+            window: Window::new(bucket_width),
             report: LookupTrafficReport {
                 router: config.traffic_router,
                 totals: Counters::default(),
-                success_series: Series::new("lookup_success"),
-                hop_mean_series: Series::new("lookup_hop_mean"),
-                hop_max_series: Series::new("lookup_hop_max"),
-                p50_series: Series::new("lookup_latency_p50"),
-                p95_series: Series::new("lookup_latency_p95"),
-                p99_series: Series::new("lookup_latency_p99"),
-                region_success_series: region_series("lookup_success"),
-                region_p50_series: region_series("lookup_latency_p50"),
-                region_p99_series: region_series("lookup_latency_p99"),
+                series: (LOOKUP_SERIES_KEYS.into_iter().map(Series::new))
+                    .chain(region_series)
+                    .collect(),
             },
         })
     }
@@ -294,7 +328,6 @@ impl LookupTraffic {
             alive,
             zipf_cumulative,
             window,
-            window_latency,
             wan,
             report,
             ..
@@ -332,17 +365,11 @@ impl LookupTraffic {
                 (routed.delivered(), routed.hops)
             };
             let millis = delivered.then(|| charge_path(transport, path, rng));
-            let region = wan.as_mut().map(|state| state.window_of(source.address));
-            window.absorb(delivered, hops);
             report.totals.absorb(delivered, hops);
-            if let Some(millis) = millis {
-                window_latency.record(millis);
-            }
-            if let Some(bucket) = region {
-                bucket.window.absorb(delivered, hops);
-                if let Some(millis) = millis {
-                    bucket.latency.record(millis);
-                }
+            window.absorb(delivered, hops, millis);
+            if let Some(state) = wan.as_mut() {
+                let region = state.window_of(source.address);
+                region.absorb(delivered, hops, millis);
             }
         }
     }
@@ -351,35 +378,24 @@ impl LookupTraffic {
     /// only). Windows in which no lookup was issued push nothing, so calm
     /// stretches outside the traffic phase leave no points.
     pub fn flush_window(&mut self, cycle: u64) {
-        let report = &mut self.report;
-        if let Some(state) = self.wan.as_mut() {
-            for (region, bucket) in state.regions.iter_mut().enumerate() {
-                if bucket.window.issued == 0 {
-                    continue;
-                }
-                report.region_success_series[region].push(cycle, bucket.window.success_rate());
-                report.region_p50_series[region].push(cycle, bucket.latency.percentile(0.50));
-                report.region_p99_series[region].push(cycle, bucket.latency.percentile(0.99));
-                bucket.window = Counters::default();
-                bucket.latency.reset();
+        let (run_series, region_series) = self.report.series.split_at_mut(LOOKUP_SERIES_KEYS.len());
+        let regions = self
+            .wan
+            .as_mut()
+            .map_or(&mut [][..], |state| &mut state.regions);
+        let region_count = regions.len();
+        for (region, window) in regions.iter_mut().enumerate() {
+            let Some(values) = window.flush() else {
+                continue;
+            };
+            for (kind, key) in REGION_SERIES.into_iter().enumerate() {
+                region_series[kind * region_count + region].push(cycle, values[key]);
             }
         }
-        if self.window.issued == 0 {
-            return;
+        let values = self.window.flush().into_iter().flatten();
+        for (series, value) in run_series.iter_mut().zip(values) {
+            series.push(cycle, value);
         }
-        let latency = &self.window_latency;
-        report
-            .success_series
-            .push(cycle, self.window.success_rate());
-        report.hop_mean_series.push(cycle, self.window.mean_hops());
-        report
-            .hop_max_series
-            .push(cycle, self.window.hops_max as f64);
-        report.p50_series.push(cycle, latency.percentile(0.50));
-        report.p95_series.push(cycle, latency.percentile(0.95));
-        report.p99_series.push(cycle, latency.percentile(0.99));
-        self.window = Counters::default();
-        self.window_latency.reset();
     }
 
     /// Hands over the summary the driver has been filling.
@@ -389,21 +405,15 @@ impl LookupTraffic {
 }
 
 /// The traffic summary a [`RunReport`](crate::experiment::RunReport) carries
-/// for runs that scheduled a traffic phase: run totals plus the six
-/// per-measured-cycle series.
+/// for runs that scheduled a traffic phase: run totals plus the
+/// per-measured-cycle series, each under the name the report's JSON writes it
+/// as.
 #[derive(Debug, Clone)]
 pub struct LookupTrafficReport {
     router: RouterKind,
     totals: Counters,
-    success_series: Series,
-    hop_mean_series: Series,
-    hop_max_series: Series,
-    p50_series: Series,
-    p95_series: Series,
-    p99_series: Series,
-    region_success_series: Vec<Series>,
-    region_p50_series: Vec<Series>,
-    region_p99_series: Vec<Series>,
+    /// [`LOOKUP_SERIES_KEYS`], then per region the three of `REGION_SERIES`.
+    series: Vec<Series>,
 }
 
 impl LookupTrafficReport {
@@ -437,56 +447,22 @@ impl LookupTrafficReport {
         self.totals.hops_max
     }
 
-    /// Per measured cycle, delivered / issued within the window.
+    /// Per measured cycle, delivered / issued within the window
+    /// (`lookup_success_series`).
     pub fn success_series(&self) -> &Series {
-        &self.success_series
+        &self.series[0]
     }
 
-    /// Per measured cycle, mean hops over the window's delivered lookups.
-    pub fn hop_mean_series(&self) -> &Series {
-        &self.hop_mean_series
+    /// Every series of the traffic run, in the order the report writes them.
+    pub(crate) fn all_series(&self) -> &[Series] {
+        &self.series
     }
 
-    /// Per measured cycle, the window's longest delivered lookup in hops.
-    pub fn hop_max_series(&self) -> &Series {
-        &self.hop_max_series
-    }
-
-    /// Per measured cycle, the median delivered-lookup latency in
-    /// milliseconds.
-    pub fn latency_p50_series(&self) -> &Series {
-        &self.p50_series
-    }
-
-    /// Per measured cycle, the 95th-percentile delivered-lookup latency in
-    /// milliseconds.
-    pub fn latency_p95_series(&self) -> &Series {
-        &self.p95_series
-    }
-
-    /// Per measured cycle, the 99th-percentile delivered-lookup latency in
-    /// milliseconds.
-    pub fn latency_p99_series(&self) -> &Series {
-        &self.p99_series
-    }
-
-    /// Per placement region, the window success rate of lookups issued by
-    /// that region's clients. Empty under the placement-free link models;
-    /// with a WAN model, position `r` is region `r`.
-    pub fn region_success_series(&self) -> &[Series] {
-        &self.region_success_series
-    }
-
-    /// Per placement region, the median delivered-lookup latency of that
-    /// region's clients (empty without a WAN link model).
-    pub fn region_p50_series(&self) -> &[Series] {
-        &self.region_p50_series
-    }
-
-    /// Per placement region, the 99th-percentile delivered-lookup latency of
-    /// that region's clients (empty without a WAN link model).
-    pub fn region_p99_series(&self) -> &[Series] {
-        &self.region_p99_series
+    /// The series written out as `name` — one of [`LOOKUP_SERIES_KEYS`], or
+    /// `<key>_r<region>` for the success, p50 and p99 keys under a WAN link
+    /// model (no placement, no region series).
+    pub fn series(&self, name: &str) -> Option<&Series> {
+        self.series.iter().find(|series| series.name() == name)
     }
 }
 
@@ -494,6 +470,7 @@ impl LookupTrafficReport {
 mod tests {
     use super::*;
     use crate::scenario::{LatencyModel, Scenario, ScenarioEvent};
+    use bss_util::id::NodeId;
 
     fn traffic_config(dist: KeyDist) -> ExperimentConfig {
         ExperimentConfig::builder()
@@ -570,16 +547,26 @@ mod tests {
         let config = traffic_config(KeyDist::Uniform);
         let mut traffic = LookupTraffic::for_config(&config).unwrap();
         traffic.flush_window(3);
-        assert!(traffic.report.success_series.is_empty());
+        assert!(traffic.report.success_series().is_empty());
         // A window with traffic pushes exactly one point per series.
-        traffic.window.absorb(true, 2);
-        traffic.window_latency.record(2);
+        traffic.window.absorb(true, 2, Some(2));
         traffic.flush_window(21);
-        assert_eq!(traffic.report.success_series.points(), &[(21, 1.0)]);
-        assert_eq!(traffic.report.hop_mean_series.points(), &[(21, 2.0)]);
-        assert_eq!(traffic.report.p50_series.points(), &[(21, 2.0)]);
+        for key in [
+            "lookup_success_series",
+            "lookup_hop_mean_series",
+            "lookup_latency_p50_series",
+        ] {
+            let expected = if key == "lookup_success_series" {
+                1.0
+            } else {
+                2.0
+            };
+            let series = traffic.report.series(key).unwrap();
+            assert_eq!(series.points(), &[(21, expected)], "{key}");
+        }
+        assert!(traffic.report.series("lookup_success_series_r0").is_none());
         // ... and the flush resets the window.
-        assert_eq!(traffic.window.issued, 0);
-        assert_eq!(traffic.window_latency.count(), 0);
+        assert_eq!(traffic.window.counters.issued, 0);
+        assert_eq!(traffic.window.latency.count(), 0);
     }
 }

@@ -56,8 +56,8 @@ fn run_with(
     let trace = RunTrace {
         leaf_series: outcome.leaf_series().points().to_vec(),
         prefix_series: outcome.prefix_series().points().to_vec(),
-        poisoned_series: outcome.poisoned_series().points().to_vec(),
-        eclipse_series: outcome.eclipse_series().points().to_vec(),
+        poisoned_series: outcome.series("poisoned_series").unwrap().points().to_vec(),
+        eclipse_series: outcome.series("eclipse_series").unwrap().points().to_vec(),
         time_to_eclipse: outcome.time_to_eclipse(),
         convergence_cycle: outcome.convergence_cycle(),
         cycles_executed: outcome.cycles_executed(),

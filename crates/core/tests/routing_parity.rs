@@ -152,12 +152,12 @@ fn assert_parity(engine: Engine, engine_name: &str) {
             "{engine_name}/{router}"
         );
         assert_eq!(
-            live.hop_mean_series().points(),
+            live.series("lookup_hop_mean_series").unwrap().points(),
             replayed.hop_mean.as_slice(),
             "{engine_name}/{router}"
         );
         assert_eq!(
-            live.hop_max_series().points(),
+            live.series("lookup_hop_max_series").unwrap().points(),
             replayed.hop_max.as_slice(),
             "{engine_name}/{router}"
         );

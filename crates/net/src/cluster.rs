@@ -17,6 +17,7 @@ use bss_core::convergence::{ConvergenceOracle, NetworkConvergence};
 use bss_util::config::BootstrapParams;
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
+use bss_util::stats::Series;
 use std::collections::HashSet;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -226,18 +227,16 @@ impl Cluster {
     /// start, so a monitor attached late still reports absolute progress.
     pub fn monitor(&self, poll_every: Duration, timeout: Duration) -> NetReport {
         let deadline = Instant::now() + timeout;
-        let mut leaf_series = Vec::new();
-        let mut prefix_series = Vec::new();
-        let mut dead_series = Vec::new();
+        let mut leaf_series = Series::new("leaf_series");
+        let mut prefix_series = Series::new("prefix_series");
+        let mut dead_series = Series::new("dead_series");
         let mut convergence_millis = None;
-        let (mut state, mut dead_fraction);
         loop {
-            state = self.measure();
-            dead_fraction = self.dead_descriptor_fraction();
+            let state = self.measure();
             let elapsed = self.started.elapsed().as_millis() as u64;
-            leaf_series.push((elapsed, state.leaf_proportion()));
-            prefix_series.push((elapsed, state.prefix_proportion()));
-            dead_series.push((elapsed, dead_fraction));
+            leaf_series.push(elapsed, state.leaf_proportion());
+            prefix_series.push(elapsed, state.prefix_proportion());
+            dead_series.push(elapsed, self.dead_descriptor_fraction());
             if state.is_perfect() && convergence_millis.is_none() {
                 convergence_millis = Some(elapsed);
             }
@@ -249,12 +248,8 @@ impl Cluster {
         NetReport {
             nodes: self.handles.len(),
             seed: self.seed,
-            converged: convergence_millis.is_some(),
             convergence_millis,
             elapsed_millis: self.started.elapsed().as_millis() as u64,
-            final_missing_leaf: state.leaf_proportion(),
-            final_missing_prefix: state.prefix_proportion(),
-            dead_descriptor_fraction: dead_fraction,
             traffic: self.stats.snapshot(),
             leaf_series,
             prefix_series,
@@ -341,9 +336,10 @@ mod tests {
         };
         let report = cluster.monitor(Duration::from_millis(25), Duration::from_secs(30));
         assert!(
-            report.converged,
-            "driver cluster did not converge: missing leaf {:.3}, missing prefix {:.3}",
-            report.final_missing_leaf, report.final_missing_prefix
+            report.converged(),
+            "driver cluster did not converge: missing leaf {:?}, missing prefix {:?}",
+            report.leaf_series.final_value(),
+            report.prefix_series.final_value()
         );
         assert_eq!(report.nodes, 16);
         assert!(report.convergence_millis.is_some());

@@ -20,8 +20,10 @@
 //! * [`cluster`] — spawns and supervises a set of peers on the loopback interface
 //!   (one driver loop on one thread), checks their convergence with the same
 //!   [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle) the simulator
-//!   uses, and renders runs as RunReport-shaped [`report::NetReport`]s.
-//! * [`report`] — shared traffic counters and the wire-side run report.
+//!   uses, and renders runs as [`report::NetReport`]s.
+//! * [`report`] — shared traffic counters and the wire-side run report:
+//!   `RunReport`'s `Series` type, key names and JSON writer, keyed by elapsed
+//!   milliseconds instead of cycles.
 //!
 //! The peer sampling service the paper assumes is "already functional" runs here
 //! as its own lightweight gossip layer: every peer keeps a bounded, NEWSCAST-style

@@ -3,11 +3,13 @@
 //! [`NetStats`] is the shared atomic counter block every socket touch of the
 //! single-loop driver goes through, so a cluster has one traffic story.
 //! [`NetReport`] is the wire twin of the simulator's
-//! `RunReport` (`bss_core::experiment`): the same convergence series and
-//! traffic summary, keyed by wall-clock milliseconds instead of cycles, so net
-//! runs land in the same plotting and CI tooling as sim runs.
+//! `RunReport` (`bss_core::experiment`): the same [`Series`] type under the
+//! same names (`leaf_series`, `prefix_series`, `dead_series`), keyed by
+//! wall-clock milliseconds instead of cycles, and written through the same
+//! [`JsonObject`] writer — so one `jq` expression or one timeline column list
+//! reads a sim run and a wire run.
 
-use std::fmt::Write as _;
+use bss_util::stats::{JsonObject, Series};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared datagram counters (all relaxed: the numbers are reporting, not
@@ -81,112 +83,79 @@ pub struct NetTraffic {
     pub decode_failures: u64,
 }
 
-/// The report of one wire run: RunReport-shaped, keyed by milliseconds.
+/// The report of one wire run: `RunReport`'s series and key names, keyed by
+/// milliseconds.
 #[derive(Debug, Clone)]
 pub struct NetReport {
     /// Number of peers spawned.
     pub nodes: usize,
     /// The cluster seed.
     pub seed: u64,
-    /// Whether every alive peer reached perfect tables.
-    pub converged: bool,
     /// Milliseconds from cluster start to the first perfect measurement.
     pub convergence_millis: Option<u64>,
     /// Milliseconds from cluster start to the end of monitoring.
     pub elapsed_millis: u64,
-    /// Final missing-leaf-entry proportion.
-    pub final_missing_leaf: f64,
-    /// Final missing-prefix-entry proportion.
-    pub final_missing_prefix: f64,
-    /// Final fraction of stored descriptors naming dead peers.
-    pub dead_descriptor_fraction: f64,
     /// Traffic counters at the end of monitoring.
     pub traffic: NetTraffic,
-    /// `(elapsed ms, missing leaf proportion)` samples.
-    pub leaf_series: Vec<(u64, f64)>,
-    /// `(elapsed ms, missing prefix proportion)` samples.
-    pub prefix_series: Vec<(u64, f64)>,
-    /// `(elapsed ms, dead-descriptor fraction)` samples.
-    pub dead_series: Vec<(u64, f64)>,
+    /// `(elapsed ms, missing leaf proportion)` samples, named `leaf_series`.
+    pub leaf_series: Series,
+    /// `(elapsed ms, missing prefix proportion)` samples, named
+    /// `prefix_series`.
+    pub prefix_series: Series,
+    /// `(elapsed ms, fraction of stored descriptors naming dead peers)`
+    /// samples, named `dead_series`.
+    pub dead_series: Series,
 }
 
 impl NetReport {
+    /// Whether every alive peer reached perfect tables.
+    pub fn converged(&self) -> bool {
+        self.convergence_millis.is_some()
+    }
+
     /// Datagrams sent per wall-clock second over the monitored window.
     pub fn datagrams_per_second(&self) -> f64 {
         self.traffic.datagrams_sent as f64 * 1000.0 / self.elapsed_millis.max(1) as f64
     }
 
-    /// Serializes the report as JSON, mirroring `RunReport::to_json`'s shape
-    /// (`engine` is always `"net"`; series are `[[millis, value], ...]`).
+    /// Serializes the report as JSON under `RunReport::to_json`'s key names
+    /// (`engine` is always `"net"`; series are `[[millis, value], ...]`, the
+    /// three `final_*` scalars their last samples; what only a wire run has —
+    /// `converged`, the two `*_millis`, datagram counters — keeps its own
+    /// keys).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"engine\": \"net\",");
-        let _ = writeln!(out, "  \"network_size\": {},", self.nodes);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"converged\": {},", self.converged);
-        let _ = writeln!(
-            out,
-            "  \"convergence_millis\": {},",
-            self.convergence_millis
-                .map_or_else(|| "null".to_owned(), |m| m.to_string())
-        );
-        let _ = writeln!(out, "  \"elapsed_millis\": {},", self.elapsed_millis);
-        let _ = writeln!(
-            out,
-            "  \"final_missing_leaf\": {:.6e},",
-            self.final_missing_leaf
-        );
-        let _ = writeln!(
-            out,
-            "  \"final_missing_prefix\": {:.6e},",
-            self.final_missing_prefix
-        );
-        let _ = writeln!(
-            out,
-            "  \"dead_descriptor_fraction\": {:.6e},",
-            self.dead_descriptor_fraction
-        );
-        let _ = writeln!(
-            out,
-            "  \"datagrams_per_second\": {:.2},",
-            self.datagrams_per_second()
-        );
-        let _ = writeln!(
-            out,
-            "  \"traffic\": {{\"datagrams_sent\": {}, \"bytes_sent\": {}, \
-             \"datagrams_received\": {}, \"bytes_received\": {}, \
-             \"send_failures\": {}, \"decode_failures\": {}}},",
-            self.traffic.datagrams_sent,
-            self.traffic.bytes_sent,
-            self.traffic.datagrams_received,
-            self.traffic.bytes_received,
-            self.traffic.send_failures,
-            self.traffic.decode_failures,
-        );
-        let _ = writeln!(out, "  \"series\": {{");
-        write_series(&mut out, "missing_leaf", &self.leaf_series, true);
-        write_series(&mut out, "missing_prefix", &self.prefix_series, true);
-        write_series(
-            &mut out,
-            "dead_descriptor_fraction",
-            &self.dead_series,
-            false,
-        );
-        let _ = writeln!(out, "  }}");
-        out.push('}');
-        out
+        let last = |series: &Series| series.final_value().map(|value| format!("{value:.6e}"));
+        let traffic = &self.traffic;
+        JsonObject::new()
+            .string("engine", "net")
+            .field("network_size", self.nodes)
+            .field("seed", self.seed)
+            .field("converged", self.converged())
+            .optional("convergence_millis", self.convergence_millis)
+            .field("elapsed_millis", self.elapsed_millis)
+            .optional("final_missing_leaf", last(&self.leaf_series))
+            .optional("final_missing_prefix", last(&self.prefix_series))
+            .optional("dead_descriptor_fraction", last(&self.dead_series))
+            .field(
+                "datagrams_per_second",
+                format_args!("{:.2}", self.datagrams_per_second()),
+            )
+            .field(
+                "traffic",
+                JsonObject::inline()
+                    .field("datagrams_sent", traffic.datagrams_sent)
+                    .field("bytes_sent", traffic.bytes_sent)
+                    .field("datagrams_received", traffic.datagrams_received)
+                    .field("bytes_received", traffic.bytes_received)
+                    .field("send_failures", traffic.send_failures)
+                    .field("decode_failures", traffic.decode_failures)
+                    .finish(),
+            )
+            .series(&self.leaf_series)
+            .series(&self.prefix_series)
+            .series(&self.dead_series)
+            .finish()
     }
-}
-
-fn write_series(out: &mut String, name: &str, points: &[(u64, f64)], trailing_comma: bool) {
-    let _ = write!(out, "    \"{name}\": [");
-    for (index, (millis, value)) in points.iter().enumerate() {
-        if index > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "[{millis}, {value:.6e}]");
-    }
-    let _ = writeln!(out, "]{}", if trailing_comma { "," } else { "" });
 }
 
 #[cfg(test)]
@@ -212,15 +181,18 @@ mod tests {
 
     #[test]
     fn report_serializes_to_runreport_shaped_json() {
+        let series = |name: &str, points: &[(u64, f64)]| {
+            let mut series = Series::new(name);
+            points
+                .iter()
+                .for_each(|&(millis, v)| series.push(millis, v));
+            series
+        };
         let report = NetReport {
             nodes: 64,
             seed: 7,
-            converged: true,
             convergence_millis: Some(1500),
             elapsed_millis: 2000,
-            final_missing_leaf: 0.0,
-            final_missing_prefix: 0.0,
-            dead_descriptor_fraction: 0.0,
             traffic: NetTraffic {
                 datagrams_sent: 4000,
                 bytes_sent: 1_000_000,
@@ -229,14 +201,18 @@ mod tests {
                 send_failures: 0,
                 decode_failures: 0,
             },
-            leaf_series: vec![(0, 1.0), (1500, 0.0)],
-            prefix_series: vec![(0, 1.0), (1500, 0.0)],
-            dead_series: vec![(0, 0.0)],
+            leaf_series: series("leaf_series", &[(0, 1.0), (1500, 0.0)]),
+            prefix_series: series("prefix_series", &[(0, 1.0), (1500, 0.0)]),
+            dead_series: series("dead_series", &[(0, 0.0)]),
         };
         let json = report.to_json();
         assert!(json.contains("\"engine\": \"net\""));
         assert!(json.contains("\"convergence_millis\": 1500"));
-        assert!(json.contains("\"missing_leaf\": [[0, 1.000000e0], [1500, 0.000000e0]]"));
+        // The series sit at the top level under `RunReport`'s key names, the
+        // last one closing the document.
+        assert!(json.contains("\n  \"leaf_series\": [[0, 1.000000e0], [1500, 0.000000e0]],\n"));
+        assert!(json.contains("\n  \"final_missing_leaf\": 0.000000e0,\n"));
+        assert!(json.ends_with("\n  \"dead_series\": [[0, 0.000000e0]]\n}\n"));
         assert!((report.datagrams_per_second() - 2000.0).abs() < 1e-9);
         // Well-formed: balanced braces and brackets.
         assert_eq!(
@@ -251,12 +227,10 @@ mod tests {
         );
 
         let unconverged = NetReport {
-            converged: false,
             convergence_millis: None,
             ..report
         };
-        assert!(unconverged
-            .to_json()
-            .contains("\"convergence_millis\": null"));
+        let json = unconverged.to_json();
+        assert!(json.contains("\"converged\": false,\n  \"convergence_millis\": null"));
     }
 }

@@ -12,15 +12,13 @@
 //!   [`ExperimentConfigBuilder`] as a
 //!   [`ScenarioEvent::TrafficPhase`] plus the router selection;
 //! * [`TrafficSummary`] — the run-level outcome extracted from a completed
-//!   [`RunReport`] (totals, success rate, hop and latency figures);
-//! * [`timeline_header`] / [`append_timeline`] — the long-format TSV timeline
-//!   (one row per measured cycle) the `traffic` bench bin emits, following the
-//!   same shape as the adversary sweep's timeline;
-//! * [`region_timeline_header`] / [`append_region_timeline`] — the same
-//!   timeline split by *client region* for WAN runs: one row per region per
-//!   measured window, carrying that region's success rate and latency
-//!   percentiles, so tail latency shows its geography instead of one global
-//!   p99. Runs without a node placement contribute no rows.
+//!   [`RunReport`] (totals, success rate, hop and latency figures).
+//!
+//! The per-measured-cycle series themselves — success rate, hop mean / max,
+//! latency percentiles, and under a WAN link model the same split by *client
+//! region* — stay on the report, each under the name its JSON writes it as
+//! ([`bss_core::traffic::LOOKUP_SERIES_KEYS`]); the `traffic` and `wan`
+//! experiments of `bss-bench` list them as the columns of their timeline TSVs.
 //!
 //! The workload composes with every other scenario event: schedule a churn
 //! burst, a catastrophe, a partition or a `ByzantineConvert` alongside the
@@ -52,7 +50,6 @@
 use bss_core::experiment::{ExperimentConfigBuilder, RunReport};
 use bss_core::scenario::ScenarioEvent;
 use bss_core::{KeyDist, Phase, RouterKind};
-use std::fmt::Write as _;
 
 /// An open-loop lookup workload: so many lookups per cycle, keys drawn from a
 /// distribution, resolved by one of the three routing substrates, active
@@ -153,7 +150,7 @@ impl TrafficSummary {
     /// scheduled no traffic phase.
     pub fn from_report(report: &RunReport) -> Option<Self> {
         let lookups = report.lookups()?;
-        let windows = lookups.success_series().points();
+        let windows = lookups.success_series();
         Some(TrafficSummary {
             router: lookups.router(),
             issued: lookups.issued(),
@@ -161,90 +158,9 @@ impl TrafficSummary {
             success_rate: lookups.success_rate(),
             mean_hops: lookups.mean_hops(),
             max_hops: lookups.max_hops(),
-            final_window_success: windows.last().map(|&(_, v)| v),
-            worst_window_success: windows
-                .iter()
-                .map(|&(_, v)| v)
-                .min_by(|a, b| a.total_cmp(b)),
+            final_window_success: windows.final_value(),
+            worst_window_success: windows.iter().map(|(_, v)| v).min_by(f64::total_cmp),
         })
-    }
-}
-
-/// Header row of the long-format traffic timeline TSV (one row per measured
-/// cycle per run; see [`append_timeline`]).
-pub fn timeline_header() -> &'static str {
-    "scenario\trouter\tengine\tn\tcycle\tsuccess_rate\thop_mean\thop_max\tlatency_p50\
-     \tlatency_p95\tlatency_p99\n"
-}
-
-/// Appends one run's measured cycles to the long-format timeline: every row
-/// carries the sweep coordinates (`scenario`, `router`, `engine`, `n`) so the
-/// file concatenates across the whole sweep and plots with a single group-by.
-pub fn append_timeline(
-    timeline: &mut String,
-    scenario: &str,
-    router: RouterKind,
-    engine: &str,
-    network_size: usize,
-    report: &RunReport,
-) {
-    let Some(lookups) = report.lookups() else {
-        return;
-    };
-    for (position, &(cycle, success)) in lookups.success_series().points().iter().enumerate() {
-        let value_at = |series: &bss_util::stats::Series| {
-            series.points().get(position).map_or(0.0, |&(_, v)| v)
-        };
-        let _ = writeln!(
-            timeline,
-            "{scenario}\t{router}\t{engine}\t{network_size}\t{cycle}\t{success:.6}\t{:.6}\t{:.1}\
-             \t{:.1}\t{:.1}\t{:.1}",
-            value_at(lookups.hop_mean_series()),
-            value_at(lookups.hop_max_series()),
-            value_at(lookups.latency_p50_series()),
-            value_at(lookups.latency_p95_series()),
-            value_at(lookups.latency_p99_series()),
-        );
-    }
-}
-
-/// Header row of the per-client-region traffic timeline TSV (one row per
-/// region per measured window; see [`append_region_timeline`]).
-pub fn region_timeline_header() -> &'static str {
-    "scenario\trouter\tengine\tn\tregion\tcycle\tsuccess_rate\tlatency_p50\tlatency_p99\n"
-}
-
-/// Appends one WAN run's per-client-region windows to the region timeline:
-/// every row carries the sweep coordinates plus the *client's* region id, so
-/// a single group-by surfaces which geography eats the tail latency. Runs
-/// without a node placement (no `Wan` link model) have no region series and
-/// contribute nothing.
-pub fn append_region_timeline(
-    timeline: &mut String,
-    scenario: &str,
-    router: RouterKind,
-    engine: &str,
-    network_size: usize,
-    report: &RunReport,
-) {
-    let Some(lookups) = report.lookups() else {
-        return;
-    };
-    for (region, success) in lookups.region_success_series().iter().enumerate() {
-        for (position, &(cycle, rate)) in success.points().iter().enumerate() {
-            let value_at = |series: Option<&bss_util::stats::Series>| {
-                series
-                    .and_then(|series| series.points().get(position))
-                    .map_or(0.0, |&(_, v)| v)
-            };
-            let _ = writeln!(
-                timeline,
-                "{scenario}\t{router}\t{engine}\t{network_size}\t{region}\t{cycle}\t{rate:.6}\
-                 \t{:.1}\t{:.1}",
-                value_at(lookups.region_p50_series().get(region)),
-                value_at(lookups.region_p99_series().get(region)),
-            );
-        }
     }
 }
 
@@ -300,72 +216,5 @@ mod tests {
         )
         .run();
         assert!(TrafficSummary::from_report(&calm).is_none());
-    }
-
-    #[test]
-    fn region_timeline_splits_rows_by_client_region() {
-        use bss_core::{LatencyModel, PlacementSpec, WanParams};
-        let mut builder = ExperimentConfig::builder();
-        builder.network_size(64).seed(5).max_cycles(40);
-        builder.link_model(LatencyModel::Wan {
-            placement: PlacementSpec::Clustered {
-                regions: 3,
-                width: 500.0,
-                height: 500.0,
-                spread: 25.0,
-            },
-            params: WanParams::default(),
-        });
-        TrafficWorkload::new(Phase::new(20, 30))
-            .lookups_per_cycle(30)
-            .install(&mut builder);
-        let report = Experiment::new(builder.build().unwrap()).run();
-
-        let mut timeline = String::from(region_timeline_header());
-        append_region_timeline(
-            &mut timeline,
-            "wan",
-            RouterKind::Pastry,
-            "cycle",
-            64,
-            &report,
-        );
-        let rows: Vec<&str> = timeline.lines().skip(1).collect();
-        assert!(!rows.is_empty(), "wan runs must produce region rows");
-        let regions: std::collections::BTreeSet<&str> = rows
-            .iter()
-            .map(|row| row.split('\t').nth(4).expect("region column"))
-            .collect();
-        assert!(regions.len() > 1, "rows should span regions: {regions:?}");
-        for row in &rows {
-            assert!(row.starts_with("wan\tpastry\tcycle\t64\t"), "{row}");
-            assert_eq!(row.split('\t').count(), 9, "{row}");
-        }
-
-        // A placement-free run contributes no region rows.
-        let calm = run_workload(TrafficWorkload::new(Phase::new(20, 25)));
-        let mut empty = String::new();
-        append_region_timeline(&mut empty, "calm", RouterKind::Pastry, "cycle", 64, &calm);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn timeline_rows_carry_the_sweep_coordinates() {
-        let report = run_workload(TrafficWorkload::new(Phase::new(20, 25)).lookups_per_cycle(10));
-        let mut timeline = String::from(timeline_header());
-        append_timeline(
-            &mut timeline,
-            "calm",
-            RouterKind::Pastry,
-            "cycle",
-            64,
-            &report,
-        );
-        let rows: Vec<&str> = timeline.lines().skip(1).collect();
-        assert_eq!(rows.len(), 5, "one row per measured active cycle");
-        for row in rows {
-            assert!(row.starts_with("calm\tpastry\tcycle\t64\t"), "{row}");
-            assert_eq!(row.split('\t').count(), 11, "{row}");
-        }
     }
 }

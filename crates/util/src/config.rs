@@ -10,8 +10,6 @@
 //!   (partial view) size and the number of descriptors exchanged per gossip round.
 
 use crate::geometry::{InvalidGeometry, TableGeometry};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parameters of the bootstrapping-service protocol (paper §4, values from §5).
@@ -34,7 +32,6 @@ use std::fmt;
 /// assert_eq!(custom.leaf_set_size, 8);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BootstrapParams {
     /// Bits per digit (`b`). The paper uses 4.
     pub bits_per_digit: u8,
@@ -349,7 +346,6 @@ impl std::error::Error for InvalidParams {}
 
 /// Parameters of the NEWSCAST peer sampling service (paper §3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct NewscastParams {
     /// Size of the partial view (descriptor cache) kept at every node. The paper
     /// reports implementations with "approximately 30 IP addresses".
@@ -623,11 +619,11 @@ mod tests {
         assert!(n.contains("view=30"));
     }
 
-    #[cfg(feature = "serde")]
     #[test]
     fn parameter_types_are_serde_and_thread_safe() {
-        fn assert_serde<T: Serialize + for<'de> Deserialize<'de> + Send + Sync>() {}
-        assert_serde::<BootstrapParams>();
-        assert_serde::<NewscastParams>();
+        // The name is kept from when the types also derived the serde traits.
+        fn assert_thread_safe<T: Send + Sync>() {}
+        assert_thread_safe::<BootstrapParams>();
+        assert_thread_safe::<NewscastParams>();
     }
 }

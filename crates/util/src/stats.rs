@@ -4,9 +4,11 @@
 //! table) against the cycle number, on a logarithmic y axis, one curve per network
 //! size, with several independent repetitions per size. The types here hold exactly
 //! that: per-cycle series ([`Series`]), collections of repetitions
-//! ([`SeriesBundle`]), and scalar summaries ([`Summary`], [`Histogram`]).
+//! ([`SeriesBundle`]), and scalar summaries ([`Summary`], [`Histogram`]) —
+//! and the two writers every report goes out through: [`JsonObject`] for the
+//! JSON artifacts, [`append_cycle_rows`] for the long-format TSV timelines.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A single experiment trajectory: one value per cycle.
 ///
@@ -15,7 +17,7 @@ use std::fmt;
 /// ```rust
 /// use bss_util::stats::Series;
 ///
-/// let mut s = Series::new("missing_leafset");
+/// let mut s = Series::new("leaf_series");
 /// s.push(0, 1.0);
 /// s.push(1, 0.25);
 /// s.push(2, 0.0);
@@ -30,7 +32,8 @@ pub struct Series {
 }
 
 impl Series {
-    /// Creates an empty series with a descriptive name.
+    /// Creates an empty series under the one name it is written out as: its
+    /// key in a report's JSON, and what a report's readers ask for it by.
     pub fn new(name: impl Into<String>) -> Self {
         Series {
             name: name.into(),
@@ -38,7 +41,7 @@ impl Series {
         }
     }
 
-    /// The series name (used as a column header in reports).
+    /// The series name ([`JsonObject::series`] writes it as the key).
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -95,6 +98,138 @@ impl Series {
             .find(|&&(c, _)| c == cycle)
             .map(|&(_, v)| v)
     }
+
+    /// The value at `cycle`, a series that ended earlier holding its final
+    /// value (zero, for a converged run) — how the paper draws curves that
+    /// simply stop at perfection.
+    pub fn held_value_at(&self, cycle: u64) -> Option<f64> {
+        let ended = self.final_cycle() < Some(cycle);
+        self.value_at(cycle)
+            .or_else(|| self.final_value().filter(|_| ended))
+    }
+
+    /// The largest observed value (0 when there is none above it).
+    pub fn peak(&self) -> f64 {
+        self.iter().fold(0.0, |peak, (_, value)| peak.max(value))
+    }
+}
+
+/// The one JSON object writer beneath every report (`RunReport`,
+/// `NetReport`): the only place that knows the layout — one `"key": value`
+/// per line at two spaces, or all on one line for an object nested as a
+/// value —, that an absent value is `null`, that a series is a list of
+/// `[cycle, value]` points in `{:.6e}`, and that the last field takes no comma.
+#[derive(Clone, Debug, Default)]
+pub struct JsonObject {
+    /// The fields written so far, without the enclosing braces.
+    out: String,
+    inline: bool,
+}
+
+impl JsonObject {
+    /// A top-level document: one field per line, ends with a newline.
+    pub fn new() -> Self {
+        JsonObject::default()
+    }
+
+    /// An object to be nested as a value: all on one line.
+    pub fn inline() -> Self {
+        JsonObject {
+            inline: true,
+            ..JsonObject::default()
+        }
+    }
+
+    /// Writes `"key": value` with the value as it displays — a number, a
+    /// boolean, or an already rendered nested value.
+    pub fn field(&mut self, key: &str, value: impl fmt::Display) -> &mut Self {
+        let separator = match (self.inline, self.out.is_empty()) {
+            (true, true) => "",
+            (true, false) => ", ",
+            (false, true) => "\n  ",
+            (false, false) => ",\n  ",
+        };
+        let _ = write!(self.out, "{separator}\"{key}\": {value}");
+        self
+    }
+
+    /// Writes a string value in quotes (no escaping: every string a report
+    /// carries is a label the program wrote).
+    pub fn string(&mut self, key: &str, value: impl fmt::Display) -> &mut Self {
+        self.field(key, format_args!("\"{value}\""))
+    }
+
+    /// Writes the value, or `null` for `None`.
+    pub fn optional(&mut self, key: &str, value: Option<impl fmt::Display>) -> &mut Self {
+        match value {
+            Some(value) => self.field(key, value),
+            None => self.field(key, "null"),
+        }
+    }
+
+    /// Writes a list of already rendered values on one line.
+    pub fn array<T: fmt::Display>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+    ) -> &mut Self {
+        self.field(key, "[");
+        for (position, item) in items.into_iter().enumerate() {
+            let separator = if position > 0 { ", " } else { "" };
+            let _ = write!(self.out, "{separator}{item}");
+        }
+        self.out.push(']');
+        self
+    }
+
+    /// Writes a series under its own name as `[[cycle, value], ...]`.
+    pub fn series(&mut self, series: &Series) -> &mut Self {
+        self.array(series.name(), series.iter().map(Point))
+    }
+
+    /// Closes the object and returns the text, leaving the writer empty.
+    pub fn finish(&mut self) -> String {
+        let fields = std::mem::take(&mut self.out);
+        if self.inline {
+            format!("{{{fields}}}")
+        } else {
+            format!("{{{fields}\n}}\n")
+        }
+    }
+}
+
+/// One observation of a series as JSON writes it.
+struct Point((u64, f64));
+
+impl fmt::Display for Point {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (cycle, value) = self.0;
+        write!(f, "[{cycle}, {value:.6e}]")
+    }
+}
+
+/// The one row writer beneath every long-format TSV timeline: appends one row
+/// per observation of a run — the sweep `coordinates`, the cycle, then one
+/// column per `(series, decimal places)`. The first series sets the rows; a
+/// shorter or absent one reads 0.
+pub fn append_cycle_rows(
+    timeline: &mut String,
+    coordinates: &str,
+    columns: &[(Option<&Series>, usize)],
+) {
+    let Some(&(Some(lead), _)) = columns.first() else {
+        return;
+    };
+    for (position, &(cycle, _)) in lead.points().iter().enumerate() {
+        let _ = write!(timeline, "{coordinates}\t{cycle}");
+        for &(series, places) in columns {
+            let value = series
+                .and_then(|series| series.points().get(position))
+                .map_or(0.0, |&(_, value)| value);
+            let _ = write!(timeline, "\t{value:.places$}");
+        }
+        timeline.push('\n');
+    }
 }
 
 /// A collection of repeated trajectories of the same experiment (e.g. the paper's
@@ -143,10 +278,7 @@ impl SeriesBundle {
     /// stopped recording) are treated as contributing their final value, mirroring
     /// how the paper draws curves that simply end at convergence.
     pub fn mean_per_cycle(&self) -> Series {
-        let mut out = Series::new(format!(
-            "mean({})",
-            self.runs.first().map(Series::name).unwrap_or("empty")
-        ));
+        let mut out = Series::new("mean");
         if self.runs.is_empty() {
             return out;
         }
@@ -154,12 +286,7 @@ impl SeriesBundle {
             let mut sum = 0.0;
             let mut count = 0usize;
             for run in &self.runs {
-                let value = run.value_at(cycle).or_else(|| {
-                    run.final_cycle()
-                        .filter(|&fc| fc < cycle)
-                        .and_then(|_| run.final_value())
-                });
-                if let Some(v) = value {
+                if let Some(v) = run.held_value_at(cycle) {
                     sum += v;
                     count += 1;
                 }
@@ -446,6 +573,11 @@ mod tests {
         assert_eq!(s.final_cycle(), Some(3));
         assert_eq!(s.value_at(1), Some(0.5));
         assert_eq!(s.value_at(2), None);
+        assert_eq!(s.held_value_at(2), None);
+        assert_eq!(s.held_value_at(9), Some(0.1));
+        assert_eq!(s.peak(), 1.0);
+        assert_eq!(Series::new("empty").peak(), 0.0);
+        assert_eq!(Series::new("empty").held_value_at(0), None);
         assert_eq!(s.points().len(), 3);
         assert_eq!(s.iter().count(), 3);
     }
@@ -459,6 +591,68 @@ mod tests {
         assert_eq!(s.first_cycle_at_or_below(0.5), Some(1));
         assert_eq!(s.first_cycle_at_or_below(0.01), Some(3));
         assert_eq!(s.first_cycle_at_or_below(-1.0), None);
+    }
+
+    #[test]
+    fn json_writer_knows_null_empty_series_commas_and_inline_objects() {
+        let mut measured = Series::new("leaf_series");
+        measured.push(0, 1.0);
+        measured.push(3, 0.015625);
+        let nested = JsonObject::inline()
+            .field("sent", 7)
+            .field("mean", format_args!("{:.2}", 2.0))
+            .finish();
+        assert_eq!(nested, "{\"sent\": 7, \"mean\": 2.00}");
+        let json = JsonObject::new()
+            .string("engine", "cycle")
+            .optional("convergence_cycle", Some(12))
+            .optional("recovered_cycle", None::<u64>)
+            .field("eclipsed", false)
+            .field("traffic", &nested)
+            .optional("proximity", None::<String>)
+            .array("events", [&nested, &nested])
+            .array("none", [0u8; 0])
+            .series(&measured)
+            .series(&Series::new("dead_series"))
+            .finish();
+        assert_eq!(
+            json,
+            "{\n  \"engine\": \"cycle\",\n  \"convergence_cycle\": 12,\n  \
+             \"recovered_cycle\": null,\n  \"eclipsed\": false,\n  \
+             \"traffic\": {\"sent\": 7, \"mean\": 2.00},\n  \"proximity\": null,\n  \
+             \"events\": [{\"sent\": 7, \"mean\": 2.00}, {\"sent\": 7, \"mean\": 2.00}],\n  \
+             \"none\": [],\n  \
+             \"leaf_series\": [[0, 1.000000e0], [3, 1.562500e-2]],\n  \
+             \"dead_series\": []\n}\n"
+        );
+        // The last field — whichever it is — takes no comma, in either layout.
+        assert_eq!(
+            JsonObject::new().field("seed", 1).finish(),
+            "{\n  \"seed\": 1\n}\n"
+        );
+        assert_eq!(JsonObject::inline().finish(), "{}");
+    }
+
+    #[test]
+    fn cycle_rows_follow_the_lead_series_and_zero_fill_the_rest() {
+        let mut lead = Series::new("lead");
+        lead.push(3, 0.5);
+        lead.push(4, 0.25);
+        let mut short = Series::new("short");
+        short.push(3, 7.0);
+        let mut timeline = String::new();
+        append_cycle_rows(
+            &mut timeline,
+            "cell\tcycle",
+            &[(Some(&lead), 6), (Some(&short), 1), (None, 1)],
+        );
+        assert_eq!(
+            timeline,
+            "cell\tcycle\t3\t0.500000\t7.0\t0.0\ncell\tcycle\t4\t0.250000\t0.0\t0.0\n"
+        );
+        // Without a lead series there are no rows to write.
+        append_cycle_rows(&mut timeline, "x", &[(None, 1), (Some(&lead), 1)]);
+        assert_eq!(timeline.lines().count(), 2);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn main() {
     let report = cluster.monitor(Duration::from_millis(50), Duration::from_secs(60));
     println!(
         "  converged = {} after {} ms ({:.0} datagrams/s on the wire)",
-        report.converged,
+        report.converged(),
         report.convergence_millis.unwrap_or(report.elapsed_millis),
         report.datagrams_per_second()
     );

@@ -51,22 +51,9 @@ fn spray_config(engine: Engine, defended: bool) -> ExperimentConfig {
     builder.build().expect("valid adversarial configuration")
 }
 
-fn eclipse_peak(report: &RunReport) -> f64 {
-    report
-        .eclipse_series()
-        .points()
-        .iter()
-        .map(|&(_, value)| value)
-        .fold(0.0f64, f64::max)
-}
-
-fn poisoned_peak(report: &RunReport) -> f64 {
-    report
-        .poisoned_series()
-        .points()
-        .iter()
-        .map(|&(_, value)| value)
-        .fold(0.0f64, f64::max)
+/// The largest value of one of the report's series.
+fn series_peak(report: &RunReport, series: &str) -> f64 {
+    report.series(series).expect("a series of the run").peak()
 }
 
 const BOTH_ENGINES: [Engine; 2] = [
@@ -90,7 +77,7 @@ fn id_spray_eclipses_undefended_target_and_countermeasures_hold_at_n1024() {
             undefended.eclipsed(),
             "[{label}] 20% id-spray must fully eclipse the undefended target \
              (peak eclipse fraction {:.3})",
-            eclipse_peak(&undefended)
+            series_peak(&undefended, "eclipse_series")
         );
         let time_to_eclipse = undefended.time_to_eclipse().expect("eclipsed");
         assert!(
@@ -101,10 +88,13 @@ fn id_spray_eclipses_undefended_target_and_countermeasures_hold_at_n1024() {
         // the poisoning metric live.
         assert_eq!(undefended.events_fired().len(), 1, "[{label}]");
         assert_eq!(undefended.events_fired()[0].0, ATTACK_START, "[{label}]");
-        assert!(poisoned_peak(&undefended) > 0.0, "[{label}]");
+        assert!(
+            series_peak(&undefended, "poisoned_series") > 0.0,
+            "[{label}]"
+        );
 
         let defended = Experiment::new(spray_config(engine, true)).run();
-        let peak = eclipse_peak(&defended);
+        let peak = series_peak(&defended, "eclipse_series");
         assert!(
             peak < 0.5,
             "[{label}] countermeasures must keep the eclipse fraction below \
@@ -161,8 +151,12 @@ fn both_engines_agree_on_forge_poisoning_at_n512() {
         // Before the conversion fires the poisoned fraction is structurally
         // zero; during the attack the forged copies push it above the 10 %
         // share the adversaries' addresses hold naturally.
-        assert_eq!(report.poisoned_series().value_at(0), Some(0.0), "[{label}]");
-        let peak = poisoned_peak(&report);
+        assert_eq!(
+            report.series("poisoned_series").unwrap().value_at(0),
+            Some(0.0),
+            "[{label}]"
+        );
+        let peak = series_peak(&report, "poisoned_series");
         assert!(
             peak > 0.1,
             "[{label}] forging must over-represent adversary addresses \
@@ -172,7 +166,8 @@ fn both_engines_agree_on_forge_poisoning_at_n512() {
         assert_eq!(report.time_to_eclipse(), None, "[{label}]");
         assert!(
             report
-                .eclipse_series()
+                .series("eclipse_series")
+                .unwrap()
                 .points()
                 .iter()
                 .all(|&(_, value)| value == 0.0),
@@ -226,25 +221,18 @@ fn hub_attack_spikes_in_degree_and_quota_flattens_it() {
             .unwrap();
         Experiment::new(config).run()
     };
-    let series_peak = |series: &bootstrapping_service::util::stats::Series| {
-        series
-            .points()
-            .iter()
-            .map(|&(_, value)| value)
-            .fold(0.0f64, f64::max)
-    };
     let undefended = run(None);
     let defended = run(Some(2));
     // The quality series are live on both runs (NEWSCAST maintains an overlay
     // to measure) and cover every measured cycle.
     assert_eq!(
-        undefended.in_degree_gini_series().len(),
+        undefended.series("in_degree_gini_series").unwrap().len(),
         undefended.cycles_executed() as usize
     );
-    let gini_undefended = series_peak(undefended.in_degree_gini_series());
-    let gini_defended = series_peak(defended.in_degree_gini_series());
-    let max_undefended = series_peak(undefended.in_degree_max_series());
-    let max_defended = series_peak(defended.in_degree_max_series());
+    let gini_undefended = series_peak(&undefended, "in_degree_gini_series");
+    let gini_defended = series_peak(&defended, "in_degree_gini_series");
+    let max_undefended = series_peak(&undefended, "in_degree_max_series");
+    let max_defended = series_peak(&defended, "in_degree_max_series");
     assert!(
         gini_undefended > gini_defended,
         "quota must flatten the in-degree distribution \

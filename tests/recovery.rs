@@ -10,6 +10,7 @@
 
 use bootstrapping_service::core::experiment::{Experiment, ExperimentConfig, RunReport};
 use bootstrapping_service::core::scenario::{Engine, LatencyModel, ScenarioEvent};
+use bootstrapping_service::util::stats::Series;
 
 const CATASTROPHE_CYCLE: u64 = 15;
 
@@ -43,9 +44,13 @@ fn catastrophe_config(
     builder.build().expect("valid recovery configuration")
 }
 
+/// The per-cycle fraction of stored descriptors pointing at dead nodes.
+fn dead_series(report: &RunReport) -> &Series {
+    report.series("dead_series").expect("every run records it")
+}
+
 fn dead_fraction_at(report: &RunReport, cycle: u64) -> f64 {
-    report
-        .dead_series()
+    dead_series(report)
         .value_at(cycle)
         .unwrap_or_else(|| panic!("no dead-descriptor sample at cycle {cycle}"))
 }
@@ -109,7 +114,7 @@ fn aging_alone_purges_dead_descriptors_within_view_size_cycles() {
             panic!(
                 "[{}] aging never purged the dead descriptors: final fraction {:.3e}",
                 engine.label(),
-                report.dead_series().final_value().unwrap()
+                dead_series(&report).final_value().unwrap()
             )
         });
         let took = report.cycles_to_recover().expect("recovered");
@@ -120,7 +125,7 @@ fn aging_alone_purges_dead_descriptors_within_view_size_cycles() {
              of {view_size}",
             engine.label()
         );
-        assert_eq!(report.dead_series().final_value(), Some(0.0));
+        assert_eq!(dead_series(&report).final_value(), Some(0.0));
     }
 }
 
@@ -153,8 +158,7 @@ fn a_second_catastrophe_voids_and_then_renews_the_recorded_recovery() {
     // The overlay recovered from the first strike (fraction hit zero before
     // cycle 35), but that interim recovery must not be what the report says.
     assert!(
-        report
-            .dead_series()
+        dead_series(&report)
             .points()
             .iter()
             .any(|&(cycle, value)| cycle < second_strike
@@ -169,7 +173,7 @@ fn a_second_catastrophe_voids_and_then_renews_the_recorded_recovery() {
         recovered > second_strike,
         "recovered_cycle {recovered} must postdate the second strike at {second_strike}"
     );
-    assert_eq!(report.dead_series().final_value(), Some(0.0));
+    assert_eq!(dead_series(&report).final_value(), Some(0.0));
 }
 
 /// The acceptance pin: a 50 % catastrophe at N = 1024 with aging *and* a
@@ -201,9 +205,9 @@ fn catastrophe_with_aging_and_rebootstrap_reconverges_at_n1024() {
         assert!(
             report.recovered_cycle().is_some(),
             "[{label}] dead descriptors were never fully purged: {:.3e}",
-            report.dead_series().final_value().unwrap()
+            dead_series(&report).final_value().unwrap()
         );
-        assert_eq!(report.dead_series().final_value(), Some(0.0), "[{label}]");
+        assert_eq!(dead_series(&report).final_value(), Some(0.0), "[{label}]");
 
         // ... and re-converged to perfect tables over the survivor population.
         assert!(
