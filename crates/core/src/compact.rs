@@ -17,20 +17,30 @@
 //! registry lookup cannot reproduce is a *forged* descriptor absorbed from a
 //! Byzantine peer, whose advertised identifier deliberately disagrees with the
 //! registry entry for its address — those survive the round-trip through a
-//! sparse per-table alias list that is empty on honest runs. The hot path
-//! therefore rehydrates a node into a scratch [`BootstrapNode`], runs the
-//! unchanged fat algorithms, and packs the result back — byte-identical
-//! behaviour at a third of the memory.
+//! sparse per-table alias list that is empty on honest runs.
+//!
+//! Writers and whole-table readers rehydrate: the exchange unpacks a node
+//! into a scratch [`BootstrapNode`], runs the unchanged fat algorithms and
+//! packs the result back, and convergence measurement (whose membership tests
+//! would resolve more identifiers entry by entry than one rehydration does)
+//! reads the same scratch form — byte-identical behaviour at a third of the
+//! memory. Readers that touch a few entries do not: lookup routing reads a
+//! node through [`PackedView`], `SELECTPEER` ranks
+//! [`CompactNode::leaf_descriptors`], and the dead-descriptor, poisoning and
+//! eclipse walks read indices straight off [`CompactNode::leaf_entries`] /
+//! [`CompactNode::prefix_entries`].
 
 use crate::node::BootstrapNode;
+use crate::routing::{Contact, NodeView};
 use bss_sim::network::NodeIndex;
 use bss_util::config::BootstrapParams;
 use bss_util::descriptor::{Descriptor, PackedDescriptor};
+use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 
 /// A blank fat node to rehydrate packed states into
-/// ([`CompactNode::unpack_into`]): the exchange, measurement and lookup paths
-/// each reuse one instead of allocating per node.
+/// ([`CompactNode::unpack_into`]): the exchange and measurement paths each
+/// reuse one instead of allocating per node.
 ///
 /// # Panics
 ///
@@ -83,16 +93,20 @@ fn pack_entries(
     }
 }
 
-/// Rehydrates a run of packed entries, substituting the advertised identifier
-/// wherever an alias was recorded. Aliases are stored in ascending position
-/// order, so a single cursor keeps the honest fast path alias-free.
+/// Rehydrates a run of packed entries — the ones from position `first` of
+/// their table on — substituting the advertised identifier wherever an alias
+/// was recorded. Aliases are stored in ascending position order, so a single
+/// cursor keeps the honest fast path alias-free.
+#[inline]
 fn unpack_entries<'a>(
     entries: &'a [PackedDescriptor],
+    first: usize,
     aliases: &'a [Alias],
     ids: &'a [NodeId],
 ) -> impl Iterator<Item = Descriptor<NodeIndex>> + 'a {
-    let mut pending = aliases.iter().copied().peekable();
-    entries.iter().enumerate().map(move |(position, &p)| {
+    let skipped = aliases.partition_point(|&(position, _)| usize::from(position) < first);
+    let mut pending = aliases[skipped..].iter().copied().peekable();
+    entries.iter().zip(first..).map(move |(&p, position)| {
         let descriptor = unpack_descriptor(p, ids);
         match pending.peek() {
             Some(&(alias_position, advertised)) if usize::from(alias_position) == position => {
@@ -184,12 +198,12 @@ impl CompactNode {
         scratch.restore_header(own, self.exchanges_initiated, self.descriptors_received);
         scratch.leaf_set_mut().restore_from(
             own_id,
-            unpack_entries(&self.leaf, &self.leaf_aliases, ids),
+            unpack_entries(&self.leaf, 0, &self.leaf_aliases, ids),
             usize::from(self.leaf_split),
         );
         scratch.prefix_table_mut().restore_from(
             own_id,
-            unpack_entries(&self.prefix_store, &self.prefix_aliases, ids),
+            unpack_entries(&self.prefix_store, 0, &self.prefix_aliases, ids),
             self.prefix_offsets.iter().map(|&offset| u32::from(offset)),
         );
     }
@@ -224,12 +238,90 @@ impl CompactNode {
         &'a self,
         ids: &'a [NodeId],
     ) -> impl Iterator<Item = Descriptor<NodeIndex>> + 'a {
-        unpack_entries(&self.leaf, &self.leaf_aliases, ids)
+        unpack_entries(&self.leaf, 0, &self.leaf_aliases, ids)
     }
 
     /// The packed prefix-table entries in slot order.
     pub fn prefix_entries(&self) -> &[PackedDescriptor] {
         &self.prefix_store
+    }
+
+    /// What routing reads of this state, served in place: `node` is the
+    /// registry index the state belongs to, `geometry` the one it was built
+    /// under.
+    #[inline]
+    pub fn view<'a>(
+        &'a self,
+        node: NodeIndex,
+        ids: &'a [NodeId],
+        geometry: TableGeometry,
+    ) -> PackedView<'a> {
+        PackedView {
+            state: self,
+            id: ids[node.as_usize()],
+            ids,
+            geometry,
+        }
+    }
+}
+
+/// A [`NodeView`] over a [`CompactNode`] and the shared identifier arena:
+/// every entry is resolved as it is read (forged identifiers through the
+/// alias lists), nothing is copied out and nothing allocated.
+#[derive(Debug, Clone, Copy)]
+pub struct PackedView<'a> {
+    state: &'a CompactNode,
+    id: NodeId,
+    ids: &'a [NodeId],
+    geometry: TableGeometry,
+}
+
+impl<'a> PackedView<'a> {
+    /// The entries of one table from position `first` on, as contacts.
+    #[inline]
+    fn resolve(
+        &self,
+        entries: &'a [PackedDescriptor],
+        first: usize,
+        aliases: &'a [Alias],
+    ) -> impl Iterator<Item = Contact> + 'a {
+        unpack_entries(entries, first, aliases, self.ids).map(|entry| Contact::of(&entry))
+    }
+}
+
+impl NodeView for PackedView<'_> {
+    #[inline]
+    fn id(&self) -> NodeId {
+        self.id
+    }
+
+    #[inline]
+    fn geometry(&self) -> TableGeometry {
+        self.geometry
+    }
+
+    #[inline]
+    fn leaf(&self) -> impl Iterator<Item = Contact> {
+        self.resolve(&self.state.leaf, 0, &self.state.leaf_aliases)
+    }
+
+    #[inline]
+    fn slot(&self, row: usize, column: u8) -> impl Iterator<Item = Contact> {
+        debug_assert!(usize::from(column) < self.geometry.columns());
+        let slot = row * self.geometry.columns() + usize::from(column);
+        let offsets = &self.state.prefix_offsets;
+        let (start, end) = (usize::from(offsets[slot]), usize::from(offsets[slot + 1]));
+        self.resolve(
+            &self.state.prefix_store[start..end],
+            start,
+            &self.state.prefix_aliases,
+        )
+    }
+
+    #[inline]
+    fn contacts(&self) -> impl Iterator<Item = Contact> {
+        let table = self.resolve(&self.state.prefix_store, 0, &self.state.prefix_aliases);
+        self.leaf().chain(table)
     }
 }
 
@@ -298,6 +390,7 @@ mod tests {
 
     mod packed_equivalence {
         use super::*;
+        use crate::routing::{next_hop, RouterKind};
         use proptest::prelude::*;
 
         proptest! {
@@ -368,6 +461,112 @@ mod tests {
                                 column
                             );
                         }
+                    }
+                }
+            }
+
+            /// Routing over the packed store in place decides exactly what it
+            /// decides over the rehydrated node — also where forged
+            /// descriptors put aliases at the head of a slot, later in a slot
+            /// and in the leaf set.
+            #[test]
+            fn packed_view_routes_like_the_rehydrated_node(
+                network_seed in any::<u64>(),
+                network_size in 48u32..128,
+                node_raw in 0u32..8,
+                batches in prop::collection::vec(
+                    prop::collection::vec(
+                        (0u32..128, 0u64..1000, any::<bool>(), any::<u64>()),
+                        1..8,
+                    ),
+                    1..12,
+                ),
+                strangers in prop::collection::vec(any::<u64>(), 4),
+            ) {
+                let mut rng = SimRng::seed_from(network_seed);
+                let network = Network::with_random_ids(network_size as usize, &mut rng);
+                let mut ids: Vec<NodeId> = Vec::new();
+                network.sync_id_arena(&mut ids);
+                let params = params();
+                let geometry = params.geometry().unwrap();
+                let bits = geometry.bits_per_digit();
+                let node = NodeIndex::new(node_raw);
+                let own = ids[node.as_usize()];
+                let mut state =
+                    BootstrapNode::new(network.descriptor(node, 0), &params).unwrap();
+
+                // Two honest row-0 neighbours in different slots, and forgeries
+                // (node 9's address under identifiers it does not hold) filed
+                // before the first and after the second; one more right after
+                // the own identifier, which the leaf set keeps as well.
+                let honest: Vec<NodeId> = ids
+                    .iter()
+                    .copied()
+                    .filter(|id| id.digit(0, bits) != own.digit(0, bits))
+                    .collect();
+                let head = honest[0];
+                let Some(&tail) = honest.iter().find(|id| id.digit(0, bits) != head.digit(0, bits))
+                else {
+                    return Ok(());
+                };
+                let forged = |id: u64| Descriptor::new(NodeId::new(id), NodeIndex::new(9), 1);
+                let honest_entry = |id: NodeId| {
+                    let index = ids.iter().position(|&known| known == id).unwrap();
+                    network.descriptor(NodeIndex::new(index as u32), 1)
+                };
+                state.receive(&[
+                    forged(head.raw() ^ 1),
+                    honest_entry(head),
+                    honest_entry(tail),
+                    forged(tail.raw() ^ 1),
+                    forged(own.raw().wrapping_add(1)),
+                ]);
+                for batch in &batches {
+                    let descriptors: Vec<Descriptor<NodeIndex>> = batch
+                        .iter()
+                        .map(|&(target, timestamp, forge, id)| {
+                            let address = NodeIndex::new(target % network_size);
+                            if forge {
+                                Descriptor::new(NodeId::new(id), address, timestamp)
+                            } else {
+                                network.descriptor(address, timestamp)
+                            }
+                        })
+                        .collect();
+                    state.receive(&descriptors);
+                }
+
+                let packed = CompactNode::pack(&state, &ids);
+                prop_assert!(!packed.leaf_aliases.is_empty());
+                let slot_starts = &packed.prefix_offsets;
+                let heads = packed
+                    .prefix_aliases
+                    .iter()
+                    .filter(|(position, _)| slot_starts.contains(position))
+                    .count();
+                prop_assert!(heads > 0 && heads < packed.prefix_aliases.len());
+
+                let unpacked = packed.unpack(node, &ids, &params);
+                let view = packed.view(node, &ids, geometry);
+                prop_assert!(view.contacts().eq(unpacked.contacts()));
+                let known: Vec<NodeId> = unpacked.contacts().map(|contact| contact.id).collect();
+                prop_assert!(known
+                    .iter()
+                    .any(|&id| state.leaf_set().contains(id) && state.prefix_table().contains(id)));
+                let targets = known
+                    .iter()
+                    .copied()
+                    .chain([own])
+                    .chain(strangers.iter().map(|&id| NodeId::new(id)));
+                for target in targets {
+                    for kind in RouterKind::ALL {
+                        prop_assert_eq!(
+                            next_hop(kind, &view, target),
+                            next_hop(kind, &unpacked, target),
+                            "{} towards {}",
+                            kind,
+                            target
+                        );
                     }
                 }
             }

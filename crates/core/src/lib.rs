@@ -28,7 +28,8 @@
 //! * [`node`] — one node's protocol state and the active/passive thread logic.
 //! * [`compact`] — the packed per-node storage the simulation drivers keep
 //!   their population in (8-byte descriptors over a shared identifier arena),
-//!   rehydrated into fat [`node::BootstrapNode`]s on the exchange hot path.
+//!   rehydrated into fat [`node::BootstrapNode`]s on the exchange hot path and
+//!   read in place by lookup routing.
 //! * [`protocol`] — the cycle-driven simulation driver running every node over a
 //!   [`PeerSampler`](bss_sampling::sampler::PeerSampler).
 //! * [`convergence`] — the global oracle computing the *perfect* leaf sets and

@@ -9,7 +9,7 @@
 //! suppresses the answer as well, so a drop probability of 0.2 yields an effective
 //! pair-loss of roughly 28 %.
 
-use crate::compact::{scratch_node, CompactNode};
+use crate::compact::{scratch_node, CompactNode, PackedView};
 use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergence};
 use crate::leafset::MergeScratch;
 use crate::message::MessageScratch;
@@ -25,6 +25,7 @@ use bss_sim::network::{Network, NodeIndex};
 use bss_sim::pool::{Task, WorkerPool};
 use bss_util::config::BootstrapParams;
 use bss_util::descriptor::Descriptor;
+use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use bss_util::stats::Histogram;
 
@@ -94,6 +95,8 @@ impl TrafficStats {
 #[derive(Debug)]
 pub struct BootstrapProtocol<S> {
     params: BootstrapParams,
+    /// `params.geometry()`, worked out once for the views lookups read through.
+    geometry: TableGeometry,
     sampler: S,
     /// Whether the sampler's own gossip (`PeerSampler::step`) runs inside every
     /// cycle. True when the sampling layer is NEWSCAST running concurrently;
@@ -304,6 +307,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         params.validate().expect("invalid protocol parameters");
         BootstrapProtocol {
             params,
+            geometry: params.geometry().expect("validated just above"),
             sampler,
             run_sampler_steps: false,
             nodes: Vec::new(),
@@ -371,10 +375,19 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         self.nodes.get(node.as_usize()).and_then(Option::as_ref)
     }
 
+    /// What routing reads of `node`, served from the packed store in place,
+    /// if the node holds protocol state. This is the accessor the live traffic
+    /// router resolves hops through: it sees the tables exactly as they are
+    /// *this* cycle.
+    #[inline]
+    pub fn packed_view(&self, node: NodeIndex) -> Option<PackedView<'_>> {
+        self.packed_node(node)
+            .map(|packed| packed.view(node, &self.ids, self.geometry))
+    }
+
     /// Rehydrates `node`'s packed state into `scratch` without allocating,
-    /// returning `false` when the node holds no protocol state. This is the
-    /// accessor the live traffic router resolves hops through: it sees the
-    /// tables exactly as they are *this* cycle.
+    /// returning `false` when the node holds no protocol state (the per-region
+    /// convergence walk reads whole tables through this).
     pub fn unpack_node_into(
         &self,
         node: NodeIndex,

@@ -6,15 +6,20 @@
 //! a frozen post-run [`PopulationSnapshot`]; the live traffic subsystem
 //! ([`crate::traffic`]) routes the same way against nodes' *current* tables
 //! mid-run. To keep the two byte-identical this module holds the per-hop
-//! decision functions once — `bss_overlay`'s `next_hop` / `xor_next_hop` are
-//! thin wrappers over [`next_hop`] here — plus the [`TableSource`] abstraction
-//! and the shared iterative [`route`] loop that walks either a snapshot or the
-//! live packed population.
+//! decision functions once, written against [`NodeView`] — what a step reads
+//! of a node, served by a fat [`BootstrapNode`] or straight from the packed
+//! store — and the one iterative lookup loop: [`route`] walks fat nodes a
+//! [`TableSource`] resolves (a snapshot), the traffic driver runs the same
+//! loop over the live packed population. `bss_overlay`'s `next_hop` /
+//! `xor_next_hop` are thin wrappers over [`next_hop`] here.
 
 use crate::experiment::PopulationSnapshot;
 use crate::node::BootstrapNode;
 use bss_sim::network::NodeIndex;
+use bss_util::descriptor::Descriptor;
+use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Which routing substrate interprets the bootstrapped tables.
@@ -61,15 +66,75 @@ pub struct Contact {
     pub address: NodeIndex,
 }
 
+impl Contact {
+    /// The contact a table entry advertises.
+    #[inline]
+    pub fn of(descriptor: &Descriptor<NodeIndex>) -> Self {
+        Contact {
+            id: descriptor.id(),
+            address: descriptor.address(),
+        }
+    }
+}
+
+/// What a routing step reads of one node: its identifier, the table geometry
+/// and its contacts. [`BootstrapNode`] implements it over its own tables and
+/// [`PackedView`](crate::compact::PackedView) directly over the packed store,
+/// so a live lookup reads the entries it needs where they are instead of
+/// rehydrating the whole node first.
+pub trait NodeView {
+    /// The node's own identifier.
+    fn id(&self) -> NodeId;
+
+    /// The prefix-table geometry.
+    fn geometry(&self) -> TableGeometry;
+
+    /// The leaf-set entries, successors first, then predecessors.
+    fn leaf(&self) -> impl Iterator<Item = Contact>;
+
+    /// The entries of prefix-table slot `(row, column)`, in insertion order.
+    fn slot(&self, row: usize, column: u8) -> impl Iterator<Item = Contact>;
+
+    /// Every known contact: the leaf set, then the prefix table in slot order.
+    fn contacts(&self) -> impl Iterator<Item = Contact>;
+}
+
+impl NodeView for BootstrapNode<NodeIndex> {
+    #[inline]
+    fn id(&self) -> NodeId {
+        BootstrapNode::id(self)
+    }
+
+    #[inline]
+    fn geometry(&self) -> TableGeometry {
+        BootstrapNode::geometry(self)
+    }
+
+    #[inline]
+    fn leaf(&self) -> impl Iterator<Item = Contact> {
+        self.leaf_set().iter().map(Contact::of)
+    }
+
+    #[inline]
+    fn slot(&self, row: usize, column: u8) -> impl Iterator<Item = Contact> {
+        self.prefix_table()
+            .slot(row, column)
+            .iter()
+            .map(Contact::of)
+    }
+
+    #[inline]
+    fn contacts(&self) -> impl Iterator<Item = Contact> {
+        let table = self.prefix_table().iter();
+        self.leaf_set().iter().chain(table).map(Contact::of)
+    }
+}
+
 /// Chooses the next hop from `node` towards `target` under `kind`'s rules.
 /// Returns `None` when no known contact improves on the node itself. This is
 /// THE routing step: `bss_overlay`'s snapshot routers and the live traffic
 /// driver both call it, so their per-hop decisions cannot drift apart.
-pub fn next_hop(
-    kind: RouterKind,
-    node: &BootstrapNode<NodeIndex>,
-    target: NodeId,
-) -> Option<Contact> {
+pub fn next_hop<V: NodeView>(kind: RouterKind, node: &V, target: NodeId) -> Option<Contact> {
     match kind {
         RouterKind::Pastry => pastry_next_hop(node, target),
         RouterKind::Kademlia => kademlia_next_hop(node, target),
@@ -77,77 +142,85 @@ pub fn next_hop(
     }
 }
 
+/// The contact of `contacts` with the smallest `key`, provided it `improves`
+/// on `bound` (derived from the node's own key: a hop has to get closer).
+/// `improves` is `lt` where the first of equally close contacts wins and `le`
+/// where the last one does.
+#[inline]
+fn closest<K>(
+    contacts: impl Iterator<Item = Contact>,
+    bound: K,
+    key: impl Fn(Contact) -> K,
+    improves: impl Fn(&K, &K) -> bool,
+) -> Option<Contact> {
+    let mut closest = None;
+    contacts.fold(bound, |best, contact| {
+        let key = key(contact);
+        if improves(&key, &best) {
+            closest = Some(contact);
+            key
+        } else {
+            best
+        }
+    });
+    closest
+}
+
 /// Pastry's three rules: deliver to an exactly-known contact, else descend the
 /// prefix table, else (the "rare case") hop to any strictly closer contact.
-fn pastry_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<Contact> {
+fn pastry_next_hop<V: NodeView>(node: &V, target: NodeId) -> Option<Contact> {
     let own = node.id();
     if own == target {
         return None;
     }
     let bits = node.geometry().bits_per_digit();
+    let own_prefix = own.common_prefix_len(target, bits);
+    let row = own_prefix;
+    let column = target.digit(row, bits);
 
-    // Rule 1: the exact target is already a known contact.
-    if let Some(d) = node
-        .leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .find(|d| d.id() == target)
+    // Rule 1: the exact target is already a known contact. The prefix table
+    // files an identifier under (shared prefix length, first differing
+    // digit), so outside the leaf set the target can only sit in the slot
+    // rule 2 reads.
+    if let Some(exact) = node
+        .leaf()
+        .chain(node.slot(row, column))
+        .find(|contact| contact.id == target)
     {
-        return Some(Contact {
-            id: target,
-            address: d.address(),
-        });
+        return Some(exact);
     }
 
     // Rule 2: the slot the target belongs to holds an entry sharing a strictly
     // longer prefix with the target than we do.
-    let own_prefix = own.common_prefix_len(target, bits);
-    let row = own_prefix;
-    let column = target.digit(row, bits);
-    if let Some(entry) = node.prefix_table().slot(row, column).first() {
-        return Some(Contact {
-            id: entry.id(),
-            address: entry.address(),
-        });
+    if let Some(entry) = node.slot(row, column).next() {
+        return Some(entry);
     }
 
     // Rule 3 (the "rare case" in Pastry): any known contact that is strictly
     // closer to the target than the current node — longer shared prefix, or equal
     // prefix but numerically closer on the ring.
-    let own_distance = own.ring_distance(target);
-    node.leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .filter(|d| {
-            let prefix = d.id().common_prefix_len(target, bits);
-            prefix > own_prefix
-                || (prefix == own_prefix && d.id().ring_distance(target) < own_distance)
-        })
-        .min_by_key(|d| {
+    closest(
+        node.contacts(),
+        (Reverse(own_prefix), own.ring_distance(target)),
+        |contact| {
             (
-                usize::MAX - d.id().common_prefix_len(target, bits),
-                d.id().ring_distance(target),
+                Reverse(contact.id.common_prefix_len(target, bits)),
+                contact.id.ring_distance(target),
             )
-        })
-        .map(|d| Contact {
-            id: d.id(),
-            address: d.address(),
-        })
+        },
+        PartialOrd::lt,
+    )
 }
 
 /// Kademlia's rule: the known contact XOR-closest to the target, provided it
 /// is strictly closer than the node itself.
-fn kademlia_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<Contact> {
-    let own_distance = node.id().xor_distance(target);
-    node.leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .filter(|d| d.id().xor_distance(target) < own_distance)
-        .min_by_key(|d| d.id().xor_distance(target))
-        .map(|d| Contact {
-            id: d.id(),
-            address: d.address(),
-        })
+fn kademlia_next_hop<V: NodeView>(node: &V, target: NodeId) -> Option<Contact> {
+    closest(
+        node.contacts(),
+        node.id().xor_distance(target),
+        |contact| contact.id.xor_distance(target),
+        u64::lt,
+    )
 }
 
 /// Chord's rule over live tables: the known contact that advances furthest
@@ -155,30 +228,24 @@ fn kademlia_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<
 /// remaining clockwise distance, so the descent terminates. (The ideal-ring
 /// baseline with global fingers lives in `bss_overlay::ChordRing`; this is
 /// what a Chord node can do with only its own bootstrapped tables.)
-fn chord_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<Contact> {
-    let own = node.id();
-    if own == target {
-        return None;
-    }
-    let to_target = own.clockwise_distance(target);
-    node.leaf_set()
-        .iter()
-        .chain(node.prefix_table().iter())
-        .filter(|d| {
-            let advance = own.clockwise_distance(d.id());
-            advance > 0 && advance <= to_target
-        })
-        .max_by_key(|d| own.clockwise_distance(d.id()))
-        .map(|d| Contact {
-            id: d.id(),
-            address: d.address(),
-        })
+fn chord_next_hop<V: NodeView>(node: &V, target: NodeId) -> Option<Contact> {
+    // A contact lies on the arc from the node to the target exactly when less
+    // clockwise distance remains from it than from the node. Of two copies of
+    // one identifier (leaf set and table) the later one wins.
+    let remaining = node.id().clockwise_distance(target).checked_sub(1)?;
+    closest(
+        node.contacts(),
+        remaining,
+        |contact| contact.id.clockwise_distance(target),
+        u64::le,
+    )
 }
 
-/// Where the iterative [`route`] loop reads node tables from: the live packed
-/// population mid-run, or a frozen [`PopulationSnapshot`] after it. The
-/// closure shape (instead of returning a reference) lets the live source
-/// rehydrate packed state into one reusable scratch node per call.
+/// Where [`route`] reads node tables from: a frozen [`PopulationSnapshot`]
+/// ([`SnapshotTables`]) or any other collection of fat nodes a caller can
+/// resolve a [`Contact`] in. (Live traffic does not come through here: it
+/// resolves contacts to [`PackedView`](crate::compact::PackedView)s and runs
+/// the same loop and the same [`next_hop`] over those.)
 pub trait TableSource {
     /// Runs `f` over the current table state of the node `contact` points at,
     /// or returns `None` when the contact resolves to nothing that answers to
@@ -243,6 +310,49 @@ impl Routed {
 /// The default hop budget (matches `bss_overlay`'s snapshot routers).
 pub const DEFAULT_MAX_HOPS: usize = 64;
 
+/// What `node` does with a lookup of `target` under `kind`'s rules: the
+/// contact it forwards to, or how the lookup ends at it.
+#[inline]
+pub(crate) fn step<V: NodeView>(
+    kind: RouterKind,
+    node: &V,
+    target: NodeId,
+) -> Result<Contact, RouteEnd> {
+    if node.id() == target {
+        Err(RouteEnd::Delivered)
+    } else {
+        next_hop(kind, node, target).ok_or(RouteEnd::Stuck)
+    }
+}
+
+/// The one iterative lookup loop. `decide` resolves the contact the lookup has
+/// reached and returns that node's [`step`], or [`RouteEnd::DeadContact`] when
+/// the contact resolves to nothing answering to its identifier. The traversed
+/// path (source first) is built in the caller-owned `path` buffer.
+#[inline]
+pub(crate) fn route_with(
+    source: Contact,
+    max_hops: usize,
+    path: &mut Vec<Contact>,
+    mut decide: impl FnMut(Contact) -> Result<Contact, RouteEnd>,
+) -> Routed {
+    path.clear();
+    path.push(source);
+    let end = loop {
+        let current = *path.last().expect("path holds at least the source");
+        match decide(current) {
+            Err(end) => break end,
+            Ok(_) if path.len() > max_hops => break RouteEnd::HopLimit,
+            Ok(next) if path.iter().any(|c| c.id == next.id) => break RouteEnd::Cycle,
+            Ok(next) => path.push(next),
+        }
+    };
+    Routed {
+        end,
+        hops: (path.len() - 1) as u64,
+    }
+}
+
 /// Routes one lookup for `target` starting at `source` over whatever
 /// `tables` resolves, taking per-hop decisions from [`next_hop`]. The
 /// traversed path (source first) is built in the caller-owned `path` buffer,
@@ -255,44 +365,19 @@ pub fn route<T: TableSource>(
     max_hops: usize,
     path: &mut Vec<Contact>,
 ) -> Routed {
-    path.clear();
-    path.push(source);
-    let end = loop {
-        let hops = (path.len() - 1) as u64;
-        let current = *path.last().expect("path holds at least the source");
-        let step = tables.with_node(current, |node| {
-            if node.id() == target {
-                None
-            } else {
-                Some(next_hop(kind, node, target))
-            }
-        });
-        break match step {
-            None => RouteEnd::DeadContact,
-            Some(None) => RouteEnd::Delivered,
-            Some(Some(None)) => RouteEnd::Stuck,
-            Some(Some(Some(next))) => {
-                if hops as usize >= max_hops {
-                    RouteEnd::HopLimit
-                } else if path.iter().any(|c| c.id == next.id) {
-                    RouteEnd::Cycle
-                } else {
-                    path.push(next);
-                    continue;
-                }
-            }
-        };
-    };
-    Routed {
-        end,
-        hops: (path.len() - 1) as u64,
-    }
+    route_with(source, max_hops, path, |contact| {
+        tables
+            .with_node(contact, |node| step(kind, node, target))
+            .unwrap_or(Err(RouteEnd::DeadContact))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{Experiment, ExperimentConfig};
+    use bss_util::config::BootstrapParams;
+    use bss_util::rng::SimRng;
 
     fn snapshot(size: usize, seed: u64) -> PopulationSnapshot {
         let config = ExperimentConfig::builder()
@@ -310,11 +395,7 @@ mod tests {
     }
 
     fn contact_at(population: &PopulationSnapshot, position: usize) -> Contact {
-        let node = population.node_at(position).unwrap();
-        Contact {
-            id: node.id(),
-            address: node.own_descriptor().address(),
-        }
+        Contact::of(&population.node_at(position).unwrap().own_descriptor())
     }
 
     #[test]
@@ -397,5 +478,111 @@ mod tests {
         };
         let routed = route(&mut tables, RouterKind::Pastry, ghost, far, 8, &mut path);
         assert_eq!(routed.end, RouteEnd::DeadContact);
+    }
+
+    /// The Pastry step with rule 1 as it was before it was narrowed to the
+    /// leaf set and one slot: a scan of the leaf set and the whole table.
+    fn pastry_scanning_everything(
+        node: &BootstrapNode<NodeIndex>,
+        target: NodeId,
+    ) -> Option<Contact> {
+        let own = node.id();
+        if own == target {
+            return None;
+        }
+        let bits = node.geometry().bits_per_digit();
+        let everything = || node.leaf_set().iter().chain(node.prefix_table().iter());
+        if let Some(exact) = everything().find(|d| d.id() == target) {
+            return Some(Contact::of(exact));
+        }
+        let own_prefix = own.common_prefix_len(target, bits);
+        let slot = node
+            .prefix_table()
+            .slot(own_prefix, target.digit(own_prefix, bits));
+        if let Some(entry) = slot.first() {
+            return Some(Contact::of(entry));
+        }
+        let own_distance = own.ring_distance(target);
+        everything()
+            .filter(|d| {
+                let prefix = d.id().common_prefix_len(target, bits);
+                prefix > own_prefix
+                    || (prefix == own_prefix && d.id().ring_distance(target) < own_distance)
+            })
+            .min_by_key(|d| {
+                (
+                    usize::MAX - d.id().common_prefix_len(target, bits),
+                    d.id().ring_distance(target),
+                )
+            })
+            .map(Contact::of)
+    }
+
+    /// A node with a four-entry leaf set that has absorbed sixty random
+    /// descriptors (so most of what it knows sits in the table only), plus one
+    /// identifier it holds twice under two addresses: right after its own,
+    /// fresher in the leaf set (address 901) than in the add-only table (900).
+    fn crowded_node(bits_per_digit: u8, entries_per_slot: usize) -> BootstrapNode<NodeIndex> {
+        let params = BootstrapParams {
+            bits_per_digit,
+            entries_per_slot,
+            leaf_set_size: 4,
+            ..BootstrapParams::paper_default()
+        };
+        let own = Descriptor::new(NodeId::new(0xAB54_0000_0000_0000), NodeIndex::new(0), 0);
+        let mut node = BootstrapNode::new(own, &params).unwrap();
+        let mut rng = SimRng::seed_from(u64::from(bits_per_digit));
+        let batch: Vec<_> = (1..=60u32)
+            .map(|raw| Descriptor::new(NodeId::new(rng.next_u64()), NodeIndex::new(raw), 0))
+            .collect();
+        node.receive(&batch);
+        let twice = NodeId::new(own.id().raw() + 1);
+        node.receive(&[Descriptor::new(twice, NodeIndex::new(900), 1)]);
+        node.receive(&[Descriptor::new(twice, NodeIndex::new(901), 2)]);
+        node
+    }
+
+    #[test]
+    fn pastry_rule_one_reads_the_leaf_set_then_one_slot() {
+        for (bits, k) in [(4, 3), (2, 1)] {
+            let node = crowded_node(bits, k);
+            let (leaf, table) = (node.leaf_set(), node.prefix_table());
+            let hop = |target| next_hop(RouterKind::Pastry, &node, target);
+
+            // In both, under two addresses: the leaf set's copy answers.
+            let twice = NodeId::new(node.id().raw() + 1);
+            let in_leaf = leaf.iter().find(|d| d.id() == twice).unwrap();
+            let in_table = table.iter().find(|d| d.id() == twice).unwrap();
+            assert_ne!(in_leaf.address(), in_table.address());
+            assert_eq!(hop(twice), Some(Contact::of(in_leaf)), "b = {bits}");
+
+            // In the table only: found in its slot, wherever in the slot it sits.
+            let table_only: Vec<_> = table.iter().filter(|d| !leaf.contains(d.id())).collect();
+            assert!(table_only.len() >= 8, "b = {bits}: {}", table_only.len());
+            for entry in &table_only {
+                assert_eq!(hop(entry.id()), Some(Contact::of(entry)), "b = {bits}");
+            }
+
+            // Absent: rule 2 answers with the head of that same slot, and once
+            // the slot is empty too rule 3 agrees with the full scan.
+            let mut rng = SimRng::seed_from(99);
+            let mut through_rule_two = 0;
+            for _ in 0..200 {
+                let target = NodeId::new(rng.next_u64());
+                let row = node.id().common_prefix_len(target, bits);
+                if let Some(head) = table.slot(row, target.digit(row, bits)).first() {
+                    assert_eq!(hop(target), Some(Contact::of(head)), "b = {bits}");
+                    through_rule_two += 1;
+                }
+                assert_eq!(hop(target), pastry_scanning_everything(&node, target));
+            }
+            assert!(through_rule_two > 0 && through_rule_two < 200, "b = {bits}");
+            for known in leaf.iter().chain(table.iter()) {
+                assert_eq!(
+                    hop(known.id()),
+                    pastry_scanning_everything(&node, known.id())
+                );
+            }
+        }
     }
 }

@@ -6,10 +6,10 @@
 //! for a frozen post-run snapshot; this module proves it *during* the run.
 //! [`LookupTraffic`] drives an open-loop workload — a configured number of
 //! lookups per cycle, keys drawn uniformly or Zipf-skewed — and resolves every
-//! lookup iteratively against nodes' **current** tables through
-//! [`BootstrapProtocol::unpack_node_into`], so routing quality degrades when a
-//! churn burst or an id-spray attack corrupts the tables and recovers as the
-//! protocol repairs them.
+//! lookup iteratively against nodes' **current** tables, read in place in
+//! the packed store through [`BootstrapProtocol::packed_view`], so routing
+//! quality degrades when a churn burst or an id-spray attack corrupts the
+//! tables and recovers as the protocol repairs them.
 //!
 //! Per measured cycle the driver folds its window counters into six series
 //! ([`LOOKUP_SERIES_KEYS`]) on the [`RunReport`](crate::experiment::RunReport):
@@ -33,11 +33,10 @@
 //! streams. Lookups run in the sequential observer phase of every engine, so
 //! the parallel cycle engine stays bit-for-bit identical at any thread count.
 
-use crate::compact::scratch_node;
+use crate::compact::PackedView;
 use crate::experiment::ExperimentConfig;
-use crate::node::BootstrapNode;
 use crate::protocol::BootstrapProtocol;
-use crate::routing::{route, Contact, RouterKind, TableSource, DEFAULT_MAX_HOPS};
+use crate::routing::{route_with, step, Contact, NodeView, RouteEnd, RouterKind, DEFAULT_MAX_HOPS};
 use crate::scenario::{KeyDist, Phase};
 use bss_sampling::sampler::PeerSampler;
 use bss_sim::engine::cycle::EngineContext;
@@ -72,31 +71,24 @@ pub const LOOKUP_SERIES_KEYS: [&str; 6] = [
 /// follow the six above, all regions of one key together.
 const REGION_SERIES: [usize; 3] = [0, 3, 5];
 
-/// A [`TableSource`] over the live packed population: contacts resolve by
-/// registry address and must answer to the identifier the descriptor
-/// advertised — a node that is dead, uninitialised, or holds a different
-/// identifier (a forged id-spray descriptor) fails the hop.
+/// The live packed population: contacts resolve by registry address and must
+/// answer to the identifier the descriptor advertised — a node that is dead,
+/// uninitialised, or holds a different identifier (a forged id-spray
+/// descriptor) fails the hop.
 struct LiveTables<'a, S: PeerSampler> {
     protocol: &'a BootstrapProtocol<S>,
     network: &'a Network,
-    scratch: &'a mut BootstrapNode<NodeIndex>,
 }
 
-impl<S: PeerSampler> TableSource for LiveTables<'_, S> {
-    fn with_node<R>(
-        &mut self,
-        contact: Contact,
-        f: impl FnOnce(&BootstrapNode<NodeIndex>) -> R,
-    ) -> Option<R> {
-        if !self.network.is_alive(contact.address)
-            || !self
-                .protocol
-                .unpack_node_into(contact.address, self.scratch)
-            || self.scratch.id() != contact.id
-        {
+impl<'a, S: PeerSampler> LiveTables<'a, S> {
+    #[inline]
+    fn view(&self, contact: Contact) -> Option<PackedView<'a>> {
+        if !self.network.is_alive(contact.address) {
             return None;
         }
-        Some(f(self.scratch))
+        self.protocol
+            .packed_view(contact.address)
+            .filter(|view| view.id() == contact.id)
     }
 }
 
@@ -220,7 +212,6 @@ pub struct LookupTraffic {
     /// and per-hop latency, fed from the traffic stream.
     transport: Transport,
     rng: SimRng,
-    scratch: BootstrapNode<NodeIndex>,
     path: Vec<Contact>,
     /// The alive population, rebuilt each active cycle in ascending registry
     /// order (so Zipf rank 0 is registry index 0 — the id-spray attack's
@@ -267,7 +258,6 @@ impl LookupTraffic {
                 placement,
             }),
             rng: SimRng::seed_from(config.seed ^ TRAFFIC_SALT),
-            scratch: scratch_node(&config.params),
             path: Vec::with_capacity(DEFAULT_MAX_HOPS + 1),
             alive: Vec::with_capacity(config.network_size),
             zipf_cumulative: Vec::new(),
@@ -323,7 +313,6 @@ impl LookupTraffic {
         let LookupTraffic {
             transport,
             rng,
-            scratch,
             path,
             alive,
             zipf_cumulative,
@@ -332,10 +321,9 @@ impl LookupTraffic {
             report,
             ..
         } = self;
-        let mut tables = LiveTables {
+        let tables = LiveTables {
             protocol,
             network: &ctx.network,
-            scratch,
         };
         for _ in 0..rate {
             let source = alive[rng.index(alive.len())];
@@ -354,14 +342,10 @@ impl LookupTraffic {
             let (delivered, hops) = if transport.outage_drops(source.address, target.address, rng) {
                 (false, 0)
             } else {
-                let routed = route(
-                    &mut tables,
-                    report.router,
-                    source,
-                    target.id,
-                    DEFAULT_MAX_HOPS,
-                    path,
-                );
+                let routed = route_with(source, DEFAULT_MAX_HOPS, path, |contact| {
+                    let node = tables.view(contact).ok_or(RouteEnd::DeadContact)?;
+                    step(report.router, &node, target.id)
+                });
                 (routed.delivered(), routed.hops)
             };
             let millis = delivered.then(|| charge_path(transport, path, rng));
