@@ -4,8 +4,8 @@
 //! sweep cell — but `VmHWM` is *monotone over the process lifetime*, so every
 //! cell after the largest run inherited the largest run's high-water mark and
 //! the per-entry numbers were meaningless. This allocator counts live heap
-//! bytes directly: [`reset_peak`] rearms the high-water mark at the current
-//! footprint before a run, and [`peak_kib`] reads the honest per-run peak
+//! bytes directly: `reset_peak` rearms the high-water mark at the current
+//! footprint before a run, and `peak_kib` reads the honest per-run peak
 //! afterwards, independent of what ran earlier in the sweep.
 //!
 //! Install it from a binary with:
@@ -83,20 +83,15 @@ mod implementation {
     }
 }
 
-/// Live heap bytes at this instant.
-pub fn current_bytes() -> usize {
-    CURRENT.load(Ordering::Relaxed)
-}
-
 /// Rearms the high-water mark at the current footprint. Call immediately
 /// before the region to measure.
-pub fn reset_peak() {
+pub(crate) fn reset_peak() {
     PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// Peak live heap bytes since the last [`reset_peak`], in KiB (rounded up).
 /// Reads zero when the binary did not install [`CountingAllocator`].
-pub fn peak_kib() -> u64 {
+pub(crate) fn peak_kib() -> u64 {
     (PEAK.load(Ordering::Relaxed) as u64).div_ceil(1024)
 }
 
@@ -118,6 +113,6 @@ mod tests {
         let after = peak_kib();
         // After a reset the peak restarts from the live footprint: the
         // 4 MiB ballast allocated and freed above must not linger in it.
-        assert!(after <= baseline.max(current_bytes() as u64 / 1024 + 1));
+        assert!(after <= baseline.max(CURRENT.load(Ordering::Relaxed) as u64 / 1024 + 1));
     }
 }

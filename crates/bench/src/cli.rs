@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Rejects an unknown placement name.
-pub fn wan_placement(name: &str, regions: u32) -> Result<PlacementSpec, String> {
+pub(crate) fn wan_placement(name: &str, regions: u32) -> Result<PlacementSpec, String> {
     Ok(match name {
         "plane" => PlacementSpec::UniformPlane {
             width: 1000.0,
@@ -54,7 +54,7 @@ pub fn wan_placement(name: &str, regions: u32) -> Result<PlacementSpec, String> 
 /// it is shorthand for, each of which an explicit `--option` still beats);
 /// and its one-line description.
 #[derive(Debug, Clone, Copy)]
-pub struct Opt {
+pub(crate) struct Opt {
     spec: &'static str,
     default: &'static str,
     help: &'static str,
@@ -62,7 +62,7 @@ pub struct Opt {
 
 impl Opt {
     /// See the type's description for the three parts.
-    pub const fn new(spec: &'static str, default: &'static str, help: &'static str) -> Self {
+    pub(crate) const fn new(spec: &'static str, default: &'static str, help: &'static str) -> Self {
         Opt {
             spec,
             default,
@@ -80,7 +80,7 @@ impl Opt {
 }
 
 /// Renders an experiment's `--help` from its option table.
-pub fn usage(name: &str, about: &str, options: &[Opt]) -> String {
+pub(crate) fn usage(name: &str, about: &str, options: &[Opt]) -> String {
     let mut text = format!(
         "{name} — {about}\n\nUSAGE:\n    cargo run --release -p bss-bench -- {name} [OPTIONS]\n\nOPTIONS:\n"
     );
@@ -98,7 +98,7 @@ pub fn usage(name: &str, about: &str, options: &[Opt]) -> String {
 
 /// The arguments of one invocation, parsed against the experiment's table.
 #[derive(Debug, Clone)]
-pub struct Args {
+pub(crate) struct Args {
     options: &'static [Opt],
     values: BTreeMap<&'static str, String>,
     help: bool,
@@ -111,7 +111,7 @@ impl Args {
     ///
     /// Returns a one-line message for an option the table does not list, a
     /// valued option without its value, or a stray positional argument.
-    pub fn parse(
+    pub(crate) fn parse(
         options: &'static [Opt],
         args: impl IntoIterator<Item = String>,
     ) -> Result<Self, String> {
@@ -160,18 +160,18 @@ impl Args {
     }
 
     /// Whether `--help` was requested.
-    pub fn wants_help(&self) -> bool {
+    pub(crate) fn wants_help(&self) -> bool {
         self.help
     }
 
     /// Whether the flag `--key` was given.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.values.contains_key(key)
     }
 
     /// The value of `--key`: as given, else the table's default, else `None`
     /// (also for a key the experiment does not list).
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.values.get(key).map(String::as_str).or_else(|| {
             let option = self.options.iter().find(|option| option.name() == key)?;
             (!option.is_flag() && !option.default.is_empty()).then_some(option.default)
@@ -184,7 +184,7 @@ impl Args {
     ///
     /// Rejects a value that cannot be parsed, and an option that has neither
     /// a value nor a default.
-    pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
+    pub(crate) fn parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
         let raw = self
             .get(key)
             .ok_or_else(|| format!("--{key} has no value and no default"))?;
@@ -197,24 +197,25 @@ impl Args {
     /// # Errors
     ///
     /// Rejects an element that cannot be parsed.
-    pub fn list<T: std::str::FromStr>(&self, key: &str) -> Result<Vec<T>, String> {
+    pub(crate) fn list<T: std::str::FromStr>(&self, key: &str) -> Result<Vec<T>, String> {
         parse_list(key, self.get(key).unwrap_or(""))
     }
 
     /// The network-size exponents to run (`N = 2^exponent`): the one `--size`
     /// of a single-size experiment, else the `--sizes` list. An exponent no
     /// experiment can run is rejected like one that does not parse: 0 (one
-    /// node is not a network) and what overflows `1usize << exponent`.
-    pub fn sizes(&self) -> Result<Vec<u32>, String> {
+    /// node is not a network) and what does not fit the `u32` a `NodeIndex`
+    /// and a packed descriptor's address are.
+    pub(crate) fn sizes(&self) -> Result<Vec<u32>, String> {
         let (key, sizes) = if self.get("size").is_some() {
             ("size", vec![self.parsed("size")?])
         } else {
             ("sizes", self.list("sizes")?)
         };
-        match sizes.iter().find(|&&exp| exp == 0 || exp >= usize::BITS) {
+        match sizes.iter().find(|&&exp| exp == 0 || exp >= u32::BITS) {
             Some(exp) => Err(format!(
                 "--{key} expects exponents from 1 to {} (N = 2^exp), got {exp}",
-                usize::BITS - 1
+                u32::BITS - 1
             )),
             None => Ok(sizes),
         }
@@ -222,21 +223,30 @@ impl Args {
 
     /// Independent runs per configuration (`--runs`): at least 1, a sweep of
     /// no runs having nothing to report.
-    pub fn runs(&self) -> Result<usize, String> {
+    pub(crate) fn runs(&self) -> Result<usize, String> {
         match self.parsed("runs")? {
             0 => Err("--runs expects at least 1, got 0".to_owned()),
             runs => Ok(runs),
         }
     }
 
-    /// Worker threads of the cycle engine (`--threads`, at least 1).
-    pub fn threads(&self) -> Result<usize, String> {
-        Ok(self.parsed::<usize>("threads")?.max(1))
+    /// Worker threads of the cycle engine (`--threads`): at least 1, and at
+    /// most the smallest network the invocation runs — a wave holds at most
+    /// N/2 disjoint exchanges, so the bound comes from the input.
+    pub(crate) fn threads(&self) -> Result<usize, String> {
+        let threads = self.parsed("threads")?;
+        let smallest = self.sizes()?.iter().map(|&exp| 1usize << exp).min();
+        if threads == 0 || smallest.is_some_and(|nodes| threads > nodes) {
+            return Err(format!(
+                "--threads expects 1 to the network size, got {threads}"
+            ));
+        }
+        Ok(threads)
     }
 
     /// The cycle + event engine pair every sweep runs its cells on: the cycle
     /// engine at `--threads`, the event engine at `--latency`.
-    pub fn engine_pair(&self) -> Result<[(&'static str, Engine); 2], String> {
+    pub(crate) fn engine_pair(&self) -> Result<[(&'static str, Engine); 2], String> {
         let latency = self.latency_model()?;
         Ok([
             ("cycle", Engine::with_threads(self.threads()?)),
@@ -249,7 +259,7 @@ impl Args {
     /// # Errors
     ///
     /// Rejects a name other than `cycle` or `event`.
-    pub fn engine(&self) -> Result<Engine, String> {
+    pub(crate) fn engine(&self) -> Result<Engine, String> {
         let [(_, cycle), (_, event)] = self.engine_pair()?;
         match self.get("engine") {
             Some("cycle") => Ok(cycle),
@@ -267,7 +277,7 @@ impl Args {
     /// # Errors
     ///
     /// Rejects a malformed spec.
-    pub fn link_model_arg(&self) -> Result<Option<LatencyModel>, String> {
+    pub(crate) fn link_model_arg(&self) -> Result<Option<LatencyModel>, String> {
         let Some(raw) = self.get("link") else {
             return Ok(None);
         };
@@ -306,7 +316,7 @@ impl Args {
 
     /// Parses `--latency` into a [`LatencyModel`]: a single value is a
     /// constant latency, `min,max` is uniform.
-    pub fn latency_model(&self) -> Result<LatencyModel, String> {
+    pub(crate) fn latency_model(&self) -> Result<LatencyModel, String> {
         millis_model("latency", &self.list("latency")?)
     }
 }
@@ -463,6 +473,18 @@ mod tests {
             let line = ["fig3", "--cycles", "5", bad[0], bad[1]].map(String::from);
             assert_eq!(crate::experiments::run(line), 2, "{bad:?}");
         }
+        // A size a `NodeIndex` cannot count and a thread count the network
+        // cannot occupy used to abort on the allocation or the spawn; zero
+        // threads used to run as one.
+        for bad in [
+            ["--size", "63", "--cycles", "1"],
+            ["--size", "40", "--cycles", "1"],
+            ["--size", "7", "--threads", "100000"],
+            ["--size", "7", "--threads", "0"],
+        ] {
+            let line = std::iter::once("churn").chain(bad).map(String::from);
+            assert_eq!(crate::experiments::run(line), 2, "{bad:?}");
+        }
         // The message names the option and the reason.
         let error = args(&["--runs", "x"]).runs().unwrap_err();
         assert!(
@@ -476,7 +498,7 @@ mod tests {
             error.contains("--sizes expects") && error.contains("\"abc\""),
             "{error}"
         );
-        for exponent in ["0", "64"] {
+        for exponent in ["0", "32", "64"] {
             let error = args(&["--size", exponent]).sizes().unwrap_err();
             assert!(error.contains("--size expects exponents from 1"), "{error}");
         }

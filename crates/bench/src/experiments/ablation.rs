@@ -75,7 +75,7 @@ fn ablations() -> [(&'static str, &'static str, Vec<Cell>); 4] {
 }
 
 pub(super) fn run(args: &Args) -> super::Outcome {
-    let exponent: u32 = args.parsed("size")?;
+    let exponent = args.sizes()?[0];
     let runs = args.runs()? as u64;
     let seed: u64 = args.parsed("seed")?;
     eprintln!("# Ablations at N=2^{exponent}, {runs} runs per configuration");

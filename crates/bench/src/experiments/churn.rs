@@ -18,7 +18,7 @@ use bss_core::experiment::{Experiment, ExperimentConfig};
 const RATES: [u32; 4] = [0, 1, 2, 5];
 
 pub(super) fn run(args: &Args) -> super::Outcome {
-    let exponent: u32 = args.parsed("size")?;
+    let exponent = args.sizes()?[0];
     let cycles: u64 = args.parsed("cycles")?;
     let seed: u64 = args.parsed("seed")?;
 

@@ -22,7 +22,7 @@ use bss_core::scenario::{PartitionSpec, Phase, ScenarioEvent};
 const MERGE_AT: u64 = 25;
 
 pub(super) fn run(args: &Args) -> super::Outcome {
-    let exponent: u32 = args.parsed("size")?;
+    let exponent = args.sizes()?[0];
     let cycles: u64 = args.parsed("cycles")?;
     if cycles <= MERGE_AT {
         return Err(

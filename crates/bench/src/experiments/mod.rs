@@ -275,7 +275,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
 ];
 
 /// `--help` of one experiment, or the overview of all of them.
-pub fn usage_of(experiment: Option<&Experiment>) -> String {
+pub(crate) fn usage_of(experiment: Option<&Experiment>) -> String {
     if let Some(experiment) = experiment {
         return usage(experiment.name, experiment.about, experiment.options);
     }

@@ -13,7 +13,7 @@ use std::time::Instant;
 
 /// Description of one figure sweep.
 #[derive(Debug, Clone)]
-pub struct FigureConfig {
+pub(crate) struct FigureConfig {
     /// Exponents of the network sizes to run (`12` means `N = 2^12`).
     pub size_exponents: Vec<u32>,
     /// Number of independent repetitions per size.
@@ -26,7 +26,7 @@ pub struct FigureConfig {
 
 /// The recorded curves for one network size.
 #[derive(Debug, Clone)]
-pub struct SizeSeries {
+pub(crate) struct SizeSeries {
     /// The size exponent (network size is `2^exponent`).
     pub exponent: u32,
     /// Per-run missing-leaf-set-proportion series.
@@ -43,14 +43,17 @@ pub struct SizeSeries {
 
 /// The complete result of a figure sweep.
 #[derive(Debug, Clone)]
-pub struct FigureResult {
+pub(crate) struct FigureResult {
     /// One entry per requested size, in input order.
     pub sizes: Vec<SizeSeries>,
 }
 
 /// Runs the sweep described by `config`, calling `progress` after every completed
 /// run (useful for long sweeps).
-pub fn run_figure(config: &FigureConfig, mut progress: impl FnMut(u32, usize)) -> FigureResult {
+pub(crate) fn run_figure(
+    config: &FigureConfig,
+    mut progress: impl FnMut(u32, usize),
+) -> FigureResult {
     let mut sizes = Vec::with_capacity(config.size_exponents.len());
     for &exponent in &config.size_exponents {
         let started = Instant::now();
@@ -99,17 +102,17 @@ pub(crate) fn mean_cycle(cycles: &[u64]) -> Option<f64> {
 
 impl SizeSeries {
     /// Mean convergence cycle over the runs that converged, if any did.
-    pub fn mean_convergence_cycle(&self) -> Option<f64> {
+    pub(crate) fn mean_convergence_cycle(&self) -> Option<f64> {
         mean_cycle(&self.convergence_cycles)
     }
 
     /// Mean leaf-set curve across runs.
-    pub fn mean_leaf_curve(&self) -> Series {
+    pub(crate) fn mean_leaf_curve(&self) -> Series {
         self.leaf_runs.mean_per_cycle()
     }
 
     /// Mean prefix-table curve across runs.
-    pub fn mean_prefix_curve(&self) -> Series {
+    pub(crate) fn mean_prefix_curve(&self) -> Series {
         self.prefix_runs.mean_per_cycle()
     }
 }

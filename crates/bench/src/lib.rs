@@ -24,11 +24,11 @@
 //! paper's full 2^14–2^18 sizes are available through `--sizes`).
 //!
 //! The pieces: the experiment table and its dispatch ([`experiments`]); the
-//! option tables, parser and `--help` renderer ([`cli`]); the sweep runner —
+//! option tables, parser and `--help` renderer (`cli`); the sweep runner —
 //! sizes × cells × engines, one `RunReport` JSON per run — that the
-//! both-engines experiments are tables of cells for ([`sweep`]); the
-//! figure-sweep driver ([`figures`]); tab-separated report formatting
-//! ([`report`]); and a counting global allocator for honest per-run memory
+//! both-engines experiments are tables of cells for (`sweep`); the
+//! figure-sweep driver (`figures`); tab-separated report formatting
+//! (`report`); and a counting global allocator for honest per-run memory
 //! measurement ([`alloc`]). A new experiment is a module under `experiments/`
 //! and one more row of the table.
 
@@ -38,10 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod cli;
+mod cli;
 pub mod experiments;
-pub mod figures;
-pub mod report;
-pub mod sweep;
-
-pub use figures::{FigureConfig, FigureResult, SizeSeries};
+mod figures;
+mod report;
+mod sweep;

@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 /// Renders one panel (leaf set or prefix table) of a figure as a tab-separated
 /// table: `cycle <TAB> N=2^a <TAB> N=2^b ...`, one mean curve per size.
-pub fn panel_table(result: &FigureResult, prefix_panel: bool) -> String {
+pub(crate) fn panel_table(result: &FigureResult, prefix_panel: bool) -> String {
     let curves: Vec<(String, Series)> = result
         .sizes
         .iter()
@@ -30,7 +30,7 @@ pub fn panel_table(result: &FigureResult, prefix_panel: bool) -> String {
 
 /// Renders the per-size summary table: convergence cycles, message sizes, wall
 /// clock.
-pub fn summary_table(result: &FigureResult) -> String {
+pub(crate) fn summary_table(result: &FigureResult) -> String {
     let mut output =
         String::from("size\truns\tmean_convergence_cycle\tmean_message_size\telapsed_seconds\n");
     for size in &result.sizes {
@@ -53,7 +53,7 @@ pub fn summary_table(result: &FigureResult) -> String {
 /// A series that ends early holds its final value (zero, for a converged run)
 /// once its curve ends, matching how the paper draws curves that simply stop
 /// at perfection.
-pub fn series_table(columns: &[(String, Series)]) -> String {
+pub(crate) fn series_table(columns: &[(String, Series)]) -> String {
     let max_cycle = columns
         .iter()
         .filter_map(|(_, series)| series.final_cycle())
@@ -76,7 +76,7 @@ pub fn series_table(columns: &[(String, Series)]) -> String {
 }
 
 /// A cycle number for a summary column, `-` when the run never got there.
-pub fn or_dash(cycle: Option<u64>) -> String {
+pub(crate) fn or_dash(cycle: Option<u64>) -> String {
     cycle.map_or_else(|| "-".to_owned(), |cycle| cycle.to_string())
 }
 

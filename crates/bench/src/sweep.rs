@@ -19,7 +19,7 @@ use bss_util::config::{BootstrapParams, NewscastParams};
 
 /// One cell of a sweep.
 #[derive(Debug, Clone)]
-pub struct Cell {
+pub(crate) struct Cell {
     /// The cell's name: its stem in the JSON file name.
     pub(crate) name: String,
     /// Everything the cell fixes; the sweep adds size, seed, budget and engine.
@@ -28,7 +28,10 @@ pub struct Cell {
 
 impl Cell {
     /// A cell running `events` on an otherwise default configuration.
-    pub fn new(name: impl Into<String>, events: impl IntoIterator<Item = ScenarioEvent>) -> Self {
+    pub(crate) fn new(
+        name: impl Into<String>,
+        events: impl IntoIterator<Item = ScenarioEvent>,
+    ) -> Self {
         let mut config = ExperimentConfig::builder();
         for event in events {
             config.event(event);
@@ -43,7 +46,7 @@ impl Cell {
     /// every 1000 ms) instead of the oracle — the sampling layer an adversary
     /// can actually poison — under the two countermeasures: the per-origin
     /// view diversity `quota` and the descriptor `verifier` key.
-    pub fn over_newscast(&mut self, quota: Option<usize>, verifier: Option<u64>) {
+    pub(crate) fn over_newscast(&mut self, quota: Option<usize>, verifier: Option<u64>) {
         self.config
             .sampler(SamplerChoice::Newscast(NewscastParams {
                 view_size: 20,
@@ -60,7 +63,7 @@ impl Cell {
 
 /// One finished run, as handed to an experiment's row closure.
 #[derive(Debug)]
-pub struct Run<'a> {
+pub(crate) struct Run<'a> {
     /// Position of the cell in the slice the sweep was given.
     pub(crate) cell: usize,
     /// The cell's name.
@@ -75,7 +78,7 @@ pub struct Run<'a> {
 
 /// What every sweep shares, parsed once from the options.
 #[derive(Debug, Clone)]
-pub struct Sweep {
+pub(crate) struct Sweep {
     /// Network-size exponents, outermost loop.
     pub(crate) sizes: Vec<u32>,
     /// The seed of every run.
@@ -97,7 +100,11 @@ impl Sweep {
     ///
     /// Rejects an option value that does not read as what it should, and an
     /// `--out-dir` that cannot be created — before anything runs.
-    pub fn from_args(args: &Args, title: &str, stop_when_perfect: bool) -> Result<Self, String> {
+    pub(crate) fn from_args(
+        args: &Args,
+        title: &str,
+        stop_when_perfect: bool,
+    ) -> Result<Self, String> {
         let sweep = Sweep {
             sizes: args.sizes()?,
             seed: args.parsed("seed")?,
@@ -136,7 +143,7 @@ impl Sweep {
     /// # Panics
     ///
     /// Panics when a cell's configuration is rejected.
-    pub fn run(&self, cells: &[Cell], mut row: impl FnMut(Run<'_>)) -> Result<(), String> {
+    pub(crate) fn run(&self, cells: &[Cell], mut row: impl FnMut(Run<'_>)) -> Result<(), String> {
         for &exponent in &self.sizes {
             let network_size = 1usize << exponent;
             for (index, cell) in cells.iter().enumerate() {
@@ -172,7 +179,7 @@ impl Sweep {
     /// # Errors
     ///
     /// Names the path and the OS error when the file cannot be written.
-    pub fn write(&self, file: &str, contents: &str) -> Result<(), String> {
+    pub(crate) fn write(&self, file: &str, contents: &str) -> Result<(), String> {
         let path = format!("{}/{file}", self.out_dir);
         write_file(&path, contents)?;
         if !self.quiet {
@@ -187,7 +194,7 @@ impl Sweep {
 /// # Errors
 ///
 /// Names the path and the OS error when the directory cannot be created.
-pub fn create_out_dir(out_dir: &str) -> Result<(), String> {
+pub(crate) fn create_out_dir(out_dir: &str) -> Result<(), String> {
     std::fs::create_dir_all(out_dir).map_err(|error| format!("--out-dir {out_dir}: {error}"))
 }
 
@@ -196,7 +203,7 @@ pub fn create_out_dir(out_dir: &str) -> Result<(), String> {
 /// # Errors
 ///
 /// Names the path and the OS error when the file cannot be written.
-pub fn write_file(path: &str, contents: &str) -> Result<(), String> {
+pub(crate) fn write_file(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|error| format!("write {path}: {error}"))
 }
 

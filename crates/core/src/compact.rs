@@ -25,10 +25,10 @@
 //! would resolve more identifiers entry by entry than one rehydration does)
 //! reads the same scratch form — byte-identical behaviour at a third of the
 //! memory. Readers that touch a few entries do not: lookup routing reads a
-//! node through [`PackedView`], `SELECTPEER` ranks
-//! [`CompactNode::leaf_descriptors`], and the dead-descriptor, poisoning and
-//! eclipse walks read indices straight off [`CompactNode::leaf_entries`] /
-//! [`CompactNode::prefix_entries`].
+//! node through `PackedView`, `SELECTPEER` ranks
+//! `CompactNode::leaf_descriptors`, and the dead-descriptor, poisoning and
+//! eclipse walks read indices straight off `CompactNode::leaf_entries` /
+//! `CompactNode::prefix_entries`.
 
 use crate::node::BootstrapNode;
 use crate::routing::{Contact, NodeView};
@@ -45,7 +45,7 @@ use bss_util::id::NodeId;
 /// # Panics
 ///
 /// Panics when `params` were not validated.
-pub fn scratch_node(params: &BootstrapParams) -> BootstrapNode<NodeIndex> {
+pub(crate) fn scratch_node(params: &BootstrapParams) -> BootstrapNode<NodeIndex> {
     let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
     BootstrapNode::new(placeholder, params).expect("validated parameters")
 }
@@ -56,13 +56,13 @@ pub fn scratch_node(params: &BootstrapParams) -> BootstrapNode<NodeIndex> {
 /// that disagree with the registry (forged descriptors) are preserved
 /// separately by [`CompactNode`]'s alias lists.
 #[inline]
-pub fn pack_descriptor(descriptor: &Descriptor<NodeIndex>) -> PackedDescriptor {
+pub(crate) fn pack_descriptor(descriptor: &Descriptor<NodeIndex>) -> PackedDescriptor {
     PackedDescriptor::new(descriptor.address().raw(), descriptor.timestamp())
 }
 
 /// Rehydrates a packed descriptor using the shared index→identifier arena.
 #[inline]
-pub fn unpack_descriptor(packed: PackedDescriptor, ids: &[NodeId]) -> Descriptor<NodeIndex> {
+pub(crate) fn unpack_descriptor(packed: PackedDescriptor, ids: &[NodeId]) -> Descriptor<NodeIndex> {
     Descriptor::new(
         ids[packed.address() as usize],
         NodeIndex::new(packed.address()),
@@ -211,7 +211,7 @@ impl CompactNode {
     /// Rehydrates into a freshly allocated fat node (the materialising
     /// accessor path — diagnostics, snapshots and tests; hot paths use
     /// [`CompactNode::unpack_into`] with a reused scratch).
-    pub fn unpack(
+    pub(crate) fn unpack(
         &self,
         node: NodeIndex,
         ids: &[NodeId],
@@ -225,7 +225,7 @@ impl CompactNode {
 
     /// The packed leaf-set entries (successors first, then predecessors) —
     /// for walks that only need indices and timestamps, no rehydration.
-    pub fn leaf_entries(&self) -> &[PackedDescriptor] {
+    pub(crate) fn leaf_entries(&self) -> &[PackedDescriptor] {
         &self.leaf
     }
 
@@ -234,7 +234,7 @@ impl CompactNode {
     /// node. Identical to mapping [`unpack_descriptor`] over
     /// [`CompactNode::leaf_entries`] on honest state; on adversarial state it
     /// additionally reproduces forged identifiers.
-    pub fn leaf_descriptors<'a>(
+    pub(crate) fn leaf_descriptors<'a>(
         &'a self,
         ids: &'a [NodeId],
     ) -> impl Iterator<Item = Descriptor<NodeIndex>> + 'a {
@@ -242,7 +242,7 @@ impl CompactNode {
     }
 
     /// The packed prefix-table entries in slot order.
-    pub fn prefix_entries(&self) -> &[PackedDescriptor] {
+    pub(crate) fn prefix_entries(&self) -> &[PackedDescriptor] {
         &self.prefix_store
     }
 
@@ -250,7 +250,7 @@ impl CompactNode {
     /// registry index the state belongs to, `geometry` the one it was built
     /// under.
     #[inline]
-    pub fn view<'a>(
+    pub(crate) fn view<'a>(
         &'a self,
         node: NodeIndex,
         ids: &'a [NodeId],
@@ -269,7 +269,7 @@ impl CompactNode {
 /// every entry is resolved as it is read (forged identifiers through the
 /// alias lists), nothing is copied out and nothing allocated.
 #[derive(Debug, Clone, Copy)]
-pub struct PackedView<'a> {
+pub(crate) struct PackedView<'a> {
     state: &'a CompactNode,
     id: NodeId,
     ids: &'a [NodeId],

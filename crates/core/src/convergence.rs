@@ -75,7 +75,7 @@ impl NetworkConvergence {
     ///
     /// Panics (in debug builds) if `node` was never accumulated, i.e. the
     /// subtraction would underflow.
-    pub fn retract(&mut self, node: NodeConvergence) {
+    pub(crate) fn retract(&mut self, node: NodeConvergence) {
         debug_assert!(
             self.leaf_missing >= node.leaf_missing
                 && self.leaf_total >= node.leaf_total
@@ -127,26 +127,26 @@ impl NetworkConvergence {
 /// Only valid while the oracle (the live identifier population) is unchanged;
 /// under churn the caller must rebuild both the oracle and the tracker.
 #[derive(Debug, Clone, Default)]
-pub struct ConvergenceTracker {
+pub(crate) struct ConvergenceTracker {
     per_node: Vec<Option<NodeConvergence>>,
     aggregate: NetworkConvergence,
 }
 
 impl ConvergenceTracker {
     /// Creates an empty tracker (no node measured yet).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ConvergenceTracker::default()
     }
 
     /// The current aggregate over every cached node measurement.
-    pub fn aggregate(&self) -> NetworkConvergence {
+    pub(crate) fn aggregate(&self) -> NetworkConvergence {
         self.aggregate
     }
 
     /// Replaces the cached measurement of the node at `index` (`None` when the
     /// node is dead or uninitialised and must no longer count), keeping the
     /// aggregate in sync.
-    pub fn update_node(&mut self, index: usize, measured: Option<NodeConvergence>) {
+    pub(crate) fn update_node(&mut self, index: usize, measured: Option<NodeConvergence>) {
         if index >= self.per_node.len() {
             self.per_node.resize(index + 1, None);
         }
@@ -180,16 +180,6 @@ impl ConvergenceOracle {
             leaf_set_size: params.leaf_set_size,
             entries_per_slot: params.entries_per_slot,
         }
-    }
-
-    /// Number of live identifiers known to the oracle.
-    pub fn population(&self) -> usize {
-        self.sorted_ids.len()
-    }
-
-    /// Whether `id` is one of the live identifiers.
-    pub fn is_live(&self, id: NodeId) -> bool {
-        self.sorted_ids.binary_search(&id).is_ok()
     }
 
     /// The perfect leaf set of `id`: the fixed point of `UPDATELEAFSET` when every
@@ -405,9 +395,6 @@ mod tests {
         let as_raw: HashSet<u64> = perfect.iter().map(|id| id.raw()).collect();
         assert_eq!(as_raw, HashSet::from([40, 50, 20, 10]));
         assert_eq!(perfect.len(), 4);
-        assert_eq!(oracle.population(), 6);
-        assert!(oracle.is_live(NodeId::new(10)));
-        assert!(!oracle.is_live(NodeId::new(11)));
     }
 
     #[test]

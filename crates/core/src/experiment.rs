@@ -8,10 +8,9 @@
 //! the integration tests and the benchmark harness are all thin wrappers around
 //! this module.
 //!
-//! The heart of the module is [`run_scenario`]: one entry point that drives a
-//! [`BootstrapProtocol`] through an [`ExperimentConfig`]'s
-//! [`Scenario`] on whichever
-//! [`Engine`] the configuration selects — the
+//! The heart of the module is [`Experiment::run_observed`]: one entry point
+//! that drives a `BootstrapProtocol` through an [`ExperimentConfig`]'s
+//! [`Scenario`] on whichever [`Engine`] the configuration selects — the
 //! sequential cycle engine, the deterministic parallel cycle engine, or the
 //! discrete-event engine with per-link latency — reporting to a pluggable
 //! [`Observer`] and returning one serializable [`RunReport`].
@@ -57,8 +56,7 @@ pub enum SamplerChoice {
 /// The scalar builder setters are sugar:
 /// [`drop_probability`](ExperimentConfigBuilder::drop_probability) and
 /// [`churn_rate`](ExperimentConfigBuilder::churn_rate) install one-phase
-/// whole-run scenario windows, and
-/// [`threads`](ExperimentConfigBuilder::threads) selects the engine.
+/// whole-run scenario windows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of nodes in the network.
@@ -132,7 +130,7 @@ impl ExperimentConfig {
 
     /// The rate of the scenario's whole-run churn burst (0 when none): the
     /// value the legacy `churn_rate` field used to hold.
-    pub fn churn_rate(&self) -> f64 {
+    pub(crate) fn churn_rate(&self) -> f64 {
         self.scenario.whole_run_churn()
     }
 
@@ -161,7 +159,7 @@ impl ExperimentConfig {
     /// placement-free (constant/uniform) models. Coordinates come from a
     /// salted private stream, so building the placement never perturbs the
     /// run's main RNG.
-    pub fn placement(&self) -> Option<Arc<Placement>> {
+    pub(crate) fn placement(&self) -> Option<Arc<Placement>> {
         self.link_model()
             .build_placement(self.network_size, self.seed)
     }
@@ -171,10 +169,11 @@ impl ExperimentConfig {
     /// # Errors
     ///
     /// Returns [`InvalidParams`] when the protocol parameters are invalid, the
-    /// network has fewer than two nodes, a budget or cadence is zero, the
-    /// engine selection is invalid, or the scenario timeline is rejected
+    /// network has fewer than two nodes or more than a `u32` index can count,
+    /// a budget or cadence is zero, the engine selection is invalid or asks
+    /// for more threads than there are nodes, or the scenario timeline is rejected
     /// (out-of-range probabilities, empty windows, overlapping exclusive
-    /// phases — see [`Scenario::validate`]).
+    /// phases — see `Scenario::validate`).
     pub fn validate(&self) -> Result<(), InvalidParams> {
         self.params.validate()?;
         if let SamplerChoice::Newscast(p) = self.sampler {
@@ -185,6 +184,15 @@ impl ExperimentConfig {
                 "network_size must be at least 2",
             ));
         }
+        // Node indices and packed descriptor addresses are `u32`.
+        if u32::try_from(self.network_size).is_err() {
+            return Err(InvalidParams::OutOfRange {
+                field: "network_size",
+                value: self.network_size as f64,
+                min: 2.0,
+                max: f64::from(u32::MAX),
+            });
+        }
         if self.max_cycles == 0 {
             return Err(InvalidParams::from_message("max_cycles must be positive"));
         }
@@ -194,6 +202,16 @@ impl ExperimentConfig {
             ));
         }
         self.engine.validate()?;
+        // A wave holds at most N/2 disjoint exchanges, so workers beyond the
+        // node count could only idle (and a large enough count aborts on spawn).
+        if self.threads() > self.network_size {
+            return Err(InvalidParams::OutOfRange {
+                field: "threads",
+                value: self.threads() as f64,
+                min: 1.0,
+                max: self.network_size as f64,
+            });
+        }
         self.scenario.validate()?;
         self.link_model().validate()?;
         // Regional connectivity events only mean something under a placement:
@@ -365,14 +383,6 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Legacy sugar: sets the number of worker threads by selecting
-    /// [`Engine::Cycle`] (1) or [`Engine::ParallelCycle`] (more). The outcome
-    /// is bit-for-bit identical at any value.
-    pub fn threads(&mut self, threads: usize) -> &mut Self {
-        self.config.engine = Engine::with_threads(threads);
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
@@ -441,7 +451,7 @@ impl ProximityReport {
 ///   in-degree distribution (0 balanced, → 1 hub) and the fraction of view
 ///   entries pointing at departed nodes. Empty when the sampler maintains no
 ///   overlay to measure (the oracle).
-pub const SERIES_KEYS: [&str; 9] = [
+pub(crate) const SERIES_KEYS: [&str; 9] = [
     "leaf_series",
     "prefix_series",
     "dead_series",
@@ -499,7 +509,7 @@ impl RunReport {
         self.series.iter().chain(lookups)
     }
 
-    /// The series written out as `name`: one of [`SERIES_KEYS`],
+    /// The series written out as `name`: one of `SERIES_KEYS`,
     /// `leaf_series_r<region>` under a WAN link model (position `r` is region
     /// `r`; cost-free and absent without a placement), or one of the lookup
     /// traffic's when a traffic phase was scheduled.
@@ -733,7 +743,10 @@ pub struct PopulationSnapshot {
 impl PopulationSnapshot {
     /// Builds a snapshot from the alive, initialised nodes of a protocol run.
     /// Both engines expose the required [`EngineContext`].
-    pub fn capture<S: PeerSampler>(protocol: &BootstrapProtocol<S>, ctx: &EngineContext) -> Self {
+    pub(crate) fn capture<S: PeerSampler>(
+        protocol: &BootstrapProtocol<S>,
+        ctx: &EngineContext,
+    ) -> Self {
         let mut snapshot = PopulationSnapshot::default();
         for node in ctx.network.alive_indices() {
             if let Some(state) = protocol.node(node) {
@@ -1092,7 +1105,7 @@ fn measure_proximity<S: PeerSampler>(
 /// All engines share the same measurement semantics (cadence, perfection stop,
 /// series) and produce the same [`RunReport`] shape; the cycle engines are
 /// additionally bit-for-bit deterministic across thread counts.
-pub fn run_scenario<S: PeerSampler>(
+pub(crate) fn run_scenario<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,
     observer: &mut dyn Observer,
@@ -1126,11 +1139,8 @@ struct World {
 impl World {
     fn new(config: &ExperimentConfig) -> Self {
         let mut rng = SimRng::seed_from(config.seed);
-        let mut network = Network::with_random_ids(config.network_size, &mut rng);
+        let network = Network::with_random_ids(config.network_size, &mut rng);
         let placement = config.placement();
-        if let Some(placement) = placement.as_ref() {
-            network.set_placement(Arc::clone(placement));
-        }
         let transport = config.scenario.build_transport(
             config.network_size,
             &config.link_model(),
@@ -1238,11 +1248,6 @@ impl Experiment {
         Experiment { config }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ExperimentConfig {
-        &self.config
-    }
-
     /// Runs the simulation to completion and returns the recorded report.
     pub fn run(&self) -> RunReport {
         self.run_with_snapshot().0
@@ -1314,7 +1319,29 @@ mod tests {
             .churn_rate(-0.1)
             .build()
             .is_err());
-        assert!(ExperimentConfig::builder().threads(0).build().is_err());
+        assert!(ExperimentConfig::builder()
+            .engine(Engine::with_threads(0))
+            .build()
+            .is_err());
+        // More nodes than a `u32` index counts, more workers than nodes.
+        let mut builder = ExperimentConfig::builder();
+        assert!(matches!(
+            builder.network_size(u32::MAX as usize + 1).build(),
+            Err(InvalidParams::OutOfRange {
+                field: "network_size",
+                ..
+            })
+        ));
+        builder
+            .network_size(64)
+            .engine(Engine::ParallelCycle { threads: 65 });
+        assert!(matches!(
+            builder.build(),
+            Err(InvalidParams::OutOfRange {
+                field: "threads",
+                ..
+            })
+        ));
         // Typed scenario rejections surface through the config builder.
         let err = ExperimentConfig::builder()
             .event(ScenarioEvent::LossWindow {
@@ -1336,7 +1363,7 @@ mod tests {
         assert_eq!(ok.network_size, 64);
         assert_eq!(ok.seed, 3);
         assert!(ok.stop_when_perfect);
-        assert!(ok.scenario.is_calm());
+        assert_eq!(ok.scenario, Scenario::calm());
         assert_eq!(ok.engine, Engine::Cycle);
     }
 
@@ -1611,21 +1638,27 @@ mod tests {
         let config = ExperimentConfig::builder()
             .drop_probability(0.2)
             .churn_rate(0.01)
-            .threads(4)
+            .engine(Engine::with_threads(4))
             .build()
             .unwrap();
         assert_eq!(config.drop_probability(), 0.2);
         assert_eq!(config.churn_rate(), 0.01);
         assert_eq!(config.threads(), 4);
         assert_eq!(config.engine, Engine::ParallelCycle { threads: 4 });
-        assert_eq!(config.scenario.events().len(), 2);
+        assert_eq!(
+            config.scenario,
+            Scenario::uniform_loss(0.2).with(ScenarioEvent::ChurnBurst {
+                phase: Phase::whole_run(),
+                rate: 0.01,
+            })
+        );
         // Setting a knob back to zero removes its event.
         let calm = ExperimentConfig::builder()
             .drop_probability(0.2)
             .drop_probability(0.0)
             .build()
             .unwrap();
-        assert!(calm.scenario.is_calm());
+        assert_eq!(calm.scenario, Scenario::calm());
     }
 
     #[test]

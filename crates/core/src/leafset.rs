@@ -95,16 +95,6 @@ impl<A: Address> LeafSet<A> {
         }
     }
 
-    /// The identifier of the owning node.
-    pub fn own_id(&self) -> NodeId {
-        self.own_id
-    }
-
-    /// The configured capacity `c`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of descriptors currently held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -133,7 +123,7 @@ impl<A: Address> LeafSet<A> {
     /// All descriptors as one slice (successors first, then predecessors) —
     /// the flat storage makes this a free view, so hot paths can borrow the
     /// content without copying it out via [`LeafSet::to_vec`].
-    pub fn as_slice(&self) -> &[Descriptor<A>] {
+    pub(crate) fn as_slice(&self) -> &[Descriptor<A>] {
         &self.entries
     }
 
@@ -277,7 +267,7 @@ impl<A: Address> LeafSet<A> {
     /// Runs fully in place on the flat storage — no allocation — preserving
     /// each side's distance ordering and adjusting the successor/predecessor
     /// split. Returns whether anything was removed.
-    pub fn evict_expired(&mut self, now: u64, max_age: u64) -> bool {
+    pub(crate) fn evict_expired(&mut self, now: u64, max_age: u64) -> bool {
         let before = self.entries.len();
         let mut write = 0usize;
         let mut surviving_successors = 0usize;
@@ -318,41 +308,6 @@ impl<A: Address> LeafSet<A> {
         self.entries.extend(entries);
         debug_assert!(split <= self.entries.len(), "split beyond entry count");
         self.split = split;
-    }
-
-    /// The descriptors sorted by undirected ring distance from the own identifier,
-    /// closest first — the ordering `SELECTPEER` is defined over. (The protocol
-    /// driver ranks the closer half in place via partial selection instead of
-    /// calling this; the method remains as the reference ordering for
-    /// diagnostics and tests.)
-    pub fn sorted_by_distance_from_self(&self) -> Vec<Descriptor<A>> {
-        self.sorted_by_distance_from(self.own_id)
-    }
-
-    /// The descriptors sorted by undirected ring distance from an arbitrary
-    /// reference identifier, closest first — the ordering `CREATEMESSAGE`'s
-    /// ring-targeted part is defined over (the hot path selects it directly on
-    /// the merge union rather than through this method).
-    pub fn sorted_by_distance_from(&self, reference: NodeId) -> Vec<Descriptor<A>> {
-        let mut all = self.to_vec();
-        all.sort_by(|a, b| {
-            reference
-                .ring_distance(a.id())
-                .cmp(&reference.ring_distance(b.id()))
-                .then_with(|| a.id().cmp(&b.id()))
-        });
-        all
-    }
-
-    /// The closest known successor (the node that would follow this one on the
-    /// ring), if any.
-    pub fn closest_successor(&self) -> Option<&Descriptor<A>> {
-        self.successors().first()
-    }
-
-    /// The closest known predecessor, if any.
-    pub fn closest_predecessor(&self) -> Option<&Descriptor<A>> {
-        self.predecessors().first()
     }
 }
 
@@ -397,8 +352,8 @@ mod tests {
         assert_eq!(kept, vec![998, 999, 1001, 1002]);
         assert_eq!(set.successors().len(), 2);
         assert_eq!(set.predecessors().len(), 2);
-        assert_eq!(set.closest_successor().unwrap().id().raw(), 1001);
-        assert_eq!(set.closest_predecessor().unwrap().id().raw(), 999);
+        assert_eq!(set.successors().first().unwrap().id().raw(), 1001);
+        assert_eq!(set.predecessors().first().unwrap().id().raw(), 999);
     }
 
     #[test]
@@ -457,28 +412,19 @@ mod tests {
         assert_eq!(set.successors().len(), 2);
         assert_eq!(set.predecessors().len(), 2);
         // Identifiers 0 and 1 wrap around and are the closest successors.
-        assert_eq!(set.closest_successor().unwrap().id().raw(), 0);
-        assert_eq!(set.closest_predecessor().unwrap().id().raw(), u64::MAX - 2);
+        assert_eq!(set.successors().first().unwrap().id().raw(), 0);
+        assert_eq!(set.predecessors().first().unwrap().id().raw(), u64::MAX - 2);
     }
 
     #[test]
     fn wrap_around_closest_successor_is_across_zero() {
         let mut set = LeafSet::new(NodeId::new(u64::MAX - 1), 4);
         set.update([d(5, 1), d(0, 2), d(u64::MAX - 10, 3)]);
-        assert_eq!(set.closest_successor().unwrap().id().raw(), 0);
-        assert_eq!(set.closest_predecessor().unwrap().id().raw(), u64::MAX - 10);
-    }
-
-    #[test]
-    fn sorted_by_distance_orders_by_ring_metric() {
-        let mut set = LeafSet::new(NodeId::new(1000), 6);
-        set.update([d(1010, 1), d(1100, 2), d(900, 3), d(995, 4)]);
-        let from_self = set.sorted_by_distance_from_self();
-        assert_eq!(from_self[0].id().raw(), 995);
-        assert_eq!(from_self[1].id().raw(), 1010);
-        let from_peer = set.sorted_by_distance_from(NodeId::new(1100));
-        assert_eq!(from_peer[0].id().raw(), 1100);
-        assert_eq!(from_peer.last().unwrap().id().raw(), 900);
+        assert_eq!(set.successors().first().unwrap().id().raw(), 0);
+        assert_eq!(
+            set.predecessors().first().unwrap().id().raw(),
+            u64::MAX - 10
+        );
     }
 
     mod props {
@@ -579,7 +525,6 @@ mod tests {
             #[test]
             fn both_orderings_follow_the_ring_metric(
                 own in any::<u64>(),
-                reference in any::<u64>(),
                 incoming in prop::collection::vec(descriptor(), 1..64),
             ) {
                 let own = NodeId::new(own);
@@ -596,15 +541,6 @@ mod tests {
                 for pair in set.predecessors().windows(2) {
                     prop_assert!(
                         pair[0].id().clockwise_distance(own) <= pair[1].id().clockwise_distance(own)
-                    );
-                }
-                // Undirected ordering from an arbitrary reference point.
-                let reference = NodeId::new(reference);
-                let sorted = set.sorted_by_distance_from(reference);
-                prop_assert_eq!(sorted.len(), set.len());
-                for pair in sorted.windows(2) {
-                    prop_assert!(
-                        reference.ring_distance(pair[0].id()) <= reference.ring_distance(pair[1].id())
                     );
                 }
             }
@@ -759,8 +695,8 @@ mod tests {
         );
         assert_eq!(set.predecessors().len(), 1);
         // Sides stay ordered closest-first after the in-place compaction.
-        assert_eq!(set.closest_successor().unwrap().id().raw(), 1001);
-        assert_eq!(set.closest_predecessor().unwrap().id().raw(), 998);
+        assert_eq!(set.successors().first().unwrap().id().raw(), 1001);
+        assert_eq!(set.predecessors().first().unwrap().id().raw(), 998);
 
         // Nothing left to evict: reports no change.
         assert!(!set.evict_expired(20, 10));
@@ -778,11 +714,10 @@ mod tests {
         assert_eq!(set.len(), 0);
         set.update(std::iter::empty());
         assert!(set.is_empty());
-        assert!(set.closest_successor().is_none());
-        assert!(set.closest_predecessor().is_none());
-        assert!(set.sorted_by_distance_from_self().is_empty());
-        assert_eq!(set.capacity(), 4);
-        assert_eq!(set.own_id(), NodeId::new(5));
+        assert!(set.successors().is_empty());
+        assert!(set.predecessors().is_empty());
+        assert_eq!(set.capacity, 4);
+        assert_eq!(set.own_id, NodeId::new(5));
         assert!(set.to_vec().is_empty());
     }
 }

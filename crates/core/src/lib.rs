@@ -13,7 +13,7 @@
 //!   ([`prefix_table::PrefixTable`]).
 //!
 //! The protocol (Fig. 2 of the paper) is a T-Man-style epidemic: each cycle a node
-//! picks a peer from the closer half of its leaf set ([`node::BootstrapNode::select_peer`]),
+//! picks a peer from the closer half of its leaf set ([`node::BootstrapNode::select_peer_with`]),
 //! sends it an optimised digest of everything it knows
 //! ([`message::create_message`]), receives the peer's digest in return, and both
 //! sides run `UPDATELEAFSET` and `UPDATEPREFIXTABLE`. The gradually improving
@@ -30,7 +30,7 @@
 //!   their population in (8-byte descriptors over a shared identifier arena),
 //!   rehydrated into fat [`node::BootstrapNode`]s on the exchange hot path and
 //!   read in place by lookup routing.
-//! * [`protocol`] — the cycle-driven simulation driver running every node over a
+//! * `protocol` — the cycle-driven simulation driver running every node over a
 //!   [`PeerSampler`](bss_sampling::sampler::PeerSampler).
 //! * [`convergence`] — the global oracle computing the *perfect* leaf sets and
 //!   prefix tables and the proportion of missing entries (the quantity plotted in
@@ -41,8 +41,8 @@
 //!   [`Engine`] selection (cycle, parallel cycle,
 //!   discrete-event) and the pluggable [`Observer`] trait.
 //! * [`experiment`] — a batteries-included experiment runner combining all of the
-//!   above behind the engine-agnostic [`run_scenario`]
-//!   entry point; this is what the examples and the benchmark harness drive.
+//!   above behind the engine-agnostic [`Experiment`] entry point; this is what
+//!   the examples and the benchmark harness drive.
 //!
 //! # Example
 //!
@@ -74,21 +74,20 @@ pub mod leafset;
 pub mod message;
 pub mod node;
 pub mod prefix_table;
-pub mod protocol;
+mod protocol;
 pub mod routing;
 pub mod scenario;
 pub mod traffic;
 
 pub use compact::CompactNode;
 pub use convergence::ConvergenceOracle;
-pub use experiment::{run_scenario, Experiment, ExperimentConfig, PopulationSnapshot, RunReport};
+pub use experiment::{Experiment, ExperimentConfig, PopulationSnapshot, RunReport};
 pub use leafset::LeafSet;
 pub use message::create_message;
 pub use node::BootstrapNode;
 pub use prefix_table::PrefixTable;
-pub use protocol::{BootstrapMessage, BootstrapProtocol};
 pub use routing::{Contact, RouterKind};
 pub use scenario::{
-    Engine, KeyDist, LatencyModel, NullObserver, Observer, PartitionSpec, Phase, PlacementSpec,
-    Scenario, ScenarioEvent, WanParams,
+    Engine, KeyDist, LatencyModel, Observer, PartitionSpec, Phase, PlacementSpec, Scenario,
+    ScenarioEvent, WanParams,
 };

@@ -23,7 +23,7 @@ use bss_util::view::rank_top_by;
 /// message — the single most-executed operation of a simulation (twice per
 /// exchange) — allocates nothing of its own once they are warm; the only
 /// allocation left is the message itself when the caller asks for an owned
-/// one ([`create_message_with`]) rather than lending a buffer.
+/// one (`create_message_with`) rather than lending a buffer.
 #[derive(Debug, Clone)]
 pub struct MessageScratch<A> {
     union: Vec<Descriptor<A>>,
@@ -58,7 +58,7 @@ impl<A> Default for MessageScratch<A> {
 }
 
 /// Builds the message a node sends to `peer_id`, allocating fresh working
-/// buffers. Prefer [`create_message_with`] or [`create_message_into`] on hot
+/// buffers. Prefer `create_message_with` or [`create_message_into`] on hot
 /// paths.
 ///
 /// * `own` — the sender's own descriptor (always included in the candidate union).
@@ -89,7 +89,7 @@ pub fn create_message<A: Address>(
 /// [`create_message_into`] returning the message as a freshly allocated
 /// vector — for callers that hand the message on by value (the event engine's
 /// queue, the wire codec).
-pub fn create_message_with<A: Address>(
+pub(crate) fn create_message_with<A: Address>(
     scratch: &mut MessageScratch<A>,
     own: Descriptor<A>,
     leaf_set: &LeafSet<A>,

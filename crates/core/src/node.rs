@@ -5,7 +5,7 @@
 //! composition (`CREATEMESSAGE`, delegated to [`crate::message`]) and state update
 //! on receipt (`UPDATELEAFSET` + `UPDATEPREFIXTABLE`). It is deliberately free of
 //! any simulator or network dependency — the same type is driven by the
-//! cycle-driven simulator ([`crate::protocol`]), the event-driven simulator and the
+//! cycle-driven simulator (`crate::protocol`), the event-driven simulator and the
 //! UDP deployment in `bss-net`.
 
 use crate::leafset::{LeafSet, MergeScratch};
@@ -35,7 +35,7 @@ use bss_util::rng::SimRng;
 /// // Seed the leaf set with a few random contacts (the paper's start condition).
 /// node.initialize([Descriptor::new(NodeId::new(99), 1u32, 0)]);
 /// let mut rng = SimRng::seed_from(1);
-/// let peer = node.select_peer(&mut rng).unwrap();
+/// let peer = node.select_peer_with(&mut rng, &mut Vec::new()).unwrap();
 /// assert_eq!(peer.id(), NodeId::new(99));
 /// ```
 #[derive(Debug, Clone)]
@@ -88,7 +88,7 @@ impl<A: Address> BootstrapNode<A> {
     }
 
     /// The table geometry.
-    pub fn geometry(&self) -> TableGeometry {
+    pub(crate) fn geometry(&self) -> TableGeometry {
         self.prefix_table.geometry()
     }
 
@@ -125,14 +125,9 @@ impl<A: Address> BootstrapNode<A> {
     /// when the leaf set is empty.
     ///
     /// Only the closer half is actually put in order (partial selection) — the
-    /// picked element is identical to sorting the whole set.
-    pub fn select_peer(&self, rng: &mut SimRng) -> Option<Descriptor<A>> {
-        self.select_peer_with(rng, &mut Vec::new())
-    }
-
-    /// [`BootstrapNode::select_peer`] with a caller-owned candidate buffer —
-    /// the allocation-free variant the simulation drivers use on the hot path
-    /// (the leaf set content is copied into `candidates` and ranked there).
+    /// picked element is identical to sorting the whole set. The leaf set
+    /// content is copied into the caller-owned `candidates` buffer and ranked
+    /// there, so the hot path allocates nothing.
     pub fn select_peer_with(
         &self,
         rng: &mut SimRng,
@@ -143,7 +138,7 @@ impl<A: Address> BootstrapNode<A> {
         select_peer_in(self.own.id(), candidates, rng)
     }
 
-    /// [`BootstrapNode::create_message_into`] returning the message as a
+    /// `BootstrapNode::create_message_into` returning the message as a
     /// freshly allocated vector, for drivers that hand it on by value (the
     /// event engine's queue, the wire codec).
     pub fn create_message_at(
@@ -178,7 +173,7 @@ impl<A: Address> BootstrapNode<A> {
     /// circulating descriptor fresh by gossiping, so only departed nodes'
     /// descriptors ever expire. Without an aging bound the timestamp is left
     /// untouched, keeping the detector-free path byte-identical.
-    pub fn create_message_into(
+    pub(crate) fn create_message_into(
         &mut self,
         peer_id: NodeId,
         random_samples: &[Descriptor<A>],
@@ -219,7 +214,7 @@ impl<A: Address> BootstrapNode<A> {
 
     /// [`BootstrapNode::receive`] with caller-owned merge working memory — the
     /// variant the simulation drivers use on the hot path.
-    pub fn receive_with(
+    pub(crate) fn receive_with(
         &mut self,
         descriptors: &[Descriptor<A>],
         scratch: &mut MergeScratch<A>,
@@ -232,7 +227,7 @@ impl<A: Address> BootstrapNode<A> {
         leaf_changed || inserted > 0
     }
 
-    /// The clock-aware [`BootstrapNode::receive_with`]: when
+    /// The clock-aware `BootstrapNode::receive_with`: when
     /// `descriptor_max_age` is configured, the merge first evicts every stored
     /// descriptor whose timestamp lags `now` by more than the bound (leaf set
     /// and prefix table alike), rejects expired incoming descriptors, and
@@ -312,21 +307,6 @@ impl<A: Address> BootstrapNode<A> {
     pub(crate) fn prefix_table_mut(&mut self) -> &mut PrefixTable<A> {
         &mut self.prefix_table
     }
-
-    /// Removes every trace of a departed peer from the local state (used by the
-    /// churn-aware driver; the basic protocol never needs it because stale entries
-    /// are simply out-competed).
-    pub fn forget(&mut self, id: NodeId) {
-        self.prefix_table.remove(id);
-        let survivors: Vec<Descriptor<A>> = self
-            .leaf_set
-            .iter()
-            .filter(|d| d.id() != id)
-            .copied()
-            .collect();
-        self.leaf_set = LeafSet::new(self.own.id(), self.params.leaf_set_size);
-        self.leaf_set.update(survivors);
-    }
 }
 
 /// The ranking nucleus of `SELECTPEER`, shared between the fat node state and
@@ -403,7 +383,7 @@ mod tests {
         ]);
         let mut rng = SimRng::seed_from(3);
         for _ in 0..100 {
-            let peer = n.select_peer(&mut rng).unwrap();
+            let peer = n.select_peer_with(&mut rng, &mut Vec::new()).unwrap();
             // Only the two nearest identifiers (1001 and 999) are eligible.
             assert!(peer.id() == NodeId::new(1001) || peer.id() == NodeId::new(999));
         }
@@ -413,7 +393,7 @@ mod tests {
     fn select_peer_on_empty_state_returns_none() {
         let n = node(7);
         let mut rng = SimRng::seed_from(1);
-        assert!(n.select_peer(&mut rng).is_none());
+        assert!(n.select_peer_with(&mut rng, &mut Vec::new()).is_none());
     }
 
     #[test]
@@ -421,7 +401,10 @@ mod tests {
         let mut n = node(7);
         n.initialize([descriptor(9, 1)]);
         let mut rng = SimRng::seed_from(1);
-        assert_eq!(n.select_peer(&mut rng).unwrap().id(), NodeId::new(9));
+        assert_eq!(
+            n.select_peer_with(&mut rng, &mut Vec::new()).unwrap().id(),
+            NodeId::new(9)
+        );
     }
 
     #[test]
@@ -567,18 +550,6 @@ mod tests {
             verified.descriptors_received(),
             plain.descriptors_received()
         );
-    }
-
-    #[test]
-    fn forget_removes_departed_peer_everywhere() {
-        let mut n = node(1000);
-        let peer = descriptor(1001, 1);
-        n.receive(&[peer, descriptor(999, 2)]);
-        assert!(n.leaf_set().contains(peer.id()));
-        n.forget(peer.id());
-        assert!(!n.leaf_set().contains(peer.id()));
-        assert!(!n.prefix_table().contains(peer.id()));
-        assert!(n.leaf_set().contains(NodeId::new(999)), "others survive");
     }
 
     #[test]

@@ -71,13 +71,8 @@ impl<A: Address> PrefixTable<A> {
         row * self.geometry.columns() + column as usize
     }
 
-    /// The identifier of the owning node.
-    pub fn own_id(&self) -> NodeId {
-        self.own_id
-    }
-
     /// The table geometry (`b`, `k`).
-    pub fn geometry(&self) -> TableGeometry {
+    pub(crate) fn geometry(&self) -> TableGeometry {
         self.geometry
     }
 
@@ -106,15 +101,6 @@ impl<A: Address> PrefixTable<A> {
         &self.store[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
     }
 
-    /// Whether the slot that `id` would occupy already holds `k` descriptors (or
-    /// `id` is the owner itself, which needs no slot).
-    pub fn slot_is_full_for(&self, id: NodeId) -> bool {
-        match self.geometry.slot_of(self.own_id, id) {
-            None => true,
-            Some((row, column)) => self.slot(row, column).len() >= self.geometry.entries_per_slot(),
-        }
-    }
-
     /// Whether a descriptor with this identifier is stored anywhere in the table.
     pub fn contains(&self, id: NodeId) -> bool {
         match self.geometry.slot_of(self.own_id, id) {
@@ -138,7 +124,7 @@ impl<A: Address> PrefixTable<A> {
 
     /// Inserts a single descriptor if its slot has room; returns whether it was
     /// stored.
-    pub fn insert(&mut self, descriptor: Descriptor<A>) -> bool {
+    pub(crate) fn insert(&mut self, descriptor: Descriptor<A>) -> bool {
         let Some((row, column)) = self.geometry.slot_of(self.own_id, descriptor.id()) else {
             return false; // own descriptor
         };
@@ -169,7 +155,7 @@ impl<A: Address> PrefixTable<A> {
     /// detector's evidence, so they must track the freshest sighting or a live
     /// node's entry would expire at its insertion age. Returns the number of
     /// descriptors newly inserted (refreshes do not count).
-    pub fn update_refreshing(
+    pub(crate) fn update_refreshing(
         &mut self,
         incoming: impl IntoIterator<Item = Descriptor<A>>,
     ) -> usize {
@@ -198,7 +184,7 @@ impl<A: Address> PrefixTable<A> {
     /// One in-place compaction pass over the flat store — no allocation — with
     /// the per-slot offsets rebuilt as it goes. Returns the number of
     /// descriptors removed.
-    pub fn evict_expired(&mut self, now: u64, max_age: u64) -> usize {
+    pub(crate) fn evict_expired(&mut self, now: u64, max_age: u64) -> usize {
         let mut write = 0usize;
         for slot in 0..self.offsets.len() - 1 {
             let (start, end) = (self.offsets[slot] as usize, self.offsets[slot + 1] as usize);
@@ -245,30 +231,6 @@ impl<A: Address> PrefixTable<A> {
         );
     }
 
-    /// Removes every descriptor with the given identifier (used when a node learns
-    /// that a peer has departed). Returns the number of descriptors removed.
-    pub fn remove(&mut self, id: NodeId) -> usize {
-        let Some((row, column)) = self.geometry.slot_of(self.own_id, id) else {
-            return 0;
-        };
-        let slot = self.slot_index(row, column);
-        let (start, end) = (self.offsets[slot] as usize, self.offsets[slot + 1] as usize);
-        let mut removed = 0;
-        let mut position = start;
-        while position < end - removed {
-            if self.store[position].id() == id {
-                self.store.remove(position);
-                removed += 1;
-            } else {
-                position += 1;
-            }
-        }
-        for offset in &mut self.offsets[slot + 1..] {
-            *offset -= removed as u32;
-        }
-        removed
-    }
-
     /// Iterates over every stored descriptor, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = &Descriptor<A>> {
         self.store.iter()
@@ -276,25 +238,13 @@ impl<A: Address> PrefixTable<A> {
 
     /// Every stored descriptor as one slice, in slot order — the flat arena
     /// makes this a free view (mirroring `LeafSet::as_slice`).
-    pub fn as_slice(&self) -> &[Descriptor<A>] {
+    pub(crate) fn as_slice(&self) -> &[Descriptor<A>] {
         &self.store
     }
 
     /// Collects every stored descriptor into a vector.
     pub fn to_vec(&self) -> Vec<Descriptor<A>> {
         self.store.clone()
-    }
-
-    /// The descriptors "potentially useful for the peer for its prefix table", as
-    /// `CREATEMESSAGE` puts it: every stored descriptor whose identifier shares at
-    /// least one digit of prefix with `peer_id` (the peer itself is excluded — a
-    /// node never needs its own descriptor).
-    pub fn entries_useful_for(&self, peer_id: NodeId) -> Vec<Descriptor<A>> {
-        let b = self.geometry.bits_per_digit();
-        self.iter()
-            .filter(|d| d.id() != peer_id && peer_id.common_prefix_len(d.id(), b) >= 1)
-            .copied()
-            .collect()
     }
 
     /// Number of non-empty slots.
@@ -313,28 +263,6 @@ impl<A: Address> PrefixTable<A> {
             let start = self.offsets[row * columns] as usize;
             let end = self.offsets[(row + 1) * columns] as usize;
             end > start
-        })
-    }
-
-    /// The best stored candidate for routing a message towards `target`: the
-    /// descriptor with the longest common prefix with `target`, ties broken by ring
-    /// distance. Returns `None` when the table is empty. (This is the core of the
-    /// prefix-routing consumers in `bss-overlay`; it is exposed here so the routing
-    /// feedback loop described in §4 — "the prefix tables, even before completed,
-    /// can already fulfill a kind of routing function" — can also be exercised
-    /// directly on the table.)
-    pub fn best_route_towards(&self, target: NodeId) -> Option<&Descriptor<A>> {
-        let b = self.geometry.bits_per_digit();
-        self.iter().max_by(|x, y| {
-            let px = target.common_prefix_len(x.id(), b);
-            let py = target.common_prefix_len(y.id(), b);
-            px.cmp(&py)
-                .then_with(|| {
-                    target
-                        .ring_distance(y.id())
-                        .cmp(&target.ring_distance(x.id()))
-                })
-                .then_with(|| y.id().cmp(&x.id()))
         })
     }
 }
@@ -367,7 +295,7 @@ mod tests {
         assert_eq!(table.occupied_slots(), 1);
         assert_eq!(table.deepest_occupied_row(), Some(3));
         assert_eq!(table.geometry().bits_per_digit(), 4);
-        assert_eq!(table.own_id(), own());
+        assert_eq!(table.own_id, own());
     }
 
     #[test]
@@ -383,8 +311,11 @@ mod tests {
         let inserted = table.update(candidates);
         assert_eq!(inserted, 3, "only k = 3 descriptors fit in one slot");
         assert_eq!(table.slot(0, 0xF).len(), 3);
-        assert!(table.slot_is_full_for(NodeId::new(0xF000_0000_0000_0009)));
-        assert!(!table.slot_is_full_for(NodeId::new(0x2000_0000_0000_0000)));
+        assert!(
+            !table.insert(d(0xF000_0000_0000_0009, 9)),
+            "the slot is full"
+        );
+        assert!(table.slot(0, 0x2).is_empty());
     }
 
     #[test]
@@ -397,7 +328,6 @@ mod tests {
         assert!(!table.insert(Descriptor::new(descriptor.id(), 99u32, 5)));
         // The node's own identifier is never stored.
         assert!(!table.insert(Descriptor::new(own(), 1u32, 0)));
-        assert!(table.slot_is_full_for(own()));
         assert!(!table.contains(own()));
     }
 
@@ -457,19 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_deletes_all_copies_of_an_identifier() {
-        let mut table = PrefixTable::new(own(), geometry());
-        let descriptor = d(0xBBBB_0000_0000_0000, 1);
-        table.insert(descriptor);
-        assert_eq!(table.remove(descriptor.id()), 1);
-        assert_eq!(table.len(), 0);
-        assert!(!table.contains(descriptor.id()));
-        // Removing something absent (or the own identifier) is a no-op.
-        assert_eq!(table.remove(descriptor.id()), 0);
-        assert_eq!(table.remove(own()), 0);
-    }
-
-    #[test]
     fn iteration_covers_every_entry() {
         let mut table = PrefixTable::new(own(), geometry());
         let descriptors = [
@@ -488,37 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn entries_useful_for_requires_shared_prefix() {
-        let mut table = PrefixTable::new(own(), geometry());
-        let sharing = d(0x1239_0000_0000_0000, 1); // shares "123" with own and peer below
-        let not_sharing = d(0xF000_0000_0000_0000, 2); // shares nothing with the peer
-        table.update([sharing, not_sharing]);
-
-        let peer = NodeId::new(0x1230_0000_0000_0000);
-        let useful = table.entries_useful_for(peer);
-        assert_eq!(useful, vec![sharing]);
-
-        // The peer's own descriptor is never "useful for the peer".
-        let mut table = PrefixTable::new(own(), geometry());
-        let peer_descriptor = Descriptor::new(peer, 9u32, 0);
-        table.insert(peer_descriptor);
-        assert!(table.entries_useful_for(peer).is_empty());
-    }
-
-    #[test]
-    fn best_route_prefers_longer_prefix_then_ring_distance() {
-        let mut table = PrefixTable::new(own(), geometry());
-        let coarse = d(0x1200_0000_0000_0000, 1);
-        let fine = d(0x1234_5000_0000_0000, 2);
-        table.update([coarse, fine]);
-        let target = NodeId::new(0x1234_5679_0000_0000);
-        assert_eq!(table.best_route_towards(target).unwrap().id(), fine.id());
-
-        let empty: PrefixTable<u32> = PrefixTable::new(own(), geometry());
-        assert!(empty.best_route_towards(target).is_none());
-    }
-
-    #[test]
     fn empty_table_accessors() {
         let table: PrefixTable<u32> = PrefixTable::new(own(), geometry());
         assert!(table.is_empty());
@@ -527,7 +413,6 @@ mod tests {
         assert!(table.deepest_occupied_row().is_none());
         assert!(table.slot(0, 0).is_empty());
         assert!(table.to_vec().is_empty());
-        assert!(table.entries_useful_for(NodeId::new(1)).is_empty());
     }
 
     #[test]

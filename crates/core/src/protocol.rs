@@ -24,7 +24,7 @@ use bss_sim::engine::event::{EventContext, EventProtocol};
 use bss_sim::network::{Network, NodeIndex};
 use bss_sim::pool::{Task, WorkerPool};
 use bss_util::config::BootstrapParams;
-use bss_util::descriptor::Descriptor;
+use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use bss_util::stats::Histogram;
@@ -32,8 +32,7 @@ use bss_util::stats::Histogram;
 /// Statistics about the traffic generated by the protocol.
 ///
 /// "Sent" counts messages *handed to the transport* (before the loss decision)
-/// — the same semantics the event-driven engine's `messages_sent` uses, so the
-/// two engines' accounting is directly comparable:
+/// on either engine, so the two engines' accounting is directly comparable:
 /// `requests_sent + answers_sent == transport.messages_offered()` whenever the
 /// bootstrap protocol is the only transport user.
 #[derive(Debug, Clone)]
@@ -74,15 +73,18 @@ impl TrafficStats {
     pub fn max_message_size(&self) -> u64 {
         self.message_sizes.max()
     }
+}
 
-    /// Fraction of initiated exchanges whose request or answer was lost.
-    pub fn pair_loss_rate(&self) -> f64 {
-        if self.requests_sent == 0 {
-            0.0
-        } else {
-            1.0 - self.answers_delivered as f64 / self.requests_sent as f64
-        }
-    }
+/// `(flagged, total)` over packed entries: how many of them carry an address
+/// `flagged` picks out. Liveness and conversion only need the registry index.
+fn count_flagged<'a>(
+    entries: impl IntoIterator<Item = &'a PackedDescriptor>,
+    flagged: impl Fn(NodeIndex) -> bool,
+) -> (u64, u64) {
+    entries.into_iter().fold((0, 0), |(hits, total), packed| {
+        let hit = flagged(NodeIndex::new(packed.address()));
+        (hits + u64::from(hit), total + 1)
+    })
 }
 
 /// The bootstrapping service running over every node of a simulated network.
@@ -93,7 +95,7 @@ impl TrafficStats {
 /// [`OracleSampler`](bss_sampling::sampler::OracleSampler) to isolate the
 /// bootstrap protocol from sampling quality.
 #[derive(Debug)]
-pub struct BootstrapProtocol<S> {
+pub(crate) struct BootstrapProtocol<S> {
     params: BootstrapParams,
     /// `params.geometry()`, worked out once for the views lookups read through.
     geometry: TableGeometry,
@@ -303,7 +305,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// # Panics
     ///
     /// Panics if the parameters are invalid.
-    pub fn new(params: BootstrapParams, sampler: S) -> Self {
+    pub(crate) fn new(params: BootstrapParams, sampler: S) -> Self {
         params.validate().expect("invalid protocol parameters");
         BootstrapProtocol {
             params,
@@ -325,44 +327,29 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// runner calls this once per run, before the first cycle): the protocol
     /// consults it when planning exchanges, and forwards a copy to the sampler
     /// so gossip-layer behaviours (the hub attack) act too.
-    pub fn install_adversary(&mut self, model: AdversaryModel) {
+    pub(crate) fn install_adversary(&mut self, model: AdversaryModel) {
         self.sampler.install_adversary(model.clone());
         self.adversary = Some(model);
-    }
-
-    /// The installed adversary model, if any.
-    pub fn adversary(&self) -> Option<&AdversaryModel> {
-        self.adversary.as_ref()
     }
 
     /// Makes the sampler execute its own gossip step for every node in every cycle
     /// (builder style). Use this when the sampler is a real NEWSCAST instance that
     /// must keep running underneath the bootstrap protocol.
     #[must_use]
-    pub fn with_sampler_steps(mut self) -> Self {
+    pub(crate) fn with_sampler_steps(mut self) -> Self {
         self.run_sampler_steps = true;
         self
     }
 
-    /// The protocol parameters.
-    pub fn params(&self) -> &BootstrapParams {
-        &self.params
-    }
-
     /// Traffic statistics accumulated so far.
-    pub fn traffic(&self) -> &TrafficStats {
+    pub(crate) fn traffic(&self) -> &TrafficStats {
         &self.traffic
-    }
-
-    /// Shared access to the sampler.
-    pub fn sampler(&self) -> &S {
-        &self.sampler
     }
 
     /// The per-node protocol state of `node`, if the node has been
     /// initialised — materialised from the packed store (diagnostics and
     /// tests; the hot path never goes through this accessor).
-    pub fn node(&self, node: NodeIndex) -> Option<BootstrapNode<NodeIndex>> {
+    pub(crate) fn node(&self, node: NodeIndex) -> Option<BootstrapNode<NodeIndex>> {
         self.nodes
             .get(node.as_usize())
             .and_then(Option::as_ref)
@@ -371,7 +358,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
 
     /// The packed state of `node`, if initialised — the zero-copy view for
     /// walks that only need registry indices and timestamps.
-    pub fn packed_node(&self, node: NodeIndex) -> Option<&CompactNode> {
+    pub(crate) fn packed_node(&self, node: NodeIndex) -> Option<&CompactNode> {
         self.nodes.get(node.as_usize()).and_then(Option::as_ref)
     }
 
@@ -380,7 +367,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// router resolves hops through: it sees the tables exactly as they are
     /// *this* cycle.
     #[inline]
-    pub fn packed_view(&self, node: NodeIndex) -> Option<PackedView<'_>> {
+    pub(crate) fn packed_view(&self, node: NodeIndex) -> Option<PackedView<'_>> {
         self.packed_node(node)
             .map(|packed| packed.view(node, &self.ids, self.geometry))
     }
@@ -388,7 +375,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// Rehydrates `node`'s packed state into `scratch` without allocating,
     /// returning `false` when the node holds no protocol state (the per-region
     /// convergence walk reads whole tables through this).
-    pub fn unpack_node_into(
+    pub(crate) fn unpack_node_into(
         &self,
         node: NodeIndex,
         scratch: &mut BootstrapNode<NodeIndex>,
@@ -402,15 +389,10 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         }
     }
 
-    /// Number of nodes currently holding protocol state.
-    pub fn initialised_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_some()).count()
-    }
-
     /// Initialises the sampler and every alive node: the start-up step of §4
     /// ("at start time, all nodes use the peer sampling service to initialize their
     /// leaf sets with a set of random nodes, and clear their prefix table").
-    pub fn init_all(&mut self, ctx: &mut EngineContext) {
+    pub(crate) fn init_all(&mut self, ctx: &mut EngineContext) {
         self.sampler.init_all(ctx);
         let nodes: Vec<NodeIndex> = ctx.network.alive_indices().collect();
         for node in nodes {
@@ -419,7 +401,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     }
 
     /// Initialises a single node (used both at start-up and when a node joins).
-    pub fn init_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
+    pub(crate) fn init_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
         ctx.network.sync_id_arena(&mut self.ids);
         let own = ctx.network.descriptor(node, cycle);
         let mut state =
@@ -453,7 +435,11 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
 
     /// Measures the whole network against `oracle`, skipping nodes that are dead or
     /// not yet initialised.
-    pub fn measure(&self, oracle: &ConvergenceOracle, ctx: &EngineContext) -> NetworkConvergence {
+    pub(crate) fn measure(
+        &self,
+        oracle: &ConvergenceOracle,
+        ctx: &EngineContext,
+    ) -> NetworkConvergence {
         let mut aggregate = NetworkConvergence::default();
         let mut scratch = scratch_node(&self.params);
         for node in ctx.network.alive_indices() {
@@ -474,7 +460,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// in. Only valid while `oracle` describes the network's current (static)
     /// membership — under churn, rebuild the oracle and tracker and fall back to
     /// full measurement.
-    pub fn measure_incremental(
+    pub(crate) fn measure_incremental(
         &mut self,
         oracle: &ConvergenceOracle,
         tracker: &mut ConvergenceTracker,
@@ -500,8 +486,20 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     }
 
     /// Builds a convergence oracle for the network's current live membership.
-    pub fn oracle_for(&self, ctx: &EngineContext) -> ConvergenceOracle {
+    pub(crate) fn oracle_for(&self, ctx: &EngineContext) -> ConvergenceOracle {
         ConvergenceOracle::new(ctx.network.alive_ids(), &self.params)
+    }
+
+    /// Every descriptor stored (leaf set and prefix table together) by an alive
+    /// initialised node. The packed entries are walked directly, no rehydration.
+    fn stored_entries<'a>(
+        &'a self,
+        ctx: &'a EngineContext,
+    ) -> impl Iterator<Item = &'a PackedDescriptor> {
+        ctx.network
+            .alive_indices()
+            .filter_map(|node| self.packed_node(node))
+            .flat_map(|packed| packed.leaf_entries().iter().chain(packed.prefix_entries()))
     }
 
     /// Counts, over every alive initialised node, how many stored descriptors
@@ -510,28 +508,16 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// fraction* — the recovery metric of the post-catastrophe scenarios: a
     /// detector-free protocol keeps it positive forever after a failure, while
     /// descriptor aging drives it back to zero.
-    pub fn dead_descriptor_stats(&self, ctx: &EngineContext) -> (u64, u64) {
+    pub(crate) fn dead_descriptor_stats(&self, ctx: &EngineContext) -> (u64, u64) {
         // The registry never removes entries, so alive == total means nobody
         // has ever died and no stored descriptor can be dead: skip the table
         // walk entirely (every cycle before the first failure is free).
         if ctx.network.alive_count() == ctx.network.len() {
             return (0, 0);
         }
-        let mut dead = 0u64;
-        let mut total = 0u64;
-        for node in ctx.network.alive_indices() {
-            if let Some(packed) = self.packed_node(node) {
-                // Liveness only needs the registry index — the packed entries
-                // are walked directly, no rehydration.
-                for p in packed.leaf_entries().iter().chain(packed.prefix_entries()) {
-                    total += 1;
-                    if !ctx.network.is_alive(NodeIndex::new(p.address())) {
-                        dead += 1;
-                    }
-                }
-            }
-        }
-        (dead, total)
+        count_flagged(self.stored_entries(ctx), |address| {
+            !ctx.network.is_alive(address)
+        })
     }
 
     /// Counts, over every alive initialised node, how many stored descriptors
@@ -539,53 +525,35 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// `(poisoned, total)`. The ratio is the *poisoned-descriptor fraction* —
     /// the attack analogue of [`BootstrapProtocol::dead_descriptor_stats`],
     /// with the same early-out: no adversary, no conversions, no walk.
-    pub fn poisoned_stats(&self, ctx: &EngineContext) -> (u64, u64) {
-        let Some(model) = self.adversary.as_ref() else {
-            return (0, 0);
-        };
-        if model.converted_count() == 0 {
-            return (0, 0);
-        }
-        let mut poisoned = 0u64;
-        let mut total = 0u64;
-        for node in ctx.network.alive_indices() {
-            if let Some(packed) = self.packed_node(node) {
-                for p in packed.leaf_entries().iter().chain(packed.prefix_entries()) {
-                    total += 1;
-                    if model.is_adversary(NodeIndex::new(p.address())) {
-                        poisoned += 1;
-                    }
-                }
+    pub(crate) fn poisoned_stats(&self, ctx: &EngineContext) -> (u64, u64) {
+        match self.adversary.as_ref() {
+            Some(model) if model.converted_count() > 0 => {
+                count_flagged(self.stored_entries(ctx), |address| {
+                    model.is_adversary(address)
+                })
             }
+            _ => (0, 0),
         }
-        (poisoned, total)
     }
 
     /// The fraction of `target`'s leaf-set slots currently held by adversarial
     /// addresses — the eclipse metric: 1.0 means every route through the
     /// target's neighbourhood passes through an attacker. Zero when no
     /// adversary is installed or the target holds no state.
-    pub fn eclipse_fraction(&self, target: NodeIndex) -> f64 {
-        let Some(model) = self.adversary.as_ref() else {
+    pub(crate) fn eclipse_fraction(&self, target: NodeIndex) -> f64 {
+        let (Some(model), Some(packed)) = (self.adversary.as_ref(), self.packed_node(target))
+        else {
             return 0.0;
         };
-        let Some(packed) = self.packed_node(target) else {
-            return 0.0;
-        };
-        let entries = packed.leaf_entries();
-        if entries.is_empty() {
-            return 0.0;
+        match count_flagged(packed.leaf_entries(), |address| model.is_adversary(address)) {
+            (_, 0) => 0.0,
+            (held, slots) => held as f64 / slots as f64,
         }
-        let held = entries
-            .iter()
-            .filter(|p| model.is_adversary(NodeIndex::new(p.address())))
-            .count();
-        held as f64 / entries.len() as f64
     }
 
     /// The sampler's overlay-quality snapshot (in-degree distribution, dead
     /// pointers), when the sampler maintains an overlay to measure.
-    pub fn sampling_quality(&self, network: &Network) -> Option<SamplingQuality> {
+    pub(crate) fn sampling_quality(&self, network: &Network) -> Option<SamplingQuality> {
         self.sampler.quality(network)
     }
 
@@ -840,7 +808,7 @@ impl<S: PeerSampler> CycleProtocol for BootstrapProtocol<S> {
 /// descriptor digests the cycle engine exchanges, tagged with their role in
 /// the request/answer pair of Fig. 2.
 #[derive(Debug, Clone)]
-pub enum BootstrapMessage {
+pub(crate) enum BootstrapMessage {
     /// Active-thread request: the initiator's digest, targeted at the peer.
     Request {
         /// Identifier of the initiator — the passive side composes its answer
@@ -1215,7 +1183,7 @@ mod tests {
             "did not converge in 60 cycles: {convergence:?}"
         );
         assert!(cycles <= 30, "convergence took suspiciously long: {cycles}");
-        assert_eq!(protocol.initialised_nodes(), 200);
+        assert_eq!(protocol.nodes.iter().flatten().count(), 200);
         // Spot-check a node's structures.
         let node = protocol.node(NodeIndex::new(0)).unwrap();
         assert_eq!(node.leaf_set().len(), 8);
@@ -1253,7 +1221,8 @@ mod tests {
         assert!(cycles > 0);
         // The effective pair loss should be roughly 1 - 0.8^2 = 0.36 as measured
         // from the initiator's perspective (request and answer each dropped at 20%).
-        let loss = protocol.traffic().pair_loss_rate();
+        let traffic = protocol.traffic();
+        let loss = 1.0 - traffic.answers_delivered as f64 / traffic.requests_sent as f64;
         assert!((0.25..0.48).contains(&loss), "unexpected pair loss {loss}");
     }
 
@@ -1302,12 +1271,11 @@ mod tests {
         assert_eq!(traffic.answers_delivered, 250);
         assert!(traffic.mean_message_size() > 0.0);
         assert!(traffic.max_message_size() >= traffic.mean_message_size() as u64);
-        assert_eq!(traffic.pair_loss_rate(), 0.0);
         // Message sizes respect the paper's bound: c ring entries plus at most a
         // full prefix table.
         let bound = crate::message::message_size_bound(
-            protocol.params().leaf_set_size,
-            protocol.params().geometry().unwrap().capacity(),
+            protocol.params.leaf_set_size,
+            protocol.geometry.capacity(),
         ) as u64;
         assert!(traffic.max_message_size() <= bound);
     }
@@ -1376,15 +1344,7 @@ mod tests {
             protocol.init_node(NodeIndex::new(raw), 0, eng.context_mut());
         }
         eng.run(&mut protocol, 3);
-        assert_eq!(protocol.initialised_nodes(), 5);
-    }
-
-    #[test]
-    fn accessors_expose_configuration_and_sampler() {
-        let protocol = BootstrapProtocol::new(small_params(), OracleSampler::new());
-        assert_eq!(protocol.params().leaf_set_size, 8);
-        let _sampler: &OracleSampler = protocol.sampler();
-        assert_eq!(protocol.initialised_nodes(), 0);
-        assert!(protocol.node(NodeIndex::new(0)).is_none());
+        assert_eq!(protocol.nodes.iter().flatten().count(), 5);
+        assert!(protocol.node(NodeIndex::new(7)).is_none());
     }
 }

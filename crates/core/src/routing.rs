@@ -10,8 +10,8 @@
 //! of a node, served by a fat [`BootstrapNode`] or straight from the packed
 //! store — and the one iterative lookup loop: [`route`] walks fat nodes a
 //! [`TableSource`] resolves (a snapshot), the traffic driver runs the same
-//! loop over the live packed population. `bss_overlay`'s `next_hop` /
-//! `xor_next_hop` are thin wrappers over [`next_hop`] here.
+//! loop over the live packed population. `bss_overlay` routes through
+//! [`route`] and has no step of its own.
 
 use crate::experiment::PopulationSnapshot;
 use crate::node::BootstrapNode;
@@ -69,7 +69,7 @@ pub struct Contact {
 impl Contact {
     /// The contact a table entry advertises.
     #[inline]
-    pub fn of(descriptor: &Descriptor<NodeIndex>) -> Self {
+    pub(crate) fn of(descriptor: &Descriptor<NodeIndex>) -> Self {
         Contact {
             id: descriptor.id(),
             address: descriptor.address(),
@@ -79,7 +79,7 @@ impl Contact {
 
 /// What a routing step reads of one node: its identifier, the table geometry
 /// and its contacts. [`BootstrapNode`] implements it over its own tables and
-/// [`PackedView`](crate::compact::PackedView) directly over the packed store,
+/// `PackedView` directly over the packed store,
 /// so a live lookup reads the entries it needs where they are instead of
 /// rehydrating the whole node first.
 pub trait NodeView {
@@ -244,7 +244,7 @@ fn chord_next_hop<V: NodeView>(node: &V, target: NodeId) -> Option<Contact> {
 /// Where [`route`] reads node tables from: a frozen [`PopulationSnapshot`]
 /// ([`SnapshotTables`]) or any other collection of fat nodes a caller can
 /// resolve a [`Contact`] in. (Live traffic does not come through here: it
-/// resolves contacts to [`PackedView`](crate::compact::PackedView)s and runs
+/// resolves contacts to `PackedView`s and runs
 /// the same loop and the same [`next_hop`] over those.)
 pub trait TableSource {
     /// Runs `f` over the current table state of the node `contact` points at,

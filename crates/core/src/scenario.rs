@@ -37,8 +37,7 @@ pub use bss_util::coords::PlacementSpec;
 
 /// A `[start, end)` window of cycles during which a scenario condition holds.
 ///
-/// `end = u64::MAX` means "until the run ends" ([`Phase::whole_run`] and
-/// [`Phase::from`] produce such open windows).
+/// `end = u64::MAX` means "until the run ends".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phase {
     /// First cycle of the window (inclusive).
@@ -54,28 +53,20 @@ impl Phase {
     }
 
     /// A window covering the entire run.
-    pub fn whole_run() -> Self {
+    pub(crate) fn whole_run() -> Self {
         Phase {
             start: 0,
             end: u64::MAX,
         }
     }
 
-    /// An open window starting at `start` and lasting until the run ends.
-    pub fn from(start: u64) -> Self {
-        Phase {
-            start,
-            end: u64::MAX,
-        }
-    }
-
     /// Whether `cycle` lies inside the window.
-    pub fn contains(&self, cycle: u64) -> bool {
+    pub(crate) fn contains(&self, cycle: u64) -> bool {
         cycle >= self.start && cycle < self.end
     }
 
     /// Whether this window shares at least one cycle with `other`.
-    pub fn overlaps(&self, other: &Phase) -> bool {
+    pub(crate) fn overlaps(&self, other: &Phase) -> bool {
         self.start < other.end && other.start < self.end
     }
 
@@ -115,7 +106,7 @@ pub enum PartitionSpec {
 
 impl PartitionSpec {
     /// Materialises the group map for a network of `network_size` initial nodes.
-    pub fn group_map(&self, network_size: usize) -> Vec<u32> {
+    pub(crate) fn group_map(&self, network_size: usize) -> Vec<u32> {
         match self {
             PartitionSpec::IndexParity => (0..network_size as u32).map(|i| i % 2).collect(),
             PartitionSpec::Explicit(groups) => groups.clone(),
@@ -149,14 +140,6 @@ impl KeyDist {
             }
         }
         Ok(())
-    }
-
-    /// A short machine-readable name (used in report JSON and TSV columns).
-    pub fn label(&self) -> &'static str {
-        match self {
-            KeyDist::Uniform => "uniform",
-            KeyDist::Zipf { .. } => "zipf",
-        }
     }
 }
 
@@ -292,7 +275,7 @@ pub enum ScenarioEvent {
 
 impl ScenarioEvent {
     /// The cycle at which this event first takes effect.
-    pub fn starts_at(&self) -> u64 {
+    pub(crate) fn starts_at(&self) -> u64 {
         match self {
             ScenarioEvent::LossWindow { phase, .. }
             | ScenarioEvent::ChurnBurst { phase, .. }
@@ -334,7 +317,7 @@ impl ScenarioEvent {
     /// Whether this event changes the network's membership (as opposed to its
     /// connectivity). Membership-stable scenarios allow the runner to keep one
     /// convergence oracle for the whole run.
-    pub fn perturbs_membership(&self) -> bool {
+    pub(crate) fn perturbs_membership(&self) -> bool {
         matches!(
             self,
             ScenarioEvent::ChurnBurst { .. }
@@ -347,7 +330,7 @@ impl ScenarioEvent {
     /// do, and so does a re-bootstrap, which wipes survivor state without
     /// touching membership). The runner resets a recorded convergence cycle
     /// when a table-perturbing event can strike.
-    pub fn perturbs_tables(&self) -> bool {
+    pub(crate) fn perturbs_tables(&self) -> bool {
         self.perturbs_membership() || matches!(self, ScenarioEvent::ReBootstrap { .. })
     }
 
@@ -518,6 +501,7 @@ impl fmt::Display for ScenarioEvent {
 /// # Example
 ///
 /// ```rust
+/// use bss_core::experiment::ExperimentConfig;
 /// use bss_core::scenario::{Phase, Scenario, ScenarioEvent};
 ///
 /// // 20% loss for the first 10 cycles, then a catastrophe, then a flash crowd.
@@ -528,8 +512,8 @@ impl fmt::Display for ScenarioEvent {
 ///     })
 ///     .with(ScenarioEvent::CatastrophicFailure { at_cycle: 12, fraction: 0.5 })
 ///     .with(ScenarioEvent::MassiveJoin { at_cycle: 20, count: 256 });
-/// assert!(scenario.validate().is_ok());
-/// assert!(scenario.perturbs_membership());
+/// // Building a configuration validates the timeline it is given.
+/// assert!(ExperimentConfig::builder().scenario(scenario).build().is_ok());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Scenario {
@@ -558,19 +542,11 @@ impl Scenario {
         scenario
     }
 
-    /// Sugar: continuous replacement churn over the whole run (the legacy
-    /// `churn_rate` knob). A rate of zero yields a calm timeline.
-    pub fn uniform_churn(rate: f64) -> Self {
-        let mut scenario = Scenario::calm();
-        scenario.set_whole_run_churn(rate);
-        scenario
-    }
-
     /// Replaces any whole-run loss window with one of `probability` (removing
     /// it entirely when `probability == 0`). This is what the legacy
     /// `drop_probability` builder setter desugars to; scoped loss windows are
     /// left untouched.
-    pub fn set_whole_run_loss(&mut self, probability: f64) {
+    pub(crate) fn set_whole_run_loss(&mut self, probability: f64) {
         self.events.retain(|event| {
             !matches!(event, ScenarioEvent::LossWindow { phase, .. } if *phase == Phase::whole_run())
         });
@@ -585,7 +561,7 @@ impl Scenario {
     /// Replaces any whole-run churn burst with one of `rate` (removing it
     /// entirely when `rate == 0`). This is what the legacy `churn_rate`
     /// builder setter desugars to.
-    pub fn set_whole_run_churn(&mut self, rate: f64) {
+    pub(crate) fn set_whole_run_churn(&mut self, rate: f64) {
         self.events.retain(|event| {
             !matches!(event, ScenarioEvent::ChurnBurst { phase, .. } if *phase == Phase::whole_run())
         });
@@ -597,33 +573,23 @@ impl Scenario {
         }
     }
 
-    /// The timeline entries, in application order.
-    pub fn events(&self) -> &[ScenarioEvent] {
-        &self.events
-    }
-
-    /// Whether the timeline is empty.
-    pub fn is_calm(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Whether any event changes the network's membership (churn, failure,
     /// join). When false, one convergence oracle serves the whole run.
-    pub fn perturbs_membership(&self) -> bool {
+    pub(crate) fn perturbs_membership(&self) -> bool {
         self.events.iter().any(ScenarioEvent::perturbs_membership)
     }
 
     /// Whether any event can degrade already-built tables — membership changes
     /// or re-bootstrap orders. When false, a reached perfection can never
     /// degrade, so the runner keeps the first recorded convergence cycle.
-    pub fn perturbs_tables(&self) -> bool {
+    pub(crate) fn perturbs_tables(&self) -> bool {
         self.events.iter().any(ScenarioEvent::perturbs_tables)
     }
 
     /// Whether the timeline converts any nodes to Byzantine behaviour. An
     /// adversary corrupts tables without perturbing membership, so with one a
     /// recorded convergence is not final.
-    pub fn has_adversary(&self) -> bool {
+    pub(crate) fn has_adversary(&self) -> bool {
         self.events
             .iter()
             .any(|event| matches!(event, ScenarioEvent::ByzantineConvert { .. }))
@@ -642,7 +608,7 @@ impl Scenario {
     /// Whether the timeline contains regional connectivity events (outages or
     /// slow links). Such timelines require a [`LatencyModel::Wan`] link model,
     /// since regions only exist under a node placement.
-    pub fn has_regional_events(&self) -> bool {
+    pub(crate) fn has_regional_events(&self) -> bool {
         self.events.iter().any(|event| {
             matches!(
                 event,
@@ -654,7 +620,7 @@ impl Scenario {
     /// The regional outages on the timeline, as `(phase, region, loss)`
     /// triples in timeline order. The traffic layer replays these to fail
     /// lookups touching an outaged region at service level.
-    pub fn regional_outages(&self) -> impl Iterator<Item = (Phase, u32, f64)> + '_ {
+    pub(crate) fn regional_outages(&self) -> impl Iterator<Item = (Phase, u32, f64)> + '_ {
         self.events.iter().filter_map(|event| match event {
             ScenarioEvent::RegionalOutage {
                 phase,
@@ -667,7 +633,7 @@ impl Scenario {
 
     /// The slow-link windows on the timeline, as `(phase, region, factor)`
     /// triples in timeline order (`region == None` slows every link).
-    pub fn slow_link_windows(&self) -> impl Iterator<Item = (Phase, Option<u32>, f64)> + '_ {
+    pub(crate) fn slow_link_windows(&self) -> impl Iterator<Item = (Phase, Option<u32>, f64)> + '_ {
         self.events.iter().filter_map(|event| match event {
             ScenarioEvent::SlowLinks {
                 phase,
@@ -680,7 +646,7 @@ impl Scenario {
 
     /// The traffic phases on the timeline, as `(phase, lookups_per_cycle,
     /// key_dist)` triples in timeline order.
-    pub fn traffic_phases(&self) -> impl Iterator<Item = (Phase, u32, KeyDist)> + '_ {
+    pub(crate) fn traffic_phases(&self) -> impl Iterator<Item = (Phase, u32, KeyDist)> + '_ {
         self.events.iter().filter_map(|event| match event {
             ScenarioEvent::TrafficPhase {
                 phase,
@@ -694,7 +660,7 @@ impl Scenario {
     /// The Byzantine conversion on the timeline compiled to an
     /// [`AdversaryModel`] (its converted set still empty — the churn layer
     /// fills it when the conversion fires), or `None` on honest timelines.
-    pub fn build_adversary(&self) -> Option<AdversaryModel> {
+    pub(crate) fn build_adversary(&self) -> Option<AdversaryModel> {
         self.events.iter().find_map(|event| match event {
             ScenarioEvent::ByzantineConvert {
                 phase, behavior, ..
@@ -705,7 +671,7 @@ impl Scenario {
 
     /// The probability of a whole-run loss window, if one is on the timeline
     /// (the value the legacy `drop_probability` accessor reports).
-    pub fn whole_run_loss(&self) -> f64 {
+    pub(crate) fn whole_run_loss(&self) -> f64 {
         self.events
             .iter()
             .find_map(|event| match event {
@@ -721,7 +687,7 @@ impl Scenario {
 
     /// The rate of a whole-run churn burst, if one is on the timeline (the
     /// value the legacy `churn_rate` accessor reports).
-    pub fn whole_run_churn(&self) -> f64 {
+    pub(crate) fn whole_run_churn(&self) -> f64 {
         self.events
             .iter()
             .find_map(|event| match event {
@@ -738,7 +704,7 @@ impl Scenario {
     /// refuses to stop at perfection while this holds — a network that
     /// converges at cycle 8 must still face the catastrophe scheduled for
     /// cycle 12.
-    pub fn changes_after(&self, cycle: u64) -> bool {
+    pub(crate) fn changes_after(&self, cycle: u64) -> bool {
         self.events
             .iter()
             .any(|event| event.last_transition() > cycle && event.last_transition() != u64::MAX)
@@ -746,7 +712,7 @@ impl Scenario {
 
     /// The events that first take effect exactly at `cycle` (used for
     /// [`Observer::on_scenario_event`] notifications).
-    pub fn events_starting_at(&self, cycle: u64) -> impl Iterator<Item = &ScenarioEvent> {
+    pub(crate) fn events_starting_at(&self, cycle: u64) -> impl Iterator<Item = &ScenarioEvent> {
         self.events
             .iter()
             .filter(move |event| event.starts_at() == cycle)
@@ -763,7 +729,7 @@ impl Scenario {
     /// fractions outside `[0, 1]`, [`InvalidParams::EmptyWindow`] for windows
     /// with `start >= end`, and [`InvalidParams::OverlappingPhases`] for
     /// overlapping exclusive windows.
-    pub fn validate(&self) -> Result<(), InvalidParams> {
+    pub(crate) fn validate(&self) -> Result<(), InvalidParams> {
         for event in &self.events {
             event.validate()?;
         }
@@ -835,7 +801,7 @@ impl Scenario {
     /// `placement` must be the shared value of
     /// [`LatencyModel::build_placement`] for this run (or `None` for the
     /// placement-free models).
-    pub fn build_transport(
+    pub(crate) fn build_transport(
         &self,
         network_size: usize,
         latency: &LatencyModel,
@@ -874,7 +840,7 @@ impl Scenario {
     /// none is present. Steps keep timeline order, so within one cycle a join
     /// listed before a failure exposes the joiners to that failure, and a
     /// re-bootstrap listed after a failure re-initialises only the survivors.
-    pub fn build_churn(&self) -> Churn {
+    pub(crate) fn build_churn(&self) -> Churn {
         Churn::new(self.events.iter().filter_map(|event| match *event {
             ScenarioEvent::ChurnBurst { phase, rate } => Some(ChurnStep::Replace {
                 start: phase.start,
@@ -921,7 +887,7 @@ impl fmt::Display for Scenario {
 
 /// Which simulation engine drives a run. All three engines execute the same
 /// protocol over the same [`Scenario`] timeline behind the same
-/// [`run_scenario`](crate::experiment::run_scenario) entry point.
+/// [`Experiment`](crate::experiment::Experiment) entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Engine {
     /// The sequential cycle-driven engine — the execution model under which
@@ -958,7 +924,7 @@ impl Engine {
     }
 
     /// The worker thread count this engine uses (1 for `Cycle` and `Event`).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         match *self {
             Engine::ParallelCycle { threads } => threads,
             _ => 1,
@@ -980,7 +946,7 @@ impl Engine {
     ///
     /// Returns [`InvalidParams`] for a zero thread count or an inverted
     /// latency range.
-    pub fn validate(&self) -> Result<(), InvalidParams> {
+    pub(crate) fn validate(&self) -> Result<(), InvalidParams> {
         match self {
             Engine::Cycle => Ok(()),
             Engine::ParallelCycle { threads } => {
@@ -1020,7 +986,7 @@ pub trait Observer {
 
 /// The do-nothing observer.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
+pub(crate) struct NullObserver;
 
 impl Observer for NullObserver {}
 
@@ -1047,9 +1013,8 @@ pub(crate) mod tests {
         assert!(phase.overlaps(&Phase::new(9, 20)));
         assert!(!phase.overlaps(&Phase::new(10, 20)));
         assert!(Phase::whole_run().contains(u64::MAX - 1));
-        assert_eq!(Phase::from(3), Phase::new(3, u64::MAX));
         assert_eq!(Phase::new(0, 4).to_string(), "[0, 4)");
-        assert_eq!(Phase::from(2).to_string(), "[2, ∞)");
+        assert_eq!(Phase::new(2, u64::MAX).to_string(), "[2, ∞)");
     }
 
     #[test]
@@ -1059,21 +1024,23 @@ pub(crate) mod tests {
         assert_eq!(loss.whole_run_churn(), 0.0);
         assert!(!loss.perturbs_membership());
 
-        let churn = Scenario::uniform_churn(0.01);
+        let mut churn = Scenario::calm();
+        churn.set_whole_run_churn(0.01);
         assert_eq!(churn.whole_run_churn(), 0.01);
         assert!(churn.perturbs_membership());
 
         // Zero knobs produce a calm timeline (so no RNG is ever drawn).
-        assert!(Scenario::uniform_loss(0.0).is_calm());
-        assert!(Scenario::uniform_churn(0.0).is_calm());
+        assert!(Scenario::uniform_loss(0.0).events.is_empty());
+        churn.set_whole_run_churn(0.0);
+        assert!(churn.events.is_empty());
 
         // Setting the knob twice replaces, like the old scalar field.
         let mut replaced = Scenario::uniform_loss(0.5);
         replaced.set_whole_run_loss(0.1);
         assert_eq!(replaced.whole_run_loss(), 0.1);
-        assert_eq!(replaced.events().len(), 1);
+        assert_eq!(replaced.events.len(), 1);
         replaced.set_whole_run_loss(0.0);
-        assert!(replaced.is_calm());
+        assert!(replaced.events.is_empty());
     }
 
     #[test]
@@ -1197,7 +1164,7 @@ pub(crate) mod tests {
             })
         );
         // Display names the event for RunReport event logs.
-        let text = scenario.events()[0].to_string();
+        let text = scenario.events[0].to_string();
         assert!(text.contains("re-bootstrap"), "{text}");
         assert!(text.contains("100%"), "{text}");
         assert!(text.contains("cycle 12"), "{text}");
@@ -1226,7 +1193,7 @@ pub(crate) mod tests {
         assert!(scenario.changes_after(44));
         assert!(!scenario.changes_after(45));
         // Display names the behaviour for RunReport event logs.
-        let text = scenario.events()[0].to_string();
+        let text = scenario.events[0].to_string();
         assert!(text.contains("byzantine"), "{text}");
         assert!(text.contains("20%"), "{text}");
         assert!(text.contains("id_spray"), "{text}");
@@ -1241,7 +1208,7 @@ pub(crate) mod tests {
             .is_err());
         assert!(Scenario::calm()
             .with(ScenarioEvent::ByzantineConvert {
-                phase: Phase::from(0),
+                phase: Phase::new(0, u64::MAX),
                 fraction: 1.2,
                 behavior: AdversaryBehavior::HubAttack,
             })
@@ -1251,7 +1218,7 @@ pub(crate) mod tests {
         assert!(scenario
             .clone()
             .with(ScenarioEvent::ByzantineConvert {
-                phase: Phase::from(50),
+                phase: Phase::new(50, u64::MAX),
                 fraction: 0.1,
                 behavior: AdversaryBehavior::HubAttack,
             })
@@ -1282,10 +1249,9 @@ pub(crate) mod tests {
         let phases: Vec<_> = scenario.traffic_phases().collect();
         assert_eq!(phases, vec![(Phase::new(20, 40), 100, KeyDist::Uniform)]);
         // Display names the workload for RunReport event logs.
-        let text = scenario.events()[0].to_string();
+        let text = scenario.events[0].to_string();
         assert!(text.contains("100 uniform lookups/cycle"), "{text}");
         assert_eq!(KeyDist::Zipf { exponent: 1.2 }.to_string(), "zipf(1.2)");
-        assert_eq!(KeyDist::Zipf { exponent: 1.2 }.label(), "zipf");
         // Validation: zero arrivals, bad zipf exponents and overlapping
         // windows are rejected.
         assert!(Scenario::calm()
@@ -1332,7 +1298,9 @@ pub(crate) mod tests {
         assert!(!scenario.changes_after(25));
         // Whole-run windows never block the stop (compatibility path).
         assert!(!Scenario::uniform_loss(0.2).changes_after(0));
-        assert!(!Scenario::uniform_churn(0.05).changes_after(0));
+        let mut churn = Scenario::calm();
+        churn.set_whole_run_churn(0.05);
+        assert!(!churn.changes_after(0));
     }
 
     #[test]
@@ -1443,7 +1411,7 @@ pub(crate) mod tests {
                 at_cycle: 2,
                 fraction: 0.7,
             })
-            .events()[0]
+            .events[0]
             .to_string();
         assert!(text.contains("70%"));
         assert!(text.contains("cycle 2"));

@@ -4,15 +4,15 @@
 //! service has built everyone's leaf set and prefix table, a routing substrate
 //! can serve key lookups over them. `bss_overlay::LookupEvaluator` proves that
 //! for a frozen post-run snapshot; this module proves it *during* the run.
-//! [`LookupTraffic`] drives an open-loop workload — a configured number of
+//! `LookupTraffic` drives an open-loop workload — a configured number of
 //! lookups per cycle, keys drawn uniformly or Zipf-skewed — and resolves every
 //! lookup iteratively against nodes' **current** tables, read in place in
-//! the packed store through [`BootstrapProtocol::packed_view`], so routing
+//! the packed store through `BootstrapProtocol::packed_view`, so routing
 //! quality degrades when a churn burst or an id-spray attack corrupts the
 //! tables and recovers as the protocol repairs them.
 //!
 //! Per measured cycle the driver folds its window counters into six series
-//! ([`LOOKUP_SERIES_KEYS`]) on the [`RunReport`](crate::experiment::RunReport):
+//! (`LOOKUP_SERIES_KEYS`) on the [`RunReport`](crate::experiment::RunReport):
 //! lookup success rate, hop
 //! mean and max, and latency percentiles p50/p95/p99 computed by charging each
 //! hop of the path what a message on that link costs — the driver asks its own
@@ -56,7 +56,7 @@ pub const TRAFFIC_SALT: u64 = 0x7472_6166_6669_6321;
 /// run, in report order: within the window, delivered / issued; mean and
 /// longest delivered lookup in hops; median, 95th- and 99th-percentile
 /// delivered-lookup latency in milliseconds.
-pub const LOOKUP_SERIES_KEYS: [&str; 6] = [
+pub(crate) const LOOKUP_SERIES_KEYS: [&str; 6] = [
     "lookup_success_series",
     "lookup_hop_mean_series",
     "lookup_hop_max_series",
@@ -206,7 +206,7 @@ fn charge_path(transport: &Transport, path: &[Contact], rng: &mut SimRng) -> u64
 /// the scenario carries a [`TrafficPhase`](crate::scenario::ScenarioEvent);
 /// every other run pays nothing.
 #[derive(Debug)]
-pub struct LookupTraffic {
+pub(crate) struct LookupTraffic {
     phases: Vec<(Phase, u32, KeyDist)>,
     /// The driver's own copy of the run's transport: the lookups' outage gate
     /// and per-hop latency, fed from the traffic stream.
@@ -232,7 +232,7 @@ impl LookupTraffic {
     /// Builds the driver for `config`, or `None` when its scenario schedules
     /// no traffic phase — the capability gate that keeps every other run free
     /// of traffic costs.
-    pub fn for_config(config: &ExperimentConfig) -> Option<Self> {
+    pub(crate) fn for_config(config: &ExperimentConfig) -> Option<Self> {
         if !config.scenario.has_traffic() {
             return None;
         }
@@ -283,7 +283,7 @@ impl LookupTraffic {
     /// Issues this cycle's lookups against the live tables. Runs every cycle a
     /// traffic phase is active (not just measured ones), so the totals really
     /// are the sustained workload.
-    pub fn drive_cycle<S: PeerSampler>(
+    pub(crate) fn drive_cycle<S: PeerSampler>(
         &mut self,
         protocol: &BootstrapProtocol<S>,
         ctx: &EngineContext,
@@ -361,7 +361,7 @@ impl LookupTraffic {
     /// Folds the current window into the per-cycle series (measured cycles
     /// only). Windows in which no lookup was issued push nothing, so calm
     /// stretches outside the traffic phase leave no points.
-    pub fn flush_window(&mut self, cycle: u64) {
+    pub(crate) fn flush_window(&mut self, cycle: u64) {
         let (run_series, region_series) = self.report.series.split_at_mut(LOOKUP_SERIES_KEYS.len());
         let regions = self
             .wan
@@ -383,7 +383,7 @@ impl LookupTraffic {
     }
 
     /// Hands over the summary the driver has been filling.
-    pub fn into_report(self) -> LookupTrafficReport {
+    pub(crate) fn into_report(self) -> LookupTrafficReport {
         self.report
     }
 }
@@ -442,7 +442,7 @@ impl LookupTrafficReport {
         &self.series
     }
 
-    /// The series written out as `name` — one of [`LOOKUP_SERIES_KEYS`], or
+    /// The series written out as `name` — one of `LOOKUP_SERIES_KEYS`, or
     /// `<key>_r<region>` for the success, p50 and p99 keys under a WAN link
     /// model (no placement, no region series).
     pub fn series(&self, name: &str) -> Option<&Series> {

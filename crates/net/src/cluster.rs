@@ -105,24 +105,9 @@ impl Cluster {
         })
     }
 
-    /// Number of peers in the cluster (alive or killed).
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the cluster has no peers (never true for a spawned cluster).
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
     /// The peers, as cheap cloneable handles.
     pub fn peers(&self) -> &[PeerHandle] {
         &self.handles
-    }
-
-    /// The shared traffic counters.
-    pub fn stats(&self) -> Arc<NetStats> {
-        Arc::clone(&self.stats)
     }
 
     /// Measures the alive peers against the convergence oracle right now.
@@ -306,8 +291,6 @@ mod tests {
         }) else {
             return;
         };
-        assert_eq!(cluster.len(), 8);
-        assert!(!cluster.is_empty());
         assert_eq!(cluster.peers().len(), 8);
         let converged = cluster.wait_for_convergence(Duration::from_secs(20));
         let state = cluster.measure();
@@ -316,7 +299,7 @@ mod tests {
             "cluster did not converge over UDP: leaf missing {}, prefix missing {}",
             state.leaf_missing, state.prefix_missing
         );
-        let traffic = cluster.stats().snapshot();
+        let traffic = cluster.stats.snapshot();
         assert!(traffic.datagrams_sent > 0);
         cluster.shutdown();
     }

@@ -66,7 +66,7 @@ impl WireMessage {
     }
 
     /// Whether the message carries identity stamps.
-    pub fn is_stamped(&self) -> bool {
+    pub(crate) fn is_stamped(&self) -> bool {
         !self.stamps.is_empty()
     }
 }
@@ -95,7 +95,7 @@ impl std::error::Error for DecodeError {}
 
 /// Error returned when a message cannot be encoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodeError {
+pub(crate) struct EncodeError {
     message: String,
 }
 
@@ -121,17 +121,17 @@ const FLAG_STAMPED: u8 = 0b0000_0001;
 
 /// Number of bytes the fixed header occupies (magic, version, kind, flags,
 /// count).
-pub const HEADER_BYTES: usize = 6;
+pub(crate) const HEADER_BYTES: usize = 6;
 
 /// Number of bytes one encoded descriptor occupies (excluding its stamp).
-pub const DESCRIPTOR_BYTES: usize = 8 + 4 + 2 + 8;
+pub(crate) const DESCRIPTOR_BYTES: usize = 8 + 4 + 2 + 8;
 
 /// Number of bytes one identity stamp occupies.
-pub const STAMP_BYTES: usize = 8;
+pub(crate) const STAMP_BYTES: usize = 8;
 
 /// Largest number of descriptors one datagram can carry: the count field on the
 /// wire is a `u16`.
-pub const MAX_DESCRIPTORS: usize = u16::MAX as usize;
+pub(crate) const MAX_DESCRIPTORS: usize = u16::MAX as usize;
 
 /// Packs a socket address into the 64-bit address key the identity stamps
 /// bind: IPv4 octets in the high bits, port in the low 16.
@@ -139,7 +139,7 @@ pub const MAX_DESCRIPTORS: usize = u16::MAX as usize;
 /// # Panics
 ///
 /// Panics on IPv6 addresses (the localhost deployment only uses IPv4).
-pub fn address_key(address: SocketAddr) -> u64 {
+pub(crate) fn address_key(address: SocketAddr) -> u64 {
     match address {
         SocketAddr::V4(v4) => {
             (u64::from(u32::from_be_bytes(v4.ip().octets())) << 16) | u64::from(v4.port())
@@ -150,7 +150,7 @@ pub fn address_key(address: SocketAddr) -> u64 {
 
 /// The keyed identity stamp for one descriptor: the wire equivalent of the
 /// simulator's registry check, computed over the identifier × address binding.
-pub fn descriptor_stamp(key: u64, descriptor: &Descriptor<SocketAddr>) -> u64 {
+pub(crate) fn descriptor_stamp(key: u64, descriptor: &Descriptor<SocketAddr>) -> u64 {
     stamp(key, descriptor.id(), address_key(descriptor.address()))
 }
 
@@ -169,12 +169,12 @@ pub fn seal(message: &mut WireMessage, key: u64) {
 ///
 /// # Panics
 ///
-/// Panics if the message carries more than [`MAX_DESCRIPTORS`] descriptors
+/// Panics if the message carries more than `MAX_DESCRIPTORS` descriptors
 /// (the wire count field is a `u16`; silently truncating the count while
 /// encoding every descriptor would emit a corrupt datagram), if a stamped
 /// message's stamp count does not match its descriptor count, or if any
 /// descriptor carries a non-IPv4 address (the localhost deployment only uses
-/// IPv4). Use [`try_encode`] to handle malformed messages as a value.
+/// IPv4). Use `try_encode` to handle malformed messages as a value.
 pub fn encode(message: &WireMessage) -> Bytes {
     match try_encode(message) {
         Ok(bytes) => bytes,
@@ -196,7 +196,7 @@ pub fn encode(message: &WireMessage) -> Bytes {
 ///
 /// Panics if any descriptor carries a non-IPv4 address (the localhost
 /// deployment only supports IPv4).
-pub fn try_encode(message: &WireMessage) -> Result<Bytes, EncodeError> {
+pub(crate) fn try_encode(message: &WireMessage) -> Result<Bytes, EncodeError> {
     if message.descriptors.len() > MAX_DESCRIPTORS {
         return Err(EncodeError::new(format!(
             "{} descriptors exceed the wire format's limit of {MAX_DESCRIPTORS}",

@@ -84,7 +84,7 @@ pub struct NetDriver {
 impl NetDriver {
     /// Binds every peer's socket (nonblocking), seeds every contact list from
     /// the full address population, and readies the loop. No datagram flows
-    /// until [`NetDriver::poll_once`] or [`NetDriver::run`] is called.
+    /// until [`NetDriver::poll_once`] or `NetDriver::run` is called.
     ///
     /// # Errors
     ///
@@ -158,16 +158,6 @@ impl NetDriver {
             buffer: vec![0u8; 65_536],
             outbox: Vec::new(),
         })
-    }
-
-    /// Number of peers the driver multiplexes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the driver has no peers (never true for a bound driver).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Cloneable views of every peer, in identifier-assignment order.
@@ -275,7 +265,7 @@ impl NetDriver {
     /// Runs the poll loop until `running` turns false, idle-sleeping briefly
     /// after sweeps that found no work. Checked every sweep, so a stop request
     /// is honoured within about a millisecond — no timeout stragglers.
-    pub fn run(mut self, running: Arc<AtomicBool>) {
+    pub(crate) fn run(mut self, running: Arc<AtomicBool>) {
         while running.load(Ordering::Relaxed) {
             if !self.poll_once() {
                 std::thread::sleep(IDLE_SLEEP);
@@ -324,8 +314,7 @@ mod tests {
                 return;
             }
         };
-        assert_eq!(driver.len(), 12);
-        assert!(!driver.is_empty());
+        assert_eq!(driver.nodes.len(), 12);
 
         // Drive the loop on this very thread: fully deterministic scheduling.
         let deadline = Instant::now() + Duration::from_secs(30);

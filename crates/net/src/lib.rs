@@ -9,19 +9,19 @@
 //! * [`codec`] — a compact binary wire format for descriptor lists (identifier,
 //!   IPv4 address, port, timestamp), built on [`bytes`], with optional keyed
 //!   identity stamps for the descriptor-verifier countermeasure.
-//! * [`node`] — the *clocked* protocol glue between a node and the wire: the
+//! * `node` — the *clocked* protocol glue between a node and the wire: the
 //!   active thread of Fig. 2 composed on a timer and the passive thread on
 //!   receipt (millisecond-derived cycle clock, descriptor aging, heartbeat
 //!   re-stamping, stamp verification), the sampling pool, and the
 //!   [`PeerHandle`] supervisors read a running peer through.
-//! * [`driver`] — the one deployment shape: a batched single-loop datagram
+//! * `driver` — the one deployment shape: a batched single-loop datagram
 //!   driver that owns the sockets and multiplexes one peer or thousands of
 //!   in-process peers over one poll loop and one thread.
 //! * [`cluster`] — spawns and supervises a set of peers on the loopback interface
 //!   (one driver loop on one thread), checks their convergence with the same
 //!   [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle) the simulator
 //!   uses, and renders runs as [`report::NetReport`]s.
-//! * [`report`] — shared traffic counters and the wire-side run report:
+//! * `report` — shared traffic counters and the wire-side run report:
 //!   `RunReport`'s `Series` type, key names and JSON writer, keyed by elapsed
 //!   milliseconds instead of cycles.
 //!
@@ -62,9 +62,9 @@
 
 pub mod cluster;
 pub mod codec;
-pub mod driver;
-pub mod node;
-pub mod report;
+mod driver;
+mod node;
+mod report;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use driver::{DriverConfig, NetDriver};

@@ -84,7 +84,6 @@ const SAMPLE_POOL_CAPACITY: usize = 128;
 #[derive(Debug, Clone)]
 pub(crate) struct SamplePool {
     entries: Vec<Descriptor<SocketAddr>>,
-    capacity: usize,
 }
 
 impl SamplePool {
@@ -92,10 +91,9 @@ impl SamplePool {
     pub(crate) fn new(contacts: impl IntoIterator<Item = Descriptor<SocketAddr>>) -> Self {
         let mut pool = SamplePool {
             entries: Vec::new(),
-            capacity: SAMPLE_POOL_CAPACITY,
         };
         for contact in contacts {
-            if pool.entries.len() == pool.capacity {
+            if pool.entries.len() == SAMPLE_POOL_CAPACITY {
                 break;
             }
             if pool.entries.iter().all(|entry| entry.id() != contact.id()) {
@@ -133,7 +131,7 @@ impl SamplePool {
                     }
                 }
                 None => {
-                    if self.entries.len() == self.capacity {
+                    if self.entries.len() == SAMPLE_POOL_CAPACITY {
                         let victim = rng.index(self.entries.len());
                         self.entries.swap_remove(victim);
                     }
@@ -400,14 +398,8 @@ impl PeerHandle {
         self.address
     }
 
-    /// The peer's current descriptor — live, reflecting the latest heartbeat
-    /// re-stamp (not a stale timestamp-0 copy).
-    pub fn descriptor(&self) -> Descriptor<SocketAddr> {
-        self.state.lock().own_descriptor()
-    }
-
     /// Whether the peer is still running (not killed or shut down).
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Relaxed)
     }
 
@@ -464,7 +456,10 @@ mod tests {
         })?;
         let handles = driver.handles();
         let (first, second) = (handles[0].clone(), handles[1].clone());
-        second.state().lock().initialize([first.descriptor()]);
+        second
+            .state()
+            .lock()
+            .initialize([first.state.lock().own_descriptor()]);
         Ok((driver, first, second))
     }
 
@@ -527,7 +522,12 @@ mod tests {
         // descriptor with the current wire cycle — the timestamp-0 descriptor
         // of an aging peer would otherwise expire out of every table.
         assert!(
-            poll_until(&mut driver, || second.descriptor().timestamp() > 0),
+            poll_until(&mut driver, || second
+                .state
+                .lock()
+                .own_descriptor()
+                .timestamp()
+                > 0),
             "heartbeat never re-stamped the own descriptor"
         );
     }
@@ -562,8 +562,8 @@ mod tests {
         };
         // Identifiers are the simulator's draw for the same seed and size.
         let ids = SimRng::seed_from(1).distinct_u64(2);
-        assert_eq!(peer.descriptor().id(), NodeId::new(ids[0]));
-        assert_eq!(peer.descriptor().address(), peer.address());
+        assert_eq!(peer.state.lock().own_descriptor().id(), NodeId::new(ids[0]));
+        assert_eq!(peer.state.lock().own_descriptor().address(), peer.address());
         assert_eq!(peer.id(), NodeId::new(ids[0]));
         assert_eq!(other.id(), NodeId::new(ids[1]));
         assert!(peer.is_alive());
@@ -749,7 +749,6 @@ mod tests {
     fn sample_pool_keeps_freshest_stays_bounded_and_prunes_expired() {
         let addr = |port: u16| SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port));
         let mut pool = SamplePool::new([Descriptor::new(NodeId::new(1), addr(1), 0)]);
-        pool.capacity = 3;
         let mut rng = SimRng::seed_from(3);
 
         // A fresher copy of a known identifier replaces the stale one in place.
@@ -760,19 +759,15 @@ mod tests {
         // Filling past capacity stays bounded and always admits the arrival —
         // the victim is a uniformly random incumbent, *not* the oldest entry,
         // so stale-but-alive descriptors keep circulating as samples.
-        pool.ingest(
-            &mut rng,
-            [
-                Descriptor::new(NodeId::new(2), addr(2), 2),
-                Descriptor::new(NodeId::new(3), addr(3), 8),
-                Descriptor::new(NodeId::new(4), addr(4), 7),
-            ],
-        );
-        assert_eq!(pool.entries.len(), 3);
+        let newest = SAMPLE_POOL_CAPACITY as u16 + 1;
+        let arrivals = (2..=newest)
+            .map(|n| Descriptor::new(NodeId::new(u64::from(n)), addr(n), 2 + u64::from(n % 7)));
+        pool.ingest(&mut rng, arrivals);
+        assert_eq!(pool.entries.len(), SAMPLE_POOL_CAPACITY);
         assert!(
             pool.entries
                 .iter()
-                .any(|entry| entry.id() == NodeId::new(4)),
+                .any(|entry| entry.id() == NodeId::new(u64::from(newest))),
             "the newest arrival must always be admitted"
         );
 
@@ -781,6 +776,9 @@ mod tests {
         assert!(pool.entries.iter().all(|entry| entry.timestamp() >= 7));
 
         // Draws are bounded by what the pool holds.
-        assert_eq!(pool.draw(&mut rng, 10).len(), pool.entries.len());
+        assert_eq!(
+            pool.draw(&mut rng, SAMPLE_POOL_CAPACITY).len(),
+            pool.entries.len()
+        );
     }
 }

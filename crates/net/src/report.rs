@@ -26,30 +26,30 @@ pub struct NetStats {
 
 impl NetStats {
     /// A zeroed counter block.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NetStats::default()
     }
 
     /// Records one successfully sent datagram of `bytes` bytes.
-    pub fn record_sent(&self, bytes: usize) {
+    pub(crate) fn record_sent(&self, bytes: usize) {
         self.datagrams_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records one received datagram of `bytes` bytes.
-    pub fn record_received(&self, bytes: usize) {
+    pub(crate) fn record_received(&self, bytes: usize) {
         self.datagrams_received.fetch_add(1, Ordering::Relaxed);
         self.bytes_received
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Records one failed send (full socket buffer, unreachable peer, ...).
-    pub fn record_send_failure(&self) {
+    pub(crate) fn record_send_failure(&self) {
         self.send_failures.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one datagram that failed to decode.
-    pub fn record_decode_failure(&self) {
+    pub(crate) fn record_decode_failure(&self) {
         self.decode_failures.fetch_add(1, Ordering::Relaxed);
     }
 

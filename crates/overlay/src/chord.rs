@@ -28,7 +28,7 @@ impl ChordRing {
     /// # Panics
     ///
     /// Panics if `ids` is empty or contains duplicates.
-    pub fn build(ids: impl IntoIterator<Item = NodeId>) -> Self {
+    pub(crate) fn build(ids: impl IntoIterator<Item = NodeId>) -> Self {
         Self::build_with_successors(ids, 4)
     }
 
@@ -38,7 +38,7 @@ impl ChordRing {
     ///
     /// Panics if `ids` is empty or contains duplicates, or the successor list
     /// length is zero.
-    pub fn build_with_successors(
+    pub(crate) fn build_with_successors(
         ids: impl IntoIterator<Item = NodeId>,
         successor_list_len: usize,
     ) -> Self {
@@ -70,23 +70,13 @@ impl ChordRing {
         }
     }
 
-    /// Number of nodes on the ring.
-    pub fn len(&self) -> usize {
-        self.sorted_ids.len()
-    }
-
-    /// Whether the ring is empty (never true for a constructed ring).
-    pub fn is_empty(&self) -> bool {
-        self.sorted_ids.is_empty()
-    }
-
     /// The node responsible for `key`: the first node at or after it on the ring.
-    pub fn successor(&self, key: NodeId) -> NodeId {
+    pub(crate) fn successor(&self, key: NodeId) -> NodeId {
         Self::successor_of(&self.sorted_ids, key)
     }
 
     /// The immediate successors of `node` on the ring (its successor list).
-    pub fn successor_list(&self, node: NodeId) -> Vec<NodeId> {
+    pub(crate) fn successor_list(&self, node: NodeId) -> Vec<NodeId> {
         let position = self
             .sorted_ids
             .binary_search(&node)
@@ -98,7 +88,7 @@ impl ChordRing {
     }
 
     /// The finger table of `node`, deduplicated, nearest finger first.
-    pub fn fingers(&self, node: NodeId) -> &[NodeId] {
+    pub(crate) fn fingers(&self, node: NodeId) -> &[NodeId] {
         self.fingers.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -108,7 +98,7 @@ impl ChordRing {
     /// # Panics
     ///
     /// Panics if `source` is not on the ring.
-    pub fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
+    pub(crate) fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
         assert!(
             self.sorted_ids.binary_search(&source).is_ok(),
             "source node must be on the ring"
@@ -174,8 +164,7 @@ mod tests {
     fn successor_wraps_and_matches_sorted_order() {
         let ids = [10u64, 20, 30].map(NodeId::new);
         let ring = ChordRing::build(ids);
-        assert_eq!(ring.len(), 3);
-        assert!(!ring.is_empty());
+        assert_eq!(ring.sorted_ids.len(), 3);
         assert_eq!(ring.successor(NodeId::new(15)).raw(), 20);
         assert_eq!(ring.successor(NodeId::new(20)).raw(), 20);
         assert_eq!(

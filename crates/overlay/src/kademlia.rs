@@ -1,34 +1,21 @@
-//! Kademlia-style XOR routing over bootstrapped tables.
+//! Kademlia-style XOR routing over bootstrapped tables: the checks of the XOR
+//! rule (`RouterKind::Kademlia` in [`bss_core::routing`]).
 //!
 //! Kademlia keeps, for every bit position at which a contact's identifier diverges
 //! from the local one, a bucket of contacts. A prefix table with digit width `b`
 //! is a coarser-grained view of the same structure (one row covers `b` bit
 //! positions, one column per digit value), so the tables produced by the
-//! bootstrapping service can seed a Kademlia node directly. The router below
-//! performs greedy XOR-metric descent: at every step it forwards to the known
-//! contact whose identifier is XOR-closest to the target, which on a converged
-//! population reaches the target in `O(log_{2^b} N)` hops.
-
-use bss_core::node::BootstrapNode;
-use bss_core::routing::RouterKind;
-use bss_sim::network::NodeIndex;
-use bss_util::id::NodeId;
-
-/// The known contact of `node` that is XOR-closest to `target`, provided it is
-/// strictly closer than `node` itself.
-///
-/// A thin wrapper over the shared step in [`bss_core::routing`] — the single
-/// implementation behind both this snapshot router and the live traffic
-/// driver, so the two can never drift apart.
-pub fn xor_next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<NodeId> {
-    bss_core::routing::next_hop(RouterKind::Kademlia, node, target).map(|c| c.id)
-}
+//! bootstrapping service can seed a Kademlia node directly. The rule is greedy
+//! XOR-metric descent: at every step forward to the known contact whose
+//! identifier is XOR-closest to the target, which on a converged population
+//! reaches the target in `O(log_{2^b} N)` hops.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::pastry::SnapshotRouter;
     use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot};
+    use bss_core::routing::{next_hop, RouterKind};
+    use bss_util::id::NodeId;
     use bss_util::rng::SimRng;
 
     fn snapshot(size: usize, seed: u64) -> PopulationSnapshot {
@@ -71,8 +58,8 @@ mod tests {
                     continue;
                 }
                 let node = population.node_by_id(source).unwrap();
-                if let Some(next) = xor_next_hop(node, target) {
-                    assert!(next.xor_distance(target) < source.xor_distance(target));
+                if let Some(next) = next_hop(RouterKind::Kademlia, node, target) {
+                    assert!(next.id.xor_distance(target) < source.xor_distance(target));
                 }
             }
         }
@@ -81,7 +68,7 @@ mod tests {
     #[test]
     fn self_lookup_is_immediate_and_budget_is_respected() {
         let population = snapshot(32, 13);
-        let router = SnapshotRouter::new(&population, RouterKind::Kademlia).with_max_hops(2);
+        let router = SnapshotRouter::new(&population, RouterKind::Kademlia);
         let id = population.node_at(0).unwrap().id();
         let outcome = router.route(id, id);
         assert!(outcome.is_delivered());

@@ -7,14 +7,20 @@
 //! formed" (§1). The paper never actually routes over the constructed tables; this
 //! crate closes that loop as a validation step:
 //!
-//! * [`pastry`] — Pastry-style greedy prefix routing over a bootstrapped
-//!   [`BootstrapNode`](bss_core::node::BootstrapNode) population.
-//! * [`kademlia`] — Kademlia-style iterative XOR routing over the same tables
-//!   (a prefix table with `b = 1..=4` is a bucket view of the XOR metric space).
-//! * [`chord`] — a small Chord implementation (successor ring + fingers) used as
+//! * [`lookup`] — the one public entry: [`LookupEvaluator`] routes lookup
+//!   workloads over a bootstrapped population under every router and reports
+//!   hop-count / success statistics ([`LookupReport`]).
+//! * `pastry` — the snapshot router behind it: one greedy loop over a
+//!   [`PopulationSnapshot`](bss_core::experiment::PopulationSnapshot) under the
+//!   per-hop rule its `RouterKind` selects (Pastry's prefix-then-distance step,
+//!   Kademlia's XOR-closest contact, Chord-style clockwise progress). The rules
+//!   themselves live once, in [`bss_core::routing`], shared with the live
+//!   traffic driver.
+//! * `kademlia` — the XOR rule's checks (a prefix table with `b = 1..=4` is a
+//!   bucket view of the XOR metric space).
+//! * `chord` — a small Chord implementation (successor ring + fingers) used as
 //!   the "Chord on demand" related-work baseline: it is built instantly from
 //!   global knowledge and serves as the routing-quality yardstick.
-//! * [`lookup`] — lookup workload generation and hop-count / success statistics.
 //!
 //! # Example
 //!
@@ -38,11 +44,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod chord;
-pub mod kademlia;
+mod chord;
 pub mod lookup;
-pub mod pastry;
+mod pastry;
 
 pub use chord::ChordRing;
 pub use lookup::{LookupEvaluator, LookupReport};
-pub use pastry::SnapshotRouter;
+
+#[cfg(test)]
+mod kademlia;

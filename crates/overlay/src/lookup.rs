@@ -128,11 +128,6 @@ impl LookupEvaluator {
         evaluator.evaluate(RouterKind::Pastry, lookups)
     }
 
-    /// Access to the underlying population.
-    pub fn population(&self) -> &PopulationSnapshot {
-        &self.population
-    }
-
     /// Routes `lookups` random source/target pairs with the chosen router.
     ///
     /// # Panics
@@ -230,6 +225,6 @@ mod tests {
         assert_eq!(report.attempted(), 0);
         assert_eq!(report.success_rate(), 0.0);
         assert_eq!(report.mean_hops(), 0.0);
-        assert!(!evaluator.population().is_empty());
+        assert!(!evaluator.population.is_empty());
     }
 }

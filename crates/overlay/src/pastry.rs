@@ -10,14 +10,12 @@
 //! substrates the paper targets.
 
 use bss_core::experiment::PopulationSnapshot;
-use bss_core::node::BootstrapNode;
 use bss_core::routing::{route, Contact, RouteEnd, RouterKind, SnapshotTables};
-use bss_sim::network::NodeIndex;
 use bss_util::id::NodeId;
 
 /// The result of routing one lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RouteOutcome {
+pub(crate) enum RouteOutcome {
     /// The lookup reached its destination; the payload is the path of node
     /// identifiers, starting at the source and ending at the destination.
     Delivered(Vec<NodeId>),
@@ -35,12 +33,12 @@ pub enum RouteOutcome {
 
 impl RouteOutcome {
     /// Whether the lookup reached its destination.
-    pub fn is_delivered(&self) -> bool {
+    pub(crate) fn is_delivered(&self) -> bool {
         matches!(self, RouteOutcome::Delivered(_))
     }
 
     /// Number of hops taken (path length minus one); zero for an empty path.
-    pub fn hops(&self) -> usize {
+    pub(crate) fn hops(&self) -> usize {
         let path = match self {
             RouteOutcome::Delivered(path)
             | RouteOutcome::Stuck { path }
@@ -54,7 +52,7 @@ impl RouteOutcome {
 /// per-hop rule: Pastry's prefix-then-distance step, Kademlia's XOR-closest
 /// contact, or Chord-style clockwise progress over the node's own tables.
 #[derive(Debug, Clone)]
-pub struct SnapshotRouter<'a> {
+pub(crate) struct SnapshotRouter<'a> {
     population: &'a PopulationSnapshot,
     kind: RouterKind,
     max_hops: usize,
@@ -62,19 +60,12 @@ pub struct SnapshotRouter<'a> {
 
 impl<'a> SnapshotRouter<'a> {
     /// Creates a router with a default hop budget of 64.
-    pub fn new(population: &'a PopulationSnapshot, kind: RouterKind) -> Self {
+    pub(crate) fn new(population: &'a PopulationSnapshot, kind: RouterKind) -> Self {
         SnapshotRouter {
             population,
             kind,
             max_hops: 64,
         }
-    }
-
-    /// Overrides the hop budget (builder style).
-    #[must_use]
-    pub fn with_max_hops(mut self, max_hops: usize) -> Self {
-        self.max_hops = max_hops.max(1);
-        self
     }
 
     /// Routes a lookup for the node `target` starting at the node `source`
@@ -85,7 +76,7 @@ impl<'a> SnapshotRouter<'a> {
     /// # Panics
     ///
     /// Panics if `source` is not part of the population.
-    pub fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
+    pub(crate) fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
         let node = self
             .population
             .node_by_id(source)
@@ -112,17 +103,6 @@ impl<'a> SnapshotRouter<'a> {
             _ => RouteOutcome::Stuck { path },
         }
     }
-}
-
-/// Chooses the next hop from `node` towards `target` following Pastry's rules.
-/// Returns `None` when no known contact is strictly closer to the target than the
-/// node itself.
-///
-/// A thin wrapper over the shared step in [`bss_core::routing`] — the single
-/// implementation behind both this snapshot router and the live traffic
-/// driver, so the two can never drift apart.
-pub fn next_hop(node: &BootstrapNode<NodeIndex>, target: NodeId) -> Option<NodeId> {
-    bss_core::routing::next_hop(RouterKind::Pastry, node, target).map(|c| c.id)
 }
 
 #[cfg(test)]
@@ -182,7 +162,10 @@ mod tests {
     #[test]
     fn hop_budget_is_enforced() {
         let population = snapshot(64, 3);
-        let router = SnapshotRouter::new(&population, RouterKind::Pastry).with_max_hops(1);
+        let router = SnapshotRouter {
+            max_hops: 1,
+            ..SnapshotRouter::new(&population, RouterKind::Pastry)
+        };
         let ids: Vec<NodeId> = population.ids().collect();
         // With a single allowed hop some far lookup will hit the limit.
         let mut limited = false;
@@ -203,10 +186,12 @@ mod tests {
         let ids: Vec<NodeId> = population.ids().collect();
         for kind in [RouterKind::Pastry, RouterKind::Kademlia] {
             let name = kind.label();
-            let route = |budget, source, target| {
-                SnapshotRouter::new(&population, kind)
-                    .with_max_hops(budget)
-                    .route(source, target)
+            let route = |max_hops, source, target| {
+                SnapshotRouter {
+                    max_hops,
+                    ..SnapshotRouter::new(&population, kind)
+                }
+                .route(source, target)
             };
             // A pair that needs at least two hops, so that one hop fewer is
             // still a positive budget.
@@ -250,7 +235,9 @@ mod tests {
                     continue;
                 }
                 let node = population.node_by_id(source).unwrap();
-                let next = next_hop(node, target).expect("converged node finds a hop");
+                let next = bss_core::routing::next_hop(RouterKind::Pastry, node, target)
+                    .expect("converged node finds a hop")
+                    .id;
                 let own_prefix = source.common_prefix_len(target, bits);
                 let next_prefix = next.common_prefix_len(target, bits);
                 assert!(

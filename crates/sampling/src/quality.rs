@@ -1,74 +1,17 @@
 //! Diagnostics for peer-sampling quality.
 //!
 //! The bootstrap protocol's convergence depends on the sampling layer supplying
-//! "sufficiently random" samples (§3). These helpers quantify that for a running
-//! [`NewscastProtocol`]: the in-degree distribution of the overlay induced by
-//! the caches (uniformly random graphs have a tight, Poisson-like in-degree
-//! distribution), the fraction of cache entries pointing at departed nodes, and
-//! whether the induced overlay is connected (a disconnected sampling overlay
-//! would partition every layer built on top of it).
+//! "sufficiently random" samples (§3). `snapshot` quantifies that for a running
+//! [`NewscastProtocol`] in the one walk over the views this module makes: the
+//! in-degree distribution of the overlay induced by the caches (uniformly
+//! random graphs have a tight, Poisson-like in-degree distribution; a hub
+//! attack drives its Gini coefficient up sharply) and the fraction of cache
+//! entries pointing at departed nodes. A uniformity standard for the sampler
+//! (ROADMAP item 6a) is one more field of [`SamplingQuality`] filled by the
+//! same walk.
 
 use crate::newscast::NewscastProtocol;
 use bss_sim::network::{Network, NodeIndex};
-use bss_util::stats::{Histogram, Summary};
-use std::collections::{HashSet, VecDeque};
-
-/// Materialises the alive-node set once, so each diagnostic walks the network
-/// a single time instead of re-filtering the registry per pass.
-fn alive_set(network: &Network) -> Vec<NodeIndex> {
-    network.alive_indices().collect()
-}
-
-/// The in-degree distribution of the directed graph "node → nodes in its view",
-/// computed over alive nodes only.
-pub fn in_degree_histogram(protocol: &NewscastProtocol, network: &Network) -> Histogram {
-    let alive = alive_set(network);
-    let mut in_degree = vec![0u64; network.len()];
-    for &node in &alive {
-        if let Some(view) = protocol.view(node) {
-            for descriptor in view {
-                let target = NodeIndex::new(descriptor.address());
-                if target.as_usize() < in_degree.len() && network.is_alive(target) {
-                    in_degree[target.as_usize()] += 1;
-                }
-            }
-        }
-    }
-    let mut histogram = Histogram::new(1);
-    for &node in &alive {
-        histogram.record(in_degree[node.as_usize()]);
-    }
-    histogram
-}
-
-/// Summary statistics of the in-degree distribution (mean should be close to the
-/// view size; the standard deviation measures how far the overlay is from a
-/// uniformly random graph).
-pub fn in_degree_summary(protocol: &NewscastProtocol, network: &Network) -> Summary {
-    let alive = alive_set(network);
-    let mut in_degree = vec![0f64; network.len()];
-    for &node in &alive {
-        if let Some(view) = protocol.view(node) {
-            for descriptor in view {
-                let target = descriptor.address() as usize;
-                if target < in_degree.len() {
-                    in_degree[target] += 1.0;
-                }
-            }
-        }
-    }
-    let degrees: Vec<f64> = alive.iter().map(|n| in_degree[n.as_usize()]).collect();
-    Summary::of(&degrees)
-}
-
-/// The Gini coefficient of the in-degree distribution over alive nodes: 0 for
-/// a perfectly balanced overlay, approaching 1 when a few hubs hold almost all
-/// incoming pointers. A hub attack — one origin flooding sybil copies of
-/// itself into every view — drives this up sharply, which is why the
-/// measurement harness tracks it per cycle in adversarial runs.
-pub fn in_degree_gini(protocol: &NewscastProtocol, network: &Network) -> f64 {
-    snapshot(protocol, network).in_degree_gini
-}
 
 /// One consistent reading of the sampler's overlay quality, computed in a
 /// single pass over the views. This is what the experiment harness records per
@@ -86,10 +29,11 @@ pub struct SamplingQuality {
 }
 
 /// Computes a [`SamplingQuality`] snapshot: in-degree mean/max/Gini over alive
-/// nodes (counting pointers exactly like [`in_degree_summary`]) plus the
-/// dead-pointer fraction, all from one walk over the alive views.
-pub fn snapshot(protocol: &NewscastProtocol, network: &Network) -> SamplingQuality {
-    let alive = alive_set(network);
+/// nodes (a pointer counts towards its target whether or not the target is
+/// alive; only alive targets enter the distribution) plus the dead-pointer
+/// fraction, all from one walk over the alive views.
+pub(crate) fn snapshot(protocol: &NewscastProtocol, network: &Network) -> SamplingQuality {
+    let alive: Vec<NodeIndex> = network.alive_indices().collect();
     let mut in_degree = vec![0u64; network.len()];
     let mut dead = 0usize;
     let mut total = 0usize;
@@ -138,68 +82,6 @@ pub fn snapshot(protocol: &NewscastProtocol, network: &Network) -> SamplingQuali
     }
 }
 
-/// Fraction of view entries (over all alive nodes) that point at departed nodes.
-/// NEWSCAST's freshest-first aging keeps this small even under churn.
-pub fn dead_pointer_fraction(protocol: &NewscastProtocol, network: &Network) -> f64 {
-    // Single pass: iterating the registry directly is already one walk, so no
-    // materialised alive set is needed here.
-    let mut dead = 0usize;
-    let mut total = 0usize;
-    for node in network.alive_indices() {
-        if let Some(view) = protocol.view(node) {
-            for descriptor in view {
-                total += 1;
-                if !network.is_alive(NodeIndex::new(descriptor.address())) {
-                    dead += 1;
-                }
-            }
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        dead as f64 / total as f64
-    }
-}
-
-/// Whether the *undirected* overlay induced by the views connects all alive nodes.
-///
-/// Connectivity of the sampling overlay is the minimum requirement for any layer
-/// built on top of it: a disconnected overlay cannot be repaired by the bootstrap
-/// protocol because information never flows between components.
-pub fn is_connected(protocol: &NewscastProtocol, network: &Network) -> bool {
-    let alive = alive_set(network);
-    if alive.len() <= 1 {
-        return true;
-    }
-    // Build an undirected adjacency over alive nodes from the views.
-    let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); network.len()];
-    for &node in &alive {
-        if let Some(view) = protocol.view(node) {
-            for descriptor in view {
-                let target = NodeIndex::new(descriptor.address());
-                if network.is_alive(target) {
-                    adjacency[node.as_usize()].push(target.as_usize());
-                    adjacency[target.as_usize()].push(node.as_usize());
-                }
-            }
-        }
-    }
-    let start = alive[0].as_usize();
-    let mut visited: HashSet<usize> = HashSet::with_capacity(alive.len());
-    let mut queue = VecDeque::new();
-    visited.insert(start);
-    queue.push_back(start);
-    while let Some(current) = queue.pop_front() {
-        for &next in &adjacency[current] {
-            if visited.insert(next) {
-                queue.push_back(next);
-            }
-        }
-    }
-    visited.len() == alive.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,27 +108,20 @@ mod tests {
     fn in_degree_is_balanced_after_convergence() {
         let (protocol, engine) = converged_newscast(300, 25, 1);
         let network = &engine.context().network;
-        let summary = in_degree_summary(&protocol, network);
-        assert_eq!(summary.count, 300);
+        let quality = snapshot(&protocol, network);
         // The mean in-degree equals the mean view size (≈ 20).
-        assert!((summary.mean - 20.0).abs() < 1.5, "mean {summary}");
+        assert!((quality.in_degree_mean - 20.0).abs() < 1.5, "{quality:?}");
         // NEWSCAST's freshest-first rule produces a somewhat skewed in-degree
         // distribution (temporary hubs), but no node should dominate the caches.
-        assert!(summary.max < 150.0, "max in-degree too large: {summary}");
-        assert!(summary.min >= 0.0);
-        let histogram = in_degree_histogram(&protocol, network);
-        assert_eq!(histogram.count(), 300);
-    }
-
-    #[test]
-    fn overlay_is_connected_after_convergence() {
-        let (protocol, engine) = converged_newscast(200, 20, 2);
-        assert!(is_connected(&protocol, &engine.context().network));
+        assert!(quality.in_degree_max < 150.0, "{quality:?}");
     }
 
     #[test]
     fn dead_pointer_fraction_reflects_failures() {
         let (mut protocol, mut engine) = converged_newscast(100, 15, 3);
+        let dead_pointer_fraction = |protocol: &NewscastProtocol, network: &Network| {
+            snapshot(protocol, network).dead_pointer_fraction
+        };
         assert_eq!(
             dead_pointer_fraction(&protocol, &engine.context().network),
             0.0
@@ -269,26 +144,5 @@ mod tests {
             fraction_after < fraction_before,
             "healing should reduce dead pointers ({fraction_before} -> {fraction_after})"
         );
-    }
-
-    #[test]
-    fn trivial_networks_are_connected() {
-        let mut rng = SimRng::seed_from(4);
-        let network = Network::with_random_ids(1, &mut rng);
-        let protocol = NewscastProtocol::new(NewscastParams::paper_default());
-        assert!(is_connected(&protocol, &network));
-        assert_eq!(dead_pointer_fraction(&protocol, &network), 0.0);
-    }
-
-    #[test]
-    fn isolated_views_are_detected_as_disconnected() {
-        // Two nodes that only know themselves (empty views) are disconnected.
-        let mut rng = SimRng::seed_from(5);
-        let network = Network::with_random_ids(2, &mut rng);
-        let mut engine = CycleEngine::new(network, rng);
-        let mut protocol = NewscastProtocol::new(NewscastParams::paper_default());
-        protocol.init_node_with(NodeIndex::new(0), vec![], engine.context_mut());
-        protocol.init_node_with(NodeIndex::new(1), vec![], engine.context_mut());
-        assert!(!is_connected(&protocol, &engine.context().network));
     }
 }

@@ -52,7 +52,7 @@ impl AdversaryBehavior {
     }
 
     /// The eclipse victim, when this behavior has one.
-    pub fn target(&self) -> Option<NodeIndex> {
+    pub(crate) fn target(&self) -> Option<NodeIndex> {
         match self {
             AdversaryBehavior::IdSpray { target } => Some(NodeIndex::new(*target)),
             _ => None,
@@ -126,7 +126,7 @@ impl AdversaryModel {
     }
 
     /// Whether the behavior is active at `cycle` (the window contains it).
-    pub fn active(&self, cycle: u64) -> bool {
+    pub(crate) fn active(&self, cycle: u64) -> bool {
         self.start <= cycle && cycle < self.end
     }
 

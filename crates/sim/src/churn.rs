@@ -23,7 +23,7 @@ use bss_util::rng::SimRng;
 ///
 /// Within one `apply` call, `joined` and `departed` never contain the same
 /// [`NodeIndex`]: the registry hands every joiner a **fresh** index
-/// ([`Network::add_node`] always appends; dead slots are never reused), so a
+/// (`Network::add_node` always appends; dead slots are never reused), so a
 /// node killed this cycle cannot come back as this cycle's joiner under the
 /// same index. Protocols rely on this when tearing down per-node state for
 /// `departed` and initialising it for `joined` — if an index appeared in both

@@ -275,12 +275,6 @@ impl CycleEngine {
         &mut self.context
     }
 
-    /// The index of the next cycle to execute (equivalently, the number of cycles
-    /// executed so far).
-    pub fn current_cycle(&self) -> u64 {
-        self.current_cycle
-    }
-
     /// Runs `protocol` for exactly `cycles` cycles. Returns the number of cycles
     /// executed (always `cycles`).
     pub fn run<P: CycleProtocol>(&mut self, protocol: &mut P, cycles: u64) -> u64 {
@@ -561,7 +555,6 @@ mod tests {
         let mut protocol = Recorder::default();
         let executed = eng.run(&mut protocol, 5);
         assert_eq!(executed, 5);
-        assert_eq!(eng.current_cycle(), 5);
         assert_eq!(protocol.executions.len(), 20 * 5);
         for cycle in 0..5u64 {
             let mut nodes: Vec<_> = protocol
@@ -617,7 +610,6 @@ mod tests {
             }
         });
         assert_eq!(executed, 5);
-        assert_eq!(eng.current_cycle(), 5);
     }
 
     #[test]

@@ -101,26 +101,15 @@ impl<'a, M> EventContext<'a, M> {
         self.engine
     }
 
-    /// Read access to the node registry.
-    pub fn network(&self) -> &Network {
-        &self.engine.network
-    }
-
-    /// Write access to the node registry (protocols may add or kill nodes).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.engine.network
-    }
-
     /// The deterministic random number generator.
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.engine.rng
     }
 
     /// Queues a message from `from` to `to`. Delivery (and loss) is decided by the
-    /// engine's transport when the callback returns; the engine's sent counter is
-    /// incremented at that hand-off — not here — so "sent" means the same thing
-    /// in both engines: *offered to the transport* (see
-    /// [`EventEngine::messages_sent`]).
+    /// engine's transport when the callback returns, and the transport counts it
+    /// at that hand-off — not here — so "sent" means the same thing in both
+    /// engines: *offered to the transport* ([`Transport::messages_offered`]).
     pub fn send(&mut self, from: NodeIndex, to: NodeIndex, message: M) {
         self.outbox.push((from, to, message));
     }
@@ -138,8 +127,6 @@ pub struct EventEngine<M> {
     queue: BinaryHeap<Scheduled<M>>,
     now: u64,
     seq: u64,
-    delivered: u64,
-    sent: u64,
     started: bool,
 }
 
@@ -151,8 +138,6 @@ impl<M: Debug> EventEngine<M> {
             queue: BinaryHeap::new(),
             now: 0,
             seq: 0,
-            delivered: 0,
-            sent: 0,
             started: false,
         }
     }
@@ -175,51 +160,6 @@ impl<M: Debug> EventEngine<M> {
     /// run slices: applying churn, advancing transport windows).
     pub fn context_mut(&mut self) -> &mut EngineContext {
         &mut self.context
-    }
-
-    /// Current simulation time in milliseconds.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Number of messages handed to the transport so far (counted at the
-    /// hand-off, *before* the transport's loss decision). This matches the
-    /// cycle engine's accounting, where `TrafficStats` counts `requests_sent`
-    /// and `answers_sent` at the same hand-off point — under both engines,
-    /// `messages_sent == transport.messages_offered()` when the protocol is
-    /// the only transport user. It used to be incremented inside
-    /// [`EventContext::send`], which double-counted queued-but-never-offered
-    /// messages relative to the cycle engine whenever an engine discarded its
-    /// outbox (and made "sent" mean "queued" in one engine but "offered" in
-    /// the other).
-    pub fn messages_sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Number of messages actually delivered so far.
-    pub fn messages_delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Read access to the transport (for checking its drop statistics against
-    /// the engine's own counters).
-    pub fn transport(&self) -> &Transport {
-        &self.context.transport
-    }
-
-    /// Read access to the node registry.
-    pub fn network(&self) -> &Network {
-        &self.context.network
-    }
-
-    /// Write access to the node registry (for scenario scripting between runs).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.context.network
-    }
-
-    /// Number of events (messages and timers) currently queued.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Cancels every queued event addressed to a node that is dead in the
@@ -308,7 +248,6 @@ impl<M: Debug> EventEngine<M> {
             }
             match event.payload {
                 Payload::Message { from, body } => {
-                    self.delivered += 1;
                     self.with_context(
                         &mut effects,
                         |ctx, p: &mut P| {
@@ -352,9 +291,6 @@ impl<M: Debug> EventEngine<M> {
 
     fn apply_effects(&mut self, effects: &mut Effects<M>) {
         for (from, to, body) in effects.outbox.drain(..) {
-            // "Sent" is counted at the transport hand-off, mirroring the cycle
-            // engine's TrafficStats semantics.
-            self.sent += 1;
             let context = &mut self.context;
             if context.transport.should_deliver(from, to, &mut context.rng) {
                 let latency = context.transport.latency_millis(from, to, &mut context.rng);
@@ -484,8 +420,8 @@ mod tests {
         let processed = engine.run_until(&mut protocol, 1_000_000);
         // 9 messages total (hops 8..=0), all delivered.
         assert_eq!(protocol.received.len(), 9);
-        assert_eq!(engine.messages_sent(), 9);
-        assert_eq!(engine.messages_delivered(), 9);
+        assert_eq!(engine.context().transport.messages_offered(), 9);
+        assert_eq!(engine.context().transport.messages_dropped(), 0);
         assert_eq!(processed, 9);
         // Alternating receivers.
         assert_eq!(protocol.received[0].0, NodeIndex::new(1));
@@ -500,8 +436,8 @@ mod tests {
         };
         engine.run_until(&mut protocol, 1_000_000);
         assert!(protocol.received.is_empty());
-        assert_eq!(engine.messages_sent(), 1);
-        assert_eq!(engine.messages_delivered(), 0);
+        assert_eq!(engine.context().transport.messages_offered(), 1);
+        assert_eq!(engine.context().transport.messages_dropped(), 1);
     }
 
     #[test]
@@ -512,32 +448,28 @@ mod tests {
         // Each of the 3 nodes fires at t = 10, 20, ..., 100 -> 10 firings each.
         assert_eq!(protocol.fired.len(), 30);
         assert!(protocol.fired.iter().all(|&(_, t)| t <= 100 && t % 10 == 0));
-        assert_eq!(engine.now(), 100);
+        assert_eq!(engine.now, 100);
     }
 
     #[test]
     fn sent_counter_agrees_with_the_transport_under_loss() {
-        // Unified semantics: "sent" is what was offered to the transport, in
-        // both engines. With a lossy transport the event engine must report
-        // sent == transport.offered and delivered == offered - dropped once
-        // the queue drains (nothing in flight, no dead recipients).
+        // "Sent" is what was offered to the transport, in both engines, and
+        // the transport is the one place that counts it: once the queue
+        // drains (nothing in flight, no dead recipients) the protocol has
+        // received offered - dropped messages.
         let mut engine: EventEngine<u32> = small_engine::<u32>(2, 8).with_transport(lossy(0.4));
         let mut protocol = PingPong {
             received: Vec::new(),
         };
         engine.run_until(&mut protocol, 1_000_000);
+        let transport = &engine.context().transport;
         assert_eq!(
-            engine.messages_sent(),
-            engine.transport().messages_offered()
-        );
-        assert_eq!(
-            engine.messages_delivered(),
-            engine.transport().messages_offered() - engine.transport().messages_dropped()
+            protocol.received.len() as u64,
+            transport.messages_offered() - transport.messages_dropped()
         );
         // The conversation ends at the first drop, so exactly one message was
         // dropped and every earlier one was delivered.
-        assert_eq!(engine.transport().messages_dropped(), 1);
-        assert_eq!(protocol.received.len() as u64, engine.messages_delivered());
+        assert_eq!(transport.messages_dropped(), 1);
     }
 
     #[test]
@@ -545,12 +477,12 @@ mod tests {
         let mut engine: EventEngine<()> = small_engine(4, 9);
         let mut protocol = PeriodicTimer { fired: Vec::new() };
         engine.run_until(&mut protocol, 25);
-        assert_eq!(engine.pending_events(), 4, "one pending timer per node");
+        assert_eq!(engine.queue.len(), 4, "one pending timer per node");
         // Two nodes die mid-run; cancellation removes exactly their timers.
-        engine.network_mut().kill(NodeIndex::new(1));
-        engine.network_mut().kill(NodeIndex::new(2));
+        engine.context_mut().network.kill(NodeIndex::new(1));
+        engine.context_mut().network.kill(NodeIndex::new(2));
         assert_eq!(engine.cancel_dead(), 2);
-        assert_eq!(engine.pending_events(), 2);
+        assert_eq!(engine.queue.len(), 2);
         assert_eq!(engine.cancel_dead(), 0, "idempotent");
         let before = protocol.fired.len();
         engine.run_until(&mut protocol, 60);
@@ -569,13 +501,13 @@ mod tests {
     #[test]
     fn messages_to_dead_nodes_are_dropped() {
         let mut engine = small_engine(2, 4);
-        engine.network_mut().kill(NodeIndex::new(1));
+        engine.context_mut().network.kill(NodeIndex::new(1));
         let mut protocol = PingPong {
             received: Vec::new(),
         };
         engine.run_until(&mut protocol, 1_000);
         assert!(protocol.received.is_empty(), "dead node must not receive");
-        assert_eq!(engine.network().alive_count(), 1);
+        assert_eq!(engine.context().network.alive_count(), 1);
     }
 
     #[test]
@@ -593,7 +525,7 @@ mod tests {
         };
         engine2.run_until(&mut protocol2, 10_000);
         assert_eq!(protocol.received, protocol2.received);
-        assert_eq!(engine.now(), engine2.now());
+        assert_eq!(engine.now, engine2.now);
     }
 
     #[test]
@@ -603,14 +535,14 @@ mod tests {
         let mut sliced: EventEngine<()> = small_engine(3, 3);
         let mut sliced_protocol = PeriodicTimer { fired: Vec::new() };
         sliced.run_until(&mut sliced_protocol, 50);
-        assert_eq!(sliced.now(), 50);
+        assert_eq!(sliced.now, 50);
         sliced.run_until(&mut sliced_protocol, 100);
 
         let mut whole: EventEngine<()> = small_engine(3, 3);
         let mut whole_protocol = PeriodicTimer { fired: Vec::new() };
         whole.run_until(&mut whole_protocol, 100);
         assert_eq!(sliced_protocol.fired, whole_protocol.fired);
-        assert_eq!(sliced.now(), whole.now());
+        assert_eq!(sliced.now, whole.now);
     }
 
     #[test]
@@ -636,6 +568,6 @@ mod tests {
         let mut protocol = PeriodicTimer { fired: Vec::new() };
         let processed = engine.run_until(&mut protocol, 35);
         assert_eq!(processed, 3, "only timers at 10, 20, 30 fit in the horizon");
-        assert!(engine.now() <= 35);
+        assert!(engine.now <= 35);
     }
 }

@@ -15,7 +15,7 @@ use bss_util::coords::Placement;
 
 /// Salt mixed into the seed of the per-pair jitter hash (spells
 /// `"linkjit!"`), keeping it disjoint from every other derived stream.
-pub const LINK_JITTER_SALT: u64 = 0x6c69_6e6b_6a69_7421;
+pub(crate) const LINK_JITTER_SALT: u64 = 0x6c69_6e6b_6a69_7421;
 
 /// Parameters of the distance-dependent WAN latency model.
 ///
@@ -79,7 +79,13 @@ impl WanParams {
 
     /// Latency of the ordered link `from → to` over `placement`, floored at
     /// 1 ms. Pure: the same `(seed, from, to)` always answers the same.
-    pub fn latency(&self, placement: &Placement, seed: u64, from: NodeIndex, to: NodeIndex) -> u64 {
+    pub(crate) fn latency(
+        &self,
+        placement: &Placement,
+        seed: u64,
+        from: NodeIndex,
+        to: NodeIndex,
+    ) -> u64 {
         let distance = placement.distance(from.as_usize(), to.as_usize());
         let jitter = if self.jitter_millis == 0 {
             0
@@ -92,7 +98,7 @@ impl WanParams {
 
     /// Inclusive `(min, max)` bounds of [`WanParams::latency`] over a
     /// placement whose largest pairwise distance is `max_distance`.
-    pub fn bounds(&self, max_distance: f64) -> (u64, u64) {
+    pub(crate) fn bounds(&self, max_distance: f64) -> (u64, u64) {
         let max = self.base_millis + self.propagation(max_distance) + self.jitter_millis;
         (self.base_millis.max(1), max.max(1))
     }

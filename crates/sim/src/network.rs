@@ -7,13 +7,11 @@
 //! churn models mutate and what the convergence oracle reads to decide what the
 //! *perfect* tables would be.
 
-use bss_util::coords::Placement;
 use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Dense index identifying a node inside the simulator. Acts as the descriptor
 /// address type for all simulated protocols.
@@ -75,10 +73,6 @@ pub struct Network {
     /// [`Network::sample_alive_excluding`] draw uniform samples without
     /// materialising the alive set.
     alive_tree: Vec<u32>,
-    /// Optional WAN node placement (coordinates + regions). `None` means the
-    /// network is homogeneous — the historical behaviour. Generated outside
-    /// the main RNG stream, so attaching one never perturbs a run.
-    placement: Option<Arc<Placement>>,
 }
 
 impl Network {
@@ -94,7 +88,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the identifiers are not pairwise distinct.
-    pub fn from_ids(ids: impl IntoIterator<Item = NodeId>) -> Self {
+    pub(crate) fn from_ids(ids: impl IntoIterator<Item = NodeId>) -> Self {
         let mut network = Network::empty();
         for id in ids {
             network.add_node(id);
@@ -103,26 +97,13 @@ impl Network {
     }
 
     /// Creates an empty network.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Network {
             entries: Vec::new(),
             by_id: HashMap::new(),
             alive_count: 0,
             alive_tree: vec![0],
-            placement: None,
         }
-    }
-
-    /// Attaches a node placement: coordinates and region ids keyed by raw
-    /// node index. Measurement and traffic layers use it for per-region
-    /// series and proximity metrics; link models hold their own handle.
-    pub fn set_placement(&mut self, placement: Arc<Placement>) {
-        self.placement = Some(placement);
-    }
-
-    /// The attached node placement, if any.
-    pub fn placement(&self) -> Option<&Arc<Placement>> {
-        self.placement.as_ref()
     }
 
     /// Adds a new alive node with the given identifier and returns its index.
@@ -130,7 +111,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if a node with the same identifier already exists.
-    pub fn add_node(&mut self, id: NodeId) -> NodeIndex {
+    pub(crate) fn add_node(&mut self, id: NodeId) -> NodeIndex {
         assert!(
             !self.by_id.contains_key(&id),
             "duplicate node identifier {id}"
@@ -188,11 +169,6 @@ impl Network {
         self.entries[node.as_usize()].alive
     }
 
-    /// Looks up a node by identifier (whether alive or dead).
-    pub fn index_of(&self, id: NodeId) -> Option<NodeIndex> {
-        self.by_id.get(&id).copied()
-    }
-
     /// Marks a node dead. Returns `true` if the node was alive.
     pub fn kill(&mut self, node: NodeIndex) -> bool {
         let entry = &mut self.entries[node.as_usize()];
@@ -200,20 +176,6 @@ impl Network {
             entry.alive = false;
             self.alive_count -= 1;
             self.alive_tree_update(node.as_usize(), -1);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Marks a node alive again (a rejoin with the same identifier). Returns `true`
-    /// if the node was dead.
-    pub fn revive(&mut self, node: NodeIndex) -> bool {
-        let entry = &mut self.entries[node.as_usize()];
-        if !entry.alive {
-            entry.alive = true;
-            self.alive_count += 1;
-            self.alive_tree_update(node.as_usize(), 1);
             true
         } else {
             false
@@ -465,10 +427,10 @@ mod tests {
         for idx in network.all_indices() {
             let id = network.id(idx);
             assert!(seen.insert(id));
-            assert_eq!(network.index_of(id), Some(idx));
+            assert_eq!(network.by_id.get(&id), Some(&idx));
         }
         assert_eq!(
-            network.index_of(NodeId::new(0)).is_some(),
+            network.by_id.contains_key(&NodeId::new(0)),
             seen.contains(&NodeId::new(0))
         );
     }
@@ -482,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_and_revive_update_counts() {
+    fn kill_updates_counts() {
         let network_ids = [1u64, 2, 3].map(NodeId::new);
         let mut network = Network::from_ids(network_ids);
         let victim = NodeIndex::new(1);
@@ -491,9 +453,6 @@ mod tests {
         assert!(!network.is_alive(victim));
         assert_eq!(network.alive_count(), 2);
         assert_eq!(network.alive_ids().len(), 2);
-        assert!(network.revive(victim));
-        assert!(!network.revive(victim));
-        assert_eq!(network.alive_count(), 3);
     }
 
     #[test]
@@ -566,10 +525,9 @@ mod tests {
         // byte-identical after the hot-path optimisation.
         let mut seed_rng = SimRng::seed_from(77);
         let mut network = Network::with_random_ids(200, &mut seed_rng);
-        for raw in [3u32, 50, 51, 52, 120, 199] {
+        for raw in [3u32, 50, 52, 120, 199] {
             network.kill(NodeIndex::new(raw));
         }
-        network.revive(NodeIndex::new(51));
         for (exclude, count) in [(0u32, 10), (51, 25), (3, 7), (199, 1), (10, 500)] {
             let exclude = NodeIndex::new(exclude);
             let mut fast_rng = SimRng::seed_from(1000 + u64::from(exclude.raw()));

@@ -59,7 +59,7 @@ pub struct WorkerPool {
 impl WorkerPool {
     /// Creates a pool sized for `threads` total executors: the calling thread
     /// plus `threads - 1` spawned workers.
-    pub fn new(threads: usize) -> WorkerPool {
+    pub(crate) fn new(threads: usize) -> WorkerPool {
         let (ack_sender, ack_receiver) = channel::<Ack>();
         let workers = (1..threads.max(1))
             .map(|_| {

@@ -10,7 +10,7 @@
 //!
 //! A run is reproducible because every decision consumes a fixed number of
 //! draws from the engine's `SimRng`, in a fixed order.
-//! [`Transport::should_deliver`] asks, and stops at the first drop:
+//! `Transport::should_deliver` asks, and stops at the first drop:
 //!
 //! 1. the partition windows — no draw;
 //! 2. the loss window — one coin, only while a window with positive
@@ -321,7 +321,12 @@ impl Transport {
     }
 
     /// Decides whether a single message from `from` to `to` is delivered.
-    pub fn should_deliver(&mut self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
+    pub(crate) fn should_deliver(
+        &mut self,
+        from: NodeIndex,
+        to: NodeIndex,
+        rng: &mut SimRng,
+    ) -> bool {
         self.offered += 1;
         let dropped = self.crosses_partition(from, to)
             || self.loss_window_drops(rng)
@@ -401,15 +406,6 @@ impl Transport {
     pub fn messages_dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Fraction of offered messages that were dropped (0 when nothing was offered).
-    pub fn drop_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.offered as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -442,7 +438,6 @@ mod tests {
         }
         assert_eq!(t.messages_offered(), 100);
         assert_eq!(t.messages_dropped(), 0);
-        assert_eq!(t.drop_rate(), 0.0);
         assert_eq!(t.latency_millis(idx(0), idx(1), &mut rng), 1);
         assert_eq!(rng, fingerprint, "a reliable transport draws nothing");
     }
@@ -457,7 +452,7 @@ mod tests {
             .count();
         let rate = 1.0 - delivered as f64 / 20_000.0;
         assert!((rate - 0.2).abs() < 0.02, "observed drop rate {rate}");
-        assert!((t.drop_rate() - 0.2).abs() < 0.02);
+        assert_eq!(t.messages_dropped(), 20_000 - delivered as u64);
         assert_eq!(t.messages_offered(), 20_000);
     }
 
@@ -573,7 +568,7 @@ mod tests {
         let mut t = uniform(1, 2).with_loss_window(0, u64::MAX, 1.0);
         assert!(!t.should_deliver(idx(0), idx(1), &mut rng));
         assert_eq!(t.messages_dropped(), 1);
-        assert_eq!(t.drop_rate(), 1.0);
+        assert_eq!(t.messages_offered(), 1);
     }
 
     /// Drives `transport` through cycles 0..6, 200 messages each between

@@ -17,7 +17,7 @@
 //! The per-measured-cycle series themselves — success rate, hop mean / max,
 //! latency percentiles, and under a WAN link model the same split by *client
 //! region* — stay on the report, each under the name its JSON writes it as
-//! ([`bss_core::traffic::LOOKUP_SERIES_KEYS`]); the `traffic` and `wan`
+//! (`bss_core::traffic::LOOKUP_SERIES_KEYS`); the `traffic` and `wan`
 //! experiments of `bss-bench` list them as the columns of their timeline TSVs.
 //!
 //! The workload composes with every other scenario event: schedule a churn
@@ -96,13 +96,8 @@ impl TrafficWorkload {
         self
     }
 
-    /// The active window.
-    pub fn phase(&self) -> Phase {
-        self.phase
-    }
-
     /// The scenario event this workload desugars into.
-    pub fn event(&self) -> ScenarioEvent {
+    pub(crate) fn event(&self) -> ScenarioEvent {
         ScenarioEvent::TrafficPhase {
             phase: self.phase,
             lookups_per_cycle: self.lookups_per_cycle,

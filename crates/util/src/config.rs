@@ -8,6 +8,11 @@
 //!   cycle in the simulator, milliseconds in the UDP deployment).
 //! * [`NewscastParams`] — the NEWSCAST peer-sampling parameters of §3: the cache
 //!   (partial view) size and the number of descriptors exchanged per gossip round.
+//!
+//! Both are plain `Copy` structs with public fields, and there is one way to
+//! make one: struct-update syntax over `paper_default()`, then `validate()`
+//! (which every consumer — node, protocol, oracle, experiment configuration —
+//! calls again on what it is handed).
 
 use crate::geometry::{InvalidGeometry, TableGeometry};
 use std::fmt;
@@ -24,11 +29,12 @@ use std::fmt;
 /// assert_eq!(params.random_samples, 30);
 /// assert_eq!(params.geometry().unwrap().bits_per_digit(), 4);
 ///
-/// let custom = BootstrapParams::builder()
-///     .leaf_set_size(8)
-///     .random_samples(10)
-///     .build()
-///     .unwrap();
+/// let custom = BootstrapParams {
+///     leaf_set_size: 8,
+///     random_samples: 10,
+///     ..BootstrapParams::paper_default()
+/// };
+/// custom.validate().unwrap();
 /// assert_eq!(custom.leaf_set_size, 8);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,13 +92,6 @@ impl BootstrapParams {
             cycle_millis: 1000,
             descriptor_max_age: None,
             descriptor_verifier: None,
-        }
-    }
-
-    /// Starts building a configuration from the paper defaults.
-    pub fn builder() -> BootstrapParamsBuilder {
-        BootstrapParamsBuilder {
-            params: Self::paper_default(),
         }
     }
 
@@ -167,66 +166,6 @@ impl fmt::Display for BootstrapParams {
             write!(f, " verifier=0x{key:x}")?;
         }
         Ok(())
-    }
-}
-
-/// Non-consuming builder for [`BootstrapParams`].
-#[derive(Clone, Debug)]
-pub struct BootstrapParamsBuilder {
-    params: BootstrapParams,
-}
-
-impl BootstrapParamsBuilder {
-    /// Sets the number of bits per digit (`b`).
-    pub fn bits_per_digit(&mut self, b: u8) -> &mut Self {
-        self.params.bits_per_digit = b;
-        self
-    }
-
-    /// Sets the number of descriptors per slot (`k`).
-    pub fn entries_per_slot(&mut self, k: usize) -> &mut Self {
-        self.params.entries_per_slot = k;
-        self
-    }
-
-    /// Sets the leaf-set size (`c`).
-    pub fn leaf_set_size(&mut self, c: usize) -> &mut Self {
-        self.params.leaf_set_size = c;
-        self
-    }
-
-    /// Sets the number of random samples per message (`cr`).
-    pub fn random_samples(&mut self, cr: usize) -> &mut Self {
-        self.params.random_samples = cr;
-        self
-    }
-
-    /// Sets the cycle length Δ in milliseconds.
-    pub fn cycle_millis(&mut self, delta: u64) -> &mut Self {
-        self.params.cycle_millis = delta;
-        self
-    }
-
-    /// Sets (or, with `None`, disables) the descriptor aging bound in cycles.
-    pub fn descriptor_max_age(&mut self, max_age: Option<u64>) -> &mut Self {
-        self.params.descriptor_max_age = max_age;
-        self
-    }
-
-    /// Sets (or, with `None`, disables) the descriptor verification key.
-    pub fn descriptor_verifier(&mut self, key: Option<u64>) -> &mut Self {
-        self.params.descriptor_verifier = key;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidParams`] when [`BootstrapParams::validate`] fails.
-    pub fn build(&self) -> Result<BootstrapParams, InvalidParams> {
-        self.params.validate()?;
-        Ok(self.params)
     }
 }
 
@@ -458,14 +397,15 @@ mod tests {
 
     #[test]
     fn builder_overrides_fields() {
-        let p = BootstrapParams::builder()
-            .bits_per_digit(2)
-            .entries_per_slot(1)
-            .leaf_set_size(8)
-            .random_samples(5)
-            .cycle_millis(250)
-            .build()
-            .unwrap();
+        let p = BootstrapParams {
+            bits_per_digit: 2,
+            entries_per_slot: 1,
+            leaf_set_size: 8,
+            random_samples: 5,
+            cycle_millis: 250,
+            ..BootstrapParams::paper_default()
+        };
+        p.validate().unwrap();
         assert_eq!(p.bits_per_digit, 2);
         assert_eq!(p.entries_per_slot, 1);
         assert_eq!(p.leaf_set_size, 8);
@@ -475,17 +415,31 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_configurations() {
-        assert!(BootstrapParams::builder()
-            .bits_per_digit(3)
-            .build()
-            .is_err());
-        assert!(BootstrapParams::builder().leaf_set_size(0).build().is_err());
-        assert!(BootstrapParams::builder().leaf_set_size(7).build().is_err());
-        assert!(BootstrapParams::builder().cycle_millis(0).build().is_err());
-        assert!(BootstrapParams::builder()
-            .entries_per_slot(0)
-            .build()
-            .is_err());
+        let default = BootstrapParams::paper_default();
+        for bad in [
+            BootstrapParams {
+                bits_per_digit: 3,
+                ..default
+            },
+            BootstrapParams {
+                leaf_set_size: 0,
+                ..default
+            },
+            BootstrapParams {
+                leaf_set_size: 7,
+                ..default
+            },
+            BootstrapParams {
+                cycle_millis: 0,
+                ..default
+            },
+            BootstrapParams {
+                entries_per_slot: 0,
+                ..default
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad}");
+        }
 
         let bad_view = NewscastParams {
             view_size: 0,
@@ -506,16 +460,20 @@ mod tests {
         // The stringly InvalidParams::Message mapping is gone: geometry
         // misconfiguration surfaces as the typed Geometry variant (carrying
         // the original InvalidGeometry), so callers can match on it.
-        let err = BootstrapParams::builder()
-            .bits_per_digit(3)
-            .build()
-            .unwrap_err();
+        let err = BootstrapParams {
+            bits_per_digit: 3,
+            ..BootstrapParams::paper_default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, InvalidParams::Geometry(_)), "{err:?}");
         assert!(err.to_string().contains("geometry"), "{err}");
-        let err = BootstrapParams::builder()
-            .entries_per_slot(0)
-            .build()
-            .unwrap_err();
+        let err = BootstrapParams {
+            entries_per_slot: 0,
+            ..BootstrapParams::paper_default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(matches!(err, InvalidParams::Geometry(_)), "{err:?}");
     }
 
@@ -524,18 +482,20 @@ mod tests {
         assert_eq!(BootstrapParams::paper_default().descriptor_max_age, None);
         assert_eq!(NewscastParams::paper_default().descriptor_max_age, None);
 
-        let aged = BootstrapParams::builder()
-            .descriptor_max_age(Some(8))
-            .build()
-            .unwrap();
-        assert_eq!(aged.descriptor_max_age, Some(8));
+        let aged = BootstrapParams {
+            descriptor_max_age: Some(8),
+            ..BootstrapParams::paper_default()
+        };
+        aged.validate().unwrap();
         assert!(aged.to_string().contains("max_age=8"));
 
         // A zero bound would declare everything stale; reject it, typed.
-        let err = BootstrapParams::builder()
-            .descriptor_max_age(Some(0))
-            .build()
-            .unwrap_err();
+        let err = BootstrapParams {
+            descriptor_max_age: Some(0),
+            ..BootstrapParams::paper_default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -558,11 +518,11 @@ mod tests {
         assert_eq!(BootstrapParams::paper_default().descriptor_verifier, None);
         assert_eq!(NewscastParams::paper_default().view_diversity_quota, None);
 
-        let verified = BootstrapParams::builder()
-            .descriptor_verifier(Some(0xBEEF))
-            .build()
-            .unwrap();
-        assert_eq!(verified.descriptor_verifier, Some(0xBEEF));
+        let verified = BootstrapParams {
+            descriptor_verifier: Some(0xBEEF),
+            ..BootstrapParams::paper_default()
+        };
+        verified.validate().unwrap();
         assert!(verified.to_string().contains("verifier=0xbeef"));
 
         let quotaed = NewscastParams {
@@ -606,10 +566,12 @@ mod tests {
 
     #[test]
     fn errors_and_display_are_informative() {
-        let err = BootstrapParams::builder()
-            .leaf_set_size(7)
-            .build()
-            .unwrap_err();
+        let err = BootstrapParams {
+            leaf_set_size: 7,
+            ..BootstrapParams::paper_default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.to_string().contains("even"));
         let p = BootstrapParams::paper_default();
         let text = p.to_string();

@@ -20,7 +20,7 @@
 //! * enabling placement cannot perturb an existing run's RNG stream (goldens
 //!   stay byte-identical with topology off), and
 //! * nodes that join *after* the initial population (`MassiveJoin`) get
-//!   deterministic coordinates too — [`Placement::coord`] accepts any raw
+//!   deterministic coordinates too — `Placement::coord` accepts any raw
 //!   index, computing coordinates past the precomputed prefix on the fly.
 
 use crate::config::InvalidParams;
@@ -28,7 +28,7 @@ use crate::rng::SimRng;
 
 /// Salt mixed into the placement seed so coordinate draws can never collide
 /// with any other derived stream (spells `"coords!!"`).
-pub const COORDS_SALT: u64 = 0x636f_6f72_6473_2121;
+pub(crate) const COORDS_SALT: u64 = 0x636f_6f72_6473_2121;
 
 /// Odd multiplier (the golden-ratio increment from SplitMix64) used to spread
 /// node indices across the seed space before the per-node RNG is seeded.
@@ -39,7 +39,7 @@ const NODE_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// The unit is whatever the [`PlacementSpec`] says it is; the WAN link model
 /// converts units to milliseconds via its `millis_per_unit` factor.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Coord {
+pub(crate) struct Coord {
     /// Horizontal position.
     pub x: f64,
     /// Vertical position.
@@ -49,7 +49,7 @@ pub struct Coord {
 impl Coord {
     /// Euclidean distance to another point.
     #[must_use]
-    pub fn distance(self, other: Coord) -> f64 {
+    pub(crate) fn distance(self, other: Coord) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
@@ -194,7 +194,7 @@ impl PlacementSpec {
 
     /// Generates a placement for an initial population of `size` nodes.
     ///
-    /// The first `size` coordinates are precomputed; [`Placement::coord`]
+    /// The first `size` coordinates are precomputed; `Placement::coord`
     /// computes later indices (late joiners) on demand from the same pure
     /// per-node derivation, so a node's position never depends on when it was
     /// asked for.
@@ -260,30 +260,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// The spec this placement was generated from.
-    #[must_use]
-    pub fn spec(&self) -> PlacementSpec {
-        self.spec
-    }
-
-    /// The placement seed (the experiment seed; salting is internal).
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of precomputed coordinates (the initial population size).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// True when no coordinates were precomputed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.coords.is_empty()
-    }
-
     /// Number of regions nodes are partitioned into.
     #[must_use]
     pub fn region_count(&self) -> u32 {
@@ -299,7 +275,7 @@ impl Placement {
     /// Coordinate of a raw node index. Indices beyond the precomputed prefix
     /// (late joiners) are derived on the fly from the same pure function.
     #[must_use]
-    pub fn coord(&self, node: usize) -> Coord {
+    pub(crate) fn coord(&self, node: usize) -> Coord {
         match self.coords.get(node) {
             Some(coord) => *coord,
             None => self.derive(node),

@@ -77,7 +77,7 @@ impl<A: Address> Descriptor<A> {
     /// The descriptor's age relative to the logical clock `now` (zero for
     /// timestamps at or ahead of `now`).
     #[inline]
-    pub fn age(&self, now: u64) -> u64 {
+    pub(crate) fn age(&self, now: u64) -> u64 {
         now.saturating_sub(self.timestamp)
     }
 

@@ -122,7 +122,7 @@ impl TableGeometry {
     /// digit can never be the *first differing* digit, so that column is unusable in
     /// every row).
     #[inline]
-    pub fn usable_slots(self) -> usize {
+    pub(crate) fn usable_slots(self) -> usize {
         self.rows() * (self.columns() - 1)
     }
 
@@ -157,33 +157,6 @@ impl TableGeometry {
         );
         debug_assert_eq!(column as u8, other.digit(row as usize, self.bits_per_digit));
         Some((row as usize, column as u8))
-    }
-
-    /// Flattened index of a `(row, column)` slot, suitable for dense storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row or column is out of range.
-    #[inline]
-    pub fn slot_index(self, row: usize, column: u8) -> usize {
-        assert!(row < self.rows(), "row {row} out of range");
-        assert!(
-            (column as usize) < self.columns(),
-            "column {column} out of range"
-        );
-        row * self.columns() + column as usize
-    }
-
-    /// Number of rows that can realistically contain entries in a network of `n`
-    /// uniformly random identifiers: approximately `log_{2^b}(n)` plus a small
-    /// constant. Useful for sizing sparse storage; the protocol itself never relies
-    /// on this.
-    pub fn expected_filled_rows(self, n: usize) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        let bits = (n as f64).log2();
-        ((bits / f64::from(self.bits_per_digit)).ceil() as usize + 2).min(self.rows())
     }
 }
 
@@ -262,28 +235,6 @@ mod tests {
                 assert_ne!(col, me.digit(row, 4), "column equals own digit for {other}");
             }
         }
-    }
-
-    #[test]
-    fn slot_index_is_dense_and_unique() {
-        let g = TableGeometry::new(2, 1).unwrap();
-        let mut seen = std::collections::HashSet::new();
-        for row in 0..g.rows() {
-            for col in 0..g.columns() as u8 {
-                assert!(seen.insert(g.slot_index(row, col)));
-            }
-        }
-        assert_eq!(seen.len(), g.rows() * g.columns());
-        assert_eq!(*seen.iter().max().unwrap(), g.rows() * g.columns() - 1);
-    }
-
-    #[test]
-    fn expected_filled_rows_is_logarithmic() {
-        let g = TableGeometry::paper_default();
-        assert_eq!(g.expected_filled_rows(1), 0);
-        assert!(g.expected_filled_rows(1 << 14) <= 7);
-        assert!(g.expected_filled_rows(1 << 18) <= 8);
-        assert!(g.expected_filled_rows(usize::MAX) <= g.rows());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::fmt;
 
 /// Number of bits in a [`NodeId`].
-pub const ID_BITS: u32 = 64;
+pub(crate) const ID_BITS: u32 = 64;
 
 /// A 64-bit node identifier.
 ///
@@ -34,8 +34,6 @@ pub const ID_BITS: u32 = 64;
 pub struct NodeId(u64);
 
 impl NodeId {
-    /// The smallest possible identifier (all zero bits).
-    pub const MIN: NodeId = NodeId(0);
     /// The largest possible identifier (all one bits).
     pub const MAX: NodeId = NodeId(u64::MAX);
 
@@ -259,26 +257,6 @@ impl From<NodeId> for u64 {
     }
 }
 
-/// Sorts a slice of identifiers by ring distance from a reference point, closest
-/// first. Ties are broken by raw identifier value to keep the order deterministic.
-pub fn sort_by_ring_distance(ids: &mut [NodeId], from: NodeId) {
-    ids.sort_by(|a, b| {
-        from.ring_distance(*a)
-            .cmp(&from.ring_distance(*b))
-            .then_with(|| a.cmp(b))
-    });
-}
-
-/// Sorts a slice of identifiers by XOR distance from a reference point, closest
-/// first.
-pub fn sort_by_xor_distance(ids: &mut [NodeId], from: NodeId) {
-    ids.sort_by(|a, b| {
-        from.xor_distance(*a)
-            .cmp(&from.xor_distance(*b))
-            .then_with(|| a.cmp(b))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,32 +384,6 @@ mod tests {
         let other = me.with_prefix(0, 0xF, 42, 4);
         assert_eq!(me.common_prefix_len(other, 4), 0);
         assert_eq!(other.digit(0, 4), 0xF);
-    }
-
-    #[test]
-    fn sort_by_ring_distance_orders_closest_first() {
-        let from = NodeId::new(1000);
-        let mut ids = vec![
-            NodeId::new(2000),
-            NodeId::new(990),
-            NodeId::new(1001),
-            NodeId::new(u64::MAX),
-        ];
-        sort_by_ring_distance(&mut ids, from);
-        assert_eq!(ids[0], NodeId::new(1001));
-        assert_eq!(ids[1], NodeId::new(990));
-        assert_eq!(ids[2], NodeId::new(2000));
-        assert_eq!(ids[3], NodeId::new(u64::MAX));
-    }
-
-    #[test]
-    fn sort_by_xor_distance_orders_closest_first() {
-        let from = NodeId::new(0b1000);
-        let mut ids = vec![NodeId::new(0), NodeId::new(0b1001), NodeId::new(0b1111)];
-        sort_by_xor_distance(&mut ids, from);
-        assert_eq!(ids[0], NodeId::new(0b1001));
-        assert_eq!(ids[1], NodeId::new(0b1111));
-        assert_eq!(ids[2], NodeId::new(0));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod view;
 
 pub use config::{BootstrapParams, NewscastParams};
-pub use coords::{Coord, Placement, PlacementSpec};
+pub use coords::{Placement, PlacementSpec};
 pub use descriptor::{Address, Descriptor, PackedDescriptor};
 pub use geometry::TableGeometry;
 pub use id::NodeId;

@@ -58,15 +58,6 @@ impl SimRng {
         SimRng { state }
     }
 
-    /// Derives an independent child generator.
-    ///
-    /// Useful for giving every node (or every experiment repetition) its own stream
-    /// while still controlling everything from a single top-level seed.
-    pub fn fork(&mut self) -> SimRng {
-        let seed = self.next_u64() ^ 0xA076_1D64_78BD_642F;
-        SimRng::seed_from(seed)
-    }
-
     /// Returns the next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -139,15 +130,6 @@ impl SimRng {
         }
     }
 
-    /// Picks a uniformly random element of `slice`, or `None` when it is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.index(slice.len())])
-        }
-    }
-
     /// Shuffles `slice` in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -215,19 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_produces_independent_stream() {
-        let mut parent = SimRng::seed_from(3);
-        let mut child = parent.fork();
-        let parent_next = parent.next_u64();
-        let child_next = child.next_u64();
-        assert_ne!(parent_next, child_next);
-        // Forking is itself deterministic.
-        let mut parent2 = SimRng::seed_from(3);
-        let mut child2 = parent2.fork();
-        assert_eq!(child2.next_u64(), child_next);
-    }
-
-    #[test]
     fn range_stays_in_bounds_and_covers_values() {
         let mut rng = SimRng::seed_from(11);
         let mut seen = [false; 6];
@@ -274,12 +243,6 @@ mod tests {
     #[test]
     fn choose_and_shuffle_behave() {
         let mut rng = SimRng::seed_from(19);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let items = [1, 2, 3, 4];
-        for _ in 0..50 {
-            assert!(items.contains(rng.choose(&items).unwrap()));
-        }
         let mut data: Vec<u32> = (0..100).collect();
         rng.shuffle(&mut data);
         let mut sorted = data.clone();

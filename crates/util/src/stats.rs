@@ -4,7 +4,7 @@
 //! table) against the cycle number, on a logarithmic y axis, one curve per network
 //! size, with several independent repetitions per size. The types here hold exactly
 //! that: per-cycle series ([`Series`]), collections of repetitions
-//! ([`SeriesBundle`]), and scalar summaries ([`Summary`], [`Histogram`]) —
+//! ([`SeriesBundle`]), and the streaming distribution ([`Histogram`]) —
 //! and the two writers every report goes out through: [`JsonObject`] for the
 //! JSON artifacts, [`append_cycle_rows`] for the long-format TSV timelines.
 
@@ -23,7 +23,7 @@ use std::fmt::{self, Write as _};
 /// s.push(2, 0.0);
 /// assert_eq!(s.len(), 3);
 /// assert_eq!(s.final_value(), Some(0.0));
-/// assert_eq!(s.first_cycle_at_or_below(0.5), Some(1));
+/// assert_eq!(s.value_at(1), Some(0.25));
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Series {
@@ -79,16 +79,6 @@ impl Series {
     /// The last observed cycle, if any.
     pub fn final_cycle(&self) -> Option<u64> {
         self.points.last().map(|&(c, _)| c)
-    }
-
-    /// The first cycle at which the value is less than or equal to `threshold`
-    /// (e.g. "first cycle with fewer than 1 % of entries missing"), or `None` if the
-    /// threshold is never reached.
-    pub fn first_cycle_at_or_below(&self, threshold: f64) -> Option<u64> {
-        self.points
-            .iter()
-            .find(|&&(_, v)| v <= threshold)
-            .map(|&(c, _)| c)
     }
 
     /// The value observed at `cycle`, if present.
@@ -260,13 +250,8 @@ impl SeriesBundle {
         self.runs.is_empty()
     }
 
-    /// The individual runs.
-    pub fn runs(&self) -> &[Series] {
-        &self.runs
-    }
-
     /// The largest cycle index present in any run.
-    pub fn max_cycle(&self) -> u64 {
+    pub(crate) fn max_cycle(&self) -> u64 {
         self.runs
             .iter()
             .filter_map(Series::final_cycle)
@@ -297,106 +282,6 @@ impl SeriesBundle {
         }
         out
     }
-
-    /// Mean, across runs, of the first cycle at which the value drops to or below
-    /// `threshold`. Runs that never reach the threshold are ignored; returns `None`
-    /// if no run reaches it.
-    pub fn mean_convergence_cycle(&self, threshold: f64) -> Option<f64> {
-        let cycles: Vec<u64> = self
-            .runs
-            .iter()
-            .filter_map(|r| r.first_cycle_at_or_below(threshold))
-            .collect();
-        if cycles.is_empty() {
-            None
-        } else {
-            Some(cycles.iter().sum::<u64>() as f64 / cycles.len() as f64)
-        }
-    }
-}
-
-/// Scalar summary of a sample: count, mean, standard deviation, extremes and
-/// selected percentiles.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean (0 when the sample is empty).
-    pub mean: f64,
-    /// Population standard deviation (0 when the sample is empty).
-    pub std_dev: f64,
-    /// Minimum observation (0 when the sample is empty).
-    pub min: f64,
-    /// Maximum observation (0 when the sample is empty).
-    pub max: f64,
-    /// Median (50th percentile).
-    pub median: f64,
-    /// 95th percentile.
-    pub p95: f64,
-}
-
-impl Summary {
-    /// Computes a summary of `values`. An empty slice yields an all-zero summary
-    /// with `count == 0`.
-    pub fn of(values: &[f64]) -> Self {
-        if values.is_empty() {
-            return Summary {
-                count: 0,
-                mean: 0.0,
-                std_dev: 0.0,
-                min: 0.0,
-                max: 0.0,
-                median: 0.0,
-                p95: 0.0,
-            };
-        }
-        let count = values.len();
-        let mean = values.iter().sum::<f64>() / count as f64;
-        let variance = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
-        Summary {
-            count,
-            mean,
-            std_dev: variance.sqrt(),
-            min: sorted[0],
-            max: sorted[count - 1],
-            median: percentile_of_sorted(&sorted, 0.50),
-            p95: percentile_of_sorted(&sorted, 0.95),
-        }
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.4} std={:.4} min={:.4} median={:.4} p95={:.4} max={:.4}",
-            self.count, self.mean, self.std_dev, self.min, self.median, self.p95, self.max
-        )
-    }
-}
-
-/// Percentile (nearest-rank with linear interpolation) of an already sorted slice.
-///
-/// # Panics
-///
-/// Panics if the slice is empty or `q` is outside `[0, 1]`.
-pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = q * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
 }
 
 /// A fixed-width histogram over `u64` observations with percentile queries,
@@ -406,7 +291,7 @@ pub fn percentile_of_sorted(sorted: &[f64], q: f64) -> f64 {
 /// Two sizing modes share the code path:
 ///
 /// * [`Histogram::new`] starts empty and grows on demand up to
-///   [`Histogram::MAX_BUCKETS`];
+///   `Histogram::MAX_BUCKETS`;
 /// * [`Histogram::with_buckets`] allocates every bucket up front, so
 ///   recording is allocation-free from the first observation on and the
 ///   histogram can be [`Histogram::reset`] between measurement windows
@@ -430,10 +315,10 @@ impl Histogram {
     /// Upper bound on the number of distinct buckets of a growing histogram,
     /// overflow bucket included. Values mapping to bucket `MAX_BUCKETS - 1`
     /// or beyond all land in that final saturating bucket.
-    pub const MAX_BUCKETS: usize = 4096;
+    pub(crate) const MAX_BUCKETS: usize = 4096;
 
     /// Creates an initially empty histogram whose buckets are `[0, w)`,
-    /// `[w, 2w)`, ..., growing on demand up to [`Histogram::MAX_BUCKETS`].
+    /// `[w, 2w)`, ..., growing on demand up to `Histogram::MAX_BUCKETS`.
     ///
     /// # Panics
     ///
@@ -501,17 +386,6 @@ impl Histogram {
         self.max
     }
 
-    /// The bucket width the histogram was constructed with.
-    pub fn bucket_width(&self) -> u64 {
-        self.bucket_width
-    }
-
-    /// Number of bucket slots currently allocated (at most the construction
-    /// limit; useful for asserting the allocation-free property).
-    pub fn allocated_buckets(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The nearest-rank `q`-percentile (`q` in `[0, 1]`), resolved to the
     /// lower bound of the bucket holding that rank — exact for integer data
     /// recorded at bucket width 1. Returns 0 when empty.
@@ -544,15 +418,6 @@ impl Histogram {
         self.sum = 0;
         self.max = 0;
     }
-
-    /// Iterates over `(bucket_lower_bound, count)` pairs for non-empty buckets.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (i as u64 * self.bucket_width, c))
-    }
 }
 
 #[cfg(test)]
@@ -580,17 +445,6 @@ mod tests {
         assert_eq!(Series::new("empty").held_value_at(0), None);
         assert_eq!(s.points().len(), 3);
         assert_eq!(s.iter().count(), 3);
-    }
-
-    #[test]
-    fn first_cycle_at_or_below_finds_threshold_crossing() {
-        let mut s = Series::new("x");
-        for (c, v) in [(0, 1.0), (1, 0.4), (2, 0.04), (3, 0.0)] {
-            s.push(c, v);
-        }
-        assert_eq!(s.first_cycle_at_or_below(0.5), Some(1));
-        assert_eq!(s.first_cycle_at_or_below(0.01), Some(3));
-        assert_eq!(s.first_cycle_at_or_below(-1.0), None);
     }
 
     #[test]
@@ -677,64 +531,11 @@ mod tests {
     }
 
     #[test]
-    fn bundle_convergence_cycle() {
-        let mut bundle = SeriesBundle::new();
-        for final_cycle in [2u64, 4u64] {
-            let mut s = Series::new("m");
-            for c in 0..=final_cycle {
-                s.push(c, if c == final_cycle { 0.0 } else { 1.0 });
-            }
-            bundle.push(s);
-        }
-        assert_eq!(bundle.mean_convergence_cycle(0.0), Some(3.0));
-        assert_eq!(bundle.mean_convergence_cycle(-1.0), None);
-    }
-
-    #[test]
     fn empty_bundle_behaves() {
         let bundle = SeriesBundle::new();
         assert!(bundle.is_empty());
         assert_eq!(bundle.max_cycle(), 0);
         assert!(bundle.mean_per_cycle().is_empty());
-        assert_eq!(bundle.mean_convergence_cycle(0.5), None);
-        assert!(bundle.runs().is_empty());
-    }
-
-    #[test]
-    fn summary_of_known_sample() {
-        let values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let s = Summary::of(&values);
-        assert_eq!(s.count, 8);
-        assert!((s.mean - 5.0).abs() < 1e-12);
-        assert!((s.std_dev - 2.0).abs() < 1e-12);
-        assert_eq!(s.min, 2.0);
-        assert_eq!(s.max, 9.0);
-        assert!((s.median - 4.5).abs() < 1e-12);
-        let rendered = s.to_string();
-        assert!(rendered.contains("n=8"));
-    }
-
-    #[test]
-    fn summary_of_empty_sample_is_zero() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.count, 0);
-        assert_eq!(s.mean, 0.0);
-        assert_eq!(s.max, 0.0);
-    }
-
-    #[test]
-    fn percentile_interpolates() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile_of_sorted(&sorted, 0.0), 1.0);
-        assert_eq!(percentile_of_sorted(&sorted, 1.0), 4.0);
-        assert!((percentile_of_sorted(&sorted, 0.5) - 2.5).abs() < 1e-12);
-        assert_eq!(percentile_of_sorted(&[42.0], 0.3), 42.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn percentile_rejects_empty() {
-        percentile_of_sorted(&[], 0.5);
     }
 
     #[test]
@@ -746,11 +547,9 @@ mod tests {
         assert_eq!(h.count(), 7);
         assert_eq!(h.max(), 99);
         assert!((h.mean() - (5 + 9 + 10 + 25 + 25 + 99) as f64 / 7.0).abs() < 1e-12);
-        let buckets: Vec<_> = h.buckets().collect();
-        assert!(buckets.contains(&(0, 3)));
-        assert!(buckets.contains(&(10, 1)));
-        assert!(buckets.contains(&(20, 2)));
-        assert!(buckets.contains(&(90, 1)));
+        // Width 10: buckets [0, 10), [10, 20), [20, 30) and [90, 100).
+        assert_eq!(h.counts[..3], [3, 1, 2]);
+        assert_eq!(h.counts[9], 1);
     }
 
     #[test]
@@ -766,33 +565,32 @@ mod tests {
         h.record(u64::MAX);
         // Storage stays bounded by MAX_BUCKETS rather than resizing to
         // u64::MAX / 10 + 1 entries.
-        assert!(h.allocated_buckets() <= Histogram::MAX_BUCKETS);
+        assert!(h.counts.len() <= Histogram::MAX_BUCKETS);
         assert_eq!(h.count(), 2);
         assert_eq!(h.max(), u64::MAX);
-        let overflow_lower = (Histogram::MAX_BUCKETS as u64 - 1) * 10;
-        let buckets: Vec<_> = h.buckets().collect();
-        assert!(buckets.contains(&(0, 1)));
-        assert!(buckets.contains(&(overflow_lower, 1)));
+        let overflow = Histogram::MAX_BUCKETS - 1;
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[overflow], 1);
         // A second outlier lands in the same saturating bucket.
         h.record(u64::MAX - 1);
-        assert!(h.allocated_buckets() <= Histogram::MAX_BUCKETS);
-        assert!(h.buckets().any(|(lo, c)| lo == overflow_lower && c == 2));
+        assert!(h.counts.len() <= Histogram::MAX_BUCKETS);
+        assert_eq!(h.counts[overflow], 2);
     }
 
     #[test]
     fn streaming_histogram_is_allocation_free_once_sized() {
         let mut h = Histogram::with_buckets(1, 64);
-        assert_eq!(h.allocated_buckets(), 64);
+        assert_eq!(h.counts.len(), 64);
         for value in 0..200u64 {
             h.record(value);
         }
         // Storage never grew past the construction size; the tail saturated.
-        assert_eq!(h.allocated_buckets(), 64);
+        assert_eq!(h.counts.len(), 64);
         assert_eq!(h.count(), 200);
         assert_eq!(h.max(), 199);
-        assert!(h.buckets().any(|(lo, c)| lo == 63 && c == 137));
+        assert_eq!(h.counts[63], 137);
         h.reset();
-        assert_eq!(h.allocated_buckets(), 64);
+        assert_eq!(h.counts.len(), 64);
         assert_eq!(h.count(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.percentile(0.5), 0.0);
@@ -822,7 +620,7 @@ mod tests {
         assert_eq!(h.percentile(0.5), 20.0);
         // The two saturated outliers dominate the tail.
         assert_eq!(h.percentile(1.0), 150.0);
-        assert_eq!(h.bucket_width(), 10);
+        assert_eq!(h.bucket_width, 10);
     }
 
     #[test]

@@ -68,16 +68,6 @@ impl<E: Copy + Default> ViewArena<E> {
         }
     }
 
-    /// The fixed per-slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of slots the arena currently addresses.
-    pub fn slots(&self) -> usize {
-        self.lens.len()
-    }
-
     /// Number of occupied slots.
     pub fn occupied_count(&self) -> usize {
         self.occupied_count
@@ -210,7 +200,7 @@ mod tests {
     fn set_get_clear_roundtrip_and_growth() {
         let mut arena: ViewArena<Descriptor<u32>> = ViewArena::new(2);
         arena.set(5, &[d(1, 10), d(2, 20)]);
-        assert_eq!(arena.slots(), 6);
+        assert_eq!(arena.lens.len(), 6);
         assert_eq!(arena.get(5).unwrap(), &[d(1, 10), d(2, 20)]);
         // Intermediate slots exist but are unoccupied.
         assert!(arena.get(3).is_none());
