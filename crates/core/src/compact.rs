@@ -19,16 +19,16 @@
 //! registry entry for its address — those survive the round-trip through a
 //! sparse per-table alias list that is empty on honest runs.
 //!
-//! Writers and whole-table readers rehydrate: the exchange unpacks a node
-//! into a scratch [`BootstrapNode`], runs the unchanged fat algorithms and
-//! packs the result back, and convergence measurement (whose membership tests
-//! would resolve more identifiers entry by entry than one rehydration does)
-//! reads the same scratch form — byte-identical behaviour at a third of the
-//! memory. Readers that touch a few entries do not: lookup routing reads a
-//! node through `PackedView`, `SELECTPEER` ranks
-//! `CompactNode::leaf_descriptors`, and the dead-descriptor, poisoning and
-//! eclipse walks read indices straight off `CompactNode::leaf_entries` /
-//! `CompactNode::prefix_entries`.
+//! Writers rehydrate: the exchange unpacks a node into a scratch
+//! [`BootstrapNode`], runs the unchanged fat algorithms and packs the result
+//! back — byte-identical behaviour at a third of the memory. Readers do not:
+//! lookup routing reads a node through `PackedView`, `SELECTPEER` ranks
+//! `CompactNode::leaf_descriptors`, convergence measurement counts live
+//! entries where they lie (`CompactNode::live_prefix_entries` by registry
+//! index, the leaf descriptors against the oracle's distance bounds; only a
+//! forged entry is searched for among the live identifiers), and the
+//! dead-descriptor, poisoning and eclipse walks read indices straight off
+//! `CompactNode::leaf_entries` / `CompactNode::prefix_entries`.
 
 use crate::node::BootstrapNode;
 use crate::routing::{Contact, NodeView};
@@ -39,8 +39,8 @@ use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 
 /// A blank fat node to rehydrate packed states into
-/// ([`CompactNode::unpack_into`]): the exchange and measurement paths each
-/// reuse one instead of allocating per node.
+/// ([`CompactNode::unpack_into`]): the exchange path reuses two per thread
+/// instead of allocating per node.
 ///
 /// # Panics
 ///
@@ -244,6 +244,26 @@ impl CompactNode {
     /// The packed prefix-table entries in slot order.
     pub(crate) fn prefix_entries(&self) -> &[PackedDescriptor] {
         &self.prefix_store
+    }
+
+    /// How many prefix-table entries are live, none of them resolved: `alive`
+    /// judges the registry index of an entry the registry vouches for,
+    /// `live_id` the advertised identifier of one stored under an alias.
+    pub(crate) fn live_prefix_entries(
+        &self,
+        alive: impl Fn(u32) -> bool,
+        live_id: impl Fn(NodeId) -> bool,
+    ) -> usize {
+        let mut pending = self.prefix_aliases.iter().peekable();
+        let entries = self.prefix_store.iter().enumerate();
+        let live = entries.filter(|&(position, entry)| match pending.peek() {
+            Some(&&(alias_position, advertised)) if usize::from(alias_position) == position => {
+                pending.next();
+                live_id(advertised)
+            }
+            _ => alive(entry.address()),
+        });
+        live.count()
     }
 
     /// What routing reads of this state, served in place: `node` is the
@@ -462,6 +482,86 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+
+            /// Convergence counted over the packed store in place is the count
+            /// over the rehydrated node, for every node of populations that are
+            /// uniform, squeezed into a narrow arc (one side of the ring is
+            /// short, so the leaf quota spills) and tiny (everybody is in
+            /// everybody's leaf set) — through forged descriptors in both
+            /// tables, some under a live identifier that is not theirs, and
+            /// registry entries that died after they were stored.
+            #[test]
+            fn packed_convergence_counts_match_the_rehydrated_node(
+                seed in any::<u64>(),
+                shape in 0u8..3,
+                size in 10usize..40,
+                batches in prop::collection::vec(
+                    prop::collection::vec((any::<u32>(), 0u64..50, 0u8..6, any::<u64>()), 1..10),
+                    1..8,
+                ),
+                kills in prop::collection::vec(any::<u32>(), 0..12),
+            ) {
+                use crate::convergence::ConvergenceOracle;
+                let params = params();
+                let mut rng = SimRng::seed_from(seed);
+                let ids: Vec<NodeId> = match shape {
+                    0 => rng.distinct_u64(size).into_iter().map(NodeId::new).collect(),
+                    1 => {
+                        let base = rng.next_u64();
+                        (0..size as u64)
+                            .map(|i| base.wrapping_add(i * 1000 + rng.range_u64(0, 1000)))
+                            .map(NodeId::new)
+                            .collect()
+                    }
+                    _ => {
+                        let tiny = 2 + size % params.leaf_set_size;
+                        rng.distinct_u64(tiny).into_iter().map(NodeId::new).collect()
+                    }
+                };
+                let n = ids.len();
+                let mut alive = vec![true; n];
+                for kill in &kills {
+                    alive[*kill as usize % n] = false;
+                }
+                let live_ids = ids.iter().zip(&alive).filter(|(_, &alive)| alive);
+                let oracle = ConvergenceOracle::new(live_ids.map(|(&id, _)| id), &params);
+
+                for node in (0..n).filter(|&node| alive[node]) {
+                    let own = ids[node];
+                    let node = NodeIndex::new(node as u32);
+                    let mut state =
+                        BootstrapNode::new(Descriptor::new(own, node, 0), &params).unwrap();
+                    // An identifier next to the own one enters both tables, and
+                    // it is not the registry's for this address.
+                    state.receive(&[Descriptor::new(NodeId::new(own.raw().wrapping_add(1)), node, 1)]);
+                    for batch in &batches {
+                        let descriptors: Vec<Descriptor<NodeIndex>> = batch
+                            .iter()
+                            .map(|&(target, timestamp, kind, raw)| {
+                                let address = target as usize % n;
+                                let id = match kind {
+                                    0..=2 => ids[address],
+                                    3 => ids[raw as usize % n],
+                                    4 => NodeId::new(own.raw().wrapping_sub(1 + raw % 4)),
+                                    _ => NodeId::new(raw),
+                                };
+                                Descriptor::new(id, NodeIndex::new(address as u32), timestamp)
+                            })
+                            .collect();
+                        state.receive(&descriptors);
+                    }
+
+                    let packed = CompactNode::pack(&state, &ids);
+                    prop_assert!(!packed.leaf_aliases.is_empty() && !packed.prefix_aliases.is_empty());
+                    let fat = oracle.measure_node(&packed.unpack(node, &ids, &params));
+                    let is_alive = |address: u32| alive[address as usize];
+                    prop_assert_eq!(oracle.measure_packed(node, &packed, &ids, is_alive, None), fat);
+                    prop_assert_eq!(
+                        oracle.measure_packed(node, &packed, &ids, is_alive, Some(fat.prefix_total)),
+                        fat
+                    );
                 }
             }
 

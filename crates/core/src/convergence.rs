@@ -17,9 +17,11 @@
 //! leaf-set and prefix-table entries over all nodes — is computed by comparing each
 //! node's current state against these targets.
 
+use crate::compact::CompactNode;
 use crate::node::BootstrapNode;
+use bss_sim::network::NodeIndex;
 use bss_util::config::BootstrapParams;
-use bss_util::descriptor::Address;
+use bss_util::descriptor::{Address, Descriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 
@@ -30,6 +32,34 @@ pub struct ConvergenceOracle {
     geometry: TableGeometry,
     leaf_set_size: usize,
     entries_per_slot: usize,
+}
+
+/// One identifier's perfect leaf set as two directed distances (see
+/// [`ConvergenceOracle::leaf_bounds`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LeafBounds {
+    own: NodeId,
+    /// Clockwise distance from `own` to the farthest kept successor.
+    successor_reach: u64,
+    /// Counter-clockwise distance from `own` to the farthest kept predecessor.
+    predecessor_reach: u64,
+    /// Size of the perfect leaf set.
+    total: usize,
+}
+
+impl LeafBounds {
+    /// Whether `other`, a live identifier, is in the perfect leaf set: on the
+    /// side the protocol classifies it on, no farther than that side reaches.
+    #[inline]
+    pub fn contains(&self, other: NodeId) -> bool {
+        let clockwise = self.own.clockwise_distance(other);
+        let counter_clockwise = clockwise.wrapping_neg();
+        if clockwise <= counter_clockwise {
+            clockwise != 0 && clockwise <= self.successor_reach
+        } else {
+            counter_clockwise <= self.predecessor_reach
+        }
+    }
 }
 
 /// Missing/total counts for one node.
@@ -143,6 +173,16 @@ impl ConvergenceTracker {
         self.aggregate
     }
 
+    /// The cached measurement of the node at `index`, when it counts.
+    pub(crate) fn cached(&self, index: usize) -> Option<NodeConvergence> {
+        self.per_node.get(index).copied().flatten()
+    }
+
+    /// Every cached node measurement with the index of its node.
+    pub(crate) fn per_node(&self) -> impl Iterator<Item = (usize, NodeConvergence)> + '_ {
+        (0..self.per_node.len()).filter_map(|index| Some((index, self.cached(index)?)))
+    }
+
     /// Replaces the cached measurement of the node at `index` (`None` when the
     /// node is dead or uninitialised and must no longer count), keeping the
     /// aggregate in sync.
@@ -200,59 +240,74 @@ impl ConvergenceOracle {
     ///
     /// Panics if `id` is not in the live set.
     pub fn perfect_leaf_set(&self, id: NodeId) -> Vec<NodeId> {
+        self.perfect_leaf_ids(id).collect()
+    }
+
+    /// [`ConvergenceOracle::perfect_leaf_set`] without the allocation:
+    /// successors closest first, then predecessors closest first.
+    fn perfect_leaf_ids(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let (position, successors, predecessors) = self.leaf_walk(id);
+        let n = self.sorted_ids.len();
+        (1..=successors)
+            .map(move |step| position + step)
+            .chain((1..=predecessors).map(move |step| position + n - step))
+            .map(|index| self.ring(index))
+    }
+
+    /// The same set as two directed distances: everything live between the
+    /// farthest kept predecessor and the farthest kept successor, so a stored
+    /// entry is tested with one comparison. Panics like
+    /// [`ConvergenceOracle::perfect_leaf_set`].
+    pub fn leaf_bounds(&self, id: NodeId) -> LeafBounds {
+        let (position, successors, predecessors) = self.leaf_walk(id);
+        let n = self.sorted_ids.len();
+        // A side that keeps nobody reaches as far as `id` itself: distance 0.
+        LeafBounds {
+            own: id,
+            successor_reach: id.clockwise_distance(self.ring(position + successors)),
+            predecessor_reach: self
+                .ring(position + n - predecessors)
+                .clockwise_distance(id),
+            total: successors + predecessors,
+        }
+    }
+
+    /// The identifier at `index` of the sorted ring, for an index less than one
+    /// turn past the end.
+    fn ring(&self, index: usize) -> NodeId {
+        let n = self.sorted_ids.len();
+        self.sorted_ids[if index < n { index } else { index - n }]
+    }
+
+    /// The one walk behind both forms of the perfect leaf set: `id`'s position
+    /// on the sorted ring and how many identifiers after and before it the set
+    /// keeps.
+    fn leaf_walk(&self, id: NodeId) -> (usize, usize, usize) {
         let position = self
             .sorted_ids
             .binary_search(&id)
             .expect("id not in the live identifier set");
         let n = self.sorted_ids.len();
-        if n <= 1 {
-            return Vec::new();
-        }
-        let others = n - 1;
-        if others <= self.leaf_set_size {
-            return self
-                .sorted_ids
-                .iter()
-                .copied()
-                .filter(|&other| other != id)
-                .collect();
-        }
-        let needed = self.leaf_set_size;
-        let half = needed / 2;
-
-        // Walk forward collecting identifiers that the protocol classifies as
-        // successors (clockwise distance no larger than counter-clockwise). The
-        // classification is monotone along the walk, so the first failure ends it.
-        let mut successors = Vec::with_capacity(needed);
-        for step in 1..=needed {
-            let candidate = self.sorted_ids[(position + step) % n];
-            if id.is_successor(candidate) && candidate != id {
-                successors.push(candidate);
-            } else {
-                break;
-            }
-        }
-        // Walk backward collecting predecessors symmetrically.
-        let mut predecessors = Vec::with_capacity(needed);
-        for step in 1..=needed {
-            let candidate = self.sorted_ids[(position + n - step) % n];
-            if !id.is_successor(candidate) && candidate != id {
-                predecessors.push(candidate);
-            } else {
-                break;
-            }
-        }
-
+        let reach = self.leaf_set_size.min(n - 1);
+        // Forward, the identifiers the protocol classifies as successors
+        // (clockwise distance no larger than counter-clockwise); backward, the
+        // predecessors. The classification is monotone along either walk, so
+        // the first failure ends it, and the two walks never meet.
+        let successors = (1..=reach)
+            .take_while(|step| id.is_successor(self.ring(position + step)))
+            .count();
+        let predecessors = (1..=reach)
+            .take_while(|step| !id.is_successor(self.ring(position + n - step)))
+            .count();
         // Keep c/2 per side, spilling into the other side when one is short —
-        // mirroring LeafSet::update.
-        let successor_short = half.saturating_sub(successors.len());
-        let predecessor_short = half.saturating_sub(predecessors.len());
-        let keep_successors = (half + predecessor_short).min(successors.len());
-        let keep_predecessors = (half + successor_short).min(predecessors.len());
-        successors.truncate(keep_successors);
-        predecessors.truncate(keep_predecessors);
-        successors.extend(predecessors);
-        successors
+        // mirroring LeafSet::update. With at most c other identifiers this
+        // keeps them all.
+        let half = self.leaf_set_size / 2;
+        (
+            position,
+            (half + half.saturating_sub(predecessors)).min(successors),
+            (half + half.saturating_sub(successors)).min(predecessors),
+        )
     }
 
     /// The total number of fillable prefix-table entries for `id`: for every slot,
@@ -271,12 +326,12 @@ impl ConvergenceOracle {
         let id = node.id();
 
         // Leaf set: how many of the perfect entries are present?
-        let perfect = self.perfect_leaf_set(id);
-        let leaf_missing = perfect
-            .iter()
-            .filter(|&&target| !node.leaf_set().contains(target))
+        let mut leaf_total = 0;
+        let leaf_missing = self
+            .perfect_leaf_ids(id)
+            .inspect(|_| leaf_total += 1)
+            .filter(|&target| !node.leaf_set().contains(target))
             .count();
-        let leaf_total = perfect.len();
 
         // Prefix table: per slot, how many of the fillable entries are present and
         // still alive? A stored entry's slot is a function of its identifier, so
@@ -299,6 +354,40 @@ impl ConvergenceOracle {
             leaf_missing,
             leaf_total,
             prefix_missing,
+            prefix_total,
+        }
+    }
+
+    /// [`ConvergenceOracle::measure_node`] over the packed store in place, for
+    /// an oracle built from the identifiers of the addresses `alive` accepts:
+    /// an entry the registry vouches for is live exactly when its address is
+    /// alive, a forged one when the identifier it advertised is, and a slot
+    /// never holds more distinct live identifiers than it can be filled with,
+    /// so what is missing is the total minus what is live. `prefix_total` is
+    /// the node's count from an earlier measurement against this oracle.
+    pub(crate) fn measure_packed(
+        &self,
+        node: NodeIndex,
+        packed: &CompactNode,
+        ids: &[NodeId],
+        alive: impl Fn(u32) -> bool,
+        prefix_total: Option<usize>,
+    ) -> NodeConvergence {
+        let id = ids[node.as_usize()];
+        let bounds = self.leaf_bounds(id);
+        let live_id = |id: NodeId| self.sorted_ids.binary_search(&id).is_ok();
+        let live = |entry: &Descriptor<NodeIndex>| match entry.address().as_usize() {
+            address if ids[address] == entry.id() => alive(address as u32),
+            _ => live_id(entry.id()),
+        };
+        let in_bounds = |entry: &Descriptor<NodeIndex>| bounds.contains(entry.id()) && live(entry);
+        let leaf_present = packed.leaf_descriptors(ids).filter(in_bounds).count();
+        let prefix_present = packed.live_prefix_entries(&alive, live_id);
+        let prefix_total = prefix_total.unwrap_or_else(|| self.fillable_prefix_entries(id));
+        NodeConvergence {
+            leaf_missing: bounds.total - leaf_present,
+            leaf_total: bounds.total,
+            prefix_missing: prefix_total - prefix_present,
             prefix_total,
         }
     }

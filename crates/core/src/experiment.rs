@@ -15,9 +15,7 @@
 //! discrete-event engine with per-link latency — reporting to a pluggable
 //! [`Observer`] and returning one serializable [`RunReport`].
 
-use crate::compact::scratch_node;
 use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergence};
-use crate::node::BootstrapNode;
 use crate::protocol::{BootstrapMessage, BootstrapProtocol, TrafficStats};
 use crate::routing::RouterKind;
 use crate::scenario::{Engine, LatencyModel, NullObserver, Observer, Scenario};
@@ -801,6 +799,9 @@ struct MeasurementDriver {
     /// The node an id-spray adversary eclipses, when the timeline carries one.
     eclipse_target: Option<NodeIndex>,
     static_oracle: Option<ConvergenceOracle>,
+    /// The per-node counts of the last measured cycle: kept up to date over
+    /// the dirty set while one oracle serves the run, refilled by every full
+    /// pass under churn.
     tracker: ConvergenceTracker,
     /// Per-region measurement state; only under a WAN node placement.
     regions: Option<RegionWalk>,
@@ -812,12 +813,10 @@ struct MeasurementDriver {
     lookup_traffic: Option<LookupTraffic>,
 }
 
-/// What the per-region table walk reuses from cycle to cycle.
+/// What the per-region bucketing reuses from cycle to cycle.
 struct RegionWalk {
     /// The run's placement, shared with the transport and the network.
     placement: Arc<Placement>,
-    /// The rehydration target of the walk.
-    scratch: BootstrapNode<NodeIndex>,
     /// One aggregation bucket per placement region.
     buckets: Vec<NetworkConvergence>,
 }
@@ -869,7 +868,6 @@ impl MeasurementDriver {
             },
             regions: placement.map(|placement| RegionWalk {
                 buckets: vec![NetworkConvergence::default(); placement.region_count() as usize],
-                scratch: scratch_node(&config.params),
                 placement,
             }),
             lookup_traffic: LookupTraffic::for_config(config),
@@ -908,10 +906,10 @@ impl MeasurementDriver {
             Some(oracle) => protocol.measure_incremental(oracle, &mut self.tracker, ctx),
             None => {
                 let oracle = protocol.oracle_for(ctx);
-                protocol.measure(&oracle, ctx)
+                protocol.measure(&oracle, &mut self.tracker, ctx)
             }
         };
-        self.measure_regions(protocol, ctx, cycle);
+        self.measure_regions(cycle);
         // Each of the three table walks gates itself: no node has died, no
         // adversary is installed or nobody is converted yet, and it returns
         // zero without visiting a table.
@@ -985,35 +983,16 @@ impl MeasurementDriver {
         flow
     }
 
-    /// Per-region convergence: one table walk over the alive population,
-    /// bucketing each node's counts by its placement region. Only WAN runs
-    /// (a placement is attached) pay the walk; every other run returns
-    /// immediately.
-    fn measure_regions<S: PeerSampler>(
-        &mut self,
-        protocol: &BootstrapProtocol<S>,
-        ctx: &EngineContext,
-        cycle: u64,
-    ) {
+    /// Per-region convergence: the per-node counts the global pass just
+    /// produced, bucketed by placement region. Only WAN runs (a placement is
+    /// attached) pay for it; every other run returns immediately.
+    fn measure_regions(&mut self, cycle: u64) {
         let Some(walk) = self.regions.as_mut() else {
             return;
         };
         walk.buckets.fill(NetworkConvergence::default());
-        // Under churn the static oracle is absent; rebuild one for this pass,
-        // mirroring what the global measurement just did.
-        let rebuilt;
-        let oracle = match self.static_oracle.as_ref() {
-            Some(oracle) => oracle,
-            None => {
-                rebuilt = protocol.oracle_for(ctx);
-                &rebuilt
-            }
-        };
-        for node in ctx.network.alive_indices() {
-            if protocol.unpack_node_into(node, &mut walk.scratch) {
-                let region = walk.placement.region(node.as_usize()) as usize;
-                walk.buckets[region].accumulate(oracle.measure_node(&walk.scratch));
-            }
+        for (index, counts) in self.tracker.per_node() {
+            walk.buckets[walk.placement.region(index) as usize].accumulate(counts);
         }
         let region_series = &mut self.report.series[SERIES_KEYS.len()..];
         for (series, bucket) in region_series.iter_mut().zip(&walk.buckets) {

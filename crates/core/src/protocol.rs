@@ -10,7 +10,9 @@
 //! pair-loss of roughly 28 %.
 
 use crate::compact::{scratch_node, CompactNode, PackedView};
-use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergence};
+use crate::convergence::{
+    ConvergenceOracle, ConvergenceTracker, NetworkConvergence, NodeConvergence,
+};
 use crate::leafset::MergeScratch;
 use crate::message::MessageScratch;
 use crate::node::{select_peer_in, BootstrapNode};
@@ -28,6 +30,7 @@ use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use bss_util::stats::Histogram;
+use std::sync::Mutex;
 
 /// Statistics about the traffic generated by the protocol.
 ///
@@ -372,23 +375,6 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
             .map(|packed| packed.view(node, &self.ids, self.geometry))
     }
 
-    /// Rehydrates `node`'s packed state into `scratch` without allocating,
-    /// returning `false` when the node holds no protocol state (the per-region
-    /// convergence walk reads whole tables through this).
-    pub(crate) fn unpack_node_into(
-        &self,
-        node: NodeIndex,
-        scratch: &mut BootstrapNode<NodeIndex>,
-    ) -> bool {
-        match self.packed_node(node) {
-            Some(packed) => {
-                packed.unpack_into(node, &self.ids, scratch);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Initialises the sampler and every alive node: the start-up step of §4
     /// ("at start time, all nodes use the peer sampling service to initialize their
     /// leaf sets with a set of random nodes, and clear their prefix table").
@@ -433,22 +419,34 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         }
     }
 
+    /// Measures `node` in place against `oracle`; `None` when it is dead or
+    /// not yet initialised and must not count.
+    fn measure_node(
+        &self,
+        node: NodeIndex,
+        oracle: &ConvergenceOracle,
+        prefix_total: Option<usize>,
+        ctx: &EngineContext,
+    ) -> Option<NodeConvergence> {
+        let alive = |address: u32| ctx.network.is_alive(NodeIndex::new(address));
+        let packed = self.packed_node(node).filter(|_| alive(node.raw()))?;
+        Some(oracle.measure_packed(node, packed, &self.ids, alive, prefix_total))
+    }
+
     /// Measures the whole network against `oracle`, skipping nodes that are dead or
-    /// not yet initialised.
+    /// not yet initialised. `tracker` is started over and left holding the
+    /// per-node counts of this pass.
     pub(crate) fn measure(
         &self,
         oracle: &ConvergenceOracle,
+        tracker: &mut ConvergenceTracker,
         ctx: &EngineContext,
     ) -> NetworkConvergence {
-        let mut aggregate = NetworkConvergence::default();
-        let mut scratch = scratch_node(&self.params);
+        *tracker = ConvergenceTracker::new();
         for node in ctx.network.alive_indices() {
-            if let Some(packed) = self.packed_node(node) {
-                packed.unpack_into(node, &self.ids, &mut scratch);
-                aggregate.accumulate(oracle.measure_node(&scratch));
-            }
+            tracker.update_node(node.as_usize(), self.measure_node(node, oracle, None, ctx));
         }
-        aggregate
+        tracker.aggregate()
     }
 
     /// Incremental equivalent of [`BootstrapProtocol::measure`]: re-measures only
@@ -458,8 +456,8 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// Returns exactly what a full [`BootstrapProtocol::measure`] against the
     /// same oracle would return, at a fraction of the cost once convergence sets
     /// in. Only valid while `oracle` describes the network's current (static)
-    /// membership — under churn, rebuild the oracle and tracker and fall back to
-    /// full measurement.
+    /// membership — under churn, rebuild the oracle and fall back to full
+    /// measurement.
     pub(crate) fn measure_incremental(
         &mut self,
         oracle: &ConvergenceOracle,
@@ -467,17 +465,11 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         ctx: &EngineContext,
     ) -> NetworkConvergence {
         let mut dirty = std::mem::take(&mut self.dirty);
-        let mut scratch = scratch_node(&self.params);
         for &node in &dirty {
             self.dirty_flags[node.as_usize()] = false;
-            let measured = if ctx.network.is_alive(node) {
-                self.packed_node(node).map(|packed| {
-                    packed.unpack_into(node, &self.ids, &mut scratch);
-                    oracle.measure_node(&scratch)
-                })
-            } else {
-                None
-            };
+            // `prefix_total` depends on the oracle alone: measured once.
+            let cached = tracker.cached(node.as_usize());
+            let measured = self.measure_node(node, oracle, cached.map(|c| c.prefix_total), ctx);
             tracker.update_node(node.as_usize(), measured);
         }
         dirty.clear();
@@ -1004,102 +996,82 @@ impl<S: PeerSampler> ParallelCycleProtocol for BootstrapProtocol<S> {
                 .resize_with(threads, || ExchangeScratch::new(&params));
         }
 
-        // Hand out disjoint `&mut` node states for the non-deferred items: the
-        // touched indices are pairwise distinct by the engine's claiming
-        // discipline, so successive `split_at_mut` extracts one exclusive
-        // reference per index — no locks, no unsafe.
-        let mut needed: Vec<u32> = Vec::with_capacity(parallel_items * 2);
-        for item in wave.iter().filter(|item| !item.deferred) {
-            needed.push(item.node.raw());
-            if item.plan.peer_engaged {
-                needed.push(item.plan.peer.raw());
-            }
-        }
-        needed.sort_unstable();
-        debug_assert!(needed.windows(2).all(|w| w[0] < w[1]));
-        let mut refs: Vec<Option<&mut CompactNode>> = Vec::with_capacity(needed.len());
-        let mut rest: &mut [Option<CompactNode>] = &mut self.nodes;
-        let mut base = 0usize;
-        for &raw in &needed {
-            let offset = raw as usize - base;
-            let (head, tail) = rest.split_at_mut(offset + 1);
-            refs.push(head[offset].as_mut());
-            rest = tail;
-            base = raw as usize + 1;
-        }
-        let mut take_ref = |raw: u32| -> &mut CompactNode {
-            let slot = needed.binary_search(&raw).expect("index was collected");
-            refs[slot].take().expect("planned node has state")
-        };
-
+        // A non-deferred item becomes a unit that owns the packed states it
+        // touches, moved out of the table until the batch ends: the touched
+        // indices are pairwise distinct by the engine's claiming discipline,
+        // so every take finds its state.
         struct Unit<'a> {
-            wave_index: usize,
             node: NodeIndex,
             plan: &'a ExchangePlan,
-            node_state: &'a mut CompactNode,
-            peer_state: Option<&'a mut CompactNode>,
+            node_state: CompactNode,
+            peer_state: Option<CompactNode>,
+            outcome: Option<ExchangeOutcome>,
         }
+        let nodes = &mut self.nodes;
+        let mut take = |node: NodeIndex| nodes[node.as_usize()].take();
         let mut units: Vec<Unit<'_>> = Vec::with_capacity(parallel_items);
-        for (wave_index, item) in wave.iter().enumerate().filter(|(_, item)| !item.deferred) {
+        for item in wave.iter().filter(|item| !item.deferred) {
             units.push(Unit {
-                wave_index,
                 node: item.node,
                 plan: &item.plan,
-                node_state: take_ref(item.node.raw()),
+                node_state: take(item.node).expect("planned node has state"),
                 peer_state: item
                     .plan
                     .peer_engaged
-                    .then(|| &mut *take_ref(item.plan.peer.raw())),
+                    .then(|| take(item.plan.peer).expect("engaged peer has state")),
+                outcome: None,
             });
         }
 
-        // Execute the disjoint units across the persistent pool (one chunk
-        // runs on the calling thread), each chunk appending `(wave index,
-        // outcome)` pairs into its own result bucket.
-        let chunk_size = units.len().div_ceil(threads);
-        let mut slots: Vec<Option<ExchangeOutcome>> = Vec::with_capacity(wave.len());
-        slots.resize_with(wave.len(), || None);
-        let chunk_count = units.len().div_ceil(chunk_size);
-        let mut chunk_results: Vec<Vec<(usize, ExchangeOutcome)>> = Vec::with_capacity(chunk_count);
-        chunk_results.resize_with(chunk_count, Vec::new);
+        // One task per scratch, no more of them than units, each claiming the
+        // next unclaimed unit until none is left: a thread that wakes late or
+        // runs slow takes fewer exchanges, and the pool's barrier closes
+        // within one exchange of the last claim. The lock covers the claim
+        // only.
+        let cursor = Mutex::new(units.iter_mut());
         let ids: &[NodeId] = &self.ids;
-        let tasks: Vec<Task<'_>> = units
-            .chunks_mut(chunk_size)
-            .zip(self.worker_scratch.iter_mut())
-            .zip(chunk_results.iter_mut())
-            .map(|((chunk, scratch), results)| {
-                Box::new(move || {
-                    results.reserve(chunk.len());
-                    for unit in chunk.iter_mut() {
-                        let outcome = execute_exchange(
-                            unit.plan,
-                            unit.node,
-                            unit.node_state,
-                            unit.peer_state.as_deref_mut(),
-                            ids,
-                            scratch,
-                        );
-                        results.push((unit.wave_index, outcome));
-                    }
+        let tasks: Vec<Task<'_>> = self
+            .worker_scratch
+            .iter_mut()
+            .take(parallel_items.min(threads))
+            .map(|scratch| {
+                let cursor = &cursor;
+                Box::new(move || loop {
+                    let claimed = cursor.lock().expect("no claim panics").next();
+                    let Some(unit) = claimed else { break };
+                    unit.outcome = Some(execute_exchange(
+                        unit.plan,
+                        unit.node,
+                        &mut unit.node_state,
+                        unit.peer_state.as_mut(),
+                        ids,
+                        scratch,
+                    ));
                 }) as Task<'_>
             })
             .collect();
         pool.run(tasks);
-        for (wave_index, outcome) in chunk_results.into_iter().flatten() {
-            slots[wave_index] = Some(outcome);
-        }
-        drop(refs);
+        let executed: Vec<ExchangeOutcome> = units
+            .into_iter()
+            .map(|unit| {
+                self.nodes[unit.node.as_usize()] = Some(unit.node_state);
+                if let Some(peer_state) = unit.peer_state {
+                    self.nodes[unit.plan.peer.as_usize()] = Some(peer_state);
+                }
+                unit.outcome.expect("every unit was claimed")
+            })
+            .collect();
 
         // Deferred items conflict with an earlier item of this wave; run them
         // on the calling thread, in planning order, after the parallel batch.
-        for (wave_index, item) in wave.iter().enumerate().filter(|(_, item)| item.deferred) {
-            slots[wave_index] = Some(self.execute_one(item.node, &item.plan));
+        let mut executed = executed.into_iter();
+        for item in wave.iter() {
+            outcomes.push(if item.deferred {
+                self.execute_one(item.node, &item.plan)
+            } else {
+                executed.next().expect("one outcome per unit")
+            });
         }
-        outcomes.extend(
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every wave item executed")),
-        );
     }
 
     fn commit_outcome(&mut self, outcome: ExchangeOutcome, _ctx: &mut EngineContext) {
@@ -1163,7 +1135,7 @@ mod tests {
         let oracle = protocol.oracle_for(engine.context());
         let mut last = NetworkConvergence::default();
         let cycles = engine.run_with_observer(protocol, max_cycles, |p, ctx, _| {
-            last = p.measure(&oracle, ctx);
+            last = p.measure(&oracle, &mut ConvergenceTracker::new(), ctx);
             if last.is_perfect() {
                 ControlFlow::Break(())
             } else {
@@ -1236,7 +1208,7 @@ mod tests {
         let mut strict_decreases = 0;
         for _ in 0..20 {
             eng.run(&mut protocol, 1);
-            let measured = protocol.measure(&oracle, eng.context());
+            let measured = protocol.measure(&oracle, &mut ConvergenceTracker::new(), eng.context());
             let current = measured.prefix_proportion() + measured.leaf_proportion();
             // Without churn the tables only ever gain correct entries, so the
             // missing proportion never increases.
@@ -1308,6 +1280,77 @@ mod tests {
             traffic.requests_delivered + traffic.answers_delivered,
             transport.messages_offered() - transport.messages_dropped(),
         );
+    }
+
+    /// Forwards to the protocol and checks every wave as it comes back.
+    struct WaveAudit {
+        inner: BootstrapProtocol<OracleSampler>,
+        /// Waves that ran a parallel batch *and* deferred items.
+        mixed_waves: usize,
+    }
+
+    impl CycleProtocol for WaveAudit {
+        fn execute_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
+            self.inner.execute_node(node, cycle, ctx);
+        }
+    }
+
+    impl ParallelCycleProtocol for WaveAudit {
+        type Plan = ExchangePlan;
+        type Outcome = ExchangeOutcome;
+
+        fn plan_node(
+            &mut self,
+            node: NodeIndex,
+            cycle: u64,
+            ctx: &mut EngineContext,
+        ) -> NodePlan<ExchangePlan> {
+            self.inner.plan_node(node, cycle, ctx)
+        }
+
+        fn execute_wave(
+            &mut self,
+            wave: &mut Vec<PlannedWork<ExchangePlan>>,
+            pool: &mut WorkerPool,
+            outcomes: &mut Vec<ExchangeOutcome>,
+        ) {
+            let parallel = wave.iter().filter(|item| !item.deferred).count();
+            if parallel >= 2 && parallel < wave.len() {
+                self.mixed_waves += 1;
+            }
+            self.inner.execute_wave(wave, pool, outcomes);
+            assert_eq!(outcomes.len(), wave.len());
+            for (item, outcome) in wave.iter().zip(outcomes.iter()) {
+                assert_eq!(outcome.node, item.node, "outcomes follow planning order");
+                let peer = item.plan.peer_engaged.then_some(item.plan.peer);
+                for touched in [Some(item.node), peer].into_iter().flatten() {
+                    assert!(
+                        self.inner.packed_node(touched).is_some(),
+                        "{touched} was taken for the wave and not put back"
+                    );
+                }
+            }
+        }
+
+        fn commit_outcome(&mut self, outcome: ExchangeOutcome, ctx: &mut EngineContext) {
+            self.inner.commit_outcome(outcome, ctx);
+        }
+    }
+
+    #[test]
+    fn execute_wave_puts_back_every_state_it_took() {
+        let mut eng = engine(64, 9);
+        let mut audit = WaveAudit {
+            inner: BootstrapProtocol::new(small_params(), OracleSampler::new()),
+            mixed_waves: 0,
+        };
+        audit.inner.init_all(eng.context_mut());
+        eng.run_parallel_with_observer(&mut audit, 6, 3, |_, _, _| ControlFlow::Continue(()));
+        assert!(
+            audit.mixed_waves > 0,
+            "no wave mixed a batch with deferred items"
+        );
+        assert_eq!(audit.inner.nodes.iter().flatten().count(), 64);
     }
 
     #[test]

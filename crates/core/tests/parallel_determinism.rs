@@ -97,7 +97,7 @@ fn digest_nodes(snapshot: &PopulationSnapshot) -> Vec<NodeDigest> {
 
 fn assert_thread_invariant(config: ExperimentConfig) {
     let sequential = run(&config, 1);
-    for threads in [2usize, 8] {
+    for threads in [2usize, 3, 8] {
         let parallel = run(&config, threads);
         assert_eq!(
             sequential, parallel,
@@ -112,6 +112,21 @@ fn oracle_run_is_thread_count_invariant() {
         .network_size(300)
         .seed(11)
         .max_cycles(40)
+        .build()
+        .unwrap();
+    assert_thread_invariant(config);
+}
+
+#[test]
+fn waves_shorter_than_the_pool_are_thread_count_invariant() {
+    // Sixteen nodes never fill a wave with eight exchanges, so most of the
+    // tasks a wave could be given would find nothing to claim.
+    let config = ExperimentConfig::builder()
+        .network_size(16)
+        .seed(14)
+        .drop_probability(0.2)
+        .max_cycles(30)
+        .stop_when_perfect(false)
         .build()
         .unwrap();
     assert_thread_invariant(config);
@@ -165,7 +180,7 @@ fn profiling_does_not_perturb_the_simulation() {
         .build()
         .unwrap();
     let baseline = run(&config, 1);
-    for threads in [1usize, 2, 8] {
+    for threads in [1usize, 2, 3, 8] {
         let (profiled, profile) = run_with(&config, threads, true);
         assert_eq!(
             baseline, profiled,
@@ -265,7 +280,7 @@ fn traffic_series_are_thread_count_invariant() {
         "traffic summary missing from the report"
     );
     assert!(sequential.contains("\"lookup_success_series\""));
-    for threads in [2usize, 8] {
+    for threads in [2usize, 3, 8] {
         assert_eq!(
             sequential,
             normalized_json(threads),
@@ -277,7 +292,7 @@ fn traffic_series_are_thread_count_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Arbitrary small scenarios: the parallel engine at 2 and 8 threads
+    /// Arbitrary small scenarios: the parallel engine at 2, 3 and 8 threads
     /// produces snapshots identical to the sequential engine.
     #[test]
     fn parallel_engine_matches_sequential_on_arbitrary_scenarios(
@@ -305,7 +320,7 @@ proptest! {
         }
         let config = builder.build().unwrap();
         let sequential = run(&config, 1);
-        for threads in [2usize, 8] {
+        for threads in [2usize, 3, 8] {
             prop_assert_eq!(&sequential, &run(&config, threads), "threads {}", threads);
         }
     }

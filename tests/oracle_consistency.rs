@@ -48,6 +48,33 @@ proptest! {
     }
 
     #[test]
+    fn leaf_bounds_hold_exactly_the_perfect_leaf_set(
+        raw_ids in hash_set(any::<u64>(), 2..60),
+        squeeze in 0u32..60,
+        c in prop::sample::select(vec![4usize, 8, 20]),
+    ) {
+        // Shifted right, the identifiers crowd into an arc at the bottom of
+        // the ring: nodes at its ends have one side short, and the quota
+        // spills into the other.
+        let ids: std::collections::HashSet<NodeId> =
+            raw_ids.iter().map(|&raw| NodeId::new(raw >> squeeze)).collect();
+        let oracle = ConvergenceOracle::new(ids.iter().copied(), &params(c, 3));
+        for &me in &ids {
+            let bounds = oracle.leaf_bounds(me);
+            let perfect = oracle.perfect_leaf_set(me);
+            for &other in &ids {
+                prop_assert_eq!(
+                    bounds.contains(other),
+                    perfect.contains(&other),
+                    "{} in the leaf set of {}",
+                    other,
+                    me
+                );
+            }
+        }
+    }
+
+    #[test]
     fn fillable_slot_counts_match_brute_force(
         raw_ids in hash_set(any::<u64>(), 2..60),
         k in 1usize..4,
