@@ -19,35 +19,49 @@
 //! registry entry for its address — those survive the round-trip through a
 //! sparse per-table alias list that is empty on honest runs.
 //!
-//! Writers rehydrate: the exchange unpacks a node into a scratch
-//! [`BootstrapNode`], runs the unchanged fat algorithms and packs the result
-//! back — byte-identical behaviour at a third of the memory. Readers do not:
-//! lookup routing reads a node through `PackedView`, `SELECTPEER` ranks
-//! `CompactNode::leaf_descriptors`, convergence measurement counts live
+//! Nothing on the simulators' exchange path rehydrates a node. The exchange
+//! runs through `PackedNode`: `CREATEMESSAGE` gathers its union by resolving
+//! the packed entries as it reads them and hands it to the one selection
+//! (`crate::message::compose`); `UPDATELEAFSET` resolves the ≤ `c` leaf
+//! entries into a scratch [`LeafSet`], runs the fat kernel and packs the kept
+//! entries back; `UPDATEPREFIXTABLE` — aging's evictions and refreshes
+//! included — writes the packed slots directly. Readers do not rehydrate
+//! either: lookup routing reads a node through `PackedView`, `SELECTPEER`
+//! ranks `CompactNode::leaf_descriptors`, convergence measurement counts live
 //! entries where they lie (`CompactNode::live_prefix_entries` by registry
 //! index, the leaf descriptors against the oracle's distance bounds; only a
 //! forged entry is searched for among the live identifiers), and the
 //! dead-descriptor, poisoning and eclipse walks read indices straight off
-//! `CompactNode::leaf_entries` / `CompactNode::prefix_entries`.
+//! `CompactNode::leaf_entries` / `CompactNode::prefix_entries`. The fat
+//! [`BootstrapNode`] remains the wire's form and the snapshots'.
+//!
+//! Every position the packed store keeps — the leaf split, the prefix
+//! offsets, the alias positions — is a `u16`; `CompactNode::check_shape`
+//! rejects the parameter sets whose tables it could not index.
 
-use crate::node::BootstrapNode;
+use crate::leafset::{LeafSet, MergeScratch};
+use crate::message::{compose, MessageScratch};
+use crate::node::{receive_verified, BootstrapNode};
 use crate::routing::{Contact, NodeView};
+use bss_sim::adversary::stamp;
 use bss_sim::network::NodeIndex;
-use bss_util::config::BootstrapParams;
+use bss_util::config::{BootstrapParams, InvalidParams};
 use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 
-/// A blank fat node to rehydrate packed states into
-/// ([`CompactNode::unpack_into`]): the exchange path reuses two per thread
-/// instead of allocating per node.
-///
-/// # Panics
-///
-/// Panics when `params` were not validated.
-pub(crate) fn scratch_node(params: &BootstrapParams) -> BootstrapNode<NodeIndex> {
-    let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
-    BootstrapNode::new(placeholder, params).expect("validated parameters")
+/// Whether `descriptor` passes the keyed identity-stamp check against the
+/// registry: the stamp computed over the identifier the registry holds for the
+/// descriptor's address must match the stamp over the claimed identifier.
+/// This models signature verification with the registry as the PKI — honest
+/// descriptors always pass, fabricated identifiers always fail (modulo a
+/// 2⁻⁶⁴ hash collision).
+fn descriptor_is_authentic(key: u64, ids: &[NodeId], descriptor: &Descriptor<NodeIndex>) -> bool {
+    let address = u64::from(descriptor.address().raw());
+    ids.get(descriptor.address().as_usize())
+        .is_some_and(|&registry_id| {
+            stamp(key, registry_id, address) == stamp(key, descriptor.id(), address)
+        })
 }
 
 /// Packs a simulation descriptor down to its registry index and timestamp.
@@ -77,6 +91,7 @@ type Alias = (u16, NodeId);
 
 /// Packs a run of fat entries, recording an alias for every descriptor whose
 /// advertised identifier is not the registry identifier of its address.
+#[inline]
 fn pack_entries(
     entries: &[Descriptor<NodeIndex>],
     ids: &[NodeId],
@@ -88,15 +103,22 @@ fn pack_entries(
     for (position, descriptor) in entries.iter().enumerate() {
         packed.push(pack_descriptor(descriptor));
         if ids[descriptor.address().as_usize()] != descriptor.id() {
-            aliases.push((position as u16, descriptor.id()));
+            aliases.push((to_u16(position), descriptor.id()));
         }
     }
+}
+
+/// A count or position of the packed store as the `u16` it is kept in; past
+/// `u16::MAX`, which [`CompactNode::check_shape`] rules out, it panics.
+fn to_u16(value: usize) -> u16 {
+    u16::try_from(value).expect("table shape checked by CompactNode::check_shape")
 }
 
 /// Rehydrates a run of packed entries — the ones from position `first` of
 /// their table on — substituting the advertised identifier wherever an alias
 /// was recorded. Aliases are stored in ascending position order, so a single
-/// cursor keeps the honest fast path alias-free.
+/// cursor — the next alias, compared by position — keeps the honest fast path
+/// alias-free.
 #[inline]
 fn unpack_entries<'a>(
     entries: &'a [PackedDescriptor],
@@ -105,17 +127,18 @@ fn unpack_entries<'a>(
     ids: &'a [NodeId],
 ) -> impl Iterator<Item = Descriptor<NodeIndex>> + 'a {
     let skipped = aliases.partition_point(|&(position, _)| usize::from(position) < first);
-    let mut pending = aliases[skipped..].iter().copied().peekable();
-    entries.iter().zip(first..).map(move |(&p, position)| {
-        let descriptor = unpack_descriptor(p, ids);
-        match pending.peek() {
+    let mut pending = aliases[skipped..].iter();
+    let mut next = pending.next();
+    entries
+        .iter()
+        .zip(first..)
+        .map(move |(&p, position)| match next {
             Some(&(alias_position, advertised)) if usize::from(alias_position) == position => {
-                pending.next();
-                Descriptor::new(advertised, descriptor.address(), descriptor.timestamp())
+                next = pending.next();
+                Descriptor::new(advertised, NodeIndex::new(p.address()), p.timestamp())
             }
-            _ => descriptor,
-        }
-    })
+            _ => unpack_descriptor(p, ids),
+        })
 }
 
 /// One node's bootstrap state in packed form: the exact content of a
@@ -135,7 +158,8 @@ pub struct CompactNode {
     /// Prefix-table arena in slot order.
     prefix_store: Vec<PackedDescriptor>,
     /// Per-slot start offsets into `prefix_store` (`rows * columns + 1` of
-    /// them; a full table stays far below `u16::MAX` entries).
+    /// them; `CompactNode::check_shape` keeps a full table within `u16::MAX`
+    /// entries).
     prefix_offsets: Vec<u16>,
     /// Leaf entries whose advertised identifier disagrees with the registry
     /// (forged descriptors absorbed from an adversary), in ascending position
@@ -147,6 +171,34 @@ pub struct CompactNode {
 }
 
 impl CompactNode {
+    /// Whether the packed store can hold the tables `params` allow: the leaf
+    /// set's `c` entries and the prefix table's `rows · columns · k` must each
+    /// be countable in a `u16`.
+    ///
+    /// # Errors
+    ///
+    /// [`InvalidParams::OutOfRange`] naming `leaf_set_size` or
+    /// `entries_per_slot` (up to the largest `k` the digit width leaves room
+    /// for), or the geometry's own error.
+    pub(crate) fn check_shape(params: &BootstrapParams) -> Result<(), InvalidParams> {
+        let geometry = params.geometry()?;
+        let (most, slots) = (usize::from(u16::MAX), geometry.rows() * geometry.columns());
+        let (c, k) = (params.leaf_set_size, params.entries_per_slot);
+        let limits = [
+            ("leaf_set_size", c, 2, most),
+            ("entries_per_slot", k, 1, most / slots),
+        ];
+        match limits.into_iter().find(|&(_, value, _, max)| value > max) {
+            Some((field, value, min, max)) => Err(InvalidParams::OutOfRange {
+                field,
+                value: value as f64,
+                min: f64::from(min),
+                max: max as f64,
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Packs a fat node state. `ids` is the shared index→identifier arena,
     /// consulted to detect advertised identifiers the registry cannot
     /// reproduce.
@@ -156,8 +208,7 @@ impl CompactNode {
         packed
     }
 
-    /// Packs a fat node state into `self`, reusing the existing allocations
-    /// (the repack half of the hot path's rehydrate → mutate → repack cycle).
+    /// Packs a fat node state into `self`, reusing the existing allocations.
     pub fn repack_from(&mut self, state: &BootstrapNode<NodeIndex>, ids: &[NodeId]) {
         let own = state.own_descriptor();
         debug_assert!(own.timestamp() <= u64::from(u32::MAX));
@@ -166,18 +217,18 @@ impl CompactNode {
         self.descriptors_received = state.descriptors_received();
 
         let (leaf_entries, split) = state.leaf_set().raw_parts();
-        debug_assert!(split <= usize::from(u16::MAX));
-        self.leaf_split = split as u16;
+        self.leaf_split = to_u16(split);
         pack_entries(leaf_entries, ids, &mut self.leaf, &mut self.leaf_aliases);
 
         let (prefix_entries, offsets) = state.prefix_table().raw_parts();
-        debug_assert!(prefix_entries.len() <= usize::from(u16::MAX));
         pack_entries(
             prefix_entries,
             ids,
             &mut self.prefix_store,
             &mut self.prefix_aliases,
         );
+        // The offsets ascend to the entry count: checking it bounds them all.
+        to_u16(prefix_entries.len());
         self.prefix_offsets.clear();
         self.prefix_offsets
             .extend(offsets.iter().map(|&offset| offset as u16));
@@ -195,9 +246,11 @@ impl CompactNode {
     ) {
         let own_id = ids[node.as_usize()];
         let own = Descriptor::new(own_id, node, u64::from(self.own_timestamp));
+        let capacity = scratch.params().leaf_set_size;
         scratch.restore_header(own, self.exchanges_initiated, self.descriptors_received);
         scratch.leaf_set_mut().restore_from(
             own_id,
+            capacity,
             unpack_entries(&self.leaf, 0, &self.leaf_aliases, ids),
             usize::from(self.leaf_split),
         );
@@ -283,6 +336,223 @@ impl CompactNode {
             geometry,
         }
     }
+
+    /// This state opened for an exchange: `node` is the registry index it
+    /// belongs to, `params` the (validated) parameters it was built under.
+    pub(crate) fn open<'a>(
+        &'a mut self,
+        node: NodeIndex,
+        ids: &'a [NodeId],
+        params: &'a BootstrapParams,
+    ) -> PackedNode<'a> {
+        PackedNode {
+            state: self,
+            node,
+            ids,
+            params,
+            geometry: params.geometry().expect("validated parameters"),
+        }
+    }
+
+    /// `UPDATEPREFIXTABLE` on the packed slots — `PrefixTable::update`, or
+    /// with `refreshing` `PrefixTable::update_refreshing` — for the node
+    /// `own`; returns whether anything was inserted.
+    fn update_prefix(
+        &mut self,
+        own: NodeId,
+        incoming: impl Iterator<Item = Descriptor<NodeIndex>>,
+        ids: &[NodeId],
+        geometry: TableGeometry,
+        refreshing: bool,
+    ) -> bool {
+        let mut inserted = false;
+        for descriptor in incoming {
+            let (id, address) = (descriptor.id(), descriptor.address().raw());
+            let Some((row, column)) = geometry.slot_of(own, id) else {
+                continue;
+            };
+            let slot = row * geometry.columns() + usize::from(column);
+            let (start, end) = (self.prefix_offsets[slot], self.prefix_offsets[slot + 1]);
+            let room = usize::from(end - start) < geometry.entries_per_slot();
+            if !room && !refreshing {
+                continue;
+            }
+            // On an entry without an alias, address equality is identifier
+            // equality (the registry is a bijection): only an aliased entry
+            // or a forged descriptor compares identifiers.
+            let alias = (ids[address as usize] != id).then_some(id);
+            let first = self.prefix_aliases.partition_point(|&(p, _)| p < start);
+            let mut aliased = self.prefix_aliases[first..].iter().peekable();
+            let stored = (start..end).find(|&position| {
+                let held = self.prefix_store[usize::from(position)].address();
+                match aliased.next_if(|&&(p, _)| p == position) {
+                    Some(&(_, advertised)) => advertised == id,
+                    None if alias.is_none() => held == address,
+                    None => ids[held as usize] == id,
+                }
+            });
+            match stored {
+                // `Descriptor::fresher_of`: a strictly fresher sighting
+                // replaces the entry, address and all.
+                Some(position) if refreshing => {
+                    let entry = &mut self.prefix_store[usize::from(position)];
+                    if descriptor.timestamp() > entry.timestamp() {
+                        *entry = pack_descriptor(&descriptor);
+                        self.set_prefix_alias(position, alias);
+                    }
+                }
+                None if room => {
+                    let entry = pack_descriptor(&descriptor);
+                    self.prefix_store.insert(usize::from(end), entry);
+                    let later = self.prefix_aliases.iter_mut().filter(|(p, _)| *p >= end);
+                    let offsets = self.prefix_offsets[slot + 1..].iter_mut();
+                    offsets.chain(later.map(|(p, _)| p)).for_each(|p| *p += 1);
+                    self.set_prefix_alias(end, alias);
+                    inserted = true;
+                }
+                _ => {}
+            }
+        }
+        inserted
+    }
+
+    /// `PrefixTable::evict_expired` on the packed slots, the offsets and
+    /// aliases after each removed entry moving down with it; returns whether
+    /// anything was removed.
+    fn evict_expired_prefix(&mut self, now: u64, max_age: u64) -> bool {
+        let before = self.prefix_store.len();
+        let expired = |entry: &PackedDescriptor| entry.is_expired(now, max_age);
+        while let Some(position) = self.prefix_store.iter().position(expired) {
+            self.prefix_store.remove(position);
+            let position = to_u16(position);
+            self.set_prefix_alias(position, None);
+            let later = |p: &&mut u16| **p > position;
+            let offsets = self.prefix_offsets.iter_mut();
+            let aliases = self.prefix_aliases.iter_mut().map(|(p, _)| p);
+            offsets.chain(aliases).filter(later).for_each(|p| *p -= 1);
+        }
+        self.prefix_store.len() != before
+    }
+
+    /// Records (`Some`) or clears (`None`) the identifier the prefix entry at
+    /// `position` advertises in place of the registry's.
+    fn set_prefix_alias(&mut self, position: u16, advertised: Option<NodeId>) {
+        let aliases = &mut self.prefix_aliases;
+        let found = aliases.binary_search_by_key(&position, |&(p, _)| p);
+        match (found, advertised) {
+            (Ok(index), None) => {
+                aliases.remove(index);
+            }
+            (Ok(index), Some(id)) => aliases[index].1 = id,
+            (Err(index), Some(id)) => aliases.insert(index, (position, id)),
+            (Err(_), None) => {}
+        }
+    }
+}
+
+/// A [`CompactNode`] opened for an exchange, with what a fat
+/// [`BootstrapNode`] knows of itself and the packed state leaves to shared
+/// context: its registry index, the identifier arena and the run's
+/// parameters. `CREATEMESSAGE` and both merges run through it on the packed
+/// store, with the fat node's results bit for bit.
+#[derive(Debug)]
+pub(crate) struct PackedNode<'a> {
+    state: &'a mut CompactNode,
+    node: NodeIndex,
+    ids: &'a [NodeId],
+    params: &'a BootstrapParams,
+    geometry: TableGeometry,
+}
+
+impl PackedNode<'_> {
+    /// `BootstrapNode::create_message_at` composing into `message`: under
+    /// aging the own timestamp is re-stamped with `now` first, and
+    /// `initiating` counts an exchange. The union is gathered by resolving
+    /// the packed entries as they are read.
+    pub(crate) fn create_message_into(
+        &mut self,
+        peer_id: NodeId,
+        random_samples: &[Descriptor<NodeIndex>],
+        initiating: bool,
+        now: u64,
+        scratch: &mut MessageScratch<NodeIndex>,
+        message: &mut Vec<Descriptor<NodeIndex>>,
+    ) {
+        if self.params.descriptor_max_age.is_some() {
+            self.state.own_timestamp =
+                u32::try_from(now).expect("cycle numbers fit a packed timestamp");
+        }
+        if initiating {
+            self.state.exchanges_initiated += 1;
+        }
+        let (state, ids, node) = (&*self.state, self.ids, self.node);
+        let own = Descriptor::new(ids[node.as_usize()], node, state.own_timestamp.into());
+        let prefix = unpack_entries(&state.prefix_store, 0, &state.prefix_aliases, ids);
+        let gather = |union: &mut Vec<_>| {
+            union.push(own);
+            union.extend(state.leaf_descriptors(ids));
+            union.extend_from_slice(random_samples);
+            union.extend(prefix);
+        };
+        let c = self.params.leaf_set_size;
+        compose(scratch, gather, self.geometry, peer_id, c, message);
+    }
+
+    /// `BootstrapNode::receive_at` on the packed store — behind the
+    /// identity-stamp check of `BootstrapNode::receive_verified_at` when the
+    /// parameters carry a verifier key. `leaf` is working memory for the
+    /// leaf-set merge.
+    pub(crate) fn receive(
+        &mut self,
+        descriptors: &[Descriptor<NodeIndex>],
+        now: u64,
+        scratch: &mut MergeScratch<NodeIndex>,
+        leaf: &mut LeafSet<NodeIndex>,
+    ) -> bool {
+        let Some(key) = self.params.descriptor_verifier else {
+            return self.merge(descriptors, now, scratch, leaf);
+        };
+        let ids = self.ids;
+        let authentic = |d: &Descriptor<NodeIndex>| descriptor_is_authentic(key, ids, d);
+        let (changed, rejected) =
+            receive_verified(descriptors, scratch, authentic, |d, scratch| {
+                self.merge(d, now, scratch, leaf)
+            });
+        self.state.descriptors_received += rejected;
+        changed
+    }
+
+    /// The two merges of `BootstrapNode::receive_at`: under aging, expired
+    /// entries are evicted and expired descriptors ignored first.
+    fn merge(
+        &mut self,
+        descriptors: &[Descriptor<NodeIndex>],
+        now: u64,
+        scratch: &mut MergeScratch<NodeIndex>,
+        leaf: &mut LeafSet<NodeIndex>,
+    ) -> bool {
+        let (ids, own) = (self.ids, self.ids[self.node.as_usize()]);
+        let max_age = self.params.descriptor_max_age;
+        let state = &mut *self.state;
+        state.descriptors_received += descriptors.len() as u64;
+        let fresh = |d: &&Descriptor<NodeIndex>| !max_age.is_some_and(|age| d.is_expired(now, age));
+        let incoming = descriptors.iter().filter(fresh).copied();
+
+        // UPDATELEAFSET: the one kernel, over the resolved leaf entries.
+        let split = usize::from(state.leaf_split);
+        let capacity = self.params.leaf_set_size;
+        leaf.restore_from(own, capacity, state.leaf_descriptors(ids), split);
+        let leaf_evicted = max_age.is_some_and(|age| leaf.evict_expired(now, age));
+        let leaf_changed = leaf.update_with(incoming.clone(), scratch);
+        let (entries, split) = leaf.raw_parts();
+        state.leaf_split = to_u16(split);
+        pack_entries(entries, ids, &mut state.leaf, &mut state.leaf_aliases);
+
+        // UPDATEPREFIXTABLE, in place.
+        let prefix_evicted = max_age.is_some_and(|age| state.evict_expired_prefix(now, age));
+        let inserted = state.update_prefix(own, incoming, ids, self.geometry, max_age.is_some());
+        leaf_evicted || prefix_evicted || leaf_changed || inserted
+    }
 }
 
 /// A [`NodeView`] over a [`CompactNode`] and the shared identifier arena:
@@ -357,6 +627,12 @@ mod tests {
             random_samples: 8,
             ..BootstrapParams::paper_default()
         }
+    }
+
+    /// A blank fat node to rehydrate packed states into.
+    fn scratch_node(params: &BootstrapParams) -> BootstrapNode<NodeIndex> {
+        let placeholder = Descriptor::new(NodeId::new(0), NodeIndex::new(0), 0);
+        BootstrapNode::new(placeholder, params).expect("validated parameters")
     }
 
     /// Drives a fat node through random receive batches and checks that
@@ -668,6 +944,129 @@ mod tests {
                             target
                         );
                     }
+                }
+            }
+
+            /// The exchange on the packed store is the fat node's, step for
+            /// step: every message composed in place is the one
+            /// `create_message_at` composes, and after every packed receive
+            /// the rehydrated state — tables, split, counters, own timestamp —
+            /// and the returned flag are those of `receive_at`, or of
+            /// `receive_verified_at` under a verifier that rejects the
+            /// forgeries. The state starts with forgeries at the head of a
+            /// slot, inside a slot and in the leaf set; batches re-send them,
+            /// forge registry identifiers under other addresses and lag the
+            /// clock, which under aging advances past `descriptor_max_age`,
+            /// so entries are evicted, refreshed and re-aliased.
+            #[test]
+            fn packed_exchange_steps_match_the_fat_node(
+                network_seed in any::<u64>(),
+                network_size in 48u32..128,
+                node_raw in 0u32..8,
+                aging in any::<bool>(),
+                verifying in any::<bool>(),
+                steps in prop::collection::vec(
+                    (
+                        prop::collection::vec((0u32..128, 0u64..6, 0u8..5), 1..24),
+                        0u64..3,
+                        any::<bool>(),
+                        any::<u32>(),
+                    ),
+                    1..16,
+                ),
+            ) {
+                let mut rng = SimRng::seed_from(network_seed);
+                let network = Network::with_random_ids(network_size as usize, &mut rng);
+                let mut ids: Vec<NodeId> = Vec::new();
+                network.sync_id_arena(&mut ids);
+                let key = 0xFEED;
+                let params = BootstrapParams {
+                    descriptor_max_age: aging.then_some(3),
+                    descriptor_verifier: verifying.then_some(key),
+                    ..params()
+                };
+                let bits = params.bits_per_digit;
+                let node = NodeIndex::new(node_raw);
+                let own = ids[node.as_usize()];
+                let mut fat = BootstrapNode::new(network.descriptor(node, 0), &params).unwrap();
+
+                // As in the routing property: forgeries filed before and after
+                // two honest row-0 neighbours of different slots, and one next
+                // to the own identifier.
+                let honest: Vec<NodeId> =
+                    ids.iter().copied().filter(|id| id.digit(0, bits) != own.digit(0, bits)).collect();
+                let head = honest[0];
+                let Some(&tail) = honest.iter().find(|id| id.digit(0, bits) != head.digit(0, bits))
+                else {
+                    return Ok(());
+                };
+                let registered = |id: NodeId| ids.iter().position(|&known| known == id).unwrap();
+                let forgeries = [head.raw() ^ 1, tail.raw() ^ 1, own.raw().wrapping_add(1)];
+                let forged = |pick: usize, t: u64| {
+                    Descriptor::new(NodeId::new(forgeries[pick % 3]), NodeIndex::new(9), t)
+                };
+                let honest_at = |index: usize, t: u64| network.descriptor(NodeIndex::new(index as u32), t);
+                fat.receive(&[
+                    forged(0, 1),
+                    honest_at(registered(head), 1),
+                    honest_at(registered(tail), 1),
+                    forged(1, 1),
+                    forged(2, 1),
+                ]);
+                let mut packed = CompactNode::pack(&fat, &ids);
+                prop_assert!(!packed.leaf_aliases.is_empty());
+                let slot_starts = &packed.prefix_offsets;
+                let heads =
+                    packed.prefix_aliases.iter().filter(|(p, _)| slot_starts.contains(p)).count();
+                prop_assert!(heads > 0 && heads < packed.prefix_aliases.len());
+
+                let fingerprint = |state: &BootstrapNode<NodeIndex>| {
+                    let (leaf, split) = state.leaf_set().raw_parts();
+                    let (table, offsets) = state.prefix_table().raw_parts();
+                    let counters = (state.exchanges_initiated(), state.descriptors_received());
+                    (state.own_descriptor(), counters, leaf.to_vec(), split, table.to_vec(), offsets.to_vec())
+                };
+                let (mut fat_compose, mut packed_compose) = (MessageScratch::default(), MessageScratch::default());
+                let (mut fat_merge, mut packed_merge) = (MergeScratch::default(), MergeScratch::default());
+                let mut leaf = LeafSet::new(NodeId::new(0), 2);
+                let mut now = 2;
+                for (batch, advance, initiating, peer) in &steps {
+                    now += advance;
+                    let n = network_size as usize;
+                    let descriptors: Vec<Descriptor<NodeIndex>> = batch
+                        .iter()
+                        .map(|&(target, lag, kind)| {
+                            let (address, t) = (target as usize % n, now.saturating_sub(lag));
+                            match kind {
+                                0 | 1 => honest_at(address, t),
+                                2 => forged(address, t),
+                                // A registry identifier under an address not its own.
+                                3 => Descriptor::new(ids[address], NodeIndex::new(9), t),
+                                _ => Descriptor::new(NodeId::new(rng.next_u64()), NodeIndex::new(address as u32), t),
+                            }
+                        })
+                        .collect();
+                    let peer_id = ids[*peer as usize % n];
+
+                    let fat_message =
+                        fat.create_message_at(peer_id, &descriptors, *initiating, now, &mut fat_compose);
+                    let mut message = Vec::new();
+                    packed.open(node, &ids, &params).create_message_into(
+                        peer_id, &descriptors, *initiating, now, &mut packed_compose, &mut message,
+                    );
+                    prop_assert_eq!(&message, &fat_message);
+
+                    let fat_changed = if verifying {
+                        fat.receive_verified_at(&descriptors, now, &mut fat_merge, |d| {
+                            descriptor_is_authentic(key, &ids, d)
+                        })
+                    } else {
+                        fat.receive_at(&descriptors, now, &mut fat_merge)
+                    };
+                    let changed =
+                        packed.open(node, &ids, &params).receive(&descriptors, now, &mut packed_merge, &mut leaf);
+                    prop_assert_eq!(changed, fat_changed);
+                    prop_assert_eq!(fingerprint(&packed.unpack(node, &ids, &params)), fingerprint(&fat));
                 }
             }
         }

@@ -15,6 +15,7 @@
 //! discrete-event engine with per-link latency — reporting to a pluggable
 //! [`Observer`] and returning one serializable [`RunReport`].
 
+use crate::compact::CompactNode;
 use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergence};
 use crate::protocol::{BootstrapMessage, BootstrapProtocol, TrafficStats};
 use crate::routing::RouterKind;
@@ -166,7 +167,9 @@ impl ExperimentConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidParams`] when the protocol parameters are invalid, the
+    /// Returns [`InvalidParams`] when the protocol parameters are invalid or
+    /// allow tables the packed node store cannot index (`c` or
+    /// `rows · columns · k` beyond `u16::MAX`), the
     /// network has fewer than two nodes or more than a `u32` index can count,
     /// a budget or cadence is zero, the engine selection is invalid or asks
     /// for more threads than there are nodes, or the scenario timeline is rejected
@@ -174,6 +177,7 @@ impl ExperimentConfig {
     /// phases — see `Scenario::validate`).
     pub fn validate(&self) -> Result<(), InvalidParams> {
         self.params.validate()?;
+        CompactNode::check_shape(&self.params)?;
         if let SamplerChoice::Newscast(p) = self.sampler {
             p.validate()?;
         }
@@ -1284,6 +1288,40 @@ mod tests {
             period_millis: 1000,
             ..NewscastParams::paper_default()
         }
+    }
+
+    #[test]
+    fn tables_the_packed_store_cannot_index_are_rejected() {
+        let paper = BootstrapParams::paper_default();
+        let build = |params| ExperimentConfig::builder().params(params).build();
+        let rejects = |params, name: &str| matches!(build(params), Err(InvalidParams::OutOfRange { field, .. }) if field == name);
+        // Leaf positions and the split are u16: 65 534 is the largest even c.
+        assert!(build(BootstrapParams {
+            leaf_set_size: 65_534,
+            ..paper
+        })
+        .is_ok());
+        let c = BootstrapParams {
+            leaf_set_size: 65_536,
+            ..paper
+        };
+        assert!(rejects(c, "leaf_set_size"));
+        // At b = 1 the table has 64 x 2 slots: k = 511 fills 65 408 positions,
+        // k = 512 would need 65 536.
+        let binary = BootstrapParams {
+            bits_per_digit: 1,
+            ..paper
+        };
+        assert!(build(BootstrapParams {
+            entries_per_slot: 511,
+            ..binary
+        })
+        .is_ok());
+        let k = BootstrapParams {
+            entries_per_slot: 512,
+            ..binary
+        };
+        assert!(rejects(k, "entries_per_slot"));
     }
 
     #[test]

@@ -64,6 +64,9 @@ pub struct MergeScratch<A> {
     merged: Vec<Descriptor<A>>,
     successors: Vec<Descriptor<A>>,
     predecessors: Vec<Descriptor<A>>,
+    /// The descriptors of a message the verifier accepted, when it rejected
+    /// some (`crate::node::receive_verified`).
+    pub(crate) accepted: Vec<Descriptor<A>>,
 }
 
 impl<A> Default for MergeScratch<A> {
@@ -72,6 +75,7 @@ impl<A> Default for MergeScratch<A> {
             merged: Vec::new(),
             successors: Vec::new(),
             predecessors: Vec::new(),
+            accepted: Vec::new(),
         }
     }
 }
@@ -294,16 +298,17 @@ impl<A: Address> LeafSet<A> {
     }
 
     /// Rebuilds the leaf set in place from raw parts (the inverse of
-    /// [`LeafSet::raw_parts`]), reusing the existing allocation. The capacity
-    /// is left untouched — the packed store only round-trips between nodes
-    /// running identical parameters.
+    /// [`LeafSet::raw_parts`]) for the node `own_id` with room for `capacity`
+    /// entries, reusing the existing allocation.
     pub(crate) fn restore_from(
         &mut self,
         own_id: NodeId,
+        capacity: usize,
         entries: impl IntoIterator<Item = Descriptor<A>>,
         split: usize,
     ) {
         self.own_id = own_id;
+        self.capacity = capacity;
         self.entries.clear();
         self.entries.extend(entries);
         debug_assert!(split <= self.entries.len(), "split beyond entry count");

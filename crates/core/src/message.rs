@@ -13,6 +13,7 @@
 use crate::leafset::LeafSet;
 use crate::prefix_table::PrefixTable;
 use bss_util::descriptor::{dedup_freshest, Address, Descriptor};
+use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use bss_util::view::rank_top_by;
 
@@ -23,7 +24,7 @@ use bss_util::view::rank_top_by;
 /// message — the single most-executed operation of a simulation (twice per
 /// exchange) — allocates nothing of its own once they are warm; the only
 /// allocation left is the message itself when the caller asks for an owned
-/// one (`create_message_with`) rather than lending a buffer.
+/// one rather than lending a buffer.
 #[derive(Debug, Clone)]
 pub struct MessageScratch<A> {
     union: Vec<Descriptor<A>>,
@@ -58,8 +59,7 @@ impl<A> Default for MessageScratch<A> {
 }
 
 /// Builds the message a node sends to `peer_id`, allocating fresh working
-/// buffers. Prefer `create_message_with` or [`create_message_into`] on hot
-/// paths.
+/// buffers. Prefer [`create_message_into`] on hot paths.
 ///
 /// * `own` — the sender's own descriptor (always included in the candidate union).
 /// * `leaf_set`, `prefix_table` — the sender's current state.
@@ -75,32 +75,9 @@ pub fn create_message<A: Address>(
     peer_id: NodeId,
     ring_entries: usize,
 ) -> Vec<Descriptor<A>> {
-    create_message_with(
-        &mut MessageScratch::default(),
-        own,
-        leaf_set,
-        prefix_table,
-        random_samples,
-        peer_id,
-        ring_entries,
-    )
-}
-
-/// [`create_message_into`] returning the message as a freshly allocated
-/// vector — for callers that hand the message on by value (the event engine's
-/// queue, the wire codec).
-pub(crate) fn create_message_with<A: Address>(
-    scratch: &mut MessageScratch<A>,
-    own: Descriptor<A>,
-    leaf_set: &LeafSet<A>,
-    prefix_table: &PrefixTable<A>,
-    random_samples: &[Descriptor<A>],
-    peer_id: NodeId,
-    ring_entries: usize,
-) -> Vec<Descriptor<A>> {
     let mut message = Vec::new();
     create_message_into(
-        scratch,
+        &mut MessageScratch::default(),
         own,
         leaf_set,
         prefix_table,
@@ -119,13 +96,7 @@ pub(crate) fn create_message_with<A: Address>(
 /// distance to the peer plus every locally known descriptor sharing a prefix with
 /// the peer; duplicates are removed. The peer's own descriptor is never included.
 ///
-/// This is the single most-executed function of a simulation (twice per
-/// exchange), so both selections run directly over the deduplicated union —
-/// part one as a partial selection over plain integer keys, part two as one
-/// capped-counting pass over the peer's slot space followed by a counting
-/// placement — instead of materialising a temporary [`LeafSet`] and
-/// [`PrefixTable`] per message. The output is element-for-element identical to
-/// the naive construction.
+/// The selection itself is `compose`, shared with the packed node store.
 #[allow(clippy::too_many_arguments)]
 pub fn create_message_into<A: Address>(
     scratch: &mut MessageScratch<A>,
@@ -137,13 +108,41 @@ pub fn create_message_into<A: Address>(
     ring_entries: usize,
     message: &mut Vec<Descriptor<A>>,
 ) {
+    let gather = |union: &mut Vec<Descriptor<A>>| {
+        union.push(own);
+        union.extend_from_slice(leaf_set.as_slice());
+        union.extend_from_slice(random_samples);
+        union.extend_from_slice(prefix_table.as_slice());
+    };
+    let geometry = prefix_table.geometry();
+    compose(scratch, gather, geometry, peer_id, ring_entries, message);
+}
+
+/// `CREATEMESSAGE`'s selection over the union `gather` pushes into the
+/// (cleared) buffer it is handed — the own descriptor, the leaf set, the random
+/// samples and the prefix table, in that order, whatever form the node's
+/// state is stored in. `geometry` is the sender's (and the peer's) table
+/// geometry; the rest is as for [`create_message_into`].
+///
+/// This is the single most-executed function of a simulation (twice per
+/// exchange), so both selections run directly over the deduplicated union —
+/// part one as a partial selection over plain integer keys, part two as one
+/// capped-counting pass over the peer's slot space followed by a counting
+/// placement — instead of materialising a temporary [`LeafSet`] and
+/// [`PrefixTable`] per message. The output is element-for-element identical to
+/// the naive construction.
+pub(crate) fn compose<A: Address>(
+    scratch: &mut MessageScratch<A>,
+    gather: impl FnOnce(&mut Vec<Descriptor<A>>),
+    geometry: TableGeometry,
+    peer_id: NodeId,
+    ring_entries: usize,
+    message: &mut Vec<Descriptor<A>>,
+) {
     // The union of all locally available information.
     let union = &mut scratch.union;
     union.clear();
-    union.push(own);
-    union.extend_from_slice(leaf_set.as_slice());
-    union.extend_from_slice(random_samples);
-    union.extend_from_slice(prefix_table.as_slice());
+    gather(union);
     dedup_freshest(union);
 
     // One pass over the union classifies every entry for both parts.
@@ -167,7 +166,6 @@ pub fn create_message_into<A: Address>(
     // and it is what lets a node's already-complete rows (for example row 0,
     // which holds every other leading digit) propagate to peers whose
     // corresponding rows are still empty.
-    let geometry = prefix_table.geometry();
     let columns = geometry.columns();
     let per_slot = geometry.entries_per_slot() as u32;
     let successors = &mut scratch.successors;

@@ -138,9 +138,19 @@ impl<A: Address> BootstrapNode<A> {
         select_peer_in(self.own.id(), candidates, rng)
     }
 
-    /// `BootstrapNode::create_message_into` returning the message as a
+    /// `CREATEMESSAGE`: composes the message to send to `peer_id`, mixing in
+    /// the `cr` random samples obtained from the peer sampling service, and
+    /// increments the exchange counter when `initiating` is true (the active
+    /// thread). Working memory is the caller's; the message is returned as a
     /// freshly allocated vector, for drivers that hand it on by value (the
-    /// event engine's queue, the wire codec).
+    /// wire codec).
+    ///
+    /// The composition is clock-aware: when descriptor aging is configured, the
+    /// node first re-stamps its own descriptor with `now` — this is the
+    /// heartbeat half of the failure detector: a live node keeps its
+    /// circulating descriptor fresh by gossiping, so only departed nodes'
+    /// descriptors ever expire. Without an aging bound the timestamp is left
+    /// untouched, keeping the detector-free path byte-identical.
     pub fn create_message_at(
         &mut self,
         peer_id: NodeId,
@@ -149,45 +159,13 @@ impl<A: Address> BootstrapNode<A> {
         now: u64,
         scratch: &mut MessageScratch<A>,
     ) -> Vec<Descriptor<A>> {
-        let mut message = Vec::new();
-        self.create_message_into(
-            peer_id,
-            random_samples,
-            initiating,
-            now,
-            scratch,
-            &mut message,
-        );
-        message
-    }
-
-    /// `CREATEMESSAGE`: composes the message to send to `peer_id` into
-    /// `message`, mixing in the `cr` random samples obtained from the peer
-    /// sampling service, and increments the exchange counter when `initiating`
-    /// is true (the active thread). Working memory and the message buffer are
-    /// the caller's — the cycle engines reuse both across exchanges.
-    ///
-    /// The composition is clock-aware: when descriptor aging is configured, the
-    /// node first re-stamps its own descriptor with `now` — this is the
-    /// heartbeat half of the failure detector: a live node keeps its
-    /// circulating descriptor fresh by gossiping, so only departed nodes'
-    /// descriptors ever expire. Without an aging bound the timestamp is left
-    /// untouched, keeping the detector-free path byte-identical.
-    pub(crate) fn create_message_into(
-        &mut self,
-        peer_id: NodeId,
-        random_samples: &[Descriptor<A>],
-        initiating: bool,
-        now: u64,
-        scratch: &mut MessageScratch<A>,
-        message: &mut Vec<Descriptor<A>>,
-    ) {
         if self.params.descriptor_max_age.is_some() {
             self.own = self.own.refreshed(now);
         }
         if initiating {
             self.exchanges_initiated += 1;
         }
+        let mut message = Vec::new();
         create_message_into(
             scratch,
             self.own,
@@ -196,8 +174,9 @@ impl<A: Address> BootstrapNode<A> {
             random_samples,
             peer_id,
             self.params.leaf_set_size,
-            message,
+            &mut message,
         );
+        message
     }
 
     /// Processes a received message: `UPDATELEAFSET` followed by
@@ -273,14 +252,11 @@ impl<A: Address> BootstrapNode<A> {
         scratch: &mut MergeScratch<A>,
         verify: impl Fn(&Descriptor<A>) -> bool,
     ) -> bool {
-        let rejected = descriptors.iter().filter(|d| !verify(d)).count();
-        if rejected == 0 {
-            return self.receive_at(descriptors, now, scratch);
-        }
-        let accepted: Vec<Descriptor<A>> =
-            descriptors.iter().filter(|d| verify(d)).copied().collect();
-        let changed = self.receive_at(&accepted, now, scratch);
-        self.descriptors_received += rejected as u64;
+        let (changed, rejected) =
+            receive_verified(descriptors, scratch, verify, |accepted, scratch| {
+                self.receive_at(accepted, now, scratch)
+            });
+        self.descriptors_received += rejected;
         changed
     }
 
@@ -307,6 +283,29 @@ impl<A: Address> BootstrapNode<A> {
     pub(crate) fn prefix_table_mut(&mut self) -> &mut PrefixTable<A> {
         &mut self.prefix_table
     }
+}
+
+/// The authenticity check in front of a merge, for the fat node and the
+/// packed store alike: runs `receive` over the descriptors `verify` accepts
+/// and returns what it returned together with how many were rejected. When
+/// any is, the accepted ones are filtered into `scratch`'s own buffer, so a
+/// rejection allocates nothing once the buffer is warm.
+pub(crate) fn receive_verified<A: Address>(
+    descriptors: &[Descriptor<A>],
+    scratch: &mut MergeScratch<A>,
+    verify: impl Fn(&Descriptor<A>) -> bool,
+    receive: impl FnOnce(&[Descriptor<A>], &mut MergeScratch<A>) -> bool,
+) -> (bool, u64) {
+    let rejected = descriptors.iter().filter(|d| !verify(d)).count();
+    if rejected == 0 {
+        return (receive(descriptors, scratch), 0);
+    }
+    let mut accepted = std::mem::take(&mut scratch.accepted);
+    accepted.clear();
+    accepted.extend(descriptors.iter().filter(|d| verify(d)).copied());
+    let changed = receive(&accepted, scratch);
+    scratch.accepted = accepted;
+    (changed, rejected as u64)
 }
 
 /// The ranking nucleus of `SELECTPEER`, shared between the fat node state and

@@ -1,24 +1,24 @@
 //! The cycle-driven simulation driver for the bootstrapping service.
 //!
-//! [`BootstrapProtocol`] owns one [`BootstrapNode`] per simulated node and plays
-//! the roles of both threads of Fig. 2 within a cycle: the scheduled node selects
-//! a peer and sends its message (active thread); if the request is delivered the
-//! peer immediately composes and sends back its answer and applies the received
-//! message (passive thread); if the answer is delivered the initiator applies it
-//! too. Message loss therefore has exactly the paper's semantics: a lost request
-//! suppresses the answer as well, so a drop probability of 0.2 yields an effective
-//! pair-loss of roughly 28 %.
+//! [`BootstrapProtocol`] owns one packed node state ([`CompactNode`]) per
+//! simulated node and plays the roles of both threads of Fig. 2 within a cycle:
+//! the scheduled node selects a peer and sends its message (active thread); if
+//! the request is delivered the peer immediately composes and sends back its
+//! answer and applies the received message (passive thread); if the answer is
+//! delivered the initiator applies it too. Message loss therefore has exactly
+//! the paper's semantics: a lost request suppresses the answer as well, so a
+//! drop probability of 0.2 yields an effective pair-loss of roughly 28 %.
 
-use crate::compact::{scratch_node, CompactNode, PackedView};
+use crate::compact::{CompactNode, PackedView};
 use crate::convergence::{
     ConvergenceOracle, ConvergenceTracker, NetworkConvergence, NodeConvergence,
 };
-use crate::leafset::MergeScratch;
+use crate::leafset::{LeafSet, MergeScratch};
 use crate::message::MessageScratch;
 use crate::node::{select_peer_in, BootstrapNode};
 use bss_sampling::quality::SamplingQuality;
 use bss_sampling::sampler::PeerSampler;
-use bss_sim::adversary::{forged_id, spray_id, stamp, AdversaryBehavior, AdversaryModel};
+use bss_sim::adversary::{forged_id, spray_id, AdversaryBehavior, AdversaryModel};
 use bss_sim::engine::cycle::{
     CycleProtocol, EngineContext, NodePlan, ParallelCycleProtocol, PlannedWork,
 };
@@ -108,7 +108,7 @@ pub(crate) struct BootstrapProtocol<S> {
     /// irrelevant for the oracle.
     run_sampler_steps: bool,
     /// The population in packed form: one [`CompactNode`] per initialised
-    /// node, rehydrated into scratch [`BootstrapNode`]s on the hot path.
+    /// node, which exchanges compose from and merge into in place.
     nodes: Vec<Option<CompactNode>>,
     /// The shared index→identifier arena the packed descriptors resolve
     /// against; append-only, synced from the registry whenever nodes appear.
@@ -136,52 +136,17 @@ pub(crate) struct BootstrapProtocol<S> {
 /// why its forgeries fail the identity-stamp check.
 const FORGE_KEY: u64 = 0x464f_5247_4552_5921;
 
-/// Whether `descriptor` passes the keyed identity-stamp check against the
-/// registry: the stamp computed over the identifier the registry holds for the
-/// descriptor's address must match the stamp over the claimed identifier.
-/// This models signature verification with the registry as the PKI — honest
-/// descriptors always pass, fabricated identifiers always fail (modulo a
-/// 2⁻⁶⁴ hash collision).
-fn descriptor_is_authentic(key: u64, ids: &[NodeId], descriptor: &Descriptor<NodeIndex>) -> bool {
-    let address = u64::from(descriptor.address().raw());
-    ids.get(descriptor.address().as_usize())
-        .is_some_and(|&registry_id| {
-            stamp(key, registry_id, address) == stamp(key, descriptor.id(), address)
-        })
-}
-
-/// Applies a received message to `state` at logical time `cycle` — through the
-/// identity-stamp check when a verifier key is configured. The key rides on
-/// the node's own params (the scratch states carry a full copy), so the
-/// verified path needs no driver state.
-fn receive_message(
-    state: &mut BootstrapNode<NodeIndex>,
-    descriptors: &[Descriptor<NodeIndex>],
-    cycle: u64,
-    ids: &[NodeId],
-    merge: &mut MergeScratch<NodeIndex>,
-) -> bool {
-    match state.params().descriptor_verifier {
-        Some(key) => state.receive_verified_at(descriptors, cycle, merge, |d| {
-            descriptor_is_authentic(key, ids, d)
-        }),
-        None => state.receive_at(descriptors, cycle, merge),
-    }
-}
-
 /// One worker thread's reusable working memory: message composition and
-/// leaf-set merge buffers, the two messages of an exchange, plus the two fat
-/// scratch nodes the packed states are rehydrated into for the exchange
-/// itself. With these warm, executing a planned exchange touches the heap
-/// only where a table actually grows.
+/// merge buffers, the leaf set the packed leaf entries are merged in, and the
+/// two messages of an exchange. With these warm, executing a planned
+/// exchange touches the heap only where a table actually grows.
 #[derive(Debug)]
 struct ExchangeScratch {
     message: MessageScratch<NodeIndex>,
     merge: MergeScratch<NodeIndex>,
+    leaf: LeafSet<NodeIndex>,
     request: Vec<Descriptor<NodeIndex>>,
     answer: Vec<Descriptor<NodeIndex>>,
-    node_state: BootstrapNode<NodeIndex>,
-    peer_state: BootstrapNode<NodeIndex>,
 }
 
 impl ExchangeScratch {
@@ -189,10 +154,9 @@ impl ExchangeScratch {
         ExchangeScratch {
             message: MessageScratch::default(),
             merge: MergeScratch::default(),
+            leaf: LeafSet::new(NodeId::new(0), params.leaf_set_size),
             request: Vec::new(),
             answer: Vec::new(),
-            node_state: scratch_node(params),
-            peer_state: scratch_node(params),
         }
     }
 }
@@ -237,30 +201,30 @@ pub struct ExchangeOutcome {
     peer_changed: bool,
 }
 
-/// Executes one planned exchange against the two participants' packed states.
-/// Free of `BootstrapProtocol` so worker threads can run it with nothing but
-/// the plan, disjoint `&mut` packed slots, the shared identifier arena and
-/// their own scratch (which holds the fat nodes the slots rehydrate into).
+/// Executes one planned exchange on the two participants' packed states in
+/// place. Free of `BootstrapProtocol` so worker threads can run it with
+/// nothing but the plan, disjoint `&mut` packed slots, the shared identifier
+/// arena, the parameters and their own scratch.
 fn execute_exchange(
     plan: &ExchangePlan,
     node: NodeIndex,
     node_slot: &mut CompactNode,
     peer_slot: Option<&mut CompactNode>,
     ids: &[NodeId],
+    params: &BootstrapParams,
     scratch: &mut ExchangeScratch,
 ) -> ExchangeOutcome {
     let ExchangeScratch {
         message,
         merge,
+        leaf,
         request,
         answer,
-        node_state,
-        peer_state,
     } = scratch;
-    node_slot.unpack_into(node, ids, node_state);
+    let mut initiator = node_slot.open(node, ids, params);
     // Active side composes its message (always — a lost request still counts
     // as sent and still increments the node's exchange counter).
-    node_state.create_message_into(
+    initiator.create_message_into(
         plan.peer_id,
         &plan.my_samples,
         true,
@@ -282,8 +246,8 @@ fn execute_exchange(
     // Passive side: compose the answer before applying the request (Fig. 2b:
     // CREATEMESSAGE precedes the updates), then update.
     if let Some(peer_slot) = peer_slot {
-        peer_slot.unpack_into(plan.peer, ids, peer_state);
-        peer_state.create_message_into(
+        let mut peer = peer_slot.open(plan.peer, ids, params);
+        peer.create_message_into(
             plan.node_id,
             &plan.peer_samples,
             false,
@@ -292,13 +256,11 @@ fn execute_exchange(
             answer,
         );
         outcome.answer_len = answer.len() as u64;
-        outcome.peer_changed = receive_message(peer_state, request, plan.cycle, ids, merge);
-        peer_slot.repack_from(peer_state, ids);
+        outcome.peer_changed = peer.receive(request, plan.cycle, merge, leaf);
         if plan.answer_delivered {
-            outcome.node_changed = receive_message(node_state, answer, plan.cycle, ids, merge);
+            outcome.node_changed = initiator.receive(answer, plan.cycle, merge, leaf);
         }
     }
-    node_slot.repack_from(node_state, ids);
     outcome
 }
 
@@ -309,7 +271,10 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     ///
     /// Panics if the parameters are invalid.
     pub(crate) fn new(params: BootstrapParams, sampler: S) -> Self {
-        params.validate().expect("invalid protocol parameters");
+        params
+            .validate()
+            .and_then(|()| CompactNode::check_shape(&params))
+            .expect("invalid protocol parameters");
         BootstrapProtocol {
             params,
             geometry: params.geometry().expect("validated just above"),
@@ -719,6 +684,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
             node_slot,
             peer_slot,
             &self.ids,
+            &self.params,
             &mut self.worker_scratch[0],
         )
     }
@@ -859,18 +825,18 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
         let packed = self.nodes[node.as_usize()]
             .as_mut()
             .expect("a planned request has an initialised initiator");
-        let ExchangeScratch {
-            message,
-            node_state,
-            ..
-        } = &mut self.worker_scratch[0];
-        packed.unpack_into(node, &self.ids, node_state);
-        let request =
-            node_state.create_message_at(peer_descriptor.id(), &samples, true, cycle, message);
-        let from_id = node_state.id();
-        // The composition bumped the exchange counter (and, under aging, the
-        // own timestamp): write it back.
-        packed.repack_from(node_state, &self.ids);
+        let mut request = Vec::new();
+        packed
+            .open(node, &self.ids, &self.params)
+            .create_message_into(
+                peer_descriptor.id(),
+                &samples,
+                true,
+                cycle,
+                &mut self.worker_scratch[0].message,
+                &mut request,
+            );
+        let from_id = self.ids[node.as_usize()];
         self.traffic.requests_sent += 1;
         self.traffic.message_sizes.record(request.len() as u64);
         ctx.send(
@@ -915,14 +881,14 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
                 let ExchangeScratch {
                     message,
                     merge,
-                    node_state,
+                    leaf,
                     ..
                 } = &mut self.worker_scratch[0];
-                packed.unpack_into(node, &self.ids, node_state);
+                let mut state = packed.open(node, &self.ids, &self.params);
                 // Fig. 2b: compose the answer *before* applying the request.
-                let answer = node_state.create_message_at(from_id, &samples, false, cycle, message);
-                let changed = receive_message(node_state, &descriptors, cycle, &self.ids, merge);
-                packed.repack_from(node_state, &self.ids);
+                let mut answer = Vec::new();
+                state.create_message_into(from_id, &samples, false, cycle, message, &mut answer);
+                let changed = state.receive(&descriptors, cycle, merge, leaf);
                 self.traffic.answers_sent += 1;
                 self.traffic.message_sizes.record(answer.len() as u64);
                 if changed {
@@ -943,13 +909,9 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
                 else {
                     return;
                 };
-                let ExchangeScratch {
-                    merge, node_state, ..
-                } = &mut self.worker_scratch[0];
-                packed.unpack_into(node, &self.ids, node_state);
-                let changed = receive_message(node_state, &descriptors, cycle, &self.ids, merge);
-                packed.repack_from(node_state, &self.ids);
-                if changed {
+                let ExchangeScratch { merge, leaf, .. } = &mut self.worker_scratch[0];
+                let mut state = packed.open(node, &self.ids, &self.params);
+                if state.receive(&descriptors, cycle, merge, leaf) {
                     self.mark_dirty(node);
                 }
             }
@@ -1030,6 +992,7 @@ impl<S: PeerSampler> ParallelCycleProtocol for BootstrapProtocol<S> {
         // only.
         let cursor = Mutex::new(units.iter_mut());
         let ids: &[NodeId] = &self.ids;
+        let params = &self.params;
         let tasks: Vec<Task<'_>> = self
             .worker_scratch
             .iter_mut()
@@ -1045,6 +1008,7 @@ impl<S: PeerSampler> ParallelCycleProtocol for BootstrapProtocol<S> {
                         &mut unit.node_state,
                         unit.peer_state.as_mut(),
                         ids,
+                        params,
                         scratch,
                     ));
                 }) as Task<'_>

@@ -181,6 +181,12 @@ impl PackedDescriptor {
     pub fn timestamp(self) -> u64 {
         u64::from(self.timestamp)
     }
+
+    /// [`Descriptor::is_expired`] for the packed form.
+    #[inline]
+    pub fn is_expired(self, now: u64, max_age: u64) -> bool {
+        now.saturating_sub(self.timestamp()) > max_age
+    }
 }
 
 /// Buffers at most this long are deduplicated by in-place quadratic scanning
