@@ -1,8 +1,8 @@
 //! Wire-scale bench: loopback UDP clusters across sizes.
 //!
 //! This is the net-side twin of the `scaling` experiment. For every size it
-//! spawns a real loopback cluster, monitors it to convergence, and writes the
-//! full [`NetReport`](bss_net::report::NetReport) as JSON (`<out-dir>/cluster_<N>.json`) plus one shared
+//! binds a real loopback cluster, polls it to convergence, and writes the
+//! full [`NetReport`](bss_net::NetReport) as JSON (`<out-dir>/cluster_<N>.json`) plus one shared
 //! TSV timeline (`<out-dir>/timeline.tsv`) with every convergence sample of
 //! every run — the same artifact shapes CI uploads for the simulator sweeps.
 //!
@@ -17,7 +17,7 @@
 
 use crate::cli::Args;
 use crate::sweep::{create_out_dir, write_file};
-use bss_net::cluster::{Cluster, ClusterConfig};
+use bss_net::{DriverConfig, NetDriver};
 use bss_util::config::BootstrapParams;
 use bss_util::stats::append_cycle_rows;
 use std::time::Duration;
@@ -46,13 +46,13 @@ pub(super) fn run(args: &Args) -> super::Outcome {
     let mut all_converged = true;
 
     for size in sizes.into_iter().map(|exp| 1usize << exp) {
-        let cluster = match Cluster::spawn(ClusterConfig {
+        let mut driver = match NetDriver::bind(DriverConfig {
             size,
             params: bench_params(),
             contacts_per_peer: 4,
             seed,
         }) {
-            Ok(cluster) => cluster,
+            Ok(driver) => driver,
             Err(error) => {
                 // No loopback UDP here (sandboxed CI): skip the whole bench,
                 // successfully, like the socket tests do.
@@ -60,8 +60,7 @@ pub(super) fn run(args: &Args) -> super::Outcome {
                 return Ok(());
             }
         };
-        let report = cluster.monitor(Duration::from_millis(50), DEADLINE);
-        cluster.shutdown();
+        let report = driver.monitor(Duration::from_millis(50), DEADLINE);
 
         let path = format!("{out_dir}/cluster_{}.json", report.nodes);
         write_file(&path, &report.to_json())?;

@@ -36,10 +36,10 @@
 //!   prefix tables and the proportion of missing entries (the quantity plotted in
 //!   Figures 3 and 4).
 //! * [`scenario`] — engine-agnostic run descriptions: a composable timeline of
-//!   [`ScenarioEvent`]s (loss windows, churn bursts,
+//!   [`ScenarioEvent`](scenario::ScenarioEvent)s (loss windows, churn bursts,
 //!   catastrophic failures, massive joins, partitions that merge), the
-//!   [`Engine`] selection (cycle, parallel cycle,
-//!   discrete-event) and the pluggable [`Observer`] trait.
+//!   [`Engine`](scenario::Engine) selection (cycle, parallel cycle,
+//!   discrete-event) and the pluggable [`Observer`](scenario::Observer) trait.
 //! * [`experiment`] — a batteries-included experiment runner combining all of the
 //!   above behind the engine-agnostic [`Experiment`] entry point; this is what
 //!   the examples and the benchmark harness drive.
@@ -79,15 +79,6 @@ pub mod routing;
 pub mod scenario;
 pub mod traffic;
 
-pub use compact::CompactNode;
-pub use convergence::ConvergenceOracle;
-pub use experiment::{Experiment, ExperimentConfig, PopulationSnapshot, RunReport};
-pub use leafset::LeafSet;
-pub use message::create_message;
-pub use node::BootstrapNode;
-pub use prefix_table::PrefixTable;
-pub use routing::{Contact, RouterKind};
-pub use scenario::{
-    Engine, KeyDist, LatencyModel, Observer, PartitionSpec, Phase, PlacementSpec, Scenario,
-    ScenarioEvent, WanParams,
-};
+pub use experiment::Experiment;
+pub use routing::RouterKind;
+pub use scenario::{KeyDist, LatencyModel, Phase};

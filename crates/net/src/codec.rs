@@ -14,7 +14,6 @@
 use bss_sim::adversary::stamp;
 use bss_util::descriptor::Descriptor;
 use bss_util::id::NodeId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 
@@ -175,7 +174,7 @@ pub fn seal(message: &mut WireMessage, key: u64) {
 /// message's stamp count does not match its descriptor count, or if any
 /// descriptor carries a non-IPv4 address (the localhost deployment only uses
 /// IPv4). Use `try_encode` to handle malformed messages as a value.
-pub fn encode(message: &WireMessage) -> Bytes {
+pub fn encode(message: &WireMessage) -> Vec<u8> {
     match try_encode(message) {
         Ok(bytes) => bytes,
         Err(error) => panic!("{error}"),
@@ -196,7 +195,7 @@ pub fn encode(message: &WireMessage) -> Bytes {
 ///
 /// Panics if any descriptor carries a non-IPv4 address (the localhost
 /// deployment only supports IPv4).
-pub(crate) fn try_encode(message: &WireMessage) -> Result<Bytes, EncodeError> {
+pub(crate) fn try_encode(message: &WireMessage) -> Result<Vec<u8>, EncodeError> {
     if message.descriptors.len() > MAX_DESCRIPTORS {
         return Err(EncodeError::new(format!(
             "{} descriptors exceed the wire format's limit of {MAX_DESCRIPTORS}",
@@ -212,29 +211,27 @@ pub(crate) fn try_encode(message: &WireMessage) -> Result<Bytes, EncodeError> {
         )));
     }
     let entry = DESCRIPTOR_BYTES + if stamped { STAMP_BYTES } else { 0 };
-    let mut buffer =
-        BytesMut::with_capacity(HEADER_BYTES + entry * (1 + message.descriptors.len()));
-    buffer.put_u8(MAGIC);
-    buffer.put_u8(VERSION);
-    buffer.put_u8(match message.kind {
+    let mut buffer = Vec::with_capacity(HEADER_BYTES + entry * (1 + message.descriptors.len()));
+    let kind = match message.kind {
         MessageKind::Request => 0,
         MessageKind::Response => 1,
         MessageKind::SampleRequest => 2,
         MessageKind::SampleResponse => 3,
-    });
-    buffer.put_u8(if stamped { FLAG_STAMPED } else { 0 });
-    buffer.put_u16(message.descriptors.len() as u16);
+    };
+    let flags = if stamped { FLAG_STAMPED } else { 0 };
+    buffer.extend_from_slice(&[MAGIC, VERSION, kind, flags]);
+    buffer.extend_from_slice(&(message.descriptors.len() as u16).to_be_bytes());
     put_descriptor(&mut buffer, &message.sender);
     if stamped {
-        buffer.put_u64(message.stamps[0]);
+        buffer.extend_from_slice(&message.stamps[0].to_be_bytes());
     }
     for (index, descriptor) in message.descriptors.iter().enumerate() {
         put_descriptor(&mut buffer, descriptor);
         if stamped {
-            buffer.put_u64(message.stamps[index + 1]);
+            buffer.extend_from_slice(&message.stamps[index + 1].to_be_bytes());
         }
     }
-    Ok(buffer.freeze())
+    Ok(buffer)
 }
 
 /// Decodes a datagram payload.
@@ -244,53 +241,50 @@ pub(crate) fn try_encode(message: &WireMessage) -> Result<Bytes, EncodeError> {
 /// Returns [`DecodeError`] when the payload is truncated, has the wrong magic,
 /// version, kind or flags byte, or advertises a length that does not match the
 /// payload.
-pub fn decode(mut payload: &[u8]) -> Result<WireMessage, DecodeError> {
+pub fn decode(payload: &[u8]) -> Result<WireMessage, DecodeError> {
     if payload.len() < HEADER_BYTES {
         return Err(DecodeError::new("shorter than the fixed header"));
     }
-    let magic = payload.get_u8();
+    let (header, body) = payload.split_at(HEADER_BYTES);
+    let magic = header[0];
     if magic != MAGIC {
         return Err(DecodeError::new(format!("bad magic byte {magic:#x}")));
     }
-    let version = payload.get_u8();
+    let version = header[1];
     if version != VERSION {
         return Err(DecodeError::new(format!("unsupported version {version}")));
     }
-    let kind = match payload.get_u8() {
+    let kind = match header[2] {
         0 => MessageKind::Request,
         1 => MessageKind::Response,
         2 => MessageKind::SampleRequest,
         3 => MessageKind::SampleResponse,
         other => return Err(DecodeError::new(format!("unknown message kind {other}"))),
     };
-    let flags = payload.get_u8();
+    let flags = header[3];
     if flags & !FLAG_STAMPED != 0 {
         return Err(DecodeError::new(format!("unknown flags {flags:#010b}")));
     }
     let stamped = flags & FLAG_STAMPED != 0;
-    let count = payload.get_u16() as usize;
+    let count = usize::from(u16::from_be_bytes([header[4], header[5]]));
     let entry = DESCRIPTOR_BYTES + if stamped { STAMP_BYTES } else { 0 };
     let expected = entry * (count + 1);
-    if payload.remaining() != expected {
+    if body.len() != expected {
         return Err(DecodeError::new(format!(
             "expected {expected} descriptor bytes, found {}",
-            payload.remaining()
+            body.len()
         )));
     }
     let mut stamps = Vec::with_capacity(if stamped { count + 1 } else { 0 });
-    let sender = get_descriptor(&mut payload);
-    if stamped {
-        stamps.push(payload.get_u64());
-    }
-    let descriptors = (0..count)
-        .map(|_| {
-            let descriptor = get_descriptor(&mut payload);
-            if stamped {
-                stamps.push(payload.get_u64());
-            }
-            descriptor
-        })
-        .collect();
+    let mut entries = body.chunks_exact(entry).map(|entry| {
+        let (descriptor, stamp) = entry.split_at(DESCRIPTOR_BYTES);
+        if stamped {
+            stamps.push(be_u64(stamp));
+        }
+        get_descriptor(descriptor)
+    });
+    let sender = entries.next().expect("the length check counted the sender");
+    let descriptors = entries.collect();
     Ok(WireMessage {
         kind,
         sender,
@@ -299,26 +293,29 @@ pub fn decode(mut payload: &[u8]) -> Result<WireMessage, DecodeError> {
     })
 }
 
-fn put_descriptor(buffer: &mut BytesMut, descriptor: &Descriptor<SocketAddr>) {
-    buffer.put_u64(descriptor.id().raw());
+fn put_descriptor(buffer: &mut Vec<u8>, descriptor: &Descriptor<SocketAddr>) {
+    buffer.extend_from_slice(&descriptor.id().raw().to_be_bytes());
     match descriptor.address() {
         SocketAddr::V4(v4) => {
-            buffer.put_slice(&v4.ip().octets());
-            buffer.put_u16(v4.port());
+            buffer.extend_from_slice(&v4.ip().octets());
+            buffer.extend_from_slice(&v4.port().to_be_bytes());
         }
         SocketAddr::V6(_) => panic!("the UDP deployment only supports IPv4 addresses"),
     }
-    buffer.put_u64(descriptor.timestamp());
+    buffer.extend_from_slice(&descriptor.timestamp().to_be_bytes());
 }
 
-fn get_descriptor(payload: &mut &[u8]) -> Descriptor<SocketAddr> {
-    let id = NodeId::new(payload.get_u64());
-    let mut octets = [0u8; 4];
-    payload.copy_to_slice(&mut octets);
-    let port = payload.get_u16();
+/// Reads one descriptor from its `DESCRIPTOR_BYTES` bytes.
+fn get_descriptor(bytes: &[u8]) -> Descriptor<SocketAddr> {
+    let octets = [bytes[8], bytes[9], bytes[10], bytes[11]];
+    let port = u16::from_be_bytes([bytes[12], bytes[13]]);
     let address = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::from(octets), port));
-    let timestamp = payload.get_u64();
-    Descriptor::new(id, address, timestamp)
+    Descriptor::new(NodeId::new(be_u64(bytes)), address, be_u64(&bytes[14..]))
+}
+
+/// Reads the big-endian `u64` at the front of `bytes`.
+fn be_u64(bytes: &[u8]) -> u64 {
+    u64::from_be_bytes(bytes[..8].try_into().expect("eight bytes"))
 }
 
 #[cfg(test)]

@@ -7,20 +7,20 @@
 //! end to end outside the simulator:
 //!
 //! * [`codec`] — a compact binary wire format for descriptor lists (identifier,
-//!   IPv4 address, port, timestamp), built on [`bytes`], with optional keyed
-//!   identity stamps for the descriptor-verifier countermeasure.
+//!   IPv4 address, port, timestamp), big-endian, with optional keyed identity
+//!   stamps for the descriptor-verifier countermeasure.
 //! * `node` — the *clocked* protocol glue between a node and the wire: the
 //!   active thread of Fig. 2 composed on a timer and the passive thread on
 //!   receipt (millisecond-derived cycle clock, descriptor aging, heartbeat
 //!   re-stamping, stamp verification), the sampling pool, and the
-//!   [`PeerHandle`] supervisors read a running peer through.
-//! * `driver` — the one deployment shape: a batched single-loop datagram
-//!   driver that owns the sockets and multiplexes one peer or thousands of
-//!   in-process peers over one poll loop and one thread.
-//! * [`cluster`] — spawns and supervises a set of peers on the loopback interface
-//!   (one driver loop on one thread), checks their convergence with the same
-//!   [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle) the simulator
-//!   uses, and renders runs as [`report::NetReport`]s.
+//!   [`PeerHandle`] callers read a running peer through.
+//! * `driver` — the one way to run the wire: [`NetDriver`] binds one socket
+//!   per in-process peer and the caller polls it on its own thread, one sweep
+//!   at a time ([`NetDriver::poll_once`]) or until a condition holds
+//!   ([`NetDriver::poll_until`]). Between sweeps it measures convergence with
+//!   the same [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle)
+//!   the simulator uses, kills peers, and renders a watched run as a
+//!   [`NetReport`] ([`NetDriver::monitor`]).
 //! * `report` — shared traffic counters and the wire-side run report:
 //!   `RunReport`'s `Series` type, key names and JSON writer, keyed by elapsed
 //!   milliseconds instead of cycles.
@@ -41,32 +41,35 @@
 //! # Example
 //!
 //! ```rust,no_run
-//! use bss_net::cluster::{Cluster, ClusterConfig};
+//! use bss_net::{DriverConfig, NetDriver};
+//! use bss_util::config::BootstrapParams;
+//! use std::time::Duration;
 //!
-//! let cluster = Cluster::spawn(ClusterConfig {
+//! let mut driver = NetDriver::bind(DriverConfig {
 //!     size: 256,
-//!     ..ClusterConfig::default()
+//!     params: BootstrapParams {
+//!         leaf_set_size: 6,
+//!         random_samples: 8,
+//!         cycle_millis: 50,
+//!         ..BootstrapParams::paper_default()
+//!     },
+//!     contacts_per_peer: 4,
+//!     seed: 1,
 //! })
 //! .expect("sockets available");
-//! let report = cluster.monitor(
-//!     std::time::Duration::from_millis(50),
-//!     std::time::Duration::from_secs(30),
-//! );
+//! let report = driver.monitor(Duration::from_millis(50), Duration::from_secs(30));
 //! println!("{}", report.to_json());
-//! cluster.shutdown();
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cluster;
 pub mod codec;
 mod driver;
 mod node;
 mod report;
 
-pub use cluster::{Cluster, ClusterConfig};
 pub use driver::{DriverConfig, NetDriver};
 pub use node::PeerHandle;
 pub use report::{NetReport, NetStats, NetTraffic};

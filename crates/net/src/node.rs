@@ -1,5 +1,5 @@
 //! The clocked protocol glue between a [`BootstrapNode`] and the wire, plus the
-//! handle through which supervisors and tests read a running peer.
+//! handle through which callers and tests read a running peer.
 //!
 //! `compose_request` and `apply_message` implement both threads of Fig. 2
 //! over datagrams: on a periodic timer a peer selects a partner, composes a
@@ -27,11 +27,8 @@ use bss_util::config::BootstrapParams;
 use bss_util::descriptor::Descriptor;
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
-use bytes::Bytes;
-use parking_lot::Mutex;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// The wire's cycle period: Δ, floored at 10 ms so a misconfigured Δ of 0
@@ -40,10 +37,9 @@ pub(crate) fn effective_cycle_millis(params: &BootstrapParams) -> u64 {
     params.cycle_millis.max(10)
 }
 
-/// The wire clock: the cycle number a peer started at `started` is in now.
-/// Per-peer clocks are independent; their skew (one period at most, plus
-/// scheduling noise) is far below any sensible `descriptor_max_age` bound,
-/// which is measured in whole cycles.
+/// The wire clock: the cycle number a driver started at `started` is in now.
+/// Every peer of a driver reads this one clock, so no honest descriptor is
+/// ever stamped ahead of a receiver's `now`.
 pub(crate) fn wire_cycle(started: Instant, cycle_millis: u64) -> u64 {
     started.elapsed().as_millis() as u64 / cycle_millis
 }
@@ -188,7 +184,7 @@ pub(crate) fn compose_sample_exchange(
     rng: &mut SimRng,
     pool: &mut SamplePool,
     now: u64,
-) -> Option<(SocketAddr, Bytes)> {
+) -> Option<(SocketAddr, Vec<u8>)> {
     let params = *node.params();
     if let Some(max_age) = params.descriptor_max_age {
         pool.prune(now, max_age);
@@ -213,7 +209,7 @@ pub(crate) fn compose_request(
     pool: &mut SamplePool,
     now: u64,
     scratch: &mut ProtocolScratch,
-) -> Option<(SocketAddr, Bytes)> {
+) -> Option<(SocketAddr, Vec<u8>)> {
     let params = *node.params();
     if let Some(max_age) = params.descriptor_max_age {
         pool.prune(now, max_age);
@@ -246,7 +242,7 @@ pub(crate) fn apply_message(
     message: WireMessage,
     now: u64,
     scratch: &mut ProtocolScratch,
-) -> Option<Bytes> {
+) -> Option<Vec<u8>> {
     let params = *node.params();
     let own_id = node.own_descriptor().id();
 
@@ -254,10 +250,17 @@ pub(crate) fn apply_message(
     // *last*) and, under a verification key, their per-descriptor verdicts:
     // `stamps[0]` covers the sender, so the verdicts are aligned to `received`
     // order. Unstamped or miscounted datagrams on a keyed deployment are
-    // rejected wholesale.
+    // rejected wholesale. Timestamps are clamped to `now`: aging measures
+    // `now - timestamp`, saturating, so a descriptor stamped in the future
+    // would never expire, and the identity stamps do not cover freshness.
     scratch.received.clear();
-    scratch.received.extend_from_slice(&message.descriptors);
-    scratch.received.push(message.sender);
+    scratch.received.extend(
+        message
+            .descriptors
+            .iter()
+            .chain([&message.sender])
+            .map(|descriptor| descriptor.refreshed(descriptor.timestamp().min(now))),
+    );
     let verified = params.descriptor_verifier.is_some();
     scratch.verdicts.clear();
     if let Some(key) = params.descriptor_verifier {
@@ -362,29 +365,21 @@ pub(crate) fn apply_message(
 
 /// A cheap, cloneable view of one running peer: its identity, address and
 /// shared protocol state. The driver exposes its peers through handles, so
-/// supervisors ([`crate::cluster::Cluster`]) and tests read them without
-/// touching the loop.
+/// callers and tests read them between sweeps.
 #[derive(Debug, Clone)]
 pub struct PeerHandle {
     id: NodeId,
     address: SocketAddr,
     state: Arc<Mutex<BootstrapNode<SocketAddr>>>,
-    alive: Arc<AtomicBool>,
-    exchanges: Arc<AtomicU64>,
 }
 
 impl PeerHandle {
-    pub(crate) fn new(
-        id: NodeId,
-        address: SocketAddr,
-        state: Arc<Mutex<BootstrapNode<SocketAddr>>>,
-    ) -> Self {
+    pub(crate) fn new(node: BootstrapNode<SocketAddr>) -> Self {
+        let own = node.own_descriptor();
         PeerHandle {
-            id,
-            address,
-            state,
-            alive: Arc::new(AtomicBool::new(true)),
-            exchanges: Arc::new(AtomicU64::new(0)),
+            id: own.id(),
+            address: own.address(),
+            state: Arc::new(Mutex::new(node)),
         }
     }
 
@@ -398,31 +393,21 @@ impl PeerHandle {
         self.address
     }
 
-    /// Whether the peer is still running (not killed or shut down).
-    pub(crate) fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Relaxed)
-    }
-
     /// Number of exchanges the peer has initiated so far.
     pub fn exchanges_initiated(&self) -> u64 {
-        self.exchanges.load(Ordering::Relaxed)
+        self.state().exchanges_initiated()
     }
 
     /// A snapshot of the peer's current protocol state.
     pub fn state_snapshot(&self) -> BootstrapNode<SocketAddr> {
-        self.state.lock().clone()
+        self.state().clone()
     }
 
-    pub(crate) fn state(&self) -> &Arc<Mutex<BootstrapNode<SocketAddr>>> {
-        &self.state
-    }
-
-    pub(crate) fn record_exchange(&self) {
-        self.exchanges.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn mark_dead(&self) {
-        self.alive.store(false, Ordering::Relaxed);
+    /// The peer's protocol state, locked.
+    pub(crate) fn state(&self) -> MutexGuard<'_, BootstrapNode<SocketAddr>> {
+        self.state
+            .lock()
+            .expect("only a panic while the peer state was locked poisons it")
     }
 }
 
@@ -456,25 +441,14 @@ mod tests {
         })?;
         let handles = driver.handles();
         let (first, second) = (handles[0].clone(), handles[1].clone());
-        second
-            .state()
-            .lock()
-            .initialize([first.state.lock().own_descriptor()]);
+        let first_descriptor = first.state().own_descriptor();
+        second.state().initialize([first_descriptor]);
         Ok((driver, first, second))
     }
 
     /// Sweeps the driver on this thread until `done` holds or 10 s pass.
     fn poll_until(driver: &mut NetDriver, done: impl Fn() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while Instant::now() < deadline {
-            if done() {
-                return true;
-            }
-            if !driver.poll_once() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        false
+        driver.poll_until(Duration::from_secs(10), |_| done())
     }
 
     fn wait_linked(driver: &mut NetDriver, first: &PeerHandle, second: &PeerHandle) -> bool {
@@ -522,11 +496,7 @@ mod tests {
         // descriptor with the current wire cycle — the timestamp-0 descriptor
         // of an aging peer would otherwise expire out of every table.
         assert!(
-            poll_until(&mut driver, || second
-                .state
-                .lock()
-                .own_descriptor()
-                .timestamp()
+            poll_until(&mut driver, || second.state().own_descriptor().timestamp()
                 > 0),
             "heartbeat never re-stamped the own descriptor"
         );
@@ -562,11 +532,10 @@ mod tests {
         };
         // Identifiers are the simulator's draw for the same seed and size.
         let ids = SimRng::seed_from(1).distinct_u64(2);
-        assert_eq!(peer.state.lock().own_descriptor().id(), NodeId::new(ids[0]));
-        assert_eq!(peer.state.lock().own_descriptor().address(), peer.address());
+        assert_eq!(peer.state().own_descriptor().id(), NodeId::new(ids[0]));
+        assert_eq!(peer.state().own_descriptor().address(), peer.address());
         assert_eq!(peer.id(), NodeId::new(ids[0]));
         assert_eq!(other.id(), NodeId::new(ids[1]));
-        assert!(peer.is_alive());
     }
 
     #[test]
@@ -705,7 +674,9 @@ mod tests {
         /// a datagram decodes to, applying it to a live peer never panics, an
         /// answer goes out for requests only, and on a keyed peer a message
         /// none of whose stamps verify leaves the tables and the sample pool
-        /// as they were (without aging, which evicts on its own clock).
+        /// as they were (without aging, which evicts on its own clock). No
+        /// peer ends up holding a descriptor dated after `now`, which would
+        /// never age out.
         #[test]
         fn no_datagram_panics_a_live_peer_or_merges_unverified(
             shape in (any::<u8>(), any::<u8>(), any::<bool>(), any::<bool>()),
@@ -738,11 +709,45 @@ mod tests {
                 prop_assert_eq!(answer.sender.id(), NodeId::new(1000));
                 prop_assert_eq!(answer.is_stamped(), keyed);
             }
+            // The live peer's contacts were stamped 3 before the datagram came.
+            let ceiling = now.max(3);
+            let dated = |descriptor: &Descriptor<SocketAddr>| descriptor.timestamp() <= ceiling;
+            prop_assert!(node.leaf_set().iter().all(dated));
+            prop_assert!(node.prefix_table().iter().all(dated) && pool.entries.iter().all(dated));
             if keyed && !aging {
                 let after = (node.leaf_set().to_vec(), node.prefix_table().to_vec(), pool.entries);
                 prop_assert_eq!(after, before);
             }
         }
+    }
+
+    #[test]
+    fn a_replayed_descriptor_restamped_into_the_future_still_ages_out() {
+        // A genuine descriptor, sealed under the right key, replayed with a
+        // timestamp near the end of the clock: the stamps bind identifier and
+        // address, not freshness, so it verifies and merges.
+        let (mut node, mut pool) = live_peer(true, true);
+        let (mut rng, mut scratch) = (SimRng::seed_from(1), ProtocolScratch::default());
+        let replayed = Descriptor::new(NodeId::new(1001), address(9), u64::MAX - 1);
+        let mut message = WireMessage::unstamped(MessageKind::Response, replayed, vec![]);
+        seal(&mut message, KEY);
+        apply_message(&mut node, &mut rng, &mut pool, message, 5, &mut scratch);
+        assert!(
+            node.leaf_set().contains(replayed.id()),
+            "a verified replay merges"
+        );
+        assert!(pool.entries.iter().any(|entry| entry.id() == replayed.id()));
+
+        // A thousand cycles later (`max_age` is 8) a live peer's heartbeat
+        // arrives, and the replayed descriptor is gone from tables and pool.
+        let live = Descriptor::new(NodeId::new(1002), address(10), 1005);
+        let mut message = WireMessage::unstamped(MessageKind::Response, live, vec![]);
+        seal(&mut message, KEY);
+        apply_message(&mut node, &mut rng, &mut pool, message, 1005, &mut scratch);
+        assert!(node.leaf_set().contains(live.id()));
+        let mut held = node.leaf_set().iter().chain(node.prefix_table().iter());
+        assert!(held.all(|descriptor| descriptor.id() != replayed.id()));
+        assert!(pool.entries.iter().all(|entry| entry.id() != replayed.id()));
     }
 
     #[test]

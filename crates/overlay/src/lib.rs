@@ -9,7 +9,7 @@
 //!
 //! * [`lookup`] — the one public entry: [`LookupEvaluator`] routes lookup
 //!   workloads over a bootstrapped population under every router and reports
-//!   hop-count / success statistics ([`LookupReport`]).
+//!   hop-count / success statistics ([`LookupReport`](lookup::LookupReport)).
 //! * `pastry` — the snapshot router behind it: one greedy loop over a
 //!   [`PopulationSnapshot`](bss_core::experiment::PopulationSnapshot) under the
 //!   per-hop rule its `RouterKind` selects (Pastry's prefix-then-distance step,
@@ -48,8 +48,7 @@ mod chord;
 pub mod lookup;
 mod pastry;
 
-pub use chord::ChordRing;
-pub use lookup::{LookupEvaluator, LookupReport};
+pub use lookup::LookupEvaluator;
 
 #[cfg(test)]
 mod kademlia;

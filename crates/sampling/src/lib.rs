@@ -49,6 +49,3 @@
 pub mod newscast;
 pub mod quality;
 pub mod sampler;
-
-pub use newscast::NewscastProtocol;
-pub use sampler::{OracleSampler, PeerSampler};

@@ -5,14 +5,14 @@
 //! the same execution model plus an event-driven engine for latency realism:
 //!
 //! * [`network`] — the global node registry: identifiers, alive/dead status,
-//!   dense [`NodeIndex`] addresses and descriptor creation.
-//! * [`transport`] — message delivery: the [`LatencyModel`]
+//!   dense [`NodeIndex`](network::NodeIndex) addresses and descriptor creation.
+//! * [`transport`] — message delivery: the [`LatencyModel`](transport::LatencyModel)
 //!   link description (constant, uniform, distance-dependent WAN) and the one
-//!   [`Transport`] both engines hold by value — that
+//!   [`Transport`](transport::Transport) both engines hold by value — that
 //!   model plus scripted windows of loss (the paper's 20 % experiment),
 //!   partitions, regional outages and slow links — with the order and number
 //!   of RNG draws each decision consumes.
-//! * [`link`] — the WAN latency formula: [`WanParams`] and
+//! * [`link`] — the WAN latency formula: [`WanParams`](link::WanParams) and
 //!   its pure per-`(src, dst)` evaluation over a node placement.
 //! * [`engine`] — the [`cycle`](engine::cycle) engine (each node acts once per
 //!   cycle, in a random order, exchanging request/response pairs synchronously,
@@ -69,10 +69,4 @@ pub mod network;
 pub mod pool;
 pub mod transport;
 
-pub use adversary::{AdversaryBehavior, AdversaryModel};
-pub use engine::cycle::{CycleEngine, CycleProtocol, EngineContext, PhaseProfile};
-pub use engine::event::{EventEngine, EventProtocol};
-pub use link::WanParams;
-pub use network::{Network, NodeIndex};
-pub use pool::WorkerPool;
-pub use transport::{LatencyModel, Transport};
+pub use engine::cycle::PhaseProfile;

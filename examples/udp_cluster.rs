@@ -4,8 +4,8 @@
 //! example runs the very same clocked protocol core over real sockets, which
 //! is how a deployment would actually use the bootstrapping service: a
 //! cluster of in-process peers, one socket each, all polled by the
-//! single-loop driver on one thread (the shape that scales to 512+ peers on
-//! one machine — see the `cluster_net` bench).
+//! single-loop driver on the calling thread (the shape that scales to 512+
+//! peers on one machine — see the `cluster_net` bench).
 //!
 //! Run with:
 //!
@@ -13,28 +13,36 @@
 //! cargo run --release --example udp_cluster
 //! ```
 
-use bootstrapping_service::net::cluster::{Cluster, ClusterConfig};
+use bootstrapping_service::net::{DriverConfig, NetDriver};
+use bootstrapping_service::util::config::BootstrapParams;
 use std::time::Duration;
 
 fn main() {
     let size = 128;
-    println!("spawning {size} UDP peers on localhost ...");
-    let cluster = match Cluster::spawn(ClusterConfig {
+    println!("binding {size} UDP peers on localhost ...");
+    let mut driver = match NetDriver::bind(DriverConfig {
         size,
+        // A 50 ms cycle converges a loopback cluster in a couple of seconds.
+        params: BootstrapParams {
+            leaf_set_size: 6,
+            random_samples: 8,
+            cycle_millis: 50,
+            ..BootstrapParams::paper_default()
+        },
+        contacts_per_peer: 4,
         seed: 7,
-        ..ClusterConfig::default()
     }) {
-        Ok(cluster) => cluster,
+        Ok(driver) => driver,
         Err(error) => {
             eprintln!("cannot bind loopback UDP sockets in this environment: {error}");
             return;
         }
     };
 
-    // `monitor` samples convergence until the oracle says every table is
-    // perfect (or the deadline passes) and returns the wire-side twin of
-    // the simulator's RunReport.
-    let report = cluster.monitor(Duration::from_millis(50), Duration::from_secs(60));
+    // `monitor` polls the driver, sampling convergence until the oracle says
+    // every table is perfect (or the deadline passes), and returns the
+    // wire-side twin of the simulator's RunReport.
+    let report = driver.monitor(Duration::from_millis(50), Duration::from_secs(60));
     println!(
         "  converged = {} after {} ms ({:.0} datagrams/s on the wire)",
         report.converged(),
@@ -42,7 +50,7 @@ fn main() {
         report.datagrams_per_second()
     );
 
-    if let Some(peer) = cluster.peers().first() {
+    if let Some(peer) = driver.handles().first() {
         let snapshot = peer.state_snapshot();
         println!(
             "  peer {} @ {}: leaf set {} entries, prefix table {} entries, {} exchanges initiated",
@@ -53,5 +61,4 @@ fn main() {
             peer.exchanges_initiated()
         );
     }
-    cluster.shutdown();
 }

@@ -18,7 +18,8 @@
 //!   routing, Kademlia XOR routing and a Chord baseline.
 //! * [`traffic`] — sustained key-lookup workloads served against the live
 //!   overlay mid-run, with per-cycle success/hop/latency series.
-//! * [`net`] — a threaded UDP deployment of the protocol on real sockets.
+//! * [`net`] — the protocol on real UDP sockets: one driver multiplexes many
+//!   in-process peers, and the caller polls it on its own thread.
 //!
 //! # Quickstart
 //!

@@ -12,7 +12,7 @@
 //! failure, like every other socket test in the workspace.
 
 use bootstrapping_service::core::experiment::{Experiment, ExperimentConfig};
-use bootstrapping_service::net::cluster::{Cluster, ClusterConfig};
+use bootstrapping_service::net::{DriverConfig, NetDriver};
 use bss_util::config::BootstrapParams;
 use bss_util::id::NodeId;
 use std::collections::BTreeSet;
@@ -29,9 +29,9 @@ fn parity_params() -> BootstrapParams {
     }
 }
 
-fn spawn_or_skip(config: ClusterConfig) -> Option<Cluster> {
-    match Cluster::spawn(config) {
-        Ok(cluster) => Some(cluster),
+fn bind_or_skip(config: DriverConfig) -> Option<NetDriver> {
+    match NetDriver::bind(config) {
+        Ok(driver) => Some(driver),
         Err(error) => {
             eprintln!("skipping net parity test: {error}");
             None
@@ -60,7 +60,7 @@ fn a_driver_cluster_reaches_the_cycle_engines_converged_state() {
     );
 
     // The subject: a 64-peer loopback cluster through the single-loop driver.
-    let Some(cluster) = spawn_or_skip(ClusterConfig {
+    let Some(mut driver) = bind_or_skip(DriverConfig {
         size: SIZE,
         params,
         contacts_per_peer: 4,
@@ -69,20 +69,21 @@ fn a_driver_cluster_reaches_the_cycle_engines_converged_state() {
         return;
     };
     assert!(
-        cluster.wait_for_convergence(Duration::from_secs(90)),
+        driver.poll_until(Duration::from_secs(90), |d| d.measure().is_perfect()),
         "the wire cluster must reach the oracle-perfect state: {:?}",
-        cluster.measure()
+        driver.measure()
     );
 
     // Same identifier population, drawn in the same order.
     let sim_ids: BTreeSet<NodeId> = snapshot.ids().collect();
-    let net_ids: BTreeSet<NodeId> = cluster.peers().iter().map(|peer| peer.id()).collect();
+    let peers = driver.handles();
+    let net_ids: BTreeSet<NodeId> = peers.iter().map(|peer| peer.id()).collect();
     assert_eq!(sim_ids, net_ids, "seeded identifier assignment must match");
 
     // Both being oracle-perfect, every node's leaf set is the c/2 ring
     // neighbours on each side — so the wire tables must equal the sim tables
     // identifier for identifier.
-    for peer in cluster.peers() {
+    for peer in &peers {
         let sim_node = snapshot
             .node_by_id(peer.id())
             .expect("sim population holds every wire identifier");
@@ -100,7 +101,6 @@ fn a_driver_cluster_reaches_the_cycle_engines_converged_state() {
             peer.id()
         );
     }
-    cluster.shutdown();
 }
 
 #[test]
@@ -111,7 +111,7 @@ fn aging_purges_killed_peers_from_the_wire() {
         ..parity_params()
     };
 
-    let Some(cluster) = spawn_or_skip(ClusterConfig {
+    let Some(mut driver) = bind_or_skip(DriverConfig {
         size: SIZE,
         params,
         contacts_per_peer: 4,
@@ -120,30 +120,32 @@ fn aging_purges_killed_peers_from_the_wire() {
         return;
     };
     assert!(
-        cluster.wait_for_convergence(Duration::from_secs(90)),
+        driver.poll_until(Duration::from_secs(90), |d| d.measure().is_perfect()),
         "the aged cluster must first converge: {:?}",
-        cluster.measure()
+        driver.measure()
     );
 
     // Kill a quarter mid-run. The dead peers' descriptors are still all over
     // the survivors' tables...
-    let killed = cluster.kill(0.25, 99);
+    let killed = driver.kill(0.25, 99);
     assert_eq!(killed.len(), SIZE / 4);
     assert!(
-        cluster.dead_descriptor_fraction() > 0.0,
+        driver.dead_descriptor_fraction() > 0.0,
         "converged tables must still reference the freshly killed peers"
     );
 
     // ... until aging evicts them: dead peers stop heartbeating, their
     // descriptors expire, and the survivors re-converge to the smaller
     // oracle-perfect state — the wire twin of `tests/recovery.rs`.
+    let recovered = driver.poll_until(Duration::from_secs(90), |d| {
+        d.dead_descriptor_fraction() == 0.0 && d.measure().is_perfect()
+    });
     assert!(
-        cluster.wait_for_recovery(Duration::from_secs(90)),
+        recovered,
         "survivors must purge dead descriptors and re-converge: \
          dead fraction {:.4}, state {:?}",
-        cluster.dead_descriptor_fraction(),
-        cluster.measure()
+        driver.dead_descriptor_fraction(),
+        driver.measure()
     );
-    assert_eq!(cluster.dead_descriptor_fraction(), 0.0);
-    cluster.shutdown();
+    assert_eq!(driver.dead_descriptor_fraction(), 0.0);
 }
