@@ -27,7 +27,8 @@
 //! entries back; `UPDATEPREFIXTABLE` — aging's evictions and refreshes
 //! included — writes the packed slots directly. Readers do not rehydrate
 //! either: lookup routing reads a node through `PackedView`, `SELECTPEER`
-//! ranks `CompactNode::leaf_descriptors`, convergence measurement counts live
+//! walks the two packed leaf sides no further than the entry it draws
+//! (`CompactNode::select_peer`), convergence measurement counts live
 //! entries where they lie (`CompactNode::live_prefix_entries` by registry
 //! index, the leaf descriptors against the oracle's distance bounds; only a
 //! forged entry is searched for among the live identifiers), and the
@@ -41,7 +42,7 @@
 
 use crate::leafset::{LeafSet, MergeScratch};
 use crate::message::{compose, MessageScratch};
-use crate::node::{receive_verified, BootstrapNode};
+use crate::node::{receive_verified, select_peer_in, BootstrapNode};
 use crate::routing::{Contact, NodeView};
 use bss_sim::adversary::stamp;
 use bss_sim::network::NodeIndex;
@@ -49,6 +50,7 @@ use bss_util::config::{BootstrapParams, InvalidParams};
 use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
+use bss_util::rng::SimRng;
 
 /// Whether `descriptor` passes the keyed identity-stamp check against the
 /// registry: the stamp computed over the identifier the registry holds for the
@@ -283,8 +285,8 @@ impl CompactNode {
     }
 
     /// The leaf-set entries as full descriptors, advertised identifiers
-    /// included — what `SELECTPEER` ranks over without rehydrating the whole
-    /// node. Identical to mapping [`unpack_descriptor`] over
+    /// included — what `CREATEMESSAGE` and `UPDATELEAFSET` read without
+    /// rehydrating the whole node. Identical to mapping [`unpack_descriptor`] over
     /// [`CompactNode::leaf_entries`] on honest state; on adversarial state it
     /// additionally reproduces forged identifiers.
     pub(crate) fn leaf_descriptors<'a>(
@@ -292,6 +294,22 @@ impl CompactNode {
         ids: &'a [NodeId],
     ) -> impl Iterator<Item = Descriptor<NodeIndex>> + 'a {
         unpack_entries(&self.leaf, 0, &self.leaf_aliases, ids)
+    }
+
+    /// `SELECTPEER` for the node whose identifier is `own`: the fat node's
+    /// walk over the two packed sides, resolving (aliases included) only the
+    /// entries it compares.
+    pub(crate) fn select_peer(
+        &self,
+        own: NodeId,
+        ids: &[NodeId],
+        rng: &mut SimRng,
+    ) -> Option<Descriptor<NodeIndex>> {
+        let split = usize::from(self.leaf_split);
+        let (successors, predecessors) = self.leaf.split_at(split);
+        let successors = unpack_entries(successors, 0, &self.leaf_aliases, ids);
+        let predecessors = unpack_entries(predecessors, split, &self.leaf_aliases, ids);
+        select_peer_in(own, self.leaf.len(), successors, predecessors, rng)
     }
 
     /// The packed prefix-table entries in slot order.
@@ -1067,6 +1085,75 @@ mod tests {
                         packed.open(node, &ids, &params).receive(&descriptors, now, &mut packed_merge, &mut leaf);
                     prop_assert_eq!(changed, fat_changed);
                     prop_assert_eq!(fingerprint(&packed.unpack(node, &ids, &params)), fingerprint(&fat));
+                }
+            }
+
+            /// SELECTPEER's walk over the two sorted sides picks, for every
+            /// draw `k` of the closer half, the entry that ranking the whole
+            /// leaf set by `(ring distance, id)` — the rule it replaced —
+            /// puts at `k`, on the fat node and on the packed store, and
+            /// consumes that one draw. Populations are uniform, squeezed
+            /// into a narrow arc (one side spills past `c/2`), at most
+            /// `c + 1` strong, or pairs `own ± d` (a successor and a
+            /// predecessor tie on distance and the identifier decides);
+            /// forgeries, some right next to the own identifier, enter the
+            /// leaf set under aliases.
+            #[test]
+            fn select_peer_walk_picks_what_the_full_ranking_picks(
+                seed in any::<u64>(),
+                shape in 0u8..4,
+                size in 2usize..40,
+                capacity in prop::sample::select(vec![2usize, 4, 8, 20]),
+                forgeries in prop::collection::vec((any::<u32>(), any::<u64>(), any::<bool>()), 0..6),
+            ) {
+                use bss_util::view::rank_top_by;
+                let params = BootstrapParams { leaf_set_size: capacity, ..params() };
+                let mut rng = SimRng::seed_from(seed);
+                let base = rng.next_u64();
+                let raw: Vec<u64> = match shape {
+                    0 => rng.distinct_u64(size),
+                    1 => (0..size as u64)
+                        .map(|i| base.wrapping_add(i * 1000 + rng.range_u64(0, 1000)))
+                        .collect(),
+                    2 => rng.distinct_u64(2 + size % capacity),
+                    _ => {
+                        let step = rng.range_u64(1, 1000);
+                        let pairs = (1..=size as u64 / 2)
+                            .flat_map(|i| [base.wrapping_add(i * step), base.wrapping_sub(i * step)]);
+                        pairs.chain([base]).collect()
+                    }
+                };
+                let ids: Vec<NodeId> = raw.into_iter().map(NodeId::new).collect();
+                let n = ids.len();
+                for node in 0..n {
+                    let (own, index) = (ids[node], NodeIndex::new(node as u32));
+                    let mut fat = BootstrapNode::new(Descriptor::new(own, index, 0), &params).unwrap();
+                    let honest = (0..n).map(|i| Descriptor::new(ids[i], NodeIndex::new(i as u32), 0));
+                    let forged = forgeries.iter().map(|&(address, raw, near)| {
+                        let id = if near { own.raw().wrapping_add(raw % 9).wrapping_sub(4) } else { raw };
+                        Descriptor::new(NodeId::new(id), NodeIndex::new(address % n as u32), 1)
+                    });
+                    fat.receive(&honest.chain(forged).collect::<Vec<_>>());
+                    let packed = CompactNode::pack(&fat, &ids);
+
+                    let mut ranked = fat.leaf_set().to_vec();
+                    let half = (ranked.len() / 2).max(1);
+                    rank_top_by(&mut ranked, half, |a, b| {
+                        own.ring_distance(a.id())
+                            .cmp(&own.ring_distance(b.id()))
+                            .then_with(|| a.id().cmp(&b.id()))
+                    });
+                    for (k, &expected) in ranked.iter().enumerate() {
+                        let draws_k = (0u64..).find(|&s| SimRng::seed_from(s).index(half) == k).unwrap();
+                        let mut after = SimRng::seed_from(draws_k);
+                        after.index(half);
+                        let (mut fat_rng, mut packed_rng) =
+                            (SimRng::seed_from(draws_k), SimRng::seed_from(draws_k));
+                        prop_assert_eq!(fat.select_peer_with(&mut fat_rng, &mut Vec::new()), Some(expected));
+                        prop_assert_eq!(packed.select_peer(own, &ids, &mut packed_rng), Some(expected));
+                        prop_assert_eq!(&fat_rng, &after);
+                        prop_assert_eq!(&packed_rng, &after);
+                    }
                 }
             }
         }

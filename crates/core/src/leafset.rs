@@ -8,9 +8,10 @@
 //! successors or predecessors, then the leaf set is filled with the closest
 //! elements in the other direction."
 //!
-//! [`LeafSet`] implements exactly that, and in addition exposes the orderings
-//! needed by `SELECTPEER` (sort by distance from the own identifier) and
-//! `CREATEMESSAGE` (sort by distance from the peer's identifier).
+//! [`LeafSet`] implements exactly that, and keeps each side closest first, so
+//! `SELECTPEER` (order by distance from the own identifier) merges the two
+//! sides instead of sorting; `CREATEMESSAGE` ranks by distance from the peer's
+//! identifier.
 
 use bss_util::descriptor::{Address, Descriptor};
 use bss_util::id::NodeId;
@@ -261,7 +262,23 @@ impl<A: Address> LeafSet<A> {
         self.entries.extend_from_slice(successors);
         self.entries.extend_from_slice(predecessors);
         self.split = succ_keep;
+        debug_assert!(self.sides_are_sorted(), "SELECTPEER walks sorted sides");
         changed
+    }
+
+    /// Whether each side holds only its own direction, closest first — the
+    /// layout `SELECTPEER` merges instead of sorting.
+    fn sides_are_sorted(&self) -> bool {
+        let own = self.own_id;
+        let (successors, predecessors) = (self.successors(), self.predecessors());
+        successors.iter().all(|d| own.is_successor(d.id()))
+            && predecessors.iter().all(|d| !own.is_successor(d.id()))
+            && successors
+                .windows(2)
+                .all(|w| own.clockwise_distance(w[0].id()) < own.clockwise_distance(w[1].id()))
+            && predecessors
+                .windows(2)
+                .all(|w| w[0].id().clockwise_distance(own) < w[1].id().clockwise_distance(own))
     }
 
     /// Evicts every descriptor whose timestamp lags `now` by more than
@@ -313,6 +330,7 @@ impl<A: Address> LeafSet<A> {
         self.entries.extend(entries);
         debug_assert!(split <= self.entries.len(), "split beyond entry count");
         self.split = split;
+        debug_assert!(self.sides_are_sorted(), "SELECTPEER walks sorted sides");
     }
 }
 

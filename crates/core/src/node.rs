@@ -124,18 +124,20 @@ impl<A: Address> BootstrapNode<A> {
     /// and picks a random element from the first (closer) half. Returns `None`
     /// when the leaf set is empty.
     ///
-    /// Only the closer half is actually put in order (partial selection) — the
-    /// picked element is identical to sorting the whole set. The leaf set
-    /// content is copied into the caller-owned `candidates` buffer and ranked
-    /// there, so the hot path allocates nothing.
+    /// Nothing is sorted or copied: the pick walks the two sides the leaf set
+    /// already keeps in distance order, no further than the drawn position —
+    /// the element is identical to sorting the whole set. `_candidates` is
+    /// unused; the argument stays only because callers outside the workspace
+    /// still pass a buffer.
     pub fn select_peer_with(
         &self,
         rng: &mut SimRng,
-        candidates: &mut Vec<Descriptor<A>>,
+        _candidates: &mut Vec<Descriptor<A>>,
     ) -> Option<Descriptor<A>> {
-        candidates.clear();
-        candidates.extend_from_slice(self.leaf_set.as_slice());
-        select_peer_in(self.own.id(), candidates, rng)
+        let leaf = &self.leaf_set;
+        let successors = leaf.successors().iter().copied();
+        let predecessors = leaf.predecessors().iter().copied();
+        select_peer_in(self.own.id(), leaf.len(), successors, predecessors, rng)
     }
 
     /// `CREATEMESSAGE`: composes the message to send to `peer_id`, mixing in
@@ -308,26 +310,33 @@ pub(crate) fn receive_verified<A: Address>(
     (changed, rejected as u64)
 }
 
-/// The ranking nucleus of `SELECTPEER`, shared between the fat node state and
-/// the protocol's packed store: ranks the closer half of `candidates` by ring
-/// distance from `own` (partial selection — identical to sorting the whole
-/// set) and picks a uniform element of that half. Consumes exactly one RNG
-/// draw when candidates exist, none otherwise.
+/// `SELECTPEER` over a leaf set of `len` entries given as its two sides, each
+/// closest first — the layout [`LeafSet`] stores, shared by the fat node and
+/// the packed store: entry `k` of the closer half, ordered by `(ring distance
+/// from own, id)`, for one uniform draw `k`. A side is sorted by ring
+/// distance (a successor's is its clockwise distance, a predecessor's its
+/// counter-clockwise one), so that order is the two-way merge of the sides,
+/// walked `k + 1` steps; only the entries it compares are read. Consumes
+/// exactly one RNG draw when `len > 0`, none otherwise.
 pub(crate) fn select_peer_in<A: Address>(
     own: NodeId,
-    candidates: &mut Vec<Descriptor<A>>,
+    len: usize,
+    successors: impl Iterator<Item = Descriptor<A>>,
+    predecessors: impl Iterator<Item = Descriptor<A>>,
     rng: &mut SimRng,
 ) -> Option<Descriptor<A>> {
-    if candidates.is_empty() {
+    if len == 0 {
         return None;
     }
-    let half = (candidates.len() / 2).max(1);
-    bss_util::view::rank_top_by(candidates, half, |a, b| {
-        own.ring_distance(a.id())
-            .cmp(&own.ring_distance(b.id()))
-            .then_with(|| a.id().cmp(&b.id()))
+    let k = rng.index((len / 2).max(1));
+    let key = |d: &Descriptor<A>| (own.ring_distance(d.id()), d.id());
+    let (mut successors, mut predecessors) = (successors.peekable(), predecessors.peekable());
+    let mut merged = std::iter::from_fn(|| match (successors.peek(), predecessors.peek()) {
+        (Some(s), Some(p)) if key(p) < key(s) => predecessors.next(),
+        (Some(_), _) => successors.next(),
+        _ => predecessors.next(),
     });
-    Some(candidates[rng.index(half)])
+    merged.nth(k)
 }
 
 #[cfg(test)]

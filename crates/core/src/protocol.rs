@@ -15,7 +15,7 @@ use crate::convergence::{
 };
 use crate::leafset::{LeafSet, MergeScratch};
 use crate::message::MessageScratch;
-use crate::node::{select_peer_in, BootstrapNode};
+use crate::node::BootstrapNode;
 use bss_sampling::quality::SamplingQuality;
 use bss_sampling::sampler::PeerSampler;
 use bss_sim::adversary::{forged_id, spray_id, AdversaryBehavior, AdversaryModel};
@@ -122,8 +122,6 @@ pub(crate) struct BootstrapProtocol<S> {
     /// Per-worker working memory for exchange execution (the hot path). Slot 0
     /// serves the sequential engine; parallel waves use one slot per thread.
     worker_scratch: Vec<ExchangeScratch>,
-    /// Reusable candidate buffer for `SELECTPEER` (planning phase only).
-    select_scratch: Vec<Descriptor<NodeIndex>>,
     /// The scenario's Byzantine adversary model, when one is installed.
     /// Consulted only in the deterministic plan pass (and the event engine's
     /// sequential handlers), so parallel runs stay bit-identical; `None` is
@@ -286,7 +284,6 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
             dirty: Vec::new(),
             dirty_flags: Vec::new(),
             worker_scratch: vec![ExchangeScratch::new(&params)],
-            select_scratch: Vec::new(),
             adversary: None,
         }
     }
@@ -581,18 +578,12 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     ) -> Option<(Descriptor<NodeIndex>, Vec<Descriptor<NodeIndex>>)> {
         // SELECTPEER over the current leaf set; a node whose leaf set is still
         // empty falls back to a random sample so it can join the epidemic.
-        // The packed leaf entries are rehydrated straight into the candidate
-        // buffer (same order, same identifiers), so the ranking and the RNG
-        // draw are byte-identical to selecting over the fat state.
+        // The walk over the packed sides resolves the same identifiers the
+        // fat state holds, so the pick and the RNG draw are byte-identical to
+        // selecting over it.
         let packed = self.nodes.get(node.as_usize()).and_then(Option::as_ref)?;
-        self.select_scratch.clear();
-        self.select_scratch
-            .extend(packed.leaf_descriptors(&self.ids));
-        let selected = match select_peer_in(
-            self.ids[node.as_usize()],
-            &mut self.select_scratch,
-            &mut ctx.rng,
-        ) {
+        let own = self.ids[node.as_usize()];
+        let selected = match packed.select_peer(own, &self.ids, &mut ctx.rng) {
             Some(peer) => Some(peer),
             None => self.sampler.sample(node, 1, cycle, ctx).into_iter().next(),
         };

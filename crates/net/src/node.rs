@@ -45,13 +45,12 @@ pub(crate) fn wire_cycle(started: Instant, cycle_millis: u64) -> u64 {
 }
 
 /// Caller-owned working memory for the clocked wire path: message-composition
-/// and merge scratch plus the peer-selection candidate buffer, reusable across
-/// datagrams (and across *nodes* — the single-loop driver shares one).
+/// and merge scratch, reusable across datagrams (and across *nodes* — the
+/// single-loop driver shares one).
 #[derive(Debug, Default)]
 pub(crate) struct ProtocolScratch {
     message: MessageScratch<SocketAddr>,
     merge: MergeScratch<SocketAddr>,
-    candidates: Vec<Descriptor<SocketAddr>>,
     received: Vec<Descriptor<SocketAddr>>,
     verdicts: Vec<bool>,
 }
@@ -214,7 +213,7 @@ pub(crate) fn compose_request(
     if let Some(max_age) = params.descriptor_max_age {
         pool.prune(now, max_age);
     }
-    let peer = node.select_peer_with(rng, &mut scratch.candidates)?;
+    let peer = node.select_peer_with(rng, &mut Vec::new())?;
     let samples = pool.draw(rng, params.random_samples);
     let descriptors = node.create_message_at(peer.id(), &samples, true, now, &mut scratch.message);
     let mut message =

@@ -276,8 +276,10 @@ impl Network {
     /// call and dominates large-network runs. This method produces the *exact*
     /// same node sequence while consuming the *exact* same `rng` stream — the
     /// partial Fisher–Yates runs over a sparse overlay of displaced positions,
-    /// and positions are resolved to node indices through the Fenwick tree in
-    /// O(log n) — so seeded traces are byte-identical to the naive version.
+    /// which only a position whose bit is set in a 256-bit mask of the
+    /// displaced ones has to search, and positions are resolved to node
+    /// indices through the Fenwick tree in O(log n) — so seeded traces are
+    /// byte-identical to the naive version.
     pub fn sample_alive_excluding(
         &self,
         exclude: NodeIndex,
@@ -308,14 +310,20 @@ impl Network {
         // dense array (they are read every iteration), displaced positions at
         // or above it in a small spill list (later entries shadow earlier
         // ones). Together they represent the virtual index array `0..available`
-        // without materialising it.
+        // without materialising it. A 256-bit mask of the spilled positions
+        // (by `j mod 256`) lets a position never displaced — almost every one:
+        // `cr` draws out of thousands — skip the scan of the list.
         let mut dense: Vec<usize> = (0..requested).collect();
         let mut spill: Vec<(usize, usize)> = Vec::with_capacity(requested);
+        let mut spilled = [0u64; 4];
         let mut out = Vec::with_capacity(requested);
         for i in 0..requested {
             let j = i + rng.index(available - i);
+            let (word, bit) = ((j >> 6) & 3, 1u64 << (j & 63));
             let picked = if j < requested {
                 dense[j]
+            } else if spilled[word] & bit == 0 {
+                j
             } else {
                 spill
                     .iter()
@@ -329,6 +337,7 @@ impl Network {
                 dense[j] = at_i;
             } else {
                 spill.push((j, at_i));
+                spilled[word] |= bit;
             }
             // Position -> global alive rank, skipping the excluded node.
             let rank = if excluded_alive && picked >= exclude_rank {
@@ -528,7 +537,7 @@ mod tests {
         for raw in [3u32, 50, 52, 120, 199] {
             network.kill(NodeIndex::new(raw));
         }
-        for (exclude, count) in [(0u32, 10), (51, 25), (3, 7), (199, 1), (10, 500)] {
+        let replay = |network: &Network, exclude: u32, count: usize| {
             let exclude = NodeIndex::new(exclude);
             let mut fast_rng = SimRng::seed_from(1000 + u64::from(exclude.raw()));
             let mut naive_rng = fast_rng.clone();
@@ -540,6 +549,20 @@ mod tests {
             let naive = naive_rng.sample(&alive, count.min(alive.len()));
             assert_eq!(fast, naive, "exclude {exclude} count {count}");
             assert_eq!(fast_rng, naive_rng, "RNG streams diverged");
+        };
+        for (exclude, count) in [(0u32, 10), (51, 25), (3, 7), (199, 1), (10, 500)] {
+            replay(&network, exclude, count);
+        }
+        // Hundreds of displaced positions, so many share a bit of the
+        // sampler's 256-bit spill mask, and positions come back after a spill.
+        let mut network = Network::with_random_ids(2_000, &mut seed_rng);
+        for raw in (0..2_000u32).step_by(7) {
+            network.kill(NodeIndex::new(raw));
+        }
+        let available = network.alive_count() - 1;
+        for count in [600, 1_500, available - 1] {
+            replay(&network, 1, count);
+            replay(&network, 0, count);
         }
     }
 

@@ -39,6 +39,15 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One raw draw reduced into `0..span` without modulo bias: kept when its
+/// block of `span` values ends below 2^64, which is `value < u64::MAX -
+/// u64::MAX % span` without the second division; `None` asks for a redraw.
+#[inline]
+fn reduce(value: u64, span: u64) -> Option<u64> {
+    let offset = value % span;
+    (value - offset).checked_add(span).map(|_| offset)
+}
+
 impl SimRng {
     /// Creates a generator from a 64-bit seed.
     ///
@@ -74,8 +83,9 @@ impl SimRng {
 
     /// Returns a uniformly random value in the half-open range `[low, high)`.
     ///
-    /// Uses rejection sampling (Lemire-style bounded generation) so the result is
-    /// unbiased.
+    /// Modulo with rejection: a raw draw is kept only when its whole block of
+    /// `high - low` consecutive values fits below `u64::MAX`, so every result
+    /// is equally likely.
     ///
     /// # Panics
     ///
@@ -101,12 +111,9 @@ impl SimRng {
     #[inline]
     fn bounded(&mut self, span: u64) -> u64 {
         debug_assert!(span > 0);
-        // Rejection sampling to avoid modulo bias.
-        let zone = u64::MAX - (u64::MAX % span);
         loop {
-            let value = self.next_u64();
-            if value < zone || zone == 0 {
-                return value % span;
+            if let Some(offset) = reduce(self.next_u64(), span) {
+                return offset;
             }
         }
     }
@@ -270,6 +277,32 @@ mod tests {
         let ids = rng.distinct_u64(1000);
         let unique: std::collections::HashSet<_> = ids.iter().collect();
         assert_eq!(unique.len(), 1000);
+    }
+
+    #[test]
+    fn one_division_reduction_keeps_exactly_the_two_division_draws() {
+        // The rule `bounded` used before: keep a draw below the last whole
+        // multiple of `span` under `u64::MAX`.
+        let two_divisions = |value: u64, span: u64| {
+            let zone = u64::MAX - u64::MAX % span;
+            (value < zone || zone == 0).then_some(value % span)
+        };
+        let mut rng = SimRng::seed_from(37);
+        let mut spans = vec![1, 2, 3, 1 << 63, (1 << 63) + 1, u64::MAX];
+        spans.extend((0..64).map(|bit| 1u64 << bit));
+        spans.extend((0..256).map(|_| (rng.next_u64() >> rng.index(64)).max(1)));
+        for span in spans {
+            let zone = u64::MAX - u64::MAX % span;
+            let mut values = vec![zone.wrapping_sub(1), zone, u64::MAX, 0, span - 1, span];
+            values.extend((0..16).map(|_| rng.next_u64()));
+            for value in values {
+                assert_eq!(
+                    reduce(value, span),
+                    two_divisions(value, span),
+                    "value {value} span {span}"
+                );
+            }
+        }
     }
 
     #[test]
