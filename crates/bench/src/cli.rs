@@ -509,15 +509,13 @@ mod tests {
 
     #[test]
     fn unusable_output_paths_are_rejected() {
-        // `--out-dir` / `--out` are input from outside the program: a path
-        // that cannot be created is the same exit-2 rejection as a malformed
-        // value, before the first run — not a panic, and for `scaling` not
-        // after the whole sweep.
+        // `--out-dir` is input from outside the program: a path that cannot
+        // be created is the same exit-2 rejection as a malformed value,
+        // before the first run — not a panic, and not after the whole sweep.
         for line in [
             vec!["scenarios", "--out-dir", "/dev/null/x"],
             vec!["wan", "--smoke", "--out-dir", "/dev/null/x"],
             vec!["cluster_net", "--smoke", "--out-dir", "/dev/null/x"],
-            vec!["scaling", "--smoke", "--out", "/dev/null/x.json"],
         ] {
             let status = crate::experiments::run(line.iter().map(|&word| word.to_owned()));
             assert_eq!(status, 2, "{line:?}");

@@ -1,7 +1,6 @@
 //! Wire-scale bench: loopback UDP clusters across sizes.
 //!
-//! This is the net-side twin of the `scaling` experiment. For every size it
-//! binds a real loopback cluster, polls it to convergence, and writes the
+//! For every size it binds a real loopback cluster, polls it to convergence, and writes the
 //! full [`NetReport`](bss_net::NetReport) as JSON (`<out-dir>/cluster_<N>.json`) plus one shared
 //! TSV timeline (`<out-dir>/timeline.tsv`) with every convergence sample of
 //! every run — the same artifact shapes CI uploads for the simulator sweeps.

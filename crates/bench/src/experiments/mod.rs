@@ -12,7 +12,6 @@ mod cluster_net;
 mod figure;
 mod merge_split;
 mod recovery;
-mod scaling;
 mod scenarios;
 mod traffic;
 mod wan;
@@ -151,30 +150,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
             LATENCY,
         ],
         run: ablation::run,
-    },
-    Experiment {
-        name: "scaling",
-        about: "simulator throughput and memory sweep over network sizes (BENCH_scaling.json)",
-        options: &[
-            sizes("8,9,10,11,12,13,14,15"),
-            cycles("60"),
-            Opt::new("measure-every <n>", "1", "observer cadence in cycles"),
-            Opt::new("samplers <list>", "oracle,newscast", "samplers to sweep"),
-            Opt::new("losses <list>", "0,0.2", "drop probabilities to sweep"),
-            Opt::new("out <path>", "BENCH_scaling.json", "output JSON path"),
-            Opt::new(
-                "skip-reference",
-                "",
-                "skip the fixed 10k-node oracle reference run",
-            ),
-            smoke("--sizes 8,9"),
-            seed("1"),
-            THREADS,
-            ENGINE,
-            LATENCY,
-            QUIET,
-        ],
-        run: scaling::run,
     },
     Experiment {
         name: "scenarios",

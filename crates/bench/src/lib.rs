@@ -10,7 +10,6 @@
 //! | `churn`       | §5's churn claim: table quality under continuous replacement churn |
 //! | `merge_split` | §1–2 scenarios: two partitions bootstrapping independently, then merging |
 //! | `ablation`    | Design-choice ablations: `cr`, `c`, sampler quality, message loss |
-//! | `scaling`     | Simulator throughput and memory sweep over network sizes (`BENCH_scaling.json`) |
 //! | `scenarios`   | The scenario smoke suite: one timeline per event kind on both engines |
 //! | `recovery`    | Catastrophe-then-recover: descriptor aging + re-bootstrap against the detector-free protocol |
 //! | `adversary`   | The Byzantine sweep: behaviour × converted fraction × countermeasures × engines |
@@ -27,17 +26,16 @@
 //! option tables, parser and `--help` renderer (`cli`); the sweep runner —
 //! sizes × cells × engines, one `RunReport` JSON per run — that the
 //! both-engines experiments are tables of cells for (`sweep`); the
-//! figure-sweep driver (`figures`); tab-separated report formatting
-//! (`report`); and a counting global allocator for honest per-run memory
-//! measurement ([`alloc`]). A new experiment is a module under `experiments/`
-//! and one more row of the table.
+//! figure-sweep driver (`figures`); and tab-separated report formatting
+//! (`report`). A new experiment is a module under `experiments/` and one more
+//! row of the table.
+//!
+//! Timing is not measured here: the benchmark harness under `benchmark/`
+//! (declared in `BENCHMARK.json`) is the one performance record.
 
-// `deny` instead of `forbid`: the counting allocator wraps `System` behind
-// one audited `unsafe impl` (see `alloc`); everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alloc;
 mod cli;
 pub mod experiments;
 mod figures;

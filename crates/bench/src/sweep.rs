@@ -302,7 +302,6 @@ mod tests {
             "churn",
             "merge_split",
             "ablation",
-            "scaling",
             "scenarios",
             "recovery",
             "adversary",

@@ -86,10 +86,6 @@ pub struct ExperimentConfig {
     /// rule). When false the run always uses the full cycle budget. The stop
     /// never triggers while a scenario transition still lies ahead.
     pub stop_when_perfect: bool,
-    /// Observer cadence: convergence is measured every `measure_every` cycles
-    /// (1 = every cycle). Larger cadences make huge sweeps cheaper at the cost
-    /// of coarser series; the perfection stop only triggers on measured cycles.
-    pub measure_every: u64,
     /// Accumulate per-phase wall time (plan / execute / commit / measure) on
     /// the cycle engines and attach it to the [`RunReport`]. Off by default:
     /// timing is observational only — it never changes the simulated outcome —
@@ -114,7 +110,6 @@ impl ExperimentConfig {
                 link: None,
                 max_cycles: 100,
                 stop_when_perfect: true,
-                measure_every: 1,
                 profile: false,
             },
             aging_sugar: None,
@@ -171,7 +166,7 @@ impl ExperimentConfig {
     /// allow tables the packed node store cannot index (`c` or
     /// `rows · columns · k` beyond `u16::MAX`), the
     /// network has fewer than two nodes or more than a `u32` index can count,
-    /// a budget or cadence is zero, the engine selection is invalid or asks
+    /// the cycle budget is zero, the engine selection is invalid or asks
     /// for more threads than there are nodes, or the scenario timeline is rejected
     /// (out-of-range probabilities, empty windows, overlapping exclusive
     /// phases — see `Scenario::validate`).
@@ -197,11 +192,6 @@ impl ExperimentConfig {
         }
         if self.max_cycles == 0 {
             return Err(InvalidParams::from_message("max_cycles must be positive"));
-        }
-        if self.measure_every == 0 {
-            return Err(InvalidParams::from_message(
-                "measure_every must be positive",
-            ));
         }
         self.engine.validate()?;
         // A wave holds at most N/2 disjoint exchanges, so workers beyond the
@@ -369,12 +359,6 @@ impl ExperimentConfigBuilder {
     /// Controls whether the run stops at perfect convergence.
     pub fn stop_when_perfect(&mut self, stop: bool) -> &mut Self {
         self.config.stop_when_perfect = stop;
-        self
-    }
-
-    /// Sets the observer cadence (convergence measured every `cycles` cycles).
-    pub fn measure_every(&mut self, cycles: u64) -> &mut Self {
-        self.config.measure_every = cycles;
         self
     }
 
@@ -793,8 +777,8 @@ impl PopulationSnapshot {
     }
 }
 
-/// Per-run measurement bookkeeping shared by every engine path: cadenced
-/// convergence measurement (incremental when membership is static), the two
+/// Per-run measurement bookkeeping shared by every engine path: convergence
+/// measured every cycle (incremental when membership is static), the two
 /// figure series, the perfection stop and observer dispatch.
 struct MeasurementDriver {
     /// No event ever degrades built tables (membership changes *or*
@@ -892,18 +876,11 @@ impl MeasurementDriver {
             observer.on_scenario_event(cycle, event);
             self.report.events_fired.push((cycle, event.to_string()));
         }
-        // The lookup workload runs every cycle a traffic phase is active —
-        // cadence only coarsens the *series*, not the traffic itself. It rides
-        // in the sequential observer phase of every engine, so the parallel
-        // cycle engine stays bit-for-bit deterministic.
+        // The lookup workload runs every cycle a traffic phase is active. It
+        // rides in the sequential observer phase of every engine, so the
+        // parallel cycle engine stays bit-for-bit deterministic.
         if let Some(traffic) = self.lookup_traffic.as_mut() {
             traffic.drive_cycle(protocol, ctx, cycle);
-        }
-        // Off-cadence cycles skip the (global) convergence pass entirely.
-        if cycle % self.report.config.measure_every != 0 {
-            return ControlFlow::Continue(());
-        }
-        if let Some(traffic) = self.lookup_traffic.as_mut() {
             traffic.flush_window(cycle);
         }
         let measured = match &self.static_oracle {
@@ -1085,9 +1062,10 @@ fn measure_proximity<S: PeerSampler>(
 /// scenario on whichever engine the configuration selects, reporting every
 /// measured cycle and scenario transition to `observer`.
 ///
-/// All engines share the same measurement semantics (cadence, perfection stop,
-/// series) and produce the same [`RunReport`] shape; the cycle engines are
-/// additionally bit-for-bit deterministic across thread counts.
+/// All engines share the same measurement semantics (one measurement per
+/// cycle, perfection stop, series) and produce the same [`RunReport`] shape;
+/// the cycle engines are additionally bit-for-bit deterministic across
+/// thread counts.
 pub(crate) fn run_scenario<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,

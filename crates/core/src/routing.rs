@@ -132,7 +132,7 @@ impl NodeView for BootstrapNode<NodeIndex> {
 
 /// Chooses the next hop from `node` towards `target` under `kind`'s rules.
 /// Returns `None` when no known contact improves on the node itself. This is
-/// THE routing step: `bss_overlay`'s snapshot routers and the live traffic
+/// THE routing step: `bss_overlay`'s lookup evaluator and the live traffic
 /// driver both call it, so their per-hop decisions cannot drift apart.
 pub fn next_hop<V: NodeView>(kind: RouterKind, node: &V, target: NodeId) -> Option<Contact> {
     match kind {
@@ -259,7 +259,7 @@ pub trait TableSource {
 }
 
 /// A [`TableSource`] over a frozen post-run snapshot: contacts resolve by
-/// identifier, exactly like `bss_overlay`'s snapshot routers.
+/// identifier.
 #[derive(Debug)]
 pub struct SnapshotTables<'a>(pub &'a PopulationSnapshot);
 
@@ -307,7 +307,7 @@ impl Routed {
     }
 }
 
-/// The default hop budget (matches `bss_overlay`'s snapshot routers).
+/// The default hop budget (the one `bss_overlay`'s lookup evaluator uses).
 pub const DEFAULT_MAX_HOPS: usize = 64;
 
 /// What `node` does with a lookup of `target` under `kind`'s rules: the
@@ -478,6 +478,65 @@ mod tests {
         };
         let routed = route(&mut tables, RouterKind::Pastry, ghost, far, 8, &mut path);
         assert_eq!(routed.end, RouteEnd::DeadContact);
+    }
+
+    #[test]
+    fn a_target_reached_on_the_last_budgeted_hop_is_delivered() {
+        let population = snapshot(64, 3);
+        let mut tables = SnapshotTables(&population);
+        let mut path = Vec::new();
+        let contacts: Vec<Contact> = (0..population.len())
+            .map(|position| contact_at(&population, position))
+            .collect();
+        for kind in [RouterKind::Pastry, RouterKind::Kademlia] {
+            let mut budgeted = |max_hops, source, target: Contact| {
+                route(&mut tables, kind, source, target.id, max_hops, &mut path)
+            };
+            // A pair that needs at least two hops, so that one hop fewer is
+            // still a positive budget.
+            let (source, target, hops) = contacts
+                .iter()
+                .flat_map(|&source| contacts.iter().map(move |&target| (source, target)))
+                .map(|(source, target)| (source, target, budgeted(64, source, target).hops))
+                .find(|&(_, _, hops)| hops >= 2)
+                .expect("some pair is two hops apart");
+            let exact = budgeted(hops as usize, source, target);
+            assert!(
+                exact.delivered(),
+                "{kind}: a budget of {hops} hops covers a {hops}-hop path: {exact:?}"
+            );
+            assert_eq!(exact.hops, hops);
+            let short = budgeted(hops as usize - 1, source, target);
+            assert_eq!(short.end, RouteEnd::HopLimit, "{kind}: {short:?}");
+            assert_eq!(short.hops, hops - 1);
+        }
+    }
+
+    #[test]
+    fn pastry_next_hop_makes_progress_in_prefix_or_distance() {
+        let population = snapshot(64, 5);
+        let ids: Vec<NodeId> = population.ids().collect();
+        let bits = 4;
+        for &source in ids.iter().take(16) {
+            for &target in ids.iter().rev().take(16) {
+                if source == target {
+                    continue;
+                }
+                let node = population.node_by_id(source).unwrap();
+                let next = next_hop(RouterKind::Pastry, node, target)
+                    .expect("converged node finds a hop")
+                    .id;
+                let own_prefix = source.common_prefix_len(target, bits);
+                let next_prefix = next.common_prefix_len(target, bits);
+                assert!(
+                    next == target
+                        || next_prefix > own_prefix
+                        || (next_prefix == own_prefix
+                            && next.ring_distance(target) < source.ring_distance(target)),
+                    "hop from {source} towards {target} via {next} makes no progress"
+                );
+            }
+        }
     }
 
     /// The Pastry step with rule 1 as it was before it was narrowed to the

@@ -965,10 +965,10 @@ impl Engine {
 /// observers of `CycleEngine::run_with_observer` and the benchmark binaries'
 /// ad-hoc series collection are unified.
 ///
-/// Every measured cycle produces one [`Observer::on_cycle`] call (the cadence
-/// is [`ExperimentConfig::measure_every`](crate::experiment::ExperimentConfig));
-/// scenario transitions produce [`Observer::on_scenario_event`] calls. Both
-/// engines drive observers identically.
+/// Every cycle produces one [`Observer::on_cycle`] call, after its
+/// convergence is measured; scenario transitions produce
+/// [`Observer::on_scenario_event`] calls. Both engines drive observers
+/// identically.
 pub trait Observer {
     /// Called after every measured cycle with the network-wide convergence
     /// state. Return [`ControlFlow::Break`] to stop the run early.

@@ -358,9 +358,9 @@ impl LookupTraffic {
         }
     }
 
-    /// Folds the current window into the per-cycle series (measured cycles
-    /// only). Windows in which no lookup was issued push nothing, so calm
-    /// stretches outside the traffic phase leave no points.
+    /// Folds the current window into the per-cycle series. Windows in which
+    /// no lookup was issued push nothing, so calm stretches outside the
+    /// traffic phase leave no points.
     pub(crate) fn flush_window(&mut self, cycle: u64) {
         let (run_series, region_series) = self.report.series.split_at_mut(LOOKUP_SERIES_KEYS.len());
         let regions = self

@@ -167,6 +167,23 @@ fn churned_newscast_run_is_thread_count_invariant() {
 }
 
 #[test]
+fn paper_default_newscast_runs_are_thread_count_invariant() {
+    // The paper's NEWSCAST sampler, unmodified (view size, period and all),
+    // at 2^9 nodes with and without the Fig. 4 loss.
+    for loss in [0.0, 0.2] {
+        let config = ExperimentConfig::builder()
+            .network_size(1 << 9)
+            .seed(10)
+            .sampler(SamplerChoice::Newscast(NewscastParams::paper_default()))
+            .drop_probability(loss)
+            .max_cycles(60)
+            .build()
+            .unwrap();
+        assert_thread_invariant(config);
+    }
+}
+
+#[test]
 fn profiling_does_not_perturb_the_simulation() {
     // The per-phase profiler is observational: with it enabled — on the
     // sequential engine and on the worker pool — the simulation trace must

@@ -8,17 +8,18 @@
 //! taken by prefix routing over bootstrapped tables should be in the same ballpark
 //! as Chord's `O(log₂ N)` greedy finger routing.
 
+use bss_core::routing::{RouteEnd, Routed};
 use bss_util::id::NodeId;
 use std::collections::HashMap;
 
-use crate::pastry::RouteOutcome;
+/// Successors each node keeps next to its fingers.
+const SUCCESSOR_LIST_LEN: usize = 4;
 
 /// A fully built Chord ring: successor pointers and finger tables for every node.
 #[derive(Debug, Clone)]
 pub struct ChordRing {
     sorted_ids: Vec<NodeId>,
     fingers: HashMap<NodeId, Vec<NodeId>>,
-    successor_list_len: usize,
 }
 
 impl ChordRing {
@@ -29,20 +30,6 @@ impl ChordRing {
     ///
     /// Panics if `ids` is empty or contains duplicates.
     pub(crate) fn build(ids: impl IntoIterator<Item = NodeId>) -> Self {
-        Self::build_with_successors(ids, 4)
-    }
-
-    /// Builds the ring keeping `successor_list_len` successors per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ids` is empty or contains duplicates, or the successor list
-    /// length is zero.
-    pub(crate) fn build_with_successors(
-        ids: impl IntoIterator<Item = NodeId>,
-        successor_list_len: usize,
-    ) -> Self {
-        assert!(successor_list_len > 0, "successor list must be non-empty");
         let mut sorted_ids: Vec<NodeId> = ids.into_iter().collect();
         assert!(
             !sorted_ids.is_empty(),
@@ -53,42 +40,45 @@ impl ChordRing {
         sorted_ids.dedup();
         assert_eq!(before, sorted_ids.len(), "duplicate identifiers");
 
-        let mut fingers = HashMap::with_capacity(sorted_ids.len());
-        for &node in &sorted_ids {
-            let mut table = Vec::with_capacity(64);
-            for bit in 0..64u32 {
-                let start = NodeId::new(node.raw().wrapping_add(1u64 << bit));
-                table.push(Self::successor_of(&sorted_ids, start));
-            }
-            table.dedup();
-            fingers.insert(node, table);
-        }
-        ChordRing {
+        let mut ring = ChordRing {
             sorted_ids,
-            fingers,
-            successor_list_len,
-        }
+            fingers: HashMap::new(),
+        };
+        ring.fingers = ring
+            .sorted_ids
+            .iter()
+            .map(|&node| {
+                let mut table: Vec<NodeId> = (0..64u32)
+                    .map(|bit| ring.successor(NodeId::new(node.raw().wrapping_add(1u64 << bit))))
+                    .collect();
+                table.dedup();
+                (node, table)
+            })
+            .collect();
+        ring
     }
 
     /// The node responsible for `key`: the first node at or after it on the ring.
     pub(crate) fn successor(&self, key: NodeId) -> NodeId {
-        Self::successor_of(&self.sorted_ids, key)
+        let sorted = &self.sorted_ids;
+        match sorted.binary_search(&key) {
+            Ok(position) => sorted[position],
+            Err(position) => sorted[position % sorted.len()],
+        }
     }
 
     /// The immediate successors of `node` on the ring (its successor list).
-    pub(crate) fn successor_list(&self, node: NodeId) -> Vec<NodeId> {
+    fn successor_list(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let position = self
             .sorted_ids
             .binary_search(&node)
             .expect("node must be on the ring");
         let n = self.sorted_ids.len();
-        (1..=self.successor_list_len.min(n.saturating_sub(1)))
-            .map(|step| self.sorted_ids[(position + step) % n])
-            .collect()
+        (1..=SUCCESSOR_LIST_LEN.min(n - 1)).map(move |step| self.sorted_ids[(position + step) % n])
     }
 
     /// The finger table of `node`, deduplicated, nearest finger first.
-    pub(crate) fn fingers(&self, node: NodeId) -> &[NodeId] {
+    fn fingers(&self, node: NodeId) -> &[NodeId] {
         self.fingers.get(&node).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -98,17 +88,21 @@ impl ChordRing {
     /// # Panics
     ///
     /// Panics if `source` is not on the ring.
-    pub(crate) fn route(&self, source: NodeId, target: NodeId) -> RouteOutcome {
+    pub(crate) fn route(&self, source: NodeId, target: NodeId) -> Routed {
         assert!(
             self.sorted_ids.binary_search(&source).is_ok(),
             "source node must be on the ring"
         );
         let destination = self.successor(target);
+        let max_hops = self.sorted_ids.len().max(64) as u64;
         let mut current = source;
-        let mut path = vec![current];
-        for _ in 0..self.sorted_ids.len().max(64) {
+        let mut hops = 0;
+        let end = loop {
             if current == destination {
-                return RouteOutcome::Delivered(path);
+                break RouteEnd::Delivered;
+            }
+            if hops == max_hops {
+                break RouteEnd::HopLimit;
             }
             // Candidates: fingers and successors. Pick the one that most closely
             // precedes (or is) the destination without overshooting it.
@@ -127,26 +121,13 @@ impl ChordRing {
                 .max_by_key(|&candidate| current.clockwise_distance(candidate));
             match next {
                 Some(next) => {
-                    path.push(next);
+                    hops += 1;
                     current = next;
                 }
-                None => return RouteOutcome::Stuck { path },
+                None => break RouteEnd::Stuck,
             }
-        }
-        RouteOutcome::HopLimit { path }
-    }
-}
-
-fn successor_of_sorted(sorted: &[NodeId], key: NodeId) -> NodeId {
-    match sorted.binary_search(&key) {
-        Ok(position) => sorted[position],
-        Err(position) => sorted[position % sorted.len()],
-    }
-}
-
-impl ChordRing {
-    fn successor_of(sorted: &[NodeId], key: NodeId) -> NodeId {
-        successor_of_sorted(sorted, key)
+        };
+        Routed { end, hops }
     }
 }
 
@@ -173,7 +154,7 @@ mod tests {
             "wraps past the end"
         );
         assert_eq!(
-            ring.successor_list(NodeId::new(30)),
+            ring.successor_list(NodeId::new(30)).collect::<Vec<_>>(),
             vec![NodeId::new(10), NodeId::new(20)]
         );
     }
@@ -193,16 +174,13 @@ mod tests {
         let ring = ring(256, 2);
         let ids = ring.sorted_ids.clone();
         let mut rng = SimRng::seed_from(7);
-        let mut total_hops = 0usize;
+        let mut total_hops = 0;
         for _ in 0..300 {
             let source = ids[rng.index(ids.len())];
             let target = NodeId::new(rng.next_u64());
-            let outcome = ring.route(source, target);
-            assert!(outcome.is_delivered(), "{outcome:?}");
-            total_hops += outcome.hops();
-            if let RouteOutcome::Delivered(path) = &outcome {
-                assert_eq!(*path.last().unwrap(), ring.successor(target));
-            }
+            let routed = ring.route(source, target);
+            assert!(routed.delivered(), "{routed:?}");
+            total_hops += routed.hops;
         }
         let mean = total_hops as f64 / 300.0;
         assert!(mean < 8.0, "Chord mean hops {mean} too high for 256 nodes");
@@ -211,10 +189,10 @@ mod tests {
     #[test]
     fn self_route_and_tiny_rings() {
         let ring = ChordRing::build([NodeId::new(5)]);
-        let outcome = ring.route(NodeId::new(5), NodeId::new(123));
-        assert!(outcome.is_delivered());
-        assert_eq!(outcome.hops(), 0);
-        assert!(ring.successor_list(NodeId::new(5)).is_empty());
+        let routed = ring.route(NodeId::new(5), NodeId::new(123));
+        assert!(routed.delivered());
+        assert_eq!(routed.hops, 0);
+        assert!(ring.successor_list(NodeId::new(5)).next().is_none());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::pastry::SnapshotRouter;
     use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot};
-    use bss_core::routing::{next_hop, RouterKind};
+    use bss_core::routing::{
+        next_hop, route, Contact, Routed, RouterKind, SnapshotTables, DEFAULT_MAX_HOPS,
+    };
     use bss_util::id::NodeId;
     use bss_util::rng::SimRng;
 
@@ -30,19 +31,37 @@ mod tests {
         snapshot
     }
 
+    /// Routes one XOR lookup from the node `source` over the snapshot.
+    fn route_xor(population: &PopulationSnapshot, source: NodeId, target: NodeId) -> Routed {
+        let node = population
+            .node_by_id(source)
+            .expect("source in the snapshot");
+        let source = Contact {
+            id: source,
+            address: node.own_descriptor().address(),
+        };
+        route(
+            &mut SnapshotTables(population),
+            RouterKind::Kademlia,
+            source,
+            target,
+            DEFAULT_MAX_HOPS,
+            &mut Vec::new(),
+        )
+    }
+
     #[test]
     fn xor_routing_delivers_on_a_converged_network() {
         let population = snapshot(128, 11);
-        let router = SnapshotRouter::new(&population, RouterKind::Kademlia);
         let ids: Vec<NodeId> = population.ids().collect();
         let mut rng = SimRng::seed_from(5);
         let mut hops = Vec::new();
         for _ in 0..300 {
             let source = ids[rng.index(ids.len())];
             let target = ids[rng.index(ids.len())];
-            let outcome = router.route(source, target);
-            assert!(outcome.is_delivered(), "{source} -> {target}: {outcome:?}");
-            hops.push(outcome.hops() as f64);
+            let routed = route_xor(&population, source, target);
+            assert!(routed.delivered(), "{source} -> {target}: {routed:?}");
+            hops.push(routed.hops as f64);
         }
         let mean = hops.iter().sum::<f64>() / hops.len() as f64;
         assert!(mean < 6.0, "mean XOR hops {mean}");
@@ -68,10 +87,9 @@ mod tests {
     #[test]
     fn self_lookup_is_immediate_and_budget_is_respected() {
         let population = snapshot(32, 13);
-        let router = SnapshotRouter::new(&population, RouterKind::Kademlia);
         let id = population.node_at(0).unwrap().id();
-        let outcome = router.route(id, id);
-        assert!(outcome.is_delivered());
-        assert_eq!(outcome.hops(), 0);
+        let routed = route_xor(&population, id, id);
+        assert!(routed.delivered());
+        assert_eq!(routed.hops, 0);
     }
 }

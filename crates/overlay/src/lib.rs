@@ -10,12 +10,12 @@
 //! * [`lookup`] — the one public entry: [`LookupEvaluator`] routes lookup
 //!   workloads over a bootstrapped population under every router and reports
 //!   hop-count / success statistics ([`LookupReport`](lookup::LookupReport)).
-//! * `pastry` — the snapshot router behind it: one greedy loop over a
+//!   It routes with [`bss_core::routing::route`] over the
 //!   [`PopulationSnapshot`](bss_core::experiment::PopulationSnapshot) under the
 //!   per-hop rule its `RouterKind` selects (Pastry's prefix-then-distance step,
-//!   Kademlia's XOR-closest contact, Chord-style clockwise progress). The rules
-//!   themselves live once, in [`bss_core::routing`], shared with the live
-//!   traffic driver.
+//!   Kademlia's XOR-closest contact, Chord-style clockwise progress); the
+//!   rules and the loop live once, in [`bss_core::routing`], shared with the
+//!   live traffic driver.
 //! * `kademlia` — the XOR rule's checks (a prefix table with `b = 1..=4` is a
 //!   bucket view of the XOR metric space).
 //! * `chord` — a small Chord implementation (successor ring + fingers) used as
@@ -46,7 +46,6 @@
 
 mod chord;
 pub mod lookup;
-mod pastry;
 
 pub use lookup::LookupEvaluator;
 

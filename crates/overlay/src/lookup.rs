@@ -7,9 +7,8 @@
 //! immediately usable by the routing substrates they target.
 
 use crate::chord::ChordRing;
-use crate::pastry::{RouteOutcome, SnapshotRouter};
 use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot};
-use bss_util::id::NodeId;
+use bss_core::routing::{route, Contact, Routed, SnapshotTables, DEFAULT_MAX_HOPS};
 use bss_util::rng::SimRng;
 use bss_util::stats::Histogram;
 use std::fmt;
@@ -40,11 +39,11 @@ impl LookupReport {
         }
     }
 
-    fn record(&mut self, outcome: &RouteOutcome) {
+    fn record(&mut self, routed: Routed) {
         self.attempted += 1;
-        if outcome.is_delivered() {
+        if routed.delivered() {
             self.delivered += 1;
-            self.hop_histogram.record(outcome.hops() as u64);
+            self.hop_histogram.record(routed.hops);
         }
     }
 
@@ -135,20 +134,34 @@ impl LookupEvaluator {
     /// Panics if the population is empty.
     pub fn evaluate(&mut self, router: RouterKind, lookups: usize) -> LookupReport {
         assert!(!self.population.is_empty(), "empty population");
-        let ids: Vec<NodeId> = self.population.ids().collect();
+        let contacts: Vec<Contact> = (0..self.population.len())
+            .filter_map(|position| self.population.node_at(position))
+            .map(|node| Contact {
+                id: node.id(),
+                address: node.own_descriptor().address(),
+            })
+            .collect();
         let mut report = LookupReport::new(router);
         let chord = match router {
-            RouterKind::Chord => Some(ChordRing::build(ids.iter().copied())),
+            RouterKind::Chord => Some(ChordRing::build(contacts.iter().map(|c| c.id))),
             _ => None,
         };
+        let mut tables = SnapshotTables(&self.population);
+        let mut path = Vec::new();
         for _ in 0..lookups {
-            let source = ids[self.rng.index(ids.len())];
-            let target = ids[self.rng.index(ids.len())];
-            let outcome = match &chord {
-                Some(ring) => ring.route(source, target),
-                None => SnapshotRouter::new(&self.population, router).route(source, target),
-            };
-            report.record(&outcome);
+            let source = contacts[self.rng.index(contacts.len())];
+            let target = contacts[self.rng.index(contacts.len())].id;
+            report.record(match &chord {
+                Some(ring) => ring.route(source.id, target),
+                None => route(
+                    &mut tables,
+                    router,
+                    source,
+                    target,
+                    DEFAULT_MAX_HOPS,
+                    &mut path,
+                ),
+            });
         }
         report
     }

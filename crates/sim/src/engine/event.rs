@@ -84,8 +84,7 @@ impl<M> Ord for Scheduled<M> {
 pub struct EventContext<'a, M> {
     now: u64,
     engine: &'a mut EngineContext,
-    outbox: Vec<(NodeIndex, NodeIndex, M)>,
-    timers: Vec<(NodeIndex, u64, u64)>,
+    effects: &'a mut Effects<M>,
 }
 
 impl<'a, M> EventContext<'a, M> {
@@ -111,12 +110,12 @@ impl<'a, M> EventContext<'a, M> {
     /// at that hand-off — not here — so "sent" means the same thing in both
     /// engines: *offered to the transport* ([`Transport::messages_offered`]).
     pub fn send(&mut self, from: NodeIndex, to: NodeIndex, message: M) {
-        self.outbox.push((from, to, message));
+        self.effects.outbox.push((from, to, message));
     }
 
     /// Schedules `timer` to fire at `node` after `delay_millis`.
     pub fn set_timer(&mut self, node: NodeIndex, delay_millis: u64, timer: u64) {
-        self.timers.push((node, delay_millis, timer));
+        self.effects.timers.push((node, delay_millis, timer));
     }
 }
 
@@ -125,6 +124,9 @@ impl<'a, M> EventContext<'a, M> {
 pub struct EventEngine<M> {
     context: EngineContext,
     queue: BinaryHeap<Scheduled<M>>,
+    /// What the running callback queued; drained after every callback, so
+    /// its two buffers are reused for the whole run.
+    effects: Effects<M>,
     now: u64,
     seq: u64,
     started: bool,
@@ -136,6 +138,10 @@ impl<M: Debug> EventEngine<M> {
         EventEngine {
             context: EngineContext::new(network, rng),
             queue: BinaryHeap::new(),
+            effects: Effects {
+                outbox: Vec::new(),
+                timers: Vec::new(),
+            },
             now: 0,
             seq: 0,
             started: false,
@@ -207,15 +213,7 @@ impl<M: Debug> EventEngine<M> {
     where
         P: EventProtocol<Message = M>,
     {
-        let mut effects = Effects::default();
-        self.with_context(
-            &mut effects,
-            |ctx, p: &mut P| {
-                p.on_start(node, ctx);
-            },
-            protocol,
-        );
-        self.apply_effects(&mut effects);
+        self.with_context(|ctx, p: &mut P| p.on_start(node, ctx), protocol);
     }
 
     /// Runs the protocol until the event queue drains or the clock passes
@@ -232,7 +230,6 @@ impl<M: Debug> EventEngine<M> {
     {
         self.start(protocol);
 
-        let mut effects = Effects::default();
         let mut processed = 0;
         while let Some(event) = self.queue.pop() {
             if event.at > end_time_millis {
@@ -249,24 +246,14 @@ impl<M: Debug> EventEngine<M> {
             match event.payload {
                 Payload::Message { from, body } => {
                     self.with_context(
-                        &mut effects,
-                        |ctx, p: &mut P| {
-                            p.on_message(event.to, from, body, ctx);
-                        },
+                        |ctx, p: &mut P| p.on_message(event.to, from, body, ctx),
                         protocol,
                     );
                 }
                 Payload::Timer { id } => {
-                    self.with_context(
-                        &mut effects,
-                        |ctx, p: &mut P| {
-                            p.on_timer(event.to, id, ctx);
-                        },
-                        protocol,
-                    );
+                    self.with_context(|ctx, p: &mut P| p.on_timer(event.to, id, ctx), protocol);
                 }
             }
-            self.apply_effects(&mut effects);
         }
         // The slice ends on the requested horizon even when the queue drained
         // earlier, so per-cycle drivers can map `now` back to a cycle index.
@@ -274,23 +261,19 @@ impl<M: Debug> EventEngine<M> {
         processed
     }
 
-    fn with_context<P, F>(&mut self, effects: &mut Effects<M>, f: F, protocol: &mut P)
+    /// Runs one callback against the engine's effect buffers, then hands
+    /// what it queued to the transport and the queue.
+    fn with_context<P, F>(&mut self, f: F, protocol: &mut P)
     where
         F: FnOnce(&mut EventContext<'_, M>, &mut P),
     {
         let mut ctx = EventContext {
             now: self.now,
             engine: &mut self.context,
-            outbox: Vec::new(),
-            timers: Vec::new(),
+            effects: &mut self.effects,
         };
         f(&mut ctx, protocol);
-        effects.outbox = ctx.outbox;
-        effects.timers = ctx.timers;
-    }
-
-    fn apply_effects(&mut self, effects: &mut Effects<M>) {
-        for (from, to, body) in effects.outbox.drain(..) {
+        for (from, to, body) in self.effects.outbox.drain(..) {
             let context = &mut self.context;
             if context.transport.should_deliver(from, to, &mut context.rng) {
                 let latency = context.transport.latency_millis(from, to, &mut context.rng);
@@ -303,7 +286,7 @@ impl<M: Debug> EventEngine<M> {
                 });
             }
         }
-        for (node, delay, id) in effects.timers.drain(..) {
+        for (node, delay, id) in self.effects.timers.drain(..) {
             self.seq += 1;
             self.queue.push(Scheduled {
                 at: self.now + delay.max(1),
@@ -315,19 +298,11 @@ impl<M: Debug> EventEngine<M> {
     }
 }
 
+/// The messages and timers one callback queued, in the order it queued them.
 #[derive(Debug)]
 struct Effects<M> {
     outbox: Vec<(NodeIndex, NodeIndex, M)>,
     timers: Vec<(NodeIndex, u64, u64)>,
-}
-
-impl<M> Default for Effects<M> {
-    fn default() -> Self {
-        Effects {
-            outbox: Vec::new(),
-            timers: Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
