@@ -231,8 +231,8 @@ impl Args {
     }
 
     /// Worker threads of the cycle engine (`--threads`): at least 1, and at
-    /// most the smallest network the invocation runs — a wave holds at most
-    /// N/2 disjoint exchanges, so the bound comes from the input.
+    /// most the smallest network the invocation runs — at most N/2 disjoint
+    /// exchanges can run at once, so the bound comes from the input.
     pub(crate) fn threads(&self) -> Result<usize, String> {
         let threads = self.parsed("threads")?;
         let smallest = self.sizes()?.iter().map(|&exp| 1usize << exp).min();

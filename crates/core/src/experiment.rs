@@ -89,7 +89,7 @@ pub struct ExperimentConfig {
     /// Accumulate per-phase wall time (plan / execute / commit / measure) on
     /// the cycle engines and attach it to the [`RunReport`]. Off by default:
     /// timing is observational only — it never changes the simulated outcome —
-    /// but costs two clock reads per wave.
+    /// but costs clock reads around every hand-off between threads.
     pub profile: bool,
 }
 
@@ -194,7 +194,7 @@ impl ExperimentConfig {
             return Err(InvalidParams::from_message("max_cycles must be positive"));
         }
         self.engine.validate()?;
-        // A wave holds at most N/2 disjoint exchanges, so workers beyond the
+        // At most N/2 disjoint exchanges run at once, so workers beyond the
         // node count could only idle (and a large enough count aborts on spawn).
         if self.threads() > self.network_size {
             return Err(InvalidParams::OutOfRange {

@@ -19,18 +19,17 @@ use crate::node::BootstrapNode;
 use bss_sampling::quality::SamplingQuality;
 use bss_sampling::sampler::PeerSampler;
 use bss_sim::adversary::{forged_id, spray_id, AdversaryBehavior, AdversaryModel};
-use bss_sim::engine::cycle::{
-    CycleProtocol, EngineContext, NodePlan, ParallelCycleProtocol, PlannedWork,
-};
+use bss_sim::engine::cycle::{CycleProtocol, EngineContext, ParallelCycleProtocol, PhaseProfile};
 use bss_sim::engine::event::{EventContext, EventProtocol};
 use bss_sim::network::{Network, NodeIndex};
-use bss_sim::pool::{Task, WorkerPool};
 use bss_util::config::BootstrapParams;
 use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use bss_util::stats::Histogram;
-use std::sync::Mutex;
+use std::sync::Arc;
+
+mod stream;
 
 /// Statistics about the traffic generated by the protocol.
 ///
@@ -112,15 +111,17 @@ pub(crate) struct BootstrapProtocol<S> {
     nodes: Vec<Option<CompactNode>>,
     /// The shared index→identifier arena the packed descriptors resolve
     /// against; append-only, synced from the registry whenever nodes appear.
-    ids: Vec<NodeId>,
+    /// Shared with the worker threads of a parallel cycle, during which it
+    /// never changes.
+    ids: Arc<Vec<NodeId>>,
     traffic: TrafficStats,
     /// Nodes whose tables changed since the last incremental measurement pass
     /// (initialised, received a state-changing message, or departed).
     dirty: Vec<NodeIndex>,
     /// Dedup flags for `dirty`, indexed by node.
     dirty_flags: Vec<bool>,
-    /// Per-worker working memory for exchange execution (the hot path). Slot 0
-    /// serves the sequential engine; parallel waves use one slot per thread.
+    /// Per-thread working memory for exchange execution (the hot path). Slot 0
+    /// serves the calling thread; a parallel cycle uses one slot per thread.
     worker_scratch: Vec<ExchangeScratch>,
     /// The scenario's Byzantine adversary model, when one is installed.
     /// Consulted only in the deterministic plan pass (and the event engine's
@@ -162,10 +163,10 @@ impl ExchangeScratch {
 /// The pre-drawn decisions of one exchange (the RNG-consuming, state-reading
 /// half of an active-thread iteration). Executing the plan is deterministic
 /// given the two participants' states — no RNG, no cross-node reads beyond the
-/// initiator and the engaged peer — which is what lets plans from the same
-/// wave run on worker threads in any order.
+/// initiator and the engaged peer — which is what lets exchanges on disjoint
+/// pairs run on worker threads in any order.
 #[derive(Debug)]
-pub struct ExchangePlan {
+struct ExchangePlan {
     peer: NodeIndex,
     peer_id: NodeId,
     node_id: NodeId,
@@ -187,7 +188,7 @@ pub struct ExchangePlan {
 /// What executing an [`ExchangePlan`] produced; committed in planning order so
 /// traffic counters and the dirty list replay the sequential engine exactly.
 #[derive(Debug)]
-pub struct ExchangeOutcome {
+struct ExchangeOutcome {
     node: NodeIndex,
     peer: NodeIndex,
     request_len: u64,
@@ -279,7 +280,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
             sampler,
             run_sampler_steps: false,
             nodes: Vec::new(),
-            ids: Vec::new(),
+            ids: Arc::default(),
             traffic: TrafficStats::default(),
             dirty: Vec::new(),
             dirty_flags: Vec::new(),
@@ -350,7 +351,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
 
     /// Initialises a single node (used both at start-up and when a node joins).
     pub(crate) fn init_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
-        ctx.network.sync_id_arena(&mut self.ids);
+        ctx.network.sync_id_arena(Arc::make_mut(&mut self.ids));
         let own = ctx.network.descriptor(node, cycle);
         let mut state =
             BootstrapNode::new(own, &self.params).expect("parameters validated in new()");
@@ -606,20 +607,23 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         Some((peer, samples))
     }
 
-    /// The decision half of one active-thread iteration of `node` (Fig. 2a):
-    /// select a peer, draw the random samples and the transport coins. Consumes
-    /// the RNG stream exactly as the full sequential exchange did — message
-    /// composition and table updates draw no randomness, so deferring them
-    /// (see [`execute_exchange`]) leaves the stream untouched.
+    /// The decision half of `node`'s step in a cycle (Fig. 2a): the
+    /// sampler's own gossip when it runs underneath, then select a peer, draw
+    /// the random samples and the transport coins; `None` when there is no
+    /// exchange to run. Consumes the RNG stream exactly as the full
+    /// sequential exchange did — message composition and table updates draw
+    /// no randomness, so deferring them (see [`execute_exchange`]) leaves the
+    /// stream untouched. Reads no node's table but `node`'s own.
     fn plan_exchange(
         &mut self,
         node: NodeIndex,
         cycle: u64,
         ctx: &mut EngineContext,
-    ) -> NodePlan<ExchangePlan> {
-        let Some((peer_descriptor, my_samples)) = self.plan_request(node, cycle, ctx) else {
-            return NodePlan::Idle;
-        };
+    ) -> Option<ExchangePlan> {
+        if self.run_sampler_steps {
+            self.sampler.step(node, cycle, ctx);
+        }
+        let (peer_descriptor, my_samples) = self.plan_request(node, cycle, ctx)?;
         let peer = peer_descriptor.address();
 
         // The request's transport coin; a lost request also suppresses the
@@ -628,7 +632,8 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         // like the transport was consulted before the check in the inline path.
         let request_delivered = ctx.deliver(node, peer) && ctx.network.is_alive(peer);
         // An uninitialised peer (start signal not received yet) ignores the
-        // message; membership of `nodes` only changes at cycle boundaries.
+        // message; membership of `nodes` only changes at cycle boundaries (a
+        // state away on a worker thread leaves an empty one in its slot).
         let peer_engaged = request_delivered
             && self
                 .nodes
@@ -646,22 +651,17 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         } else {
             (Vec::new(), false)
         };
-        let node_id = self.ids[node.as_usize()];
-        NodePlan::Work {
-            // Only an engaged peer's state is touched by the deferred work.
-            peer: peer_engaged.then_some(peer),
-            plan: ExchangePlan {
-                peer,
-                peer_id: peer_descriptor.id(),
-                node_id,
-                cycle,
-                my_samples,
-                peer_samples,
-                request_delivered,
-                peer_engaged,
-                answer_delivered,
-            },
-        }
+        Some(ExchangePlan {
+            peer,
+            peer_id: peer_descriptor.id(),
+            node_id: self.ids[node.as_usize()],
+            cycle,
+            my_samples,
+            peer_samples,
+            request_delivered,
+            peer_engaged,
+            answer_delivered,
+        })
     }
 
     /// Executes one plan inline (the sequential engine's path), borrowing the
@@ -678,6 +678,33 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
             &self.params,
             &mut self.worker_scratch[0],
         )
+    }
+
+    /// Applies one executed exchange's order-sensitive effects — traffic
+    /// counters and the dirty list. Called in planning order.
+    fn commit_outcome(&mut self, outcome: ExchangeOutcome) {
+        // Replays exactly the sequence of counter updates the inline exchange
+        // performed, in planning order.
+        self.traffic.requests_sent += 1;
+        self.traffic.message_sizes.record(outcome.request_len);
+        if !outcome.request_delivered {
+            return;
+        }
+        self.traffic.requests_delivered += 1;
+        if !outcome.peer_engaged {
+            return;
+        }
+        if outcome.peer_changed {
+            self.mark_dirty(outcome.peer);
+        }
+        self.traffic.answers_sent += 1;
+        self.traffic.message_sizes.record(outcome.answer_len);
+        if outcome.answer_delivered {
+            self.traffic.answers_delivered += 1;
+            if outcome.node_changed {
+                self.mark_dirty(outcome.node);
+            }
+        }
     }
 
     /// Borrows the initiator's packed state and (optionally) the peer's
@@ -714,12 +741,9 @@ impl<S: PeerSampler> CycleProtocol for BootstrapProtocol<S> {
         // The sequential engine runs the same plan → execute → commit
         // decomposition the parallel engine uses, just inline — one code path,
         // so `threads = 1` trivially reproduces any thread count's trace.
-        match self.plan_node(node, cycle, ctx) {
-            NodePlan::Idle => {}
-            NodePlan::Work { plan, .. } => {
-                let outcome = self.execute_one(node, &plan);
-                self.commit_outcome(outcome, ctx);
-            }
+        if let Some(plan) = self.plan_exchange(node, cycle, ctx) {
+            let outcome = self.execute_one(node, &plan);
+            self.commit_outcome(outcome);
         }
     }
 
@@ -911,147 +935,15 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
 }
 
 impl<S: PeerSampler> ParallelCycleProtocol for BootstrapProtocol<S> {
-    type Plan = ExchangePlan;
-    type Outcome = ExchangeOutcome;
-
-    fn plan_node(
+    fn execute_cycle(
         &mut self,
-        node: NodeIndex,
+        order: &[NodeIndex],
         cycle: u64,
+        threads: usize,
         ctx: &mut EngineContext,
-    ) -> NodePlan<ExchangePlan> {
-        if self.run_sampler_steps {
-            self.sampler.step(node, cycle, ctx);
-        }
-        self.plan_exchange(node, cycle, ctx)
-    }
-
-    fn execute_wave(
-        &mut self,
-        wave: &mut Vec<PlannedWork<ExchangePlan>>,
-        pool: &mut WorkerPool,
-        outcomes: &mut Vec<ExchangeOutcome>,
+        profile: Option<&mut PhaseProfile>,
     ) {
-        // Count the concurrently executable items; tiny waves are not worth a
-        // channel round-trip.
-        let threads = pool.threads();
-        let parallel_items = wave.iter().filter(|item| !item.deferred).count();
-        if threads <= 1 || parallel_items < 2 {
-            for item in wave.iter() {
-                outcomes.push(self.execute_one(item.node, &item.plan));
-            }
-            return;
-        }
-
-        if self.worker_scratch.len() < threads {
-            let params = self.params;
-            self.worker_scratch
-                .resize_with(threads, || ExchangeScratch::new(&params));
-        }
-
-        // A non-deferred item becomes a unit that owns the packed states it
-        // touches, moved out of the table until the batch ends: the touched
-        // indices are pairwise distinct by the engine's claiming discipline,
-        // so every take finds its state.
-        struct Unit<'a> {
-            node: NodeIndex,
-            plan: &'a ExchangePlan,
-            node_state: CompactNode,
-            peer_state: Option<CompactNode>,
-            outcome: Option<ExchangeOutcome>,
-        }
-        let nodes = &mut self.nodes;
-        let mut take = |node: NodeIndex| nodes[node.as_usize()].take();
-        let mut units: Vec<Unit<'_>> = Vec::with_capacity(parallel_items);
-        for item in wave.iter().filter(|item| !item.deferred) {
-            units.push(Unit {
-                node: item.node,
-                plan: &item.plan,
-                node_state: take(item.node).expect("planned node has state"),
-                peer_state: item
-                    .plan
-                    .peer_engaged
-                    .then(|| take(item.plan.peer).expect("engaged peer has state")),
-                outcome: None,
-            });
-        }
-
-        // One task per scratch, no more of them than units, each claiming the
-        // next unclaimed unit until none is left: a thread that wakes late or
-        // runs slow takes fewer exchanges, and the pool's barrier closes
-        // within one exchange of the last claim. The lock covers the claim
-        // only.
-        let cursor = Mutex::new(units.iter_mut());
-        let ids: &[NodeId] = &self.ids;
-        let params = &self.params;
-        let tasks: Vec<Task<'_>> = self
-            .worker_scratch
-            .iter_mut()
-            .take(parallel_items.min(threads))
-            .map(|scratch| {
-                let cursor = &cursor;
-                Box::new(move || loop {
-                    let claimed = cursor.lock().expect("no claim panics").next();
-                    let Some(unit) = claimed else { break };
-                    unit.outcome = Some(execute_exchange(
-                        unit.plan,
-                        unit.node,
-                        &mut unit.node_state,
-                        unit.peer_state.as_mut(),
-                        ids,
-                        params,
-                        scratch,
-                    ));
-                }) as Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-        let executed: Vec<ExchangeOutcome> = units
-            .into_iter()
-            .map(|unit| {
-                self.nodes[unit.node.as_usize()] = Some(unit.node_state);
-                if let Some(peer_state) = unit.peer_state {
-                    self.nodes[unit.plan.peer.as_usize()] = Some(peer_state);
-                }
-                unit.outcome.expect("every unit was claimed")
-            })
-            .collect();
-
-        // Deferred items conflict with an earlier item of this wave; run them
-        // on the calling thread, in planning order, after the parallel batch.
-        let mut executed = executed.into_iter();
-        for item in wave.iter() {
-            outcomes.push(if item.deferred {
-                self.execute_one(item.node, &item.plan)
-            } else {
-                executed.next().expect("one outcome per unit")
-            });
-        }
-    }
-
-    fn commit_outcome(&mut self, outcome: ExchangeOutcome, _ctx: &mut EngineContext) {
-        // Replays exactly the sequence of counter updates the inline exchange
-        // performed, in planning order.
-        self.traffic.requests_sent += 1;
-        self.traffic.message_sizes.record(outcome.request_len);
-        if !outcome.request_delivered {
-            return;
-        }
-        self.traffic.requests_delivered += 1;
-        if !outcome.peer_engaged {
-            return;
-        }
-        if outcome.peer_changed {
-            self.mark_dirty(outcome.peer);
-        }
-        self.traffic.answers_sent += 1;
-        self.traffic.message_sizes.record(outcome.answer_len);
-        if outcome.answer_delivered {
-            self.traffic.answers_delivered += 1;
-            if outcome.node_changed {
-                self.mark_dirty(outcome.node);
-            }
-        }
+        self.stream_cycle(order, cycle, threads, ctx, profile);
     }
 }
 
@@ -1235,77 +1127,6 @@ mod tests {
             traffic.requests_delivered + traffic.answers_delivered,
             transport.messages_offered() - transport.messages_dropped(),
         );
-    }
-
-    /// Forwards to the protocol and checks every wave as it comes back.
-    struct WaveAudit {
-        inner: BootstrapProtocol<OracleSampler>,
-        /// Waves that ran a parallel batch *and* deferred items.
-        mixed_waves: usize,
-    }
-
-    impl CycleProtocol for WaveAudit {
-        fn execute_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
-            self.inner.execute_node(node, cycle, ctx);
-        }
-    }
-
-    impl ParallelCycleProtocol for WaveAudit {
-        type Plan = ExchangePlan;
-        type Outcome = ExchangeOutcome;
-
-        fn plan_node(
-            &mut self,
-            node: NodeIndex,
-            cycle: u64,
-            ctx: &mut EngineContext,
-        ) -> NodePlan<ExchangePlan> {
-            self.inner.plan_node(node, cycle, ctx)
-        }
-
-        fn execute_wave(
-            &mut self,
-            wave: &mut Vec<PlannedWork<ExchangePlan>>,
-            pool: &mut WorkerPool,
-            outcomes: &mut Vec<ExchangeOutcome>,
-        ) {
-            let parallel = wave.iter().filter(|item| !item.deferred).count();
-            if parallel >= 2 && parallel < wave.len() {
-                self.mixed_waves += 1;
-            }
-            self.inner.execute_wave(wave, pool, outcomes);
-            assert_eq!(outcomes.len(), wave.len());
-            for (item, outcome) in wave.iter().zip(outcomes.iter()) {
-                assert_eq!(outcome.node, item.node, "outcomes follow planning order");
-                let peer = item.plan.peer_engaged.then_some(item.plan.peer);
-                for touched in [Some(item.node), peer].into_iter().flatten() {
-                    assert!(
-                        self.inner.packed_node(touched).is_some(),
-                        "{touched} was taken for the wave and not put back"
-                    );
-                }
-            }
-        }
-
-        fn commit_outcome(&mut self, outcome: ExchangeOutcome, ctx: &mut EngineContext) {
-            self.inner.commit_outcome(outcome, ctx);
-        }
-    }
-
-    #[test]
-    fn execute_wave_puts_back_every_state_it_took() {
-        let mut eng = engine(64, 9);
-        let mut audit = WaveAudit {
-            inner: BootstrapProtocol::new(small_params(), OracleSampler::new()),
-            mixed_waves: 0,
-        };
-        audit.inner.init_all(eng.context_mut());
-        eng.run_parallel_with_observer(&mut audit, 6, 3, |_, _, _| ControlFlow::Continue(()));
-        assert!(
-            audit.mixed_waves > 0,
-            "no wave mixed a batch with deferred items"
-        );
-        assert_eq!(audit.inner.nodes.iter().flatten().count(), 64);
     }
 
     #[test]

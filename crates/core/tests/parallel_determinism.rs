@@ -2,9 +2,10 @@
 //! sequential engine at every thread count, for every scenario: samplers,
 //! message loss, churn, perfection-stop on and off.
 //!
-//! `threads = 1` runs the plain sequential engine; `threads >= 2` runs the
-//! wave-scheduled parallel engine, so comparing the two exercises the whole
-//! plan → execute → commit machinery on every run.
+//! `threads = 1` runs the plain sequential engine; `threads >= 2` streams each
+//! cycle's exchanges to worker threads as they are planned, so comparing the
+//! two exercises the whole plan → execute → commit machinery on every run —
+//! a planner waiting for a node's or a peer's state included.
 
 use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot, SamplerChoice};
 use bss_core::scenario::{AdversaryBehavior, Engine, Phase, ScenarioEvent};
@@ -119,8 +120,9 @@ fn oracle_run_is_thread_count_invariant() {
 
 #[test]
 fn waves_shorter_than_the_pool_are_thread_count_invariant() {
-    // Sixteen nodes never fill a wave with eight exchanges, so most of the
-    // tasks a wave could be given would find nothing to claim.
+    // Sixteen nodes: an exchange's peer is often still out in an earlier one,
+    // the planner often waits for the node it plans, and at eight threads
+    // most workers find nothing queued.
     let config = ExperimentConfig::builder()
         .network_size(16)
         .seed(14)
@@ -186,7 +188,7 @@ fn paper_default_newscast_runs_are_thread_count_invariant() {
 #[test]
 fn profiling_does_not_perturb_the_simulation() {
     // The per-phase profiler is observational: with it enabled — on the
-    // sequential engine and on the worker pool — the simulation trace must
+    // sequential engine and on worker threads — the simulation trace must
     // stay bit-identical to the unprofiled sequential run, and the profile
     // itself must cover every executed cycle.
     let config = ExperimentConfig::builder()

@@ -10,8 +10,9 @@
 //!
 //! The model is *consulted during the deterministic plan / message-composition
 //! step only*: converted nodes substitute the payload of the messages they were
-//! going to send anyway, so the parallel cycle engine's execute waves stay free
-//! of adversary state and runs remain bit-identical at any thread count.
+//! going to send anyway, so the exchanges the parallel cycle engine's worker
+//! threads execute stay free of adversary state and runs remain bit-identical
+//! at any thread count.
 
 use crate::network::NodeIndex;
 use bss_util::id::NodeId;

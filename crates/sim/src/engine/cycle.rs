@@ -9,7 +9,6 @@
 
 use crate::churn::Churn;
 use crate::network::{Network, NodeIndex};
-use crate::pool::WorkerPool;
 use crate::transport::Transport;
 use bss_util::rng::SimRng;
 use std::ops::ControlFlow;
@@ -70,106 +69,48 @@ pub trait CycleProtocol {
     fn node_converted(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
 }
 
-/// What [`ParallelCycleProtocol::plan_node`] decided for one node.
-#[derive(Debug)]
-pub enum NodePlan<P> {
-    /// Nothing to execute for this node this cycle (all effects, if any,
-    /// already happened during planning).
-    Idle,
-    /// Deferred work. `peer` names the *other* node whose state the work will
-    /// read or write, if any; the planned node itself is always involved.
-    Work {
-        /// The second node touched by the work (`None` when the work only
-        /// involves the planned node's own state).
-        peer: Option<NodeIndex>,
-        /// The protocol-defined description of the deferred work.
-        plan: P,
-    },
-}
-
-/// One entry of a wave handed to [`ParallelCycleProtocol::execute_wave`], in
-/// planning order.
-#[derive(Debug)]
-pub struct PlannedWork<P> {
-    /// The node the plan was made for.
-    pub node: NodeIndex,
-    /// The protocol-defined description of the deferred work.
-    pub plan: P,
-    /// `false`: this item's node set is disjoint from every other
-    /// non-deferred item in the wave — it may execute concurrently with them.
-    /// `true`: it conflicts with an earlier item and must execute after all
-    /// non-deferred items, in list order relative to other deferred items.
-    pub deferred: bool,
-}
-
-/// A [`CycleProtocol`] whose per-node work can be split into a sequential
-/// *planning* phase and a parallelisable *execution* phase.
-///
-/// The contract that makes [`CycleEngine::run_parallel_with_observer`]
-/// bit-for-bit equivalent to the sequential engine at any thread count:
-///
-/// * [`plan_node`](ParallelCycleProtocol::plan_node) performs **all** RNG
-///   draws and all reads of mutable cross-node state that the sequential
-///   `execute_node` would perform before its heavy computation, in the same
-///   order. The engine calls it sequentially, in the cycle's shuffled order.
-/// * The deferred work described by the returned plan reads and writes only
-///   the state of the planned node and of the reported `peer`, and consumes
-///   no RNG.
-/// * [`execute_wave`](ParallelCycleProtocol::execute_wave) runs the wave's
-///   work — concurrently for non-deferred items — and returns one outcome per
-///   item in list order.
-/// * [`commit_outcome`](ParallelCycleProtocol::commit_outcome) applies an
-///   outcome's order-sensitive side effects (global counters, dirty lists);
-///   the engine replays outcomes strictly in planning order.
+/// A [`CycleProtocol`] that can spread a cycle over several threads and still
+/// produce, bit for bit, what the sequential engine produces.
 pub trait ParallelCycleProtocol: CycleProtocol {
-    /// The deferred-work description produced by planning one node.
-    type Plan: Send;
-    /// The result of executing one plan, fed back to
-    /// [`commit_outcome`](ParallelCycleProtocol::commit_outcome).
-    type Outcome: Send;
-
-    /// Plans one node's cycle action, consuming the RNG stream exactly as the
-    /// sequential `execute_node` would.
-    fn plan_node(
+    /// Runs one cycle on up to `threads` threads (`threads >= 2`): for every
+    /// node of `order` still alive when its turn comes, the effects of
+    /// [`execute_node`](CycleProtocol::execute_node), in that order, exactly
+    /// as the sequential engine produces them — the same RNG draws, the same
+    /// final states, the same counters.
+    ///
+    /// With `profile`, adds the calling thread's time spent executing work or
+    /// waiting for other threads to `execute`, and its time spent applying
+    /// finished work to `commit`; the engine counts the rest of the cycle as
+    /// `plan`.
+    fn execute_cycle(
         &mut self,
-        node: NodeIndex,
+        order: &[NodeIndex],
         cycle: u64,
+        threads: usize,
         ctx: &mut EngineContext,
-    ) -> NodePlan<Self::Plan>;
-
-    /// Executes a wave of plans, appending one outcome per item (in item
-    /// order) to `outcomes`. Non-deferred items touch pairwise-disjoint node
-    /// sets and may run on the persistent worker `pool`; deferred items run
-    /// after all non-deferred ones, in order.
-    fn execute_wave(
-        &mut self,
-        wave: &mut Vec<PlannedWork<Self::Plan>>,
-        pool: &mut WorkerPool,
-        outcomes: &mut Vec<Self::Outcome>,
+        profile: Option<&mut PhaseProfile>,
     );
-
-    /// Applies one outcome's side effects. Called in planning order.
-    fn commit_outcome(&mut self, outcome: Self::Outcome, ctx: &mut EngineContext);
 }
 
 /// Accumulated wall time per engine phase, enabled with
 /// [`CycleEngine::enable_profiling`] and read back with
 /// [`CycleEngine::phase_profile`].
 ///
-/// The four phases partition a cycle: `plan` covers the sequential scan
-/// (churn, RNG draws and wave scheduling), `execute` the deferred per-node
-/// computation (the part the worker pool parallelises),
-/// `commit` the in-order outcome replay, and `measure` the observer callback
-/// (convergence oracles, metric emission). On the sequential engine the whole
-/// per-node step lands in `execute`, scheduling overhead in `plan`, and
-/// `commit` stays empty.
+/// The four phases partition the calling thread's cycle: `plan` covers the
+/// sequential scan (churn, RNG draws, handing work to other threads),
+/// `execute` the per-node computation the calling thread runs itself plus
+/// its waits for other threads, `commit` applying finished work (in planning
+/// order), and `measure` the observer callback (convergence oracles, metric
+/// emission). On the sequential engine the whole per-node step lands in
+/// `execute`, scheduling overhead in `plan`, and `commit` stays empty.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfile {
-    /// Sequential planning: churn, RNG and wave scheduling.
+    /// Sequential planning: churn, RNG draws and hand-off.
     pub plan: Duration,
-    /// Deferred per-node computation (parallelised across the worker pool).
+    /// Per-node computation on the calling thread, and its waits for the
+    /// other threads.
     pub execute: Duration,
-    /// In-planning-order outcome replay.
+    /// Applying finished work in planning order.
     pub commit: Duration,
     /// Observer callbacks (oracle measurement, metric emission).
     pub measure: Duration,
@@ -217,9 +158,6 @@ pub struct CycleEngine {
     /// Reusable per-cycle execution-order buffer; avoids one O(n) allocation
     /// per cycle on the hot path.
     order_scratch: Vec<NodeIndex>,
-    /// Persistent worker pool for the parallel engine; created lazily on the
-    /// first parallel run and reused (workers stay alive) across runs.
-    pool: Option<WorkerPool>,
     /// Per-phase wall-time accumulator; `None` until profiling is enabled.
     profiler: Option<PhaseProfile>,
 }
@@ -232,7 +170,6 @@ impl CycleEngine {
             churn: Churn::default(),
             current_cycle: 0,
             order_scratch: Vec::new(),
-            pool: None,
             profiler: None,
         }
     }
@@ -284,11 +221,71 @@ impl CycleEngine {
     /// Runs `protocol` for at most `max_cycles` cycles, invoking `observer` after
     /// every cycle. The observer can stop the run early by returning
     /// [`ControlFlow::Break`]. Returns the number of cycles executed.
-    pub fn run_with_observer<P, F>(
+    pub fn run_with_observer<P, F>(&mut self, protocol: &mut P, max_cycles: u64, observer: F) -> u64
+    where
+        P: CycleProtocol,
+        F: FnMut(&mut P, &mut EngineContext, u64) -> ControlFlow<()>,
+    {
+        self.run_cycles(
+            protocol,
+            max_cycles,
+            observer,
+            |protocol, order, cycle, ctx, profile| {
+                let started = Instant::now();
+                for &node in order {
+                    // A node scheduled earlier in the cycle may since have been removed
+                    // by protocol-driven actions; re-check liveness.
+                    if ctx.network.is_alive(node) {
+                        protocol.execute_node(node, cycle, ctx);
+                    }
+                }
+                if let Some(profile) = profile {
+                    profile.execute += started.elapsed();
+                }
+            },
+        )
+    }
+
+    /// Parallel equivalent of [`CycleEngine::run_with_observer`]: hands each
+    /// cycle's shuffled order to [`ParallelCycleProtocol::execute_cycle`] with
+    /// a budget of `threads` threads. The protocol promises the sequential
+    /// engine's result, so the run is bit-for-bit identical at any thread
+    /// count.
+    ///
+    /// `threads <= 1` falls back to [`CycleEngine::run_with_observer`].
+    pub fn run_parallel_with_observer<P, F>(
+        &mut self,
+        protocol: &mut P,
+        max_cycles: u64,
+        threads: usize,
+        observer: F,
+    ) -> u64
+    where
+        P: ParallelCycleProtocol,
+        F: FnMut(&mut P, &mut EngineContext, u64) -> ControlFlow<()>,
+    {
+        if threads <= 1 {
+            return self.run_with_observer(protocol, max_cycles, observer);
+        }
+        self.run_cycles(
+            protocol,
+            max_cycles,
+            observer,
+            |protocol, order, cycle, ctx, profile| {
+                protocol.execute_cycle(order, cycle, threads, ctx, profile);
+            },
+        )
+    }
+
+    /// The cycle loop both engines share: churn, a fresh order, `step` over
+    /// that order, then the observer. Whatever of a cycle `step` does not
+    /// report as `execute` or `commit` is profiled as `plan`.
+    fn run_cycles<P, F>(
         &mut self,
         protocol: &mut P,
         max_cycles: u64,
         mut observer: F,
+        mut step: impl FnMut(&mut P, &[NodeIndex], u64, &mut EngineContext, Option<&mut PhaseProfile>),
     ) -> u64
     where
         P: CycleProtocol,
@@ -308,161 +305,20 @@ impl CycleEngine {
             self.order_scratch
                 .extend(self.context.network.alive_indices());
             self.context.rng.shuffle(&mut self.order_scratch);
-            let node_loop_start = Instant::now();
-            for position in 0..self.order_scratch.len() {
-                let node = self.order_scratch[position];
-                // A node scheduled earlier in the cycle may since have been removed
-                // by protocol-driven actions; re-check liveness.
-                if self.context.network.is_alive(node) {
-                    protocol.execute_node(node, cycle, &mut self.context);
-                }
-            }
-            let node_loop = node_loop_start.elapsed();
-
-            self.current_cycle += 1;
-            executed += 1;
-            if let Some(profile) = self.profiler.as_mut() {
-                profile.execute += node_loop;
-                profile.plan += cycle_start.elapsed().saturating_sub(node_loop);
-                profile.cycles += 1;
-            }
-            let measure_start = Instant::now();
-            let flow = observer(protocol, &mut self.context, cycle);
-            if let Some(profile) = self.profiler.as_mut() {
-                profile.measure += measure_start.elapsed();
-            }
-            if flow.is_break() {
-                break;
-            }
-        }
-        executed
-    }
-
-    /// Parallel equivalent of [`CycleEngine::run_with_observer`]: executes the
-    /// independent per-node computations of each cycle on up to `threads`
-    /// worker threads while keeping the run bit-for-bit identical to the
-    /// sequential engine at any thread count.
-    ///
-    /// How: the cycle's shuffled order is scanned sequentially and each node is
-    /// *planned* ([`ParallelCycleProtocol::plan_node`] — all RNG consumption
-    /// and cross-node reads happen here, on the caller thread, in order). The
-    /// deferred work accumulates into a wave; a wave is flushed — executed,
-    /// then committed in planning order — whenever the scan reaches a node
-    /// whose state a pending plan would modify (planning it earlier would read
-    /// stale state). Within a wave, items whose node sets overlap an earlier
-    /// item are marked `deferred` and execute sequentially after the disjoint
-    /// majority, preserving the sequential interleaving exactly.
-    ///
-    /// `threads <= 1` falls back to [`CycleEngine::run_with_observer`].
-    pub fn run_parallel_with_observer<P, F>(
-        &mut self,
-        protocol: &mut P,
-        max_cycles: u64,
-        threads: usize,
-        mut observer: F,
-    ) -> u64
-    where
-        P: ParallelCycleProtocol,
-        F: FnMut(&mut P, &mut EngineContext, u64) -> ControlFlow<()>,
-    {
-        if threads <= 1 {
-            // The sequential engine also honours profiling, with a coarser
-            // split: the whole node step lands in `execute` (planning is not
-            // separable from execution there) and the remainder in `plan`.
-            // Keeping one thread on this path makes profiled and unprofiled
-            // runs of the same configuration directly comparable.
-            return self.run_with_observer(protocol, max_cycles, observer);
-        }
-        // The persistent pool outlives individual runs; recreate it only when
-        // the requested thread count changes.
-        if self.pool.as_ref().map_or(true, |p| p.threads() != threads) {
-            self.pool = Some(WorkerPool::new(threads));
-        }
-        // Reused across cycles and waves: the pending wave, its outcomes, the
-        // claimed-node flags and the list of set flags (for O(wave) clearing).
-        let mut wave: Vec<PlannedWork<P::Plan>> = Vec::new();
-        let mut outcomes: Vec<P::Outcome> = Vec::new();
-        let mut claimed: Vec<bool> = Vec::new();
-        let mut claimed_list: Vec<NodeIndex> = Vec::new();
-
-        let mut executed = 0;
-        for _ in 0..max_cycles {
-            let cycle = self.current_cycle;
-            let cycle_start = Instant::now();
-            let mut flushed = Duration::ZERO;
-            self.context.transport.advance_to_cycle(cycle);
-            self.apply_churn(protocol, cycle);
-
-            self.order_scratch.clear();
-            self.order_scratch
-                .extend(self.context.network.alive_indices());
-            self.context.rng.shuffle(&mut self.order_scratch);
-
-            claimed.resize(self.context.network.len(), false);
-            debug_assert!(claimed_list.is_empty() && wave.is_empty());
-            for position in 0..self.order_scratch.len() {
-                let node = self.order_scratch[position];
-                if !self.context.network.is_alive(node) {
-                    continue;
-                }
-                if claimed[node.as_usize()] {
-                    // A pending plan will modify this node's state; planning it
-                    // now would read the wrong (pre-wave) state. Flush first.
-                    Self::flush_wave(
-                        protocol,
-                        &mut self.context,
-                        &mut wave,
-                        &mut outcomes,
-                        self.pool.as_mut().expect("pool created above"),
-                        &mut self.profiler,
-                        &mut flushed,
-                    );
-                    for claimed_node in claimed_list.drain(..) {
-                        claimed[claimed_node.as_usize()] = false;
-                    }
-                }
-                match protocol.plan_node(node, cycle, &mut self.context) {
-                    NodePlan::Idle => {}
-                    NodePlan::Work { peer, plan } => {
-                        let conflict =
-                            claimed[node.as_usize()] || peer.is_some_and(|p| claimed[p.as_usize()]);
-                        if !claimed[node.as_usize()] {
-                            claimed[node.as_usize()] = true;
-                            claimed_list.push(node);
-                        }
-                        if let Some(p) = peer {
-                            if !claimed[p.as_usize()] {
-                                claimed[p.as_usize()] = true;
-                                claimed_list.push(p);
-                            }
-                        }
-                        wave.push(PlannedWork {
-                            node,
-                            plan,
-                            deferred: conflict,
-                        });
-                    }
-                }
-            }
-            Self::flush_wave(
+            let stepped_before = self.profiler.map(|p| p.execute + p.commit);
+            step(
                 protocol,
+                &self.order_scratch,
+                cycle,
                 &mut self.context,
-                &mut wave,
-                &mut outcomes,
-                self.pool.as_mut().expect("pool created above"),
-                &mut self.profiler,
-                &mut flushed,
+                self.profiler.as_mut(),
             );
-            for claimed_node in claimed_list.drain(..) {
-                claimed[claimed_node.as_usize()] = false;
-            }
 
             self.current_cycle += 1;
             executed += 1;
-            if let Some(profile) = self.profiler.as_mut() {
-                // Everything this cycle spent outside execute/commit flushes is
-                // the sequential planning scan (plus churn).
-                profile.plan += cycle_start.elapsed().saturating_sub(flushed);
+            if let (Some(profile), Some(before)) = (self.profiler.as_mut(), stepped_before) {
+                let stepped = (profile.execute + profile.commit).saturating_sub(before);
+                profile.plan += cycle_start.elapsed().saturating_sub(stepped);
                 profile.cycles += 1;
             }
             let measure_start = Instant::now();
@@ -475,39 +331,6 @@ impl CycleEngine {
             }
         }
         executed
-    }
-
-    /// Executes and commits a pending wave (no-op when empty). `flushed`
-    /// accumulates the wall time spent here so the caller can attribute the
-    /// remainder of the cycle to the planning phase.
-    fn flush_wave<P: ParallelCycleProtocol>(
-        protocol: &mut P,
-        context: &mut EngineContext,
-        wave: &mut Vec<PlannedWork<P::Plan>>,
-        outcomes: &mut Vec<P::Outcome>,
-        pool: &mut WorkerPool,
-        profile: &mut Option<PhaseProfile>,
-        flushed: &mut Duration,
-    ) {
-        if wave.is_empty() {
-            return;
-        }
-        outcomes.clear();
-        let execute_start = Instant::now();
-        protocol.execute_wave(wave, pool, outcomes);
-        let execute_elapsed = execute_start.elapsed();
-        debug_assert_eq!(outcomes.len(), wave.len());
-        wave.clear();
-        let commit_start = Instant::now();
-        for outcome in outcomes.drain(..) {
-            protocol.commit_outcome(outcome, context);
-        }
-        let commit_elapsed = commit_start.elapsed();
-        if let Some(profile) = profile.as_mut() {
-            profile.execute += execute_elapsed;
-            profile.commit += commit_elapsed;
-        }
-        *flushed += execute_elapsed + commit_elapsed;
     }
 
     fn apply_churn<P: CycleProtocol>(&mut self, protocol: &mut P, cycle: u64) {

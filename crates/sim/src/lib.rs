@@ -25,9 +25,6 @@
 //! * [`adversary`] — the Byzantine adversary model: which nodes were converted,
 //!   the active attack window, and the configured behavior (descriptor forgery,
 //!   eclipse sprays, hub attacks), consulted at message-composition time.
-//! * [`pool`] — the persistent worker pool behind the parallel cycle engine:
-//!   long-lived threads fed over channels, so a million-cycle run pays the
-//!   thread-spawn cost once instead of once per wave.
 //!
 //! # Example: a trivial cycle-driven protocol
 //!
@@ -55,9 +52,7 @@
 //! assert!(protocol.executions.iter().all(|&count| count == 10));
 //! ```
 
-// `deny` instead of `forbid`: the worker pool needs one audited lifetime
-// transmute (see `pool`); everything else stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -66,7 +61,6 @@ pub mod churn;
 pub mod engine;
 pub mod link;
 pub mod network;
-pub mod pool;
 pub mod transport;
 
 pub use engine::cycle::PhaseProfile;
