@@ -5,8 +5,8 @@
 //! TSV timeline (`<out-dir>/timeline.tsv`) with every convergence sample of
 //! every run — the same artifact shapes CI uploads for the simulator sweeps.
 //!
-//! The headline cell is the single-loop driver at 512 nodes: one thread, one
-//! socket poll loop, hundreds of protocol instances — the report records node
+//! The headline cell is the driver at 512 nodes: one socket poll loop per
+//! core, hundreds of protocol instances — the report records node
 //! count, wall-clock to convergence, and datagrams/s so regressions in the
 //! driver show up as numbers, not vibes.
 //!

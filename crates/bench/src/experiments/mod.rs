@@ -238,7 +238,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "cluster_net",
-        about: "loopback UDP clusters on the single-loop driver, one per size",
+        about: "loopback UDP clusters on the datagram driver, one per size",
         options: &[
             sizes("6,8,9"),
             seed("7"),

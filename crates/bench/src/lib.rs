@@ -15,7 +15,7 @@
 //! | `adversary`   | The Byzantine sweep: behaviour × converted fraction × countermeasures × engines |
 //! | `traffic`     | Live lookup workloads: scenario × router × engines |
 //! | `wan`         | WAN realism: placement × link model × engines, with regional outages and slow links |
-//! | `cluster_net` | Loopback UDP clusters on the single-loop driver, one per size |
+//! | `cluster_net` | Loopback UDP clusters on the datagram driver, one per size |
 //!
 //! Every experiment accepts `--help` (generated from the same option table the
 //! parser checks arguments against), prints tab-separated series identical in

@@ -531,7 +531,7 @@ impl PackedNode<'_> {
             return self.merge(descriptors, now, scratch, leaf);
         };
         let ids = self.ids;
-        let authentic = |d: &Descriptor<NodeIndex>| descriptor_is_authentic(key, ids, d);
+        let authentic = |_, d: &Descriptor<NodeIndex>| descriptor_is_authentic(key, ids, d);
         let (changed, rejected) =
             receive_verified(descriptors, scratch, authentic, |d, scratch| {
                 self.merge(d, now, scratch, leaf)
@@ -1075,7 +1075,7 @@ mod tests {
                     prop_assert_eq!(&message, &fat_message);
 
                     let fat_changed = if verifying {
-                        fat.receive_verified_at(&descriptors, now, &mut fat_merge, |d| {
+                        fat.receive_verified_at(&descriptors, now, &mut fat_merge, |_, d| {
                             descriptor_is_authentic(key, &ids, d)
                         })
                     } else {

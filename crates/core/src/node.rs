@@ -240,8 +240,9 @@ impl<A: Address> BootstrapNode<A> {
     }
 
     /// [`BootstrapNode::receive_at`] behind an authenticity check: descriptors
-    /// failing `verify` are rejected before any merge, as if the message never
-    /// contained them. This is the enforcement point of the
+    /// failing `verify`, which is given each one's position in `descriptors`,
+    /// are rejected before any merge, as if the message never contained them.
+    /// This is the enforcement point of the
     /// [`descriptor_verifier`](BootstrapParams::descriptor_verifier)
     /// countermeasure; the caller supplies the check because only it can reach
     /// the identity registry the stamps are validated against. Counts every
@@ -252,7 +253,7 @@ impl<A: Address> BootstrapNode<A> {
         descriptors: &[Descriptor<A>],
         now: u64,
         scratch: &mut MergeScratch<A>,
-        verify: impl Fn(&Descriptor<A>) -> bool,
+        verify: impl Fn(usize, &Descriptor<A>) -> bool,
     ) -> bool {
         let (changed, rejected) =
             receive_verified(descriptors, scratch, verify, |accepted, scratch| {
@@ -289,22 +290,24 @@ impl<A: Address> BootstrapNode<A> {
 
 /// The authenticity check in front of a merge, for the fat node and the
 /// packed store alike: runs `receive` over the descriptors `verify` accepts
+/// (it is given each one's position, so duplicates are judged one by one)
 /// and returns what it returned together with how many were rejected. When
 /// any is, the accepted ones are filtered into `scratch`'s own buffer, so a
 /// rejection allocates nothing once the buffer is warm.
 pub(crate) fn receive_verified<A: Address>(
     descriptors: &[Descriptor<A>],
     scratch: &mut MergeScratch<A>,
-    verify: impl Fn(&Descriptor<A>) -> bool,
+    verify: impl Fn(usize, &Descriptor<A>) -> bool,
     receive: impl FnOnce(&[Descriptor<A>], &mut MergeScratch<A>) -> bool,
 ) -> (bool, u64) {
-    let rejected = descriptors.iter().filter(|d| !verify(d)).count();
+    let positioned = || descriptors.iter().enumerate();
+    let rejected = positioned().filter(|&(i, d)| !verify(i, d)).count();
     if rejected == 0 {
         return (receive(descriptors, scratch), 0);
     }
     let mut accepted = std::mem::take(&mut scratch.accepted);
     accepted.clear();
-    accepted.extend(descriptors.iter().filter(|d| verify(d)).copied());
+    accepted.extend(positioned().filter(|&(i, d)| verify(i, d)).map(|(_, d)| *d));
     let changed = receive(&accepted, scratch);
     scratch.accepted = accepted;
     (changed, rejected as u64)
@@ -531,14 +534,33 @@ mod tests {
     }
 
     #[test]
+    fn verdicts_go_by_position_so_duplicates_are_judged_one_by_one() {
+        let twice = descriptor(1001, 1);
+        let mut merged = Vec::new();
+        let (changed, rejected) = receive_verified(
+            &[twice, twice],
+            &mut MergeScratch::default(),
+            |index, _| index == 1,
+            |accepted, _| {
+                merged.extend_from_slice(accepted);
+                true
+            },
+        );
+        assert_eq!((changed, rejected), (true, 1));
+        assert_eq!(merged, [twice], "only the accepted copy reaches the merge");
+    }
+
+    #[test]
     fn receive_verified_at_rejects_failing_descriptors_before_merge() {
         let mut n = node(1000);
         let honest = descriptor(1001, 1);
         let forged = descriptor(0xF000_0000_0000_0000, 2);
-        let changed =
-            n.receive_verified_at(&[honest, forged], 0, &mut MergeScratch::default(), |d| {
-                d.id() != forged.id()
-            });
+        let changed = n.receive_verified_at(
+            &[honest, forged],
+            0,
+            &mut MergeScratch::default(),
+            |_, d| d.id() != forged.id(),
+        );
         assert!(changed, "the honest descriptor still merges");
         assert!(n.leaf_set().contains(honest.id()));
         assert!(!n.leaf_set().contains(forged.id()));
@@ -551,7 +573,12 @@ mod tests {
         // An all-accepting verifier is exactly receive_at.
         let mut verified = node(1000);
         let mut plain = node(1000);
-        verified.receive_verified_at(&[honest, forged], 0, &mut MergeScratch::default(), |_| true);
+        verified.receive_verified_at(
+            &[honest, forged],
+            0,
+            &mut MergeScratch::default(),
+            |_, _| true,
+        );
         plain.receive_at(&[honest, forged], 0, &mut MergeScratch::default());
         assert_eq!(verified.leaf_set().to_vec(), plain.leaf_set().to_vec());
         assert_eq!(

@@ -173,17 +173,19 @@ pub fn seal(message: &mut WireMessage, key: u64) {
 /// encoding every descriptor would emit a corrupt datagram), if a stamped
 /// message's stamp count does not match its descriptor count, or if any
 /// descriptor carries a non-IPv4 address (the localhost deployment only uses
-/// IPv4). Use `try_encode` to handle malformed messages as a value.
+/// IPv4). Use `try_encode_into` to handle malformed messages as a value.
 pub fn encode(message: &WireMessage) -> Vec<u8> {
-    match try_encode(message) {
-        Ok(bytes) => bytes,
-        Err(error) => panic!("{error}"),
+    let mut buffer = Vec::new();
+    if let Err(error) = try_encode_into(message, &mut buffer) {
+        panic!("{error}");
     }
+    buffer
 }
 
-/// Encodes a message into a datagram payload, rejecting messages whose
-/// descriptor count does not fit the wire format's `u16` count field or whose
-/// stamp list does not cover exactly the sender plus every descriptor.
+/// Encodes a message into `buffer`, replacing its contents (a sender that
+/// reuses one buffer allocates nothing per datagram), and rejects messages
+/// whose descriptor count does not fit the wire format's `u16` count field or
+/// whose stamp list does not cover exactly the sender plus every descriptor.
 ///
 /// # Errors
 ///
@@ -195,7 +197,10 @@ pub fn encode(message: &WireMessage) -> Vec<u8> {
 ///
 /// Panics if any descriptor carries a non-IPv4 address (the localhost
 /// deployment only supports IPv4).
-pub(crate) fn try_encode(message: &WireMessage) -> Result<Vec<u8>, EncodeError> {
+pub(crate) fn try_encode_into(
+    message: &WireMessage,
+    buffer: &mut Vec<u8>,
+) -> Result<(), EncodeError> {
     if message.descriptors.len() > MAX_DESCRIPTORS {
         return Err(EncodeError::new(format!(
             "{} descriptors exceed the wire format's limit of {MAX_DESCRIPTORS}",
@@ -211,7 +216,8 @@ pub(crate) fn try_encode(message: &WireMessage) -> Result<Vec<u8>, EncodeError> 
         )));
     }
     let entry = DESCRIPTOR_BYTES + if stamped { STAMP_BYTES } else { 0 };
-    let mut buffer = Vec::with_capacity(HEADER_BYTES + entry * (1 + message.descriptors.len()));
+    buffer.clear();
+    buffer.reserve(HEADER_BYTES + entry * (1 + message.descriptors.len()));
     let kind = match message.kind {
         MessageKind::Request => 0,
         MessageKind::Response => 1,
@@ -221,17 +227,17 @@ pub(crate) fn try_encode(message: &WireMessage) -> Result<Vec<u8>, EncodeError> 
     let flags = if stamped { FLAG_STAMPED } else { 0 };
     buffer.extend_from_slice(&[MAGIC, VERSION, kind, flags]);
     buffer.extend_from_slice(&(message.descriptors.len() as u16).to_be_bytes());
-    put_descriptor(&mut buffer, &message.sender);
+    put_descriptor(buffer, &message.sender);
     if stamped {
         buffer.extend_from_slice(&message.stamps[0].to_be_bytes());
     }
     for (index, descriptor) in message.descriptors.iter().enumerate() {
-        put_descriptor(&mut buffer, descriptor);
+        put_descriptor(buffer, descriptor);
         if stamped {
             buffer.extend_from_slice(&message.stamps[index + 1].to_be_bytes());
         }
     }
-    Ok(buffer)
+    Ok(())
 }
 
 /// Decodes a datagram payload.
@@ -416,7 +422,7 @@ mod tests {
             vec![descriptor(2, 2, 2)],
         );
         message.stamps = vec![7]; // needs 2: sender + one descriptor
-        let error = try_encode(&message).unwrap_err();
+        let error = try_encode_into(&message, &mut Vec::new()).unwrap_err();
         assert!(error.to_string().contains("cannot cover"), "{error}");
     }
 
@@ -467,7 +473,8 @@ mod tests {
                 .map(|i| descriptor(i, (i % 60_000) as u16, i))
                 .collect(),
         );
-        let encoded = try_encode(&at_limit).expect("the boundary count must encode");
+        let mut encoded = Vec::new();
+        try_encode_into(&at_limit, &mut encoded).expect("the boundary count must encode");
         assert_eq!(
             encoded.len(),
             HEADER_BYTES + DESCRIPTOR_BYTES * (MAX_DESCRIPTORS + 1)
@@ -480,7 +487,7 @@ mod tests {
         // encoder must reject it instead.
         let mut oversized = at_limit;
         oversized.descriptors.push(descriptor(u64::MAX, 1, 1));
-        let error = try_encode(&oversized).unwrap_err();
+        let error = try_encode_into(&oversized, &mut encoded).unwrap_err();
         assert!(error.to_string().contains("65536"), "{error}");
     }
 

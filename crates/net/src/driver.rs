@@ -1,17 +1,23 @@
-//! The single-loop datagram driver: hundreds-to-thousands of in-process peers
-//! multiplexed over the caller's thread.
+//! The datagram driver: hundreds-to-thousands of in-process peers multiplexed
+//! over the caller's thread and one persistent worker per further core.
 //!
 //! A thread per peer spends a loopback cluster of 512+ peers' time on context
 //! switches. [`NetDriver`] instead owns every peer's nonblocking socket and
-//! runs the whole cluster — or a single peer — in one poll loop: each sweep
-//! batch-receives pending datagrams per socket into one reusable buffer,
-//! applies them through the clocked protocol glue
-//! (`apply_message`/`compose_request` in [`crate::node`]), fires the
-//! active thread of every peer whose Δ timer elapsed, and flushes all queued
-//! sends coalesced at the end of the sweep. One shared scratch block serves
-//! every node, so the per-datagram path is allocation-light regardless of
-//! cluster size. Nothing moves until the caller polls, and between sweeps it
-//! reads the cluster: convergence, dead descriptors, a whole-run report.
+//! cuts the peers into small contiguous chunks. A sweep queues every chunk by
+//! value; the calling thread claims chunks from the front of the queue and
+//! the workers spawned at bind time claim from the back, each into its own
+//! lane of working memory, and every chunk is handed back before
+//! [`NetDriver::poll_once`] returns. A thread that loses its core to another
+//! process therefore holds up at most one chunk: the others sweep the rest.
+//! A chunk's sweep batch-receives pending datagrams per socket into the
+//! lane's reusable buffer, applies them through the clocked protocol glue
+//! (`apply_message`/`compose_request` in [`crate::node`]), fires the active
+//! thread of every peer whose Δ timer elapsed, and sends each datagram the
+//! moment it is encoded into the lane's one encode buffer, so the
+//! per-datagram path is allocation-light at any cluster size. Nothing moves
+//! until the caller polls, and between sweeps the driver owns every peer
+//! again and reads the cluster: convergence, dead descriptors, a whole-run
+//! report.
 //!
 //! The driver draws node identifiers exactly like the simulator engines
 //! (`SimRng::seed_from(seed)` then one `distinct_u64(size)` batch), so a
@@ -31,16 +37,23 @@ use bss_util::descriptor::Descriptor;
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
 use bss_util::stats::Series;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::Arc;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// How many datagrams one socket may deliver per sweep before the loop moves
 /// on — bounds per-node latency while still draining bursts in few syscall
 /// rounds.
 const RECV_BATCH: usize = 64;
+
+/// How many chunks of peers a sweep hands out per sweeping thread. Small
+/// chunks let a thread that has its core take over the peers of one that
+/// lost it, so a sweep waits at most for the chunk a preempted thread holds.
+const CHUNKS_PER_LANE: usize = 32;
 
 /// How long the loop sleeps when a sweep found no work at all.
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
@@ -75,19 +88,63 @@ struct DriverNode {
     alive: bool,
 }
 
-/// The single-thread poll-loop driver.
+/// The working memory of one sweeping thread: protocol scratch (which holds
+/// the encode buffer) and a receive buffer.
+#[derive(Debug)]
+struct Lane {
+    scratch: ProtocolScratch,
+    buffer: Vec<u8>,
+}
+
+impl Lane {
+    fn new() -> Self {
+        Lane {
+            scratch: ProtocolScratch::default(),
+            buffer: vec![0u8; 65_536],
+        }
+    }
+}
+
+/// A contiguous run of peers and its position among the driver's chunks.
+type Chunk = (usize, Vec<DriverNode>);
+
+/// The chunks of the current sweep that no thread has claimed yet, and the
+/// wire cycle they are swept at.
+#[derive(Debug, Default)]
+struct Pending {
+    now: u64,
+    chunks: VecDeque<Chunk>,
+}
+
+/// What a worker hands back: a swept chunk and whether the sweep did any
+/// work, or the payload of the panic that stopped it.
+type Swept = thread::Result<(Chunk, bool)>;
+
+/// A persistent sweeper: it blocks until `wake` rings, then claims chunks
+/// from the back of the pending queue until none is left.
+#[derive(Debug)]
+struct Worker {
+    wake: mpsc::Sender<()>,
+    thread: JoinHandle<()>,
+}
+
+/// The poll-loop driver: the caller's thread and one worker per further
+/// core claim the chunks of every sweep.
 #[derive(Debug)]
 pub struct NetDriver {
-    nodes: Vec<DriverNode>,
+    /// Every peer, in identifier-assignment order, cut into contiguous
+    /// chunks. All of them are home between sweeps.
+    chunks: Vec<Vec<DriverNode>>,
+    /// The caller's working memory.
+    lane: Lane,
+    pending: Arc<Mutex<Pending>>,
+    swept: mpsc::Receiver<Swept>,
+    workers: Vec<Worker>,
     params: BootstrapParams,
     seed: u64,
     stats: Arc<NetStats>,
     started: Instant,
-    period: Duration,
     cycle_millis: u64,
-    scratch: ProtocolScratch,
-    buffer: Vec<u8>,
-    outbox: Vec<(usize, SocketAddr, Vec<u8>)>,
 }
 
 impl NetDriver {
@@ -105,6 +162,13 @@ impl NetDriver {
     ///
     /// Panics if `size` is zero.
     pub fn bind(config: DriverConfig) -> io::Result<Self> {
+        let cores = thread::available_parallelism().map_or(1, usize::from);
+        Self::bind_lanes(config.clone(), cores.min(config.size))
+    }
+
+    /// [`NetDriver::bind`] with `lanes` sweeping threads (at least one): the
+    /// caller's and a worker for every further lane.
+    fn bind_lanes(config: DriverConfig, lanes: usize) -> io::Result<Self> {
         assert!(config.size > 0, "a cluster needs at least one peer");
         config
             .params
@@ -132,7 +196,8 @@ impl NetDriver {
         let cycle_millis = effective_cycle_millis(&config.params);
         let period = Duration::from_millis(cycle_millis);
         let started = Instant::now();
-        let mut nodes = Vec::with_capacity(config.size);
+        let count = (lanes * CHUNKS_PER_LANE).min(config.size);
+        let mut chunks: Vec<Vec<DriverNode>> = (0..count).map(|_| Vec::new()).collect();
         for (position, socket) in sockets.into_iter().enumerate() {
             let own = descriptors[position];
             let others: Vec<Descriptor<SocketAddr>> = descriptors
@@ -148,7 +213,8 @@ impl NetDriver {
             let mut node_rng = SimRng::seed_from(config.seed ^ (position as u64 + 1));
             // Random start phase, like §5 of the paper.
             let next_active = started + period.mul_f64(node_rng.unit_f64());
-            nodes.push(DriverNode {
+            // Contiguous, balanced chunks, none empty while `count` ≤ `size`.
+            chunks[position * count / config.size].push(DriverNode {
                 socket,
                 handle: PeerHandle::new(node),
                 rng: node_rng,
@@ -158,23 +224,34 @@ impl NetDriver {
             });
         }
 
+        let stats = Arc::new(NetStats::new());
+        let pending = Arc::default();
+        let (report, swept) = mpsc::channel();
+        let workers = (1..lanes)
+            .map(|_| spawn_worker(&pending, report.clone(), period, Arc::clone(&stats)))
+            .collect::<io::Result<_>>()?;
         Ok(NetDriver {
-            nodes,
+            chunks,
+            lane: Lane::new(),
+            pending,
+            swept,
+            workers,
             params: config.params,
             seed: config.seed,
-            stats: Arc::new(NetStats::new()),
+            stats,
             started,
-            period,
             cycle_millis,
-            scratch: ProtocolScratch::default(),
-            buffer: vec![0u8; 65_536],
-            outbox: Vec::new(),
         })
+    }
+
+    /// Every peer, in identifier-assignment order.
+    fn nodes(&self) -> impl Iterator<Item = &DriverNode> {
+        self.chunks.iter().flatten()
     }
 
     /// Cloneable views of every peer, in identifier-assignment order.
     pub fn handles(&self) -> Vec<PeerHandle> {
-        self.nodes.iter().map(|node| node.handle.clone()).collect()
+        self.nodes().map(|node| node.handle.clone()).collect()
     }
 
     /// The shared traffic counters.
@@ -182,86 +259,44 @@ impl NetDriver {
         Arc::clone(&self.stats)
     }
 
-    /// One sweep over every alive peer: batch-receive and apply pending
-    /// datagrams, fire elapsed active timers, then flush all queued sends.
-    /// Returns whether the sweep did any work (received or sent anything) —
-    /// callers use this to idle-sleep between empty sweeps.
+    /// One sweep over every alive peer, on every lane at once: each chunk
+    /// batch-receives and applies pending datagrams, then fires elapsed
+    /// active timers, sending each datagram as it is composed. The caller
+    /// claims chunks from the front of the queue and the workers from the
+    /// back, and the call returns once every chunk is home. Returns whether
+    /// the sweep did any work (received or sent anything) — callers use this
+    /// to idle-sleep between empty sweeps.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a worker's panic if one panicked while sweeping.
     pub fn poll_once(&mut self) -> bool {
-        let NetDriver {
-            nodes,
-            stats,
-            started,
-            period,
-            cycle_millis,
-            scratch,
-            buffer,
-            outbox,
-            ..
-        } = self;
-        let now = wire_cycle(*started, *cycle_millis);
-        let mut worked = false;
-
-        // Passive threads: drain each socket's backlog, batched.
-        for (index, node) in nodes.iter_mut().enumerate() {
-            if !node.alive {
-                continue;
-            }
-            for _ in 0..RECV_BATCH {
-                match node.socket.recv_from(buffer.as_mut_slice()) {
-                    Ok((length, from)) => {
-                        worked = true;
-                        stats.record_received(length);
-                        match crate::codec::decode(&buffer[..length]) {
-                            Ok(message) => {
-                                let answer = apply_message(
-                                    &mut node.handle.state(),
-                                    &mut node.rng,
-                                    &mut node.pool,
-                                    message,
-                                    now,
-                                    scratch,
-                                );
-                                if let Some(payload) = answer {
-                                    outbox.push((index, from, payload));
-                                }
-                            }
-                            Err(_) => stats.record_decode_failure(),
-                        }
-                    }
-                    Err(_) => break,
+        let now = wire_cycle(self.started, self.cycle_millis);
+        let period = Duration::from_millis(self.cycle_millis);
+        {
+            let mut pending = lock(&self.pending);
+            pending.now = now;
+            let chunks = self.chunks.iter_mut().map(std::mem::take);
+            pending.chunks.extend(chunks.enumerate());
+        }
+        for worker in &self.workers {
+            // A worker that is gone has reported why on `swept`.
+            let _ = worker.wake.send(());
+        }
+        let (mut worked, mut home) = (false, 0);
+        while let Some(((index, mut nodes), _)) = claim(&self.pending, true) {
+            worked |= sweep(&mut nodes, &mut self.lane, now, period, &self.stats);
+            self.chunks[index] = nodes;
+            home += 1;
+        }
+        while home < self.chunks.len() {
+            match self.swept.recv().expect("a driver worker panicked") {
+                Ok(((index, nodes), busy)) => {
+                    self.chunks[index] = nodes;
+                    worked |= busy;
+                    home += 1;
                 }
-            }
-        }
-
-        // Active threads: every peer whose Δ timer elapsed composes one request.
-        let sweep_time = Instant::now();
-        for (index, node) in nodes.iter_mut().enumerate() {
-            if !node.alive || sweep_time < node.next_active {
-                continue;
-            }
-            node.next_active += *period;
-            // A stalled loop (debugger, loaded machine) skips missed firings
-            // instead of bursting to catch up.
-            while node.next_active <= sweep_time {
-                node.next_active += *period;
-            }
-            let mut state = node.handle.state();
-            let request = compose_request(&mut state, &mut node.rng, &mut node.pool, now, scratch);
-            let sampling = compose_sample_exchange(&state, &mut node.rng, &mut node.pool, now);
-            outbox.extend(
-                request
-                    .into_iter()
-                    .chain(sampling)
-                    .map(|(target, payload)| (index, target, payload)),
-            );
-        }
-
-        // Coalesced flush: all of this sweep's sends in one pass.
-        for (index, target, payload) in outbox.drain(..) {
-            worked = true;
-            match nodes[index].socket.send_to(&payload, target) {
-                Ok(sent) => stats.record_sent(sent),
-                Err(_) => stats.record_send_failure(),
+                Err(payload) => panic::resume_unwind(payload),
             }
         }
         worked
@@ -295,8 +330,7 @@ impl NetDriver {
 
     /// The peers still running.
     fn alive(&self) -> impl Iterator<Item = &PeerHandle> {
-        self.nodes
-            .iter()
+        self.nodes()
             .filter(|node| node.alive)
             .map(|node| &node.handle)
     }
@@ -318,8 +352,7 @@ impl NetDriver {
     /// peers stop heartbeating and age out of every table.
     pub fn dead_descriptor_fraction(&self) -> f64 {
         let dead: HashSet<NodeId> = self
-            .nodes
-            .iter()
+            .nodes()
             .filter(|node| !node.alive)
             .map(|node| node.handle.id())
             .collect();
@@ -346,16 +379,17 @@ impl NetDriver {
     /// the loop skips them — but their descriptors keep circulating until
     /// aging evicts them. Returns the killed identifiers.
     pub fn kill(&mut self, fraction: f64, seed: u64) -> Vec<NodeId> {
-        let alive: Vec<usize> = (0..self.nodes.len())
-            .filter(|&index| self.nodes[index].alive)
+        let mut nodes: Vec<&mut DriverNode> = self.chunks.iter_mut().flatten().collect();
+        let alive: Vec<usize> = (0..nodes.len())
+            .filter(|&index| nodes[index].alive)
             .collect();
         let count = ((alive.len() as f64 * fraction).round() as usize).min(alive.len() - 1);
         let chosen = SimRng::seed_from(seed).sample(&alive, count);
         chosen
             .into_iter()
             .map(|index| {
-                self.nodes[index].alive = false;
-                self.nodes[index].handle.id()
+                nodes[index].alive = false;
+                nodes[index].handle.id()
             })
             .collect()
     }
@@ -386,7 +420,7 @@ impl NetDriver {
             self.poll_for(poll_every);
         }
         NetReport {
-            nodes: self.nodes.len(),
+            nodes: self.nodes().count(),
             seed: self.seed,
             convergence_millis,
             elapsed_millis: self.started.elapsed().as_millis() as u64,
@@ -395,6 +429,133 @@ impl NetDriver {
             prefix_series,
             dead_series,
         }
+    }
+}
+
+impl Drop for NetDriver {
+    /// Closes every worker's wake channel and joins it; a worker that
+    /// panicked has already surfaced through [`NetDriver::poll_once`].
+    fn drop(&mut self) {
+        for Worker { wake, thread } in self.workers.drain(..) {
+            drop(wake);
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Spawns a persistent worker with its own lane. It blocks while idle,
+/// reports every chunk it sweeps (or its panic) on `report`, and exits when
+/// its wake channel closes.
+fn spawn_worker(
+    pending: &Arc<Mutex<Pending>>,
+    report: mpsc::Sender<Swept>,
+    period: Duration,
+    stats: Arc<NetStats>,
+) -> io::Result<Worker> {
+    let (wake, woken) = mpsc::channel();
+    let pending = Arc::clone(pending);
+    let mut lane = Lane::new();
+    let thread = thread::Builder::new().spawn(move || {
+        for () in woken {
+            while let Some(((index, mut nodes), now)) = claim(&pending, false) {
+                let swept = panic::catch_unwind(AssertUnwindSafe(|| {
+                    sweep(&mut nodes, &mut lane, now, period, &stats)
+                }));
+                let panicked = swept.is_err();
+                if report
+                    .send(swept.map(|worked| ((index, nodes), worked)))
+                    .is_err()
+                    || panicked
+                {
+                    return;
+                }
+            }
+        }
+    })?;
+    Ok(Worker { wake, thread })
+}
+
+/// Locks the sweep's queue; it is held only to push or pop chunks.
+fn lock(pending: &Mutex<Pending>) -> std::sync::MutexGuard<'_, Pending> {
+    pending
+        .lock()
+        .expect("no thread panics while it holds the pending chunks")
+}
+
+/// Takes an unclaimed chunk of the current sweep, from the front or the back
+/// of the queue, and the wire cycle it is swept at.
+fn claim(pending: &Mutex<Pending>, front: bool) -> Option<(Chunk, u64)> {
+    let mut pending = lock(pending);
+    let chunk = if front {
+        pending.chunks.pop_front()
+    } else {
+        pending.chunks.pop_back()
+    }?;
+    Some((chunk, pending.now))
+}
+
+/// One sweep over a chunk's alive peers at wire cycle `now`: drain each
+/// socket's backlog, answering requests at once, then fire every elapsed
+/// active timer. Returns whether it received or sent anything.
+fn sweep(
+    nodes: &mut [DriverNode],
+    lane: &mut Lane,
+    now: u64,
+    period: Duration,
+    stats: &NetStats,
+) -> bool {
+    let scratch = &mut lane.scratch;
+    let mut worked = false;
+
+    // Passive threads: drain each socket's backlog, batched.
+    for node in nodes.iter_mut().filter(|node| node.alive) {
+        for _ in 0..RECV_BATCH {
+            let Ok((length, from)) = node.socket.recv_from(&mut lane.buffer) else {
+                break;
+            };
+            worked = true;
+            stats.record_received(length);
+            let Ok(message) = crate::codec::decode(&lane.buffer[..length]) else {
+                stats.record_decode_failure();
+                continue;
+            };
+            let (mut state, rng, pool) = (node.handle.state(), &mut node.rng, &mut node.pool);
+            if let Some(payload) = apply_message(&mut state, rng, pool, message, now, scratch) {
+                send(&node.socket, payload, from, stats);
+            }
+        }
+    }
+
+    // Active threads: every peer whose Δ timer elapsed composes one request.
+    let sweep_time = Instant::now();
+    for node in nodes.iter_mut() {
+        if !node.alive || sweep_time < node.next_active {
+            continue;
+        }
+        node.next_active += period;
+        // A stalled loop (debugger, loaded machine) skips missed firings
+        // instead of bursting to catch up.
+        while node.next_active <= sweep_time {
+            node.next_active += period;
+        }
+        let (mut state, rng, pool) = (node.handle.state(), &mut node.rng, &mut node.pool);
+        if let Some((target, payload)) = compose_request(&mut state, rng, pool, now, scratch) {
+            send(&node.socket, payload, target, stats);
+            worked = true;
+        }
+        if let Some((target, payload)) = compose_sample_exchange(&state, rng, pool, now, scratch) {
+            send(&node.socket, payload, target, stats);
+            worked = true;
+        }
+    }
+    worked
+}
+
+/// Sends one datagram and counts it.
+fn send(socket: &UdpSocket, payload: &[u8], target: SocketAddr, stats: &NetStats) {
+    match socket.send_to(payload, target) {
+        Ok(sent) => stats.record_sent(sent),
+        Err(_) => stats.record_send_failure(),
     }
 }
 
@@ -411,13 +572,32 @@ mod tests {
         }
     }
 
-    fn bind_or_skip(size: usize, params: BootstrapParams, seed: u64) -> Option<NetDriver> {
-        match NetDriver::bind(DriverConfig {
+    fn config(size: usize, params: BootstrapParams, seed: u64) -> DriverConfig {
+        DriverConfig {
             size,
             params,
             contacts_per_peer: 4,
             seed,
-        }) {
+        }
+    }
+
+    fn bind_or_skip(size: usize, params: BootstrapParams, seed: u64) -> Option<NetDriver> {
+        lanes_or_skip(size, params, seed, None)
+    }
+
+    /// Binds with `lanes` lanes, or as many as [`NetDriver::bind`] picks,
+    /// so the worker path runs on a single-core host too.
+    fn lanes_or_skip(
+        size: usize,
+        params: BootstrapParams,
+        seed: u64,
+        lanes: Option<usize>,
+    ) -> Option<NetDriver> {
+        let bound = match lanes {
+            Some(lanes) => NetDriver::bind_lanes(config(size, params, seed), lanes),
+            None => NetDriver::bind(config(size, params, seed)),
+        };
+        match bound {
             Ok(driver) => Some(driver),
             // Environments without loopback UDP (heavily sandboxed CI) cannot
             // run these tests; binding failure is the only acceptable excuse.
@@ -429,13 +609,14 @@ mod tests {
     }
 
     #[test]
-    fn a_single_threaded_driver_cluster_converges() {
+    fn a_polled_driver_cluster_converges() {
         let Some(mut driver) = bind_or_skip(12, params(), 9) else {
             return;
         };
-        assert_eq!(driver.nodes.len(), 12);
+        assert_eq!(driver.nodes().count(), 12);
 
-        // Drive the loop on this very thread: fully deterministic scheduling.
+        // Poll from this thread; on a multi-core host the driver's workers
+        // sweep some of the chunks, so the interleaving is not deterministic.
         let converged = driver.poll_until(Duration::from_secs(30), |d| d.measure().is_perfect());
         let state = driver.measure();
         assert!(
@@ -508,6 +689,141 @@ mod tests {
             driver.dead_descriptor_fraction() > 0.0,
             "converged tables must reference the freshly killed peers"
         );
+    }
+
+    #[test]
+    fn a_cluster_on_three_lanes_converges() {
+        let Some(mut driver) = lanes_or_skip(12, params(), 9, Some(3)) else {
+            return;
+        };
+        assert_eq!(driver.workers.len(), 2);
+        let converged = driver.poll_until(Duration::from_secs(30), |d| d.measure().is_perfect());
+        assert!(converged, "a cluster on three lanes did not converge");
+        assert_eq!(driver.stats().snapshot().decode_failures, 0);
+    }
+
+    #[test]
+    fn shared_sweeps_keep_handle_order_and_every_peer() {
+        let Some(mut driver) = lanes_or_skip(100, params(), 3, Some(2)) else {
+            return;
+        };
+        let sizes =
+            |driver: &NetDriver| -> Vec<usize> { driver.chunks.iter().map(Vec::len).collect() };
+        let chunked = sizes(&driver);
+        assert_eq!(chunked.len(), 2 * CHUNKS_PER_LANE);
+        assert!(
+            chunked.iter().all(|&size| size == 1 || size == 2),
+            "balanced chunks"
+        );
+        let ids: Vec<NodeId> = SimRng::seed_from(3)
+            .distinct_u64(100)
+            .into_iter()
+            .map(NodeId::new)
+            .collect();
+        let order = |driver: &NetDriver| -> Vec<NodeId> {
+            driver.handles().iter().map(PeerHandle::id).collect()
+        };
+        assert_eq!(order(&driver), ids);
+        let before = driver.handles();
+        let everyone_fired = driver.poll_until(Duration::from_secs(10), |d| {
+            d.handles()
+                .iter()
+                .all(|handle| handle.exchanges_initiated() > 0)
+        });
+        assert!(everyone_fired, "every chunk is swept and handed back");
+        assert_eq!(order(&driver), ids);
+        assert_eq!(sizes(&driver), chunked);
+        for (handle, earlier) in driver.handles().iter().zip(&before) {
+            let (now, then) = (handle.state_snapshot(), earlier.state_snapshot());
+            assert_eq!(now.own_descriptor().id(), handle.id());
+            assert_eq!(now.leaf_set().to_vec(), then.leaf_set().to_vec());
+            assert_eq!(now.exchanges_initiated(), then.exchanges_initiated());
+        }
+        assert!(driver.nodes().all(|node| node.alive));
+    }
+
+    #[test]
+    fn one_lane_spawns_no_worker() {
+        let Some(driver) = lanes_or_skip(4, params(), 1, Some(1)) else {
+            return;
+        };
+        assert!(driver.workers.is_empty());
+        // `bind` never runs more lanes, nor cuts more chunks, than there are
+        // peers.
+        let Some(single) = bind_or_skip(1, params(), 1) else {
+            return;
+        };
+        assert_eq!((single.chunks.len(), single.workers.len()), (1, 0));
+    }
+
+    #[test]
+    fn a_peer_killed_between_sweeps_stops_sending() {
+        let Some(mut driver) = lanes_or_skip(12, params(), 11, Some(3)) else {
+            return;
+        };
+        assert!(driver.poll_until(Duration::from_secs(30), |d| d.measure().is_perfect()));
+        let killed = driver.kill(0.25, 5);
+        // The workers claim from the back of the queue, so they sweep the
+        // last peers unless the caller's thread gets there first.
+        let handles = driver.handles();
+        let victim = handles
+            .iter()
+            .rev()
+            .find(|handle| killed.contains(&handle.id()))
+            .expect("seed 5 kills a peer")
+            .clone();
+        let survivor = handles
+            .iter()
+            .rev()
+            .find(|handle| !killed.contains(&handle.id()))
+            .expect("some peer survives")
+            .clone();
+        let (silenced, alive) = (victim.exchanges_initiated(), survivor.exchanges_initiated());
+        let deadline = Instant::now() + Duration::from_millis(300);
+        driver.poll_until(Duration::from_secs(10), |_| Instant::now() >= deadline);
+        assert_eq!(
+            victim.exchanges_initiated(),
+            silenced,
+            "a killed peer fires no more"
+        );
+        assert!(
+            survivor.exchanges_initiated() > alive,
+            "the others still fire"
+        );
+    }
+
+    /// Panics while holding `victim`'s lock, which poisons it: whichever
+    /// thread sweeps that peer next panics at its next firing.
+    fn poison(victim: PeerHandle) {
+        let poisoner = thread::spawn(move || {
+            let _state = victim.state();
+            panic!("poisoning a peer's state");
+        });
+        assert!(poisoner.join().is_err());
+    }
+
+    #[test]
+    fn a_worker_hands_back_its_panic() {
+        let mut driver = NetDriver::bind_lanes(config(6, params(), 2), 2)
+            .expect("the worker path needs loopback UDP");
+        poison(driver.handles().pop().expect("six peers"));
+        // Only the worker is woken, and the peer's first firing is due
+        // within one period.
+        thread::sleep(Duration::from_millis(2 * params().cycle_millis));
+        let last = std::mem::take(&mut driver.chunks[5]);
+        lock(&driver.pending).chunks.push_back((5, last));
+        driver.workers[0].wake.send(()).expect("the worker is idle");
+        let swept = driver.swept.recv().expect("the worker reports");
+        assert!(swept.is_err(), "the worker hands back the panic's payload");
+    }
+
+    #[test]
+    #[should_panic(expected = "poisons it")]
+    fn a_panic_while_sweeping_surfaces_from_poll_once() {
+        let mut driver = NetDriver::bind_lanes(config(6, params(), 2), 2)
+            .expect("the worker path needs loopback UDP");
+        poison(driver.handles().pop().expect("six peers"));
+        driver.poll_until(Duration::from_secs(10), |_| false);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //!   re-stamping, stamp verification), the sampling pool, and the
 //!   [`PeerHandle`] callers read a running peer through.
 //! * `driver` — the one way to run the wire: [`NetDriver`] binds one socket
-//!   per in-process peer and the caller polls it on its own thread, one sweep
-//!   at a time ([`NetDriver::poll_once`]) or until a condition holds
-//!   ([`NetDriver::poll_until`]). Between sweeps it measures convergence with
-//!   the same [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle)
-//!   the simulator uses, kills peers, and renders a watched run as a
+//!   per in-process peer and the caller polls it from its own thread, one
+//!   sweep at a time ([`NetDriver::poll_once`]) or until a condition holds
+//!   ([`NetDriver::poll_until`]). A sweep runs on every available core at
+//!   once: the caller's thread and a persistent worker per further core
+//!   claim small chunks of the peers from one queue, and every datagram is
+//!   sent as soon as it is composed. Between sweeps it owns every peer again, measures
+//!   convergence with the same
+//!   [`ConvergenceOracle`](bss_core::convergence::ConvergenceOracle) the
+//!   simulator uses, kills peers, and renders a watched run as a
 //!   [`NetReport`] ([`NetDriver::monitor`]).
 //! * `report` — shared traffic counters and the wire-side run report:
 //!   `RunReport`'s `Series` type, key names and JSON writer, keyed by elapsed

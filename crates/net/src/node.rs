@@ -7,8 +7,9 @@
 //! answers with its own message and applies the received one (passive thread);
 //! responses are simply applied. The node-local state is the very same
 //! [`BootstrapNode`] the simulator uses, instantiated with `SocketAddr` as the
-//! address type. The single-loop driver ([`crate::driver`]) is the one caller:
-//! it owns the sockets and the clock, and runs one peer or a thousand.
+//! address type. The driver ([`crate::driver`]) is the one caller: it owns
+//! the sockets and the clock, runs one peer or a thousand, and sends each
+//! datagram these functions encode the moment they return it.
 //!
 //! The wire path is *clocked*: every peer derives a cycle number from its
 //! wall-clock uptime (`elapsed millis / Δ`) and drives the protocol through
@@ -19,7 +20,7 @@
 //! with per-descriptor identity stamps and incoming descriptors failing
 //! verification are rejected before any merge ([`crate::codec`]).
 
-use crate::codec::{descriptor_stamp, encode, seal, MessageKind, WireMessage};
+use crate::codec::{descriptor_stamp, seal, try_encode_into, MessageKind, WireMessage};
 use bss_core::leafset::MergeScratch;
 use bss_core::message::MessageScratch;
 use bss_core::node::BootstrapNode;
@@ -45,14 +46,36 @@ pub(crate) fn wire_cycle(started: Instant, cycle_millis: u64) -> u64 {
 }
 
 /// Caller-owned working memory for the clocked wire path: message-composition
-/// and merge scratch, reusable across datagrams (and across *nodes* — the
-/// single-loop driver shares one).
+/// and merge scratch plus the buffer outgoing datagrams are encoded into,
+/// reusable across datagrams (and across *nodes* — the driver keeps one per
+/// sweeping thread).
 #[derive(Debug, Default)]
 pub(crate) struct ProtocolScratch {
     message: MessageScratch<SocketAddr>,
     merge: MergeScratch<SocketAddr>,
     received: Vec<Descriptor<SocketAddr>>,
     verdicts: Vec<bool>,
+    datagram: Vec<u8>,
+}
+
+impl ProtocolScratch {
+    /// Encodes `node`'s message of `kind` carrying `descriptors` into the
+    /// datagram buffer, sealed when the parameters carry a verification key.
+    /// A composed message always fits the wire format: the tables bound its
+    /// count, and its addresses are IPv4.
+    fn encode(
+        &mut self,
+        node: &BootstrapNode<SocketAddr>,
+        kind: MessageKind,
+        descriptors: Vec<Descriptor<SocketAddr>>,
+    ) -> &[u8] {
+        let mut message = WireMessage::unstamped(kind, node.own_descriptor(), descriptors);
+        if let Some(key) = node.params().descriptor_verifier {
+            seal(&mut message, key);
+        }
+        try_encode_into(&message, &mut self.datagram).expect("a composed message encodes");
+        &self.datagram
+    }
 }
 
 /// Capacity of a peer's [`SamplePool`]: comfortably above the cluster sizes
@@ -177,38 +200,36 @@ impl SamplePool {
 /// clique never held could otherwise not reach it — the sampling overlay, a
 /// random graph over pool membership, has no such cuts. Sampling messages
 /// feed pools only; the protocol tables are exclusively the bootstrap
-/// layer's.
-pub(crate) fn compose_sample_exchange(
+/// layer's. The datagram is encoded into `scratch`.
+pub(crate) fn compose_sample_exchange<'a>(
     node: &BootstrapNode<SocketAddr>,
     rng: &mut SimRng,
     pool: &mut SamplePool,
     now: u64,
-) -> Option<(SocketAddr, Vec<u8>)> {
+    scratch: &'a mut ProtocolScratch,
+) -> Option<(SocketAddr, &'a [u8])> {
     let params = *node.params();
     if let Some(max_age) = params.descriptor_max_age {
         pool.prune(now, max_age);
     }
     let target = pool.pick_target(rng, node.own_descriptor().id())?;
     let samples = pool.draw(rng, params.random_samples);
-    let mut message =
-        WireMessage::unstamped(MessageKind::SampleRequest, node.own_descriptor(), samples);
-    if let Some(key) = params.descriptor_verifier {
-        seal(&mut message, key);
-    }
-    Some((target, encode(&message)))
+    let datagram = scratch.encode(node, MessageKind::SampleRequest, samples);
+    Some((target, datagram))
 }
 
 /// One active-thread firing (Fig. 2a): select a peer from the leaf set, compose
 /// the clocked message (re-stamping the own descriptor under aging) and encode
-/// the request datagram. Returns `None` when the leaf set is empty. Sealed
-/// with identity stamps when the parameters carry a verification key.
-pub(crate) fn compose_request(
+/// the request datagram into `scratch`. Returns `None` when the leaf set is
+/// empty. Sealed with identity stamps when the parameters carry a
+/// verification key.
+pub(crate) fn compose_request<'a>(
     node: &mut BootstrapNode<SocketAddr>,
     rng: &mut SimRng,
     pool: &mut SamplePool,
     now: u64,
-    scratch: &mut ProtocolScratch,
-) -> Option<(SocketAddr, Vec<u8>)> {
+    scratch: &'a mut ProtocolScratch,
+) -> Option<(SocketAddr, &'a [u8])> {
     let params = *node.params();
     if let Some(max_age) = params.descriptor_max_age {
         pool.prune(now, max_age);
@@ -216,32 +237,28 @@ pub(crate) fn compose_request(
     let peer = node.select_peer_with(rng, &mut Vec::new())?;
     let samples = pool.draw(rng, params.random_samples);
     let descriptors = node.create_message_at(peer.id(), &samples, true, now, &mut scratch.message);
-    let mut message =
-        WireMessage::unstamped(MessageKind::Request, node.own_descriptor(), descriptors);
-    if let Some(key) = params.descriptor_verifier {
-        seal(&mut message, key);
-    }
-    Some((peer.address(), encode(&message)))
+    let datagram = scratch.encode(node, MessageKind::Request, descriptors);
+    Some((peer.address(), datagram))
 }
 
 /// Applies one received datagram to the node through the clocked (and, under a
 /// verification key, verified) receive path. For requests the passive thread's
-/// answer is composed *before* the request is applied (Fig. 2b) and returned
-/// for the caller to send; responses return `None`.
+/// answer is composed *before* the request is applied (Fig. 2b), encoded into
+/// `scratch` and returned for the caller to send; responses return `None`.
 ///
 /// Descriptors that pass verification feed the peer's [`SamplePool`] first, so
 /// the passive thread's answer draws its `cr` samples from the same sampling
 /// service the active thread uses (Fig. 2 runs `CREATEMESSAGE` identically on
 /// both paths) — with the sample count bounded by what the pool actually
 /// holds, never a hard-coded constant.
-pub(crate) fn apply_message(
+pub(crate) fn apply_message<'a>(
     node: &mut BootstrapNode<SocketAddr>,
     rng: &mut SimRng,
     pool: &mut SamplePool,
     message: WireMessage,
     now: u64,
-    scratch: &mut ProtocolScratch,
-) -> Option<Vec<u8>> {
+    scratch: &'a mut ProtocolScratch,
+) -> Option<&'a [u8]> {
     let params = *node.params();
     let own_id = node.own_descriptor().id();
 
@@ -321,21 +338,11 @@ pub(crate) fn apply_message(
                 now,
                 &mut scratch.message,
             );
-            let mut answer =
-                WireMessage::unstamped(MessageKind::Response, node.own_descriptor(), descriptors);
-            if let Some(key) = params.descriptor_verifier {
-                seal(&mut answer, key);
-            }
-            Some(encode(&answer))
+            Some((MessageKind::Response, descriptors))
         }
         MessageKind::SampleRequest => {
             let samples = pool.draw(rng, params.random_samples);
-            let mut answer =
-                WireMessage::unstamped(MessageKind::SampleResponse, node.own_descriptor(), samples);
-            if let Some(key) = params.descriptor_verifier {
-                seal(&mut answer, key);
-            }
-            Some(encode(&answer))
+            Some((MessageKind::SampleResponse, samples))
         }
         MessageKind::Response | MessageKind::SampleResponse => None,
     };
@@ -347,19 +354,17 @@ pub(crate) fn apply_message(
     // in the paper's architecture.
     if matches!(message.kind, MessageKind::Request | MessageKind::Response) {
         let received = &scratch.received;
-        let verdicts = &scratch.verdicts;
         if verified {
-            node.receive_verified_at(received, now, &mut scratch.merge, |descriptor| {
-                received
-                    .iter()
-                    .position(|candidate| candidate == descriptor)
-                    .is_some_and(|index| verdicts[index])
+            let verdicts = &scratch.verdicts;
+            node.receive_verified_at(received, now, &mut scratch.merge, |index, _| {
+                verdicts[index]
             });
         } else {
             node.receive_at(received, now, &mut scratch.merge);
         }
     }
-    answer
+    let (kind, descriptors) = answer?;
+    Some(scratch.encode(node, kind, descriptors))
 }
 
 /// A cheap, cloneable view of one running peer: its identity, address and
@@ -689,20 +694,21 @@ mod tests {
             let (mut node, mut pool) = live_peer(keyed, aging);
             let before = (node.leaf_set().to_vec(), node.prefix_table().to_vec(), pool.entries.clone());
             let now = if now % 2 == 0 { now % 32 } else { now };
+            let mut scratch = ProtocolScratch::default();
             let answer = apply_message(
                 &mut node,
                 &mut SimRng::seed_from(now),
                 &mut pool,
                 message.clone(),
                 now,
-                &mut ProtocolScratch::default(),
+                &mut scratch,
             );
             let expected = match message.kind {
                 MessageKind::Request => Some(MessageKind::Response),
                 MessageKind::SampleRequest => Some(MessageKind::SampleResponse),
                 MessageKind::Response | MessageKind::SampleResponse => None,
             };
-            let answer = answer.map(|bytes| crate::codec::decode(&bytes).expect("answers are well-formed"));
+            let answer = answer.map(|bytes| crate::codec::decode(bytes).expect("answers are well-formed"));
             prop_assert_eq!(answer.as_ref().map(|answer| answer.kind), expected);
             if let Some(answer) = &answer {
                 prop_assert_eq!(answer.sender.id(), NodeId::new(1000));
@@ -718,6 +724,30 @@ mod tests {
                 prop_assert_eq!(after, before);
             }
         }
+    }
+
+    #[test]
+    fn a_duplicated_descriptor_is_judged_by_its_own_stamp() {
+        // The same descriptor twice: the first copy's stamp forged, the
+        // second's genuine. Verdicts go by position, so the genuine copy
+        // merges, once, and only the forged one is rejected.
+        let (mut node, mut pool) = live_peer(true, false);
+        let sender = Descriptor::new(NodeId::new(1001), address(9), 4);
+        let twice = Descriptor::new(NodeId::new(1002), address(10), 4);
+        let mut message = WireMessage::unstamped(MessageKind::Response, sender, vec![twice, twice]);
+        seal(&mut message, KEY);
+        message.stamps[1] ^= 1;
+        let mut scratch = ProtocolScratch::default();
+        let mut rng = SimRng::seed_from(1);
+        apply_message(&mut node, &mut rng, &mut pool, message, 5, &mut scratch);
+        let copies = node
+            .leaf_set()
+            .iter()
+            .filter(|d| d.id() == twice.id())
+            .count();
+        assert_eq!(copies, 1, "the genuine copy merges once");
+        let rejected = scratch.verdicts.iter().filter(|&&verdict| !verdict).count();
+        assert_eq!(rejected, 1, "only the forged copy is rejected");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Traffic accounting and the wire-side run report.
 //!
 //! [`NetStats`] is the shared atomic counter block every socket touch of the
-//! single-loop driver goes through, so a cluster has one traffic story.
+//! driver goes through, from every sweeping thread, so a cluster has one
+//! traffic story.
 //! [`NetReport`] is the wire twin of the simulator's
 //! `RunReport` (`bss_core::experiment`): the same [`Series`] type under the
 //! same names (`leaf_series`, `prefix_series`, `dead_series`), keyed by

@@ -3,8 +3,9 @@
 //! The simulator results (Figures 3 and 4) use the cycle-driven engine; this
 //! example runs the very same clocked protocol core over real sockets, which
 //! is how a deployment would actually use the bootstrapping service: a
-//! cluster of in-process peers, one socket each, all polled by the
-//! single-loop driver on the calling thread (the shape that scales to 512+
+//! cluster of in-process peers, one socket each, all polled through the
+//! driver from the calling thread, which sweeps chunks of them while a
+//! worker per further core sweeps the others (the shape that scales to 512+
 //! peers on one machine — see the `cluster_net` bench).
 //!
 //! Run with:

@@ -59,7 +59,7 @@ fn a_driver_cluster_reaches_the_cycle_engines_converged_state() {
         "the cycle engine must converge: {report}"
     );
 
-    // The subject: a 64-peer loopback cluster through the single-loop driver.
+    // The subject: a 64-peer loopback cluster through the datagram driver.
     let Some(mut driver) = bind_or_skip(DriverConfig {
         size: SIZE,
         params,
