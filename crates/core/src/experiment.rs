@@ -820,6 +820,7 @@ impl MeasurementDriver {
         protocol: &BootstrapProtocol<S>,
         ctx: &EngineContext,
         placement: Option<Arc<Placement>>,
+        lookup_traffic: Option<LookupTraffic>,
     ) -> Self {
         // Under membership churn the live population changes, so the oracle has
         // to be rebuilt per measurement; with static membership one oracle
@@ -858,7 +859,7 @@ impl MeasurementDriver {
                 buckets: vec![NetworkConvergence::default(); placement.region_count() as usize],
                 placement,
             }),
-            lookup_traffic: LookupTraffic::for_config(config),
+            lookup_traffic,
         }
     }
 
@@ -876,9 +877,8 @@ impl MeasurementDriver {
             observer.on_scenario_event(cycle, event);
             self.report.events_fired.push((cycle, event.to_string()));
         }
-        // The lookup workload runs every cycle a traffic phase is active. It
-        // rides in the sequential observer phase of every engine, so the
-        // parallel cycle engine stays bit-for-bit deterministic.
+        // The lookup workload runs every cycle a traffic phase is active, in
+        // the observer phase of every engine, while no table changes.
         if let Some(traffic) = self.lookup_traffic.as_mut() {
             traffic.drive_cycle(protocol, ctx, cycle);
             traffic.flush_window(cycle);
@@ -1060,7 +1060,8 @@ fn measure_proximity<S: PeerSampler>(
 
 /// The engine-agnostic entry point: drives `protocol` through `config`'s
 /// scenario on whichever engine the configuration selects, reporting every
-/// measured cycle and scenario transition to `observer`.
+/// measured cycle and scenario transition to `observer`. `lookup_traffic`
+/// serves the scenario's traffic phases (`None` when it has none).
 ///
 /// All engines share the same measurement semantics (one measurement per
 /// cycle, perfection stop, series) and produce the same [`RunReport`] shape;
@@ -1069,6 +1070,7 @@ fn measure_proximity<S: PeerSampler>(
 pub(crate) fn run_scenario<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,
+    lookup_traffic: Option<LookupTraffic>,
     observer: &mut dyn Observer,
 ) -> (RunReport, PopulationSnapshot) {
     // Compile the scenario's Byzantine conversion (when one is on the
@@ -1080,9 +1082,9 @@ pub(crate) fn run_scenario<S: PeerSampler>(
     }
     match config.engine {
         Engine::Cycle | Engine::ParallelCycle { .. } => {
-            run_on_cycle_engine(config, protocol, observer)
+            run_on_cycle_engine(config, protocol, lookup_traffic, observer)
         }
-        Engine::Event { .. } => run_on_event_engine(config, protocol, observer),
+        Engine::Event { .. } => run_on_event_engine(config, protocol, lookup_traffic, observer),
     }
 }
 
@@ -1123,6 +1125,7 @@ impl World {
 fn run_on_cycle_engine<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,
+    lookup_traffic: Option<LookupTraffic>,
     observer: &mut dyn Observer,
 ) -> (RunReport, PopulationSnapshot) {
     let world = World::new(config);
@@ -1133,7 +1136,13 @@ fn run_on_cycle_engine<S: PeerSampler>(
         engine.enable_profiling();
     }
     protocol.init_all(engine.context_mut());
-    let mut driver = MeasurementDriver::new(config, protocol, engine.context(), world.placement);
+    let mut driver = MeasurementDriver::new(
+        config,
+        protocol,
+        engine.context(),
+        world.placement,
+        lookup_traffic,
+    );
 
     let cycles_executed = engine.run_parallel_with_observer(
         protocol,
@@ -1152,13 +1161,20 @@ fn run_on_cycle_engine<S: PeerSampler>(
 fn run_on_event_engine<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,
+    lookup_traffic: Option<LookupTraffic>,
     observer: &mut dyn Observer,
 ) -> (RunReport, PopulationSnapshot) {
     let mut world = World::new(config);
     let mut engine: EventEngine<BootstrapMessage> =
         EventEngine::new(world.network, world.rng).with_transport(world.transport);
     protocol.init_all(engine.context_mut());
-    let mut driver = MeasurementDriver::new(config, protocol, engine.context(), world.placement);
+    let mut driver = MeasurementDriver::new(
+        config,
+        protocol,
+        engine.context(),
+        world.placement,
+        lookup_traffic,
+    );
     // Start the initial membership *before* applying cycle-0 scenario events:
     // joiners added at cycle 0 are started individually below, and must not be
     // started a second time by run_until's deferred start phase.
@@ -1224,16 +1240,17 @@ impl Experiment {
     /// Runs the simulation with a caller-supplied [`Observer`] receiving every
     /// measured cycle and scenario transition.
     pub fn run_observed(&self, observer: &mut dyn Observer) -> (RunReport, PopulationSnapshot) {
+        let traffic = LookupTraffic::for_config(&self.config);
         match self.config.sampler {
             SamplerChoice::Oracle => {
                 let mut protocol = BootstrapProtocol::new(self.config.params, OracleSampler::new());
-                run_scenario(&self.config, &mut protocol, observer)
+                run_scenario(&self.config, &mut protocol, traffic, observer)
             }
             SamplerChoice::Newscast(params) => {
                 let mut protocol =
                     BootstrapProtocol::new(self.config.params, NewscastProtocol::new(params))
                         .with_sampler_steps();
-                run_scenario(&self.config, &mut protocol, observer)
+                run_scenario(&self.config, &mut protocol, traffic, observer)
             }
         }
     }
@@ -2032,7 +2049,9 @@ mod tests {
     #[test]
     fn report_json_is_pinned() {
         // FNV-1a digests of `to_json()` recorded with the hand-rolled writer
-        // this one replaced. Between them the two runs switch on every
+        // this one replaced; the WAN run's re-recorded when each lookup got
+        // its own keyed generator and latencies their 1 ms buckets, which
+        // moved its lookup keys and nothing else. Between them the two runs switch on every
         // capability-gated part of the document: the attack and overlay
         // series and a completed eclipse; per-region series, the traffic
         // block and its series, proximity, degradation and recovery.
@@ -2075,6 +2094,6 @@ mod tests {
                 phase: Phase::new(4, 6),
                 rate: 0.1,
             });
-        assert_eq!(digest(&wan), 0xbedb_4265_7144_2ca3);
+        assert_eq!(digest(&wan), 0x4438_22e3_01ea_af37);
     }
 }

@@ -259,8 +259,9 @@ fn adversarial_runs_are_thread_count_invariant() {
 
 #[test]
 fn traffic_series_are_thread_count_invariant() {
-    // The lookup-traffic driver rides in the sequential observer phase with
-    // its own salted RNG stream, so a run serving traffic — including through
+    // The lookup-traffic driver runs in the observer phase, between cycles,
+    // and each lookup draws from its own salted keyed generator, so a run
+    // serving traffic — including through
     // churn, where the alive list shifts under the lookups — must produce a
     // byte-identical RunReport JSON at every thread count. Only the engine
     // label and the threads tag themselves may differ.

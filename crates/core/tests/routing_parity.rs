@@ -21,7 +21,9 @@ const SIZE: usize = 512;
 const SEED: u64 = 42;
 const CYCLES: u64 = 40;
 const TRAFFIC_START: u64 = 30;
-const RATE: u32 = 100;
+/// Lookups per cycle: enough for the live driver to split each cycle into
+/// several chunks, served by every core.
+const RATE: u32 = 600;
 
 fn traffic_scenario() -> Scenario {
     Scenario::calm().with(ScenarioEvent::TrafficPhase {
@@ -66,20 +68,21 @@ struct Replay {
     hop_max: Vec<(u64, f64)>,
 }
 
-/// Replays the exact lookup stream a run issued — same salted RNG stream, same
-/// draw order — over the frozen snapshot. On a calm run every node is alive
+/// Replays the exact lookups a run issued — lookup `i` of cycle `t` from
+/// `SimRng::keyed(seed ^ TRAFFIC_SALT, t, i)`, in the same draw order — over
+/// the frozen snapshot. On a calm run every node is alive
 /// and initialised for the whole traffic phase, so snapshot position `i` is
 /// the live driver's alive-list position `i` and the sequences coincide.
 fn replay(snapshot: &PopulationSnapshot, router: RouterKind) -> Replay {
     assert_eq!(snapshot.len(), SIZE, "calm run keeps everyone alive");
-    let mut rng = SimRng::seed_from(SEED ^ TRAFFIC_SALT);
     let mut tables = SnapshotTables(snapshot);
     let mut path = Vec::new();
     let (mut issued, mut delivered, mut hops_sum, mut max_hops) = (0u64, 0u64, 0u64, 0u64);
     let (mut success, mut hop_mean, mut hop_max) = (Vec::new(), Vec::new(), Vec::new());
     for cycle in TRAFFIC_START..CYCLES {
         let (mut w_delivered, mut w_hops_sum, mut w_hops_max) = (0u64, 0u64, 0u64);
-        for _ in 0..RATE {
+        for index in 0..RATE {
+            let mut rng = SimRng::keyed(SEED ^ TRAFFIC_SALT, cycle, u64::from(index));
             let source = contact_at(snapshot, rng.index(SIZE));
             let target = snapshot
                 .node_at(rng.index(SIZE))

@@ -19,8 +19,10 @@ use std::fmt::Debug;
 ///
 /// Implementations may keep per-node state (NEWSCAST caches) or none at all (the
 /// oracle). All methods receive the [`EngineContext`] so they can reach the node
-/// registry, the RNG and the transport.
-pub trait PeerSampler: Debug {
+/// registry, the RNG and the transport. A sampler is `Sync`, so the protocol
+/// that owns one can be read from several threads at once (the lookups of a
+/// traffic cycle).
+pub trait PeerSampler: Debug + Sync {
     /// Initialises per-node state for `node` (called for every initial node and
     /// for every later joiner before it first samples). `cycle` is the logical
     /// time of the initialisation — 0 at start-up, the join cycle for later

@@ -33,7 +33,13 @@ pub struct SimRng {
 #[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
+    finalise(*state)
+}
+
+/// SplitMix64's output function: a bijection on 64-bit words in which every
+/// input bit flips about half of the output bits.
+#[inline]
+fn finalise(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -65,6 +71,25 @@ impl SimRng {
             state[0] = 1;
         }
         SimRng { state }
+    }
+
+    /// The generator of stream `stream`, item `index` under `seed`: the three
+    /// words folded through the SplitMix64 finaliser, then [`SimRng::seed_from`].
+    ///
+    /// A counter-based family: item `i` of stream `t` is reached without
+    /// drawing items `0..i`, so independent items — one lookup of one cycle,
+    /// say — can draw on any thread in any order and still draw the same
+    /// numbers. For a fixed seed and stream, distinct indices give distinct
+    /// keys.
+    ///
+    /// ```rust
+    /// use bss_util::rng::SimRng;
+    ///
+    /// let mut a = SimRng::keyed(7, 3, 12);
+    /// assert_eq!(a.next_u64(), SimRng::keyed(7, 3, 12).next_u64());
+    /// ```
+    pub fn keyed(seed: u64, stream: u64, index: u64) -> Self {
+        Self::seed_from(finalise(finalise(finalise(seed) ^ stream) ^ index))
     }
 
     /// Returns the next 64 uniformly random bits.
@@ -303,6 +328,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_key_names_one_stream_and_its_neighbours_differ() {
+        let first = |seed, stream, index| SimRng::keyed(seed, stream, index).next_u64();
+        let mut a = SimRng::keyed(5, 40, 17);
+        let mut b = SimRng::keyed(5, 40, 17);
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+        let mut seen = std::collections::HashSet::new();
+        for stream in 0..64 {
+            for index in 0..64 {
+                assert!(seen.insert(first(5, stream, index)), "({stream}, {index})");
+            }
+        }
+        assert_ne!(
+            first(5, 40, 17),
+            first(6, 40, 17),
+            "the seed is part of the key"
+        );
+        // Swapping stream and index names another stream.
+        assert_ne!(first(5, 3, 4), first(5, 4, 3));
     }
 
     #[test]

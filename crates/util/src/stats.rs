@@ -288,17 +288,13 @@ impl SeriesBundle {
 /// used for in-degree distributions, message-size accounting and the
 /// per-cycle traffic latency series.
 ///
-/// Two sizing modes share the code path:
-///
-/// * [`Histogram::new`] starts empty and grows on demand up to
-///   `Histogram::MAX_BUCKETS`;
-/// * [`Histogram::with_buckets`] allocates every bucket up front, so
-///   recording is allocation-free from the first observation on and the
-///   histogram can be [`Histogram::reset`] between measurement windows
-///   without touching the allocator.
-///
-/// In both modes observations past the last bucket saturate into it, so a
-/// lone outlier (a u64 latency, say) costs O(1) memory instead of resizing
+/// [`Histogram::new`] starts empty and grows on demand up to
+/// `Histogram::MAX_BUCKETS` buckets ([`Histogram::with_limit`]: up to a
+/// chosen count), so it holds only as many buckets as its largest
+/// observation needs. [`Histogram::reset`] keeps them, so a histogram reused
+/// across measurement windows stops touching the allocator once it has seen
+/// its largest value. Observations past the last bucket saturate into it, so
+/// a lone outlier (a u64 latency, say) costs O(1) memory instead of resizing
 /// `counts` to `value / bucket_width + 1` entries.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Histogram {
@@ -324,31 +320,22 @@ impl Histogram {
     ///
     /// Panics if `bucket_width` is zero.
     pub fn new(bucket_width: u64) -> Self {
-        assert!(bucket_width > 0, "bucket width must be positive");
-        Histogram {
-            bucket_width,
-            limit: Self::MAX_BUCKETS,
-            counts: Vec::new(),
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
+        Self::with_limit(bucket_width, Self::MAX_BUCKETS)
     }
 
-    /// Creates a pre-sized histogram with `buckets` buckets of width
-    /// `bucket_width` (`[0, w)`, `[w, 2w)`, ..., last bucket saturating).
-    /// Recording never allocates after construction.
+    /// [`Histogram::new`] growing on demand up to `buckets` buckets, the last
+    /// saturating.
     ///
     /// # Panics
     ///
     /// Panics if `bucket_width` or `buckets` is zero.
-    pub fn with_buckets(bucket_width: u64, buckets: usize) -> Self {
+    pub fn with_limit(bucket_width: u64, buckets: usize) -> Self {
         assert!(bucket_width > 0, "bucket width must be positive");
         assert!(buckets > 0, "bucket count must be positive");
         Histogram {
             bucket_width,
             limit: buckets,
-            counts: vec![0; buckets],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             max: 0,
@@ -365,6 +352,34 @@ impl Histogram {
         self.total += 1;
         self.sum += u128::from(value);
         self.max = self.max.max(value);
+    }
+
+    /// Adds every observation of `other`, which must share this histogram's
+    /// bucket width, as if each had been recorded here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket widths differ.
+    pub fn merge(&mut self, other: &Histogram) {
+        assert_eq!(
+            self.bucket_width, other.bucket_width,
+            "bucket widths differ"
+        );
+        let used = other
+            .counts
+            .iter()
+            .rposition(|&count| count > 0)
+            .map_or(0, |last| last + 1);
+        for (bucket, &count) in other.counts[..used].iter().enumerate() {
+            let bucket = bucket.min(self.limit - 1);
+            if bucket >= self.counts.len() {
+                self.counts.resize(bucket + 1, 0);
+            }
+            self.counts[bucket] += count;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
     }
 
     /// Total number of observations.
@@ -409,9 +424,8 @@ impl Histogram {
         (self.max / self.bucket_width * self.bucket_width) as f64
     }
 
-    /// Zeroes every counter while keeping the bucket allocation, so a
-    /// pre-sized histogram can be reused across measurement windows without
-    /// touching the allocator.
+    /// Zeroes every counter while keeping the buckets, so a histogram can be
+    /// reused across measurement windows without touching the allocator.
     pub fn reset(&mut self) {
         self.counts.iter_mut().for_each(|count| *count = 0);
         self.total = 0;
@@ -579,12 +593,12 @@ mod tests {
 
     #[test]
     fn streaming_histogram_is_allocation_free_once_sized() {
-        let mut h = Histogram::with_buckets(1, 64);
-        assert_eq!(h.counts.len(), 64);
+        let mut h = Histogram::with_limit(1, 64);
+        assert!(h.counts.is_empty());
         for value in 0..200u64 {
             h.record(value);
         }
-        // Storage never grew past the construction size; the tail saturated.
+        // Storage never grew past the limit; the tail saturated.
         assert_eq!(h.counts.len(), 64);
         assert_eq!(h.count(), 200);
         assert_eq!(h.max(), 199);
@@ -599,7 +613,7 @@ mod tests {
     #[test]
     fn streaming_percentiles_are_exact_for_unit_width_integers() {
         // 1..=100 at bucket width 1: the nearest-rank percentile of integers.
-        let mut h = Histogram::with_buckets(1, 128);
+        let mut h = Histogram::with_limit(1, 128);
         for value in 1..=100u64 {
             h.record(value);
         }
@@ -613,7 +627,7 @@ mod tests {
 
     #[test]
     fn streaming_percentile_resolves_to_bucket_lower_bound() {
-        let mut h = Histogram::with_buckets(10, 16);
+        let mut h = Histogram::with_limit(10, 16);
         for value in [3u64, 14, 27, 150, 152] {
             h.record(value);
         }
@@ -624,8 +638,34 @@ mod tests {
     }
 
     #[test]
+    fn merged_histograms_equal_one_that_recorded_everything() {
+        let (a, b) = ([0u64, 5, 17, 17, 90], [3u64, 17, 400, 2]);
+        let mut whole = Histogram::with_limit(1, 100);
+        let mut left = Histogram::with_limit(1, 100);
+        let mut right = Histogram::with_limit(1, 100);
+        for (values, part) in [(&a[..], &mut left), (&b[..], &mut right)] {
+            for &value in values {
+                whole.record(value);
+                part.record(value);
+            }
+        }
+        // Grown only as far as the largest observation needs.
+        assert_eq!(left.counts.len(), 91);
+        right.reset();
+        b.iter().for_each(|&v| right.record(v));
+        left.merge(&right);
+        assert_eq!(left, whole);
+        assert_eq!(left.percentile(0.5), 17.0);
+        assert_eq!(
+            left.percentile(1.0),
+            99.0,
+            "400 saturates into the last bucket"
+        );
+    }
+
+    #[test]
     fn streaming_percentile_on_skewed_mass() {
-        let mut h = Histogram::with_buckets(1, 8);
+        let mut h = Histogram::with_limit(1, 8);
         for _ in 0..99 {
             h.record(1);
         }
@@ -638,13 +678,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0, 1]")]
     fn streaming_percentile_rejects_bad_quantile() {
-        Histogram::with_buckets(1, 4).percentile(1.5);
+        Histogram::with_limit(1, 4).percentile(1.5);
     }
 
     #[test]
     #[should_panic(expected = "bucket count must be positive")]
     fn streaming_histogram_rejects_zero_buckets() {
-        Histogram::with_buckets(1, 0);
+        Histogram::with_limit(1, 0);
     }
 
     #[test]
