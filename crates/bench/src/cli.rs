@@ -230,10 +230,14 @@ impl Args {
         }
     }
 
-    /// Worker threads of the cycle engine (`--threads`): at least 1, and at
-    /// most the smallest network the invocation runs — at most N/2 disjoint
-    /// exchanges can run at once, so the bound comes from the input.
-    pub(crate) fn threads(&self) -> Result<usize, String> {
+    /// The cycle engine `--threads` selects: absent, [`Engine::Cycle`], which
+    /// runs on every core; `--threads n` pins exactly n, from 1 to the
+    /// smallest network the invocation runs — at most N/2 disjoint exchanges
+    /// can run at once, so the bound comes from the input.
+    fn cycle_engine(&self) -> Result<Engine, String> {
+        if self.get("threads").is_none() {
+            return Ok(Engine::Cycle);
+        }
         let threads = self.parsed("threads")?;
         let smallest = self.sizes()?.iter().map(|&exp| 1usize << exp).min();
         if threads == 0 || smallest.is_some_and(|nodes| threads > nodes) {
@@ -241,15 +245,15 @@ impl Args {
                 "--threads expects 1 to the network size, got {threads}"
             ));
         }
-        Ok(threads)
+        Ok(Engine::ParallelCycle { threads })
     }
 
     /// The cycle + event engine pair every sweep runs its cells on: the cycle
-    /// engine at `--threads`, the event engine at `--latency`.
+    /// engine `--threads` selects, the event engine at `--latency`.
     pub(crate) fn engine_pair(&self) -> Result<[(&'static str, Engine); 2], String> {
         let latency = self.latency_model()?;
         Ok([
-            ("cycle", Engine::with_threads(self.threads()?)),
+            ("cycle", self.cycle_engine()?),
             ("event", Engine::Event { latency }),
         ])
     }
@@ -359,7 +363,7 @@ mod tests {
         Opt::new("runs <n>", "3", "runs per size"),
         Opt::new("cycles <n>", "60", "cycle budget"),
         Opt::new("seed <n>", "1", "base seed"),
-        Opt::new("threads <n>", "1", "worker threads"),
+        Opt::new("threads <n>", "", "worker threads"),
         Opt::new("engine <name>", "cycle", "cycle or event"),
         Opt::new("latency <spec>", "1", "event latency"),
         Opt::new("link <spec>", "", "link model"),
@@ -539,8 +543,12 @@ mod tests {
         assert_eq!(parsed.parsed::<usize>("runs").unwrap(), 3);
         assert_eq!(parsed.parsed::<u64>("cycles").unwrap(), 60);
         assert_eq!(parsed.parsed::<u64>("seed").unwrap(), 1);
-        assert_eq!(parsed.threads().unwrap(), 1);
+        // Absent `--threads` runs on every core; `--threads 1` pins one.
         assert_eq!(parsed.engine().unwrap(), Engine::Cycle);
+        assert_eq!(
+            args(&["--threads", "1"]).engine().unwrap(),
+            Engine::ParallelCycle { threads: 1 }
+        );
         assert!(parsed.get("out").is_none());
         assert!(!parsed.flag("quiet"));
 

@@ -57,8 +57,8 @@ const fn out_dir(default: &'static str) -> Opt {
 }
 const THREADS: Opt = Opt::new(
     "threads <n>",
-    "1",
-    "worker threads of the cycle engine (output is bit-for-bit identical at any value)",
+    "",
+    "pin the cycle engine to n threads; absent, it runs on every core (output is bit-for-bit identical either way)",
 );
 const ENGINE: Opt = Opt::new(
     "engine <name>",

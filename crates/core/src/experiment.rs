@@ -11,8 +11,8 @@
 //! The heart of the module is [`Experiment::run_observed`]: one entry point
 //! that drives a `BootstrapProtocol` through an [`ExperimentConfig`]'s
 //! [`Scenario`] on whichever [`Engine`] the configuration selects — the
-//! sequential cycle engine, the deterministic parallel cycle engine, or the
-//! discrete-event engine with per-link latency — reporting to a pluggable
+//! deterministic cycle engine, on every core or on a pinned thread count, or
+//! the discrete-event engine with per-link latency — reporting to a pluggable
 //! [`Observer`] and returning one serializable [`RunReport`].
 
 use crate::compact::CompactNode;
@@ -35,6 +35,7 @@ use bss_util::stats::{JsonObject, Series};
 use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 /// Which peer sampling implementation an experiment runs over.
@@ -128,7 +129,10 @@ impl ExperimentConfig {
         self.scenario.whole_run_churn()
     }
 
-    /// The worker thread count implied by the engine selection.
+    /// The thread count the engine selection pins: `ParallelCycle`'s, else 1.
+    /// [`Engine::Cycle`] resolves its count from the host's cores inside each
+    /// run, so this — the value the report's `"threads"` field echoes — does
+    /// not depend on the host.
     pub fn threads(&self) -> usize {
         self.engine.threads()
     }
@@ -595,7 +599,9 @@ impl RunReport {
 
     /// Renders the report as a self-contained JSON document (engine, scenario,
     /// convergence, traffic, fired events and every per-cycle series). This is
-    /// the artifact format the scenario smoke suite uploads from CI.
+    /// the artifact format the scenario smoke suite uploads from CI. Its
+    /// `"threads"` echoes [`ExperimentConfig::threads`]: 1 for
+    /// [`Engine::Cycle`], however many cores the run took.
     pub fn to_json(&self) -> String {
         let config = &self.config;
         let fixed = |value: f64| format!("{value:.6}");
@@ -1120,7 +1126,19 @@ impl World {
     }
 }
 
-/// Runs on the (possibly parallel) cycle engine, which applies the membership
+/// The threads a cycle-engine run uses: the pinned count of
+/// [`Engine::ParallelCycle`], else one per core of the `cores` the host
+/// offers, capped at the network size as a pinned count is; at least one.
+/// The count stays inside the run: output is the same at any count.
+fn cycle_threads(engine: Engine, cores: usize, network_size: usize) -> usize {
+    match engine {
+        Engine::ParallelCycle { threads } => threads,
+        _ => cores.min(network_size).max(1),
+    }
+}
+
+/// Runs on the cycle engine — on every core for [`Engine::Cycle`], on the
+/// pinned count for [`Engine::ParallelCycle`] — which applies the membership
 /// timeline itself at every cycle boundary.
 fn run_on_cycle_engine<S: PeerSampler>(
     config: &ExperimentConfig,
@@ -1144,10 +1162,11 @@ fn run_on_cycle_engine<S: PeerSampler>(
         lookup_traffic,
     );
 
+    let cores = thread::available_parallelism().map_or(1, usize::from);
     let cycles_executed = engine.run_parallel_with_observer(
         protocol,
         config.max_cycles,
-        config.engine.threads(),
+        cycle_threads(config.engine, cores, config.network_size),
         |protocol, ctx, cycle| driver.observe_cycle(protocol, ctx, cycle, observer),
     );
     let phase_profile = engine.phase_profile().copied();
@@ -1332,7 +1351,7 @@ mod tests {
             .build()
             .is_err());
         assert!(ExperimentConfig::builder()
-            .engine(Engine::with_threads(0))
+            .engine(Engine::ParallelCycle { threads: 0 })
             .build()
             .is_err());
         // More nodes than a `u32` index counts, more workers than nodes.
@@ -1646,11 +1665,22 @@ mod tests {
     }
 
     #[test]
+    fn cycle_runs_take_every_core_up_to_the_network_size() {
+        for (cores, nodes, threads) in [(1, 64, 1), (2, 64, 2), (8, 3, 3), (4, 4, 4), (0, 64, 1)] {
+            assert_eq!(cycle_threads(Engine::Cycle, cores, nodes), threads);
+        }
+        // A pinned count is taken as configured, whatever the host offers.
+        let pinned = Engine::ParallelCycle { threads: 3 };
+        assert_eq!(cycle_threads(pinned, 1, 64), 3);
+        assert_eq!(cycle_threads(pinned, 8, 64), 3);
+    }
+
+    #[test]
     fn legacy_knobs_desugar_into_the_scenario() {
         let config = ExperimentConfig::builder()
             .drop_probability(0.2)
             .churn_rate(0.01)
-            .engine(Engine::with_threads(4))
+            .engine(Engine::ParallelCycle { threads: 4 })
             .build()
             .unwrap();
         assert_eq!(config.drop_probability(), 0.2);

@@ -9,9 +9,9 @@
 //! * a [`Scenario`] is an ordered list of [`ScenarioEvent`]s, each either a
 //!   one-shot (catastrophic failure, massive join) or a [`Phase`]-windowed
 //!   condition (loss window, churn burst, partition);
-//! * an [`Engine`] selects the execution model — the sequential cycle engine,
-//!   the deterministic parallel cycle engine, or the discrete-event engine
-//!   with a per-link [`LatencyModel`];
+//! * an [`Engine`] selects the execution model — the deterministic cycle
+//!   engine, on every core or on a pinned thread count, or the
+//!   discrete-event engine with a per-link [`LatencyModel`];
 //! * an [`Observer`] receives per-cycle convergence measurements and scenario
 //!   transitions.
 //!
@@ -890,16 +890,19 @@ impl fmt::Display for Scenario {
 /// [`Experiment`](crate::experiment::Experiment) entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Engine {
-    /// The sequential cycle-driven engine — the execution model under which
-    /// all of the paper's results were produced (PeerSim's cycle mode).
+    /// The cycle-driven engine — the execution model under which all of the
+    /// paper's results were produced (PeerSim's cycle mode) — on every core
+    /// the host offers, capped at the network size. One core runs the cycle
+    /// inline, with no worker spawned; more stream each cycle's exchanges to
+    /// workers. Output is bit-for-bit the same at any core count.
     #[default]
     Cycle,
-    /// The deterministic parallel cycle engine: bit-for-bit identical output
-    /// to [`Engine::Cycle`] at any thread count, faster wall-clock on
-    /// multi-core hosts.
+    /// The cycle-driven engine on exactly `threads` threads: for measuring
+    /// scaling and for comparing thread counts. Bit-for-bit identical output
+    /// to [`Engine::Cycle`] at any count.
     ParallelCycle {
-        /// Number of worker threads (must be positive; 1 is the sequential
-        /// engine).
+        /// Number of threads (at least 1, at most the network size; 1 runs
+        /// each cycle inline on the calling thread).
         threads: usize,
     },
     /// The discrete-event engine: nodes wake on timers at random phases
@@ -913,17 +916,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Sugar mapping a thread count to an engine: 1 is the sequential cycle
-    /// engine, more is the parallel one.
-    pub fn with_threads(threads: usize) -> Self {
-        if threads == 1 {
-            Engine::Cycle
-        } else {
-            Engine::ParallelCycle { threads }
-        }
-    }
-
-    /// The worker thread count this engine uses (1 for `Cycle` and `Event`).
+    /// The thread count this engine pins (1 for `Cycle`, which resolves its
+    /// own per run, and for `Event`).
     pub(crate) fn threads(&self) -> usize {
         match *self {
             Engine::ParallelCycle { threads } => threads,
@@ -1328,11 +1322,6 @@ pub(crate) mod tests {
     #[test]
     fn engine_selection_validates_and_labels() {
         assert_eq!(Engine::default(), Engine::Cycle);
-        assert_eq!(Engine::with_threads(1), Engine::Cycle);
-        assert_eq!(
-            Engine::with_threads(4),
-            Engine::ParallelCycle { threads: 4 }
-        );
         assert_eq!(Engine::Cycle.threads(), 1);
         assert_eq!(Engine::ParallelCycle { threads: 8 }.threads(), 8);
         assert_eq!(Engine::Cycle.label(), "cycle");

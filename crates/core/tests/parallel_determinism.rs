@@ -1,16 +1,29 @@
-//! The deterministic parallel engine must be bit-for-bit equivalent to the
-//! sequential engine at every thread count, for every scenario: samplers,
-//! message loss, churn, perfection-stop on and off.
+//! The cycle engine must produce the same output bit for bit at every thread
+//! count, for every scenario: samplers, message loss, churn, membership
+//! events, aging, perfection-stop on and off.
 //!
-//! `threads = 1` runs the plain sequential engine; `threads >= 2` streams each
-//! cycle's exchanges to worker threads as they are planned, so comparing the
-//! two exercises the whole plan → execute → commit machinery on every run —
-//! a planner waiting for a node's or a peer's state included.
+//! The reference is `ParallelCycle { threads: 1 }`, which runs each cycle
+//! inline on the calling thread. Every run is compared against it at 2, 3 and
+//! 8 pinned threads, which stream each cycle's exchanges to worker threads as
+//! they are planned, and on `Engine::Cycle`, which takes every core of the
+//! host. That exercises the whole plan → execute → commit machinery on every
+//! run — a planner waiting for a node's or a peer's state included.
 
 use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot, SamplerChoice};
-use bss_core::scenario::{AdversaryBehavior, Engine, Phase, ScenarioEvent};
+use bss_core::scenario::{AdversaryBehavior, Engine, PartitionSpec, Phase, ScenarioEvent};
 use bss_util::config::{BootstrapParams, NewscastParams};
 use proptest::prelude::*;
+
+/// The reference engine: each cycle inline on the calling thread.
+const INLINE: Engine = Engine::ParallelCycle { threads: 1 };
+
+/// The engines every run is compared against the reference on.
+const STREAMED: [Engine; 4] = [
+    Engine::ParallelCycle { threads: 2 },
+    Engine::ParallelCycle { threads: 3 },
+    Engine::ParallelCycle { threads: 8 },
+    Engine::Cycle,
+];
 
 /// Everything observable about a finished run, in comparable form.
 #[derive(Debug, PartialEq)]
@@ -19,6 +32,7 @@ struct RunTrace {
     prefix_series: Vec<(u64, f64)>,
     poisoned_series: Vec<(u64, f64)>,
     eclipse_series: Vec<(u64, f64)>,
+    dead_series: Vec<(u64, f64)>,
     time_to_eclipse: Option<u64>,
     convergence_cycle: Option<u64>,
     cycles_executed: u64,
@@ -40,17 +54,17 @@ struct NodeDigest {
     descriptors_received: u64,
 }
 
-fn run(config: &ExperimentConfig, threads: usize) -> RunTrace {
-    run_with(config, threads, false).0
+fn run(config: &ExperimentConfig, engine: Engine) -> RunTrace {
+    run_with(config, engine, false).0
 }
 
 fn run_with(
     config: &ExperimentConfig,
-    threads: usize,
+    engine: Engine,
     profile: bool,
 ) -> (RunTrace, Option<bss_sim::PhaseProfile>) {
     let mut config = config.clone();
-    config.engine = Engine::with_threads(threads);
+    config.engine = engine;
     config.profile = profile;
     let (outcome, snapshot) = Experiment::new(config).run_with_snapshot();
     let phase_profile = outcome.phase_profile().copied();
@@ -59,6 +73,7 @@ fn run_with(
         prefix_series: outcome.prefix_series().points().to_vec(),
         poisoned_series: outcome.series("poisoned_series").unwrap().points().to_vec(),
         eclipse_series: outcome.series("eclipse_series").unwrap().points().to_vec(),
+        dead_series: outcome.series("dead_series").unwrap().points().to_vec(),
         time_to_eclipse: outcome.time_to_eclipse(),
         convergence_cycle: outcome.convergence_cycle(),
         cycles_executed: outcome.cycles_executed(),
@@ -97,12 +112,12 @@ fn digest_nodes(snapshot: &PopulationSnapshot) -> Vec<NodeDigest> {
 }
 
 fn assert_thread_invariant(config: ExperimentConfig) {
-    let sequential = run(&config, 1);
-    for threads in [2usize, 3, 8] {
-        let parallel = run(&config, threads);
+    let inline = run(&config, INLINE);
+    for engine in STREAMED {
         assert_eq!(
-            sequential, parallel,
-            "trace diverged at {threads} threads for {config:?}"
+            inline,
+            run(&config, engine),
+            "trace diverged on {engine:?} for {config:?}"
         );
     }
 }
@@ -187,10 +202,10 @@ fn paper_default_newscast_runs_are_thread_count_invariant() {
 
 #[test]
 fn profiling_does_not_perturb_the_simulation() {
-    // The per-phase profiler is observational: with it enabled — on the
-    // sequential engine and on worker threads — the simulation trace must
-    // stay bit-identical to the unprofiled sequential run, and the profile
-    // itself must cover every executed cycle.
+    // The per-phase profiler is observational: with it enabled — inline and
+    // on worker threads — the simulation trace must stay bit-identical to
+    // the unprofiled inline run, and the profile itself must cover every
+    // executed cycle.
     let config = ExperimentConfig::builder()
         .network_size(200)
         .seed(21)
@@ -198,23 +213,63 @@ fn profiling_does_not_perturb_the_simulation() {
         .max_cycles(30)
         .build()
         .unwrap();
-    let baseline = run(&config, 1);
-    for threads in [1usize, 2, 3, 8] {
-        let (profiled, profile) = run_with(&config, threads, true);
+    let baseline = run(&config, INLINE);
+    for engine in std::iter::once(INLINE).chain(STREAMED) {
+        let (profiled, profile) = run_with(&config, engine, true);
         assert_eq!(
             baseline, profiled,
-            "profiling changed the trace at {threads} threads"
+            "profiling changed the trace on {engine:?}"
         );
-        let profile = profile.expect("profile requested but absent at {threads} threads");
+        let profile = profile.expect("profile requested but absent");
         assert_eq!(profile.cycles, profiled.cycles_executed);
         assert!(
             profile.total() > std::time::Duration::ZERO,
-            "profile accumulated no time at {threads} threads"
+            "profile accumulated no time on {engine:?}"
         );
     }
     // Unprofiled runs must not grow a profile.
-    let (_, no_profile) = run_with(&config, 2, false);
+    let (_, no_profile) = run_with(&config, Engine::Cycle, false);
     assert!(no_profile.is_none());
+}
+
+#[test]
+fn recovery_partition_and_join_timeline_is_thread_count_invariant() {
+    // Every membership hook on one timeline, with aging on: half the network
+    // dies, the survivors re-bootstrap, a partition splits and merges the
+    // rest, and a batch of fresh nodes joins — over both samplers.
+    for newscast in [false, true] {
+        let mut builder = ExperimentConfig::builder();
+        builder
+            .network_size(256)
+            .seed(29)
+            .max_cycles(30)
+            .stop_when_perfect(false)
+            .descriptor_max_age(Some(6))
+            .event(ScenarioEvent::CatastrophicFailure {
+                at_cycle: 5,
+                fraction: 0.5,
+            })
+            .event(ScenarioEvent::ReBootstrap {
+                at_cycle: 7,
+                fraction: 1.0,
+            })
+            .event(ScenarioEvent::Partition {
+                phase: Phase::new(10, 16),
+                groups: PartitionSpec::IndexParity,
+            })
+            .event(ScenarioEvent::MassiveJoin {
+                at_cycle: 19,
+                count: 64,
+            });
+        if newscast {
+            builder.sampler(SamplerChoice::Newscast(NewscastParams {
+                view_size: 20,
+                period_millis: 1000,
+                ..NewscastParams::paper_default()
+            }));
+        }
+        assert_thread_invariant(builder.build().unwrap());
+    }
 }
 
 #[test]
@@ -280,9 +335,9 @@ fn traffic_series_are_thread_count_invariant() {
         })
         .build()
         .unwrap();
-    let normalized_json = |threads: usize| {
+    let normalized_json = |engine: Engine| {
         let mut config = config.clone();
-        config.engine = Engine::with_threads(threads);
+        config.engine = engine;
         Experiment::new(config)
             .run()
             .to_json()
@@ -294,17 +349,17 @@ fn traffic_series_are_thread_count_invariant() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let sequential = normalized_json(1);
+    let inline = normalized_json(INLINE);
     assert!(
-        sequential.contains("\"lookup_traffic\""),
+        inline.contains("\"lookup_traffic\""),
         "traffic summary missing from the report"
     );
-    assert!(sequential.contains("\"lookup_success_series\""));
-    for threads in [2usize, 3, 8] {
+    assert!(inline.contains("\"lookup_success_series\""));
+    for engine in STREAMED {
         assert_eq!(
-            sequential,
-            normalized_json(threads),
-            "traffic JSON diverged at {threads} threads"
+            inline,
+            normalized_json(engine),
+            "traffic JSON diverged on {engine:?}"
         );
     }
 }
@@ -312,8 +367,9 @@ fn traffic_series_are_thread_count_invariant() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Arbitrary small scenarios: the parallel engine at 2, 3 and 8 threads
-    /// produces snapshots identical to the sequential engine.
+    /// Arbitrary small scenarios, with and without descriptor aging: the
+    /// engine at 2, 3 and 8 threads and on every core produces snapshots
+    /// identical to the inline reference.
     #[test]
     fn parallel_engine_matches_sequential_on_arbitrary_scenarios(
         size in 50usize..200,
@@ -322,6 +378,7 @@ proptest! {
         churn_permille in 0u32..30,
         newscast in any::<bool>(),
         cycles in 5u64..20,
+        max_age in (any::<bool>(), 4u64..13).prop_map(|(aging, age)| aging.then_some(age)),
     ) {
         let mut builder = ExperimentConfig::builder();
         builder
@@ -329,6 +386,7 @@ proptest! {
             .seed(seed)
             .drop_probability(f64::from(drop_permille) / 1000.0)
             .churn_rate(f64::from(churn_permille) / 1000.0)
+            .descriptor_max_age(max_age)
             .max_cycles(cycles)
             .stop_when_perfect(false);
         if newscast {
@@ -339,9 +397,9 @@ proptest! {
             }));
         }
         let config = builder.build().unwrap();
-        let sequential = run(&config, 1);
-        for threads in [2usize, 3, 8] {
-            prop_assert_eq!(&sequential, &run(&config, threads), "threads {}", threads);
+        let inline = run(&config, INLINE);
+        for engine in STREAMED {
+            prop_assert_eq!(&inline, &run(&config, engine), "{:?}", engine);
         }
     }
 }

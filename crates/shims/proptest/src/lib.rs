@@ -238,6 +238,7 @@ impl_strategy_for_tuple!(A: 0, B: 1, C: 2);
 impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3);
 impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
+impl_strategy_for_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
 
 /// Per-block test configuration, set with `#![proptest_config(...)]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -101,8 +101,8 @@ pub trait ParallelCycleProtocol: CycleProtocol {
 /// `execute` the per-node computation the calling thread runs itself plus
 /// its waits for other threads, `commit` applying finished work (in planning
 /// order), and `measure` the observer callback (convergence oracles, metric
-/// emission). On the sequential engine the whole per-node step lands in
-/// `execute`, scheduling overhead in `plan`, and `commit` stays empty.
+/// emission). On one thread the whole per-node step lands in `execute`,
+/// scheduling overhead in `plan`, and `commit` stays empty.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfile {
     /// Sequential planning: churn, RNG draws and hand-off.
