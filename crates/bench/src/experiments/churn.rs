@@ -13,6 +13,7 @@
 use crate::cli::Args;
 use crate::report::{or_dash, series_table};
 use bss_core::experiment::{Experiment, ExperimentConfig};
+use bss_core::scenario::{Phase, ScenarioEvent};
 
 /// The swept replacement rates, in percent of the network per cycle.
 const RATES: [u32; 4] = [0, 1, 2, 5];
@@ -28,14 +29,20 @@ pub(super) fn run(args: &Args) -> super::Outcome {
     let mut summary =
         String::from("rate_percent\tfinal_leaf_missing\tfinal_prefix_missing\tconverged_cycle\n");
     for rate in RATES {
-        let config = ExperimentConfig::builder()
+        let mut builder = ExperimentConfig::builder();
+        builder
             .network_size(1usize << exponent)
             .seed(seed + u64::from(rate))
-            .churn_rate(f64::from(rate) / 100.0)
             .max_cycles(cycles)
             .stop_when_perfect(rate == 0)
-            .engine(args.engine()?)
-            .build()?;
+            .engine(args.engine()?);
+        if rate > 0 {
+            builder.event(ScenarioEvent::ChurnBurst {
+                phase: Phase::new(0, u64::MAX),
+                rate: f64::from(rate) / 100.0,
+            });
+        }
+        let config = builder.build()?;
         let outcome = Experiment::new(config).run();
         eprintln!("#   churn {rate}%/cycle: {outcome}");
         summary.push_str(&format!(

@@ -53,10 +53,9 @@ pub enum SamplerChoice {
 /// protocol parameters, sampler), *what happens to it* (the
 /// [`Scenario`] timeline) and *how it executes* (the [`Engine`] selection).
 ///
-/// The scalar builder setters are sugar:
-/// [`drop_probability`](ExperimentConfigBuilder::drop_probability) and
-/// [`churn_rate`](ExperimentConfigBuilder::churn_rate) install one-phase
-/// whole-run scenario windows.
+/// One scalar builder setter is sugar:
+/// [`drop_probability`](ExperimentConfigBuilder::drop_probability) installs a
+/// whole-run loss window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of nodes in the network.
@@ -115,18 +114,6 @@ impl ExperimentConfig {
             },
             aging_sugar: None,
         }
-    }
-
-    /// The probability of the scenario's whole-run loss window (0 when none):
-    /// the value the legacy `drop_probability` field used to hold.
-    pub fn drop_probability(&self) -> f64 {
-        self.scenario.whole_run_loss()
-    }
-
-    /// The rate of the scenario's whole-run churn burst (0 when none): the
-    /// value the legacy `churn_rate` field used to hold.
-    pub(crate) fn churn_rate(&self) -> f64 {
-        self.scenario.whole_run_churn()
     }
 
     /// The thread count the engine selection pins: `ParallelCycle`'s, else 1.
@@ -343,14 +330,6 @@ impl ExperimentConfigBuilder {
     /// at zero, removing) a whole-run loss window on the scenario timeline.
     pub fn drop_probability(&mut self, p: f64) -> &mut Self {
         self.config.scenario.set_whole_run_loss(p);
-        self
-    }
-
-    /// Legacy sugar: sets the per-cycle replacement churn rate by installing
-    /// (or, at zero, removing) a whole-run churn burst on the scenario
-    /// timeline.
-    pub fn churn_rate(&mut self, rate: f64) -> &mut Self {
-        self.config.scenario.set_whole_run_churn(rate);
         self
     }
 
@@ -703,11 +682,8 @@ impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "N={} seed={} drop={:.0}% churn={:.1}%/cycle: ",
-            self.config.network_size,
-            self.config.seed,
-            self.config.drop_probability() * 100.0,
-            self.config.churn_rate() * 100.0
+            "N={} seed={} {}: ",
+            self.config.network_size, self.config.seed, self.config.scenario
         )?;
         match self.convergence_cycle {
             Some(cycle) => write!(f, "perfect tables after {cycle} cycles"),
@@ -1347,7 +1323,10 @@ mod tests {
             .build()
             .is_err());
         assert!(ExperimentConfig::builder()
-            .churn_rate(-0.1)
+            .event(ScenarioEvent::ChurnBurst {
+                phase: Phase::whole_run(),
+                rate: -0.1,
+            })
             .build()
             .is_err());
         assert!(ExperimentConfig::builder()
@@ -1677,23 +1656,26 @@ mod tests {
 
     #[test]
     fn legacy_knobs_desugar_into_the_scenario() {
+        let churn = ScenarioEvent::ChurnBurst {
+            phase: Phase::whole_run(),
+            rate: 0.01,
+        };
         let config = ExperimentConfig::builder()
+            .event(churn.clone())
+            .drop_probability(0.5)
             .drop_probability(0.2)
-            .churn_rate(0.01)
             .engine(Engine::ParallelCycle { threads: 4 })
             .build()
             .unwrap();
-        assert_eq!(config.drop_probability(), 0.2);
-        assert_eq!(config.churn_rate(), 0.01);
         assert_eq!(config.threads(), 4);
         assert_eq!(config.engine, Engine::ParallelCycle { threads: 4 });
-        assert_eq!(
-            config.scenario,
-            Scenario::uniform_loss(0.2).with(ScenarioEvent::ChurnBurst {
-                phase: Phase::whole_run(),
-                rate: 0.01,
-            })
-        );
+        // Setting the knob again replaces its window at the end of the
+        // timeline and leaves every other event where it was.
+        let loss = ScenarioEvent::LossWindow {
+            phase: Phase::whole_run(),
+            probability: 0.2,
+        };
+        assert_eq!(config.scenario, Scenario::calm().with(churn).with(loss));
         // Setting a knob back to zero removes its event.
         let calm = ExperimentConfig::builder()
             .drop_probability(0.2)
@@ -1843,7 +1825,10 @@ mod tests {
         let config = ExperimentConfig::builder()
             .network_size(100)
             .seed(13)
-            .churn_rate(0.01)
+            .event(ScenarioEvent::ChurnBurst {
+                phase: Phase::whole_run(),
+                rate: 0.01,
+            })
             .max_cycles(30)
             .stop_when_perfect(false)
             .build()

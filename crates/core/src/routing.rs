@@ -225,9 +225,8 @@ fn kademlia_next_hop<V: NodeView>(node: &V, target: NodeId) -> Option<Contact> {
 
 /// Chord's rule over live tables: the known contact that advances furthest
 /// clockwise without overshooting the target. Every hop strictly shrinks the
-/// remaining clockwise distance, so the descent terminates. (The ideal-ring
-/// baseline with global fingers lives in `bss_overlay::ChordRing`; this is
-/// what a Chord node can do with only its own bootstrapped tables.)
+/// remaining clockwise distance, so the descent terminates. This is what a
+/// Chord node can do with only its own bootstrapped tables.
 fn chord_next_hop<V: NodeView>(node: &V, target: NodeId) -> Option<Contact> {
     // A contact lies on the arc from the node to the target exactly when less
     // clockwise distance remains from it than from the node. Of two copies of

@@ -534,14 +534,6 @@ impl Scenario {
         self
     }
 
-    /// Sugar: uniform message loss over the whole run (the legacy
-    /// `drop_probability` knob). A probability of zero yields a calm timeline.
-    pub fn uniform_loss(probability: f64) -> Self {
-        let mut scenario = Scenario::calm();
-        scenario.set_whole_run_loss(probability);
-        scenario
-    }
-
     /// Replaces any whole-run loss window with one of `probability` (removing
     /// it entirely when `probability == 0`). This is what the legacy
     /// `drop_probability` builder setter desugars to; scoped loss windows are
@@ -554,21 +546,6 @@ impl Scenario {
             self.events.push(ScenarioEvent::LossWindow {
                 phase: Phase::whole_run(),
                 probability,
-            });
-        }
-    }
-
-    /// Replaces any whole-run churn burst with one of `rate` (removing it
-    /// entirely when `rate == 0`). This is what the legacy `churn_rate`
-    /// builder setter desugars to.
-    pub(crate) fn set_whole_run_churn(&mut self, rate: f64) {
-        self.events.retain(|event| {
-            !matches!(event, ScenarioEvent::ChurnBurst { phase, .. } if *phase == Phase::whole_run())
-        });
-        if rate != 0.0 {
-            self.events.push(ScenarioEvent::ChurnBurst {
-                phase: Phase::whole_run(),
-                rate,
             });
         }
     }
@@ -667,36 +644,6 @@ impl Scenario {
             } => Some(AdversaryModel::new(phase.start, phase.end, *behavior)),
             _ => None,
         })
-    }
-
-    /// The probability of a whole-run loss window, if one is on the timeline
-    /// (the value the legacy `drop_probability` accessor reports).
-    pub(crate) fn whole_run_loss(&self) -> f64 {
-        self.events
-            .iter()
-            .find_map(|event| match event {
-                ScenarioEvent::LossWindow { phase, probability }
-                    if *phase == Phase::whole_run() =>
-                {
-                    Some(*probability)
-                }
-                _ => None,
-            })
-            .unwrap_or(0.0)
-    }
-
-    /// The rate of a whole-run churn burst, if one is on the timeline (the
-    /// value the legacy `churn_rate` accessor reports).
-    pub(crate) fn whole_run_churn(&self) -> f64 {
-        self.events
-            .iter()
-            .find_map(|event| match event {
-                ScenarioEvent::ChurnBurst { phase, rate } if *phase == Phase::whole_run() => {
-                    Some(*rate)
-                }
-                _ => None,
-            })
-            .unwrap_or(0.0)
     }
 
     /// Whether any scenario transition (a one-shot firing, a window opening or
@@ -998,6 +945,13 @@ where
 pub(crate) mod tests {
     use super::*;
 
+    /// The timeline the `drop_probability` builder setter desugars to.
+    fn whole_run_loss(probability: f64) -> Scenario {
+        let mut scenario = Scenario::calm();
+        scenario.set_whole_run_loss(probability);
+        scenario
+    }
+
     #[test]
     fn phases_know_their_geometry() {
         let phase = Phase::new(5, 10);
@@ -1013,34 +967,36 @@ pub(crate) mod tests {
 
     #[test]
     fn sugar_constructors_desugar_to_whole_run_windows() {
-        let loss = Scenario::uniform_loss(0.2);
-        assert_eq!(loss.whole_run_loss(), 0.2);
-        assert_eq!(loss.whole_run_churn(), 0.0);
+        let loss = whole_run_loss(0.2);
+        assert_eq!(loss.events.len(), 1);
         assert!(!loss.perturbs_membership());
 
-        let mut churn = Scenario::calm();
-        churn.set_whole_run_churn(0.01);
-        assert_eq!(churn.whole_run_churn(), 0.01);
-        assert!(churn.perturbs_membership());
+        // A zero knob produces a calm timeline (so no RNG is ever drawn).
+        assert!(whole_run_loss(0.0).events.is_empty());
 
-        // Zero knobs produce a calm timeline (so no RNG is ever drawn).
-        assert!(Scenario::uniform_loss(0.0).events.is_empty());
-        churn.set_whole_run_churn(0.0);
-        assert!(churn.events.is_empty());
-
-        // Setting the knob twice replaces, like the old scalar field.
-        let mut replaced = Scenario::uniform_loss(0.5);
+        // Setting the knob twice replaces, like the old scalar field; a scoped
+        // window stays where it was.
+        let scoped = ScenarioEvent::LossWindow {
+            phase: Phase::new(0, 10),
+            probability: 0.3,
+        };
+        let mut replaced = whole_run_loss(0.5).with(scoped.clone());
         replaced.set_whole_run_loss(0.1);
-        assert_eq!(replaced.whole_run_loss(), 0.1);
-        assert_eq!(replaced.events.len(), 1);
+        let moved = Scenario::calm()
+            .with(scoped.clone())
+            .with(ScenarioEvent::LossWindow {
+                phase: Phase::whole_run(),
+                probability: 0.1,
+            });
+        assert_eq!(replaced, moved);
         replaced.set_whole_run_loss(0.0);
-        assert!(replaced.events.is_empty());
+        assert_eq!(replaced, Scenario::calm().with(scoped));
     }
 
     #[test]
     fn validation_rejects_bad_timelines() {
         // Out-of-range probability: the old code silently clamped this.
-        let too_lossy = Scenario::uniform_loss(1.5);
+        let too_lossy = whole_run_loss(1.5);
         assert_eq!(
             too_lossy.validate(),
             Err(InvalidParams::OutOfRange {
@@ -1291,9 +1247,11 @@ pub(crate) mod tests {
         assert!(scenario.changes_after(24), "the heal at 25 is a change");
         assert!(!scenario.changes_after(25));
         // Whole-run windows never block the stop (compatibility path).
-        assert!(!Scenario::uniform_loss(0.2).changes_after(0));
-        let mut churn = Scenario::calm();
-        churn.set_whole_run_churn(0.05);
+        assert!(!whole_run_loss(0.2).changes_after(0));
+        let churn = Scenario::calm().with(ScenarioEvent::ChurnBurst {
+            phase: Phase::whole_run(),
+            rate: 0.05,
+        });
         assert!(!churn.changes_after(0));
     }
 
@@ -1316,7 +1274,7 @@ pub(crate) mod tests {
         assert_eq!(transport.active_loss(), 0.2);
         assert!(!transport.partition_active(), "partition starts at 5");
         assert!(!scenario.build_churn().is_empty());
-        assert!(Scenario::uniform_loss(0.3).build_churn().is_empty());
+        assert!(whole_run_loss(0.3).build_churn().is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! leaf-set content node for node.
 
 use bss_core::experiment::{Experiment, ExperimentConfig};
-use bss_core::scenario::{Engine, LatencyModel, Phase, Scenario, ScenarioEvent};
+use bss_core::scenario::{Engine, LatencyModel, Phase, ScenarioEvent};
 
 #[test]
 fn both_engines_reach_the_same_converged_membership_at_512_nodes() {
@@ -80,7 +80,7 @@ fn event_engine_converges_under_latency_jitter_and_loss() {
         .network_size(256)
         .seed(7)
         .max_cycles(120)
-        .scenario(Scenario::uniform_loss(0.2))
+        .drop_probability(0.2)
         .engine(Engine::Event {
             latency: LatencyModel::Uniform {
                 min_millis: 10,
@@ -100,7 +100,7 @@ fn event_engine_converges_under_latency_jitter_and_loss() {
 #[test]
 fn cycle_zero_joiners_start_exactly_once() {
     // Regression: membership events effective at cycle 0 (here a flash crowd;
-    // the legacy whole-run churn_rate sugar hits the same path) start their
+    // a whole-run churn burst hits the same path) start their
     // joiners via start_node before the engine's own deferred start phase
     // runs. A double start would give those nodes two self-rescheduling
     // exchange-timer chains — observable as roughly twice as many initiated

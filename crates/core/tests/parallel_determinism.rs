@@ -174,7 +174,10 @@ fn churned_newscast_run_is_thread_count_invariant() {
             period_millis: 1000,
             ..NewscastParams::paper_default()
         }))
-        .churn_rate(0.02)
+        .event(ScenarioEvent::ChurnBurst {
+            phase: Phase::new(0, u64::MAX),
+            rate: 0.02,
+        })
         .drop_probability(0.1)
         .max_cycles(25)
         .stop_when_perfect(false)
@@ -326,7 +329,10 @@ fn traffic_series_are_thread_count_invariant() {
         .seed(23)
         .max_cycles(30)
         .stop_when_perfect(false)
-        .churn_rate(0.02)
+        .event(ScenarioEvent::ChurnBurst {
+            phase: Phase::new(0, u64::MAX),
+            rate: 0.02,
+        })
         .descriptor_max_age(Some(8))
         .event(ScenarioEvent::TrafficPhase {
             phase: Phase::new(0, 30),
@@ -384,8 +390,14 @@ proptest! {
         builder
             .network_size(size)
             .seed(seed)
-            .drop_probability(f64::from(drop_permille) / 1000.0)
-            .churn_rate(f64::from(churn_permille) / 1000.0)
+            .drop_probability(f64::from(drop_permille) / 1000.0);
+        if churn_permille > 0 {
+            builder.event(ScenarioEvent::ChurnBurst {
+                phase: Phase::new(0, u64::MAX),
+                rate: f64::from(churn_permille) / 1000.0,
+            });
+        }
+        builder
             .descriptor_max_age(max_age)
             .max_cycles(cycles)
             .stop_when_perfect(false);

@@ -1,4 +1,4 @@
-//! # bss-overlay — routing substrates that consume bootstrapped tables
+//! # bss-overlay — routing over bootstrapped tables
 //!
 //! The paper's claim is that the leaf sets and prefix tables built by the
 //! bootstrapping service are exactly what prefix-based routing substrates (Pastry,
@@ -12,20 +12,22 @@
 //!   hop-count / success statistics ([`LookupReport`](lookup::LookupReport)).
 //!   It routes with [`bss_core::routing::route`] over the
 //!   [`PopulationSnapshot`](bss_core::experiment::PopulationSnapshot) under the
-//!   per-hop rule its `RouterKind` selects (Pastry's prefix-then-distance step,
-//!   Kademlia's XOR-closest contact, Chord-style clockwise progress); the
-//!   rules and the loop live once, in [`bss_core::routing`], shared with the
-//!   live traffic driver.
+//!   per-hop rule a [`RouterKind`](bss_core::routing::RouterKind) selects
+//!   (Pastry's prefix-then-distance step, Kademlia's XOR-closest contact,
+//!   Chord-style clockwise progress); the rules and the loop live once, in
+//!   [`bss_core::routing`], shared with the live traffic driver.
 //! * `kademlia` — the XOR rule's checks (a prefix table with `b = 1..=4` is a
 //!   bucket view of the XOR metric space).
-//! * `chord` — a small Chord implementation (successor ring + fingers) used as
-//!   the "Chord on demand" related-work baseline: it is built instantly from
-//!   global knowledge and serves as the routing-quality yardstick.
+//!
+//! The crate has no router of its own: it is a thin driver over
+//! [`bss_core::routing`], and it remains only because the benchmark harness
+//! names [`LookupEvaluator`].
 //!
 //! # Example
 //!
 //! ```rust
 //! use bss_core::experiment::{Experiment, ExperimentConfig};
+//! use bss_core::routing::RouterKind;
 //! use bss_overlay::lookup::LookupEvaluator;
 //!
 //! // Bootstrap a small network, then route lookups over the resulting tables.
@@ -34,8 +36,8 @@
 //!     .seed(5)
 //!     .build()
 //!     .unwrap();
-//! // The evaluator re-runs the bootstrap internally so it can keep the node states.
-//! let report = LookupEvaluator::bootstrap_and_evaluate(&config, 200);
+//! let (_, population) = Experiment::new(config).run_with_snapshot();
+//! let report = LookupEvaluator::new(population, 5).evaluate(RouterKind::Pastry, 200);
 //! assert_eq!(report.success_rate(), 1.0);
 //! assert!(report.mean_hops() < 6.0);
 //! ```
@@ -44,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod chord;
 pub mod lookup;
 
 pub use lookup::LookupEvaluator;

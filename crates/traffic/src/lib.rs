@@ -111,11 +111,6 @@ impl TrafficWorkload {
     pub fn install(&self, builder: &mut ExperimentConfigBuilder) {
         builder.event(self.event()).traffic_router(self.router);
     }
-
-    /// Total lookups the workload issues over a full window (rate × cycles).
-    pub fn total_lookups(&self) -> u64 {
-        u64::from(self.lookups_per_cycle) * (self.phase.end - self.phase.start)
-    }
 }
 
 /// Run-level traffic outcome extracted from a [`RunReport`].
@@ -178,7 +173,6 @@ mod tests {
             .lookups_per_cycle(40)
             .router(RouterKind::Chord)
             .key_dist(KeyDist::Zipf { exponent: 1.0 });
-        assert_eq!(workload.total_lookups(), 400);
         let mut builder = ExperimentConfig::builder();
         builder.network_size(64).max_cycles(40);
         workload.install(&mut builder);

