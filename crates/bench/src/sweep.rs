@@ -50,7 +50,6 @@ impl Cell {
         self.config
             .sampler(SamplerChoice::Newscast(NewscastParams {
                 view_size: 20,
-                period_millis: 1000,
                 view_diversity_quota: quota,
                 ..NewscastParams::paper_default()
             }))

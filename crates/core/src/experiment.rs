@@ -887,7 +887,7 @@ impl MeasurementDriver {
         let poisoned_fraction = fraction(protocol.poisoned_stats(ctx));
         let eclipse_fraction = self
             .eclipse_target
-            .map_or(0.0, |target| protocol.eclipse_fraction(target));
+            .map_or(0.0, |target| protocol.eclipse_fraction(target, ctx));
         if eclipse_fraction >= ECLIPSE_THRESHOLD && self.report.time_to_eclipse.is_none() {
             self.report.time_to_eclipse = Some(cycle);
         }
@@ -1055,13 +1055,6 @@ pub(crate) fn run_scenario<S: PeerSampler>(
     lookup_traffic: Option<LookupTraffic>,
     observer: &mut dyn Observer,
 ) -> (RunReport, PopulationSnapshot) {
-    // Compile the scenario's Byzantine conversion (when one is on the
-    // timeline) into the adversary model the protocol and the sampler consult
-    // at plan time. The churn layer marks the converted nodes when the
-    // conversion fires; installation itself is behaviour-neutral.
-    if let Some(model) = config.scenario.build_adversary() {
-        protocol.install_adversary(model);
-    }
     match config.engine {
         Engine::Cycle | Engine::ParallelCycle { .. } => {
             run_on_cycle_engine(config, protocol, lookup_traffic, observer)
@@ -1129,6 +1122,7 @@ fn run_on_cycle_engine<S: PeerSampler>(
     if config.profile {
         engine.enable_profiling();
     }
+    engine.context_mut().adversary = config.scenario.build_adversary();
     protocol.init_all(engine.context_mut());
     let mut driver = MeasurementDriver::new(
         config,
@@ -1139,7 +1133,7 @@ fn run_on_cycle_engine<S: PeerSampler>(
     );
 
     let cores = thread::available_parallelism().map_or(1, usize::from);
-    let cycles_executed = engine.run_parallel_with_observer(
+    let cycles_executed = engine.run_with_observer(
         protocol,
         config.max_cycles,
         cycle_threads(config.engine, cores, config.network_size),
@@ -1162,6 +1156,7 @@ fn run_on_event_engine<S: PeerSampler>(
     let mut world = World::new(config);
     let mut engine: EventEngine<BootstrapMessage> =
         EventEngine::new(world.network, world.rng).with_transport(world.transport);
+    engine.context_mut().adversary = config.scenario.build_adversary();
     protocol.init_all(engine.context_mut());
     let mut driver = MeasurementDriver::new(
         config,
@@ -1243,8 +1238,7 @@ impl Experiment {
             }
             SamplerChoice::Newscast(params) => {
                 let mut protocol =
-                    BootstrapProtocol::new(self.config.params, NewscastProtocol::new(params))
-                        .with_sampler_steps();
+                    BootstrapProtocol::new(self.config.params, NewscastProtocol::new(params));
                 run_scenario(&self.config, &mut protocol, traffic, observer)
             }
         }
@@ -1275,7 +1269,6 @@ mod tests {
     fn newscast() -> NewscastParams {
         NewscastParams {
             view_size: 20,
-            period_millis: 1000,
             ..NewscastParams::paper_default()
         }
     }

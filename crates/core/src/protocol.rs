@@ -18,8 +18,8 @@ use crate::message::MessageScratch;
 use crate::node::BootstrapNode;
 use bss_sampling::quality::SamplingQuality;
 use bss_sampling::sampler::PeerSampler;
-use bss_sim::adversary::{forged_id, spray_id, AdversaryBehavior, AdversaryModel};
-use bss_sim::engine::cycle::{CycleProtocol, EngineContext, ParallelCycleProtocol, PhaseProfile};
+use bss_sim::adversary::{forged_id, spray_id, AdversaryBehavior};
+use bss_sim::engine::cycle::{execute_inline, CycleProtocol, EngineContext, PhaseProfile};
 use bss_sim::engine::event::{EventContext, EventProtocol};
 use bss_sim::network::{Network, NodeIndex};
 use bss_util::config::BootstrapParams;
@@ -95,17 +95,14 @@ fn count_flagged<'a>(
 /// [`NewscastProtocol`](bss_sampling::newscast::NewscastProtocol) for the full
 /// architecture of the paper, or over
 /// [`OracleSampler`](bss_sampling::sampler::OracleSampler) to isolate the
-/// bootstrap protocol from sampling quality.
+/// bootstrap protocol from sampling quality. Either way the sampler's own
+/// gossip step runs at the head of every node's step.
 #[derive(Debug)]
 pub(crate) struct BootstrapProtocol<S> {
     params: BootstrapParams,
     /// `params.geometry()`, worked out once for the views lookups read through.
     geometry: TableGeometry,
     sampler: S,
-    /// Whether the sampler's own gossip (`PeerSampler::step`) runs inside every
-    /// cycle. True when the sampling layer is NEWSCAST running concurrently;
-    /// irrelevant for the oracle.
-    run_sampler_steps: bool,
     /// The population in packed form: one [`CompactNode`] per initialised
     /// node, which exchanges compose from and merge into in place.
     nodes: Vec<Option<CompactNode>>,
@@ -123,11 +120,6 @@ pub(crate) struct BootstrapProtocol<S> {
     /// Per-thread working memory for exchange execution (the hot path). Slot 0
     /// serves the calling thread; a parallel cycle uses one slot per thread.
     worker_scratch: Vec<ExchangeScratch>,
-    /// The scenario's Byzantine adversary model, when one is installed.
-    /// Consulted only in the deterministic plan pass (and the event engine's
-    /// sequential handlers), so parallel runs stay bit-identical; `None` is
-    /// the byte-identical honest path.
-    adversary: Option<AdversaryModel>,
 }
 
 /// Key mixed into the identifiers a forging adversary fabricates. Any fixed
@@ -278,33 +270,13 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
             params,
             geometry: params.geometry().expect("validated just above"),
             sampler,
-            run_sampler_steps: false,
             nodes: Vec::new(),
             ids: Arc::default(),
             traffic: TrafficStats::default(),
             dirty: Vec::new(),
             dirty_flags: Vec::new(),
             worker_scratch: vec![ExchangeScratch::new(&params)],
-            adversary: None,
         }
-    }
-
-    /// Installs the scenario's Byzantine adversary model (the engine-agnostic
-    /// runner calls this once per run, before the first cycle): the protocol
-    /// consults it when planning exchanges, and forwards a copy to the sampler
-    /// so gossip-layer behaviours (the hub attack) act too.
-    pub(crate) fn install_adversary(&mut self, model: AdversaryModel) {
-        self.sampler.install_adversary(model.clone());
-        self.adversary = Some(model);
-    }
-
-    /// Makes the sampler execute its own gossip step for every node in every cycle
-    /// (builder style). Use this when the sampler is a real NEWSCAST instance that
-    /// must keep running underneath the bootstrap protocol.
-    #[must_use]
-    pub(crate) fn with_sampler_steps(mut self) -> Self {
-        self.run_sampler_steps = true;
-        self
     }
 
     /// Traffic statistics accumulated so far.
@@ -481,7 +453,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// the attack analogue of [`BootstrapProtocol::dead_descriptor_stats`],
     /// with the same early-out: no adversary, no conversions, no walk.
     pub(crate) fn poisoned_stats(&self, ctx: &EngineContext) -> (u64, u64) {
-        match self.adversary.as_ref() {
+        match ctx.adversary.as_ref() {
             Some(model) if model.converted_count() > 0 => {
                 count_flagged(self.stored_entries(ctx), |address| {
                     model.is_adversary(address)
@@ -493,11 +465,10 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
 
     /// The fraction of `target`'s leaf-set slots currently held by adversarial
     /// addresses — the eclipse metric: 1.0 means every route through the
-    /// target's neighbourhood passes through an attacker. Zero when no
-    /// adversary is installed or the target holds no state.
-    pub(crate) fn eclipse_fraction(&self, target: NodeIndex) -> f64 {
-        let (Some(model), Some(packed)) = (self.adversary.as_ref(), self.packed_node(target))
-        else {
+    /// target's neighbourhood passes through an attacker. Zero when the run
+    /// has no adversary or the target holds no state.
+    pub(crate) fn eclipse_fraction(&self, target: NodeIndex, ctx: &EngineContext) -> f64 {
+        let (Some(model), Some(packed)) = (ctx.adversary.as_ref(), self.packed_node(target)) else {
             return 0.0;
         };
         match count_flagged(packed.leaf_entries(), |address| model.is_adversary(address)) {
@@ -520,8 +491,9 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         &self,
         node: NodeIndex,
         cycle: u64,
+        ctx: &EngineContext,
     ) -> Option<Vec<Descriptor<NodeIndex>>> {
-        let model = self.adversary.as_ref()?;
+        let model = ctx.adversary.as_ref()?;
         if !model.acts_at(node, cycle) {
             return None;
         }
@@ -550,12 +522,11 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     /// nodes and the other behaviours return `None` (normal `SELECTPEER`
     /// applies — which must still run first, to keep the RNG stream aligned).
     fn adversarial_peer(
-        &self,
         node: NodeIndex,
         cycle: u64,
-        network: &Network,
+        ctx: &EngineContext,
     ) -> Option<Descriptor<NodeIndex>> {
-        let model = self.adversary.as_ref()?;
+        let (model, network) = (ctx.adversary.as_ref()?, &ctx.network);
         if !model.acts_at(node, cycle) {
             return None;
         }
@@ -591,9 +562,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         // An acting identity-spray adversary overrides SELECTPEER: every one
         // of its exchanges hits the eclipse target. The override happens after
         // the honest selection so the RNG stream is identical either way.
-        let peer = self
-            .adversarial_peer(node, cycle, &ctx.network)
-            .or(selected)?;
+        let peer = Self::adversarial_peer(node, cycle, ctx).or(selected)?;
         if peer.address() == node {
             return None;
         }
@@ -603,14 +572,16 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         let samples = self
             .sampler
             .sample(node, self.params.random_samples, cycle, ctx);
-        let samples = self.adversarial_samples(node, cycle).unwrap_or(samples);
+        let samples = self
+            .adversarial_samples(node, cycle, ctx)
+            .unwrap_or(samples);
         Some((peer, samples))
     }
 
     /// The decision half of `node`'s step in a cycle (Fig. 2a): the
-    /// sampler's own gossip when it runs underneath, then select a peer, draw
-    /// the random samples and the transport coins; `None` when there is no
-    /// exchange to run. Consumes the RNG stream exactly as the full
+    /// sampler's own gossip step, then select a peer, draw the random
+    /// samples and the transport coins; `None` when there is no exchange to
+    /// run. Consumes the RNG stream exactly as the full
     /// sequential exchange did — message composition and table updates draw
     /// no randomness, so deferring them (see [`execute_exchange`]) leaves the
     /// stream untouched. Reads no node's table but `node`'s own.
@@ -620,9 +591,7 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
         cycle: u64,
         ctx: &mut EngineContext,
     ) -> Option<ExchangePlan> {
-        if self.run_sampler_steps {
-            self.sampler.step(node, cycle, ctx);
-        }
+        self.sampler.execute_node(node, cycle, ctx);
         let (peer_descriptor, my_samples) = self.plan_request(node, cycle, ctx)?;
         let peer = peer_descriptor.address();
 
@@ -646,7 +615,9 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
                 .sample(peer, self.params.random_samples, cycle, ctx);
             // An acting adversary answers with fabrications too — this is how
             // a sprayer poisons the victims that contact *it*.
-            let samples = self.adversarial_samples(peer, cycle).unwrap_or(samples);
+            let samples = self
+                .adversarial_samples(peer, cycle, ctx)
+                .unwrap_or(samples);
             (samples, ctx.deliver(peer, node))
         } else {
             (Vec::new(), false)
@@ -747,13 +718,32 @@ impl<S: PeerSampler> CycleProtocol for BootstrapProtocol<S> {
         }
     }
 
+    /// At ≤ 1 thread the inline loop, which measured faster on one core than
+    /// a stream with no worker; above, [`BootstrapProtocol::stream_cycle`].
+    fn execute_cycle(
+        &mut self,
+        order: &[NodeIndex],
+        cycle: u64,
+        threads: usize,
+        ctx: &mut EngineContext,
+        profile: Option<&mut PhaseProfile>,
+    ) {
+        if threads <= 1 {
+            execute_inline(self, order, cycle, ctx, profile);
+        } else {
+            self.stream_cycle(order, cycle, threads, ctx, profile);
+        }
+    }
+
+    /// A joiner's sampler is seeded by §4's start condition (`view_size`
+    /// samples), not by the sampler's own one-contact join.
     fn node_joined(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
         self.sampler.init_node(node, cycle, ctx);
         self.init_node(node, cycle, ctx);
     }
 
-    fn node_departed(&mut self, node: NodeIndex, _cycle: u64, ctx: &mut EngineContext) {
-        self.sampler.node_departed(node, ctx);
+    fn node_departed(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
+        self.sampler.node_departed(node, cycle, ctx);
         if let Some(slot) = self.nodes.get_mut(node.as_usize()) {
             *slot = None;
         }
@@ -767,13 +757,6 @@ impl<S: PeerSampler> CycleProtocol for BootstrapProtocol<S> {
         // — the paper's premise is that the sampling layer survives the
         // catastrophe and the bootstrap layer rebuilds on top of it.
         self.init_node(node, cycle, ctx);
-    }
-
-    fn node_converted(&mut self, node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {
-        if let Some(model) = self.adversary.as_mut() {
-            model.note_converted(node);
-        }
-        self.sampler.node_converted(node);
     }
 }
 
@@ -830,9 +813,7 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
         // Periodic rescheduling first: a node keeps gossiping even when this
         // iteration finds no peer.
         ctx.set_timer(node, delta.max(1), EXCHANGE_TIMER);
-        if self.run_sampler_steps {
-            self.sampler.step(node, cycle, ctx.engine());
-        }
+        self.sampler.execute_node(node, cycle, ctx.engine());
         let Some((peer_descriptor, samples)) = self.plan_request(node, cycle, ctx.engine()) else {
             return;
         };
@@ -891,7 +872,9 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
                 let samples =
                     self.sampler
                         .sample(node, self.params.random_samples, cycle, ctx.engine());
-                let samples = self.adversarial_samples(node, cycle).unwrap_or(samples);
+                let samples = self
+                    .adversarial_samples(node, cycle, ctx.engine())
+                    .unwrap_or(samples);
                 let packed = self.nodes[node.as_usize()].as_mut().expect("checked above");
                 let ExchangeScratch {
                     message,
@@ -934,19 +917,6 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
     }
 }
 
-impl<S: PeerSampler> ParallelCycleProtocol for BootstrapProtocol<S> {
-    fn execute_cycle(
-        &mut self,
-        order: &[NodeIndex],
-        cycle: u64,
-        threads: usize,
-        ctx: &mut EngineContext,
-        profile: Option<&mut PhaseProfile>,
-    ) {
-        self.stream_cycle(order, cycle, threads, ctx, profile);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,7 +951,7 @@ mod tests {
         protocol.init_all(engine.context_mut());
         let oracle = protocol.oracle_for(engine.context());
         let mut last = NetworkConvergence::default();
-        let cycles = engine.run_with_observer(protocol, max_cycles, |p, ctx, _| {
+        let cycles = engine.run_with_observer(protocol, max_cycles, 1, |p, ctx, _| {
             last = p.measure(&oracle, &mut ConvergenceTracker::new(), ctx);
             if last.is_perfect() {
                 ControlFlow::Break(())
@@ -1014,10 +984,9 @@ mod tests {
         let mut eng = engine(150, 2);
         let newscast = NewscastProtocol::new(NewscastParams {
             view_size: 20,
-            period_millis: 1000,
             ..NewscastParams::paper_default()
         });
-        let mut protocol = BootstrapProtocol::new(small_params(), newscast).with_sampler_steps();
+        let mut protocol = BootstrapProtocol::new(small_params(), newscast);
         let (_, convergence) = run_to_convergence(&mut eng, &mut protocol, 80);
         assert!(
             convergence.is_perfect(),

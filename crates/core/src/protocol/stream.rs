@@ -199,8 +199,8 @@ impl Planner<'_> {
 }
 
 impl<S: PeerSampler> BootstrapProtocol<S> {
-    /// [`ParallelCycleProtocol::execute_cycle`](bss_sim::engine::cycle::ParallelCycleProtocol::execute_cycle):
-    /// the calling thread plans and `threads - 1` scoped workers execute.
+    /// `CycleProtocol::execute_cycle` above one thread: the calling thread
+    /// plans and `threads - 1` scoped workers execute.
     pub(super) fn stream_cycle(
         &mut self,
         order: &[NodeIndex],

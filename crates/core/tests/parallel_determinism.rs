@@ -171,7 +171,6 @@ fn churned_newscast_run_is_thread_count_invariant() {
         .seed(13)
         .sampler(SamplerChoice::Newscast(NewscastParams {
             view_size: 20,
-            period_millis: 1000,
             ..NewscastParams::paper_default()
         }))
         .event(ScenarioEvent::ChurnBurst {
@@ -267,7 +266,6 @@ fn recovery_partition_and_join_timeline_is_thread_count_invariant() {
         if newscast {
             builder.sampler(SamplerChoice::Newscast(NewscastParams {
                 view_size: 20,
-                period_millis: 1000,
                 ..NewscastParams::paper_default()
             }));
         }
@@ -299,7 +297,6 @@ fn adversarial_runs_are_thread_count_invariant() {
                 })
                 .sampler(SamplerChoice::Newscast(NewscastParams {
                     view_size: 15,
-                    period_millis: 1000,
                     view_diversity_quota: defended.then_some(2),
                     ..NewscastParams::paper_default()
                 }))
@@ -404,7 +401,6 @@ proptest! {
         if newscast {
             builder.sampler(SamplerChoice::Newscast(NewscastParams {
                 view_size: 15,
-                period_millis: 1000,
                 ..NewscastParams::paper_default()
             }));
         }

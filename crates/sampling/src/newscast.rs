@@ -11,7 +11,7 @@
 
 use crate::quality::SamplingQuality;
 use crate::sampler::PeerSampler;
-use bss_sim::adversary::{forged_id, AdversaryBehavior, AdversaryModel};
+use bss_sim::adversary::{forged_id, AdversaryBehavior};
 use bss_sim::engine::cycle::{CycleProtocol, EngineContext};
 use bss_sim::network::{Network, NodeIndex};
 use bss_util::config::NewscastParams;
@@ -31,9 +31,9 @@ const HUB_SYBIL_KEY: u64 = 0x4855_4241_5454_4143;
 
 /// The NEWSCAST protocol state for every node in a simulation.
 ///
-/// The type implements both [`CycleProtocol`] (so it can be driven directly by the
-/// cycle engine) and [`PeerSampler`] (so the bootstrapping service can draw its
-/// `cr` random samples from it).
+/// The type is a [`PeerSampler`] (so the bootstrapping service can draw its `cr`
+/// random samples from it) and hence a [`CycleProtocol`] (so the cycle engine
+/// drives it alone, or the bootstrap runs its gossip step underneath).
 ///
 /// All views live in one flat [`ViewArena`] (a `view_size`-sized slot per node)
 /// storing eight-byte packed descriptors — identifiers are recovered from the
@@ -52,10 +52,6 @@ pub struct NewscastProtocol {
     merge_scratch: View,
     /// Reusable buffer for re-packing a merged view into its arena slot.
     packed_scratch: Vec<PackedDescriptor>,
-    /// The scenario's Byzantine adversary model, when one is installed. Hub
-    /// attackers subvert their own view exchanges (sybil floods); everyone
-    /// else's traffic is untouched, so `None` is the byte-identical honest path.
-    adversary: Option<AdversaryModel>,
 }
 
 impl NewscastProtocol {
@@ -68,15 +64,16 @@ impl NewscastProtocol {
             response_scratch: Vec::new(),
             merge_scratch: Vec::new(),
             packed_scratch: Vec::new(),
-            adversary: None,
         }
     }
 
     /// Whether `node` is a converted hub attacker whose behaviour is active at
     /// `cycle` — the only adversary class that subverts the NEWSCAST layer
     /// itself (forgery and identity-spray act on bootstrap messages instead).
-    fn acts_as_hub(&self, node: NodeIndex, cycle: u64) -> bool {
-        self.adversary.as_ref().is_some_and(|model| {
+    /// Hub attackers subvert their own view exchanges (sybil floods);
+    /// everyone else's traffic is untouched.
+    fn acts_as_hub(ctx: &EngineContext, node: NodeIndex, cycle: u64) -> bool {
+        ctx.adversary.as_ref().is_some_and(|model| {
             matches!(model.behavior(), AdversaryBehavior::HubAttack) && model.acts_at(node, cycle)
         })
     }
@@ -195,9 +192,11 @@ impl NewscastProtocol {
         packed_scratch.extend(scratch.iter().map(Network::pack));
         views.set(node.as_usize(), packed_scratch);
     }
+}
 
+impl CycleProtocol for NewscastProtocol {
     /// One active NEWSCAST exchange initiated by `node` at cycle `cycle`.
-    fn exchange(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
+    fn execute_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
         let own_id = ctx.network.id(node);
         let capacity = self.params.view_size;
 
@@ -216,7 +215,7 @@ impl NewscastProtocol {
         }
         let mut request = std::mem::take(&mut self.request_scratch);
         request.clear();
-        if self.acts_as_hub(node, cycle) {
+        if Self::acts_as_hub(ctx, node, cycle) {
             Self::hub_payload(&mut request, node, cycle, capacity);
         } else {
             request.push(ctx.network.descriptor(node, cycle));
@@ -235,7 +234,7 @@ impl NewscastProtocol {
         // sybil flood, if the contacted peer is an acting hub attacker).
         let mut response = std::mem::take(&mut self.response_scratch);
         response.clear();
-        if self.acts_as_hub(peer, cycle) {
+        if Self::acts_as_hub(ctx, peer, cycle) {
             Self::hub_payload(&mut response, peer, cycle, capacity);
         } else {
             response.push(ctx.network.descriptor(peer, cycle));
@@ -280,33 +279,23 @@ impl NewscastProtocol {
         self.request_scratch = request;
         self.response_scratch = response;
     }
-}
 
-impl CycleProtocol for NewscastProtocol {
-    fn execute_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
-        self.exchange(node, cycle, ctx);
-    }
-
+    /// Standalone NEWSCAST's join: the joiner knows a single existing contact
+    /// (plus nothing else), and gossip spreads knowledge of it from there.
+    /// Under the bootstrap a joiner is seeded through
+    /// [`PeerSampler::init_node`] instead.
     fn node_joined(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
-        // A joiner knows a single existing contact (plus nothing else); NEWSCAST
-        // spreads knowledge of it from there.
-        let contact = ctx
+        let seeds = ctx
             .network
-            .random_alive(&mut ctx.rng)
-            .filter(|&c| c != node);
-        let seeds = contact
-            .map(|c| vec![ctx.network.descriptor(c, cycle)])
-            .unwrap_or_default();
+            .sample_alive_excluding(node, 1, &mut ctx.rng)
+            .into_iter()
+            .map(|contact| ctx.network.descriptor(contact, cycle))
+            .collect();
         self.init_node_with(node, seeds, ctx);
     }
 
-    fn node_departed(&mut self, node: NodeIndex, _cycle: u64, ctx: &mut EngineContext) {
-        let _ = ctx;
+    fn node_departed(&mut self, node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {
         self.views.clear(node.as_usize());
-    }
-
-    fn node_converted(&mut self, node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {
-        PeerSampler::node_converted(self, node);
     }
 }
 
@@ -331,26 +320,8 @@ impl PeerSampler for NewscastProtocol {
         self.init_node_with(node, seeds, ctx);
     }
 
-    fn node_departed(&mut self, node: NodeIndex, ctx: &mut EngineContext) {
-        CycleProtocol::node_departed(self, node, 0, ctx);
-    }
-
-    fn install_adversary(&mut self, model: AdversaryModel) {
-        self.adversary = Some(model);
-    }
-
-    fn node_converted(&mut self, node: NodeIndex) {
-        if let Some(model) = self.adversary.as_mut() {
-            model.note_converted(node);
-        }
-    }
-
     fn quality(&self, network: &Network) -> Option<SamplingQuality> {
         Some(crate::quality::snapshot(self, network))
-    }
-
-    fn step(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
-        self.exchange(node, cycle, ctx);
     }
 
     fn sample(
@@ -378,6 +349,7 @@ impl PeerSampler for NewscastProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bss_sim::adversary::AdversaryModel;
     use bss_sim::engine::cycle::CycleEngine;
     use bss_sim::network::Network;
     use bss_sim::transport::Transport;
@@ -393,7 +365,6 @@ mod tests {
         let mut eng = engine(size, seed);
         let mut protocol = NewscastProtocol::new(NewscastParams {
             view_size: 20,
-            period_millis: 1000,
             ..NewscastParams::paper_default()
         });
         protocol.init_all(eng.context_mut());
@@ -524,11 +495,51 @@ mod tests {
     }
 
     #[test]
+    fn a_joiner_never_draws_itself_as_its_contact() {
+        // One node, one joiner: the only contact the joiner can know is the
+        // original node, whatever the seed. Drawing the contact among all
+        // alive nodes picked the joiner itself about half the time and left
+        // it with an empty view for good.
+        for seed in 0..64 {
+            let mut eng = engine(1, seed);
+            let mut protocol = NewscastProtocol::new(NewscastParams::paper_default());
+            protocol.init_all(eng.context_mut());
+            let ctx = eng.context_mut();
+            let joiner = ctx.network.add_random_node(&mut ctx.rng);
+            protocol.node_joined(joiner, 1, ctx);
+            let view = protocol.view(joiner).expect("joiner initialised");
+            assert_eq!(view.len(), 1, "seed {seed}: joiner isolated");
+            assert_eq!(view[0].address(), 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn the_default_cycle_ignores_the_thread_budget() {
+        // NEWSCAST keeps the default `execute_cycle`, the inline loop: a run
+        // offered four threads is the one-thread run, view for view.
+        let run = |threads| {
+            let mut eng = engine(100, 12);
+            let mut protocol = NewscastProtocol::new(NewscastParams::paper_default());
+            protocol.init_all(eng.context_mut());
+            eng.run_with_observer(&mut protocol, 10, threads, |_, _, _| {
+                std::ops::ControlFlow::Continue(())
+            });
+            let views: Vec<Vec<PackedDescriptor>> = eng
+                .context()
+                .network
+                .all_indices()
+                .map(|node| protocol.view(node).unwrap_or_default().to_vec())
+                .collect();
+            views
+        };
+        assert_eq!(run(4), run(1));
+    }
+
+    #[test]
     fn init_node_with_respects_capacity_and_self_exclusion() {
         let mut eng = engine(10, 6);
         let mut protocol = NewscastProtocol::new(NewscastParams {
             view_size: 3,
-            period_millis: 1000,
             ..NewscastParams::paper_default()
         });
         let own = eng.context().network.descriptor(NodeIndex::new(0), 0);
@@ -589,7 +600,6 @@ mod tests {
         let mut eng = CycleEngine::new(network, rng);
         let mut protocol = NewscastProtocol::new(NewscastParams {
             view_size: 20,
-            period_millis: 1000,
             descriptor_max_age: Some(4),
             ..NewscastParams::paper_default()
         });
@@ -612,14 +622,13 @@ mod tests {
         let mut eng = engine(80, seed);
         let mut protocol = NewscastProtocol::new(NewscastParams {
             view_size: 10,
-            period_millis: 1000,
             view_diversity_quota: quota,
             ..NewscastParams::paper_default()
         });
         // One hub attacker, active from cycle 3 onwards.
         let mut model = AdversaryModel::new(3, u64::MAX, AdversaryBehavior::HubAttack);
         model.note_converted(NodeIndex::new(0));
-        PeerSampler::install_adversary(&mut protocol, model);
+        eng.context_mut().adversary = Some(model);
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 20);
         (protocol, eng)
@@ -665,7 +674,6 @@ mod tests {
         let mut eng = engine(100, 9);
         let mut quota = NewscastProtocol::new(NewscastParams {
             view_size: 20,
-            period_millis: 1000,
             view_diversity_quota: Some(1),
             ..NewscastParams::paper_default()
         });
@@ -712,8 +720,7 @@ mod tests {
                 let mut ctx = bss_sim::engine::cycle::EngineContext::new(network, rng);
                 let mut protocol = NewscastProtocol::new(NewscastParams {
                     view_size,
-                    period_millis: 1000,
-                    ..NewscastParams::paper_default()
+                            ..NewscastParams::paper_default()
                 });
                 let joiner = {
                     let rng = &mut ctx.rng;

@@ -86,7 +86,7 @@ pub(crate) fn snapshot(protocol: &NewscastProtocol, network: &Network) -> Sampli
 mod tests {
     use super::*;
     use crate::sampler::PeerSampler;
-    use bss_sim::engine::cycle::CycleEngine;
+    use bss_sim::engine::cycle::{CycleEngine, CycleProtocol};
     use bss_util::config::NewscastParams;
     use bss_util::rng::SimRng;
 
@@ -96,7 +96,6 @@ mod tests {
         let mut engine = CycleEngine::new(network, rng);
         let mut protocol = NewscastProtocol::new(NewscastParams {
             view_size: 20,
-            period_millis: 1000,
             ..NewscastParams::paper_default()
         });
         protocol.init_all(engine.context_mut());
@@ -130,7 +129,7 @@ mod tests {
         let victims: Vec<NodeIndex> = engine.context().network.alive_indices().take(30).collect();
         for v in victims {
             engine.context_mut().network.kill(v);
-            PeerSampler::node_departed(&mut protocol, v, engine.context_mut());
+            CycleProtocol::node_departed(&mut protocol, v, 0, engine.context_mut());
         }
         let fraction_before = dead_pointer_fraction(&protocol, &engine.context().network);
         assert!(

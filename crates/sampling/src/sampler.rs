@@ -6,23 +6,29 @@
 //! against the trait so the same bootstrap code runs over real NEWSCAST gossip or
 //! over the [`OracleSampler`], which returns perfectly uniform samples straight
 //! from the registry. Comparing the two isolates the effect of sampling quality on
-//! convergence (an ablation reported in `EXPERIMENTS.md`).
+//! convergence (ablation C of `bss-bench ablation`).
 
 use crate::quality::SamplingQuality;
-use bss_sim::adversary::AdversaryModel;
-use bss_sim::engine::cycle::EngineContext;
+use bss_sim::engine::cycle::{CycleProtocol, EngineContext};
 use bss_sim::network::{Network, NodeIndex};
 use bss_util::descriptor::Descriptor;
 use std::fmt::Debug;
 
 /// A source of random peer descriptors, as seen by one simulated node.
 ///
+/// A sampler is a gossip protocol in its own right, so it is a
+/// [`CycleProtocol`]: `execute_node` is one gossip step (nothing, for the
+/// oracle), and a protocol stacked on it calls it from its own. A joiner under
+/// that protocol is seeded through [`init_node`](PeerSampler::init_node) (§4's
+/// start condition), not the sampler's own one-contact `node_joined`. The
+/// run's adversary is read from [`EngineContext::adversary`].
+///
 /// Implementations may keep per-node state (NEWSCAST caches) or none at all (the
 /// oracle). All methods receive the [`EngineContext`] so they can reach the node
 /// registry, the RNG and the transport. A sampler is `Sync`, so the protocol
 /// that owns one can be read from several threads at once (the lookups of a
 /// traffic cycle).
-pub trait PeerSampler: Debug + Sync {
+pub trait PeerSampler: CycleProtocol + Debug + Sync {
     /// Initialises per-node state for `node` (called for every initial node and
     /// for every later joiner before it first samples). `cycle` is the logical
     /// time of the initialisation — 0 at start-up, the join cycle for later
@@ -41,19 +47,6 @@ pub trait PeerSampler: Debug + Sync {
         }
     }
 
-    /// Forgets per-node state for a departed node.
-    fn node_departed(&mut self, _node: NodeIndex, _ctx: &mut EngineContext) {}
-
-    /// Installs the scenario's Byzantine adversary model: samplers whose own
-    /// gossip traffic can be subverted (NEWSCAST's view exchanges) keep the
-    /// model and consult it when composing messages. The default ignores it —
-    /// a stateless sampler like the oracle has no messages to subvert.
-    fn install_adversary(&mut self, _model: AdversaryModel) {}
-
-    /// Marks `node` as converted in the sampler's copy of the adversary model
-    /// (a no-op when no model is installed or the sampler keeps none).
-    fn node_converted(&mut self, _node: NodeIndex) {}
-
     /// A snapshot of the sampler's overlay quality (in-degree distribution,
     /// dead pointers), when the sampler maintains an overlay to measure.
     /// Stateless samplers return `None` — the measurement harness uses this
@@ -61,10 +54,6 @@ pub trait PeerSampler: Debug + Sync {
     fn quality(&self, _network: &Network) -> Option<SamplingQuality> {
         None
     }
-
-    /// Executes one gossip step of the sampling protocol itself for `node` (a no-op
-    /// for stateless implementations).
-    fn step(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
 
     /// Draws up to `count` random peer descriptors for `node`. Fewer (possibly
     /// zero) descriptors may be returned when the sampler does not know enough
@@ -93,6 +82,10 @@ impl OracleSampler {
     pub fn new() -> Self {
         OracleSampler
     }
+}
+
+impl CycleProtocol for OracleSampler {
+    fn execute_node(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
 }
 
 impl PeerSampler for OracleSampler {

@@ -3,10 +3,11 @@
 //! A scenario timeline can *convert* a fraction of the alive population into
 //! Byzantine nodes for a window of cycles (see `ScenarioEvent::ByzantineConvert`
 //! in `bss-core`). The compiled [`AdversaryModel`] lives here, one crate below
-//! the protocol stacks, so both the bootstrapping protocol (leaf-set / prefix
-//! attacks) and the NEWSCAST sampler (view flooding) can consult the same
-//! state: membership of the adversary set, the active window, and the
-//! configured behavior.
+//! the protocol stacks, and one copy of it per run lives in the engine's
+//! [`EngineContext`](crate::engine::cycle::EngineContext), so both the
+//! bootstrapping protocol (leaf-set / prefix attacks) and the NEWSCAST sampler
+//! (view flooding) consult the same state: membership of the adversary set,
+//! the active window, and the configured behavior.
 //!
 //! The model is *consulted during the deterministic plan / message-composition
 //! step only*: converted nodes substitute the payload of the messages they were

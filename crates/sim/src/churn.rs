@@ -47,8 +47,8 @@ pub struct ChurnEvents {
     /// seed set ([`ChurnStep::ReBootstrap`]); the registry does not change.
     pub rebootstrapped: Vec<NodeIndex>,
     /// Alive nodes converted into Byzantine adversaries
-    /// ([`ChurnStep::Convert`]), ascending and without duplicates; the
-    /// protocol stacks mark them in their
+    /// ([`ChurnStep::Convert`]), ascending and without duplicates;
+    /// [`ChurnEvents::deliver`] marks them in the context's
     /// [`AdversaryModel`](crate::adversary::AdversaryModel).
     pub converted: Vec<NodeIndex>,
 }
@@ -63,9 +63,10 @@ impl ChurnEvents {
     }
 
     /// Calls `protocol`'s membership hooks, in the order every engine uses:
-    /// departed, then joined, then re-bootstrapped, then converted — state is
-    /// torn down before any is built, and an order to an existing node runs
-    /// against the cycle's final membership.
+    /// departed, then joined, then re-bootstrapped — state is torn down
+    /// before any is built, and an order to an existing node runs against the
+    /// cycle's final membership — then marks the converted nodes in
+    /// [`EngineContext::adversary`], if a model is set.
     pub fn deliver<P: CycleProtocol>(&self, protocol: &mut P, cycle: u64, ctx: &mut EngineContext) {
         for &node in &self.departed {
             protocol.node_departed(node, cycle, ctx);
@@ -76,8 +77,10 @@ impl ChurnEvents {
         for &node in &self.rebootstrapped {
             protocol.node_rebootstrapped(node, cycle, ctx);
         }
-        for &node in &self.converted {
-            protocol.node_converted(node, cycle, ctx);
+        if let Some(model) = ctx.adversary.as_mut() {
+            for &node in &self.converted {
+                model.note_converted(node);
+            }
         }
     }
 }
@@ -466,6 +469,65 @@ mod tests {
         assert_eq!(rng, fingerprint, "full conversion draws no randomness");
         assert_eq!(all.converted.len(), 9);
         assert!(!all.converted.contains(&NodeIndex::new(2)));
+    }
+
+    /// Counts the hooks [`ChurnEvents::deliver`] calls.
+    #[derive(Default)]
+    struct Hooks {
+        departed: usize,
+        joined: usize,
+        rebootstrapped: usize,
+    }
+
+    impl CycleProtocol for Hooks {
+        fn execute_node(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
+        fn node_joined(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {
+            self.joined += 1;
+        }
+        fn node_departed(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {
+            self.departed += 1;
+        }
+        fn node_rebootstrapped(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {
+            self.rebootstrapped += 1;
+        }
+    }
+
+    #[test]
+    fn deliver_marks_conversions_in_the_context_model() {
+        use crate::adversary::{AdversaryBehavior, AdversaryModel};
+        let timeline = [
+            convert(0, 0.3),
+            kill(0, 0.2),
+            join(0, 4),
+            rebootstrap(0, 0.5),
+        ];
+        for model in [
+            None,
+            Some(AdversaryModel::new(
+                0,
+                u64::MAX,
+                AdversaryBehavior::HubAttack,
+            )),
+        ] {
+            let (mut net, mut rng) = network(40, 20);
+            let events = Churn::new(timeline).apply(0, &mut net, &mut rng);
+            assert!(!events.converted.is_empty());
+            let mut ctx = EngineContext::new(net, rng);
+            ctx.adversary = model;
+            let mut hooks = Hooks::default();
+            events.deliver(&mut hooks, 0, &mut ctx);
+            // The other hooks run whether or not a model is set.
+            assert_eq!(hooks.departed, events.departed.len());
+            assert_eq!(hooks.joined, events.joined.len());
+            assert_eq!(hooks.rebootstrapped, events.rebootstrapped.len());
+            let Some(model) = ctx.adversary else {
+                continue;
+            };
+            assert_eq!(model.converted_count(), events.converted.len());
+            for node in ctx.network.all_indices() {
+                assert_eq!(model.is_adversary(node), events.converted.contains(&node));
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! phases within the interval Δ (§5: "We start the bootstrapping protocol at each
 //! node at a different random time within an interval of length Δ").
 
+use crate::adversary::AdversaryModel;
 use crate::churn::Churn;
 use crate::network::{Network, NodeIndex};
 use crate::transport::Transport;
@@ -15,7 +16,7 @@ use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
 /// Mutable state shared by the engine and the protocol during a run: the node
-/// registry, the random number generator and the transport.
+/// registry, the random number generator, the transport and the adversary.
 #[derive(Debug)]
 pub struct EngineContext {
     /// The global node registry.
@@ -24,15 +25,21 @@ pub struct EngineContext {
     pub rng: SimRng,
     /// The message delivery policy.
     pub transport: Transport,
+    /// The run's Byzantine adversary model (`None` when honest), set before
+    /// any node is initialised; churn marks conversions in it. Every protocol
+    /// layer reads this one copy, on the planning thread or in event handlers
+    /// only, so runs stay bit-identical at any thread count.
+    pub adversary: Option<AdversaryModel>,
 }
 
 impl EngineContext {
-    /// Creates a context with a [reliable](Transport::reliable) transport.
+    /// Creates a context with a [reliable](Transport::reliable) transport and no adversary.
     pub fn new(network: Network, rng: SimRng) -> Self {
         EngineContext {
             network,
             rng,
             transport: Transport::reliable(),
+            adversary: None,
         }
     }
 
@@ -45,38 +52,21 @@ impl EngineContext {
 /// A protocol that can be driven by the [`CycleEngine`].
 ///
 /// Only [`execute_node`](CycleProtocol::execute_node) is mandatory; the
-/// membership hooks have empty default implementations.
+/// membership hooks do nothing by default and
+/// [`execute_cycle`](CycleProtocol::execute_cycle) runs the cycle inline. A
+/// peer sampler is a `CycleProtocol` too, whose `execute_node` is its gossip
+/// step. Byzantine conversions are no hook: they land in
+/// [`EngineContext::adversary`].
 pub trait CycleProtocol {
     /// Called once per alive node per cycle, in a random order.
     fn execute_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext);
 
-    /// Called when churn adds a node to the network.
-    fn node_joined(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
-
-    /// Called when churn removes a node from the network.
-    fn node_departed(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
-
-    /// Called when a scenario orders an alive node to re-initialise its
-    /// protocol state from the seed set (the `ReBootstrap` recovery event).
-    /// Membership is unchanged; the default does nothing.
-    fn node_rebootstrapped(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
-
-    /// Called when a scenario converts an alive node into a Byzantine
-    /// adversary (the `ByzantineConvert` event). Membership is unchanged;
-    /// protocols that model adversaries mark the node in their
-    /// [`AdversaryModel`](crate::adversary::AdversaryModel). The default does
-    /// nothing (honest protocols simply ignore conversions).
-    fn node_converted(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
-}
-
-/// A [`CycleProtocol`] that can spread a cycle over several threads and still
-/// produce, bit for bit, what the sequential engine produces.
-pub trait ParallelCycleProtocol: CycleProtocol {
-    /// Runs one cycle on up to `threads` threads (`threads >= 2`): for every
-    /// node of `order` still alive when its turn comes, the effects of
-    /// [`execute_node`](CycleProtocol::execute_node), in that order, exactly
-    /// as the sequential engine produces them — the same RNG draws, the same
-    /// final states, the same counters.
+    /// Runs one cycle: for every node of `order` still alive when its turn
+    /// comes, the effects of [`execute_node`](CycleProtocol::execute_node),
+    /// in that order. A protocol may spread the work over up to `threads`
+    /// threads, provided the result is bit for bit the one-thread result —
+    /// the same RNG draws, the same final states, the same counters. The
+    /// default ignores `threads` and runs [`execute_inline`].
     ///
     /// With `profile`, adds the calling thread's time spent executing work or
     /// waiting for other threads to `execute`, and its time spent applying
@@ -86,10 +76,47 @@ pub trait ParallelCycleProtocol: CycleProtocol {
         &mut self,
         order: &[NodeIndex],
         cycle: u64,
-        threads: usize,
+        _threads: usize,
         ctx: &mut EngineContext,
         profile: Option<&mut PhaseProfile>,
-    );
+    ) {
+        execute_inline(self, order, cycle, ctx, profile);
+    }
+
+    /// Called when churn adds a node to the network. A protocol stacked on a
+    /// peer sampler seeds the joiner's sampler through the sampler's
+    /// `init_node`, not through the sampler's own `node_joined`.
+    fn node_joined(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
+
+    /// Called when churn removes a node from the network.
+    fn node_departed(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
+
+    /// Called when a scenario orders an alive node to re-initialise its
+    /// protocol state from the seed set (the `ReBootstrap` recovery event).
+    /// Membership is unchanged; the default does nothing.
+    fn node_rebootstrapped(&mut self, _node: NodeIndex, _cycle: u64, _ctx: &mut EngineContext) {}
+}
+
+/// The one-thread cycle: [`CycleProtocol::execute_node`] for every node of
+/// `order` still alive when its turn comes, timed as `execute`.
+pub fn execute_inline<P: CycleProtocol + ?Sized>(
+    protocol: &mut P,
+    order: &[NodeIndex],
+    cycle: u64,
+    ctx: &mut EngineContext,
+    profile: Option<&mut PhaseProfile>,
+) {
+    let started = Instant::now();
+    for &node in order {
+        // A node scheduled earlier in the cycle may since have been removed
+        // by protocol-driven actions; re-check liveness.
+        if ctx.network.is_alive(node) {
+            protocol.execute_node(node, cycle, ctx);
+        }
+    }
+    if let Some(profile) = profile {
+        profile.execute += started.elapsed();
+    }
 }
 
 /// Accumulated wall time per engine phase, enabled with
@@ -145,7 +172,7 @@ impl PhaseProfile {
 /// let mut engine = CycleEngine::new(network, rng);
 /// let mut protocol = Nothing;
 /// // Stop early from the observer after three cycles.
-/// let completed = engine.run_with_observer(&mut protocol, 100, |_p, _ctx, cycle| {
+/// let completed = engine.run_with_observer(&mut protocol, 100, 1, |_p, _ctx, cycle| {
 ///     if cycle >= 2 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) }
 /// });
 /// assert_eq!(completed, 3);
@@ -212,80 +239,25 @@ impl CycleEngine {
         &mut self.context
     }
 
-    /// Runs `protocol` for exactly `cycles` cycles. Returns the number of cycles
-    /// executed (always `cycles`).
+    /// Runs `protocol` for exactly `cycles` cycles on one thread. Returns the
+    /// number of cycles executed (always `cycles`).
     pub fn run<P: CycleProtocol>(&mut self, protocol: &mut P, cycles: u64) -> u64 {
-        self.run_with_observer(protocol, cycles, |_, _, _| ControlFlow::Continue(()))
+        self.run_with_observer(protocol, cycles, 1, |_, _, _| ControlFlow::Continue(()))
     }
 
-    /// Runs `protocol` for at most `max_cycles` cycles, invoking `observer` after
-    /// every cycle. The observer can stop the run early by returning
-    /// [`ControlFlow::Break`]. Returns the number of cycles executed.
-    pub fn run_with_observer<P, F>(&mut self, protocol: &mut P, max_cycles: u64, observer: F) -> u64
-    where
-        P: CycleProtocol,
-        F: FnMut(&mut P, &mut EngineContext, u64) -> ControlFlow<()>,
-    {
-        self.run_cycles(
-            protocol,
-            max_cycles,
-            observer,
-            |protocol, order, cycle, ctx, profile| {
-                let started = Instant::now();
-                for &node in order {
-                    // A node scheduled earlier in the cycle may since have been removed
-                    // by protocol-driven actions; re-check liveness.
-                    if ctx.network.is_alive(node) {
-                        protocol.execute_node(node, cycle, ctx);
-                    }
-                }
-                if let Some(profile) = profile {
-                    profile.execute += started.elapsed();
-                }
-            },
-        )
-    }
-
-    /// Parallel equivalent of [`CycleEngine::run_with_observer`]: hands each
-    /// cycle's shuffled order to [`ParallelCycleProtocol::execute_cycle`] with
-    /// a budget of `threads` threads. The protocol promises the sequential
-    /// engine's result, so the run is bit-for-bit identical at any thread
-    /// count.
-    ///
-    /// `threads <= 1` falls back to [`CycleEngine::run_with_observer`].
-    pub fn run_parallel_with_observer<P, F>(
+    /// Runs `protocol` for at most `max_cycles` cycles, handing each cycle's
+    /// shuffled order to [`CycleProtocol::execute_cycle`] with a budget of
+    /// `threads` threads and invoking `observer` after every cycle. The
+    /// observer can stop the run early by returning [`ControlFlow::Break`].
+    /// Returns the number of cycles executed. Whatever of a cycle
+    /// `execute_cycle` does not report as `execute` or `commit` is profiled
+    /// as `plan`.
+    pub fn run_with_observer<P, F>(
         &mut self,
         protocol: &mut P,
         max_cycles: u64,
         threads: usize,
-        observer: F,
-    ) -> u64
-    where
-        P: ParallelCycleProtocol,
-        F: FnMut(&mut P, &mut EngineContext, u64) -> ControlFlow<()>,
-    {
-        if threads <= 1 {
-            return self.run_with_observer(protocol, max_cycles, observer);
-        }
-        self.run_cycles(
-            protocol,
-            max_cycles,
-            observer,
-            |protocol, order, cycle, ctx, profile| {
-                protocol.execute_cycle(order, cycle, threads, ctx, profile);
-            },
-        )
-    }
-
-    /// The cycle loop both engines share: churn, a fresh order, `step` over
-    /// that order, then the observer. Whatever of a cycle `step` does not
-    /// report as `execute` or `commit` is profiled as `plan`.
-    fn run_cycles<P, F>(
-        &mut self,
-        protocol: &mut P,
-        max_cycles: u64,
         mut observer: F,
-        mut step: impl FnMut(&mut P, &[NodeIndex], u64, &mut EngineContext, Option<&mut PhaseProfile>),
     ) -> u64
     where
         P: CycleProtocol,
@@ -306,10 +278,10 @@ impl CycleEngine {
                 .extend(self.context.network.alive_indices());
             self.context.rng.shuffle(&mut self.order_scratch);
             let stepped_before = self.profiler.map(|p| p.execute + p.commit);
-            step(
-                protocol,
+            protocol.execute_cycle(
                 &self.order_scratch,
                 cycle,
+                threads,
                 &mut self.context,
                 self.profiler.as_mut(),
             );
@@ -425,7 +397,7 @@ mod tests {
     fn observer_can_stop_the_run_early() {
         let mut eng = engine(10, 3);
         let mut protocol = Recorder::default();
-        let executed = eng.run_with_observer(&mut protocol, 100, |_p, _ctx, cycle| {
+        let executed = eng.run_with_observer(&mut protocol, 100, 1, |_p, _ctx, cycle| {
             if cycle >= 4 {
                 ControlFlow::Break(())
             } else {

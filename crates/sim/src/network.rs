@@ -205,26 +205,6 @@ impl Network {
             .collect()
     }
 
-    /// Picks a uniformly random alive node, or `None` when none is alive.
-    pub fn random_alive(&self, rng: &mut SimRng) -> Option<NodeIndex> {
-        if self.alive_count == 0 {
-            return None;
-        }
-        // Rejection sampling over the dense index space; the alive fraction in our
-        // scenarios is large enough that this terminates quickly. Fall back to a
-        // linear scan if the registry is mostly dead.
-        if self.alive_count * 4 >= self.entries.len() {
-            loop {
-                let candidate = NodeIndex::new(rng.index(self.entries.len()) as u32);
-                if self.is_alive(candidate) {
-                    return Some(candidate);
-                }
-            }
-        }
-        let alive: Vec<NodeIndex> = self.alive_indices().collect();
-        alive.get(rng.index(alive.len())).copied()
-    }
-
     /// Builds the descriptor of a node with the supplied freshness timestamp.
     ///
     /// # Panics
@@ -472,31 +452,6 @@ mod tests {
         let alive: Vec<_> = network.alive_indices().collect();
         assert_eq!(alive, vec![NodeIndex::new(1), NodeIndex::new(3)]);
         assert_eq!(network.all_indices().count(), 4);
-    }
-
-    #[test]
-    fn random_alive_only_returns_living_nodes() {
-        let mut rng = SimRng::seed_from(9);
-        let mut network = Network::with_random_ids(50, &mut rng);
-        for idx in 0..45u32 {
-            network.kill(NodeIndex::new(idx));
-        }
-        for _ in 0..200 {
-            let picked = network.random_alive(&mut rng).unwrap();
-            assert!(network.is_alive(picked));
-            assert!(picked.raw() >= 45);
-        }
-    }
-
-    #[test]
-    fn random_alive_on_dead_network_is_none() {
-        let mut rng = SimRng::seed_from(10);
-        let mut network = Network::with_random_ids(3, &mut rng);
-        for idx in network.all_indices().collect::<Vec<_>>() {
-            network.kill(idx);
-        }
-        assert!(network.random_alive(&mut rng).is_none());
-        assert!(Network::empty().random_alive(&mut rng).is_none());
     }
 
     #[test]

@@ -284,14 +284,15 @@ impl fmt::Display for InvalidParams {
 impl std::error::Error for InvalidParams {}
 
 /// Parameters of the NEWSCAST peer sampling service (paper §3).
+///
+/// NEWSCAST has no period of its own here: under the bootstrap it steps once
+/// per bootstrap period Δ on either engine, at the head of each node's
+/// exchange, and alone it steps once per cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NewscastParams {
     /// Size of the partial view (descriptor cache) kept at every node. The paper
     /// reports implementations with "approximately 30 IP addresses".
     pub view_size: usize,
-    /// Gossip period in milliseconds ("typically long, in the range of 10 seconds").
-    /// Only meaningful outside the cycle-driven engine.
-    pub period_millis: u64,
     /// View aging bound, in cycles: when set, descriptors whose timestamp lags
     /// the local clock by more than this bound are dropped during every view
     /// merge, on top of NEWSCAST's keep-the-freshest ranking. `None` (the
@@ -309,11 +310,10 @@ pub struct NewscastParams {
 }
 
 impl NewscastParams {
-    /// The configuration described in §3: a cache of 30 descriptors, 10 s period.
+    /// The configuration described in §3: a cache of 30 descriptors.
     pub fn paper_default() -> Self {
         NewscastParams {
             view_size: 30,
-            period_millis: 10_000,
             descriptor_max_age: None,
             view_diversity_quota: None,
         }
@@ -323,16 +323,11 @@ impl NewscastParams {
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidParams`] when the view size or period is zero, or a view
-    /// aging bound of zero cycles is requested.
+    /// Returns [`InvalidParams`] when the view size is zero, or a view aging
+    /// bound or diversity quota of zero is requested.
     pub fn validate(&self) -> Result<(), InvalidParams> {
         if self.view_size == 0 {
             return Err(InvalidParams::from_message("view_size must be positive"));
-        }
-        if self.period_millis == 0 {
-            return Err(InvalidParams::from_message(
-                "period_millis must be positive",
-            ));
         }
         if let Some(0) = self.descriptor_max_age {
             return Err(InvalidParams::OutOfRange {
@@ -362,7 +357,7 @@ impl Default for NewscastParams {
 
 impl fmt::Display for NewscastParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "view={} period={}ms", self.view_size, self.period_millis)?;
+        write!(f, "view={}", self.view_size)?;
         if let Some(quota) = self.view_diversity_quota {
             write!(f, " quota={quota}")?;
         }
@@ -385,7 +380,6 @@ mod tests {
 
         let n = NewscastParams::paper_default();
         assert_eq!(n.view_size, 30);
-        assert_eq!(n.period_millis, 10_000);
         assert!(n.validate().is_ok());
     }
 
@@ -443,16 +437,9 @@ mod tests {
 
         let bad_view = NewscastParams {
             view_size: 0,
-            period_millis: 1,
             ..NewscastParams::paper_default()
         };
         assert!(bad_view.validate().is_err());
-        let bad_period = NewscastParams {
-            view_size: 1,
-            period_millis: 0,
-            ..NewscastParams::paper_default()
-        };
-        assert!(bad_period.validate().is_err());
     }
 
     #[test]

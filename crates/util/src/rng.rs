@@ -4,8 +4,9 @@
 //! jitter, peer selection, message drops, churn — is driven by [`SimRng`], a small
 //! Xoshiro256** generator seeded through SplitMix64. Given the same seed, a
 //! simulation run is bit-for-bit reproducible across platforms and releases, which
-//! is what lets the experiment harness publish `(seed, series)` pairs in
-//! `EXPERIMENTS.md`.
+//! is what lets `bss-bench` publish `(seed, series)` pairs — `bss-bench ablation`,
+//! whose ablation C compares oracle and NEWSCAST sampling, for one — and CI pin
+//! them byte for byte in `ci/golden/`.
 //!
 //! The generator is intentionally *not* cryptographically secure; it only needs to
 //! be statistically good and fast.

@@ -27,7 +27,6 @@ const VERIFIER_KEY: u64 = 0x0ff1_cec0_ffee;
 fn spray_config(engine: Engine, defended: bool) -> ExperimentConfig {
     let newscast = NewscastParams {
         view_size: 20,
-        period_millis: 1000,
         view_diversity_quota: defended.then_some(2),
         ..NewscastParams::paper_default()
     };
@@ -208,7 +207,6 @@ fn hub_attack_spikes_in_degree_and_quota_flattens_it() {
             .stop_when_perfect(false)
             .sampler(SamplerChoice::Newscast(NewscastParams {
                 view_size: 20,
-                period_millis: 1000,
                 view_diversity_quota: quota,
                 ..NewscastParams::paper_default()
             }))

@@ -150,7 +150,6 @@ fn id_spray_guts_undefended_lookups_and_countermeasures_restore_them_at_n1024() 
                 })
                 .sampler(SamplerChoice::Newscast(NewscastParams {
                     view_size: 20,
-                    period_millis: 1000,
                     view_diversity_quota: defended.then_some(2),
                     ..NewscastParams::paper_default()
                 }))
