@@ -33,12 +33,17 @@
 //! index, the leaf descriptors against the oracle's distance bounds; only a
 //! forged entry is searched for among the live identifiers), and the
 //! dead-descriptor, poisoning and eclipse walks read indices straight off
-//! `CompactNode::leaf_entries` / `CompactNode::prefix_entries`. The fat
-//! [`BootstrapNode`] remains the wire's form and the snapshots'.
+//! `CompactNode::leaf_entries` / `CompactNode::prefix_entries`. The
+//! end-of-run `PopulationSnapshot` keeps these packed states as they are and
+//! builds a node's fat [`BootstrapNode`] only when a reader asks for it; the
+//! fat node remains the wire's form.
 //!
 //! Every position the packed store keeps — the leaf split, the prefix
 //! offsets, the alias positions — is a `u16`; `CompactNode::check_shape`
-//! rejects the parameter sets whose tables it could not index.
+//! rejects the parameter sets whose tables it could not index. The store is
+//! sized to what it holds: the leaf entries to the leaf set's capacity, the
+//! prefix offsets through the deepest row that holds an entry (a slot past
+//! them is empty).
 
 use crate::leafset::{LeafSet, MergeScratch};
 use crate::message::{compose, MessageScratch};
@@ -51,6 +56,7 @@ use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
+use std::iter;
 
 /// Whether `descriptor` passes the keyed identity-stamp check against the
 /// registry: the stamp computed over the identifier the registry holds for the
@@ -116,6 +122,17 @@ fn to_u16(value: usize) -> u16 {
     u16::try_from(value).expect("table shape checked by CompactNode::check_shape")
 }
 
+/// How many of a prefix table's slot `offsets` (ascending to `total`, the
+/// entry count) the packed store keeps: those through the deepest row with an
+/// entry in it, none when the table is empty.
+fn kept_offsets<T: Copy + PartialOrd>(offsets: &[T], total: T, columns: usize) -> usize {
+    // Every slot from the first offset at `total` on is empty.
+    match offsets.partition_point(|&offset| offset < total) {
+        0 => 0,
+        held_slots => held_slots.div_ceil(columns) * columns + 1,
+    }
+}
+
 /// Rehydrates a run of packed entries — the ones from position `first` of
 /// their table on — substituting the advertised identifier wherever an alias
 /// was recorded. Aliases are stored in ascending position order, so a single
@@ -159,9 +176,10 @@ pub struct CompactNode {
     leaf: Vec<PackedDescriptor>,
     /// Prefix-table arena in slot order.
     prefix_store: Vec<PackedDescriptor>,
-    /// Per-slot start offsets into `prefix_store` (`rows * columns + 1` of
-    /// them; `CompactNode::check_shape` keeps a full table within `u16::MAX`
-    /// entries).
+    /// Per-slot start offsets into `prefix_store`, through the deepest row
+    /// holding an entry: `held_rows * columns + 1` of them, none while the
+    /// table is empty. Every slot past them is empty. `check_shape` keeps a
+    /// full table within `u16::MAX` entries.
     prefix_offsets: Vec<u16>,
     /// Leaf entries whose advertised identifier disagrees with the registry
     /// (forged descriptors absorbed from an adversary), in ascending position
@@ -220,6 +238,9 @@ impl CompactNode {
 
         let (leaf_entries, split) = state.leaf_set().raw_parts();
         self.leaf_split = to_u16(split);
+        // Sized once to the leaf set's capacity: no merge packs more.
+        self.leaf.clear();
+        self.leaf.reserve_exact(state.params().leaf_set_size);
         pack_entries(leaf_entries, ids, &mut self.leaf, &mut self.leaf_aliases);
 
         let (prefix_entries, offsets) = state.prefix_table().raw_parts();
@@ -230,10 +251,12 @@ impl CompactNode {
             &mut self.prefix_aliases,
         );
         // The offsets ascend to the entry count: checking it bounds them all.
-        to_u16(prefix_entries.len());
+        let total = to_u16(prefix_entries.len());
+        let columns = state.geometry().columns();
+        let kept = kept_offsets(offsets, u32::from(total), columns);
         self.prefix_offsets.clear();
         self.prefix_offsets
-            .extend(offsets.iter().map(|&offset| offset as u16));
+            .extend(offsets[..kept].iter().map(|&offset| offset as u16));
     }
 
     /// Rehydrates into a scratch fat node, reusing its allocations. The
@@ -249,6 +272,10 @@ impl CompactNode {
         let own_id = ids[node.as_usize()];
         let own = Descriptor::new(own_id, node, u64::from(self.own_timestamp));
         let capacity = scratch.params().leaf_set_size;
+        let geometry = scratch.geometry();
+        let total = self.prefix_store.len() as u32;
+        let offsets = self.prefix_offsets.iter().map(|&offset| u32::from(offset));
+        let offsets = offsets.chain(iter::repeat(total));
         scratch.restore_header(own, self.exchanges_initiated, self.descriptors_received);
         scratch.leaf_set_mut().restore_from(
             own_id,
@@ -259,7 +286,7 @@ impl CompactNode {
         scratch.prefix_table_mut().restore_from(
             own_id,
             unpack_entries(&self.prefix_store, 0, &self.prefix_aliases, ids),
-            self.prefix_offsets.iter().map(|&offset| u32::from(offset)),
+            offsets.take(geometry.rows() * geometry.columns() + 1),
         );
     }
 
@@ -390,6 +417,13 @@ impl CompactNode {
                 continue;
             };
             let slot = row * geometry.columns() + usize::from(column);
+            // A row past the held ones gets its offsets: the descriptor is
+            // about to be its first entry.
+            let held = (row + 1) * geometry.columns() + 1;
+            if self.prefix_offsets.len() < held {
+                let total = to_u16(self.prefix_store.len());
+                self.prefix_offsets.resize(held, total);
+            }
             let (start, end) = (self.prefix_offsets[slot], self.prefix_offsets[slot + 1]);
             let room = usize::from(end - start) < geometry.entries_per_slot();
             if !room && !refreshing {
@@ -435,9 +469,10 @@ impl CompactNode {
     }
 
     /// `PrefixTable::evict_expired` on the packed slots, the offsets and
-    /// aliases after each removed entry moving down with it; returns whether
+    /// aliases after each removed entry moving down with it, and the rows left
+    /// empty at the end of the table dropped from the offsets; returns whether
     /// anything was removed.
-    fn evict_expired_prefix(&mut self, now: u64, max_age: u64) -> bool {
+    fn evict_expired_prefix(&mut self, now: u64, max_age: u64, columns: usize) -> bool {
         let before = self.prefix_store.len();
         let expired = |entry: &PackedDescriptor| entry.is_expired(now, max_age);
         while let Some(position) = self.prefix_store.iter().position(expired) {
@@ -449,6 +484,9 @@ impl CompactNode {
             let aliases = self.prefix_aliases.iter_mut().map(|(p, _)| p);
             offsets.chain(aliases).filter(later).for_each(|p| *p -= 1);
         }
+        let total = to_u16(self.prefix_store.len());
+        let kept = kept_offsets(&self.prefix_offsets, total, columns);
+        self.prefix_offsets.truncate(kept);
         self.prefix_store.len() != before
     }
 
@@ -567,7 +605,9 @@ impl PackedNode<'_> {
         pack_entries(entries, ids, &mut state.leaf, &mut state.leaf_aliases);
 
         // UPDATEPREFIXTABLE, in place.
-        let prefix_evicted = max_age.is_some_and(|age| state.evict_expired_prefix(now, age));
+        let columns = self.geometry.columns();
+        let prefix_evicted =
+            max_age.is_some_and(|age| state.evict_expired_prefix(now, age, columns));
         let inserted = state.update_prefix(own, incoming, ids, self.geometry, max_age.is_some());
         leaf_evicted || prefix_evicted || leaf_changed || inserted
     }
@@ -617,8 +657,10 @@ impl NodeView for PackedView<'_> {
     fn slot(&self, row: usize, column: u8) -> impl Iterator<Item = Contact> {
         debug_assert!(usize::from(column) < self.geometry.columns());
         let slot = row * self.geometry.columns() + usize::from(column);
-        let offsets = &self.state.prefix_offsets;
-        let (start, end) = (usize::from(offsets[slot]), usize::from(offsets[slot + 1]));
+        let (start, end) = match self.state.prefix_offsets.get(slot..slot + 2) {
+            Some(&[start, end]) => (usize::from(start), usize::from(end)),
+            _ => (self.state.prefix_store.len(), self.state.prefix_store.len()),
+        };
         self.resolve(
             &self.state.prefix_store[start..end],
             start,
@@ -634,10 +676,29 @@ impl NodeView for PackedView<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bss_sim::network::Network;
     use bss_util::rng::SimRng;
+
+    /// Everything a fat node's exchange and routing read of it, for equality:
+    /// own descriptor, counters, tables, split and offsets (shared with
+    /// `experiment::tests`).
+    pub(crate) fn fingerprint(
+        state: &BootstrapNode<NodeIndex>,
+    ) -> impl PartialEq + std::fmt::Debug {
+        let (leaf, split) = state.leaf_set().raw_parts();
+        let (table, offsets) = state.prefix_table().raw_parts();
+        let counters = (state.exchanges_initiated(), state.descriptors_received());
+        (
+            state.own_descriptor(),
+            counters,
+            leaf.to_vec(),
+            split,
+            table.to_vec(),
+            offsets.to_vec(),
+        )
+    }
 
     fn params() -> BootstrapParams {
         BootstrapParams {
@@ -1038,12 +1099,6 @@ mod tests {
                     packed.prefix_aliases.iter().filter(|(p, _)| slot_starts.contains(p)).count();
                 prop_assert!(heads > 0 && heads < packed.prefix_aliases.len());
 
-                let fingerprint = |state: &BootstrapNode<NodeIndex>| {
-                    let (leaf, split) = state.leaf_set().raw_parts();
-                    let (table, offsets) = state.prefix_table().raw_parts();
-                    let counters = (state.exchanges_initiated(), state.descriptors_received());
-                    (state.own_descriptor(), counters, leaf.to_vec(), split, table.to_vec(), offsets.to_vec())
-                };
                 let (mut fat_compose, mut packed_compose) = (MessageScratch::default(), MessageScratch::default());
                 let (mut fat_merge, mut packed_merge) = (MergeScratch::default(), MergeScratch::default());
                 let mut leaf = LeafSet::new(NodeId::new(0), 2);
@@ -1086,6 +1141,91 @@ mod tests {
                     prop_assert_eq!(changed, fat_changed);
                     prop_assert_eq!(fingerprint(&packed.unpack(node, &ids, &params)), fingerprint(&fat));
                 }
+            }
+
+            /// The packed offsets reach exactly through the deepest row with
+            /// an entry, wherever that row moves, and the trimmed store is
+            /// still the fat node: `unpack` rebuilds it and `view()` routes
+            /// like it. The depth moves three ways: a packed receive files an
+            /// entry in a row deeper than any held so far, aging evicts every
+            /// entry of the deepest row, and a re-bootstrap `repack_from`
+            /// packs a fresh state into the old allocations.
+            #[test]
+            fn trimmed_offsets_follow_the_deepest_row(
+                seed in any::<u64>(),
+                rows in prop::collection::vec(0usize..4, 1..24),
+                deep in 4usize..12,
+                strangers in prop::collection::vec(any::<u64>(), 4),
+            ) {
+                let params = BootstrapParams { descriptor_max_age: Some(3), ..params() };
+                let geometry = params.geometry().unwrap();
+                let bits = u32::from(params.bits_per_digit);
+                let mut rng = SimRng::seed_from(seed);
+                let own = NodeId::new(rng.next_u64());
+                // An identifier sharing exactly `row` digits with the own one.
+                let mut at_row = |row: usize| {
+                    let shift = 64 - (row as u32 + 1) * bits;
+                    let digit = rng.range_u64(1, 1 << bits) << shift;
+                    let tail = rng.next_u64() & ((1 << shift) - 1);
+                    NodeId::new(own.raw() ^ digit ^ tail)
+                };
+                let mut ids = vec![own];
+                ids.extend(rows.iter().chain([&deep]).map(|&row| at_row(row)));
+                let (node, deepest) = (NodeIndex::new(0), ids.len() - 1);
+                let entry = |index: usize, t: u64| Descriptor::new(ids[index], NodeIndex::new(index as u32), t);
+                let shallow = |t: u64| (1..deepest).map(|index| entry(index, t)).collect::<Vec<_>>();
+                let targets: Vec<NodeId> =
+                    ids.iter().copied().chain(strangers.iter().map(|&id| NodeId::new(id))).collect();
+                let check = |packed: &CompactNode, fat: &BootstrapNode<NodeIndex>, deepest_row: Option<&usize>| {
+                    let held = deepest_row.map_or(0, |row| (row + 1) * geometry.columns() + 1);
+                    prop_assert_eq!(packed.prefix_offsets.len(), held);
+                    prop_assert_eq!(&CompactNode::pack(fat, &ids).prefix_offsets, &packed.prefix_offsets);
+                    prop_assert_eq!(fingerprint(&packed.unpack(node, &ids, &params)), fingerprint(fat));
+                    let view = packed.view(node, &ids, geometry);
+                    prop_assert!(view.contacts().eq(fat.contacts()));
+                    for row in 0..geometry.rows() {
+                        for column in 0..geometry.columns() as u8 {
+                            prop_assert!(view.slot(row, column).eq(fat.slot(row, column)));
+                        }
+                    }
+                    for &target in &targets {
+                        for kind in RouterKind::ALL {
+                            prop_assert_eq!(next_hop(kind, &view, target), next_hop(kind, fat, target));
+                        }
+                    }
+                    Ok(())
+                };
+
+                let mut fat = BootstrapNode::new(entry(0, 0), &params).unwrap();
+                let mut packed = CompactNode::pack(&fat, &ids);
+                check(&packed, &fat, None)?;
+                let (mut fat_merge, mut merge) = (MergeScratch::default(), MergeScratch::default());
+                let mut leaf = LeafSet::new(own, 2);
+                let mut receive = |packed: &mut CompactNode, fat: &mut BootstrapNode<NodeIndex>, batch: &[_], now| {
+                    let fat_changed = fat.receive_at(batch, now, &mut fat_merge);
+                    let changed = packed.open(node, &ids, &params).receive(batch, now, &mut merge, &mut leaf);
+                    assert_eq!(changed, fat_changed);
+                };
+                receive(&mut packed, &mut fat, &shallow(1), 1);
+                check(&packed, &fat, rows.iter().max())?;
+                receive(&mut packed, &mut fat, &[entry(deepest, 2)], 2);
+                check(&packed, &fat, Some(&deep))?;
+                // The age bound is 3: at 5 the shallow entries come back
+                // fresh, at 6 the deep one (stamped 2) expires alone.
+                receive(&mut packed, &mut fat, &shallow(5), 5);
+                check(&packed, &fat, Some(&deep))?;
+                receive(&mut packed, &mut fat, &shallow(6), 6);
+                check(&packed, &fat, rows.iter().max())?;
+
+                let leaf_buffer = packed.leaf.as_ptr();
+                let mut fat = BootstrapNode::new(entry(0, 6), &params).unwrap();
+                fat.initialize(shallow(6));
+                packed.repack_from(&fat, &ids);
+                prop_assert_eq!(packed.leaf.as_ptr(), leaf_buffer);
+                prop_assert_eq!(packed.leaf.capacity(), params.leaf_set_size);
+                check(&packed, &fat, None)?;
+                receive(&mut packed, &mut fat, &[entry(deepest, 7)], 7);
+                check(&packed, &fat, Some(&deep))?;
             }
 
             /// SELECTPEER's walk over the two sorted sides picks, for every

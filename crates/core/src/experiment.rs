@@ -17,6 +17,7 @@
 
 use crate::compact::CompactNode;
 use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergence};
+use crate::node::BootstrapNode;
 use crate::protocol::{BootstrapMessage, BootstrapProtocol, TrafficStats};
 use crate::routing::RouterKind;
 use crate::scenario::{Engine, LatencyModel, NullObserver, Observer, Scenario};
@@ -30,11 +31,13 @@ use bss_sim::network::{Network, NodeIndex};
 use bss_sim::transport::Transport;
 use bss_util::config::{BootstrapParams, InvalidParams, NewscastParams};
 use bss_util::coords::Placement;
+use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
 use bss_util::stats::{JsonObject, Series};
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::Duration;
 
@@ -698,64 +701,86 @@ impl fmt::Display for RunReport {
     }
 }
 
-/// A frozen copy of every node's bootstrapped state at the end of a run, indexed
-/// by identifier. This is what routing-substrate consumers (`bss-overlay`) operate
-/// on: it is exactly the information a real deployment would hand over to Pastry /
+/// Every node's bootstrapped state at the end of a run, indexed by identifier.
+/// This is what routing-substrate consumers (`bss-overlay`) operate on: it is
+/// exactly the information a real deployment would hand over to Pastry /
 /// Kademlia / Bamboo maintenance once the bootstrap completes.
+///
+/// The snapshot is the run's packed population itself: each captured node's
+/// [`CompactNode`], moved out of the protocol, with the shared identifier
+/// arena and the run's parameters, so ending a run copies no table. A node's
+/// fat [`BootstrapNode`] is built the first time [`node_at`](Self::node_at)
+/// or [`node_by_id`](Self::node_by_id) asks for it, and kept; a clone carries
+/// the nodes built so far.
 #[derive(Debug, Clone, Default)]
 pub struct PopulationSnapshot {
-    nodes: Vec<crate::node::BootstrapNode<bss_sim::network::NodeIndex>>,
-    index_by_id: std::collections::HashMap<bss_util::id::NodeId, usize>,
+    /// The packed states by registry index; `None` for every node not captured.
+    states: Vec<Option<CompactNode>>,
+    /// The registry index of each captured node, in capture order.
+    captured: Vec<NodeIndex>,
+    /// Each captured node's fat form, built on first read. Boxed, so a node
+    /// nobody reads costs a pointer, not a whole `BootstrapNode`.
+    fat: Vec<OnceLock<Box<BootstrapNode<NodeIndex>>>>,
+    index_by_id: HashMap<NodeId, usize>,
+    ids: Arc<Vec<NodeId>>,
+    params: BootstrapParams,
 }
 
 impl PopulationSnapshot {
-    /// Builds a snapshot from the alive, initialised nodes of a protocol run.
-    /// Both engines expose the required [`EngineContext`].
+    /// Takes the alive, initialised nodes' states out of a finished protocol
+    /// run (a departed node's state is already gone).
     pub(crate) fn capture<S: PeerSampler>(
-        protocol: &BootstrapProtocol<S>,
+        protocol: &mut BootstrapProtocol<S>,
         ctx: &EngineContext,
     ) -> Self {
-        let mut snapshot = PopulationSnapshot::default();
-        for node in ctx.network.alive_indices() {
-            if let Some(state) = protocol.node(node) {
-                snapshot
-                    .index_by_id
-                    .insert(state.id(), snapshot.nodes.len());
-                snapshot.nodes.push(state);
-            }
+        let (states, ids, params) = protocol.take_population();
+        let captured: Vec<NodeIndex> = (ctx.network.alive_indices())
+            .filter(|node| states.get(node.as_usize()).is_some_and(Option::is_some))
+            .collect();
+        let index_by_id = (captured.iter().enumerate())
+            .map(|(position, node)| (ids[node.as_usize()], position))
+            .collect();
+        PopulationSnapshot {
+            fat: captured.iter().map(|_| OnceLock::new()).collect(),
+            states,
+            captured,
+            index_by_id,
+            ids,
+            params,
         }
-        snapshot
     }
 
     /// Number of nodes in the snapshot.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.captured.len()
     }
 
     /// Whether the snapshot is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.captured.is_empty()
     }
 
     /// All identifiers in the snapshot, in capture order.
-    pub fn ids(&self) -> impl Iterator<Item = bss_util::id::NodeId> + '_ {
-        self.nodes.iter().map(|n| n.id())
+    pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.captured.iter().map(|node| self.ids[node.as_usize()])
     }
 
     /// The node state with the given identifier, if present.
-    pub fn node_by_id(
-        &self,
-        id: bss_util::id::NodeId,
-    ) -> Option<&crate::node::BootstrapNode<bss_sim::network::NodeIndex>> {
-        self.index_by_id.get(&id).map(|&i| &self.nodes[i])
+    pub fn node_by_id(&self, id: NodeId) -> Option<&BootstrapNode<NodeIndex>> {
+        self.index_by_id
+            .get(&id)
+            .and_then(|&position| self.node_at(position))
     }
 
     /// The node state at a dense position (useful for picking random nodes).
-    pub fn node_at(
-        &self,
-        position: usize,
-    ) -> Option<&crate::node::BootstrapNode<bss_sim::network::NodeIndex>> {
-        self.nodes.get(position)
+    pub fn node_at(&self, position: usize) -> Option<&BootstrapNode<NodeIndex>> {
+        let node = *self.captured.get(position)?;
+        let fat = self.fat[position].get_or_init(|| {
+            let state = self.states[node.as_usize()].as_ref();
+            let state = state.expect("a captured node holds a state");
+            Box::new(state.unpack(node, &self.ids, &self.params))
+        });
+        Some(fat)
     }
 }
 
@@ -963,12 +988,12 @@ impl MeasurementDriver {
         }
     }
 
-    /// The tear-down every engine shares: freezes the population, measures
-    /// proximity under a WAN placement, and completes the report with what is
-    /// only known once the run has ended.
+    /// The tear-down every engine shares: measures proximity under a WAN
+    /// placement, completes the report with what is only known once the run
+    /// has ended, and hands the population over to the snapshot.
     fn finish<S: PeerSampler>(
         self,
-        protocol: &BootstrapProtocol<S>,
+        protocol: &mut BootstrapProtocol<S>,
         ctx: &EngineContext,
         cycles_executed: u64,
         phase_profile: Option<PhaseProfile>,
@@ -1215,7 +1240,9 @@ impl Experiment {
         Experiment { config }
     }
 
-    /// Runs the simulation to completion and returns the recorded report.
+    /// Runs the simulation to completion and returns the recorded report. The
+    /// population snapshot it drops holds the run's packed states as they
+    /// were, so this costs no copy of the tables.
     pub fn run(&self) -> RunReport {
         self.run_with_snapshot().0
     }
@@ -1248,6 +1275,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::tests::fingerprint;
     use crate::scenario::tests::Recording;
     use crate::scenario::{AdversaryBehavior, PartitionSpec, Phase, ScenarioEvent};
     use crate::scenario::{KeyDist, PlacementSpec, WanParams};
@@ -2103,5 +2131,105 @@ mod tests {
                 rate: 0.1,
             });
         assert_eq!(digest(&wan), 0x4438_22e3_01ea_af37);
+    }
+
+    /// Runs `config` on its engine (the cycle engine with its timeline and
+    /// adversary, or the event engine calm) and returns the snapshot next to
+    /// the capture it replaced: every alive node unpacked at once while the
+    /// protocol still held the packed store.
+    fn lazy_and_eager_capture(
+        config: &ExperimentConfig,
+    ) -> (PopulationSnapshot, Vec<BootstrapNode<NodeIndex>>) {
+        let world = World::new(config);
+        let mut protocol = BootstrapProtocol::new(config.params, OracleSampler::new());
+        let capture = |protocol: &mut BootstrapProtocol<_>, ctx: &EngineContext| {
+            let alive = ctx.network.alive_indices();
+            let eager = alive.filter_map(|node| protocol.node(node)).collect();
+            (PopulationSnapshot::capture(protocol, ctx), eager)
+        };
+        if let Engine::Event { .. } = config.engine {
+            let mut engine: EventEngine<BootstrapMessage> =
+                EventEngine::new(world.network, world.rng).with_transport(world.transport);
+            protocol.init_all(engine.context_mut());
+            engine.start(&mut protocol);
+            let end = config.max_cycles * config.params.cycle_millis;
+            engine.run_until(&mut protocol, end);
+            return capture(&mut protocol, engine.context());
+        }
+        let mut engine = CycleEngine::new(world.network, world.rng)
+            .with_transport(world.transport)
+            .with_churn(world.churn);
+        engine.context_mut().adversary = config.scenario.build_adversary();
+        protocol.init_all(engine.context_mut());
+        engine.run(&mut protocol, config.max_cycles);
+        capture(&mut protocol, engine.context())
+    }
+
+    /// The snapshot serves the nodes the eager capture built, by position and
+    /// by identifier, and a clone taken with half of them built serves the
+    /// same: on a run with an id-spray adversary and a catastrophe (forged
+    /// entries under aliases, dead nodes), on one with descriptor aging and
+    /// churn, and on the event engine.
+    #[test]
+    fn snapshot_serves_the_nodes_an_eager_capture_built() {
+        let build = |builder: &mut ExperimentConfigBuilder| {
+            builder
+                .network_size(64)
+                .seed(23)
+                .max_cycles(16)
+                .stop_when_perfect(false);
+            builder.build().unwrap()
+        };
+        let spray = build(
+            ExperimentConfig::builder()
+                .event(ScenarioEvent::ByzantineConvert {
+                    phase: Phase::new(3, 16),
+                    fraction: 0.25,
+                    behavior: AdversaryBehavior::IdSpray { target: 0 },
+                })
+                .event(ScenarioEvent::CatastrophicFailure {
+                    at_cycle: 10,
+                    fraction: 0.2,
+                }),
+        );
+        let aging = build(
+            ExperimentConfig::builder()
+                .descriptor_max_age(Some(3))
+                .event(ScenarioEvent::ChurnBurst {
+                    phase: Phase::new(4, 12),
+                    rate: 0.1,
+                }),
+        );
+        let event = build(ExperimentConfig::builder().engine(Engine::Event {
+            latency: LatencyModel::default(),
+        }));
+        let mut forged_and_dead = Vec::new();
+        for config in [spray, aging, event] {
+            let (snapshot, eager) = lazy_and_eager_capture(&config);
+            let ids = &snapshot.ids;
+            let forged = |node: &BootstrapNode<NodeIndex>| {
+                let mut entries = node.leaf_set().iter().chain(node.prefix_table().iter());
+                entries.any(|entry| ids[entry.address().as_usize()] != entry.id())
+            };
+            forged_and_dead.push((eager.iter().any(forged), eager.len() < 64));
+            assert!(snapshot.ids().eq(eager.iter().map(BootstrapNode::id)));
+            for (position, expected) in eager.iter().enumerate().step_by(2) {
+                let node = snapshot.node_at(position).unwrap();
+                assert_eq!(fingerprint(node), fingerprint(expected));
+            }
+            let partly_built = snapshot.clone();
+            for (position, expected) in eager.iter().enumerate() {
+                let node = snapshot.node_at(position).unwrap();
+                assert_eq!(fingerprint(node), fingerprint(expected));
+                let by_id = snapshot.node_by_id(expected.id()).unwrap();
+                assert!(std::ptr::eq(by_id, node));
+                let cloned = partly_built.node_at(position).unwrap();
+                assert_eq!(fingerprint(cloned), fingerprint(expected));
+            }
+            assert_eq!(snapshot.len(), eager.len());
+            assert!(snapshot.node_at(eager.len()).is_none());
+        }
+        // The spray run kept forgeries and lost nodes to the catastrophe.
+        assert_eq!(forged_and_dead[0], (true, true));
     }
 }

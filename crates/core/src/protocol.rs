@@ -285,13 +285,23 @@ impl<S: PeerSampler> BootstrapProtocol<S> {
     }
 
     /// The per-node protocol state of `node`, if the node has been
-    /// initialised — materialised from the packed store (diagnostics and
-    /// tests; the hot path never goes through this accessor).
+    /// initialised — materialised from the packed store, for tests.
+    #[cfg(test)]
     pub(crate) fn node(&self, node: NodeIndex) -> Option<BootstrapNode<NodeIndex>> {
         self.nodes
             .get(node.as_usize())
             .and_then(Option::as_ref)
             .map(|packed| packed.unpack(node, &self.ids, &self.params))
+    }
+
+    /// Hands the population over at the end of a run, moved, not copied: the
+    /// packed states by registry index (the protocol keeps none), the
+    /// identifier arena they resolve against and the run's parameters.
+    pub(crate) fn take_population(
+        &mut self,
+    ) -> (Vec<Option<CompactNode>>, Arc<Vec<NodeId>>, BootstrapParams) {
+        let states = std::mem::take(&mut self.nodes);
+        (states, Arc::clone(&self.ids), self.params)
     }
 
     /// The packed state of `node`, if initialised — the zero-copy view for
