@@ -58,7 +58,7 @@ const fn out_dir(default: &'static str) -> Opt {
 const THREADS: Opt = Opt::new(
     "threads <n>",
     "",
-    "pin the cycle engine to n threads; absent, it runs on every core (output is bit-for-bit identical either way)",
+    "pin the cycle engine to n threads; absent, it runs on every core, as the event engine always does (output is bit-for-bit identical either way)",
 );
 const ENGINE: Opt = Opt::new(
     "engine <name>",

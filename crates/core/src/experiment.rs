@@ -39,7 +39,7 @@ use std::fmt;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which peer sampling implementation an experiment runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,9 +90,9 @@ pub struct ExperimentConfig {
     /// never triggers while a scenario transition still lies ahead.
     pub stop_when_perfect: bool,
     /// Accumulate per-phase wall time (plan / execute / commit / measure) on
-    /// the cycle engines and attach it to the [`RunReport`]. Off by default:
-    /// timing is observational only — it never changes the simulated outcome —
-    /// but costs clock reads around every hand-off between threads.
+    /// any engine and attach it to the [`RunReport`]. Off by default: timing
+    /// is observational only — it never changes the simulated outcome — but
+    /// costs clock reads around every hand-off between threads.
     pub profile: bool,
 }
 
@@ -120,9 +120,9 @@ impl ExperimentConfig {
     }
 
     /// The thread count the engine selection pins: `ParallelCycle`'s, else 1.
-    /// [`Engine::Cycle`] resolves its count from the host's cores inside each
-    /// run, so this — the value the report's `"threads"` field echoes — does
-    /// not depend on the host.
+    /// [`Engine::Cycle`] and [`Engine::Event`] resolve their count from the
+    /// host's cores inside each run, so this — the value the report's
+    /// `"threads"` field echoes — does not depend on the host.
     pub fn threads(&self) -> usize {
         self.engine.threads()
     }
@@ -573,8 +573,8 @@ impl RunReport {
     }
 
     /// Per-phase wall time accumulated by the engine, when the run was
-    /// configured with [`ExperimentConfig::profile`] and executed on a cycle
-    /// engine (the event engine has no phase structure to attribute).
+    /// configured with [`ExperimentConfig::profile`]. On the event engine
+    /// `plan` is the handlers' time on the calling thread.
     pub fn phase_profile(&self) -> Option<&PhaseProfile> {
         self.phase_profile.as_ref()
     }
@@ -583,7 +583,8 @@ impl RunReport {
     /// convergence, traffic, fired events and every per-cycle series). This is
     /// the artifact format the scenario smoke suite uploads from CI. Its
     /// `"threads"` echoes [`ExperimentConfig::threads`]: 1 for
-    /// [`Engine::Cycle`], however many cores the run took.
+    /// [`Engine::Cycle`] and [`Engine::Event`], however many cores the run
+    /// took.
     pub fn to_json(&self) -> String {
         let config = &self.config;
         let fixed = |value: f64| format!("{value:.6}");
@@ -1072,19 +1073,23 @@ fn measure_proximity<S: PeerSampler>(
 ///
 /// All engines share the same measurement semantics (one measurement per
 /// cycle, perfection stop, series) and produce the same [`RunReport`] shape;
-/// the cycle engines are additionally bit-for-bit deterministic across
-/// thread counts.
+/// every engine is additionally bit-for-bit deterministic across thread
+/// counts.
 pub(crate) fn run_scenario<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,
     lookup_traffic: Option<LookupTraffic>,
     observer: &mut dyn Observer,
 ) -> (RunReport, PopulationSnapshot) {
+    let cores = thread::available_parallelism().map_or(1, usize::from);
+    let threads = run_threads(config.engine, cores, config.network_size);
     match config.engine {
         Engine::Cycle | Engine::ParallelCycle { .. } => {
-            run_on_cycle_engine(config, protocol, lookup_traffic, observer)
+            run_on_cycle_engine(config, protocol, lookup_traffic, observer, threads)
         }
-        Engine::Event { .. } => run_on_event_engine(config, protocol, lookup_traffic, observer),
+        Engine::Event { .. } => {
+            run_on_event_engine(config, protocol, lookup_traffic, observer, threads)
+        }
     }
 }
 
@@ -1120,11 +1125,12 @@ impl World {
     }
 }
 
-/// The threads a cycle-engine run uses: the pinned count of
-/// [`Engine::ParallelCycle`], else one per core of the `cores` the host
-/// offers, capped at the network size as a pinned count is; at least one.
-/// The count stays inside the run: output is the same at any count.
-fn cycle_threads(engine: Engine, cores: usize, network_size: usize) -> usize {
+/// The threads a run uses: the pinned count of [`Engine::ParallelCycle`],
+/// else — [`Engine::Cycle`] and [`Engine::Event`] — one per core of the
+/// `cores` the host offers, capped at the network size as a pinned count is;
+/// at least one. The count stays inside the run: output is the same at any
+/// count.
+fn run_threads(engine: Engine, cores: usize, network_size: usize) -> usize {
     match engine {
         Engine::ParallelCycle { threads } => threads,
         _ => cores.min(network_size).max(1),
@@ -1139,6 +1145,7 @@ fn run_on_cycle_engine<S: PeerSampler>(
     protocol: &mut BootstrapProtocol<S>,
     lookup_traffic: Option<LookupTraffic>,
     observer: &mut dyn Observer,
+    threads: usize,
 ) -> (RunReport, PopulationSnapshot) {
     let world = World::new(config);
     let mut engine = CycleEngine::new(world.network, world.rng)
@@ -1157,11 +1164,10 @@ fn run_on_cycle_engine<S: PeerSampler>(
         lookup_traffic,
     );
 
-    let cores = thread::available_parallelism().map_or(1, usize::from);
     let cycles_executed = engine.run_with_observer(
         protocol,
         config.max_cycles,
-        cycle_threads(config.engine, cores, config.network_size),
+        threads,
         |protocol, ctx, cycle| driver.observe_cycle(protocol, ctx, cycle, observer),
     );
     let phase_profile = engine.phase_profile().copied();
@@ -1171,12 +1177,15 @@ fn run_on_cycle_engine<S: PeerSampler>(
 /// Runs on the discrete-event engine: one `run_until` slice per cycle Δ, with
 /// scenario membership events applied and measured at the slice boundaries.
 /// Nodes wake on their own timers at random phases within Δ and messages
-/// travel with the configured per-link latency.
+/// travel with the configured per-link latency. Each slice streams its table
+/// work on `threads` threads; the profile reads as the cycle engine's, with
+/// the handlers' time as `plan`.
 fn run_on_event_engine<S: PeerSampler>(
     config: &ExperimentConfig,
     protocol: &mut BootstrapProtocol<S>,
     lookup_traffic: Option<LookupTraffic>,
     observer: &mut dyn Observer,
+    threads: usize,
 ) -> (RunReport, PopulationSnapshot) {
     let mut world = World::new(config);
     let mut engine: EventEngine<BootstrapMessage> =
@@ -1193,11 +1202,14 @@ fn run_on_event_engine<S: PeerSampler>(
     // Start the initial membership *before* applying cycle-0 scenario events:
     // joiners added at cycle 0 are started individually below, and must not be
     // started a second time by run_until's deferred start phase.
-    engine.start(protocol);
+    protocol.event_slice(threads, None, |events| engine.start(events));
 
     let delta = config.params.cycle_millis;
+    let mut profile = config.profile.then(PhaseProfile::default);
+    let mut stepping = Duration::ZERO;
     let mut cycles_executed = 0;
     for cycle in 0..config.max_cycles {
+        let started = Instant::now();
         let ctx = engine.context_mut();
         ctx.transport.advance_to_cycle(cycle);
         // Re-bootstrapped survivors and converted nodes keep their running
@@ -1211,21 +1223,32 @@ fn run_on_event_engine<S: PeerSampler>(
         if !events.departed.is_empty() {
             engine.cancel_dead();
         }
-        // Late joiners schedule their first exchange timers from "now".
-        for node in events.joined {
-            engine.start_node(protocol, node);
-        }
-
-        engine.run_until(protocol, (cycle + 1) * delta);
+        protocol.event_slice(threads, profile.as_mut(), |slice| {
+            // Late joiners schedule their first exchange timers from "now".
+            for node in events.joined {
+                engine.start_node(slice, node);
+            }
+            engine.run_until(slice, (cycle + 1) * delta);
+        });
         cycles_executed = cycle + 1;
-        if driver
-            .observe_cycle(protocol, engine.context(), cycle, observer)
-            .is_break()
-        {
+        let measuring = Instant::now();
+        stepping += measuring - started;
+        let flow = driver.observe_cycle(protocol, engine.context(), cycle, observer);
+        if let Some(profile) = profile.as_mut() {
+            profile.measure += measuring.elapsed();
+        }
+        if flow.is_break() {
             break;
         }
     }
-    driver.finish(protocol, engine.context(), cycles_executed, None)
+    // As on the cycle engine, what of the cycles is neither `execute` nor
+    // `commit` is `plan`.
+    let profile = profile.map(|profile| PhaseProfile {
+        plan: stepping.saturating_sub(profile.execute + profile.commit),
+        cycles: cycles_executed,
+        ..profile
+    });
+    driver.finish(protocol, engine.context(), cycles_executed, profile)
 }
 
 /// A single, ready-to-run simulation.
@@ -1667,12 +1690,128 @@ mod tests {
     #[test]
     fn cycle_runs_take_every_core_up_to_the_network_size() {
         for (cores, nodes, threads) in [(1, 64, 1), (2, 64, 2), (8, 3, 3), (4, 4, 4), (0, 64, 1)] {
-            assert_eq!(cycle_threads(Engine::Cycle, cores, nodes), threads);
+            assert_eq!(run_threads(Engine::Cycle, cores, nodes), threads);
         }
         // A pinned count is taken as configured, whatever the host offers.
         let pinned = Engine::ParallelCycle { threads: 3 };
-        assert_eq!(cycle_threads(pinned, 1, 64), 3);
-        assert_eq!(cycle_threads(pinned, 8, 64), 3);
+        assert_eq!(run_threads(pinned, 1, 64), 3);
+        assert_eq!(run_threads(pinned, 8, 64), 3);
+    }
+
+    /// Runs `config` on the event engine at exactly `threads` threads, through
+    /// the seam [`run_scenario`] resolves the core count into: the report JSON
+    /// and every node's final tables.
+    fn event_run_on(
+        config: &ExperimentConfig,
+        threads: usize,
+    ) -> (String, Vec<impl PartialEq + fmt::Debug>) {
+        let traffic = LookupTraffic::for_config(config);
+        let (report, snapshot) = match config.sampler {
+            SamplerChoice::Oracle => {
+                let mut protocol = BootstrapProtocol::new(config.params, OracleSampler::new());
+                run_on_event_engine(config, &mut protocol, traffic, &mut NullObserver, threads)
+            }
+            SamplerChoice::Newscast(params) => {
+                let mut protocol =
+                    BootstrapProtocol::new(config.params, NewscastProtocol::new(params));
+                run_on_event_engine(config, &mut protocol, traffic, &mut NullObserver, threads)
+            }
+        };
+        let nodes =
+            (0..snapshot.len()).map(|position| fingerprint(snapshot.node_at(position).unwrap()));
+        (report.to_json(), nodes.collect())
+    }
+
+    /// The event engine streams its table work, and its output does not
+    /// depend on the thread count: a serve-like run (aging, churn, a loss
+    /// window, Zipf lookups), NEWSCAST under the hub attack, forgery and
+    /// id-spray against the verifier, and a catastrophe with re-bootstrap and
+    /// a massive join whose late replies to the dead `cancel_dead` purges.
+    #[test]
+    fn event_runs_are_identical_at_any_thread_count() {
+        let build = |events: &[ScenarioEvent], adjust: &dyn Fn(&mut ExperimentConfigBuilder)| {
+            let mut builder = ExperimentConfig::builder();
+            builder
+                .network_size(96)
+                .seed(29)
+                .max_cycles(18)
+                .stop_when_perfect(false)
+                .engine(Engine::Event {
+                    latency: LatencyModel::Uniform {
+                        min_millis: 5,
+                        max_millis: 1500,
+                    },
+                });
+            for event in events {
+                builder.event(event.clone());
+            }
+            adjust(&mut builder);
+            builder.build().unwrap()
+        };
+        let verified = |builder: &mut ExperimentConfigBuilder| {
+            builder.params(BootstrapParams {
+                descriptor_verifier: Some(0x5eed_cafe),
+                ..BootstrapParams::paper_default()
+            });
+        };
+        let convert = |behavior| ScenarioEvent::ByzantineConvert {
+            phase: Phase::new(3, 14),
+            fraction: 0.2,
+            behavior,
+        };
+        let configs = [
+            build(
+                &[
+                    ScenarioEvent::ChurnBurst {
+                        phase: Phase::new(4, 8),
+                        rate: 0.05,
+                    },
+                    ScenarioEvent::LossWindow {
+                        phase: Phase::new(6, 10),
+                        probability: 0.2,
+                    },
+                    ScenarioEvent::TrafficPhase {
+                        phase: Phase::new(2, 18),
+                        lookups_per_cycle: 200,
+                        key_dist: KeyDist::Zipf { exponent: 1.1 },
+                    },
+                ],
+                &|builder| {
+                    builder.descriptor_max_age(Some(4));
+                },
+            ),
+            build(&[convert(AdversaryBehavior::HubAttack)], &|builder| {
+                builder.sampler(SamplerChoice::Newscast(newscast()));
+            }),
+            build(&[convert(AdversaryBehavior::ForgeDescriptors)], &verified),
+            build(
+                &[convert(AdversaryBehavior::IdSpray { target: 0 })],
+                &verified,
+            ),
+            build(
+                &[
+                    ScenarioEvent::CatastrophicFailure {
+                        at_cycle: 6,
+                        fraction: 0.3,
+                    },
+                    ScenarioEvent::ReBootstrap {
+                        at_cycle: 9,
+                        fraction: 1.0,
+                    },
+                    ScenarioEvent::MassiveJoin {
+                        at_cycle: 12,
+                        count: 48,
+                    },
+                ],
+                &|_| {},
+            ),
+        ];
+        for config in &configs {
+            let [one, rest @ ..] = [1, 2, 3, 8].map(|threads| event_run_on(config, threads));
+            for (threads, other) in [2, 3, 8].into_iter().zip(rest) {
+                assert!(one == other, "{} at {threads} threads", config.scenario);
+            }
+        }
     }
 
     #[test]
@@ -2151,9 +2290,8 @@ mod tests {
             let mut engine: EventEngine<BootstrapMessage> =
                 EventEngine::new(world.network, world.rng).with_transport(world.transport);
             protocol.init_all(engine.context_mut());
-            engine.start(&mut protocol);
             let end = config.max_cycles * config.params.cycle_millis;
-            engine.run_until(&mut protocol, end);
+            protocol.event_slice(1, None, |events| engine.run_until(events, end));
             return capture(&mut protocol, engine.context());
         }
         let mut engine = CycleEngine::new(world.network, world.rng)

@@ -27,7 +27,8 @@ use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::geometry::TableGeometry;
 use bss_util::id::NodeId;
 use bss_util::stats::Histogram;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use stream::Lane;
 
 mod stream;
 
@@ -770,6 +771,11 @@ impl<S: PeerSampler> CycleProtocol for BootstrapProtocol<S> {
     }
 }
 
+/// A message body: filled once, when the job that composes it commits, and
+/// freed with the last message or job that holds it — a message the
+/// transport drops or `cancel_dead` purges frees its body.
+pub(crate) type Body = Arc<OnceLock<Vec<Descriptor<NodeIndex>>>>;
+
 /// The wire messages of the event-driven bootstrap protocol: the same
 /// descriptor digests the cycle engine exchanges, tagged with their role in
 /// the request/answer pair of Fig. 2.
@@ -781,17 +787,128 @@ pub(crate) enum BootstrapMessage {
         /// digest *for* this identifier (Fig. 2b's `CREATEMESSAGE`).
         from_id: NodeId,
         /// The digest descriptors.
-        descriptors: Vec<Descriptor<NodeIndex>>,
+        body: Body,
     },
     /// Passive-thread answer: the peer's digest, targeted back at the initiator.
     Answer {
         /// The digest descriptors.
-        descriptors: Vec<Descriptor<NodeIndex>>,
+        body: Body,
     },
+}
+
+/// A message for an event handler's job to compose.
+#[derive(Debug)]
+struct Compose {
+    /// The identifier the message is composed for.
+    to: NodeId,
+    samples: Vec<Descriptor<NodeIndex>>,
+    /// A request (the active thread), not an answer.
+    initiating: bool,
+    /// What the message's [`Body`] is filled with at commit.
+    descriptors: Vec<Descriptor<NodeIndex>>,
+    body: Body,
+}
+
+/// The table work of one event handler, on one node: the timer composes a
+/// request, a request composes the answer and then applies the request
+/// (Fig. 2b: `CREATEMESSAGE` precedes the updates), an answer is applied.
+/// Like [`execute_exchange`] it draws no randomness and reads no other node.
+#[derive(Debug)]
+struct EventOp {
+    cycle: u64,
+    compose: Option<Compose>,
+    apply: Option<Body>,
+}
+
+impl Compose {
+    /// A message for `to` carrying `samples`, and the body it fills.
+    fn new(to: NodeId, samples: Vec<Descriptor<NodeIndex>>, initiating: bool) -> (Self, Body) {
+        let body = Body::default();
+        let compose = Compose {
+            to,
+            samples,
+            initiating,
+            descriptors: Vec::new(),
+            body: Arc::clone(&body),
+        };
+        (compose, body)
+    }
+}
+
+impl EventOp {
+    /// Runs the operation on `node`'s state; returns whether its tables
+    /// changed.
+    fn run(
+        &mut self,
+        node: NodeIndex,
+        slot: &mut CompactNode,
+        ids: &[NodeId],
+        params: &BootstrapParams,
+        scratch: &mut ExchangeScratch,
+    ) -> bool {
+        let ExchangeScratch {
+            message,
+            merge,
+            leaf,
+            ..
+        } = scratch;
+        let mut state = slot.open(node, ids, params);
+        if let Some(compose) = self.compose.as_mut() {
+            let (to, samples, initiating) = (compose.to, &compose.samples, compose.initiating);
+            let into = &mut compose.descriptors;
+            state.create_message_into(to, samples, initiating, self.cycle, message, into);
+        }
+        self.apply.as_ref().is_some_and(|body| {
+            let descriptors = body.get().expect("a body is filled before it is applied");
+            state.receive(descriptors, self.cycle, merge, leaf)
+        })
+    }
+}
+
+impl<S: PeerSampler> BootstrapProtocol<S> {
+    /// Runs `slice` — the event engine's `run_until`, or its start phase —
+    /// with the protocol's handlers streaming their table work on `threads`
+    /// threads; every job is home and committed when it returns.
+    pub(crate) fn event_slice<R>(
+        &mut self,
+        threads: usize,
+        profile: Option<&mut PhaseProfile>,
+        slice: impl FnOnce(&mut EventSlice<'_, '_, S>) -> R,
+    ) -> R {
+        self.with_lane(threads, profile, |protocol, lane| {
+            slice(&mut EventSlice { protocol, lane })
+        })
+    }
+
+    /// Applies one event job's order-sensitive effects — the message-size
+    /// record and the dirty mark — and fills the body it composed. Called in
+    /// dispatch order.
+    fn commit_event(&mut self, node: NodeIndex, composed: Option<Compose>, changed: bool) {
+        if let Some(Compose {
+            mut descriptors,
+            body,
+            ..
+        }) = composed
+        {
+            self.traffic.message_sizes.record(descriptors.len() as u64);
+            descriptors.shrink_to_fit();
+            body.set(descriptors).expect("a body is filled once");
+        }
+        if changed {
+            self.mark_dirty(node);
+        }
+    }
 }
 
 /// The single timer every node runs: one active-thread exchange per period Δ.
 const EXCHANGE_TIMER: u64 = 0;
+
+/// The bootstrap protocol as the event engine drives it through one slice
+/// (see [`BootstrapProtocol::event_slice`]).
+pub(crate) struct EventSlice<'a, 's, S> {
+    protocol: &'a mut BootstrapProtocol<S>,
+    lane: &'a mut Lane<'s>,
+}
 
 /// Event-driven execution of the bootstrap protocol: nodes wake on their own
 /// timers at a random phase within Δ (the paper's §5 start condition taken
@@ -801,13 +918,17 @@ const EXCHANGE_TIMER: u64 = 0;
 /// decided by the engine's transport at the send hand-off, so `TrafficStats`
 /// keeps the same "sent = offered to the transport" semantics as the cycle
 /// driver.
-impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
+///
+/// The handlers make every draw and keep every counter on the calling thread,
+/// in event order; their table work leaves as an [`EventOp`] job, and the
+/// message it composes travels as a [`Body`] filled when the job commits.
+impl<S: PeerSampler> EventProtocol for EventSlice<'_, '_, S> {
     type Message = BootstrapMessage;
 
     fn on_start(&mut self, node: NodeIndex, ctx: &mut EventContext<'_, BootstrapMessage>) {
         // "We start the bootstrapping protocol at each node at a different
         // random time within an interval of length Δ" (§5).
-        let delta = self.params.cycle_millis;
+        let delta = self.protocol.params.cycle_millis;
         let phase = ctx.rng().range_u64(0, delta.max(1));
         ctx.set_timer(node, phase.max(1), EXCHANGE_TIMER);
     }
@@ -818,41 +939,32 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
         _timer: u64,
         ctx: &mut EventContext<'_, BootstrapMessage>,
     ) {
-        let delta = self.params.cycle_millis;
+        let Self { protocol, lane } = self;
+        let delta = protocol.params.cycle_millis;
         let cycle = ctx.now() / delta.max(1);
         // Periodic rescheduling first: a node keeps gossiping even when this
         // iteration finds no peer.
         ctx.set_timer(node, delta.max(1), EXCHANGE_TIMER);
-        self.sampler.execute_node(node, cycle, ctx.engine());
-        let Some((peer_descriptor, samples)) = self.plan_request(node, cycle, ctx.engine()) else {
+        protocol.sampler.execute_node(node, cycle, ctx.engine());
+        // SELECTPEER reads the node's leaf set: plan once it is home.
+        protocol.wait_for(node, lane);
+        let Some((peer, samples)) = protocol.plan_request(node, cycle, ctx.engine()) else {
             return;
         };
-        let peer = peer_descriptor.address();
-        let packed = self.nodes[node.as_usize()]
-            .as_mut()
-            .expect("a planned request has an initialised initiator");
-        let mut request = Vec::new();
-        packed
-            .open(node, &self.ids, &self.params)
-            .create_message_into(
-                peer_descriptor.id(),
-                &samples,
-                true,
-                cycle,
-                &mut self.worker_scratch[0].message,
-                &mut request,
-            );
-        let from_id = self.ids[node.as_usize()];
-        self.traffic.requests_sent += 1;
-        self.traffic.message_sizes.record(request.len() as u64);
+        protocol.traffic.requests_sent += 1;
+        let (compose, body) = Compose::new(peer.id(), samples, true);
+        let from_id = protocol.ids[node.as_usize()];
         ctx.send(
             node,
-            peer,
-            BootstrapMessage::Request {
-                from_id,
-                descriptors: request,
-            },
+            peer.address(),
+            BootstrapMessage::Request { from_id, body },
         );
+        let op = EventOp {
+            cycle,
+            compose: Some(compose),
+            apply: None,
+        };
+        protocol.submit(lane, node, op);
     }
 
     fn on_message(
@@ -862,68 +974,44 @@ impl<S: PeerSampler> EventProtocol for BootstrapProtocol<S> {
         message: BootstrapMessage,
         ctx: &mut EventContext<'_, BootstrapMessage>,
     ) {
-        match message {
-            BootstrapMessage::Request {
-                from_id,
-                descriptors,
-            } => {
-                self.traffic.requests_delivered += 1;
+        let Self { protocol, lane } = self;
+        let cycle = ctx.now() / protocol.params.cycle_millis.max(1);
+        let (compose, received) = match message {
+            BootstrapMessage::Request { from_id, body } => {
+                protocol.traffic.requests_delivered += 1;
                 // An uninitialised peer (start signal not received yet)
                 // ignores the request, exactly like the cycle driver.
-                if self
-                    .nodes
-                    .get(node.as_usize())
-                    .and_then(Option::as_ref)
-                    .is_none()
-                {
+                if protocol.packed_node(node).is_none() {
                     return;
                 }
-                let cycle = ctx.now() / self.params.cycle_millis.max(1);
-                let samples =
-                    self.sampler
-                        .sample(node, self.params.random_samples, cycle, ctx.engine());
-                let samples = self
+                let samples = protocol.sampler.sample(
+                    node,
+                    protocol.params.random_samples,
+                    cycle,
+                    ctx.engine(),
+                );
+                let samples = protocol
                     .adversarial_samples(node, cycle, ctx.engine())
                     .unwrap_or(samples);
-                let packed = self.nodes[node.as_usize()].as_mut().expect("checked above");
-                let ExchangeScratch {
-                    message,
-                    merge,
-                    leaf,
-                    ..
-                } = &mut self.worker_scratch[0];
-                let mut state = packed.open(node, &self.ids, &self.params);
-                // Fig. 2b: compose the answer *before* applying the request.
-                let mut answer = Vec::new();
-                state.create_message_into(from_id, &samples, false, cycle, message, &mut answer);
-                let changed = state.receive(&descriptors, cycle, merge, leaf);
-                self.traffic.answers_sent += 1;
-                self.traffic.message_sizes.record(answer.len() as u64);
-                if changed {
-                    self.mark_dirty(node);
-                }
-                ctx.send(
-                    node,
-                    from,
-                    BootstrapMessage::Answer {
-                        descriptors: answer,
-                    },
-                );
+                protocol.traffic.answers_sent += 1;
+                let (compose, answer) = Compose::new(from_id, samples, false);
+                ctx.send(node, from, BootstrapMessage::Answer { body: answer });
+                (Some(compose), body)
             }
-            BootstrapMessage::Answer { descriptors } => {
-                self.traffic.answers_delivered += 1;
-                let cycle = ctx.now() / self.params.cycle_millis.max(1);
-                let Some(packed) = self.nodes.get_mut(node.as_usize()).and_then(Option::as_mut)
-                else {
+            BootstrapMessage::Answer { body } => {
+                protocol.traffic.answers_delivered += 1;
+                if protocol.packed_node(node).is_none() {
                     return;
-                };
-                let ExchangeScratch { merge, leaf, .. } = &mut self.worker_scratch[0];
-                let mut state = packed.open(node, &self.ids, &self.params);
-                if state.receive(&descriptors, cycle, merge, leaf) {
-                    self.mark_dirty(node);
                 }
+                (None, body)
             }
-        }
+        };
+        let op = EventOp {
+            cycle,
+            compose,
+            apply: Some(received),
+        };
+        protocol.submit(lane, node, op);
     }
 }
 

@@ -855,7 +855,11 @@ pub enum Engine {
     /// The discrete-event engine: nodes wake on timers at random phases
     /// within Δ, messages travel with per-link latency, replies can arrive
     /// cycles after their request. Used to confirm the protocol's behaviour
-    /// is not an artifact of the synchronous cycle abstraction.
+    /// is not an artifact of the synchronous cycle abstraction. Like
+    /// [`Engine::Cycle`] it runs on every core, capped at the network size:
+    /// the handlers run in event order on the calling thread and their table
+    /// work streams to workers. Output is bit-for-bit the same at any core
+    /// count; the trace is its own, not the cycle engine's.
     Event {
         /// The per-link latency model.
         latency: LatencyModel,
@@ -863,8 +867,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// The thread count this engine pins (1 for `Cycle`, which resolves its
-    /// own per run, and for `Event`).
+    /// The thread count this engine pins (1 for `Cycle` and `Event`, which
+    /// resolve their own per run).
     pub(crate) fn threads(&self) -> usize {
         match *self {
             Engine::ParallelCycle { threads } => threads,
