@@ -10,6 +10,7 @@ mod adversary;
 mod churn;
 mod cluster_net;
 mod figure;
+mod golden_diff;
 mod merge_split;
 mod recovery;
 mod scenarios;
@@ -246,6 +247,12 @@ pub static EXPERIMENTS: &[Experiment] = &[
             smoke("--sizes 6"),
         ],
         run: cluster_net::run,
+    },
+    Experiment {
+        name: "golden-diff",
+        about: "what moved between two directories of goldens, per file, row and column",
+        options: golden_diff::OPTIONS,
+        run: golden_diff::run,
     },
 ];
 

@@ -16,6 +16,7 @@
 //! | `traffic`     | Live lookup workloads: scenario × router × engines |
 //! | `wan`         | WAN realism: placement × link model × engines, with regional outages and slow links |
 //! | `cluster_net` | Loopback UDP clusters on the datagram driver, one per size |
+//! | `golden-diff` | No run: what moved between two directories of goldens (`sh ci/goldens.sh regen` prints it) |
 //!
 //! Every experiment accepts `--help` (generated from the same option table the
 //! parser checks arguments against), prints tab-separated series identical in

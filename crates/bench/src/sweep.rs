@@ -307,6 +307,7 @@ mod tests {
             "traffic",
             "wan",
             "cluster_net",
+            "golden-diff",
         ];
         assert_eq!(
             EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>(),

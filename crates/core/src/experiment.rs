@@ -2236,6 +2236,12 @@ mod tests {
                 (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
             })
         };
+        // A digest as the literal its pin holds, for a failing run to print.
+        let literal = |value: u64| {
+            let hex = format!("{value:016x}");
+            let groups: Vec<_> = (0..16).step_by(4).map(|at| &hex[at..at + 4]).collect();
+            format!("0x{}", groups.join("_"))
+        };
         let mut spray = ExperimentConfig::builder();
         spray
             .network_size(32)
@@ -2248,7 +2254,13 @@ mod tests {
                 fraction: 0.25,
                 behavior: AdversaryBehavior::IdSpray { target: 0 },
             });
-        assert_eq!(digest(&spray), 0x71d1_0bf5_7cfe_8f68);
+        let spray = digest(&spray);
+        assert_eq!(
+            spray,
+            0x71d1_0bf5_7cfe_8f68,
+            "the spray pin wants {}",
+            literal(spray)
+        );
 
         let mut wan = ExperimentConfig::builder();
         wan.network_size(32)
@@ -2269,7 +2281,13 @@ mod tests {
                 phase: Phase::new(4, 6),
                 rate: 0.1,
             });
-        assert_eq!(digest(&wan), 0x4438_22e3_01ea_af37);
+        let wan = digest(&wan);
+        assert_eq!(
+            wan,
+            0x4438_22e3_01ea_af37,
+            "the WAN pin wants {}",
+            literal(wan)
+        );
     }
 
     /// Runs `config` on its engine (the cycle engine with its timeline and

@@ -23,7 +23,7 @@ fn golden_config() -> ExperimentConfig {
 }
 
 #[test]
-fn bootstrap_and_evaluate_output_is_byte_identical_to_the_pre_refactor_run() {
+fn bootstrap_and_evaluate_output_is_pinned() {
     let config = golden_config();
     let (_, population) = Experiment::new(config.clone()).run_with_snapshot();
     let report =

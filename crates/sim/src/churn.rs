@@ -625,14 +625,22 @@ mod tests {
                     fold(node.as_usize() as u64);
                 }
             }
+            let lengths = lists.map(Vec::len);
             assert_eq!(
-                (digest, lists.map(Vec::len)),
+                (digest, lengths),
                 expected,
-                "cycle {cycle} moved"
+                "cycle {cycle} moved; its pin wants ({}, {lengths:?})",
+                crate::transport::tests::hex_literal(digest)
             );
         }
         assert_eq!((net.alive_count(), net.len()), (99, 192));
-        assert_eq!(rng.next_u64(), 0x467c_ffe9_90fe_eae2);
+        let next = rng.next_u64();
+        assert_eq!(
+            next,
+            0x467c_ffe9_90fe_eae2,
+            "the pin wants {}",
+            crate::transport::tests::hex_literal(next)
+        );
     }
 
     #[test]

@@ -409,8 +409,17 @@ impl Transport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// `value` as the literal a pinned test holds, grouped like the tree's
+    /// own (`0x0123_4567_89ab_cdef`): what a failing pin prints for its
+    /// replacement.
+    pub(crate) fn hex_literal(value: u64) -> String {
+        let hex = format!("{value:016x}");
+        let groups: Vec<_> = (0..16).step_by(4).map(|at| &hex[at..at + 4]).collect();
+        format!("0x{}", groups.join("_"))
+    }
 
     fn idx(i: u32) -> NodeIndex {
         NodeIndex::new(i)
@@ -607,6 +616,12 @@ mod tests {
         )
     }
 
+    /// A decision stream as the tuple literal its pin holds.
+    fn pin((digest, offered, dropped, next): (u64, u64, u64, u64)) -> String {
+        let (digest, next) = (hex_literal(digest), hex_literal(next));
+        format!("({digest}, {offered}, {dropped}, {next})")
+    }
+
     #[test]
     fn decision_stream_is_pinned() {
         // Expected values recorded from the transport stack this struct
@@ -619,9 +634,12 @@ mod tests {
             .with_loss_window(2, 4, 0.5)
             .with_partition_window(1, 3, (0..16).map(|i| i % 2).collect())
             .with_slow_window(3, 5, None, 2.0);
+        let stream = decision_stream(uniform, 20);
         assert_eq!(
-            decision_stream(uniform, 20),
-            (0x2763_04ef_04b9_2cd6, 1200, 355, 0x8cb1_aaef_fdf7_3514)
+            stream,
+            (0x2763_04ef_04b9_2cd6, 1200, 355, 0x8cb1_aaef_fdf7_3514),
+            "the uniform pin wants {}",
+            pin(stream)
         );
 
         let placement = PlacementSpec::Clustered {
@@ -639,9 +657,12 @@ mod tests {
             .with_outage_window(1, 4, 0, 0.5)
             .with_outage_window(2, 5, 1, 0.3)
             .with_slow_window(3, 6, Some(2), 3.0);
+        let stream = decision_stream(wan, 30);
         assert_eq!(
-            decision_stream(wan, 30),
-            (0xabc7_6488_3254_e855, 1200, 312, 0xb724_8c7e_c03e_d82d)
+            stream,
+            (0xabc7_6488_3254_e855, 1200, 312, 0xb724_8c7e_c03e_d82d),
+            "the WAN pin wants {}",
+            pin(stream)
         );
     }
 }
