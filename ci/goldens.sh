@@ -28,14 +28,15 @@ BIN=target/release/bss-bench
 # (the wall-clock column of the figures' `2^` summary rows stripped) or a file
 # under the run's directory $out; and the bss-bench arguments.
 TABLE='
-fig3      stdout                  fig3 --sizes 6,7 --runs 2 --quiet
-fig4      stdout                  fig4 --sizes 6,7 --runs 2 --quiet
-churn     stdout                  churn --size 7 --cycles 20
-ablation  stdout                  ablation --size 7 --runs 2 --cycles 40
-recovery  stdout                  recovery --require-recovery --out-dir $out
-adversary adversary_timeline.tsv  adversary --size 7 --cycles 40 --fractions 20 --quiet --out-dir $out
-traffic   traffic_timeline.tsv    traffic --smoke --quiet --out-dir $out
-wan       wan_timeline.tsv        wan --smoke --quiet --out-dir $out
+fig3        stdout                  fig3 --sizes 6,7 --runs 2 --quiet
+fig4        stdout                  fig4 --sizes 6,7 --runs 2 --quiet
+churn       stdout                  churn --size 7 --cycles 20
+merge_split stdout                  merge_split --size 11 --cycles 40
+ablation    stdout                  ablation --size 7 --runs 2 --cycles 40
+recovery    stdout                  recovery --require-recovery --out-dir $out
+adversary   adversary_timeline.tsv  adversary --size 7 --cycles 40 --fractions 20 --quiet --out-dir $out
+traffic     traffic_timeline.tsv    traffic --smoke --quiet --out-dir $out
+wan         wan_timeline.tsv        wan --smoke --quiet --out-dir $out
 '
 
 strip_elapsed() {

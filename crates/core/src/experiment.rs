@@ -20,7 +20,7 @@ use crate::convergence::{ConvergenceOracle, ConvergenceTracker, NetworkConvergen
 use crate::node::BootstrapNode;
 use crate::protocol::{BootstrapMessage, BootstrapProtocol, TrafficStats};
 use crate::routing::RouterKind;
-use crate::scenario::{Engine, LatencyModel, NullObserver, Observer, Scenario};
+use crate::scenario::{Engine, LatencyModel, NullObserver, Observer, Scenario, ScenarioEvent};
 use crate::traffic::{LookupTraffic, LookupTrafficReport};
 use bss_sampling::newscast::NewscastProtocol;
 use bss_sampling::sampler::{OracleSampler, PeerSampler};
@@ -202,34 +202,33 @@ impl ExperimentConfig {
         self.link_model().validate()?;
         // Regional connectivity events only mean something under a placement:
         // without a Wan link model no region exists to outage or slow down,
-        // so the event would silently do nothing.
-        if self.scenario.has_regional_events() && !self.link_model().is_wan() {
-            return Err(InvalidParams::from_message(
-                "regional scenario events require a wan link model (regions only exist under a node placement)",
-            ));
-        }
-        // A regional event naming a region the placement never populates
-        // would likewise be a silent no-op: reject it while both are in scope.
-        if let Some(spec) = self.link_model().placement_spec() {
-            let regions = spec.region_count();
-            let named = self
-                .scenario
-                .regional_outages()
-                .map(|(_, region, _)| ("regional outage region", region))
-                .chain(
-                    self.scenario
-                        .slow_link_windows()
-                        .filter_map(|(_, region, _)| region.map(|r| ("slow links region", r))),
-                );
-            for (field, region) in named {
-                if region >= regions {
-                    return Err(InvalidParams::OutOfRange {
-                        field,
-                        value: f64::from(region),
-                        min: 0.0,
-                        max: f64::from(regions.saturating_sub(1)),
-                    });
+        // so the event would silently do nothing. A region the placement
+        // never populates would likewise be a silent no-op: reject it while
+        // both are in scope.
+        let regions = self
+            .link_model()
+            .placement_spec()
+            .map(|spec| spec.region_count());
+        for event in self.scenario.events() {
+            let (field, region) = match *event {
+                ScenarioEvent::RegionalOutage { region, .. } => {
+                    ("regional outage region", Some(region))
                 }
+                ScenarioEvent::SlowLinks { region, .. } => ("slow links region", region),
+                _ => continue,
+            };
+            let Some(regions) = regions else {
+                return Err(InvalidParams::from_message(
+                    "regional scenario events require a wan link model (regions only exist under a node placement)",
+                ));
+            };
+            if let Some(region) = region.filter(|&region| region >= regions) {
+                return Err(InvalidParams::OutOfRange {
+                    field,
+                    value: f64::from(region),
+                    min: 0.0,
+                    max: f64::from(regions.saturating_sub(1)),
+                });
             }
         }
         // An id-spray attack names its eclipse target by node index; a target
@@ -1109,18 +1108,15 @@ impl World {
         let mut rng = SimRng::seed_from(config.seed);
         let network = Network::with_random_ids(config.network_size, &mut rng);
         let placement = config.placement();
-        let transport = config.scenario.build_transport(
-            config.network_size,
-            &config.link_model(),
-            placement.as_ref(),
-            config.seed,
-        );
+        let timeline = config.scenario.events();
+        let transport = Transport::new(config.link_model(), placement.clone(), config.seed)
+            .with_timeline(timeline, config.network_size);
         World {
             network,
             rng,
             placement,
             transport,
-            churn: config.scenario.build_churn(),
+            churn: Churn::new(timeline),
         }
     }
 }

@@ -1022,10 +1022,17 @@ mod tests {
     use bss_sampling::sampler::OracleSampler;
     use bss_sim::engine::cycle::CycleEngine;
     use bss_sim::network::Network;
+    use bss_sim::timeline::{Phase, ScenarioEvent};
     use bss_sim::transport::Transport;
     use bss_util::config::NewscastParams;
     use bss_util::rng::SimRng;
     use std::ops::ControlFlow;
+
+    /// A reliable link that drops every message with `probability`.
+    fn lossy(probability: f64) -> Transport {
+        let phase = Phase::whole_run();
+        Transport::reliable().with_timeline(&[ScenarioEvent::LossWindow { phase, probability }], 0)
+    }
 
     fn small_params() -> BootstrapParams {
         BootstrapParams {
@@ -1096,8 +1103,7 @@ mod tests {
     fn converges_under_message_loss() {
         let mut rng = SimRng::seed_from(3);
         let network = Network::with_random_ids(150, &mut rng);
-        let mut eng = CycleEngine::new(network, rng)
-            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.2));
+        let mut eng = CycleEngine::new(network, rng).with_transport(lossy(0.2));
         let mut protocol = BootstrapProtocol::new(small_params(), OracleSampler::new());
         let (cycles, convergence) = run_to_convergence(&mut eng, &mut protocol, 120);
         assert!(
@@ -1175,8 +1181,7 @@ mod tests {
         // request + answer hand-offs must account for every transport offer.
         let mut rng = SimRng::seed_from(23);
         let network = Network::with_random_ids(120, &mut rng);
-        let mut eng = CycleEngine::new(network, rng)
-            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.3));
+        let mut eng = CycleEngine::new(network, rng).with_transport(lossy(0.3));
         let mut protocol = BootstrapProtocol::new(small_params(), OracleSampler::new());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 10);
@@ -1198,14 +1203,14 @@ mod tests {
 
     #[test]
     fn join_and_departure_hooks_manage_state() {
-        use bss_sim::churn::{Churn, ChurnStep};
+        use bss_sim::churn::Churn;
         let mut rng = SimRng::seed_from(6);
         let network = Network::with_random_ids(80, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Replace {
-            start: 0,
-            end: u64::MAX,
-            fraction: 0.05,
-        }]));
+        let mut eng =
+            CycleEngine::new(network, rng).with_churn(Churn::new(&[ScenarioEvent::ChurnBurst {
+                phase: Phase::whole_run(),
+                rate: 0.05,
+            }]));
         let mut protocol = BootstrapProtocol::new(small_params(), OracleSampler::new());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 10);

@@ -392,12 +392,8 @@ impl LookupTraffic {
         });
         LookupTraffic {
             phases: config.scenario.traffic_phases().collect(),
-            transport: config.scenario.build_transport(
-                config.network_size,
-                &latency,
-                placement.as_ref(),
-                config.seed,
-            ),
+            transport: Transport::new(latency, placement.clone(), config.seed)
+                .with_timeline(config.scenario.events(), config.network_size),
             seed: config.seed ^ TRAFFIC_SALT,
             alive: Vec::with_capacity(config.network_size),
             zipf_cumulative: Vec::new(),

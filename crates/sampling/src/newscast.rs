@@ -352,6 +352,7 @@ mod tests {
     use bss_sim::adversary::AdversaryModel;
     use bss_sim::engine::cycle::CycleEngine;
     use bss_sim::network::Network;
+    use bss_sim::timeline::{Phase, ScenarioEvent};
     use bss_sim::transport::Transport;
     use bss_util::rng::SimRng;
 
@@ -429,8 +430,14 @@ mod tests {
     fn exchange_counters_track_failures_under_loss() {
         let mut rng = SimRng::seed_from(4);
         let network = Network::with_random_ids(100, &mut rng);
-        let mut eng = CycleEngine::new(network, rng)
-            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 0.5));
+        let mut eng =
+            CycleEngine::new(network, rng).with_transport(Transport::reliable().with_timeline(
+                &[ScenarioEvent::LossWindow {
+                    phase: Phase::whole_run(),
+                    probability: 0.5,
+                }],
+                0,
+            ));
         let mut protocol = NewscastProtocol::new(NewscastParams::paper_default());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 10);
@@ -450,14 +457,14 @@ mod tests {
 
     #[test]
     fn joiners_are_absorbed_and_leavers_forgotten() {
-        use bss_sim::churn::{Churn, ChurnStep};
+        use bss_sim::churn::Churn;
         let mut rng = SimRng::seed_from(5);
         let network = Network::with_random_ids(100, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Replace {
-            start: 0,
-            end: u64::MAX,
-            fraction: 0.05,
-        }]));
+        let mut eng =
+            CycleEngine::new(network, rng).with_churn(Churn::new(&[ScenarioEvent::ChurnBurst {
+                phase: Phase::whole_run(),
+                rate: 0.05,
+            }]));
         let mut protocol = NewscastProtocol::new(NewscastParams::paper_default());
         protocol.init_all(eng.context_mut());
         eng.run(&mut protocol, 30);

@@ -2,19 +2,21 @@
 //!
 //! The paper's motivation (§1–2) is exactly these "radical" scenarios: massive
 //! joins, massive departures, catastrophic failure, merging and splitting of
-//! networks, and continuous churn during bootstrap. A [`Churn`] is one run's
-//! timeline of them, an ordered list of plain-data [`ChurnStep`]s: at the
-//! start of a cycle [`Churn::apply`] mutates the [`Network`] registry and
-//! reports the change as [`ChurnEvents`], which [`ChurnEvents::deliver`] hands
-//! to the protocol so it can initialise or drop per-node state.
+//! networks, and continuous churn during bootstrap. A [`Churn`] keeps the
+//! membership, recovery and conversion events of one run's timeline of
+//! [`ScenarioEvent`]s: at the start of a cycle [`Churn::apply`] mutates the
+//! [`Network`] registry and reports the change as [`ChurnEvents`], which
+//! [`ChurnEvents::deliver`] hands to the protocol so it can initialise or drop
+//! per-node state.
 //!
-//! Steps apply in timeline order within a cycle, so a join listed before a
-//! kill exposes the joiners to it. A step that is not due draws nothing; a due
-//! one draws what `select` states, then one [`Network::add_random_node`] per
-//! joiner.
+//! Events apply in timeline order within a cycle, so a join listed before a
+//! failure exposes the joiners to it. An event that is not due draws nothing;
+//! a due one draws what `select` states, then one [`Network::add_random_node`]
+//! per joiner.
 
 use crate::engine::cycle::{CycleProtocol, EngineContext};
 use crate::network::{Network, NodeIndex};
+use crate::timeline::ScenarioEvent;
 use bss_util::rng::SimRng;
 
 /// The membership changes applied at one cycle boundary.
@@ -31,8 +33,8 @@ use bss_util::rng::SimRng;
 /// was processed second. [`Churn::apply`] asserts the guarantee for every
 /// joiner.
 ///
-/// The guarantee holds across the steps of one cycle: when a later step kills
-/// a node that an earlier step joined *within the same cycle*, that node is
+/// The guarantee holds across the events of one cycle: when a later event
+/// kills a node that an earlier event joined *within the same cycle*, that node is
 /// reported in **neither** list — from the protocol's perspective it never
 /// existed (its registry slot stays dead, it is simply never initialised).
 /// Without this reconciliation the engine would tear the node down before
@@ -44,10 +46,10 @@ pub struct ChurnEvents {
     /// Nodes that departed (already marked dead in the registry).
     pub departed: Vec<NodeIndex>,
     /// Alive nodes ordered to rebuild their per-node protocol state from the
-    /// seed set ([`ChurnStep::ReBootstrap`]); the registry does not change.
+    /// seed set ([`ScenarioEvent::ReBootstrap`]); the registry does not change.
     pub rebootstrapped: Vec<NodeIndex>,
     /// Alive nodes converted into Byzantine adversaries
-    /// ([`ChurnStep::Convert`]), ascending and without duplicates;
+    /// ([`ScenarioEvent::ByzantineConvert`]), ascending and without duplicates;
     /// [`ChurnEvents::deliver`] marks them in the context's
     /// [`AdversaryModel`](crate::adversary::AdversaryModel).
     pub converted: Vec<NodeIndex>,
@@ -85,89 +87,52 @@ impl ChurnEvents {
     }
 }
 
-/// One entry of a [`Churn`] timeline. Fractions are of the nodes alive when
-/// the step applies and are clamped to `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ChurnStep {
-    /// Continuous replacement churn: every cycle in `[start, end)`, `fraction`
-    /// of the alive nodes departs and the same number of fresh nodes joins,
-    /// keeping the network size constant. This matches the churn the paper
-    /// alludes to in §5 ("The protocol is not sensitive to churn either").
-    Replace {
-        /// First cycle of the window (inclusive).
-        start: u64,
-        /// End of the window (exclusive; `u64::MAX` for the whole run).
-        end: u64,
-        /// Per-cycle replacement fraction.
-        fraction: f64,
-    },
-    /// A catastrophic failure: at cycle `at`, `fraction` of the alive nodes
-    /// dies simultaneously. The paper's sampling layer is designed to survive
-    /// failures of up to 70 % of the nodes (§3).
-    Kill {
-        /// The cycle at which the failure strikes.
-        at: u64,
-        /// Fraction of the alive nodes that dies.
-        fraction: f64,
-    },
-    /// A massive join: at cycle `at`, `count` fresh nodes join simultaneously
-    /// (the "flash crowd" / resource-pool-merge scenario of §1).
-    Join {
-        /// The cycle at which the batch joins.
-        at: u64,
-        /// Number of joining nodes.
-        count: usize,
-    },
-    /// A recovery order: at cycle `at`, `fraction` of the alive nodes
-    /// re-initialises its protocol state from the peer sampling service,
-    /// exactly as at start-up (§4's start condition re-applied to survivors
-    /// whose tables a failure left stale). Membership is untouched.
-    ReBootstrap {
-        /// The cycle at which the survivors re-initialise.
-        at: u64,
-        /// Fraction of the alive nodes that re-bootstraps (1.0 = everyone).
-        fraction: f64,
-    },
-    /// A Byzantine conversion: at cycle `at`, `fraction` of the alive nodes
-    /// turns adversarial. Membership is untouched — converted nodes stay
-    /// alive under their registry identifiers (an insider attack, not churn);
-    /// what they *do*, and for how long, is the
-    /// [`AdversaryModel`](crate::adversary::AdversaryModel)'s business.
-    Convert {
-        /// The cycle at which the nodes turn.
-        at: u64,
-        /// Fraction of the alive nodes converted.
-        fraction: f64,
-    },
-}
-
-/// One run's membership timeline: [`ChurnStep`]s in application order. The
+/// One run's membership timeline: the membership, recovery and conversion
+/// events of a [`ScenarioEvent`] list, in timeline order. Fractions are of the
+/// nodes alive when the event applies and are clamped to `[0, 1]`. The
 /// default value is the static membership — it changes nothing and draws
 /// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Churn {
-    steps: Vec<ChurnStep>,
+    events: Vec<ScenarioEvent>,
     /// The first cycle not applied yet.
     next_cycle: u64,
 }
 
 impl Churn {
-    /// A timeline of `steps`, applied in the given order within each cycle.
-    pub fn new(steps: impl IntoIterator<Item = ChurnStep>) -> Self {
+    /// The churn of `timeline`: its [`ChurnBurst`](ScenarioEvent::ChurnBurst),
+    /// [`CatastrophicFailure`](ScenarioEvent::CatastrophicFailure),
+    /// [`MassiveJoin`](ScenarioEvent::MassiveJoin),
+    /// [`ReBootstrap`](ScenarioEvent::ReBootstrap) and
+    /// [`ByzantineConvert`](ScenarioEvent::ByzantineConvert) events, applied
+    /// in the given order within each cycle; a conversion fires at its
+    /// window's start. The other events are the transport's or the traffic
+    /// driver's business.
+    pub fn new<'a>(timeline: impl IntoIterator<Item = &'a ScenarioEvent>) -> Self {
+        let events = timeline.into_iter().filter(|event| {
+            matches!(
+                event,
+                ScenarioEvent::ChurnBurst { .. }
+                    | ScenarioEvent::CatastrophicFailure { .. }
+                    | ScenarioEvent::MassiveJoin { .. }
+                    | ScenarioEvent::ReBootstrap { .. }
+                    | ScenarioEvent::ByzantineConvert { .. }
+            )
+        });
         Churn {
-            steps: steps.into_iter().collect(),
+            events: events.cloned().collect(),
             next_cycle: 0,
         }
     }
 
-    /// Whether the timeline has no steps (a static membership).
+    /// Whether the timeline has no membership events (a static membership).
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.events.is_empty()
     }
 
-    /// Applies the steps due at `cycle` to `network`. Cycles are applied in
+    /// Applies the events due at `cycle` to `network`. Cycles are applied in
     /// increasing order, each at most once: a `cycle` at or before the last
-    /// one applied changes nothing and draws nothing, so a one-shot step
+    /// one applied changes nothing and draws nothing, so a one-shot event
     /// fires exactly once.
     pub fn apply(&mut self, cycle: u64, network: &mut Network, rng: &mut SimRng) -> ChurnEvents {
         let mut events = ChurnEvents::default();
@@ -185,28 +150,28 @@ impl Churn {
             rebootstrapped,
             converted,
         } = &mut events;
-        for step in &self.steps {
+        for event in &self.events {
             let mut joiners = 0;
-            match *step {
-                ChurnStep::Replace {
-                    start,
-                    end,
-                    fraction,
-                } if (start..end).contains(&cycle) => {
+            match *event {
+                ScenarioEvent::ChurnBurst { phase, rate } if phase.contains(cycle) => {
                     // Victims are sampled from the pre-join alive set, and as
                     // many fresh nodes join as departed.
-                    let mut victims = select(network, fraction, true, rng);
+                    let mut victims = select(network, rate, true, rng);
                     joiners = victims.len();
                     departed.append(&mut victims);
                 }
-                ChurnStep::Kill { at, fraction } if at == cycle => {
+                ScenarioEvent::CatastrophicFailure { at_cycle, fraction } if at_cycle == cycle => {
                     departed.append(&mut select(network, fraction, true, rng));
                 }
-                ChurnStep::Join { at, count } if at == cycle => joiners = count,
-                ChurnStep::ReBootstrap { at, fraction } if at == cycle => {
+                ScenarioEvent::MassiveJoin { at_cycle, count } if at_cycle == cycle => {
+                    joiners = count;
+                }
+                ScenarioEvent::ReBootstrap { at_cycle, fraction } if at_cycle == cycle => {
                     rebootstrapped.append(&mut select(network, fraction, false, rng));
                 }
-                ChurnStep::Convert { at, fraction } if at == cycle => {
+                ScenarioEvent::ByzantineConvert {
+                    phase, fraction, ..
+                } if phase.start == cycle => {
                     converted.append(&mut select(network, fraction, false, rng));
                 }
                 _ => {}
@@ -220,15 +185,15 @@ impl Churn {
             joined.iter().all(|j| j.as_usize() >= watermark),
             "churn joiner reused a pre-existing node slot"
         );
-        // An intra-cycle joiner killed by a later step is in neither list.
+        // An intra-cycle joiner killed by a later event is in neither list.
         departed.retain(|node| node.as_usize() < watermark);
         joined.retain(|&node| network.is_alive(node));
-        // A re-bootstrap order for a node a later step killed this same cycle
+        // A re-bootstrap order for a node a later event killed this same cycle
         // is void (there is no state left to rebuild), and one for a node that
         // joined this cycle is redundant (a joiner initialises fresh anyway).
         let survivor = |node: &NodeIndex| network.is_alive(*node) && node.as_usize() < watermark;
         rebootstrapped.retain(survivor);
-        // Same reconciliation for conversions: a node a later step killed this
+        // Same reconciliation for conversions: a node a later event killed this
         // cycle is gone (converting a corpse would double-count it in attack
         // metrics), and a same-cycle joiner is dropped so the converted list
         // always names pre-existing survivors. Two conversions firing the same
@@ -263,8 +228,11 @@ fn select(network: &mut Network, fraction: f64, kills: bool, rng: &mut SimRng) -
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::adversary::{AdversaryBehavior, AdversaryModel};
+    use crate::timeline::Phase;
+    use crate::transport::tests::{fnv, hex_literal, FNV_OFFSET};
 
     fn network(size: usize, seed: u64) -> (Network, SimRng) {
         let mut rng = SimRng::seed_from(seed);
@@ -272,33 +240,35 @@ mod tests {
         (network, rng)
     }
 
-    fn replace(start: u64, end: u64, fraction: f64) -> ChurnStep {
-        ChurnStep::Replace {
-            start,
-            end,
+    pub(crate) fn replace(start: u64, end: u64, rate: f64) -> ScenarioEvent {
+        let phase = Phase::new(start, end);
+        ScenarioEvent::ChurnBurst { phase, rate }
+    }
+
+    pub(crate) fn kill(at_cycle: u64, fraction: f64) -> ScenarioEvent {
+        ScenarioEvent::CatastrophicFailure { at_cycle, fraction }
+    }
+
+    pub(crate) fn join(at_cycle: u64, count: usize) -> ScenarioEvent {
+        ScenarioEvent::MassiveJoin { at_cycle, count }
+    }
+
+    pub(crate) fn rebootstrap(at_cycle: u64, fraction: f64) -> ScenarioEvent {
+        ScenarioEvent::ReBootstrap { at_cycle, fraction }
+    }
+
+    /// A conversion at cycle `at` whose attack lasts the rest of the run.
+    pub(crate) fn convert(at: u64, fraction: f64) -> ScenarioEvent {
+        ScenarioEvent::ByzantineConvert {
+            phase: Phase::new(at, u64::MAX),
             fraction,
+            behavior: AdversaryBehavior::HubAttack,
         }
-    }
-
-    fn kill(at: u64, fraction: f64) -> ChurnStep {
-        ChurnStep::Kill { at, fraction }
-    }
-
-    fn join(at: u64, count: usize) -> ChurnStep {
-        ChurnStep::Join { at, count }
-    }
-
-    fn rebootstrap(at: u64, fraction: f64) -> ChurnStep {
-        ChurnStep::ReBootstrap { at, fraction }
-    }
-
-    fn convert(at: u64, fraction: f64) -> ChurnStep {
-        ChurnStep::Convert { at, fraction }
     }
 
     /// Whole-run replacement churn.
     fn uniform(fraction: f64) -> Churn {
-        Churn::new([replace(0, u64::MAX, fraction)])
+        Churn::new(&[replace(0, u64::MAX, fraction)])
     }
 
     #[test]
@@ -370,7 +340,7 @@ mod tests {
     #[test]
     fn catastrophic_failure_fires_exactly_once() {
         let (mut net, mut rng) = network(200, 4);
-        let mut failure = Churn::new([kill(3, 0.7)]);
+        let mut failure = Churn::new(&[kill(3, 0.7)]);
         for cycle in 0..3 {
             assert!(failure.apply(cycle, &mut net, &mut rng).is_empty());
         }
@@ -385,7 +355,7 @@ mod tests {
     #[test]
     fn massive_join_adds_requested_nodes_once() {
         let (mut net, mut rng) = network(10, 5);
-        let mut join = Churn::new([join(1, 90)]);
+        let mut join = Churn::new(&[join(1, 90)]);
         assert!(join.apply(0, &mut net, &mut rng).is_empty());
         let events = join.apply(1, &mut net, &mut rng);
         assert_eq!(events.joined.len(), 90);
@@ -399,7 +369,7 @@ mod tests {
     #[test]
     fn rebootstrap_fires_once_and_touches_no_membership() {
         let (mut net, mut rng) = network(100, 11);
-        let mut order = Churn::new([rebootstrap(4, 0.5)]);
+        let mut order = Churn::new(&[rebootstrap(4, 0.5)]);
         for cycle in 0..4 {
             assert!(order.apply(cycle, &mut net, &mut rng).is_empty());
         }
@@ -417,7 +387,7 @@ mod tests {
         let (mut net, mut rng) = network(10, 12);
         net.kill(NodeIndex::new(3));
         let fingerprint = rng.clone();
-        let all = Churn::new([rebootstrap(0, 1.0)]).apply(0, &mut net, &mut rng);
+        let all = Churn::new(&[rebootstrap(0, 1.0)]).apply(0, &mut net, &mut rng);
         assert_eq!(rng, fingerprint, "full re-bootstrap draws no randomness");
         assert_eq!(all.rebootstrapped.len(), 9);
         assert!(!all.rebootstrapped.contains(&NodeIndex::new(3)));
@@ -431,7 +401,7 @@ mod tests {
         // the pre-existing survivors: orders for same-cycle victims are void,
         // and same-cycle joiners initialise fresh anyway.
         let (mut net, mut rng) = network(20, 13);
-        let mut composite = Churn::new([rebootstrap(0, 1.0), kill(0, 0.5), join(0, 7)]);
+        let mut composite = Churn::new(&[rebootstrap(0, 1.0), kill(0, 0.5), join(0, 7)]);
         let events = composite.apply(0, &mut net, &mut rng);
         assert_eq!(events.departed.len(), 10);
         assert_eq!(events.joined.len(), 7);
@@ -446,7 +416,7 @@ mod tests {
     #[test]
     fn byzantine_conversion_fires_once_and_touches_no_membership() {
         let (mut net, mut rng) = network(100, 17);
-        let mut conversion = Churn::new([convert(3, 0.2)]);
+        let mut conversion = Churn::new(&[convert(3, 0.2)]);
         for cycle in 0..3 {
             assert!(conversion.apply(cycle, &mut net, &mut rng).is_empty());
         }
@@ -465,7 +435,7 @@ mod tests {
         let (mut net, mut rng) = network(10, 18);
         net.kill(NodeIndex::new(2));
         let fingerprint = rng.clone();
-        let all = Churn::new([convert(0, 1.0)]).apply(0, &mut net, &mut rng);
+        let all = Churn::new(&[convert(0, 1.0)]).apply(0, &mut net, &mut rng);
         assert_eq!(rng, fingerprint, "full conversion draws no randomness");
         assert_eq!(all.converted.len(), 9);
         assert!(!all.converted.contains(&NodeIndex::new(2)));
@@ -494,7 +464,6 @@ mod tests {
 
     #[test]
     fn deliver_marks_conversions_in_the_context_model() {
-        use crate::adversary::{AdversaryBehavior, AdversaryModel};
         let timeline = [
             convert(0, 0.3),
             kill(0, 0.2),
@@ -510,7 +479,7 @@ mod tests {
             )),
         ] {
             let (mut net, mut rng) = network(40, 20);
-            let events = Churn::new(timeline).apply(0, &mut net, &mut rng);
+            let events = Churn::new(&timeline).apply(0, &mut net, &mut rng);
             assert!(!events.converted.is_empty());
             let mut ctx = EngineContext::new(net, rng);
             ctx.adversary = model;
@@ -536,7 +505,7 @@ mod tests {
         // conversions must cover exactly the pre-existing survivors — never a
         // same-cycle corpse, never a fresh joiner.
         let (mut net, mut rng) = network(20, 19);
-        let mut composite = Churn::new([convert(0, 1.0), kill(0, 0.5), join(0, 7)]);
+        let mut composite = Churn::new(&[convert(0, 1.0), kill(0, 0.5), join(0, 7)]);
         let events = composite.apply(0, &mut net, &mut rng);
         assert_eq!(events.departed.len(), 10);
         assert_eq!(events.joined.len(), 7);
@@ -551,7 +520,7 @@ mod tests {
     #[test]
     fn windowed_churn_only_fires_inside_its_window() {
         let (mut net, mut rng) = network(100, 8);
-        let mut churn = Churn::new([replace(2, 4, 0.1)]);
+        let mut churn = Churn::new(&[replace(2, 4, 0.1)]);
         for cycle in [0u64, 1] {
             let fingerprint = rng.clone();
             assert!(churn.apply(cycle, &mut net, &mut rng).is_empty());
@@ -566,16 +535,58 @@ mod tests {
         assert_eq!(net.alive_count(), 100);
     }
 
+    /// A membership stream: per cycle, FNV-1a over each list's length and
+    /// indices (joined, departed, re-bootstrapped, converted) and the four
+    /// lengths; then the registry's final `(alive, len)` and the next word of
+    /// the engine stream.
+    pub(crate) type MembershipStream = (Vec<(u64, [usize; 4])>, (usize, usize), u64);
+
+    /// Drives `churn` over 120 nodes through cycles 0..12.
+    pub(crate) fn membership_stream(mut churn: Churn) -> MembershipStream {
+        let mut rng = SimRng::seed_from(0x5eed);
+        let mut net = Network::with_random_ids(120, &mut rng);
+        let cycles = (0..12)
+            .map(|cycle| {
+                let events = churn.apply(cycle, &mut net, &mut rng);
+                let lists = [
+                    &events.joined,
+                    &events.departed,
+                    &events.rebootstrapped,
+                    &events.converted,
+                ];
+                let mut digest = FNV_OFFSET;
+                for list in lists {
+                    fnv(&mut digest, list.len() as u64);
+                    for node in list {
+                        fnv(&mut digest, node.as_usize() as u64);
+                    }
+                }
+                (digest, lists.map(Vec::len))
+            })
+            .collect();
+        (cycles, (net.alive_count(), net.len()), rng.next_u64())
+    }
+
+    /// A membership stream as the literal its pin holds.
+    fn pin((cycles, size, next): &MembershipStream) -> String {
+        let cycles: Vec<_> = cycles
+            .iter()
+            .map(|&(digest, lengths)| format!("({}, {lengths:?})", hex_literal(digest)))
+            .collect();
+        let next = hex_literal(*next);
+        format!("(vec![{}], {size:?}, {next})", cycles.join(", "))
+    }
+
     #[test]
     fn membership_stream_is_pinned() {
         // Expected values recorded from the boxed model stack this struct
-        // replaced, as `Scenario::build_churn` compiled it for this timeline.
-        // They move if a draw is added, dropped or swapped with its neighbour —
-        // which would shift every golden downstream. The timeline reaches
-        // every branch: a burst overlapping a join and a failure in one cycle
-        // in both orders, a full and a half re-bootstrap, a conversion in the
-        // cycle of a failure, and a burst whose victim count rounds to 0.
-        let mut churn = Churn::new([
+        // replaced. They move if a draw is added, dropped or swapped with its
+        // neighbour — which would shift every golden downstream. The timeline
+        // reaches every branch: a burst overlapping a join and a failure in
+        // one cycle in both orders, a full and a half re-bootstrap, a
+        // conversion in the cycle of a failure, and a burst whose victim count
+        // rounds to 0.
+        let churn = Churn::new(&[
             replace(2, 6, 0.05),
             join(3, 30),
             kill(3, 0.3),
@@ -586,67 +597,33 @@ mod tests {
             rebootstrap(7, 0.5),
             replace(8, 10, 0.001),
         ]);
-        // Per cycle: FNV-1a over each list's length and indices (joined,
-        // departed, re-bootstrapped, converted), then the four lengths.
         const QUIET: (u64, [usize; 4]) = (0x0c82_1078_4d8a_f5a5, [0, 0, 0, 0]);
-        let expected = [
-            QUIET,
-            QUIET,
-            (0xb257_076c_db84_6083, [6, 6, 0, 0]),
-            (0xcf3d_99ae_4a8d_b974, [24, 39, 0, 0]),
-            (0xff44_61a6_780c_85af, [5, 5, 100, 0]),
-            (0x0968_e4fc_b601_a161, [24, 30, 0, 14]),
-            QUIET,
-            (0xb4e8_c12c_2040_d21d, [0, 0, 50, 0]),
-            QUIET,
-            QUIET,
-            QUIET,
-            QUIET,
-        ];
-        let mut rng = SimRng::seed_from(0x5eed);
-        let mut net = Network::with_random_ids(120, &mut rng);
-        for (cycle, expected) in expected.into_iter().enumerate() {
-            let events = churn.apply(cycle as u64, &mut net, &mut rng);
-            let lists = [
-                &events.joined,
-                &events.departed,
-                &events.rebootstrapped,
-                &events.converted,
-            ];
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            let mut fold = |word: u64| {
-                for byte in word.to_le_bytes() {
-                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
-            };
-            for list in lists {
-                fold(list.len() as u64);
-                for node in list {
-                    fold(node.as_usize() as u64);
-                }
-            }
-            let lengths = lists.map(Vec::len);
-            assert_eq!(
-                (digest, lengths),
-                expected,
-                "cycle {cycle} moved; its pin wants ({}, {lengths:?})",
-                crate::transport::tests::hex_literal(digest)
-            );
-        }
-        assert_eq!((net.alive_count(), net.len()), (99, 192));
-        let next = rng.next_u64();
-        assert_eq!(
-            next,
+        let expected = (
+            vec![
+                QUIET,
+                QUIET,
+                (0xb257_076c_db84_6083, [6, 6, 0, 0]),
+                (0xcf3d_99ae_4a8d_b974, [24, 39, 0, 0]),
+                (0xff44_61a6_780c_85af, [5, 5, 100, 0]),
+                (0x0968_e4fc_b601_a161, [24, 30, 0, 14]),
+                QUIET,
+                (0xb4e8_c12c_2040_d21d, [0, 0, 50, 0]),
+                QUIET,
+                QUIET,
+                QUIET,
+                QUIET,
+            ],
+            (99, 192),
             0x467c_ffe9_90fe_eae2,
-            "the pin wants {}",
-            crate::transport::tests::hex_literal(next)
         );
+        let stream = membership_stream(churn);
+        assert_eq!(stream, expected, "the pin wants {}", pin(&stream));
     }
 
     #[test]
     fn composite_applies_all_models() {
         let (mut net, mut rng) = network(20, 6);
-        let mut composite = Churn::new([join(0, 5), kill(0, 0.5)]);
+        let mut composite = Churn::new(&[join(0, 5), kill(0, 0.5)]);
         assert!(!composite.is_empty());
         let events = composite.apply(0, &mut net, &mut rng);
         // The failure fires after the join added nodes: half of 25 = 12 or 13

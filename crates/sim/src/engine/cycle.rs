@@ -316,7 +316,8 @@ impl CycleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::churn::ChurnStep;
+    use crate::churn::tests::{kill, replace};
+    use crate::transport::tests::whole_run_loss;
 
     /// Records which nodes executed in which cycle, plus join/leave notifications.
     #[derive(Default)]
@@ -411,11 +412,8 @@ mod tests {
     fn churn_hooks_are_invoked() {
         let mut rng = SimRng::seed_from(4);
         let network = Network::with_random_ids(40, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Replace {
-            start: 0,
-            end: u64::MAX,
-            fraction: 0.1,
-        }]));
+        let mut eng =
+            CycleEngine::new(network, rng).with_churn(Churn::new(&[replace(0, u64::MAX, 0.1)]));
         let mut protocol = Recorder::default();
         eng.run(&mut protocol, 5);
         assert!(
@@ -434,10 +432,7 @@ mod tests {
     fn catastrophic_failure_removes_requested_fraction() {
         let mut rng = SimRng::seed_from(5);
         let network = Network::with_random_ids(100, &mut rng);
-        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new([ChurnStep::Kill {
-            at: 2,
-            fraction: 0.7,
-        }]));
+        let mut eng = CycleEngine::new(network, rng).with_churn(Churn::new(&[kill(2, 0.7)]));
         let mut protocol = Recorder::default();
         eng.run(&mut protocol, 5);
         assert_eq!(protocol.departed.len(), 70);
@@ -451,8 +446,7 @@ mod tests {
     fn transport_is_reachable_through_the_context() {
         let mut rng = SimRng::seed_from(6);
         let network = Network::with_random_ids(4, &mut rng);
-        let mut eng = CycleEngine::new(network, rng)
-            .with_transport(Transport::reliable().with_loss_window(0, u64::MAX, 1.0));
+        let mut eng = CycleEngine::new(network, rng).with_transport(whole_run_loss(1.0));
         assert!(!eng
             .context_mut()
             .deliver(NodeIndex::new(0), NodeIndex::new(1)));

@@ -308,6 +308,7 @@ struct Effects<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::whole_run_loss;
     use crate::transport::LatencyModel;
 
     /// A ping-pong protocol: node 0 pings node 1, each pong triggers another ping,
@@ -374,10 +375,6 @@ mod tests {
         EventEngine::new(network, rng)
     }
 
-    fn lossy(probability: f64) -> Transport {
-        Transport::reliable().with_loss_window(0, u64::MAX, probability)
-    }
-
     fn jittery() -> Transport {
         let latency = LatencyModel::Uniform {
             min_millis: 5,
@@ -405,7 +402,8 @@ mod tests {
 
     #[test]
     fn drop_transport_silences_the_conversation() {
-        let mut engine: EventEngine<u32> = small_engine::<u32>(2, 2).with_transport(lossy(1.0));
+        let mut engine: EventEngine<u32> =
+            small_engine::<u32>(2, 2).with_transport(whole_run_loss(1.0));
         let mut protocol = PingPong {
             received: Vec::new(),
         };
@@ -432,7 +430,8 @@ mod tests {
         // the transport is the one place that counts it: once the queue
         // drains (nothing in flight, no dead recipients) the protocol has
         // received offered - dropped messages.
-        let mut engine: EventEngine<u32> = small_engine::<u32>(2, 8).with_transport(lossy(0.4));
+        let mut engine: EventEngine<u32> =
+            small_engine::<u32>(2, 8).with_transport(whole_run_loss(0.4));
         let mut protocol = PingPong {
             received: Vec::new(),
         };

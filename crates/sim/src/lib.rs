@@ -6,22 +6,27 @@
 //!
 //! * [`network`] — the global node registry: identifiers, alive/dead status,
 //!   dense [`NodeIndex`](network::NodeIndex) addresses and descriptor creation.
+//! * [`timeline`] — the one vocabulary of a run's adverse conditions:
+//!   [`ScenarioEvent`](timeline::ScenarioEvent)s, one-shots or windows over a
+//!   [`Phase`](timeline::Phase) of cycles, with their validation and display.
+//!   The churn and the transport read the same event list.
 //! * [`transport`] — message delivery: the [`LatencyModel`](transport::LatencyModel)
 //!   link description (constant, uniform, distance-dependent WAN) and the one
 //!   [`Transport`](transport::Transport) both engines hold by value — that
-//!   model plus scripted windows of loss (the paper's 20 % experiment),
-//!   partitions, regional outages and slow links — with the order and number
-//!   of RNG draws each decision consumes.
+//!   model plus the timeline's connectivity events: loss windows (the paper's
+//!   20 % experiment), partitions, regional outages and slow links — with the
+//!   order and number of RNG draws each decision consumes.
 //! * [`link`] — the WAN latency formula: [`WanParams`](link::WanParams) and
 //!   its pure per-`(src, dst)` evaluation over a node placement.
 //! * [`engine`] — the [`cycle`](engine::cycle) engine (each node acts once per
 //!   cycle, in a random order, exchanging request/response pairs synchronously,
 //!   exactly like PeerSim's cycle-driven mode) and the [`event`](engine::event)
 //!   engine (a discrete-event scheduler with per-message latency).
-//! * [`churn`] — the one membership timeline, [`Churn`](churn::Churn): an
-//!   ordered list of plain-data steps (replacement churn over a window, kill,
-//!   join, re-bootstrap order, Byzantine conversion) applied at cycle
-//!   boundaries, with the order and number of RNG draws each step consumes.
+//! * [`churn`] — the one membership timeline, [`Churn`](churn::Churn): the
+//!   timeline's membership, recovery and conversion events (replacement churn
+//!   over a window, catastrophic failure, massive join, re-bootstrap order,
+//!   Byzantine conversion) applied at cycle boundaries, with the order and
+//!   number of RNG draws each event consumes.
 //! * [`adversary`] — the Byzantine adversary model: which nodes were converted,
 //!   the active attack window, and the configured behavior (descriptor forgery,
 //!   eclipse sprays, hub attacks), consulted at message-composition time.
@@ -61,6 +66,7 @@ pub mod churn;
 pub mod engine;
 pub mod link;
 pub mod network;
+pub mod timeline;
 pub mod transport;
 
 pub use engine::cycle::PhaseProfile;

@@ -111,6 +111,7 @@ impl WanParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::tests::{outage, slow};
     use crate::transport::{LatencyModel, Transport};
     use bss_util::coords::PlacementSpec;
     use bss_util::rng::SimRng;
@@ -204,7 +205,7 @@ mod tests {
     #[test]
     fn outage_window_drops_only_matching_region_and_window() {
         let mut transport = Transport::new(LatencyModel::default(), Some(dumbbell()), 0)
-            .with_outage_window(5, 10, 1, 1.0);
+            .with_timeline(&[outage(5, 10, 1, 1.0)], 16);
         let mut rng = SimRng::seed_from(2);
         // Outside the window: everything flows, no coins flipped.
         let fingerprint = rng.clone();
@@ -228,8 +229,10 @@ mod tests {
     fn slow_window_scales_latency_and_heals() {
         let mut transport =
             Transport::new(LatencyModel::Constant { millis: 10 }, Some(dumbbell()), 0)
-                .with_slow_window(3, 6, Some(1), 2.5)
-                .with_slow_window(0, u64::MAX, None, 1.0);
+                .with_timeline(
+                    &[slow(3, 6, Some(1), 2.5), slow(0, u64::MAX, None, 1.0)],
+                    16,
+                );
         let mut rng = SimRng::seed_from(3);
         assert_eq!(transport.latency_millis(idx(0), idx(1), &mut rng), 10);
         transport.advance_to_cycle(3);

@@ -15,18 +15,19 @@
 //! 1. the partition windows — no draw;
 //! 2. the loss window — one coin, only while a window with positive
 //!    probability is active;
-//! 3. every active regional outage touching the link — one coin each, in the
-//!    order the windows were added;
+//! 3. every active regional outage touching the link — one coin each, in
+//!    timeline order;
 //! 4. a [`LatencyModel::Wan`] link's `inter_region_loss` — one coin, only when
 //!    it is positive and the link crosses a region boundary.
 //!
 //! [`Transport::latency_millis`] draws one `range_u64(min, max + 1)` for a
 //! [`LatencyModel::Uniform`] link with `min < max` and nothing otherwise. A
 //! transport without windows over a constant link therefore draws nothing at
-//! all.
+//! all. Neither decision allocates: both walk the timeline in place.
 
 use crate::link::WanParams;
 use crate::network::NodeIndex;
+use crate::timeline::ScenarioEvent;
 use bss_util::config::InvalidParams;
 use bss_util::coords::{Placement, PlacementSpec};
 use bss_util::rng::SimRng;
@@ -142,9 +143,12 @@ impl Default for LatencyModel {
 }
 
 /// The message delivery policy both engines hold by value: a
-/// [`LatencyModel`] plus a scripted timeline of `[start, end)` cycle windows
-/// — message loss, partitions, regional outages and slow links. Outside every
-/// window, over a lossless link, it delivers everything.
+/// [`LatencyModel`] plus the connectivity events of the run's timeline —
+/// [`LossWindow`](ScenarioEvent::LossWindow),
+/// [`Partition`](ScenarioEvent::Partition),
+/// [`RegionalOutage`](ScenarioEvent::RegionalOutage) and
+/// [`SlowLinks`](ScenarioEvent::SlowLinks). Outside every window, over a
+/// lossless link, it delivers everything.
 ///
 /// The engines call [`Transport::advance_to_cycle`] at every cycle boundary
 /// (the event-driven runner maps wall-clock time to cycles through Δ) and the
@@ -157,14 +161,10 @@ pub struct Transport {
     placement: Option<Arc<Placement>>,
     /// Seed of the WAN model's per-pair jitter hash.
     seed: u64,
-    /// `(start, end, probability)`.
-    loss_windows: Vec<(u64, u64, f64)>,
-    /// `(start, end, group map)`.
-    partition_windows: Vec<(u64, u64, Vec<u32>)>,
-    /// `(start, end, region, loss)`.
-    outage_windows: Vec<(u64, u64, u32, f64)>,
-    /// `(start, end, region, factor)`; `region == None` slows every link.
-    slow_windows: Vec<(u64, u64, Option<u32>, f64)>,
+    /// The connectivity events, in timeline order.
+    windows: Vec<ScenarioEvent>,
+    /// The initial network size, which an index-parity partition splits.
+    initial_size: usize,
     cycle: u64,
     offered: u64,
     dropped: u64,
@@ -196,65 +196,36 @@ impl Transport {
             latency,
             placement,
             seed,
-            loss_windows: Vec::new(),
-            partition_windows: Vec::new(),
-            outage_windows: Vec::new(),
-            slow_windows: Vec::new(),
+            windows: Vec::new(),
+            initial_size: 0,
             cycle: 0,
             offered: 0,
             dropped: 0,
         }
     }
 
-    /// Adds a loss window: every message offered while the current cycle lies
-    /// in `[start, end)` is dropped independently with `probability` (clamped
-    /// to `[0, 1]`; validation of out-of-range inputs happens at the scenario
-    /// layer). `(0, u64::MAX, 0.2)` is the paper's Figure 4 setting. Because
-    /// the protocol is built from request/response pairs, dropping a request
-    /// also suppresses its response; the paper computes the resulting
-    /// effective loss as `1 - 0.8 * 0.9 ≈ 0.28`. That compounding happens in
-    /// the engine — the window only flips the per-message coin. Builder style.
+    /// Sets the transport's windows to the connectivity events of
+    /// `timeline`, in its order, for a network of `initial_size` initial
+    /// nodes; the other events are the churn's or the traffic driver's
+    /// business. Probabilities are clamped to `[0, 1]` (validation of
+    /// out-of-range inputs happens at the scenario layer). Builder style.
     #[must_use]
-    pub fn with_loss_window(mut self, start: u64, end: u64, probability: f64) -> Self {
-        self.loss_windows
-            .push((start, end, probability.clamp(0.0, 1.0)));
-        self
-    }
-
-    /// Adds a partition window: while the current cycle lies in `[start, end)`
-    /// every message crossing a group boundary is dropped, so the sub-networks
-    /// evolve independently until the window closes and they merge.
-    /// `group_of[i]` is the partition group of node index `i`; out-of-range
-    /// indices belong to group 0 (so later joiners land in group 0). Builder
-    /// style.
-    #[must_use]
-    pub fn with_partition_window(mut self, start: u64, end: u64, group_of: Vec<u32>) -> Self {
-        self.partition_windows.push((start, end, group_of));
-        self
-    }
-
-    /// Adds a regional outage: while the current cycle lies in `[start, end)`,
-    /// every message with an endpoint in `region` is dropped independently
-    /// with probability `loss`. Builder style.
-    #[must_use]
-    pub fn with_outage_window(mut self, start: u64, end: u64, region: u32, loss: f64) -> Self {
-        self.outage_windows
-            .push((start, end, region, loss.clamp(0.0, 1.0)));
-        self
-    }
-
-    /// Adds a slow-link window: while active, the latency of every matching
-    /// link (an endpoint in `region`, or all links when `region` is `None`)
-    /// is multiplied by `factor`. Builder style.
-    #[must_use]
-    pub fn with_slow_window(
+    pub fn with_timeline<'a>(
         mut self,
-        start: u64,
-        end: u64,
-        region: Option<u32>,
-        factor: f64,
+        timeline: impl IntoIterator<Item = &'a ScenarioEvent>,
+        initial_size: usize,
     ) -> Self {
-        self.slow_windows.push((start, end, region, factor));
+        let windows = timeline.into_iter().filter(|event| {
+            matches!(
+                event,
+                ScenarioEvent::LossWindow { .. }
+                    | ScenarioEvent::Partition { .. }
+                    | ScenarioEvent::RegionalOutage { .. }
+                    | ScenarioEvent::SlowLinks { .. }
+            )
+        });
+        self.windows = windows.cloned().collect();
+        self.initial_size = initial_size;
         self
     }
 
@@ -264,33 +235,25 @@ impl Transport {
         self.cycle = cycle;
     }
 
-    fn active(&self, start: u64, end: u64) -> bool {
-        self.cycle >= start && self.cycle < end
-    }
-
     /// The currently active loss probability (0 outside every loss window).
     pub fn active_loss(&self) -> f64 {
-        self.loss_windows
-            .iter()
-            .find(|&&(start, end, _)| self.active(start, end))
-            .map_or(0.0, |&(_, _, p)| p)
-    }
-
-    /// Whether a partition window is active at the current cycle.
-    pub fn partition_active(&self) -> bool {
-        self.partition_windows
-            .iter()
-            .any(|&(start, end, _)| self.active(start, end))
+        let active = self.windows.iter().find_map(|event| match *event {
+            ScenarioEvent::LossWindow { phase, probability } if phase.contains(self.cycle) => {
+                Some(probability.clamp(0.0, 1.0))
+            }
+            _ => None,
+        });
+        active.unwrap_or(0.0)
     }
 
     fn crosses_partition(&self, from: NodeIndex, to: NodeIndex) -> bool {
-        self.partition_windows
-            .iter()
-            .filter(|&&(start, end, _)| self.active(start, end))
-            .any(|(_, _, group_of)| {
-                let group = |node: NodeIndex| group_of.get(node.as_usize()).copied().unwrap_or(0);
+        self.windows.iter().any(|event| match event {
+            ScenarioEvent::Partition { phase, groups } if phase.contains(self.cycle) => {
+                let group = |node: NodeIndex| groups.group(node.as_usize(), self.initial_size);
                 group(from) != group(to)
-            })
+            }
+            _ => false,
+        })
     }
 
     /// Region of a node under the placement (0 when there is none).
@@ -307,17 +270,23 @@ impl Transport {
 
     /// Whether an active regional outage drops a `from → to` message: one
     /// coin per active window with positive loss touching the link, in
-    /// insertion order, until one comes up. The traffic layer asks the same
+    /// timeline order, until one comes up. The traffic layer asks the same
     /// question of a lookup's client and target.
     pub fn outage_drops(&self, from: NodeIndex, to: NodeIndex, rng: &mut SimRng) -> bool {
-        self.outage_windows
-            .iter()
-            .any(|&(start, end, region, loss)| {
-                self.active(start, end)
+        self.windows.iter().any(|event| match *event {
+            ScenarioEvent::RegionalOutage {
+                phase,
+                region,
+                loss,
+            } => {
+                let loss = loss.clamp(0.0, 1.0);
+                phase.contains(self.cycle)
                     && loss > 0.0
                     && self.touches(region, from, to)
                     && rng.chance(loss)
-            })
+            }
+            _ => false,
+        })
     }
 
     /// Decides whether a single message from `from` to `to` is delivered.
@@ -358,13 +327,19 @@ impl Transport {
 
     /// Combined slow-link factor active on this link at the current cycle.
     fn slow_factor(&self, from: NodeIndex, to: NodeIndex) -> f64 {
-        self.slow_windows
-            .iter()
-            .filter(|&&(start, end, region, _)| {
-                self.active(start, end) && region.map_or(true, |r| self.touches(r, from, to))
-            })
-            .map(|&(_, _, _, factor)| factor)
-            .product()
+        let factors = self.windows.iter().filter_map(|event| match *event {
+            ScenarioEvent::SlowLinks {
+                phase,
+                region,
+                factor,
+            } if phase.contains(self.cycle)
+                && region.map_or(true, |r| self.touches(r, from, to)) =>
+            {
+                Some(factor)
+            }
+            _ => None,
+        });
+        factors.product()
     }
 
     /// Latency, in milliseconds, of a delivered message from `from` to `to`:
@@ -411,6 +386,7 @@ impl Transport {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::timeline::{PartitionSpec, Phase};
 
     /// `value` as the literal a pinned test holds, grouped like the tree's
     /// own (`0x0123_4567_89ab_cdef`): what a failing pin prints for its
@@ -421,12 +397,52 @@ pub(crate) mod tests {
         format!("0x{}", groups.join("_"))
     }
 
+    /// The FNV-1a offset basis a pinned stream's digest starts from.
+    pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// Folds `word` into an FNV-1a `digest`, byte by byte.
+    pub(crate) fn fnv(digest: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
     fn idx(i: u32) -> NodeIndex {
         NodeIndex::new(i)
     }
 
-    fn whole_run_loss(probability: f64) -> Transport {
-        Transport::reliable().with_loss_window(0, u64::MAX, probability)
+    pub(crate) fn loss(start: u64, end: u64, probability: f64) -> ScenarioEvent {
+        let phase = Phase::new(start, end);
+        ScenarioEvent::LossWindow { phase, probability }
+    }
+
+    fn partition(start: u64, end: u64, groups: Vec<u32>) -> ScenarioEvent {
+        let phase = Phase::new(start, end);
+        let groups = PartitionSpec::Explicit(groups);
+        ScenarioEvent::Partition { phase, groups }
+    }
+
+    pub(crate) fn outage(start: u64, end: u64, region: u32, loss: f64) -> ScenarioEvent {
+        let phase = Phase::new(start, end);
+        ScenarioEvent::RegionalOutage {
+            phase,
+            region,
+            loss,
+        }
+    }
+
+    pub(crate) fn slow(start: u64, end: u64, region: Option<u32>, factor: f64) -> ScenarioEvent {
+        let phase = Phase::new(start, end);
+        ScenarioEvent::SlowLinks {
+            phase,
+            region,
+            factor,
+        }
+    }
+
+    /// A reliable link that drops every message with `probability`.
+    pub(crate) fn whole_run_loss(probability: f64) -> Transport {
+        Transport::reliable().with_timeline(&[loss(0, u64::MAX, probability)], 0)
     }
 
     fn uniform(min_millis: u64, max_millis: u64) -> Transport {
@@ -483,8 +499,8 @@ pub(crate) mod tests {
     fn partition_transport_blocks_cross_group_traffic() {
         let mut rng = SimRng::seed_from(4);
         let fingerprint = rng.clone();
-        let mut t = Transport::reliable().with_partition_window(0, u64::MAX, vec![0, 0, 1, 1]);
-        assert!(t.partition_active());
+        let mut t =
+            Transport::reliable().with_timeline(&[partition(0, u64::MAX, vec![0, 0, 1, 1])], 0);
         assert!(t.should_deliver(idx(0), idx(1), &mut rng));
         assert!(!t.should_deliver(idx(0), idx(2), &mut rng));
         assert!(t.should_deliver(idx(2), idx(3), &mut rng));
@@ -495,7 +511,7 @@ pub(crate) mod tests {
     #[test]
     fn partition_transport_defaults_unknown_nodes_to_group_zero() {
         let mut rng = SimRng::seed_from(5);
-        let mut t = Transport::reliable().with_partition_window(0, u64::MAX, vec![1]);
+        let mut t = Transport::reliable().with_timeline(&[partition(0, u64::MAX, vec![1])], 0);
         // Node 5 is out of range -> group 0, node 0 is group 1.
         assert!(!t.should_deliver(idx(0), idx(5), &mut rng));
         assert!(t.should_deliver(idx(5), idx(6), &mut rng));
@@ -524,7 +540,7 @@ pub(crate) mod tests {
 
     #[test]
     fn timeline_transport_follows_its_loss_windows() {
-        let mut t = Transport::reliable().with_loss_window(2, 4, 1.0);
+        let mut t = Transport::reliable().with_timeline(&[loss(2, 4, 1.0)], 0);
         let mut rng = SimRng::seed_from(8);
         // Before the window: reliable, and no RNG is consumed.
         let fingerprint = rng.clone();
@@ -546,9 +562,8 @@ pub(crate) mod tests {
 
     #[test]
     fn timeline_transport_partitions_and_heals() {
-        let mut t = Transport::reliable().with_partition_window(0, 5, vec![0, 0, 1, 1]);
+        let mut t = Transport::reliable().with_timeline(&[partition(0, 5, vec![0, 0, 1, 1])], 0);
         let mut rng = SimRng::seed_from(10);
-        assert!(t.partition_active());
         assert!(t.should_deliver(idx(0), idx(1), &mut rng));
         assert!(!t.should_deliver(idx(0), idx(2), &mut rng));
         // Unknown indices (later joiners) default to group 0.
@@ -556,7 +571,6 @@ pub(crate) mod tests {
         assert!(!t.should_deliver(idx(2), idx(9), &mut rng));
         // The partition heals at its end cycle: the network merges.
         t.advance_to_cycle(5);
-        assert!(!t.partition_active());
         assert!(t.should_deliver(idx(0), idx(2), &mut rng));
         assert_eq!(t.messages_dropped(), 2);
     }
@@ -564,7 +578,7 @@ pub(crate) mod tests {
     #[test]
     fn latency_wrapper_forwards_the_clock() {
         // A latency model and a scripted window live in one transport.
-        let mut t = uniform(1, 1).with_loss_window(1, 2, 1.0);
+        let mut t = uniform(1, 1).with_timeline(&[loss(1, 2, 1.0)], 0);
         let mut rng = SimRng::seed_from(11);
         assert!(t.should_deliver(idx(0), idx(1), &mut rng));
         t.advance_to_cycle(1);
@@ -574,25 +588,22 @@ pub(crate) mod tests {
     #[test]
     fn latency_wrapper_preserves_drop_statistics() {
         let mut rng = SimRng::seed_from(7);
-        let mut t = uniform(1, 2).with_loss_window(0, u64::MAX, 1.0);
+        let mut t = uniform(1, 2).with_timeline(&[loss(0, u64::MAX, 1.0)], 0);
         assert!(!t.should_deliver(idx(0), idx(1), &mut rng));
         assert_eq!(t.messages_dropped(), 1);
         assert_eq!(t.messages_offered(), 1);
     }
 
+    /// A decision stream: FNV-1a over every `(delivered, latency)` decision,
+    /// the offered and dropped counts and the next word of the engine stream.
+    pub(crate) type DecisionStream = (u64, u64, u64, u64);
+
     /// Drives `transport` through cycles 0..6, 200 messages each between
-    /// random pairs of `nodes` nodes, and digests every `(delivered, latency)`
-    /// decision (FNV-1a). Returns the digest, the offered and dropped counts
-    /// and the next word of the engine stream.
-    fn decision_stream(mut transport: Transport, nodes: usize) -> (u64, u64, u64, u64) {
+    /// random pairs of `nodes` nodes.
+    pub(crate) fn decision_stream(mut transport: Transport, nodes: usize) -> DecisionStream {
         let mut rng = SimRng::seed_from(0x5eed);
         let mut pairs = SimRng::seed_from(0xfeed);
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold = |word: u64| {
-            for byte in word.to_le_bytes() {
-                digest = (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut digest = FNV_OFFSET;
         for cycle in 0..6 {
             transport.advance_to_cycle(cycle);
             for _ in 0..200 {
@@ -604,8 +615,8 @@ pub(crate) mod tests {
                 } else {
                     0
                 };
-                fold(u64::from(delivered));
-                fold(latency);
+                fnv(&mut digest, u64::from(delivered));
+                fnv(&mut digest, latency);
             }
         }
         (
@@ -617,31 +628,13 @@ pub(crate) mod tests {
     }
 
     /// A decision stream as the tuple literal its pin holds.
-    fn pin((digest, offered, dropped, next): (u64, u64, u64, u64)) -> String {
+    fn pin((digest, offered, dropped, next): DecisionStream) -> String {
         let (digest, next) = (hex_literal(digest), hex_literal(next));
         format!("({digest}, {offered}, {dropped}, {next})")
     }
 
-    #[test]
-    fn decision_stream_is_pinned() {
-        // Expected values recorded from the transport stack this struct
-        // replaced. They move if a coin is added, dropped or swapped with its
-        // neighbour — which would shift every golden downstream. Between them
-        // the two timelines reach every branch: partition, loss coin, a slow
-        // window over drawn latencies; two outages active at once, structural
-        // loss behind them, a regional slow window over hashed latencies.
-        let uniform = uniform(5, 50)
-            .with_loss_window(2, 4, 0.5)
-            .with_partition_window(1, 3, (0..16).map(|i| i % 2).collect())
-            .with_slow_window(3, 5, None, 2.0);
-        let stream = decision_stream(uniform, 20);
-        assert_eq!(
-            stream,
-            (0x2763_04ef_04b9_2cd6, 1200, 355, 0x8cb1_aaef_fdf7_3514),
-            "the uniform pin wants {}",
-            pin(stream)
-        );
-
+    /// The 3-region WAN model of the pinned stream, over `nodes` nodes.
+    pub(crate) fn wan(nodes: usize) -> Transport {
         let placement = PlacementSpec::Clustered {
             regions: 3,
             width: 1000.0,
@@ -653,16 +646,43 @@ pub(crate) mod tests {
             ..WanParams::default()
         };
         let model = LatencyModel::Wan { placement, params };
-        let wan = Transport::new(model, model.build_placement(24, 7), 7)
-            .with_outage_window(1, 4, 0, 0.5)
-            .with_outage_window(2, 5, 1, 0.3)
-            .with_slow_window(3, 6, Some(2), 3.0);
-        let stream = decision_stream(wan, 30);
+        Transport::new(model, model.build_placement(nodes, 7), 7)
+    }
+
+    #[test]
+    fn decision_stream_is_pinned() {
+        // Expected values recorded from the transport stack this struct
+        // replaced. They move if a coin is added, dropped or swapped with its
+        // neighbour — which would shift every golden downstream. Between them
+        // the two timelines reach every branch: partition, loss coin, a slow
+        // window over drawn latencies; two outages active at once, structural
+        // loss behind them, a regional slow window over hashed latencies. The
+        // stream draws nodes 0..20 of an initial 16, so the index-parity
+        // partition also puts later joiners in group 0.
+        let parity = ScenarioEvent::Partition {
+            phase: Phase::new(1, 3),
+            groups: PartitionSpec::IndexParity,
+        };
+        let uniform =
+            uniform(5, 50).with_timeline(&[loss(2, 4, 0.5), parity, slow(3, 5, None, 2.0)], 16);
+        let wan = wan(24).with_timeline(
+            &[
+                outage(1, 4, 0, 0.5),
+                outage(2, 5, 1, 0.3),
+                slow(3, 6, Some(2), 3.0),
+            ],
+            24,
+        );
+        let streams = (decision_stream(uniform, 20), decision_stream(wan, 30));
         assert_eq!(
-            stream,
-            (0xabc7_6488_3254_e855, 1200, 312, 0xb724_8c7e_c03e_d82d),
-            "the WAN pin wants {}",
-            pin(stream)
+            streams,
+            (
+                (0x2763_04ef_04b9_2cd6, 1200, 355, 0x8cb1_aaef_fdf7_3514),
+                (0xabc7_6488_3254_e855, 1200, 312, 0xb724_8c7e_c03e_d82d),
+            ),
+            "the pins want ({}, {})",
+            pin(streams.0),
+            pin(streams.1)
         );
     }
 }

@@ -1,45 +1,54 @@
-//! Property tests for [`Churn`] step ordering and the non-aliasing guarantee
+//! Property tests for [`Churn`] event ordering and the non-aliasing guarantee
 //! of [`ChurnEvents`](bss_sim::churn::ChurnEvents).
 //!
 //! A scenario timeline can compose continuous replacement churn with one-shot
 //! catastrophic failures and massive joins in any order. Whatever the
 //! composition, the aggregated per-cycle events must:
 //!
-//! * apply the steps in timeline order within each cycle (observable as
+//! * apply the events in timeline order within each cycle (observable as
 //!   strictly increasing joiner indices — the registry appends);
 //! * never report a node as both joined and departed in the same cycle, and
 //!   never hand a joiner a recycled (previously used) slot;
 //! * keep the registry's alive/dead bookkeeping consistent with the reported
 //!   lists, with one-shots firing exactly once at their scheduled cycle.
 
-use bss_sim::churn::{Churn, ChurnStep};
+use bss_sim::adversary::AdversaryBehavior;
+use bss_sim::churn::Churn;
 use bss_sim::network::{Network, NodeIndex};
+use bss_sim::timeline::{Phase, ScenarioEvent};
 use bss_util::rng::SimRng;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-fn step_strategy(cycles: u64) -> impl Strategy<Value = ChurnStep> {
+/// A conversion at cycle `at` whose attack lasts the rest of the run.
+fn convert(at: u64, fraction: f64) -> ScenarioEvent {
+    ScenarioEvent::ByzantineConvert {
+        phase: Phase::new(at, u64::MAX),
+        fraction,
+        behavior: AdversaryBehavior::HubAttack,
+    }
+}
+
+fn event_strategy(cycles: u64) -> impl Strategy<Value = ScenarioEvent> {
     (0u8..5, 0u32..300, 0..cycles, 1..cycles, 1usize..40).prop_map(
         |(kind, rate, at, len, count)| match kind {
-            0 => ChurnStep::Replace {
-                start: 0,
-                end: u64::MAX,
-                fraction: f64::from(rate % 120) / 1000.0,
+            0 => ScenarioEvent::ChurnBurst {
+                phase: Phase::whole_run(),
+                rate: f64::from(rate % 120) / 1000.0,
             },
-            1 => ChurnStep::Replace {
-                start: at,
-                end: at + len,
-                fraction: f64::from(rate) / 1000.0,
+            1 => ScenarioEvent::ChurnBurst {
+                phase: Phase::new(at, at + len),
+                rate: f64::from(rate) / 1000.0,
             },
-            2 => ChurnStep::Kill {
-                at,
+            2 => ScenarioEvent::CatastrophicFailure {
+                at_cycle: at,
                 fraction: f64::from(rate % 70) / 100.0,
             },
-            3 => ChurnStep::Convert {
-                at,
-                fraction: f64::from(rate % 70) / 100.0,
+            3 => convert(at, f64::from(rate % 70) / 100.0),
+            _ => ScenarioEvent::MassiveJoin {
+                at_cycle: at,
+                count,
             },
-            _ => ChurnStep::Join { at, count },
         },
     )
 }
@@ -51,14 +60,14 @@ proptest! {
     /// kills, conversions and joins, applied over several cycles.
     #[test]
     fn composite_preserves_order_and_never_aliases_slots(
-        steps in prop::collection::vec(step_strategy(12), 1..5),
+        timeline in prop::collection::vec(event_strategy(12), 1..5),
         size in 30usize..150,
         seed in any::<u64>(),
     ) {
         let cycles = 12u64;
         let mut rng = SimRng::seed_from(seed);
         let mut network = Network::with_random_ids(size, &mut rng);
-        let mut composite = Churn::new(steps);
+        let mut composite = Churn::new(&timeline);
 
         let mut ever_joined: HashSet<NodeIndex> = HashSet::new();
         for cycle in 0..cycles {
@@ -104,7 +113,7 @@ proptest! {
                 );
             }
 
-            // --- Ordering: steps apply in composition order, so the
+            // --- Ordering: events apply in composition order, so the
             // append-only registry hands out strictly increasing indices. ---
             prop_assert!(
                 events
@@ -117,7 +126,7 @@ proptest! {
             );
 
             // --- Bookkeeping: the reported lists explain the registry delta.
-            // (Intra-cycle joiners killed by a later step appear in neither
+            // (Intra-cycle joiners killed by a later event appear in neither
             // list; they occupy dead slots above the watermark.) ---
             for &victim in &events.departed {
                 prop_assert!(victim.as_usize() < len_before, "victim must pre-date the cycle");
@@ -155,15 +164,15 @@ proptest! {
     ) {
         let mut rng = SimRng::seed_from(seed);
         let mut network = Network::with_random_ids(size, &mut rng);
-        let join = ChurnStep::Join { at: 3, count };
-        let failure = ChurnStep::Kill {
-            at: 3,
+        let join = ScenarioEvent::MassiveJoin { at_cycle: 3, count };
+        let failure = ScenarioEvent::CatastrophicFailure {
+            at_cycle: 3,
             fraction: f64::from(percent) / 100.0,
         };
         let mut composite = Churn::new(if join_first {
-            [join, failure]
+            [&join, &failure]
         } else {
-            [failure, join]
+            [&failure, &join]
         });
         for cycle in 0..3 {
             prop_assert!(composite.apply(cycle, &mut network, &mut rng).is_empty());
@@ -204,18 +213,15 @@ proptest! {
     ) {
         let mut rng = SimRng::seed_from(seed);
         let mut network = Network::with_random_ids(size, &mut rng);
-        let convert = ChurnStep::Convert {
-            at: 3,
-            fraction: f64::from(convert_percent) / 100.0,
-        };
-        let failure = ChurnStep::Kill {
-            at: 3,
+        let convert = convert(3, f64::from(convert_percent) / 100.0);
+        let failure = ScenarioEvent::CatastrophicFailure {
+            at_cycle: 3,
             fraction: f64::from(kill_percent) / 100.0,
         };
         let mut composite = Churn::new(if convert_first {
-            [convert, failure]
+            [&convert, &failure]
         } else {
-            [failure, convert]
+            [&failure, &convert]
         });
         for cycle in 0..3 {
             prop_assert!(composite.apply(cycle, &mut network, &mut rng).is_empty());
