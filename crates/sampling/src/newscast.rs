@@ -706,6 +706,97 @@ mod tests {
         assert_eq!(quality.dead_pointer_fraction, 0.0);
     }
 
+    /// Folds `word` into an FNV-1a `digest`, byte by byte.
+    fn fnv(digest: &mut u64, word: u64) {
+        for byte in word.to_le_bytes() {
+            *digest = (*digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// `value` as a Rust hex literal grouped by four digits.
+    fn hex_literal(value: u64) -> String {
+        let hex = format!("{value:016x}");
+        let groups: Vec<_> = (0..16).step_by(4).map(|at| &hex[at..at + 4]).collect();
+        format!("0x{}", groups.join("_"))
+    }
+
+    /// Runs NEWSCAST over 300 nodes for 24 cycles of `timeline` (its
+    /// conversions turn nodes into hub attackers) and returns FNV-1a over
+    /// every slot after every cycle — a marker for an unoccupied slot, else
+    /// the view's length and packed entries — and the next word of the engine
+    /// stream.
+    fn view_stream(params: NewscastParams, timeline: &[ScenarioEvent]) -> (u64, u64) {
+        let mut eng = engine(300, 0x5eed).with_churn(bss_sim::churn::Churn::new(timeline));
+        eng.context_mut().adversary = Some(AdversaryModel::new(
+            0,
+            u64::MAX,
+            AdversaryBehavior::HubAttack,
+        ));
+        let mut protocol = NewscastProtocol::new(params);
+        protocol.init_all(eng.context_mut());
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        eng.run_with_observer(&mut protocol, 24, 1, |protocol, ctx, _| {
+            for node in ctx.network.all_indices() {
+                let Some(view) = protocol.view(node) else {
+                    fnv(&mut digest, u64::MAX);
+                    continue;
+                };
+                fnv(&mut digest, view.len() as u64);
+                for entry in view {
+                    fnv(
+                        &mut digest,
+                        u64::from(entry.address()) << 32 | entry.timestamp(),
+                    );
+                }
+            }
+            std::ops::ControlFlow::Continue(())
+        });
+        (digest, eng.context_mut().rng.next_u64())
+    }
+
+    #[test]
+    fn view_stream_is_pinned() {
+        // Expected values recorded from the unpack → dedup → rank → repack
+        // merge. They move if a view entry or a draw moves. The timelines:
+        // the paper default; aging under a churn burst, so departures and
+        // joiners cross merges; 10 % hub converts, unquota'd and quota'd.
+        let paper = NewscastParams::paper_default();
+        let aged = NewscastParams {
+            descriptor_max_age: Some(3),
+            ..paper
+        };
+        let burst = [ScenarioEvent::ChurnBurst {
+            phase: Phase::new(2, 20),
+            rate: 0.05,
+        }];
+        let hubs = [ScenarioEvent::ByzantineConvert {
+            phase: Phase::new(4, u64::MAX),
+            fraction: 0.1,
+            behavior: AdversaryBehavior::HubAttack,
+        }];
+        let quota = NewscastParams {
+            view_diversity_quota: Some(2),
+            ..paper
+        };
+        let streams = [
+            view_stream(paper, &[]),
+            view_stream(aged, &burst),
+            view_stream(paper, &hubs),
+            view_stream(quota, &hubs),
+        ];
+        let expected = [
+            (0xa5f9_8f21_357b_7510, 0x085b_8000_3e7f_eb39),
+            (0x9ddd_8082_79d0_9840, 0xb5a5_232b_dbed_0169),
+            (0xa5a3_07b9_4012_8608, 0x5f05_30e7_ad03_194c),
+            (0x84bb_5cac_6d22_0644, 0x5f05_30e7_ad03_194c),
+        ];
+        let pin: Vec<_> = streams
+            .iter()
+            .map(|&(digest, next)| format!("({}, {})", hex_literal(digest), hex_literal(next)))
+            .collect();
+        assert_eq!(streams, expected, "the pin wants [{}]", pin.join(", "));
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
