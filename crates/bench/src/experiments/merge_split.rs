@@ -9,9 +9,12 @@
 //! window end is the merge.
 //!
 //! The output reports the missing-entry proportions over time, measured against
-//! the full-membership oracle: the split phase plateaus at the fraction of
-//! entries that live on the other side, and the merge phase shows the rapid
-//! re-convergence the architecture promises.
+//! the full-membership oracle. The partition blocks messages, not peer
+//! sampling: the default oracle sampler draws from the whole network, so each
+//! half still receives descriptors from the other and the split phase falls
+//! close to perfect (at `--size 11`, 7.8e-3 of the leaf entries are missing at
+//! cycle 24). The merge phase completes the tables within a few cycles; a
+//! small network can be perfect before the merge, and the report says so.
 
 use crate::cli::Args;
 use crate::report::series_table;
@@ -65,12 +68,47 @@ pub(super) fn run(args: &Args) -> super::Outcome {
         ])
     );
     println!();
-    match report.convergence_cycle() {
-        Some(cycle) => println!(
-            "## Merged network reached perfect tables at cycle {cycle} ({} cycles after the merge)",
-            cycle.saturating_sub(MERGE_AT) + 1
-        ),
-        None => println!("## Merged network did not reach perfect tables within the budget"),
-    }
+    println!("{}", perfection_line(report.convergence_cycle()));
     Ok(())
+}
+
+/// The closing line: the first cycle at whose end every table was perfect,
+/// counted from the first cycle of the merge phase.
+fn perfection_line(cycle: Option<u64>) -> String {
+    match cycle {
+        Some(cycle) if cycle < MERGE_AT => format!(
+            "## Network reached perfect tables at cycle {cycle}, before the merge at cycle {MERGE_AT}"
+        ),
+        Some(cycle) => {
+            let after = cycle - MERGE_AT + 1;
+            let unit = if after == 1 { "cycle" } else { "cycles" };
+            format!("## Merged network reached perfect tables at cycle {cycle} ({after} {unit} after the merge)")
+        }
+        None => "## Merged network did not reach perfect tables within the budget".to_owned(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_perfection_line_counts_from_the_merge() {
+        assert_eq!(
+            perfection_line(Some(13)),
+            "## Network reached perfect tables at cycle 13, before the merge at cycle 25"
+        );
+        assert_eq!(
+            perfection_line(Some(25)),
+            "## Merged network reached perfect tables at cycle 25 (1 cycle after the merge)"
+        );
+        assert_eq!(
+            perfection_line(Some(29)),
+            "## Merged network reached perfect tables at cycle 29 (5 cycles after the merge)"
+        );
+        assert_eq!(
+            perfection_line(None),
+            "## Merged network did not reach perfect tables within the budget"
+        );
+    }
 }

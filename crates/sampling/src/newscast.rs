@@ -15,19 +15,80 @@ use bss_sim::adversary::{forged_id, AdversaryBehavior};
 use bss_sim::engine::cycle::{CycleProtocol, EngineContext};
 use bss_sim::network::{Network, NodeIndex};
 use bss_util::config::NewscastParams;
-use bss_util::descriptor::{dedup_freshest, Descriptor, PackedDescriptor};
+use bss_util::descriptor::{Descriptor, PackedDescriptor};
 use bss_util::id::NodeId;
-use bss_util::view::{rank_top_by, ViewArena};
-
-/// One node's NEWSCAST cache (as a transient merge buffer; the resident storage
-/// is the protocol's [`ViewArena`] of eight-byte [`PackedDescriptor`]s).
-type View = Vec<Descriptor<NodeIndex>>;
+use bss_util::view::ViewArena;
 
 /// Key mixed into the sybil identifiers a hub attacker fabricates. Any fixed
 /// value works: hub sybils do not try to defeat the identity-stamp verifier
 /// (that is the bootstrap layer's defence) — they exploit freshness ranking,
 /// which only the per-origin diversity quota counters.
 const HUB_SYBIL_KEY: u64 = 0x4855_4241_5454_4143;
+
+/// A merge candidate: a packed view entry and the identifier it ranks by —
+/// the registry identifier of its address, or a hub's fabricated one.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    id: NodeId,
+    entry: PackedDescriptor,
+}
+
+impl Candidate {
+    fn of(descriptor: &Descriptor<NodeIndex>) -> Self {
+        let (id, entry) = (descriptor.id(), Network::pack(descriptor));
+        Candidate { id, entry }
+    }
+
+    /// The merge order, ascending: freshest first, ties by identifier.
+    #[inline]
+    fn key(self) -> u128 {
+        u128::from(u64::MAX - self.entry.timestamp()) << 64 | u128::from(self.id.raw())
+    }
+}
+
+/// Puts `run` in merge order. A stored view is in it already unless it took a
+/// hub's payload (ranked by fabricated identifiers, then packed to the hub's
+/// address), so the sort seldom runs.
+fn order(run: &mut [Candidate]) {
+    if !run.windows(2).all(|pair| pair[0].key() <= pair[1].key()) {
+        run.sort_unstable_by_key(|candidate| candidate.key());
+    }
+}
+
+/// Fills `run` with `node`'s view and its fresh descriptor, in merge order.
+/// The fresh descriptor ties with entries stamped earlier in the same cycle,
+/// so it goes in by key.
+fn fill(
+    run: &mut Vec<Candidate>,
+    views: &ViewArena<PackedDescriptor>,
+    node: NodeIndex,
+    cycle: u64,
+    network: &Network,
+) {
+    run.clear();
+    let view = views.get(node.as_usize()).unwrap_or_default();
+    run.extend(view.iter().map(|&entry| {
+        let id = network.id(NodeIndex::new(entry.address()));
+        Candidate { id, entry }
+    }));
+    order(run);
+    let fresh = Candidate::of(&network.descriptor(node, cycle));
+    run.insert(run.partition_point(|c| c.key() < fresh.key()), fresh);
+}
+
+/// What one merge lets in besides the order: never the merging node's own
+/// identifier, at most `capacity` entries, none older than the aging bound
+/// (`(now, bound)`), and at most `quota` candidates per origin address,
+/// freshest first, counted before duplicates go. `hub` is the hub's address
+/// when the incoming run is its payload.
+#[derive(Clone, Copy, Debug)]
+struct Merge {
+    own_id: NodeId,
+    capacity: usize,
+    aging: Option<(u64, u64)>,
+    quota: Option<usize>,
+    hub: Option<u32>,
+}
 
 /// The NEWSCAST protocol state for every node in a simulation.
 ///
@@ -36,22 +97,24 @@ const HUB_SYBIL_KEY: u64 = 0x4855_4241_5454_4143;
 /// drives it alone, or the bootstrap runs its gossip step underneath).
 ///
 /// All views live in one flat [`ViewArena`] (a `view_size`-sized slot per node)
-/// storing eight-byte packed descriptors — identifiers are recovered from the
-/// network registry on the way out — and every exchange reuses the
-/// protocol-owned scratch buffers, so the steady state of a gossip cycle
-/// performs no heap allocation at all.
+/// storing eight-byte packed descriptors, and an exchange never leaves that
+/// form. Each side reads its view and fresh descriptor into a *run* of
+/// candidates in merge order (freshest first, ties by identifier); each
+/// side's new view is one pass over two runs, its own and the one it
+/// received, written straight back to its slot. Every buffer is reused, so
+/// the steady state of a gossip cycle performs no heap allocation at all.
 #[derive(Debug)]
 pub struct NewscastProtocol {
     params: NewscastParams,
     views: ViewArena<PackedDescriptor>,
-    /// Reusable buffer for the request (initiator's fresh descriptor + view).
-    request_scratch: View,
-    /// Reusable buffer for the response (peer's fresh descriptor + view).
-    response_scratch: View,
-    /// Reusable buffer for view ∪ received merges.
-    merge_scratch: View,
-    /// Reusable buffer for re-packing a merged view into its arena slot.
-    packed_scratch: Vec<PackedDescriptor>,
+    /// The runs of the exchange in progress: the initiator's and the peer's,
+    /// read before either merges, and a hub's payload.
+    runs: [Vec<Candidate>; 3],
+    /// One bit per address: taken by the merge in progress (all clear
+    /// between merges).
+    taken: Vec<u64>,
+    /// The merged view, packed for its slot.
+    merged: Vec<PackedDescriptor>,
 }
 
 impl NewscastProtocol {
@@ -60,10 +123,9 @@ impl NewscastProtocol {
         NewscastProtocol {
             views: ViewArena::new(params.view_size),
             params,
-            request_scratch: Vec::new(),
-            response_scratch: Vec::new(),
-            merge_scratch: Vec::new(),
-            packed_scratch: Vec::new(),
+            runs: Default::default(),
+            taken: Vec::new(),
+            merged: Vec::new(),
         }
     }
 
@@ -78,17 +140,6 @@ impl NewscastProtocol {
         })
     }
 
-    /// Fills `out` with a hub attacker's payload: `capacity` copies of its own
-    /// address under distinct fabricated identifiers, all stamped with the
-    /// current cycle. Freshness ranking keeps every copy (the identifiers are
-    /// distinct, so dedup does not collapse them), wiping the receiver's view
-    /// — unless a per-origin diversity quota caps the run to a few slots.
-    fn hub_payload(out: &mut View, hub: NodeIndex, cycle: u64, capacity: usize) {
-        out.extend((0..capacity).map(|position| {
-            Descriptor::new(forged_id(HUB_SYBIL_KEY, hub, cycle, position), hub, cycle)
-        }));
-    }
-
     /// The current packed view of `node`, if the node has been initialised.
     /// Entries carry addresses and timestamps; [`Network::unpack`] recovers
     /// full descriptors with identifiers.
@@ -96,110 +147,121 @@ impl NewscastProtocol {
         self.views.get(node.as_usize())
     }
 
-    /// Initialises `node` with an explicit seed view (self-entries are removed and
-    /// the view is truncated to the configured size).
+    /// Initialises `node` with an explicit seed view: the freshest descriptor
+    /// per identifier, its own left out, the freshest `view_size` kept.
     pub(crate) fn init_node_with(
         &mut self,
         node: NodeIndex,
-        seeds: Vec<Descriptor<NodeIndex>>,
-        ctx: &mut EngineContext,
+        seeds: impl IntoIterator<Item = Descriptor<NodeIndex>>,
+        ctx: &EngineContext,
     ) {
-        let own_id = ctx.network.id(node);
-        let mut view = seeds;
-        Self::normalise(&mut view, own_id, self.params.view_size);
-        self.packed_scratch.clear();
-        self.packed_scratch.extend(view.iter().map(Network::pack));
-        self.views.set(node.as_usize(), &self.packed_scratch);
+        self.runs[0].clear();
+        self.runs[1].clear();
+        self.runs[1].extend(seeds.into_iter().map(|seed| Candidate::of(&seed)));
+        order(&mut self.runs[1]);
+        let rules = Merge {
+            own_id: ctx.network.id(node),
+            capacity: self.params.view_size,
+            aging: None,
+            quota: None,
+            hub: None,
+        };
+        self.merge(node, [0, 1], rules);
     }
 
-    /// Canonicalises a view: removes descriptors of `own_id`, keeps the freshest
-    /// descriptor per identifier, ranks freshest-first (ties broken by identifier)
-    /// and truncates to `capacity`. Ranking is a partial selection: only the kept
-    /// prefix is sorted, and a buffer already within capacity and in order (the
-    /// common case on early cycles) is not sorted at all.
-    fn normalise(view: &mut View, own_id: NodeId, capacity: usize) {
-        view.retain(|d| d.id() != own_id);
-        dedup_freshest(view);
-        rank_top_by(view, capacity, |a, b| {
-            b.timestamp()
-                .cmp(&a.timestamp())
-                .then_with(|| a.id().cmp(&b.id()))
-        });
-    }
-
-    /// Performs the merge step at one participant: current view ∪ received
-    /// descriptors, normalised and written back to the arena slot (occupying it
-    /// if the node held no view yet). When the configured
-    /// [`descriptor_max_age`](NewscastParams::descriptor_max_age) is set,
-    /// `aging` carries `(now, bound)` and descriptors older than the bound are
-    /// dropped before the freshest-first ranking — the view-level failure
-    /// detector that purges a departed node's last sighting even while the
-    /// view is not full.
+    /// `node` merges `runs[own]` with `runs[incoming]` in one pass and stores
+    /// the result, occupying its slot if it held no view. The pass skips
+    /// expired entries, candidates past the quota, the own identifier and
+    /// identifiers already taken, and stops at capacity.
     ///
-    /// When a `quota` is configured
-    /// ([`view_diversity_quota`](NewscastParams::view_diversity_quota)), at
-    /// most that many merge candidates per origin address survive — freshest
-    /// first — before the ranking step. Honest origins contribute one
-    /// identifier per address, so the quota only bites sybil floods.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_slot(
-        views: &mut ViewArena<PackedDescriptor>,
-        scratch: &mut View,
-        packed_scratch: &mut Vec<PackedDescriptor>,
-        network: &Network,
-        node: NodeIndex,
-        received: &[Descriptor<NodeIndex>],
-        own_id: NodeId,
-        capacity: usize,
-        aging: Option<(u64, u64)>,
-        quota: Option<usize>,
-    ) {
-        scratch.clear();
-        if let Some(view) = views.get(node.as_usize()) {
-            scratch.extend(view.iter().map(|&p| network.unpack(p)));
-        }
-        scratch.extend_from_slice(received);
-        if let Some((now, bound)) = aging {
-            scratch.retain(|d| !d.is_expired(now, bound));
-        }
-        if let Some(cap) = quota {
-            // Group by origin address (freshest first within a group, ties by
-            // identifier — a total order, so the outcome is independent of the
-            // incoming buffer order) and keep at most `cap` per group. The
-            // final view is re-ranked by `normalise` below, so this reordering
-            // of the merge buffer is invisible to the honest result.
-            scratch.sort_unstable_by(|a, b| {
-                a.address()
-                    .as_usize()
-                    .cmp(&b.address().as_usize())
-                    .then_with(|| b.timestamp().cmp(&a.timestamp()))
-                    .then_with(|| a.id().cmp(&b.id()))
-            });
-            let mut run_addr: Option<NodeIndex> = None;
-            let mut run_len = 0usize;
-            scratch.retain(|d| {
-                if run_addr == Some(d.address()) {
-                    run_len += 1;
-                } else {
-                    run_addr = Some(d.address());
-                    run_len = 1;
+    /// On packed entries identifier equality is address equality, so an
+    /// address bit stands for the identifier. A hub's payload is the one
+    /// exception: its identifiers are distinct and none is a registry
+    /// identifier, so its entries take no bit. It is also the one run with
+    /// several identifiers at one address, so the hub's address is the one
+    /// place the quota can bite: anywhere else every candidate after an
+    /// address's first is a duplicate, which no quota of one or more changes.
+    fn merge(&mut self, node: NodeIndex, [own, incoming]: [usize; 2], rules: Merge) {
+        let (own, incoming) = (&self.runs[own], &self.runs[incoming]);
+        let (taken, merged) = (&mut self.taken, &mut self.merged);
+        merged.clear();
+        let (mut i, mut j, mut at_hub) = (0, 0, 0);
+        while merged.len() < rules.capacity {
+            let from_own = match (own.get(i), incoming.get(j)) {
+                (None, None) => break,
+                (Some(a), Some(b)) => a.key() <= b.key(),
+                (a, _) => a.is_some(),
+            };
+            let candidate = if from_own { own[i] } else { incoming[j] };
+            (i, j) = if from_own { (i + 1, j) } else { (i, j + 1) };
+            let entry = candidate.entry;
+            // Freshest first: once one entry has expired, all the rest have.
+            if rules
+                .aging
+                .is_some_and(|(now, bound)| entry.is_expired(now, bound))
+            {
+                break;
+            }
+            if rules.hub == Some(entry.address()) {
+                at_hub += 1;
+                if rules.quota.is_some_and(|quota| at_hub > quota) {
+                    continue;
                 }
-                run_len <= cap
-            });
+            }
+            let (word, bit) = ((entry.address() / 64) as usize, 1 << (entry.address() % 64));
+            if word >= taken.len() {
+                taken.resize(word + 1, 0);
+            }
+            let forged = !from_own && rules.hub.is_some();
+            if candidate.id == rules.own_id || (!forged && taken[word] & bit != 0) {
+                continue;
+            }
+            taken[word] |= if forged { 0 } else { bit };
+            merged.push(entry);
         }
-        Self::normalise(scratch, own_id, capacity);
-        packed_scratch.clear();
-        packed_scratch.extend(scratch.iter().map(Network::pack));
-        views.set(node.as_usize(), packed_scratch);
+        for entry in merged.iter() {
+            taken[(entry.address() / 64) as usize] = 0;
+        }
+        self.views.set(node.as_usize(), merged);
+    }
+
+    /// One side of an exchange: `receiver` merges `runs[own]` with what
+    /// `sender` sent — `runs[sent]`, or a sybil flood if `sender` is an acting
+    /// hub: its own address under `view_size` distinct fabricated identifiers,
+    /// all stamped now. Freshness ranking keeps every copy, wiping the
+    /// receiver's view — unless a diversity quota caps them.
+    fn take_in(
+        &mut self,
+        receiver: NodeIndex,
+        [own, sent]: [usize; 2],
+        sender: NodeIndex,
+        cycle: u64,
+        ctx: &EngineContext,
+    ) {
+        let hub = Self::acts_as_hub(ctx, sender, cycle);
+        if hub {
+            let payload = &mut self.runs[2];
+            payload.clear();
+            payload.extend((0..self.params.view_size).map(|position| {
+                let id = forged_id(HUB_SYBIL_KEY, sender, cycle, position);
+                Candidate::of(&Descriptor::new(id, sender, cycle))
+            }));
+            order(payload);
+        }
+        let rules = Merge {
+            own_id: ctx.network.id(receiver),
+            capacity: self.params.view_size,
+            aging: self.params.descriptor_max_age.map(|bound| (cycle, bound)),
+            quota: self.params.view_diversity_quota,
+            hub: hub.then(|| sender.raw()),
+        };
+        self.merge(receiver, [own, if hub { 2 } else { sent }], rules);
     }
 }
 
 impl CycleProtocol for NewscastProtocol {
     /// One active NEWSCAST exchange initiated by `node` at cycle `cycle`.
     fn execute_node(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
-        let own_id = ctx.network.id(node);
-        let capacity = self.params.view_size;
-
         // Select a random peer from the local view.
         let peer = {
             let view = match self.view(node) {
@@ -209,75 +271,21 @@ impl CycleProtocol for NewscastProtocol {
             NodeIndex::new(view[ctx.rng.index(view.len())].address())
         };
 
-        // Request: own fresh descriptor + current view.
-        if !ctx.deliver(node, peer) {
+        // The request is lost, or a departed peer cannot reply (its
+        // descriptor will age out of views).
+        if !ctx.deliver(node, peer) || !ctx.network.is_alive(peer) {
             return;
         }
-        let mut request = std::mem::take(&mut self.request_scratch);
-        request.clear();
-        if Self::acts_as_hub(ctx, node, cycle) {
-            Self::hub_payload(&mut request, node, cycle, capacity);
-        } else {
-            request.push(ctx.network.descriptor(node, cycle));
-            if let Some(view) = self.view(node) {
-                request.extend(view.iter().map(|&p| ctx.network.unpack(p)));
-            }
-        }
-
-        // A departed peer cannot reply (its descriptor will age out of views).
-        if !ctx.network.is_alive(peer) {
-            self.request_scratch = request;
-            return;
-        }
-
-        // Response: the peer's own fresh descriptor + its pre-merge view (or a
-        // sybil flood, if the contacted peer is an acting hub attacker).
-        let mut response = std::mem::take(&mut self.response_scratch);
-        response.clear();
-        if Self::acts_as_hub(ctx, peer, cycle) {
-            Self::hub_payload(&mut response, peer, cycle, capacity);
-        } else {
-            response.push(ctx.network.descriptor(peer, cycle));
-            if let Some(view) = self.view(peer) {
-                response.extend(view.iter().map(|&p| ctx.network.unpack(p)));
-            }
-        }
+        fill(&mut self.runs[0], &self.views, node, cycle, &ctx.network);
+        fill(&mut self.runs[1], &self.views, peer, cycle, &ctx.network);
         let response_delivered = ctx.deliver(peer, node);
 
-        // The peer merges the request (occupying its slot if it held no view).
-        let peer_id = ctx.network.id(peer);
-        let aging = self.params.descriptor_max_age.map(|bound| (cycle, bound));
-        let quota = self.params.view_diversity_quota;
-        Self::merge_slot(
-            &mut self.views,
-            &mut self.merge_scratch,
-            &mut self.packed_scratch,
-            &ctx.network,
-            peer,
-            &request,
-            peer_id,
-            capacity,
-            aging,
-            quota,
-        );
-
-        // The initiator merges the response, if it arrives.
+        // The peer merges the request; the initiator merges the response, if
+        // it arrives.
+        self.take_in(peer, [1, 0], node, cycle, ctx);
         if response_delivered && self.views.is_occupied(node.as_usize()) {
-            Self::merge_slot(
-                &mut self.views,
-                &mut self.merge_scratch,
-                &mut self.packed_scratch,
-                &ctx.network,
-                node,
-                &response,
-                own_id,
-                capacity,
-                aging,
-                quota,
-            );
+            self.take_in(node, [0, 1], peer, cycle, ctx);
         }
-        self.request_scratch = request;
-        self.response_scratch = response;
     }
 
     /// Standalone NEWSCAST's join: the joiner knows a single existing contact
@@ -285,12 +293,10 @@ impl CycleProtocol for NewscastProtocol {
     /// Under the bootstrap a joiner is seeded through
     /// [`PeerSampler::init_node`] instead.
     fn node_joined(&mut self, node: NodeIndex, cycle: u64, ctx: &mut EngineContext) {
-        let seeds = ctx
-            .network
-            .sample_alive_excluding(node, 1, &mut ctx.rng)
+        let contacts = ctx.network.sample_alive_excluding(node, 1, &mut ctx.rng);
+        let seeds = contacts
             .into_iter()
-            .map(|contact| ctx.network.descriptor(contact, cycle))
-            .collect();
+            .map(|contact| ctx.network.descriptor(contact, cycle));
         self.init_node_with(node, seeds, ctx);
     }
 
@@ -315,8 +321,7 @@ impl PeerSampler for NewscastProtocol {
             .sample_alive_excluding(node, view_size, &mut ctx.rng);
         let seeds = picked
             .into_iter()
-            .map(|peer| ctx.network.descriptor(peer, cycle))
-            .collect();
+            .map(|peer| ctx.network.descriptor(peer, cycle));
         self.init_node_with(node, seeds, ctx);
     }
 
@@ -331,18 +336,15 @@ impl PeerSampler for NewscastProtocol {
         _cycle: u64,
         ctx: &mut EngineContext,
     ) -> Vec<Descriptor<NodeIndex>> {
-        let view = match self.view(node) {
-            Some(v) => v,
-            None => return Vec::new(),
+        let Some(view) = self.view(node) else {
+            return Vec::new();
         };
-        // Sampling over the packed entries consumes the same RNG stream as
-        // sampling full descriptors (draws depend only on lengths); the picked
-        // entries are expanded through the registry afterwards.
-        ctx.rng
-            .sample(view, count.min(view.len()))
-            .into_iter()
-            .map(|p| ctx.network.unpack(p))
-            .collect()
+        // Expanding the whole view and drawing in place consumes the same
+        // RNG stream as drawing the packed entries (draws depend only on
+        // lengths), in the one allocation the caller keeps.
+        let mut picked: Vec<_> = view.iter().map(|&p| ctx.network.unpack(p)).collect();
+        ctx.rng.sample_in_place(&mut picked, count);
+        picked
     }
 }
 
@@ -797,9 +799,200 @@ mod tests {
         assert_eq!(streams, expected, "the pin wants [{}]", pin.join(", "));
     }
 
+    /// The merge this module ran before it merged runs: unpack the view, add
+    /// what was received, filter, deduplicate, rank and re-pack. It is the
+    /// reference model of `merging_runs_matches_the_reference_model`.
+    mod reference {
+        use super::*;
+        use bss_util::descriptor::dedup_freshest;
+        use bss_util::view::rank_top_by;
+
+        type View = Vec<Descriptor<NodeIndex>>;
+
+        /// Canonicalises a view: removes descriptors of `own_id`, keeps the
+        /// freshest descriptor per identifier, ranks freshest-first (ties
+        /// broken by identifier) and truncates to `capacity`.
+        pub(super) fn normalise(view: &mut View, own_id: NodeId, capacity: usize) {
+            view.retain(|d| d.id() != own_id);
+            dedup_freshest(view);
+            rank_top_by(view, capacity, |a, b| {
+                b.timestamp()
+                    .cmp(&a.timestamp())
+                    .then_with(|| a.id().cmp(&b.id()))
+            });
+        }
+
+        /// One participant's merge: its current view (`None` when it holds
+        /// none) ∪ `received`, aged (`aging` is `(now, bound)`), held to
+        /// `quota` per origin address, normalised and packed.
+        pub(super) fn merge_slot(
+            view: Option<&[PackedDescriptor]>,
+            network: &Network,
+            received: &[Descriptor<NodeIndex>],
+            own_id: NodeId,
+            capacity: usize,
+            aging: Option<(u64, u64)>,
+            quota: Option<usize>,
+        ) -> Vec<PackedDescriptor> {
+            let mut scratch: View = view
+                .unwrap_or_default()
+                .iter()
+                .map(|&p| network.unpack(p))
+                .collect();
+            scratch.extend_from_slice(received);
+            if let Some((now, bound)) = aging {
+                scratch.retain(|d| !d.is_expired(now, bound));
+            }
+            if let Some(cap) = quota {
+                // Group by origin address (freshest first within a group, ties
+                // by identifier) and keep at most `cap` per group.
+                scratch.sort_unstable_by(|a, b| {
+                    a.address()
+                        .as_usize()
+                        .cmp(&b.address().as_usize())
+                        .then_with(|| b.timestamp().cmp(&a.timestamp()))
+                        .then_with(|| a.id().cmp(&b.id()))
+                });
+                let mut run_addr: Option<NodeIndex> = None;
+                let mut run_len = 0usize;
+                scratch.retain(|d| {
+                    if run_addr == Some(d.address()) {
+                        run_len += 1;
+                    } else {
+                        run_addr = Some(d.address());
+                        run_len = 1;
+                    }
+                    run_len <= cap
+                });
+            }
+            normalise(&mut scratch, own_id, capacity);
+            scratch.iter().map(Network::pack).collect()
+        }
+    }
+
+    /// A random stored view over `network`: up to `capacity` entries stamped
+    /// within eight cycles of `now` (a third of them now), a quarter of them
+    /// at the address `hot`, with repeated addresses and runs of one address
+    /// at one timestamp (what a hub's payload leaves), left in random order
+    /// or sorted into merge order.
+    fn random_view(
+        rng: &mut SimRng,
+        network: &Network,
+        hot: NodeIndex,
+        capacity: usize,
+        now: u64,
+    ) -> Vec<PackedDescriptor> {
+        let len = rng.index(capacity + 1);
+        let mut view = Vec::new();
+        while view.len() < len {
+            let address = if rng.chance(0.25) {
+                hot
+            } else {
+                NodeIndex::new(rng.index(network.len()) as u32)
+            };
+            let timestamp = if rng.chance(0.3) {
+                now
+            } else {
+                now - rng.index(9) as u64
+            };
+            let copies = if rng.chance(0.2) { 1 + rng.index(4) } else { 1 };
+            for _ in 0..copies.min(len - view.len()) {
+                view.push(PackedDescriptor::new(address.raw(), timestamp));
+            }
+        }
+        if rng.chance(0.5) {
+            view.sort_by_key(|&entry| {
+                let id = network.id(NodeIndex::new(entry.address()));
+                Candidate { id, entry }.key()
+            });
+        }
+        view
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// The run merge keeps, byte for byte, what the unpack → dedup →
+            /// rank → repack model keeps: from sorted and unsorted views with
+            /// repeated addresses, unoccupied slots, honest runs that carry
+            /// the merging node's own identifier and hub payloads; with aging
+            /// on and off, quota `None`, 1 and 2, view sizes 1 to 30. Seeding
+            /// a view matches the model's `normalise`.
+            #[test]
+            fn merging_runs_matches_the_reference_model(seed in any::<u64>()) {
+                let mut rng = SimRng::seed_from(seed);
+                let network = Network::with_random_ids(24, &mut rng);
+                let capacity = 1 + rng.index(30);
+                let now = 8 + rng.index(8) as u64;
+                let aging = rng.chance(0.5).then(|| 1 + rng.index(5) as u64);
+                let quota = [None, Some(1), Some(2)][rng.index(3)];
+                let node = NodeIndex::new(rng.index(24) as u32);
+                let sender = NodeIndex::new(((node.as_usize() + 1 + rng.index(23)) % 24) as u32);
+                let own_view =
+                    rng.chance(0.85).then(|| random_view(&mut rng, &network, sender, capacity, now));
+                // The sender's view may hold the merging node itself.
+                let sender_view = random_view(&mut rng, &network, node, capacity, now);
+                let hub = rng.chance(0.3);
+                let received: Vec<_> = if hub {
+                    (0..capacity)
+                        .map(|position| {
+                            let id = forged_id(HUB_SYBIL_KEY, sender, now, position);
+                            Descriptor::new(id, sender, now)
+                        })
+                        .collect()
+                } else {
+                    std::iter::once(network.descriptor(sender, now))
+                        .chain(sender_view.iter().map(|&p| network.unpack(p)))
+                        .collect()
+                };
+                let own_id = network.id(node);
+                let expected = reference::merge_slot(
+                    own_view.as_deref(),
+                    &network,
+                    &received,
+                    own_id,
+                    capacity,
+                    aging.map(|bound| (now, bound)),
+                    quota,
+                );
+
+                // The exchange side as `execute_node` runs it.
+                let mut ctx = EngineContext::new(network, rng);
+                let mut model = AdversaryModel::new(0, u64::MAX, AdversaryBehavior::HubAttack);
+                if hub {
+                    model.note_converted(sender);
+                }
+                ctx.adversary = Some(model);
+                let params = NewscastParams {
+                    view_size: capacity,
+                    descriptor_max_age: aging,
+                    view_diversity_quota: quota,
+                };
+                let mut protocol = NewscastProtocol::new(params);
+                if let Some(view) = &own_view {
+                    protocol.views.set(node.as_usize(), view);
+                }
+                protocol.views.set(sender.as_usize(), &sender_view);
+                fill(&mut protocol.runs[0], &protocol.views, node, now, &ctx.network);
+                fill(&mut protocol.runs[1], &protocol.views, sender, now, &ctx.network);
+                protocol.take_in(node, [0, 1], sender, now, &ctx);
+                prop_assert_eq!(protocol.view(node), Some(&expected[..]), "{:?}", params);
+                prop_assert!(protocol.taken.iter().all(|&word| word == 0));
+
+                // Seeding: the same merge over the seeds alone.
+                let mut seeds = received;
+                seeds.retain(|d| d.id() == ctx.network.id(d.address()));
+                seeds.push(ctx.network.descriptor(node, now));
+                protocol.init_node_with(node, seeds.iter().copied(), &ctx);
+                reference::normalise(&mut seeds, own_id, capacity);
+                let expected: Vec<_> = seeds.iter().map(Network::pack).collect();
+                prop_assert_eq!(protocol.view(node), Some(&expected[..]));
+            }
+        }
 
         proptest! {
             /// Regression for the joiner-timestamp bug: a node initialised at

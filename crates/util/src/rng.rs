@@ -175,18 +175,30 @@ impl SimRng {
     /// replacement (partial Fisher–Yates over indices). When `count >= slice.len()`
     /// a shuffled copy of the whole slice is returned.
     pub fn sample<T: Clone>(&mut self, slice: &[T], count: usize) -> Vec<T> {
-        let n = slice.len();
-        if count >= n {
-            let mut all: Vec<T> = slice.to_vec();
+        if count >= slice.len() {
+            let mut all = slice.to_vec();
             self.shuffle(&mut all);
             return all;
         }
-        let mut indices: Vec<usize> = (0..n).collect();
+        let mut indices: Vec<usize> = (0..slice.len()).collect();
+        self.sample_in_place(&mut indices, count);
+        indices.iter().map(|&i| slice[i].clone()).collect()
+    }
+
+    /// [`sample`](Self::sample) over an owned buffer: reorders `items` so that
+    /// they start with the draw and truncates them to it. The draws depend
+    /// only on the lengths, so both forms consume the same stream.
+    pub fn sample_in_place<T>(&mut self, items: &mut Vec<T>, count: usize) {
+        let n = items.len();
+        if count >= n {
+            self.shuffle(items);
+            return;
+        }
         for i in 0..count {
             let j = i + self.index(n - i);
-            indices.swap(i, j);
+            items.swap(i, j);
         }
-        indices[..count].iter().map(|&i| slice[i].clone()).collect()
+        items.truncate(count);
     }
 
     /// Generates `count` *distinct* uniformly random `u64` values.
@@ -295,6 +307,19 @@ mod tests {
         // Asking for more than available returns everything.
         let all = rng.sample(&items, 100);
         assert_eq!(all.len(), 50);
+    }
+
+    #[test]
+    fn sampling_in_place_draws_what_sample_draws() {
+        let items: Vec<u32> = (0..30).collect();
+        for count in [0, 1, 7, 29, 30, 31] {
+            let mut copied = SimRng::seed_from(41);
+            let mut in_place = copied.clone();
+            let mut buffer = items.clone();
+            in_place.sample_in_place(&mut buffer, count);
+            assert_eq!(buffer, copied.sample(&items, count), "count {count}");
+            assert_eq!(in_place, copied, "count {count}");
+        }
     }
 
     #[test]
