@@ -12,7 +12,7 @@
 //! parameter value, at a fixed network size.
 
 use crate::cli::Args;
-use crate::figures::mean_cycle;
+use crate::report::mean_cycle;
 use crate::sweep::Cell;
 use bss_core::experiment::{Experiment, ExperimentConfigBuilder, SamplerChoice};
 use bss_util::config::{BootstrapParams, NewscastParams};

@@ -19,7 +19,7 @@
 use crate::cli::Args;
 use crate::report::series_table;
 use bss_core::experiment::{Experiment, ExperimentConfig};
-use bss_core::scenario::{PartitionSpec, Phase, ScenarioEvent};
+use bss_core::scenario::{Phase, ScenarioEvent};
 
 /// The cycle at which the partition heals.
 const MERGE_AT: u64 = 25;
@@ -45,7 +45,6 @@ pub(super) fn run(args: &Args) -> super::Outcome {
         .max_cycles(cycles)
         .event(ScenarioEvent::Partition {
             phase: Phase::new(0, MERGE_AT),
-            groups: PartitionSpec::IndexParity,
         })
         .engine(args.engine()?)
         .build()?;

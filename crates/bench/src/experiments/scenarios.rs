@@ -10,7 +10,7 @@
 use crate::cli::Args;
 use crate::report::or_dash;
 use crate::sweep::{Cell, Sweep};
-use bss_core::scenario::{AdversaryBehavior, KeyDist, PartitionSpec, Phase, ScenarioEvent};
+use bss_core::scenario::{AdversaryBehavior, KeyDist, Phase, ScenarioEvent};
 
 /// One timeline per scenario-event kind, sized relative to the network.
 fn cells(network_size: usize) -> Vec<Cell> {
@@ -94,7 +94,6 @@ fn cells(network_size: usize) -> Vec<Cell> {
             "partition_merge",
             [ScenarioEvent::Partition {
                 phase: Phase::new(0, 10),
-                groups: PartitionSpec::IndexParity,
             }],
         ),
         catastrophe_recover,

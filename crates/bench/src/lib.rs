@@ -26,10 +26,11 @@
 //! The pieces: the experiment table and its dispatch ([`experiments`]); the
 //! option tables, parser and `--help` renderer (`cli`); the sweep runner —
 //! sizes × cells × engines, one `RunReport` JSON per run — that the
-//! both-engines experiments are tables of cells for (`sweep`); the
-//! figure-sweep driver (`figures`); and tab-separated report formatting
-//! (`report`). A new experiment is a module under `experiments/` and one more
-//! row of the table.
+//! both-engines experiments are tables of cells for (`sweep`); and
+//! tab-separated report formatting (`report`). The single-engine experiments
+//! (`fig3`, `fig4`, `churn`, `merge_split`, `ablation`) are plain loops over
+//! `Experiment::run`. A new experiment is a module under `experiments/` and
+//! one more row of the table.
 //!
 //! Timing is not measured here: the benchmark harness under `benchmark/`
 //! (declared in `BENCHMARK.json`) is the one performance record.
@@ -39,6 +40,5 @@
 
 mod cli;
 pub mod experiments;
-mod figures;
 mod report;
 mod sweep;

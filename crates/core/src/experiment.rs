@@ -527,13 +527,19 @@ impl RunReport {
         }
     }
 
-    /// The first cycle at which every node had perfect tables, if that happened
-    /// within the budget.
+    /// The cycle from which the run counts as converged (every node's tables
+    /// perfect), or `None`. What it means depends on the timeline:
+    ///
+    /// * one that can degrade tables — a membership event, a re-bootstrap
+    ///   order or an adversary: the first cycle of the *last* streak of
+    ///   perfect cycles, and `None` when the run ended imperfect;
+    /// * any other: the *first* perfect cycle, kept even when descriptor
+    ///   aging later expires live entries and the tables stop being perfect.
     pub fn convergence_cycle(&self) -> Option<u64> {
         self.convergence_cycle
     }
 
-    /// Whether the run reached perfect tables at every node.
+    /// Whether [`RunReport::convergence_cycle`] is set.
     pub fn converged(&self) -> bool {
         self.convergence_cycle.is_some()
     }
@@ -785,7 +791,7 @@ impl PopulationSnapshot {
 }
 
 /// Per-run measurement bookkeeping shared by every engine path: convergence
-/// measured every cycle (incremental when membership is static), the two
+/// measured every cycle (incremental while membership stands still), the two
 /// figure series, the perfection stop and observer dispatch.
 struct MeasurementDriver {
     /// No event ever degrades built tables (membership changes *or*
@@ -793,10 +799,15 @@ struct MeasurementDriver {
     tables_stable: bool,
     /// The node an id-spray adversary eclipses, when the timeline carries one.
     eclipse_target: Option<NodeIndex>,
-    static_oracle: Option<ConvergenceOracle>,
+    /// The oracle of the current membership, and the `(network.len(),
+    /// network.alive_count())` it was built for: a join grows the first and a
+    /// departure shrinks the second, so the pair moves exactly when
+    /// membership does.
+    oracle: ConvergenceOracle,
+    membership: (usize, usize),
     /// The per-node counts of the last measured cycle: kept up to date over
-    /// the dirty set while one oracle serves the run, refilled by every full
-    /// pass under churn.
+    /// the dirty set while the oracle stands, refilled by a full pass
+    /// whenever it is rebuilt.
     tracker: ConvergenceTracker,
     /// Per-region measurement state; only under a WAN node placement.
     regions: Option<RegionWalk>,
@@ -829,18 +840,13 @@ impl MeasurementDriver {
         placement: Option<Arc<Placement>>,
         lookup_traffic: Option<LookupTraffic>,
     ) -> Self {
-        // Under membership churn the live population changes, so the oracle has
-        // to be rebuilt per measurement; with static membership one oracle
-        // serves the whole run and the convergence can be tracked incrementally
-        // over the protocol's dirty set.
-        let membership_stable = !config.scenario.perturbs_membership();
-        let static_oracle = membership_stable.then(|| protocol.oracle_for(ctx));
         MeasurementDriver {
             // An adversary corrupts tables without perturbing membership, so a
             // convergence recorded before the attack window must not be final.
             tables_stable: !config.scenario.perturbs_tables() && !config.scenario.has_adversary(),
             eclipse_target: config.scenario.build_adversary().and_then(|m| m.target()),
-            static_oracle,
+            oracle: protocol.oracle_for(ctx),
+            membership: (ctx.network.len(), ctx.network.alive_count()),
             tracker: ConvergenceTracker::new(),
             report: RunReport {
                 config: config.clone(),
@@ -890,12 +896,15 @@ impl MeasurementDriver {
             traffic.drive_cycle(protocol, ctx, cycle);
             traffic.flush_window(cycle);
         }
-        let measured = match &self.static_oracle {
-            Some(oracle) => protocol.measure_incremental(oracle, &mut self.tracker, ctx),
-            None => {
-                let oracle = protocol.oracle_for(ctx);
-                protocol.measure(&oracle, &mut self.tracker, ctx)
-            }
+        // While membership stands still the oracle does too, and the counts
+        // follow the protocol's dirty set; a change rebuilds both.
+        let membership = (ctx.network.len(), ctx.network.alive_count());
+        let measured = if membership == self.membership {
+            protocol.measure_incremental(&self.oracle, &mut self.tracker, ctx)
+        } else {
+            self.oracle = protocol.oracle_for(ctx);
+            self.membership = membership;
+            protocol.measure(&self.oracle, &mut self.tracker, ctx)
         };
         self.measure_regions(cycle);
         // Each of the three table walks gates itself: no node has died, no
@@ -1296,7 +1305,7 @@ mod tests {
     use super::*;
     use crate::compact::tests::fingerprint;
     use crate::scenario::tests::Recording;
-    use crate::scenario::{AdversaryBehavior, PartitionSpec, Phase, ScenarioEvent};
+    use crate::scenario::{AdversaryBehavior, Phase, ScenarioEvent};
     use crate::scenario::{KeyDist, PlacementSpec, WanParams};
 
     /// A WAN link model over `regions` clusters on a square plane.
@@ -2177,7 +2186,6 @@ mod tests {
             calm_builder
                 .event(ScenarioEvent::Partition {
                     phase: Phase::new(0, 12),
-                    groups: PartitionSpec::IndexParity,
                 })
                 .build()
                 .unwrap(),
@@ -2383,5 +2391,55 @@ mod tests {
         }
         // The spray run kept forgeries and lost nodes to the catastrophe.
         assert_eq!(forged_and_dead[0], (true, true));
+    }
+
+    #[test]
+    fn every_measurement_equals_a_full_pass_against_a_fresh_oracle() {
+        // A churn window and a catastrophe (the oracle rebuilt), a quiet tail
+        // and a re-bootstrap (incremental passes over the dirty set).
+        let config = ExperimentConfig::builder()
+            .network_size(128)
+            .seed(9)
+            .max_cycles(24)
+            .stop_when_perfect(false)
+            .event(ScenarioEvent::ChurnBurst {
+                phase: Phase::new(2, 6),
+                rate: 0.05,
+            })
+            .event(ScenarioEvent::CatastrophicFailure {
+                at_cycle: 10,
+                fraction: 0.3,
+            })
+            .event(ScenarioEvent::ReBootstrap {
+                at_cycle: 15,
+                fraction: 0.5,
+            })
+            .build()
+            .unwrap();
+        let world = World::new(&config);
+        let mut engine = CycleEngine::new(world.network, world.rng)
+            .with_transport(world.transport)
+            .with_churn(world.churn);
+        let mut protocol = BootstrapProtocol::new(config.params, OracleSampler::new());
+        protocol.init_all(engine.context_mut());
+        let mut driver = MeasurementDriver::new(&config, &protocol, engine.context(), None, None);
+        let mut rebuilt = Vec::new();
+        engine.run_with_observer(
+            &mut protocol,
+            config.max_cycles,
+            1,
+            |protocol, ctx, cycle| {
+                let membership = driver.membership;
+                let flow = driver.observe_cycle(protocol, ctx, cycle, &mut NullObserver);
+                if driver.membership != membership {
+                    rebuilt.push(cycle);
+                }
+                let oracle = protocol.oracle_for(ctx);
+                let full = protocol.measure(&oracle, &mut ConvergenceTracker::new(), ctx);
+                assert_eq!(driver.report.final_state, full, "cycle {cycle}");
+                flow
+            },
+        );
+        assert_eq!(rebuilt, [2, 3, 4, 5, 10], "rebuilt when membership moved");
     }
 }

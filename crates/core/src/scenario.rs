@@ -8,9 +8,9 @@
 //!
 //! * a [`Scenario`] is an ordered list of [`ScenarioEvent`]s, each either a
 //!   one-shot (catastrophic failure, massive join) or a [`Phase`]-windowed
-//!   condition (loss window, churn burst, partition). The events, [`Phase`],
-//!   [`PartitionSpec`] and [`KeyDist`] live in [`bss_sim::timeline`] and are
-//!   re-exported here; the run hands the one list to the simulators, whose
+//!   condition (loss window, churn burst, partition). The events, [`Phase`]
+//!   and [`KeyDist`] live in [`bss_sim::timeline`] and are re-exported here;
+//!   the run hands the one list to the simulators, whose
 //!   [`Churn`](bss_sim::churn::Churn) and
 //!   [`Transport`](bss_sim::transport::Transport) each read their own events,
 //!   and to the lookup driver, which reads the traffic phases;
@@ -33,7 +33,7 @@ use std::ops::ControlFlow;
 
 pub use bss_sim::adversary::{AdversaryBehavior, AdversaryModel};
 pub use bss_sim::link::WanParams;
-pub use bss_sim::timeline::{KeyDist, PartitionSpec, Phase, ScenarioEvent};
+pub use bss_sim::timeline::{KeyDist, Phase, ScenarioEvent};
 pub use bss_sim::transport::LatencyModel;
 pub use bss_util::coords::PlacementSpec;
 
@@ -95,12 +95,6 @@ impl Scenario {
                 probability,
             });
         }
-    }
-
-    /// Whether any event changes the network's membership (churn, failure,
-    /// join). When false, one convergence oracle serves the whole run.
-    pub(crate) fn perturbs_membership(&self) -> bool {
-        self.events.iter().any(ScenarioEvent::perturbs_membership)
     }
 
     /// Whether any event can degrade already-built tables — membership changes
@@ -405,7 +399,7 @@ pub(crate) mod tests {
     fn sugar_constructors_desugar_to_whole_run_windows() {
         let loss = whole_run_loss(0.2);
         assert_eq!(loss.events.len(), 1);
-        assert!(!loss.perturbs_membership());
+        assert!(!loss.events[0].perturbs_membership());
 
         // A zero knob produces a calm timeline (so no RNG is ever drawn).
         assert!(whole_run_loss(0.0).events.is_empty());
@@ -510,13 +504,6 @@ pub(crate) mod tests {
             })
             .validate()
             .is_err());
-        assert!(Scenario::calm()
-            .with(ScenarioEvent::Partition {
-                phase: Phase::new(0, 5),
-                groups: PartitionSpec::Explicit(Vec::new()),
-            })
-            .validate()
-            .is_err());
     }
 
     #[test]
@@ -525,7 +512,10 @@ pub(crate) mod tests {
             at_cycle: 12,
             fraction: 1.0,
         });
-        assert!(!scenario.perturbs_membership(), "membership is untouched");
+        assert!(
+            !scenario.events()[0].perturbs_membership(),
+            "membership is untouched"
+        );
         assert!(scenario.perturbs_tables(), "survivor state is wiped");
         assert!(
             !Churn::new(scenario.events()).is_empty(),
@@ -564,7 +554,7 @@ pub(crate) mod tests {
             behavior: AdversaryBehavior::IdSpray { target: 7 },
         });
         assert!(scenario.validate().is_ok());
-        assert!(!scenario.perturbs_membership());
+        assert!(!scenario.events()[0].perturbs_membership());
         assert!(!scenario.perturbs_tables());
         assert!(scenario.has_adversary());
         assert!(
@@ -621,7 +611,7 @@ pub(crate) mod tests {
         });
         assert!(scenario.validate().is_ok());
         assert!(scenario.has_traffic());
-        assert!(!scenario.perturbs_membership());
+        assert!(!scenario.events()[0].perturbs_membership());
         assert!(!scenario.perturbs_tables());
         assert!(!scenario.has_adversary());
         assert!(
@@ -676,7 +666,6 @@ pub(crate) mod tests {
             })
             .with(ScenarioEvent::Partition {
                 phase: Phase::new(0, 25),
-                groups: PartitionSpec::IndexParity,
             });
         assert!(scenario.changes_after(0), "failure and heal still ahead");
         assert!(scenario.changes_after(11));

@@ -150,7 +150,6 @@ fn event_engine_runs_scenario_timelines() {
         })
         .event(ScenarioEvent::Partition {
             phase: Phase::new(0, 15),
-            groups: bss_core::scenario::PartitionSpec::IndexParity,
         })
         .event(ScenarioEvent::MassiveJoin {
             at_cycle: 20,

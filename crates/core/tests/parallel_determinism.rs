@@ -10,7 +10,7 @@
 //! run — a planner waiting for a node's or a peer's state included.
 
 use bss_core::experiment::{Experiment, ExperimentConfig, PopulationSnapshot, SamplerChoice};
-use bss_core::scenario::{AdversaryBehavior, Engine, PartitionSpec, Phase, ScenarioEvent};
+use bss_core::scenario::{AdversaryBehavior, Engine, Phase, ScenarioEvent};
 use bss_util::config::{BootstrapParams, NewscastParams};
 use proptest::prelude::*;
 
@@ -257,7 +257,6 @@ fn recovery_partition_and_join_timeline_is_thread_count_invariant() {
             })
             .event(ScenarioEvent::Partition {
                 phase: Phase::new(10, 16),
-                groups: PartitionSpec::IndexParity,
             })
             .event(ScenarioEvent::MassiveJoin {
                 at_cycle: 19,

@@ -75,31 +75,6 @@ impl fmt::Display for Phase {
     }
 }
 
-/// How a partition event splits the network into groups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PartitionSpec {
-    /// Even node indices form one group, odd indices the other. Both halves
-    /// span the whole identifier space, which is the interesting case for
-    /// merging prefix tables (the `merge_split` experiment). Nodes at or above
-    /// the initial network size (later joiners) belong to group 0.
-    IndexParity,
-    /// An explicit map from node index to group; indices beyond the vector
-    /// (later joiners) belong to group 0.
-    Explicit(Vec<u32>),
-}
-
-impl PartitionSpec {
-    /// The group of node index `node` in a network of `initial_size` initial
-    /// nodes.
-    pub(crate) fn group(&self, node: usize, initial_size: usize) -> u32 {
-        match self {
-            PartitionSpec::IndexParity if node < initial_size => (node % 2) as u32,
-            PartitionSpec::IndexParity => 0,
-            PartitionSpec::Explicit(groups) => groups.get(node).copied().unwrap_or(0),
-        }
-    }
-}
-
 /// How a traffic phase picks the keys it looks up.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KeyDist {
@@ -191,14 +166,14 @@ pub enum ScenarioEvent {
         /// (1.0 = every survivor).
         fraction: f64,
     },
-    /// A network partition during a window: messages crossing group boundaries
-    /// are dropped while the window is active, and the partitions merge when
-    /// it ends (§1–2's split/merge scenario).
+    /// A network partition during a window: even node indices form one
+    /// group and odd indices the other, so both halves span the whole
+    /// identifier space; nodes that join later belong to the even group.
+    /// Messages crossing the groups are dropped while the window is active,
+    /// and the halves merge when it ends (§1–2's split/merge scenario).
     Partition {
         /// When the partition is in force; its end is the merge.
         phase: Phase,
-        /// How nodes are assigned to partition groups.
-        groups: PartitionSpec,
     },
     /// A Byzantine conversion: at the window's start, `fraction` of the alive
     /// nodes turns adversarial and plays `behavior` for every cycle inside the
@@ -304,8 +279,7 @@ impl ScenarioEvent {
     }
 
     /// Whether this event changes the network's membership (as opposed to its
-    /// connectivity). Membership-stable scenarios allow the runner to keep one
-    /// convergence oracle for the whole run.
+    /// connectivity).
     pub fn perturbs_membership(&self) -> bool {
         matches!(
             self,
@@ -366,15 +340,7 @@ impl ScenarioEvent {
                     Ok(())
                 }
             }
-            ScenarioEvent::Partition { phase, groups } => {
-                phase.validate("partition")?;
-                if matches!(groups, PartitionSpec::Explicit(map) if map.is_empty()) {
-                    return Err(InvalidParams::from_message(
-                        "explicit partition group map must not be empty",
-                    ));
-                }
-                Ok(())
-            }
+            ScenarioEvent::Partition { phase } => phase.validate("partition"),
             ScenarioEvent::ByzantineConvert {
                 phase, fraction, ..
             } => {
@@ -440,7 +406,7 @@ impl fmt::Display for ScenarioEvent {
                     fraction * 100.0
                 )
             }
-            ScenarioEvent::Partition { phase, .. } => {
+            ScenarioEvent::Partition { phase } => {
                 write!(f, "network partition during {phase}")
             }
             ScenarioEvent::ByzantineConvert {
@@ -508,7 +474,6 @@ mod tests {
         ];
         let parity = ScenarioEvent::Partition {
             phase: Phase::new(0, 3),
-            groups: PartitionSpec::IndexParity,
         };
         let connectivity = [
             loss(1, 5, 0.3),

@@ -163,7 +163,7 @@ pub struct Transport {
     seed: u64,
     /// The connectivity events, in timeline order.
     windows: Vec<ScenarioEvent>,
-    /// The initial network size, which an index-parity partition splits.
+    /// The initial network size, which a partition splits by index parity.
     initial_size: usize,
     cycle: u64,
     offered: u64,
@@ -248,9 +248,10 @@ impl Transport {
 
     fn crosses_partition(&self, from: NodeIndex, to: NodeIndex) -> bool {
         self.windows.iter().any(|event| match event {
-            ScenarioEvent::Partition { phase, groups } if phase.contains(self.cycle) => {
-                let group = |node: NodeIndex| groups.group(node.as_usize(), self.initial_size);
-                group(from) != group(to)
+            ScenarioEvent::Partition { phase } if phase.contains(self.cycle) => {
+                // Later joiners (indices past the initial size) are even.
+                let odd = |node: usize| node < self.initial_size && node % 2 == 1;
+                odd(from.as_usize()) != odd(to.as_usize())
             }
             _ => false,
         })
@@ -386,7 +387,7 @@ impl Transport {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::timeline::{PartitionSpec, Phase};
+    use crate::timeline::Phase;
 
     /// `value` as the literal a pinned test holds, grouped like the tree's
     /// own (`0x0123_4567_89ab_cdef`): what a failing pin prints for its
@@ -416,10 +417,11 @@ pub(crate) mod tests {
         ScenarioEvent::LossWindow { phase, probability }
     }
 
-    fn partition(start: u64, end: u64, groups: Vec<u32>) -> ScenarioEvent {
+    /// A reliable transport partitioned by index parity during `[start, end)`,
+    /// over a network of `initial_size` initial nodes.
+    fn partition(start: u64, end: u64, initial_size: usize) -> Transport {
         let phase = Phase::new(start, end);
-        let groups = PartitionSpec::Explicit(groups);
-        ScenarioEvent::Partition { phase, groups }
+        Transport::reliable().with_timeline(&[ScenarioEvent::Partition { phase }], initial_size)
     }
 
     pub(crate) fn outage(start: u64, end: u64, region: u32, loss: f64) -> ScenarioEvent {
@@ -499,11 +501,10 @@ pub(crate) mod tests {
     fn partition_transport_blocks_cross_group_traffic() {
         let mut rng = SimRng::seed_from(4);
         let fingerprint = rng.clone();
-        let mut t =
-            Transport::reliable().with_timeline(&[partition(0, u64::MAX, vec![0, 0, 1, 1])], 0);
-        assert!(t.should_deliver(idx(0), idx(1), &mut rng));
-        assert!(!t.should_deliver(idx(0), idx(2), &mut rng));
-        assert!(t.should_deliver(idx(2), idx(3), &mut rng));
+        let mut t = partition(0, u64::MAX, 4);
+        assert!(t.should_deliver(idx(0), idx(2), &mut rng));
+        assert!(!t.should_deliver(idx(0), idx(1), &mut rng));
+        assert!(t.should_deliver(idx(1), idx(3), &mut rng));
         assert_eq!(t.messages_dropped(), 1);
         assert_eq!(rng, fingerprint, "partition decisions draw nothing");
     }
@@ -511,10 +512,11 @@ pub(crate) mod tests {
     #[test]
     fn partition_transport_defaults_unknown_nodes_to_group_zero() {
         let mut rng = SimRng::seed_from(5);
-        let mut t = Transport::reliable().with_timeline(&[partition(0, u64::MAX, vec![1])], 0);
-        // Node 5 is out of range -> group 0, node 0 is group 1.
-        assert!(!t.should_deliver(idx(0), idx(5), &mut rng));
+        let mut t = partition(0, u64::MAX, 2);
+        // Nodes 5 and 6 joined past the initial two: both in group 0, node 1 in 1.
+        assert!(!t.should_deliver(idx(1), idx(5), &mut rng));
         assert!(t.should_deliver(idx(5), idx(6), &mut rng));
+        assert!(t.should_deliver(idx(0), idx(5), &mut rng));
     }
 
     #[test]
@@ -562,16 +564,16 @@ pub(crate) mod tests {
 
     #[test]
     fn timeline_transport_partitions_and_heals() {
-        let mut t = Transport::reliable().with_timeline(&[partition(0, 5, vec![0, 0, 1, 1])], 0);
+        let mut t = partition(0, 5, 4);
         let mut rng = SimRng::seed_from(10);
-        assert!(t.should_deliver(idx(0), idx(1), &mut rng));
-        assert!(!t.should_deliver(idx(0), idx(2), &mut rng));
-        // Unknown indices (later joiners) default to group 0.
+        assert!(t.should_deliver(idx(0), idx(2), &mut rng));
+        assert!(!t.should_deliver(idx(0), idx(1), &mut rng));
+        // Later joiners belong to the even group.
         assert!(t.should_deliver(idx(0), idx(9), &mut rng));
-        assert!(!t.should_deliver(idx(2), idx(9), &mut rng));
+        assert!(!t.should_deliver(idx(1), idx(9), &mut rng));
         // The partition heals at its end cycle: the network merges.
         t.advance_to_cycle(5);
-        assert!(t.should_deliver(idx(0), idx(2), &mut rng));
+        assert!(t.should_deliver(idx(0), idx(1), &mut rng));
         assert_eq!(t.messages_dropped(), 2);
     }
 
@@ -661,7 +663,6 @@ pub(crate) mod tests {
         // partition also puts later joiners in group 0.
         let parity = ScenarioEvent::Partition {
             phase: Phase::new(1, 3),
-            groups: PartitionSpec::IndexParity,
         };
         let uniform =
             uniform(5, 50).with_timeline(&[loss(2, 4, 0.5), parity, slow(3, 5, None, 2.0)], 16);

@@ -2,11 +2,11 @@
 //!
 //! The paper's figures plot the *proportion of missing entries* (leaf set or prefix
 //! table) against the cycle number, on a logarithmic y axis, one curve per network
-//! size, with several independent repetitions per size. The types here hold exactly
-//! that: per-cycle series ([`Series`]), collections of repetitions
-//! ([`SeriesBundle`]), and the streaming distribution ([`Histogram`]) —
-//! and the two writers every report goes out through: [`JsonObject`] for the
-//! JSON artifacts, [`append_cycle_rows`] for the long-format TSV timelines.
+//! size, with several independent repetitions per size. The types here hold one
+//! run's per-cycle series ([`Series`]) and the streaming distribution
+//! ([`Histogram`]) — and the two writers every report goes out through:
+//! [`JsonObject`] for the JSON artifacts, [`append_cycle_rows`] for the
+//! long-format TSV timelines.
 
 use std::fmt::{self, Write as _};
 
@@ -219,68 +219,6 @@ pub fn append_cycle_rows(
             let _ = write!(timeline, "\t{value:.places$}");
         }
         timeline.push('\n');
-    }
-}
-
-/// A collection of repeated trajectories of the same experiment (e.g. the paper's
-/// 50 independent runs at N = 2^14), supporting per-cycle aggregation.
-#[derive(Clone, Debug, Default)]
-pub struct SeriesBundle {
-    runs: Vec<Series>,
-}
-
-impl SeriesBundle {
-    /// Creates an empty bundle.
-    pub fn new() -> Self {
-        SeriesBundle { runs: Vec::new() }
-    }
-
-    /// Adds a completed run.
-    pub fn push(&mut self, run: Series) {
-        self.runs.push(run);
-    }
-
-    /// Number of runs in the bundle.
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Whether the bundle contains no runs.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// The largest cycle index present in any run.
-    pub(crate) fn max_cycle(&self) -> u64 {
-        self.runs
-            .iter()
-            .filter_map(Series::final_cycle)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Per-cycle mean across runs. Runs that have already converged (and therefore
-    /// stopped recording) are treated as contributing their final value, mirroring
-    /// how the paper draws curves that simply end at convergence.
-    pub fn mean_per_cycle(&self) -> Series {
-        let mut out = Series::new("mean");
-        if self.runs.is_empty() {
-            return out;
-        }
-        for cycle in 0..=self.max_cycle() {
-            let mut sum = 0.0;
-            let mut count = 0usize;
-            for run in &self.runs {
-                if let Some(v) = run.held_value_at(cycle) {
-                    sum += v;
-                    count += 1;
-                }
-            }
-            if count > 0 {
-                out.push(cycle, sum / count as f64);
-            }
-        }
-        out
     }
 }
 
@@ -521,35 +459,6 @@ mod tests {
         // Without a lead series there are no rows to write.
         append_cycle_rows(&mut timeline, "x", &[(None, 1), (Some(&lead), 1)]);
         assert_eq!(timeline.lines().count(), 2);
-    }
-
-    #[test]
-    fn bundle_mean_extends_converged_runs() {
-        let mut bundle = SeriesBundle::new();
-        let mut a = Series::new("m");
-        a.push(0, 1.0);
-        a.push(1, 0.0); // converged at cycle 1
-        let mut b = Series::new("m");
-        b.push(0, 1.0);
-        b.push(1, 0.5);
-        b.push(2, 0.0);
-        bundle.push(a);
-        bundle.push(b);
-        assert_eq!(bundle.len(), 2);
-        assert_eq!(bundle.max_cycle(), 2);
-        let mean = bundle.mean_per_cycle();
-        assert_eq!(mean.value_at(0), Some(1.0));
-        assert_eq!(mean.value_at(1), Some(0.25));
-        // Run `a` contributes its final value (0.0) at cycle 2.
-        assert_eq!(mean.value_at(2), Some(0.0));
-    }
-
-    #[test]
-    fn empty_bundle_behaves() {
-        let bundle = SeriesBundle::new();
-        assert!(bundle.is_empty());
-        assert_eq!(bundle.max_cycle(), 0);
-        assert!(bundle.mean_per_cycle().is_empty());
     }
 
     #[test]

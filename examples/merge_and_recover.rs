@@ -16,9 +16,7 @@
 //! ```
 
 use bootstrapping_service::core::experiment::{Experiment, ExperimentConfig};
-use bootstrapping_service::core::scenario::{
-    Engine, LatencyModel, PartitionSpec, Phase, ScenarioEvent,
-};
+use bootstrapping_service::core::scenario::{Engine, LatencyModel, Phase, ScenarioEvent};
 
 fn main() {
     let size = 1 << 10;
@@ -34,7 +32,6 @@ fn main() {
         .max_cycles(100)
         .event(ScenarioEvent::Partition {
             phase: Phase::new(0, merge_at),
-            groups: PartitionSpec::IndexParity,
         })
         .build()
         .expect("valid configuration");

@@ -60,6 +60,36 @@ fn convergence_time_grows_additively_with_network_size() {
 }
 
 #[test]
+fn larger_networks_take_more_cycles_but_only_logarithmically_more() {
+    // Figure 3's sweep in small: the mean convergence cycle over two runs per
+    // size, seeded as `bss-bench fig3 --seed 11` seeds them.
+    let mean_convergence = |exponent: u64| {
+        let cycles: Vec<u64> = (0..2)
+            .filter_map(|run| {
+                let config = ExperimentConfig::builder()
+                    .network_size(1 << exponent)
+                    .seed(11 + 1000 * exponent + run)
+                    .max_cycles(80)
+                    .build()
+                    .unwrap();
+                Experiment::new(config).run().convergence_cycle()
+            })
+            .collect();
+        assert!(!cycles.is_empty(), "no run at N=2^{exponent} converged");
+        cycles.iter().sum::<u64>() as f64 / cycles.len() as f64
+    };
+    let (small, large) = (mean_convergence(6), mean_convergence(8));
+    assert!(
+        large >= small,
+        "a 4x larger network should not converge faster on average ({small} vs {large})"
+    );
+    assert!(
+        large <= small + 12.0,
+        "convergence should grow by an additive constant, not multiplicatively ({small} vs {large})"
+    );
+}
+
+#[test]
 fn twenty_percent_message_loss_only_slows_convergence_down() {
     // Figure 4 vs Figure 3 on a small network, averaged over seeds.
     let mut reliable = 0u64;
