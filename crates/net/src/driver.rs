@@ -743,6 +743,27 @@ mod tests {
     }
 
     #[test]
+    fn bind_draws_the_same_contacts_for_a_seed() {
+        // Every peer's start-up contacts, in draw order, for one 64-peer
+        // seed: a faster draw must consume the same stream.
+        let Some(driver) = lanes_or_skip(64, params(), 5, Some(1)) else {
+            return;
+        };
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for node in driver.nodes() {
+            let contacts = node.pool.entries();
+            assert_eq!(contacts.len(), 4);
+            assert!(contacts
+                .iter()
+                .all(|contact| contact.id() != node.handle.id()));
+            for contact in contacts {
+                digest = (digest ^ contact.id().raw()).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(digest, 15_398_636_340_076_873_563);
+    }
+
+    #[test]
     fn one_lane_spawns_no_worker() {
         let Some(driver) = lanes_or_skip(4, params(), 1, Some(1)) else {
             return;

@@ -121,6 +121,12 @@ impl SamplePool {
         pool
     }
 
+    /// The pool's entries, in pool order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> &[Descriptor<SocketAddr>] {
+        &self.entries
+    }
+
     /// Folds descriptors into the pool, keeping the freshest copy per
     /// identifier and evicting a *uniformly random* incumbent when full.
     ///
