@@ -132,36 +132,43 @@ pub(crate) const STAMP_BYTES: usize = 8;
 /// wire is a `u16`.
 pub(crate) const MAX_DESCRIPTORS: usize = u16::MAX as usize;
 
-/// Packs a socket address into the 64-bit address key the identity stamps
-/// bind: IPv4 octets in the high bits, port in the low 16.
-///
-/// # Panics
-///
-/// Panics on IPv6 addresses (the localhost deployment only uses IPv4).
-pub(crate) fn address_key(address: SocketAddr) -> u64 {
-    match address {
-        SocketAddr::V4(v4) => {
-            (u64::from(u32::from_be_bytes(v4.ip().octets())) << 16) | u64::from(v4.port())
-        }
-        SocketAddr::V6(_) => panic!("the UDP deployment only supports IPv4 addresses"),
-    }
+/// Packs an IPv4 socket address into the 64-bit address key the identity
+/// stamps bind: octets in the high bits, port in the low 16.
+pub(crate) fn address_key(address: SocketAddrV4) -> u64 {
+    (u64::from(u32::from(*address.ip())) << 16) | u64::from(address.port())
 }
 
 /// The keyed identity stamp for one descriptor: the wire equivalent of the
 /// simulator's registry check, computed over the identifier × address binding.
-pub(crate) fn descriptor_stamp(key: u64, descriptor: &Descriptor<SocketAddr>) -> u64 {
+pub(crate) fn descriptor_stamp(key: u64, descriptor: &Descriptor<SocketAddrV4>) -> u64 {
     stamp(key, descriptor.id(), address_key(descriptor.address()))
+}
+
+/// Narrows a [`WireMessage`] descriptor to the wire's IPv4 form.
+///
+/// # Panics
+///
+/// Panics on IPv6 addresses (the localhost deployment only uses IPv4).
+fn to_wire(descriptor: &Descriptor<SocketAddr>) -> Descriptor<SocketAddrV4> {
+    match descriptor.address() {
+        SocketAddr::V4(v4) => Descriptor::new(descriptor.id(), v4, descriptor.timestamp()),
+        SocketAddr::V6(_) => panic!("the UDP deployment only supports IPv4 addresses"),
+    }
 }
 
 /// Fills in the message's identity stamps under `key` (sender first, then
 /// every carried descriptor), replacing any stamps already present.
+///
+/// # Panics
+///
+/// Panics if any descriptor carries a non-IPv4 address.
 pub fn seal(message: &mut WireMessage, key: u64) {
     message.stamps.clear();
-    message.stamps.reserve(1 + message.descriptors.len());
-    message.stamps.push(descriptor_stamp(key, &message.sender));
-    for descriptor in &message.descriptors {
-        message.stamps.push(descriptor_stamp(key, descriptor));
-    }
+    message.stamps.extend(
+        std::iter::once(&message.sender)
+            .chain(&message.descriptors)
+            .map(|descriptor| descriptor_stamp(key, &to_wire(descriptor))),
+    );
 }
 
 /// Encodes a message into a datagram payload.
@@ -182,10 +189,10 @@ pub fn encode(message: &WireMessage) -> Vec<u8> {
     buffer
 }
 
-/// Encodes a message into `buffer`, replacing its contents (a sender that
-/// reuses one buffer allocates nothing per datagram), and rejects messages
-/// whose descriptor count does not fit the wire format's `u16` count field or
-/// whose stamp list does not cover exactly the sender plus every descriptor.
+/// Encodes a message into `buffer`, replacing its contents, and rejects
+/// messages whose descriptor count does not fit the wire format's `u16` count
+/// field or whose stamp list does not cover exactly the sender plus every
+/// descriptor.
 ///
 /// # Errors
 ///
@@ -201,12 +208,12 @@ pub(crate) fn try_encode_into(
     message: &WireMessage,
     buffer: &mut Vec<u8>,
 ) -> Result<(), EncodeError> {
-    if message.descriptors.len() > MAX_DESCRIPTORS {
+    let Ok(count) = u16::try_from(message.descriptors.len()) else {
         return Err(EncodeError::new(format!(
             "{} descriptors exceed the wire format's limit of {MAX_DESCRIPTORS}",
             message.descriptors.len()
         )));
-    }
+    };
     let stamped = message.is_stamped();
     if stamped && message.stamps.len() != message.descriptors.len() + 1 {
         return Err(EncodeError::new(format!(
@@ -215,10 +222,62 @@ pub(crate) fn try_encode_into(
             message.descriptors.len()
         )));
     }
+    let descriptors = std::iter::once(&message.sender)
+        .chain(&message.descriptors)
+        .map(to_wire);
+    let stamps = message.stamps.iter().copied().chain(std::iter::repeat(0));
+    write_entries(
+        buffer,
+        message.kind,
+        count,
+        stamped,
+        descriptors.zip(stamps),
+    );
+    Ok(())
+}
+
+/// Encodes the datagram a wire peer sends straight from its own descriptors
+/// into `buffer`, replacing its contents (a sender that reuses one buffer
+/// allocates nothing per datagram): `sender`'s descriptor and `descriptors`,
+/// each stamped under `key` when one is given. The bytes are those
+/// [`encode`] writes for the same descriptors as a [`WireMessage`], sealed
+/// under the same key.
+///
+/// # Panics
+///
+/// Panics if `descriptors` holds more than `MAX_DESCRIPTORS` descriptors; a
+/// composed message never does, its tables bound the count.
+pub fn write_datagram(
+    buffer: &mut Vec<u8>,
+    kind: MessageKind,
+    sender: Descriptor<SocketAddrV4>,
+    descriptors: &[Descriptor<SocketAddrV4>],
+    key: Option<u64>,
+) {
+    let count = u16::try_from(descriptors.len()).expect("the tables bound a message's count");
+    let entries = std::iter::once(sender)
+        .chain(descriptors.iter().copied())
+        .map(|descriptor| {
+            let stamp = key.map_or(0, |key| descriptor_stamp(key, &descriptor));
+            (descriptor, stamp)
+        });
+    write_entries(buffer, kind, count, key.is_some(), entries);
+}
+
+/// The one datagram writer: the header for `count` carried descriptors, then
+/// every entry (the sender's first), each descriptor followed by its stamp
+/// when the datagram is `stamped`. Replaces `buffer`'s contents.
+fn write_entries(
+    buffer: &mut Vec<u8>,
+    kind: MessageKind,
+    count: u16,
+    stamped: bool,
+    entries: impl Iterator<Item = (Descriptor<SocketAddrV4>, u64)>,
+) {
     let entry = DESCRIPTOR_BYTES + if stamped { STAMP_BYTES } else { 0 };
     buffer.clear();
-    buffer.reserve(HEADER_BYTES + entry * (1 + message.descriptors.len()));
-    let kind = match message.kind {
+    buffer.reserve(HEADER_BYTES + entry * (1 + usize::from(count)));
+    let kind = match kind {
         MessageKind::Request => 0,
         MessageKind::Response => 1,
         MessageKind::SampleRequest => 2,
@@ -226,18 +285,16 @@ pub(crate) fn try_encode_into(
     };
     let flags = if stamped { FLAG_STAMPED } else { 0 };
     buffer.extend_from_slice(&[MAGIC, VERSION, kind, flags]);
-    buffer.extend_from_slice(&(message.descriptors.len() as u16).to_be_bytes());
-    put_descriptor(buffer, &message.sender);
-    if stamped {
-        buffer.extend_from_slice(&message.stamps[0].to_be_bytes());
-    }
-    for (index, descriptor) in message.descriptors.iter().enumerate() {
-        put_descriptor(buffer, descriptor);
+    buffer.extend_from_slice(&count.to_be_bytes());
+    for (descriptor, stamp) in entries {
+        buffer.extend_from_slice(&descriptor.id().raw().to_be_bytes());
+        buffer.extend_from_slice(&descriptor.address().ip().octets());
+        buffer.extend_from_slice(&descriptor.address().port().to_be_bytes());
+        buffer.extend_from_slice(&descriptor.timestamp().to_be_bytes());
         if stamped {
-            buffer.extend_from_slice(&message.stamps[index + 1].to_be_bytes());
+            buffer.extend_from_slice(&stamp.to_be_bytes());
         }
     }
-    Ok(())
 }
 
 /// Decodes a datagram payload.
@@ -248,6 +305,63 @@ pub(crate) fn try_encode_into(
 /// version, kind or flags byte, or advertises a length that does not match the
 /// payload.
 pub fn decode(payload: &[u8]) -> Result<WireMessage, DecodeError> {
+    let datagram = read_datagram(payload)?;
+    let mut stamps = Vec::new();
+    let mut entries = datagram.entries().map(|(descriptor, stamp)| {
+        stamps.extend(stamp);
+        Descriptor::new(
+            descriptor.id(),
+            SocketAddr::V4(descriptor.address()),
+            descriptor.timestamp(),
+        )
+    });
+    let sender = entries.next().expect("the length check counted the sender");
+    let descriptors = entries.collect();
+    Ok(WireMessage {
+        kind: datagram.kind,
+        sender,
+        descriptors,
+        stamps,
+    })
+}
+
+/// A datagram whose header and length checked out, read in place.
+#[derive(Debug, Clone, Copy)]
+pub struct Datagram<'a> {
+    /// The message kind.
+    pub kind: MessageKind,
+    stamped: bool,
+    body: &'a [u8],
+}
+
+impl<'a> Datagram<'a> {
+    /// Every descriptor the datagram carries, the sender's first, each with
+    /// its identity stamp when the datagram is stamped.
+    pub fn entries(&self) -> impl Iterator<Item = (Descriptor<SocketAddrV4>, Option<u64>)> + 'a {
+        let stamped = self.stamped;
+        let entry = DESCRIPTOR_BYTES + if stamped { STAMP_BYTES } else { 0 };
+        self.body.chunks_exact(entry).map(move |bytes| {
+            let octets = [bytes[8], bytes[9], bytes[10], bytes[11]];
+            let port = u16::from_be_bytes([bytes[12], bytes[13]]);
+            let address = SocketAddrV4::new(Ipv4Addr::from(octets), port);
+            let descriptor =
+                Descriptor::new(NodeId::new(be_u64(bytes)), address, be_u64(&bytes[14..]));
+            (
+                descriptor,
+                stamped.then(|| be_u64(&bytes[DESCRIPTOR_BYTES..])),
+            )
+        })
+    }
+}
+
+/// The one datagram reader: checks the header and the length, and hands the
+/// entries out in place, so a wire peer reads them without building a
+/// [`WireMessage`].
+///
+/// # Errors
+///
+/// Returns [`DecodeError`] exactly where [`decode`] does.
+pub fn read_datagram(payload: &[u8]) -> Result<Datagram<'_>, DecodeError> {
     if payload.len() < HEADER_BYTES {
         return Err(DecodeError::new("shorter than the fixed header"));
     }
@@ -281,42 +395,11 @@ pub fn decode(payload: &[u8]) -> Result<WireMessage, DecodeError> {
             body.len()
         )));
     }
-    let mut stamps = Vec::with_capacity(if stamped { count + 1 } else { 0 });
-    let mut entries = body.chunks_exact(entry).map(|entry| {
-        let (descriptor, stamp) = entry.split_at(DESCRIPTOR_BYTES);
-        if stamped {
-            stamps.push(be_u64(stamp));
-        }
-        get_descriptor(descriptor)
-    });
-    let sender = entries.next().expect("the length check counted the sender");
-    let descriptors = entries.collect();
-    Ok(WireMessage {
+    Ok(Datagram {
         kind,
-        sender,
-        descriptors,
-        stamps,
+        stamped,
+        body,
     })
-}
-
-fn put_descriptor(buffer: &mut Vec<u8>, descriptor: &Descriptor<SocketAddr>) {
-    buffer.extend_from_slice(&descriptor.id().raw().to_be_bytes());
-    match descriptor.address() {
-        SocketAddr::V4(v4) => {
-            buffer.extend_from_slice(&v4.ip().octets());
-            buffer.extend_from_slice(&v4.port().to_be_bytes());
-        }
-        SocketAddr::V6(_) => panic!("the UDP deployment only supports IPv4 addresses"),
-    }
-    buffer.extend_from_slice(&descriptor.timestamp().to_be_bytes());
-}
-
-/// Reads one descriptor from its `DESCRIPTOR_BYTES` bytes.
-fn get_descriptor(bytes: &[u8]) -> Descriptor<SocketAddr> {
-    let octets = [bytes[8], bytes[9], bytes[10], bytes[11]];
-    let port = u16::from_be_bytes([bytes[12], bytes[13]]);
-    let address = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::from(octets), port));
-    Descriptor::new(NodeId::new(be_u64(bytes)), address, be_u64(&bytes[14..]))
 }
 
 /// Reads the big-endian `u64` at the front of `bytes`.
@@ -334,6 +417,18 @@ mod tests {
 
     fn descriptor(id: u64, port: u16, ts: u64) -> Descriptor<SocketAddr> {
         Descriptor::new(NodeId::new(id), addr(port), ts)
+    }
+
+    fn stamp_of(key: u64, descriptor: &Descriptor<SocketAddr>) -> u64 {
+        descriptor_stamp(key, &to_wire(descriptor))
+    }
+
+    #[test]
+    fn address_keys_pack_octets_above_the_port() {
+        let address = SocketAddrV4::new(Ipv4Addr::new(127, 0, 0, 1), 9000);
+        assert_eq!(address_key(address), 0x7f00_0001_2328);
+        let address = SocketAddrV4::new(Ipv4Addr::new(255, 1, 2, 3), 65535);
+        assert_eq!(address_key(address), 0xff01_0203_ffff);
     }
 
     #[test]
@@ -385,30 +480,19 @@ mod tests {
         assert_eq!(message.stamps.len(), 3);
         let decoded = decode(&encode(&message)).unwrap();
         assert_eq!(decoded, message);
-        assert_eq!(
-            decoded.stamps[0],
-            descriptor_stamp(0xfeed_beef, &message.sender)
-        );
+        assert_eq!(decoded.stamps[0], stamp_of(0xfeed_beef, &message.sender));
     }
 
     #[test]
     fn stamps_bind_the_descriptor_identity_and_the_key() {
         let d = descriptor(42, 9000, 7);
-        let s = descriptor_stamp(1, &d);
-        assert_eq!(descriptor_stamp(1, &d), s, "deterministic");
-        assert_ne!(descriptor_stamp(2, &d), s, "key matters");
-        assert_ne!(
-            descriptor_stamp(1, &descriptor(43, 9000, 7)),
-            s,
-            "id matters"
-        );
-        assert_ne!(
-            descriptor_stamp(1, &descriptor(42, 9001, 7)),
-            s,
-            "address matters"
-        );
+        let s = stamp_of(1, &d);
+        assert_eq!(stamp_of(1, &d), s, "deterministic");
+        assert_ne!(stamp_of(2, &d), s, "key matters");
+        assert_ne!(stamp_of(1, &descriptor(43, 9000, 7)), s, "id matters");
+        assert_ne!(stamp_of(1, &descriptor(42, 9001, 7)), s, "address matters");
         assert_eq!(
-            descriptor_stamp(1, &descriptor(42, 9000, 99)),
+            stamp_of(1, &descriptor(42, 9000, 99)),
             s,
             "the stamp covers identity, not freshness"
         );

@@ -11,7 +11,7 @@
 //! process therefore holds up at most one chunk: the others sweep the rest.
 //! A chunk's sweep batch-receives pending datagrams per socket into the
 //! lane's reusable buffer, applies them through the clocked protocol glue
-//! (`apply_message`/`compose_request` in [`crate::node`]), fires the active
+//! (`apply_datagram`/`compose_request` in [`crate::node`]), fires the active
 //! thread of every peer whose Δ timer elapsed, and sends each datagram the
 //! moment it is encoded into the lane's one encode buffer, so the
 //! per-datagram path is allocation-light at any cluster size. Nothing moves
@@ -26,7 +26,7 @@
 //! assert on.
 
 use crate::node::{
-    apply_message, compose_request, compose_sample_exchange, effective_cycle_millis, wire_cycle,
+    apply_datagram, compose_request, compose_sample_exchange, effective_cycle_millis, wire_cycle,
     PeerHandle, ProtocolScratch, SamplePool,
 };
 use crate::report::{NetReport, NetStats};
@@ -188,7 +188,7 @@ impl NetDriver {
         for &id in &ids {
             let socket = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))?;
             socket.set_nonblocking(true)?;
-            let address = socket.local_addr()?;
+            let address = SocketAddrV4::new(Ipv4Addr::LOCALHOST, socket.local_addr()?.port());
             descriptors.push(Descriptor::new(id, address, 0));
             sockets.push(socket);
         }
@@ -198,18 +198,21 @@ impl NetDriver {
         let started = Instant::now();
         let count = (lanes * CHUNKS_PER_LANE).min(config.size);
         let mut chunks: Vec<Vec<DriverNode>> = (0..count).map(|_| Vec::new()).collect();
+        // Each peer's contacts are a draw from the positions of the other
+        // peers (`other` names peer `other` below the drawing one and
+        // `other + 1` from it on), one identity buffer serving every draw.
+        let mut others: Vec<usize> = (0..config.size - 1).collect();
+        let mut drawn = Vec::new();
         for (position, socket) in sockets.into_iter().enumerate() {
             let own = descriptors[position];
-            let others: Vec<Descriptor<SocketAddr>> = descriptors
+            drawn.clear();
+            rng.sample_positions(&mut others, config.contacts_per_peer, &mut drawn);
+            let contacts = drawn
                 .iter()
-                .enumerate()
-                .filter(|&(index, _)| index != position)
-                .map(|(_, &descriptor)| descriptor)
-                .collect();
-            let contacts = rng.sample(&others, config.contacts_per_peer.min(others.len()));
+                .map(|&other| descriptors[other + usize::from(other >= position)]);
             let mut node = BootstrapNode::new(own, &config.params)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-            node.initialize(contacts.iter().copied());
+            node.initialize(contacts.clone());
             let mut node_rng = SimRng::seed_from(config.seed ^ (position as u64 + 1));
             // Random start phase, like §5 of the paper.
             let next_active = started + period.mul_f64(node_rng.unit_f64());
@@ -515,13 +518,18 @@ fn sweep(
             };
             worked = true;
             stats.record_received(length);
-            let Ok(message) = crate::codec::decode(&lane.buffer[..length]) else {
+            // Peers bind IPv4 sockets; a datagram from anywhere else cannot
+            // be answered on the wire's 6-byte addresses.
+            let SocketAddr::V4(from) = from else {
                 stats.record_decode_failure();
                 continue;
             };
+            let datagram = &lane.buffer[..length];
             let (mut state, rng, pool) = (node.handle.state(), &mut node.rng, &mut node.pool);
-            if let Some(payload) = apply_message(&mut state, rng, pool, message, now, scratch) {
-                send(&node.socket, payload, from, stats);
+            match apply_datagram(&mut state, rng, pool, datagram, now, scratch) {
+                Ok(Some(payload)) => send(&node.socket, payload, from, stats),
+                Ok(None) => {}
+                Err(_) => stats.record_decode_failure(),
             }
         }
     }
@@ -552,7 +560,7 @@ fn sweep(
 }
 
 /// Sends one datagram and counts it.
-fn send(socket: &UdpSocket, payload: &[u8], target: SocketAddr, stats: &NetStats) {
+fn send(socket: &UdpSocket, payload: &[u8], target: SocketAddrV4, stats: &NetStats) {
     match socket.send_to(payload, target) {
         Ok(sent) => stats.record_sent(sent),
         Err(_) => stats.record_send_failure(),

@@ -6,8 +6,12 @@
 //! message and sends a request (active thread); whenever a request arrives it
 //! answers with its own message and applies the received one (passive thread);
 //! responses are simply applied. The node-local state is the very same
-//! [`BootstrapNode`] the simulator uses, instantiated with `SocketAddr` as the
-//! address type. The driver ([`crate::driver`]) is the one caller: it owns
+//! [`BootstrapNode`] the simulator uses, instantiated with `SocketAddrV4` as
+//! the address type: the 24-byte descriptor the datagram's IPv4 address and
+//! port fit, half the 48 bytes a `SocketAddr` descriptor takes. Datagrams are
+//! read and written in place by the codec's one reader and one writer
+//! ([`crate::codec::read_datagram`], [`crate::codec::write_datagram`]), so
+//! no [`WireMessage`](crate::codec::WireMessage) is built on the way. The driver ([`crate::driver`]) is the one caller: it owns
 //! the sockets and the clock, runs one peer or a thousand, and sends each
 //! datagram these functions encode the moment they return it.
 //!
@@ -20,7 +24,7 @@
 //! with per-descriptor identity stamps and incoming descriptors failing
 //! verification are rejected before any merge ([`crate::codec`]).
 
-use crate::codec::{descriptor_stamp, seal, try_encode_into, MessageKind, WireMessage};
+use crate::codec::{descriptor_stamp, read_datagram, write_datagram, DecodeError, MessageKind};
 use bss_core::leafset::MergeScratch;
 use bss_core::message::MessageScratch;
 use bss_core::node::BootstrapNode;
@@ -28,7 +32,7 @@ use bss_util::config::BootstrapParams;
 use bss_util::descriptor::Descriptor;
 use bss_util::id::NodeId;
 use bss_util::rng::SimRng;
-use std::net::SocketAddr;
+use std::net::SocketAddrV4;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -51,9 +55,9 @@ pub(crate) fn wire_cycle(started: Instant, cycle_millis: u64) -> u64 {
 /// sweeping thread).
 #[derive(Debug, Default)]
 pub(crate) struct ProtocolScratch {
-    message: MessageScratch<SocketAddr>,
-    merge: MergeScratch<SocketAddr>,
-    received: Vec<Descriptor<SocketAddr>>,
+    message: MessageScratch<SocketAddrV4>,
+    merge: MergeScratch<SocketAddrV4>,
+    received: Vec<Descriptor<SocketAddrV4>>,
     verdicts: Vec<bool>,
     datagram: Vec<u8>,
 }
@@ -61,19 +65,20 @@ pub(crate) struct ProtocolScratch {
 impl ProtocolScratch {
     /// Encodes `node`'s message of `kind` carrying `descriptors` into the
     /// datagram buffer, sealed when the parameters carry a verification key.
-    /// A composed message always fits the wire format: the tables bound its
-    /// count, and its addresses are IPv4.
     fn encode(
         &mut self,
-        node: &BootstrapNode<SocketAddr>,
+        node: &BootstrapNode<SocketAddrV4>,
         kind: MessageKind,
-        descriptors: Vec<Descriptor<SocketAddr>>,
+        descriptors: &[Descriptor<SocketAddrV4>],
     ) -> &[u8] {
-        let mut message = WireMessage::unstamped(kind, node.own_descriptor(), descriptors);
-        if let Some(key) = node.params().descriptor_verifier {
-            seal(&mut message, key);
-        }
-        try_encode_into(&message, &mut self.datagram).expect("a composed message encodes");
+        let key = node.params().descriptor_verifier;
+        write_datagram(
+            &mut self.datagram,
+            kind,
+            node.own_descriptor(),
+            descriptors,
+            key,
+        );
         &self.datagram
     }
 }
@@ -101,12 +106,12 @@ const SAMPLE_POOL_CAPACITY: usize = 128;
 /// sampler.
 #[derive(Debug, Clone)]
 pub(crate) struct SamplePool {
-    entries: Vec<Descriptor<SocketAddr>>,
+    entries: Vec<Descriptor<SocketAddrV4>>,
 }
 
 impl SamplePool {
     /// A pool seeded with the peer's static start-up contacts.
-    pub(crate) fn new(contacts: impl IntoIterator<Item = Descriptor<SocketAddr>>) -> Self {
+    pub(crate) fn new(contacts: impl IntoIterator<Item = Descriptor<SocketAddrV4>>) -> Self {
         let mut pool = SamplePool {
             entries: Vec::new(),
         };
@@ -123,7 +128,7 @@ impl SamplePool {
 
     /// The pool's entries, in pool order.
     #[cfg(test)]
-    pub(crate) fn entries(&self) -> &[Descriptor<SocketAddr>] {
+    pub(crate) fn entries(&self) -> &[Descriptor<SocketAddrV4>] {
         &self.entries
     }
 
@@ -141,7 +146,7 @@ impl SamplePool {
     pub(crate) fn ingest(
         &mut self,
         rng: &mut SimRng,
-        descriptors: impl IntoIterator<Item = Descriptor<SocketAddr>>,
+        descriptors: impl IntoIterator<Item = Descriptor<SocketAddrV4>>,
     ) {
         for descriptor in descriptors {
             match self
@@ -174,13 +179,13 @@ impl SamplePool {
     }
 
     /// Draws up to `count` distinct random samples from the pool.
-    pub(crate) fn draw(&self, rng: &mut SimRng, count: usize) -> Vec<Descriptor<SocketAddr>> {
+    pub(crate) fn draw(&self, rng: &mut SimRng, count: usize) -> Vec<Descriptor<SocketAddrV4>> {
         rng.sample(&self.entries, count.min(self.entries.len()))
     }
 
     /// Picks a uniformly random pool member (other than the node itself) as
     /// the target of one sampling-gossip exchange.
-    pub(crate) fn pick_target(&self, rng: &mut SimRng, own: NodeId) -> Option<SocketAddr> {
+    pub(crate) fn pick_target(&self, rng: &mut SimRng, own: NodeId) -> Option<SocketAddrV4> {
         let eligible = self
             .entries
             .iter()
@@ -208,19 +213,19 @@ impl SamplePool {
 /// feed pools only; the protocol tables are exclusively the bootstrap
 /// layer's. The datagram is encoded into `scratch`.
 pub(crate) fn compose_sample_exchange<'a>(
-    node: &BootstrapNode<SocketAddr>,
+    node: &BootstrapNode<SocketAddrV4>,
     rng: &mut SimRng,
     pool: &mut SamplePool,
     now: u64,
     scratch: &'a mut ProtocolScratch,
-) -> Option<(SocketAddr, &'a [u8])> {
+) -> Option<(SocketAddrV4, &'a [u8])> {
     let params = *node.params();
     if let Some(max_age) = params.descriptor_max_age {
         pool.prune(now, max_age);
     }
     let target = pool.pick_target(rng, node.own_descriptor().id())?;
     let samples = pool.draw(rng, params.random_samples);
-    let datagram = scratch.encode(node, MessageKind::SampleRequest, samples);
+    let datagram = scratch.encode(node, MessageKind::SampleRequest, &samples);
     Some((target, datagram))
 }
 
@@ -230,12 +235,12 @@ pub(crate) fn compose_sample_exchange<'a>(
 /// empty. Sealed with identity stamps when the parameters carry a
 /// verification key.
 pub(crate) fn compose_request<'a>(
-    node: &mut BootstrapNode<SocketAddr>,
+    node: &mut BootstrapNode<SocketAddrV4>,
     rng: &mut SimRng,
     pool: &mut SamplePool,
     now: u64,
     scratch: &'a mut ProtocolScratch,
-) -> Option<(SocketAddr, &'a [u8])> {
+) -> Option<(SocketAddrV4, &'a [u8])> {
     let params = *node.params();
     if let Some(max_age) = params.descriptor_max_age {
         pool.prune(now, max_age);
@@ -243,7 +248,7 @@ pub(crate) fn compose_request<'a>(
     let peer = node.select_peer_with(rng, &mut Vec::new())?;
     let samples = pool.draw(rng, params.random_samples);
     let descriptors = node.create_message_at(peer.id(), &samples, true, now, &mut scratch.message);
-    let datagram = scratch.encode(node, MessageKind::Request, descriptors);
+    let datagram = scratch.encode(node, MessageKind::Request, &descriptors);
     Some((peer.address(), datagram))
 }
 
@@ -257,52 +262,44 @@ pub(crate) fn compose_request<'a>(
 /// service the active thread uses (Fig. 2 runs `CREATEMESSAGE` identically on
 /// both paths) — with the sample count bounded by what the pool actually
 /// holds, never a hard-coded constant.
-pub(crate) fn apply_message<'a>(
-    node: &mut BootstrapNode<SocketAddr>,
+///
+/// # Errors
+///
+/// Returns the [`DecodeError`] of a malformed datagram, which changes
+/// nothing.
+pub(crate) fn apply_datagram<'a>(
+    node: &mut BootstrapNode<SocketAddrV4>,
     rng: &mut SimRng,
     pool: &mut SamplePool,
-    message: WireMessage,
+    payload: &[u8],
     now: u64,
     scratch: &'a mut ProtocolScratch,
-) -> Option<&'a [u8]> {
+) -> Result<Option<&'a [u8]>, DecodeError> {
+    let datagram = read_datagram(payload)?;
     let params = *node.params();
     let own_id = node.own_descriptor().id();
 
     // Stage the received descriptors (carried list plus the sender, held
-    // *last*) and, under a verification key, their per-descriptor verdicts:
-    // `stamps[0]` covers the sender, so the verdicts are aligned to `received`
-    // order. Unstamped or miscounted datagrams on a keyed deployment are
-    // rejected wholesale. Timestamps are clamped to `now`: aging measures
+    // *last*) and, under a verification key, their per-descriptor verdicts,
+    // aligned to `received` order. Unstamped datagrams on a keyed deployment
+    // are rejected wholesale. Timestamps are clamped to `now`: aging measures
     // `now - timestamp`, saturating, so a descriptor stamped in the future
     // would never expire, and the identity stamps do not cover freshness.
     scratch.received.clear();
-    scratch.received.extend(
-        message
-            .descriptors
-            .iter()
-            .chain([&message.sender])
-            .map(|descriptor| descriptor.refreshed(descriptor.timestamp().min(now))),
-    );
-    let verified = params.descriptor_verifier.is_some();
     scratch.verdicts.clear();
-    if let Some(key) = params.descriptor_verifier {
-        if message.stamps.len() == scratch.received.len() {
-            let count = scratch.received.len();
-            scratch
-                .verdicts
-                .extend(
-                    scratch
-                        .received
-                        .iter()
-                        .enumerate()
-                        .map(|(index, descriptor)| {
-                            message.stamps[(index + 1) % count] == descriptor_stamp(key, descriptor)
-                        }),
-                );
-        } else {
-            scratch.verdicts.resize(scratch.received.len(), false);
+    let (received, verdicts) = (&mut scratch.received, &mut scratch.verdicts);
+    let mut stage = |(descriptor, stamp): (Descriptor<SocketAddrV4>, Option<u64>)| {
+        if let Some(key) = params.descriptor_verifier {
+            verdicts.push(stamp == Some(descriptor_stamp(key, &descriptor)));
         }
-    }
+        received.push(descriptor.refreshed(descriptor.timestamp().min(now)));
+    };
+    let mut entries = datagram.entries();
+    let sender = entries.next().expect("a datagram carries its sender");
+    let sender_id = sender.0.id();
+    entries.for_each(&mut stage);
+    stage(sender);
+    let verified = params.descriptor_verifier.is_some();
 
     // The sampling service learns only from its own layer's payloads, plus
     // every verified sender heartbeat. Bootstrap payloads are ring- and
@@ -312,7 +309,7 @@ pub(crate) fn apply_message<'a>(
     // and last-mile convergence stalls. Forged or unstamped descriptors must
     // never be re-gossiped as samples either way.
     let sampling_payload = matches!(
-        message.kind,
+        datagram.kind,
         MessageKind::SampleRequest | MessageKind::SampleResponse
     );
     let sender_index = scratch.received.len() - 1;
@@ -334,16 +331,11 @@ pub(crate) fn apply_message<'a>(
         pool.prune(now, max_age);
     }
 
-    let answer = match message.kind {
+    let answer = match datagram.kind {
         MessageKind::Request => {
             let samples = pool.draw(rng, params.random_samples);
-            let descriptors = node.create_message_at(
-                message.sender.id(),
-                &samples,
-                false,
-                now,
-                &mut scratch.message,
-            );
+            let descriptors =
+                node.create_message_at(sender_id, &samples, false, now, &mut scratch.message);
             Some((MessageKind::Response, descriptors))
         }
         MessageKind::SampleRequest => {
@@ -358,7 +350,7 @@ pub(crate) fn apply_message<'a>(
     // descriptor merges only with a matching identity stamp. Sampling-layer
     // messages feed the pool alone — the two layers stay separate, exactly as
     // in the paper's architecture.
-    if matches!(message.kind, MessageKind::Request | MessageKind::Response) {
+    if matches!(datagram.kind, MessageKind::Request | MessageKind::Response) {
         let received = &scratch.received;
         if verified {
             let verdicts = &scratch.verdicts;
@@ -369,8 +361,7 @@ pub(crate) fn apply_message<'a>(
             node.receive_at(received, now, &mut scratch.merge);
         }
     }
-    let (kind, descriptors) = answer?;
-    Some(scratch.encode(node, kind, descriptors))
+    Ok(answer.map(|(kind, descriptors)| scratch.encode(node, kind, &descriptors)))
 }
 
 /// A cheap, cloneable view of one running peer: its identity, address and
@@ -379,12 +370,12 @@ pub(crate) fn apply_message<'a>(
 #[derive(Debug, Clone)]
 pub struct PeerHandle {
     id: NodeId,
-    address: SocketAddr,
-    state: Arc<Mutex<BootstrapNode<SocketAddr>>>,
+    address: SocketAddrV4,
+    state: Arc<Mutex<BootstrapNode<SocketAddrV4>>>,
 }
 
 impl PeerHandle {
-    pub(crate) fn new(node: BootstrapNode<SocketAddr>) -> Self {
+    pub(crate) fn new(node: BootstrapNode<SocketAddrV4>) -> Self {
         let own = node.own_descriptor();
         PeerHandle {
             id: own.id(),
@@ -399,7 +390,7 @@ impl PeerHandle {
     }
 
     /// The peer's socket address.
-    pub fn address(&self) -> SocketAddr {
+    pub fn address(&self) -> SocketAddrV4 {
         self.address
     }
 
@@ -409,12 +400,12 @@ impl PeerHandle {
     }
 
     /// A snapshot of the peer's current protocol state.
-    pub fn state_snapshot(&self) -> BootstrapNode<SocketAddr> {
+    pub fn state_snapshot(&self) -> BootstrapNode<SocketAddrV4> {
         self.state().clone()
     }
 
     /// The peer's protocol state, locked.
-    pub(crate) fn state(&self) -> MutexGuard<'_, BootstrapNode<SocketAddr>> {
+    pub(crate) fn state(&self) -> MutexGuard<'_, BootstrapNode<SocketAddrV4>> {
         self.state
             .lock()
             .expect("only a panic while the peer state was locked poisons it")
@@ -424,11 +415,12 @@ impl PeerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{decode, encode, seal, WireMessage};
     use crate::driver::{DriverConfig, NetDriver};
     use proptest::collection::vec;
     use proptest::prelude::*;
     use std::io;
-    use std::net::{Ipv4Addr, SocketAddrV4};
+    use std::net::{Ipv4Addr, SocketAddr};
     use std::time::Duration;
 
     fn params() -> BootstrapParams {
@@ -548,6 +540,48 @@ mod tests {
         assert_eq!(other.id(), NodeId::new(ids[1]));
     }
 
+    const KEY: u64 = 0x5eed_cafe;
+
+    fn address(port: u16) -> SocketAddrV4 {
+        SocketAddrV4::new(Ipv4Addr::LOCALHOST, port)
+    }
+
+    /// A message between wire peers, in the public codec's form.
+    fn message(
+        kind: MessageKind,
+        sender: Descriptor<SocketAddrV4>,
+        carried: &[Descriptor<SocketAddrV4>],
+    ) -> WireMessage {
+        let public = |descriptor: &Descriptor<SocketAddrV4>| {
+            let address = SocketAddr::V4(descriptor.address());
+            Descriptor::new(descriptor.id(), address, descriptor.timestamp())
+        };
+        WireMessage::unstamped(kind, public(&sender), carried.iter().map(public).collect())
+    }
+
+    /// Applies `message`, encoded, to the peer.
+    fn apply<'a>(
+        node: &mut BootstrapNode<SocketAddrV4>,
+        rng: &mut SimRng,
+        pool: &mut SamplePool,
+        message: &WireMessage,
+        now: u64,
+        scratch: &'a mut ProtocolScratch,
+    ) -> Option<&'a [u8]> {
+        let datagram = encode(message);
+        apply_datagram(node, rng, pool, &datagram, now, scratch).expect("an encoded message reads")
+    }
+
+    #[test]
+    fn wire_descriptors_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<Descriptor<SocketAddrV4>>(), 24);
+        // What a handle's state and a pool hold; with `SocketAddr` addresses
+        // these stop compiling.
+        let snapshot: fn(&PeerHandle) -> BootstrapNode<SocketAddrV4> = PeerHandle::state_snapshot;
+        let pooled: fn(&SamplePool) -> &[Descriptor<SocketAddrV4>] = SamplePool::entries;
+        let _ = (snapshot, pooled);
+    }
+
     #[test]
     fn keyed_merges_reject_unstamped_and_forged_descriptors() {
         // Unit-level check of the verification glue, no sockets involved.
@@ -558,8 +592,7 @@ mod tests {
             descriptor_verifier: Some(key),
             ..BootstrapParams::paper_default()
         };
-        let addr = |port: u16| SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port));
-        let own = Descriptor::new(NodeId::new(1000), addr(1), 0);
+        let own = Descriptor::new(NodeId::new(1000), address(1), 0);
         let mut node = BootstrapNode::new(own, &keyed).unwrap();
         let mut pool = SamplePool::new([]);
         let mut scratch = ProtocolScratch::default();
@@ -567,9 +600,9 @@ mod tests {
 
         // An unstamped message on a keyed deployment merges nothing — and
         // feeds nothing to the sampling pool.
-        let honest = Descriptor::new(NodeId::new(2000), addr(2), 0);
-        let unstamped = WireMessage::unstamped(MessageKind::Response, honest, vec![]);
-        apply_message(&mut node, &mut rng, &mut pool, unstamped, 0, &mut scratch);
+        let honest = Descriptor::new(NodeId::new(2000), address(2), 0);
+        let unstamped = message(MessageKind::Response, honest, &[]);
+        apply(&mut node, &mut rng, &mut pool, &unstamped, 0, &mut scratch);
         assert!(
             node.leaf_set().is_empty(),
             "unstamped sender must not merge"
@@ -581,12 +614,13 @@ mod tests {
 
         // A properly sealed message merges; a forged descriptor inside it
         // (stamp minted for a different identifier) is rejected alone.
-        let forged = Descriptor::new(NodeId::new(3000), addr(3), 0);
-        let mut message = WireMessage::unstamped(MessageKind::Response, honest, vec![forged]);
-        seal(&mut message, key);
+        let forged = Descriptor::new(NodeId::new(3000), address(3), 0);
+        let mut sealed = message(MessageKind::Response, honest, &[forged]);
+        seal(&mut sealed, key);
         // Corrupt the forged descriptor's stamp: bind it to another id.
-        message.stamps[1] = descriptor_stamp(key, &Descriptor::new(NodeId::new(4000), addr(3), 0));
-        apply_message(&mut node, &mut rng, &mut pool, message, 0, &mut scratch);
+        let other = Descriptor::new(NodeId::new(4000), address(3), 0);
+        sealed.stamps[1] = descriptor_stamp(key, &other);
+        apply(&mut node, &mut rng, &mut pool, &sealed, 0, &mut scratch);
         assert!(
             node.leaf_set().contains(honest.id()),
             "sealed sender merges"
@@ -605,15 +639,9 @@ mod tests {
         );
     }
 
-    const KEY: u64 = 0x5eed_cafe;
-
-    fn address(port: u16) -> SocketAddr {
-        SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port))
-    }
-
     /// An initialised peer: tables and pool seeded with six contacts at
     /// identifiers 100, 200, …, its own identifier 1000 behind port 1.
-    fn live_peer(keyed: bool, aging: bool) -> (BootstrapNode<SocketAddr>, SamplePool) {
+    fn live_peer(keyed: bool, aging: bool) -> (BootstrapNode<SocketAddrV4>, SamplePool) {
         let params = BootstrapParams {
             descriptor_verifier: keyed.then_some(KEY),
             descriptor_max_age: aging.then_some(8),
@@ -630,7 +658,7 @@ mod tests {
     /// A descriptor an attacker could put on the wire: half the time one of
     /// the identifiers the peer knows (its own included, behind any address),
     /// with a timestamp at either end of the clock or anywhere between.
-    fn hostile_descriptor((id, port, timestamp): (u64, u16, u64)) -> Descriptor<SocketAddr> {
+    fn hostile_descriptor((id, port, timestamp): (u64, u16, u64)) -> Descriptor<SocketAddrV4> {
         let id = if id % 2 == 0 {
             (id / 2 % 10 + 1) * 100
         } else {
@@ -646,8 +674,9 @@ mod tests {
     }
 
     /// Any message kind around hostile descriptors, with stamps that never
-    /// verify under [`KEY`]: none, sealed under another key, sealed but
-    /// miscounted, or `junk` of any length.
+    /// verify under [`KEY`]: none, sealed under another key, sealed under
+    /// [`KEY`] and then bent, or `junk` (a datagram holds one stamp per
+    /// descriptor or none, so the junk is cut or padded to that count).
     fn hostile_message(
         kind: u8,
         sender: (u64, u16, u64),
@@ -661,60 +690,76 @@ mod tests {
             MessageKind::SampleRequest,
             MessageKind::SampleResponse,
         ];
-        let carried = carried.into_iter().map(hostile_descriptor).collect();
-        let mut message = WireMessage::unstamped(
+        let carried: Vec<_> = carried.into_iter().map(hostile_descriptor).collect();
+        let mut message = message(
             kinds[usize::from(kind % 4)],
             hostile_descriptor(sender),
-            carried,
+            &carried,
         );
         match stamping % 4 {
             0 => {}
             1 => seal(&mut message, KEY ^ 1),
             2 => {
                 seal(&mut message, KEY);
-                message.stamps.push(junk.len() as u64);
+                let bend = 1 << (junk.len() % 64);
+                message.stamps.iter_mut().for_each(|stamp| *stamp ^= bend);
             }
-            _ => message.stamps = junk,
+            _ => {
+                let count = carried.len() + 1;
+                let padded = junk.iter().copied().chain(0..);
+                message.stamps = padded.take(count).collect();
+            }
         }
         message
     }
 
     proptest! {
         /// ROADMAP 5c, one layer above the codec's decode properties: whatever
-        /// a datagram decodes to, applying it to a live peer never panics, an
-        /// answer goes out for requests only, and on a keyed peer a message
-        /// none of whose stamps verify leaves the tables and the sample pool
-        /// as they were (without aging, which evicts on its own clock). No
-        /// peer ends up holding a descriptor dated after `now`, which would
-        /// never age out.
+        /// datagram arrives, a byte of it perhaps flipped, applying it to a
+        /// live peer never panics; one that does not read is refused and
+        /// changes nothing; an answer goes out for requests only; and on a
+        /// keyed peer a message none of whose stamps verify leaves the tables
+        /// and the sample pool as they were (without aging, which evicts on
+        /// its own clock). No peer ends up holding a descriptor dated after
+        /// `now`, which would never age out.
         #[test]
         fn no_datagram_panics_a_live_peer_or_merges_unverified(
             shape in (any::<u8>(), any::<u8>(), any::<bool>(), any::<bool>()),
             sender in (any::<u64>(), any::<u16>(), any::<u64>()),
             carried in vec((any::<u64>(), any::<u16>(), any::<u64>()), 0..40),
             junk in vec(any::<u64>(), 0..44),
+            flip in (any::<u64>(), any::<u8>()),
             now in any::<u64>(),
         ) {
             let (kind, stamping, keyed, aging) = shape;
-            let message = hostile_message(kind, sender, carried, stamping, junk);
+            let mut datagram = encode(&hostile_message(kind, sender, carried, stamping, junk));
+            let (position, xor) = flip;
+            let length = datagram.len() as u64;
+            datagram[(position % length) as usize] ^= xor;
+            let read = read_datagram(&datagram).map(|datagram| datagram.kind);
+
             let (mut node, mut pool) = live_peer(keyed, aging);
             let before = (node.leaf_set().to_vec(), node.prefix_table().to_vec(), pool.entries.clone());
             let now = if now % 2 == 0 { now % 32 } else { now };
             let mut scratch = ProtocolScratch::default();
-            let answer = apply_message(
+            let applied = apply_datagram(
                 &mut node,
                 &mut SimRng::seed_from(now),
                 &mut pool,
-                message.clone(),
+                &datagram,
                 now,
                 &mut scratch,
             );
-            let expected = match message.kind {
-                MessageKind::Request => Some(MessageKind::Response),
-                MessageKind::SampleRequest => Some(MessageKind::SampleResponse),
-                MessageKind::Response | MessageKind::SampleResponse => None,
+            prop_assert_eq!(applied.is_ok(), read.is_ok());
+            let answer = applied
+                .ok()
+                .flatten()
+                .map(|bytes| decode(bytes).expect("answers are well-formed"));
+            let expected = match read {
+                Ok(MessageKind::Request) => Some(MessageKind::Response),
+                Ok(MessageKind::SampleRequest) => Some(MessageKind::SampleResponse),
+                _ => None,
             };
-            let answer = answer.map(|bytes| crate::codec::decode(bytes).expect("answers are well-formed"));
             prop_assert_eq!(answer.as_ref().map(|answer| answer.kind), expected);
             if let Some(answer) = &answer {
                 prop_assert_eq!(answer.sender.id(), NodeId::new(1000));
@@ -722,10 +767,10 @@ mod tests {
             }
             // The live peer's contacts were stamped 3 before the datagram came.
             let ceiling = now.max(3);
-            let dated = |descriptor: &Descriptor<SocketAddr>| descriptor.timestamp() <= ceiling;
+            let dated = |descriptor: &Descriptor<SocketAddrV4>| descriptor.timestamp() <= ceiling;
             prop_assert!(node.leaf_set().iter().all(dated));
             prop_assert!(node.prefix_table().iter().all(dated) && pool.entries.iter().all(dated));
-            if keyed && !aging {
+            if (keyed && !aging) || read.is_err() {
                 let after = (node.leaf_set().to_vec(), node.prefix_table().to_vec(), pool.entries);
                 prop_assert_eq!(after, before);
             }
@@ -740,12 +785,12 @@ mod tests {
         let (mut node, mut pool) = live_peer(true, false);
         let sender = Descriptor::new(NodeId::new(1001), address(9), 4);
         let twice = Descriptor::new(NodeId::new(1002), address(10), 4);
-        let mut message = WireMessage::unstamped(MessageKind::Response, sender, vec![twice, twice]);
-        seal(&mut message, KEY);
-        message.stamps[1] ^= 1;
+        let mut sealed = message(MessageKind::Response, sender, &[twice, twice]);
+        seal(&mut sealed, KEY);
+        sealed.stamps[1] ^= 1;
         let mut scratch = ProtocolScratch::default();
         let mut rng = SimRng::seed_from(1);
-        apply_message(&mut node, &mut rng, &mut pool, message, 5, &mut scratch);
+        apply(&mut node, &mut rng, &mut pool, &sealed, 5, &mut scratch);
         let copies = node
             .leaf_set()
             .iter()
@@ -764,9 +809,9 @@ mod tests {
         let (mut node, mut pool) = live_peer(true, true);
         let (mut rng, mut scratch) = (SimRng::seed_from(1), ProtocolScratch::default());
         let replayed = Descriptor::new(NodeId::new(1001), address(9), u64::MAX - 1);
-        let mut message = WireMessage::unstamped(MessageKind::Response, replayed, vec![]);
-        seal(&mut message, KEY);
-        apply_message(&mut node, &mut rng, &mut pool, message, 5, &mut scratch);
+        let mut sealed = message(MessageKind::Response, replayed, &[]);
+        seal(&mut sealed, KEY);
+        apply(&mut node, &mut rng, &mut pool, &sealed, 5, &mut scratch);
         assert!(
             node.leaf_set().contains(replayed.id()),
             "a verified replay merges"
@@ -776,9 +821,9 @@ mod tests {
         // A thousand cycles later (`max_age` is 8) a live peer's heartbeat
         // arrives, and the replayed descriptor is gone from tables and pool.
         let live = Descriptor::new(NodeId::new(1002), address(10), 1005);
-        let mut message = WireMessage::unstamped(MessageKind::Response, live, vec![]);
-        seal(&mut message, KEY);
-        apply_message(&mut node, &mut rng, &mut pool, message, 1005, &mut scratch);
+        let mut sealed = message(MessageKind::Response, live, &[]);
+        seal(&mut sealed, KEY);
+        apply(&mut node, &mut rng, &mut pool, &sealed, 1005, &mut scratch);
         assert!(node.leaf_set().contains(live.id()));
         let mut held = node.leaf_set().iter().chain(node.prefix_table().iter());
         assert!(held.all(|descriptor| descriptor.id() != replayed.id()));
@@ -787,12 +832,11 @@ mod tests {
 
     #[test]
     fn sample_pool_keeps_freshest_stays_bounded_and_prunes_expired() {
-        let addr = |port: u16| SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port));
-        let mut pool = SamplePool::new([Descriptor::new(NodeId::new(1), addr(1), 0)]);
+        let mut pool = SamplePool::new([Descriptor::new(NodeId::new(1), address(1), 0)]);
         let mut rng = SimRng::seed_from(3);
 
         // A fresher copy of a known identifier replaces the stale one in place.
-        pool.ingest(&mut rng, [Descriptor::new(NodeId::new(1), addr(1), 5)]);
+        pool.ingest(&mut rng, [Descriptor::new(NodeId::new(1), address(1), 5)]);
         assert_eq!(pool.entries.len(), 1);
         assert_eq!(pool.entries[0].timestamp(), 5);
 
@@ -801,7 +845,7 @@ mod tests {
         // so stale-but-alive descriptors keep circulating as samples.
         let newest = SAMPLE_POOL_CAPACITY as u16 + 1;
         let arrivals = (2..=newest)
-            .map(|n| Descriptor::new(NodeId::new(u64::from(n)), addr(n), 2 + u64::from(n % 7)));
+            .map(|n| Descriptor::new(NodeId::new(u64::from(n)), address(n), 2 + u64::from(n % 7)));
         pool.ingest(&mut rng, arrivals);
         assert_eq!(pool.entries.len(), SAMPLE_POOL_CAPACITY);
         assert!(

@@ -1,18 +1,33 @@
 //! Decode-robustness properties for the wire codec: `decode` must be total —
 //! any byte string either decodes or returns `Err`, never panics — and
-//! encode/decode must be a stable round trip, stamped or not.
+//! encode/decode must be a stable round trip, stamped or not; and the wire
+//! peers' in-place path must put the same bytes on the wire as the public
+//! `WireMessage` path.
 
-use bss_net::codec::{decode, encode, seal, MessageKind, WireMessage};
+use bss_net::codec::{
+    decode, encode, read_datagram, seal, write_datagram, MessageKind, WireMessage,
+};
 use bss_util::descriptor::Descriptor;
 use bss_util::id::NodeId;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::iter::{once, repeat};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 
-fn descriptor(raw: (u64, u32, u16, u64)) -> Descriptor<SocketAddr> {
+/// A descriptor as wire peers hold it.
+fn wire(raw: (u64, u32, u16, u64)) -> Descriptor<SocketAddrV4> {
     let (id, ip, port, timestamp) = raw;
-    let address = SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::from(ip), port));
-    Descriptor::new(NodeId::new(id), address, timestamp)
+    Descriptor::new(
+        NodeId::new(id),
+        SocketAddrV4::new(Ipv4Addr::from(ip), port),
+        timestamp,
+    )
+}
+
+/// The same descriptor as a `WireMessage` carries it.
+fn descriptor(raw: (u64, u32, u16, u64)) -> Descriptor<SocketAddr> {
+    let held = wire(raw);
+    Descriptor::new(held.id(), SocketAddr::V4(held.address()), held.timestamp())
 }
 
 fn message(
@@ -52,6 +67,30 @@ proptest! {
         prop_assert_eq!(&decoded, &original);
         // Stability: re-encoding the decoded message yields the same bytes.
         prop_assert_eq!(encode(&decoded), encoded);
+    }
+
+    #[test]
+    fn the_wire_peers_path_and_the_public_path_agree(
+        request in any::<bool>(),
+        sender in (any::<u64>(), any::<u32>(), any::<u16>(), any::<u64>()),
+        carried in vec((any::<u64>(), any::<u32>(), any::<u16>(), any::<u64>()), 0..40),
+        stamped in any::<bool>(),
+        key in any::<u64>(),
+    ) {
+        let key = stamped.then_some(key);
+        let public = message(request, sender, carried.clone(), key);
+        let held: Vec<_> = carried.into_iter().map(wire).collect();
+        let mut written = Vec::new();
+        write_datagram(&mut written, public.kind, wire(sender), &held, key);
+        prop_assert_eq!(&written, &encode(&public));
+        // Each path reads the other's datagram: the same bytes, so the same
+        // entries and stamps.
+        let read = read_datagram(&written).expect("a fresh datagram reads");
+        prop_assert_eq!(read.kind, public.kind);
+        let stamps = public.stamps.iter().copied().map(Some).chain(repeat(None));
+        let expected: Vec<_> = once(wire(sender)).chain(held).zip(stamps).collect();
+        prop_assert_eq!(read.entries().collect::<Vec<_>>(), expected);
+        prop_assert_eq!(decode(&written).expect("a fresh datagram decodes"), public);
     }
 
     #[test]

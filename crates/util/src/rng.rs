@@ -201,6 +201,37 @@ impl SimRng {
         items.truncate(count);
     }
 
+    /// The positions [`sample`](Self::sample) draws from a slice of
+    /// `identity.len()` items, appended to `drawn`. `identity` must hold
+    /// `0..identity.len()` in order, and holds it again on return: the draw
+    /// swaps its positions to the front, reads them and swaps them back, so
+    /// drawing many times from one length costs O(`count`) a draw, not
+    /// O(length).
+    pub fn sample_positions(
+        &mut self,
+        identity: &mut [usize],
+        count: usize,
+        drawn: &mut Vec<usize>,
+    ) {
+        let (n, start) = (identity.len(), drawn.len());
+        if count >= n {
+            drawn.extend_from_slice(identity);
+            self.shuffle(&mut drawn[start..]);
+            return;
+        }
+        for i in 0..count {
+            let j = i + self.index(n - i);
+            identity.swap(i, j);
+            drawn.push(j);
+        }
+        // Undone in reverse, step `i` finds position `i` as it left it.
+        for i in (0..count).rev() {
+            let j = drawn[start + i];
+            drawn[start + i] = identity[i];
+            identity.swap(i, j);
+        }
+    }
+
     /// Generates `count` *distinct* uniformly random `u64` values.
     ///
     /// Used to assign unique node identifiers; with 64-bit identifiers collisions
@@ -319,6 +350,30 @@ mod tests {
             in_place.sample_in_place(&mut buffer, count);
             assert_eq!(buffer, copied.sample(&items, count), "count {count}");
             assert_eq!(in_place, copied, "count {count}");
+        }
+    }
+
+    #[test]
+    fn sampling_positions_draws_what_sample_draws() {
+        for length in [0, 1, 2, 30] {
+            let positions: Vec<usize> = (0..length).collect();
+            let mut identity = positions.clone();
+            for count in [0, 1, 7, 29, 30, 31] {
+                let mut copied = SimRng::seed_from(43 + count as u64);
+                let mut drawing = copied.clone();
+                let mut drawn = vec![usize::MAX];
+                drawing.sample_positions(&mut identity, count, &mut drawn);
+                assert_eq!(
+                    drawn[1..],
+                    copied.sample(&positions, count),
+                    "{length}, {count}"
+                );
+                assert_eq!(
+                    (drawing, &identity),
+                    (copied, &positions),
+                    "{length}, {count}"
+                );
+            }
         }
     }
 
