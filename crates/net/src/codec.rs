@@ -10,6 +10,14 @@
 //! reject descriptors whose stamp does not verify. A full message with the
 //! paper's parameters stays well under a kilobyte and a half even when stamped,
 //! comfortably inside a single UDP datagram.
+//!
+//! The format has one writer and one reader. Wire peers hold `SocketAddrV4`
+//! descriptors, the address the format carries, and move them in place:
+//! [`write_datagram`] encodes a peer's own descriptor and a slice of others,
+//! stamping each under the key, and [`read_datagram`] checks a payload and
+//! hands out its entries. [`WireMessage`] with [`encode`], [`decode`] and
+//! [`seal`] is the same format for callers holding `SocketAddr` descriptors,
+//! converted at that edge.
 
 use bss_sim::adversary::stamp;
 use bss_util::descriptor::Descriptor;
@@ -92,28 +100,6 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Error returned when a message cannot be encoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct EncodeError {
-    message: String,
-}
-
-impl EncodeError {
-    fn new(message: impl Into<String>) -> Self {
-        EncodeError {
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for EncodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unencodable message: {}", self.message)
-    }
-}
-
-impl std::error::Error for EncodeError {}
-
 const MAGIC: u8 = 0xB5;
 const VERSION: u8 = 2;
 const FLAG_STAMPED: u8 = 0b0000_0001;
@@ -144,11 +130,8 @@ pub(crate) fn descriptor_stamp(key: u64, descriptor: &Descriptor<SocketAddrV4>) 
     stamp(key, descriptor.id(), address_key(descriptor.address()))
 }
 
-/// Narrows a [`WireMessage`] descriptor to the wire's IPv4 form.
-///
-/// # Panics
-///
-/// Panics on IPv6 addresses (the localhost deployment only uses IPv4).
+/// Narrows a [`WireMessage`] descriptor to the wire's IPv4 form, panicking on
+/// an IPv6 address (the localhost deployment only uses IPv4).
 fn to_wire(descriptor: &Descriptor<SocketAddr>) -> Descriptor<SocketAddrV4> {
     match descriptor.address() {
         SocketAddr::V4(v4) => Descriptor::new(descriptor.id(), v4, descriptor.timestamp()),
@@ -180,68 +163,37 @@ pub fn seal(message: &mut WireMessage, key: u64) {
 /// encoding every descriptor would emit a corrupt datagram), if a stamped
 /// message's stamp count does not match its descriptor count, or if any
 /// descriptor carries a non-IPv4 address (the localhost deployment only uses
-/// IPv4). Use `try_encode_into` to handle malformed messages as a value.
+/// IPv4).
 pub fn encode(message: &WireMessage) -> Vec<u8> {
-    let mut buffer = Vec::new();
-    if let Err(error) = try_encode_into(message, &mut buffer) {
-        panic!("{error}");
-    }
-    buffer
-}
-
-/// Encodes a message into `buffer`, replacing its contents, and rejects
-/// messages whose descriptor count does not fit the wire format's `u16` count
-/// field or whose stamp list does not cover exactly the sender plus every
-/// descriptor.
-///
-/// # Errors
-///
-/// Returns [`EncodeError`] when the message carries more than
-/// [`MAX_DESCRIPTORS`] descriptors, or is stamped with a stamp count other
-/// than `descriptors.len() + 1`.
-///
-/// # Panics
-///
-/// Panics if any descriptor carries a non-IPv4 address (the localhost
-/// deployment only supports IPv4).
-pub(crate) fn try_encode_into(
-    message: &WireMessage,
-    buffer: &mut Vec<u8>,
-) -> Result<(), EncodeError> {
-    let Ok(count) = u16::try_from(message.descriptors.len()) else {
-        return Err(EncodeError::new(format!(
-            "{} descriptors exceed the wire format's limit of {MAX_DESCRIPTORS}",
-            message.descriptors.len()
-        )));
+    let carried = message.descriptors.len();
+    let Ok(count) = u16::try_from(carried) else {
+        panic!("{carried} descriptors exceed the wire format's limit of {MAX_DESCRIPTORS}");
     };
     let stamped = message.is_stamped();
-    if stamped && message.stamps.len() != message.descriptors.len() + 1 {
-        return Err(EncodeError::new(format!(
-            "{} stamps cannot cover the sender plus {} descriptors",
-            message.stamps.len(),
-            message.descriptors.len()
-        )));
-    }
+    assert!(
+        !stamped || message.stamps.len() == carried + 1,
+        "{} stamps cannot cover the sender plus {carried} descriptors",
+        message.stamps.len()
+    );
     let descriptors = std::iter::once(&message.sender)
         .chain(&message.descriptors)
         .map(to_wire);
     let stamps = message.stamps.iter().copied().chain(std::iter::repeat(0));
+    let mut buffer = Vec::new();
     write_entries(
-        buffer,
+        &mut buffer,
         message.kind,
         count,
         stamped,
         descriptors.zip(stamps),
     );
-    Ok(())
+    buffer
 }
 
-/// Encodes the datagram a wire peer sends straight from its own descriptors
-/// into `buffer`, replacing its contents (a sender that reuses one buffer
-/// allocates nothing per datagram): `sender`'s descriptor and `descriptors`,
-/// each stamped under `key` when one is given. The bytes are those
-/// [`encode`] writes for the same descriptors as a [`WireMessage`], sealed
-/// under the same key.
+/// Encodes a wire peer's datagram into `buffer`, replacing its contents (a
+/// sender that reuses one buffer allocates nothing per datagram): `sender`
+/// and `descriptors`, each stamped under `key` when there is one — the bytes
+/// [`encode`] writes for the same message sealed under the same key.
 ///
 /// # Panics
 ///
@@ -354,9 +306,8 @@ impl<'a> Datagram<'a> {
     }
 }
 
-/// The one datagram reader: checks the header and the length, and hands the
-/// entries out in place, so a wire peer reads them without building a
-/// [`WireMessage`].
+/// The one datagram reader: checks the header and the length, and hands out
+/// the entries in place, with no [`WireMessage`] built.
 ///
 /// # Errors
 ///
@@ -421,6 +372,14 @@ mod tests {
 
     fn stamp_of(key: u64, descriptor: &Descriptor<SocketAddr>) -> u64 {
         descriptor_stamp(key, &to_wire(descriptor))
+    }
+
+    /// The message `encode` panics with on `message`.
+    fn encode_panic(message: &WireMessage) -> String {
+        let payload = std::panic::catch_unwind(|| encode(message)).unwrap_err();
+        *payload
+            .downcast::<String>()
+            .expect("a formatted panic message")
     }
 
     #[test]
@@ -506,8 +465,8 @@ mod tests {
             vec![descriptor(2, 2, 2)],
         );
         message.stamps = vec![7]; // needs 2: sender + one descriptor
-        let error = try_encode_into(&message, &mut Vec::new()).unwrap_err();
-        assert!(error.to_string().contains("cannot cover"), "{error}");
+        let error = encode_panic(&message);
+        assert!(error.contains("cannot cover"), "{error}");
     }
 
     #[test]
@@ -557,8 +516,7 @@ mod tests {
                 .map(|i| descriptor(i, (i % 60_000) as u16, i))
                 .collect(),
         );
-        let mut encoded = Vec::new();
-        try_encode_into(&at_limit, &mut encoded).expect("the boundary count must encode");
+        let encoded = encode(&at_limit);
         assert_eq!(
             encoded.len(),
             HEADER_BYTES + DESCRIPTOR_BYTES * (MAX_DESCRIPTORS + 1)
@@ -571,8 +529,8 @@ mod tests {
         // encoder must reject it instead.
         let mut oversized = at_limit;
         oversized.descriptors.push(descriptor(u64::MAX, 1, 1));
-        let error = try_encode_into(&oversized, &mut encoded).unwrap_err();
-        assert!(error.to_string().contains("65536"), "{error}");
+        let error = encode_panic(&oversized);
+        assert!(error.contains("65536"), "{error}");
     }
 
     #[test]

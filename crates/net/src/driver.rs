@@ -148,8 +148,11 @@ pub struct NetDriver {
 }
 
 impl NetDriver {
-    /// Binds every peer's socket (nonblocking), seeds every contact list from
-    /// the full address population, and readies the loop. No datagram flows
+    /// Binds every peer's socket (nonblocking), seeds each peer's tables and
+    /// sample pool with `contacts_per_peer` contacts drawn uniformly from the
+    /// other peers, and readies the loop. The draws come from one stream
+    /// seeded with `seed` and read positions in one reused buffer, so seeding
+    /// costs the same per peer at any cluster size. No datagram flows
     /// until the caller polls: [`NetDriver::poll_once`],
     /// [`NetDriver::poll_until`] or [`NetDriver::monitor`].
     ///
@@ -205,7 +208,6 @@ impl NetDriver {
         let mut drawn = Vec::new();
         for (position, socket) in sockets.into_iter().enumerate() {
             let own = descriptors[position];
-            drawn.clear();
             rng.sample_positions(&mut others, config.contacts_per_peer, &mut drawn);
             let contacts = drawn
                 .iter()

@@ -1,19 +1,20 @@
 //! The clocked protocol glue between a [`BootstrapNode`] and the wire, plus the
 //! handle through which callers and tests read a running peer.
 //!
-//! `compose_request` and `apply_message` implement both threads of Fig. 2
+//! `compose_request` and `apply_datagram` implement both threads of Fig. 2
 //! over datagrams: on a periodic timer a peer selects a partner, composes a
 //! message and sends a request (active thread); whenever a request arrives it
 //! answers with its own message and applies the received one (passive thread);
 //! responses are simply applied. The node-local state is the very same
 //! [`BootstrapNode`] the simulator uses, instantiated with `SocketAddrV4` as
-//! the address type: the 24-byte descriptor the datagram's IPv4 address and
-//! port fit, half the 48 bytes a `SocketAddr` descriptor takes. Datagrams are
-//! read and written in place by the codec's one reader and one writer
-//! ([`crate::codec::read_datagram`], [`crate::codec::write_datagram`]), so
-//! no [`WireMessage`](crate::codec::WireMessage) is built on the way. The driver ([`crate::driver`]) is the one caller: it owns
-//! the sockets and the clock, runs one peer or a thousand, and sends each
-//! datagram these functions encode the moment they return it.
+//! the address type, the IPv4 address and port a datagram carries: a
+//! descriptor is 24 bytes, half the 48 a `SocketAddr` one takes. The codec's
+//! one reader and one writer ([`crate::codec::read_datagram`],
+//! [`crate::codec::write_datagram`]) move descriptors between the datagram
+//! and the working memory in place; no [`WireMessage`](crate::codec::WireMessage)
+//! is built on the way. The driver ([`crate::driver`]) is the one caller: it
+//! owns the sockets and the clock, runs one peer or a thousand, and sends
+//! each datagram these functions encode the moment they return it.
 //!
 //! The wire path is *clocked*: every peer derives a cycle number from its
 //! wall-clock uptime (`elapsed millis / Δ`) and drives the protocol through

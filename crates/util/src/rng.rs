@@ -201,22 +201,21 @@ impl SimRng {
         items.truncate(count);
     }
 
-    /// The positions [`sample`](Self::sample) draws from a slice of
-    /// `identity.len()` items, appended to `drawn`. `identity` must hold
-    /// `0..identity.len()` in order, and holds it again on return: the draw
-    /// swaps its positions to the front, reads them and swaps them back, so
-    /// drawing many times from one length costs O(`count`) a draw, not
-    /// O(length).
+    /// Fills `drawn` with the positions [`sample`](Self::sample) draws from
+    /// a slice as long as `identity`, which must hold `0..identity.len()`.
+    /// The draw swaps them to the front and back again: it costs O(`count`),
+    /// not O(length), and leaves `identity` as it found it.
     pub fn sample_positions(
         &mut self,
         identity: &mut [usize],
         count: usize,
         drawn: &mut Vec<usize>,
     ) {
-        let (n, start) = (identity.len(), drawn.len());
+        drawn.clear();
+        let n = identity.len();
         if count >= n {
             drawn.extend_from_slice(identity);
-            self.shuffle(&mut drawn[start..]);
+            self.shuffle(drawn);
             return;
         }
         for i in 0..count {
@@ -224,10 +223,11 @@ impl SimRng {
             identity.swap(i, j);
             drawn.push(j);
         }
-        // Undone in reverse, step `i` finds position `i` as it left it.
+        // Undone in reverse: no later step touches position `i`, so it still
+        // holds step `i`'s draw, which replaces `j` in `drawn`.
         for i in (0..count).rev() {
-            let j = drawn[start + i];
-            drawn[start + i] = identity[i];
+            let j = drawn[i];
+            drawn[i] = identity[i];
             identity.swap(i, j);
         }
     }
@@ -363,11 +363,7 @@ mod tests {
                 let mut drawing = copied.clone();
                 let mut drawn = vec![usize::MAX];
                 drawing.sample_positions(&mut identity, count, &mut drawn);
-                assert_eq!(
-                    drawn[1..],
-                    copied.sample(&positions, count),
-                    "{length}, {count}"
-                );
+                assert_eq!(drawn, copied.sample(&positions, count), "{length}, {count}");
                 assert_eq!(
                     (drawing, &identity),
                     (copied, &positions),
